@@ -17,6 +17,7 @@ import (
 	"emblookup/internal/kg"
 	"emblookup/internal/ngram"
 	"emblookup/internal/obs"
+	"emblookup/internal/serve"
 	"emblookup/internal/tenant"
 )
 
@@ -131,6 +132,37 @@ func TestTenantAdmissionAllocs(t *testing.T) {
 	}); n > maxLookupAllocs+1 {
 		t.Errorf("admitted lookup: %.1f allocs/op, budget %d (single-tenant %d + 1 admission)",
 			n, maxLookupAllocs+1, maxLookupAllocs)
+	}
+}
+
+// TestServeSoloMissAllocs guards the coalescer's idle path: a serve miss
+// that finds a core free runs the single-query lookup on its own goroutine,
+// so the whole substrate — gate, counters, histograms — may add at most the
+// normalized query string to the direct lookup's budget. (A queued request
+// pays for its queue entry, channel and the bulk call's slices; an idle
+// coalescer must not.)
+func TestServeSoloMissAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation guard trains a model; skipped in -short")
+	}
+	_, m, _ := model(t)
+	obs.Default().SetEnabled(true)
+	sv, err := serve.New(m, serve.Options{CacheSize: -1, Registry: obs.New()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sv.Close()
+	for i := 0; i < 8; i++ {
+		sv.Lookup("Bramonia Ridge", 10)
+	}
+	if n := testing.AllocsPerRun(200, func() {
+		sv.Lookup("Bramonia Ridge", 10)
+	}); n > maxLookupAllocs+1 {
+		t.Errorf("serve miss on an idle coalescer: %.1f allocs/op, budget %d (direct lookup %d + 1)",
+			n, maxLookupAllocs+1, maxLookupAllocs)
+	}
+	if st := sv.Stats().Coalescer; st.Batches != st.Queries {
+		t.Errorf("idle coalescer formed batches: %+v", st)
 	}
 }
 

@@ -218,7 +218,6 @@ func cmdServe(args []string) {
 	addr := fs.String("addr", ":8080", "listen address")
 	shards := fs.Int("shards", 0, "index scan shards (0 = default 4, 1 = unsharded)")
 	batch := fs.Int("batch", 0, "coalescer max batch size (0 = default 32, negative disables coalescing)")
-	batchWindow := fs.Duration("batch-window", 0, "coalescer flush window (0 = default 200µs)")
 	cacheSize := fs.Int("cache-size", 0, "mention cache entries (0 = default 4096, negative disables the cache)")
 	pprofOn := fs.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
 	clusterN := fs.Int("cluster", 0, "run an in-process demo cluster with N partition nodes behind a router")
@@ -270,7 +269,6 @@ func cmdServe(args []string) {
 		sv, err := serve.New(model, serve.Options{
 			Shards:    *shards,
 			MaxBatch:  *batch,
-			Window:    *batchWindow,
 			CacheSize: *cacheSize,
 		})
 		if err != nil {

@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"errors"
+	"io"
 	"net/http"
 	"runtime"
 	"testing"
@@ -83,10 +84,15 @@ func TestRouterCtxCancelStopsFanout(t *testing.T) {
 	_, m := testModel(t)
 	// Every node hangs /partition/search until the request's own context
 	// fires — the only way a request finishes during this test is
-	// cancellation propagating through the router's HTTP client.
-	stall := http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	// cancellation propagating through the router's HTTP client. The body
+	// is drained first: net/http watches the connection for the client's
+	// abort only once the request body has hit EOF.
+	entered := make(chan int, 16) // node index per stalled request; 2 nodes × (attempt + hedge) fit
+	stall := func(i int, r *http.Request) {
+		io.Copy(io.Discard, r.Body)
+		entered <- i
 		<-r.Context().Done()
-	})
+	}
 	l, err := StartLocal(m, 2, LocalOptions{
 		Router: RouterOptions{
 			Timeout:    30 * time.Second,
@@ -96,7 +102,7 @@ func TestRouterCtxCancelStopsFanout(t *testing.T) {
 		Wrap: func(i int, h http.Handler) http.Handler {
 			return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 				if r.URL.Path == "/partition/search" {
-					stall.ServeHTTP(w, r)
+					stall(i, r)
 					return
 				}
 				h.ServeHTTP(w, r)
@@ -115,7 +121,11 @@ func TestRouterCtxCancelStopsFanout(t *testing.T) {
 		_, err := l.Router.BulkLookupCtx(ctx, []string{"x", "y"}, 5)
 		done <- err
 	}()
-	time.Sleep(50 * time.Millisecond) // let the scatter and its hedges start
+	// Cancel once the scatter is fully out: both nodes hold a request, and
+	// a third arrival means a hedge has spawned too.
+	for seen, n := [2]bool{}, 0; !seen[0] || !seen[1] || n < 3; n++ {
+		seen[<-entered] = true
+	}
 	cancel()
 	select {
 	case err := <-done:

@@ -79,7 +79,7 @@ func BenchmarkServeCacheMiss(b *testing.B) {
 // serving regime the coalescer exists for.
 func BenchmarkServeCoalesced(b *testing.B) {
 	g, m := benchSetup(b)
-	sv, err := New(m, Options{Shards: 2, MaxBatch: 16, Window: 100 * time.Microsecond, CacheSize: -1})
+	sv, err := New(m, Options{Shards: 2, MaxBatch: 16, CacheSize: -1})
 	if err != nil {
 		b.Fatal(err)
 	}

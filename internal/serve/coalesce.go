@@ -2,6 +2,7 @@ package serve
 
 import (
 	"context"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -10,32 +11,36 @@ import (
 	"emblookup/internal/obs"
 )
 
-// BulkFunc answers a query batch at one k — core.EmbLookup.BulkLookup with
-// the parallelism bound applied. Each result must equal what a solo lookup
-// of that query would return.
-type BulkFunc func(queries []string, k int) [][]lookup.Candidate
+// Model is what the coalescer runs queries on: the single-query paths for a
+// request that finds a free slot, the batch path for requests that queued.
+// *core.EmbLookup implements it; every path must return, for each query,
+// what a solo lookup of that query returns. LookupTrace with a nil trace
+// and the Ctx methods with a context that can never be cancelled are the
+// plain paths.
+type Model interface {
+	LookupTrace(tr *obs.Trace, q string, k int) []lookup.Candidate
+	LookupCtx(ctx context.Context, q string, k int) ([]lookup.Candidate, error)
+	BulkLookupCtx(ctx context.Context, queries []string, k, parallelism int) ([][]lookup.Candidate, error)
+}
 
-// BulkCtxFunc is BulkFunc with cooperative cancellation —
-// core.EmbLookup.BulkLookupCtx. The coalescer calls it with the latest
-// deadline of the batch's live callers, so no caller's work is cut short
-// and a batch whose every caller has given up is never computed at all.
-type BulkCtxFunc func(ctx context.Context, queries []string, k int) ([][]lookup.Candidate, error)
-
-// coalOut is what a waiter receives: its candidates, or the batch's error
-// (only ever a context error — the bulk deadline passed mid-dispatch).
+// coalOut is what a queued caller receives: its candidates, or the batch's
+// error (only ever a context error — the bulk deadline passed mid-dispatch).
 type coalOut struct {
 	res []lookup.Candidate
 	err error
 }
 
-// coalReq is one caller blocked on the micro-batcher. t0 is its arrival
-// time, from which the coalescing-wait histogram is fed at dispatch. ctx is
-// nil for deadline-less callers. A caller that stops waiting (its context
-// fired) sets abandoned; dispatch drops abandoned requests before the bulk
-// call — their channel is buffered, so a lost race (result computed anyway)
-// just gets discarded.
+// coalReq is one caller queued behind the busy slots. t0 is its arrival
+// time, from which the coalescing-wait histogram is fed at dispatch; sp is
+// the traced caller's open span (coalesce_wait, then batch_scan; inert for
+// an untraced one). A caller that stops waiting (its context fired) sets
+// abandoned; dispatch drops abandoned requests before the bulk call — their
+// channel is buffered, so a lost race (result computed anyway) just gets
+// discarded.
 type coalReq struct {
 	ctx       context.Context
+	tr        *obs.Trace
+	sp        obs.SpanTimer
 	q         string
 	k         int
 	t0        time.Time
@@ -43,29 +48,31 @@ type coalReq struct {
 	abandoned atomic.Bool
 }
 
-// Coalescer is the query micro-batcher: concurrent Lookup calls collect
-// into a pending batch that is dispatched as one bulk call when it reaches
-// MaxBatch queries or when the oldest pending query has waited Window,
-// whichever comes first. A pending query with a deadline sooner than the
-// window flushes the batch early, so tight deadlines spend their budget on
-// the scan, not on the coalescing wait. One bulk dispatch amortizes
-// per-query overheads — scratch checkout, scheduling, and (through the
-// sharded index's batch path) shard-major code locality — across every
-// caller in the batch, while each caller still receives exactly the result
-// a solo Lookup would have produced.
+// Coalescer batches queries by backpressure: it holds one in-flight slot
+// per core, a request that finds a slot free runs at once on its caller's
+// goroutine through the single-query path, and requests that find every
+// slot busy queue. Whoever frees a slot hands it to up to MaxBatch queued
+// requests, answered by one bulk call — which amortizes per-query overheads
+// (scratch checkout, scheduling and, through the sharded index's batch
+// path, shard-major code locality) across the batch. Batches therefore form
+// exactly when the cores are saturated, the only time batching buys
+// throughput, and an unloaded request waits for nothing. Every caller
+// receives exactly the result a solo lookup would have produced.
 type Coalescer struct {
-	bulk     BulkFunc
-	bulkCtx  BulkCtxFunc // optional; set via WithBulkCtx before serving
-	maxBatch int
-	window   time.Duration
+	m           Model
+	maxBatch    int
+	parallelism int
 
-	mu      sync.Mutex
-	pending []*coalReq
-	timer   *time.Timer
-	timerAt time.Time // when the armed timer fires (zero = no timer)
-	closed  bool
+	mu     sync.Mutex
+	free   int        // idle slots
+	queue  []*coalReq // arrivals while free == 0, oldest first
+	closed bool       // nothing queues any more: every arrival runs solo
 
-	// Counters, guarded by mu (abandoned is touched off-lock at dispatch).
+	// running counts the goroutines answering queued batches, so Close
+	// returns only once nothing started here still touches the model.
+	running sync.WaitGroup
+
+	// Counters, guarded by mu (abandoned is touched off-lock).
 	batches    uint64
 	dispatched uint64
 	abandoned  atomic.Uint64
@@ -75,70 +82,51 @@ type Coalescer struct {
 	wait      *obs.Histogram // per-query time from arrival to dispatch
 }
 
-// NewCoalescer builds a micro-batcher over bulk. maxBatch ≤ 0 defaults to
-// 32 queries; window ≤ 0 defaults to 200µs.
-func NewCoalescer(bulk BulkFunc, maxBatch int, window time.Duration) *Coalescer {
+// NewCoalescer builds the batcher over m. maxBatch ≤ 0 defaults to 32
+// queries. parallelism (≤0 = GOMAXPROCS) is both the fan-out bound handed
+// to the bulk call and the slot count: one running lookup per core is what
+// keeps the cores busy, and any more would only time-slice them.
+func NewCoalescer(m Model, maxBatch, parallelism int) *Coalescer {
 	if maxBatch <= 0 {
 		maxBatch = 32
 	}
-	if window <= 0 {
-		window = 200 * time.Microsecond
+	slots := parallelism
+	if slots <= 0 {
+		slots = runtime.GOMAXPROCS(0)
 	}
-	return &Coalescer{bulk: bulk, maxBatch: maxBatch, window: window}
+	return &Coalescer{m: m, maxBatch: maxBatch, parallelism: parallelism, free: slots}
 }
 
-// WithBulkCtx installs the cancellable bulk path used for batches whose
-// callers carry deadlines. Call before the coalescer starts serving.
-func (c *Coalescer) WithBulkCtx(fn BulkCtxFunc) *Coalescer {
-	c.bulkCtx = fn
-	return c
-}
-
-// Lookup enqueues one query and blocks until its batch is dispatched and
-// answered. It is safe for concurrent use.
-func (c *Coalescer) Lookup(q string, k int) []lookup.Candidate {
-	r, batch := c.enqueue(nil, q, k)
-	if r == nil {
-		return c.bulk([]string{q}, k)[0]
-	}
-	if batch != nil {
-		c.dispatch(batch)
-	}
-	return (<-r.ch).res
-}
-
-// LookupCtx is Lookup with a deadline: the request flushes its batch no
-// later than its deadline, the caller stops waiting the moment ctx fires
-// (marking the request abandoned so dispatch can skip it), and the bulk
-// call itself runs under the batch's combined deadline. A context that can
-// never be cancelled takes the exact Lookup path.
-func (c *Coalescer) LookupCtx(ctx context.Context, q string, k int) ([]lookup.Candidate, error) {
-	if ctx == nil || ctx.Done() == nil {
-		return c.Lookup(q, k), nil
-	}
+// Lookup answers one query, at once when a slot is free and as part of a
+// batch otherwise. A traced request records the core stage spans when it
+// runs solo, and coalesce_wait plus the shared batch_scan when it queued. A
+// queued caller stops waiting the moment ctx fires (marking the request
+// abandoned so dispatch can skip it); the only errors are ctx's. It is safe
+// for concurrent use.
+func (c *Coalescer) Lookup(ctx context.Context, tr *obs.Trace, q string, k int) ([]lookup.Candidate, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	r, batch := c.enqueue(ctx, q, k)
-	if r == nil {
-		if c.bulkCtx != nil {
-			res, err := c.bulkCtx(ctx, []string{q}, k)
-			if err != nil {
-				return nil, err
-			}
-			return res[0], nil
+	c.mu.Lock()
+	if c.free > 0 || c.closed {
+		c.free--
+		c.batches++
+		c.dispatched++
+		c.mu.Unlock()
+		defer c.release()
+		c.batchSize.ObserveVal(1)
+		c.wait.Observe(0)
+		if tr != nil {
+			return c.m.LookupTrace(tr, q, k), nil
 		}
-		return c.bulk([]string{q}, k)[0], nil
+		return c.m.LookupCtx(ctx, q, k)
 	}
-	if batch != nil {
-		c.dispatch(batch)
-	}
+	r := &coalReq{ctx: ctx, tr: tr, sp: tr.Start("coalesce_wait"), q: q, k: k, t0: time.Now(), ch: make(chan coalOut, 1)}
+	c.queue = append(c.queue, r)
+	c.mu.Unlock()
 	select {
 	case out := <-r.ch:
-		if out.err != nil {
-			return nil, out.err
-		}
-		return out.res, nil
+		return out.res, out.err
 	case <-ctx.Done():
 		r.abandoned.Store(true)
 		c.abandoned.Add(1)
@@ -146,85 +134,51 @@ func (c *Coalescer) LookupCtx(ctx context.Context, q string, k int) ([]lookup.Ca
 	}
 }
 
-// enqueue adds one request to the pending batch. A nil request means the
-// coalescer is closed (the caller goes solo); a non-nil batch means this
-// caller filled it and must dispatch inline — its own result is in the
-// batch, so it was going to wait anyway.
-func (c *Coalescer) enqueue(ctx context.Context, q string, k int) (*coalReq, []*coalReq) {
-	now := time.Now()
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		return nil, nil
+// nextLocked gives a slot its next piece of work: up to maxBatch of the
+// queued requests as one batch, or nil with the slot freed when nothing
+// queued. The caller must hold mu and own a slot (Close owns none, and
+// after it the count is never consulted again).
+func (c *Coalescer) nextLocked() []*coalReq {
+	n := min(len(c.queue), c.maxBatch)
+	if n == 0 {
+		c.free++
+		return nil
 	}
-	r := &coalReq{ctx: ctx, q: q, k: k, t0: now, ch: make(chan coalOut, 1)}
-	c.pending = append(c.pending, r)
-	if len(c.pending) >= c.maxBatch {
-		batch := c.takeLocked()
-		c.mu.Unlock()
-		return r, batch
+	batch := c.queue[:n:n]
+	if c.queue = c.queue[n:]; len(c.queue) == 0 {
+		c.queue = nil
 	}
-	fireAt := now.Add(c.window)
-	if ctx != nil {
-		// A deadline tighter than the window flushes early — at half the
-		// caller's remaining budget, so the other half is left for the scan
-		// instead of arming the flush at the deadline itself, when the bulk
-		// call would start with nothing left to spend.
-		if d, ok := ctx.Deadline(); ok {
-			if half := d.Sub(now) / 2; half < c.window {
-				fireAt = now.Add(half)
-			}
-		}
-	}
-	c.armLocked(fireAt)
-	c.mu.Unlock()
-	return r, nil
-}
-
-// armLocked makes sure the flush timer fires no later than at. The caller
-// must hold mu. Re-arming stops the old timer; a stop that loses the race
-// with an in-flight firing just means flushOnTimer runs against an empty
-// (already-taken) pending list — a no-op.
-func (c *Coalescer) armLocked(at time.Time) {
-	if c.timer != nil && !c.timerAt.After(at) {
-		return
-	}
-	if c.timer != nil {
-		c.timer.Stop()
-	}
-	d := time.Until(at)
-	if d < 0 {
-		d = 0
-	}
-	c.timer = time.AfterFunc(d, c.flushOnTimer)
-	c.timerAt = at
-}
-
-// takeLocked detaches the pending batch and stops the flush timer. The
-// caller must hold mu.
-func (c *Coalescer) takeLocked() []*coalReq {
-	batch := c.pending
-	c.pending = nil
-	if c.timer != nil {
-		c.timer.Stop()
-		c.timer = nil
-	}
-	c.timerAt = time.Time{}
-	if len(batch) > 0 {
-		c.batches++
-		c.dispatched += uint64(len(batch))
-	}
+	c.batches++
+	c.dispatched += uint64(n)
 	return batch
 }
 
-// flushOnTimer dispatches whatever collected during the window. A batch
-// that already flushed on MaxBatch leaves nothing pending, making this a
-// no-op.
-func (c *Coalescer) flushOnTimer() {
+// release gives up the caller's slot. Requests that queued behind it take
+// the slot over on a fresh goroutine, so the releasing caller returns its
+// own result without first computing theirs.
+func (c *Coalescer) release() {
 	c.mu.Lock()
-	batch := c.takeLocked()
+	batch := c.nextLocked()
+	if batch == nil {
+		c.mu.Unlock()
+		return
+	}
+	c.running.Add(1) // under mu: ordered before a Close that follows
 	c.mu.Unlock()
-	c.dispatch(batch)
+	go c.drain(batch)
+}
+
+// drain is the goroutine release starts: it answers batch and then whatever
+// queued meanwhile, batch by batch, until the queue is empty and the slot
+// is freed.
+func (c *Coalescer) drain(batch []*coalReq) {
+	defer c.running.Done()
+	for batch != nil {
+		c.dispatch(batch)
+		c.mu.Lock()
+		batch = c.nextLocked()
+		c.mu.Unlock()
+	}
 }
 
 // dispatch answers every live request in the batch with one bulk call per
@@ -245,6 +199,8 @@ func (c *Coalescer) dispatch(batch []*coalReq) {
 	c.batchSize.ObserveVal(int64(len(live)))
 	for _, r := range live {
 		c.wait.Since(r.t0)
+		r.sp.End()
+		r.sp = r.tr.Start("batch_scan")
 	}
 	// Group by k preserving arrival order within each group. Almost every
 	// batch has a single k, so scan for that case first.
@@ -275,19 +231,13 @@ func (c *Coalescer) dispatch(batch []*coalReq) {
 func groupCtx(group []*coalReq) (context.Context, context.CancelFunc) {
 	var latest time.Time
 	for _, r := range group {
-		if r.ctx == nil {
-			return context.Background(), nil
-		}
 		d, ok := r.ctx.Deadline()
 		if !ok {
-			return context.Background(), nil
+			return context.Background(), func() {}
 		}
 		if d.After(latest) {
 			latest = d
 		}
-	}
-	if latest.IsZero() {
-		return context.Background(), nil
 	}
 	return context.WithDeadline(context.Background(), latest)
 }
@@ -298,18 +248,11 @@ func (c *Coalescer) answer(group []*coalReq, k int) {
 	for i, r := range group {
 		queries[i] = r.q
 	}
-	var results [][]lookup.Candidate
-	var err error
-	if c.bulkCtx != nil {
-		gctx, cancel := groupCtx(group)
-		results, err = c.bulkCtx(gctx, queries, k)
-		if cancel != nil {
-			cancel()
-		}
-	} else {
-		results = c.bulk(queries, k)
-	}
+	gctx, cancel := groupCtx(group)
+	results, err := c.m.BulkLookupCtx(gctx, queries, k, c.parallelism)
+	cancel()
 	for i, r := range group {
+		r.sp.End()
 		if err != nil {
 			r.ch <- coalOut{err: err}
 		} else {
@@ -318,10 +261,11 @@ func (c *Coalescer) answer(group []*coalReq, k int) {
 	}
 }
 
-// Observe wires the coalescer into a metrics registry: flush-size and wait
-// histograms recorded at dispatch, plus pull-time collectors over the exact
-// instance-local batch counters. Call it before the coalescer starts
-// serving — the histogram handles are read without the lock on dispatch.
+// Observe wires the coalescer into a metrics registry: batch-size and wait
+// histograms recorded at dispatch (a solo run is a batch of one that waited
+// for nothing), plus pull-time collectors over the exact instance-local
+// batch counters. Call it before the coalescer starts serving — the
+// histogram handles are read without the lock on dispatch.
 func (c *Coalescer) Observe(r *obs.Registry) {
 	c.mu.Lock()
 	c.batchSize = r.Histogram("emblookup_coalescer_batch_size")
@@ -339,7 +283,6 @@ type CoalescerStats struct {
 	Abandoned    uint64  `json:"abandoned,omitempty"`
 	AvgBatchSize float64 `json:"avgBatchSize"`
 	MaxBatch     int     `json:"maxBatch"`
-	WindowUs     int64   `json:"windowUs"`
 }
 
 // Stats snapshots the batching counters.
@@ -351,7 +294,6 @@ func (c *Coalescer) Stats() CoalescerStats {
 		Queries:   c.dispatched,
 		Abandoned: c.abandoned.Load(),
 		MaxBatch:  c.maxBatch,
-		WindowUs:  c.window.Microseconds(),
 	}
 	if st.Batches > 0 {
 		st.AvgBatchSize = float64(st.Queries) / float64(st.Batches)
@@ -359,13 +301,21 @@ func (c *Coalescer) Stats() CoalescerStats {
 	return st
 }
 
-// Close flushes any pending batch and makes subsequent Lookup calls bypass
-// batching (solo bulk calls), so no caller can block on a window that will
-// never fill.
+// Close answers every queued request on the caller's goroutine and waits
+// for the batches already running. Afterwards nothing queues: lookups run
+// solo, and the slot count stops mattering.
 func (c *Coalescer) Close() {
 	c.mu.Lock()
 	c.closed = true
-	batch := c.takeLocked()
+	// The whole queue is detached here, so no release after this point
+	// finds a batch to start a goroutine for.
+	var batches [][]*coalReq
+	for b := c.nextLocked(); b != nil; b = c.nextLocked() {
+		batches = append(batches, b)
+	}
 	c.mu.Unlock()
-	c.dispatch(batch)
+	for _, b := range batches {
+		c.dispatch(b)
+	}
+	c.running.Wait()
 }

@@ -75,7 +75,7 @@ func TestLookupCtxCacheHitDespiteDeadline(t *testing.T) {
 // batches and still return bit-identical results.
 func TestCoalescerCtxGroup(t *testing.T) {
 	g, m := testModel(t)
-	sv, err := New(m, Options{Shards: 1, MaxBatch: 8, Window: 2 * time.Millisecond, CacheSize: -1})
+	sv, err := New(m, Options{Shards: 1, MaxBatch: 8, CacheSize: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,63 +103,42 @@ func TestCoalescerCtxGroup(t *testing.T) {
 	}
 }
 
-// TestCoalescerDeadlineFlush: a batch must flush no later than its earliest
-// member's deadline, not at the full window.
-func TestCoalescerDeadlineFlush(t *testing.T) {
-	_, m := testModel(t)
-	// A very long window: without deadline-aware arming the lone request
-	// would sit in the batch for the full second.
-	sv, err := New(m, Options{Shards: 1, MaxBatch: 64, Window: time.Second, CacheSize: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sv.Close()
-	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
-	defer cancel()
-	start := time.Now()
-	_, err = sv.LookupCtx(ctx, "deadline flush probe", 5)
-	took := time.Since(start)
-	if err != nil {
-		t.Fatalf("deadline-flushed lookup failed: %v", err)
-	}
-	if took > 500*time.Millisecond {
-		t.Fatalf("lookup took %v: batch waited past its member's deadline", took)
-	}
-}
-
 // TestCoalescerAbandoned: a caller whose ctx fires while its request is
-// batched gets ctx.Err() promptly, and the abandoned counter records it.
+// queued gets ctx.Err() at once, its query never reaches the model, and the
+// abandoned counter records it. A live request queued with it is answered.
 func TestCoalescerAbandoned(t *testing.T) {
-	_, m := testModel(t)
-	sv, err := New(m, Options{Shards: 1, MaxBatch: 64, Window: 200 * time.Millisecond, CacheSize: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sv.Close()
+	m := newStubModel()
+	co := NewCoalescer(m, 8, 1)
+	held := holdSlots(t, co, m, 1)
 	ctx, cancel := context.WithCancel(context.Background())
-	got := make(chan error, 1)
+	gone := make(chan error, 1)
 	go func() {
-		_, err := sv.LookupCtx(ctx, "abandoned probe", 5)
-		got <- err
+		_, err := co.Lookup(ctx, nil, "abandoned", 5)
+		gone <- err
 	}()
-	time.Sleep(10 * time.Millisecond) // let it enqueue inside the window
+	live := make(chan []lookup.Candidate, 1)
+	go func() {
+		res, _ := co.Lookup(context.Background(), nil, "live", 5)
+		live <- res
+	}()
+	waitQueued(co, 2)
 	cancel()
-	select {
-	case err := <-got:
-		if !errors.Is(err, context.Canceled) {
-			t.Fatalf("err = %v, want context.Canceled", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("abandoned caller never returned")
+	if err := <-gone; !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
 	}
-	// The abandoned request is filtered out at dispatch; after the window the
-	// stats must show it.
-	deadline := time.Now().Add(2 * time.Second)
-	for sv.Stats().Coalescer.Abandoned == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("abandoned counter never incremented")
-		}
-		time.Sleep(10 * time.Millisecond)
+	m.open()
+	sameCandidates(t, "live request queued with an abandoned one", stubAnswer("live", 5), <-live)
+	<-held
+	co.Close()
+	if n := m.computed("abandoned"); n != 0 {
+		t.Fatalf("abandoned query computed %d times", n)
+	}
+	if st := co.Stats(); st.Abandoned != 1 {
+		t.Fatalf("abandoned = %d, want 1", st.Abandoned)
+	}
+	// A context already done never takes a slot or a queue place.
+	if _, err := co.Lookup(ctx, nil, "late", 5); !errors.Is(err, context.Canceled) {
+		t.Fatalf("done ctx: err = %v, want context.Canceled", err)
 	}
 }
 

@@ -7,9 +7,10 @@
 //   - sharded scans (index.Sharded via core.WithShardedIndex): one query
 //     fans its index scan across S row shards and merges per-shard top-k
 //     heaps; batches sweep shard-major for locality
-//   - query coalescing (Coalescer): concurrent Lookup calls collect into a
-//     micro-batch dispatched as one BulkLookup, amortizing ADC-table
-//     construction and scratch checkout across callers
+//   - query coalescing (Coalescer): a Lookup runs at once while a core is
+//     free; those that arrive behind busy cores queue and are answered as one
+//     BulkLookup, amortizing ADC-table construction and scratch checkout
+//     across callers
 //   - a sharded mention cache (MentionCache): table-annotation traffic
 //     repeats the same cell strings constantly, so results are cached under
 //     the embedding-invariant key core.NormalizeMention(q)
@@ -33,17 +34,14 @@ type Options struct {
 	// Shards is the index shard count: 0 picks a default (4), 1 keeps the
 	// index unsharded.
 	Shards int
-	// MaxBatch flushes a coalescer batch at this many queries (0 = 32;
+	// MaxBatch caps a coalescer batch at this many queries (0 = 32;
 	// negative disables coalescing entirely — every Lookup goes solo).
 	MaxBatch int
-	// Window flushes a non-full coalescer batch this long after its first
-	// query arrived (0 = 200µs).
-	Window time.Duration
 	// CacheSize is the mention cache capacity in entries (0 = 4096;
 	// negative disables the cache).
 	CacheSize int
-	// Parallelism bounds worker fan-out for scans and batches
-	// (≤0 = GOMAXPROCS).
+	// Parallelism bounds worker fan-out for scans and batches, and the
+	// lookups the coalescer runs at once before it queues (≤0 = GOMAXPROCS).
 	Parallelism int
 	// Registry receives the substrate's metrics — serve latency, the
 	// normalize stage histogram, cache and coalescer collectors (nil =
@@ -94,13 +92,7 @@ func New(model *core.EmbLookup, opts Options) (*Serve, error) {
 		s.cache.Observe(reg)
 	}
 	if opts.MaxBatch >= 0 {
-		bulk := func(queries []string, k int) [][]lookup.Candidate {
-			return model.BulkLookup(queries, k, opts.Parallelism)
-		}
-		bulkCtx := func(ctx context.Context, queries []string, k int) ([][]lookup.Candidate, error) {
-			return model.BulkLookupCtx(ctx, queries, k, opts.Parallelism)
-		}
-		s.co = NewCoalescer(bulk, opts.MaxBatch, opts.Window).WithBulkCtx(bulkCtx)
+		s.co = NewCoalescer(model, opts.MaxBatch, opts.Parallelism)
 		s.co.Observe(reg)
 	}
 	return s, nil
@@ -110,7 +102,7 @@ func New(model *core.EmbLookup, opts Options) (*Serve, error) {
 // when sharding is enabled).
 func (s *Serve) Model() *core.EmbLookup { return s.model }
 
-// Lookup answers one query: cache first, then the coalesced batch path.
+// Lookup answers one query: cache first, then the coalescer's gate.
 // Results are bit-identical to model.Lookup(q, k); cached slices are shared
 // across callers and must be treated as read-only.
 func (s *Serve) Lookup(q string, k int) []lookup.Candidate {
@@ -118,11 +110,10 @@ func (s *Serve) Lookup(q string, k int) []lookup.Candidate {
 }
 
 // LookupTrace is Lookup with the request's trace threaded through: the
-// normalize and cache stages span here, and a traced miss takes the direct
-// model path (core stage spans land on this trace) instead of the
-// coalescer, whose batches interleave many requests and would attribute
-// other callers' work to this timeline. Results stay bit-identical either
-// way. A nil trace makes this exactly Lookup.
+// normalize and cache stages span here, and a traced miss takes the same
+// coalescer gate as an untraced one, so its latency is the one users see —
+// core stage spans when it ran at once, coalesce_wait and the shared
+// batch_scan when it queued. A nil trace makes this exactly Lookup.
 func (s *Serve) LookupTrace(tr *obs.Trace, q string, k int) []lookup.Candidate {
 	if k <= 0 {
 		return nil
@@ -142,13 +133,10 @@ func (s *Serve) LookupTrace(tr *obs.Trace, q string, k int) []lookup.Candidate {
 		}
 	}
 	var res []lookup.Candidate
-	switch {
-	case tr != nil:
+	if s.co != nil {
+		res, _ = s.co.Lookup(context.Background(), tr, norm, k) // errors are ctx's only
+	} else {
 		res = s.model.LookupTrace(tr, norm, k)
-	case s.co != nil:
-		res = s.co.Lookup(norm, k)
-	default:
-		res = s.model.Lookup(norm, k)
 	}
 	if s.cache != nil {
 		s.cache.Put(norm, k, res)
@@ -159,8 +147,8 @@ func (s *Serve) LookupTrace(tr *obs.Trace, q string, k int) []lookup.Candidate {
 
 // LookupCtx is Lookup with a deadline/cancellation context threaded
 // through the whole pipeline: a cache hit is served regardless (it is
-// already paid for), a miss checks ctx before starting, flushes its
-// coalescer batch no later than its deadline, and the scan itself is
+// already paid for), a miss checks ctx before starting, stops waiting in
+// the coalescer's queue the moment ctx fires, and the scan itself is
 // cancelled mid-shard once ctx fires. With a context that can never be
 // cancelled this is exactly Lookup. A done context returns ctx.Err().
 func (s *Serve) LookupCtx(ctx context.Context, q string, k int) ([]lookup.Candidate, error) {
@@ -185,7 +173,7 @@ func (s *Serve) LookupCtx(ctx context.Context, q string, k int) ([]lookup.Candid
 	var res []lookup.Candidate
 	var err error
 	if s.co != nil {
-		res, err = s.co.LookupCtx(ctx, norm, k)
+		res, err = s.co.Lookup(ctx, nil, norm, k)
 	} else {
 		res, err = s.model.LookupCtx(ctx, norm, k)
 	}
@@ -322,8 +310,8 @@ func (s *Serve) Stats() Stats {
 	return st
 }
 
-// Close flushes the coalescer. The Serve remains usable; subsequent
-// lookups bypass batching.
+// Close answers what the coalescer has queued and waits for its running
+// batches. The Serve remains usable; subsequent lookups bypass batching.
 func (s *Serve) Close() {
 	if s.co != nil {
 		s.co.Close()

@@ -1,14 +1,17 @@
 package serve
 
 import (
+	"context"
 	"fmt"
+	"runtime"
+	"slices"
 	"sync"
 	"testing"
-	"time"
 
 	"emblookup/internal/core"
 	"emblookup/internal/kg"
 	"emblookup/internal/lookup"
+	"emblookup/internal/obs"
 )
 
 var (
@@ -108,114 +111,288 @@ func TestMentionCacheLRUOrder(t *testing.T) {
 	}
 }
 
-func TestCoalescerMatchesSolo(t *testing.T) {
-	var mu sync.Mutex
-	batchSizes := []int{}
-	bulk := func(queries []string, k int) [][]lookup.Candidate {
-		mu.Lock()
-		batchSizes = append(batchSizes, len(queries))
-		mu.Unlock()
-		out := make([][]lookup.Candidate, len(queries))
-		for i, q := range queries {
-			out[i] = []lookup.Candidate{{ID: kg.EntityID(len(q)), Score: float64(k)}}
+// stubModel is a Model whose single-query calls block until the test lets
+// them through — the way a test holds the coalescer's slots — and whose
+// bulk calls never block. It answers query q at k with stubAnswer(q, k)
+// and records every call, so a test can assert what was computed and how.
+type stubModel struct {
+	entered chan string   // one send per single-query call, as it starts; buffered past any test's count of them
+	hold    chan struct{} // single-query calls return once this is closed
+
+	mu    sync.Mutex
+	solos []string   // queries answered by a single-query call
+	bulks [][]string // queries of each bulk call
+	bulkK []int      // k of each bulk call
+}
+
+// newStubModel returns a stub that holds its single-query calls; open
+// releases them, and every later one passes straight through.
+func newStubModel() *stubModel {
+	return &stubModel{entered: make(chan string, 64), hold: make(chan struct{})}
+}
+
+func (m *stubModel) open() { close(m.hold) }
+
+func stubAnswer(q string, k int) []lookup.Candidate {
+	return []lookup.Candidate{{ID: kg.EntityID(len(q)), Score: float64(k)}, {ID: kg.EntityID(q[len(q)-1])}}
+}
+
+func (m *stubModel) LookupTrace(tr *obs.Trace, q string, k int) []lookup.Candidate {
+	sp := tr.Start("stub_lookup")
+	defer sp.End()
+	m.entered <- q
+	<-m.hold
+	m.mu.Lock()
+	m.solos = append(m.solos, q)
+	m.mu.Unlock()
+	return stubAnswer(q, k)
+}
+
+func (m *stubModel) LookupCtx(ctx context.Context, q string, k int) ([]lookup.Candidate, error) {
+	return m.LookupTrace(nil, q, k), nil
+}
+
+func (m *stubModel) BulkLookupCtx(ctx context.Context, queries []string, k, parallelism int) ([][]lookup.Candidate, error) {
+	m.mu.Lock()
+	m.bulks = append(m.bulks, append([]string(nil), queries...))
+	m.bulkK = append(m.bulkK, k)
+	m.mu.Unlock()
+	out := make([][]lookup.Candidate, len(queries))
+	for i, q := range queries {
+		out[i] = stubAnswer(q, k)
+	}
+	return out, nil
+}
+
+// computed counts how many times q reached the model, on either path.
+func (m *stubModel) computed(q string) int {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	n := 0
+	for _, s := range m.solos {
+		if s == q {
+			n++
 		}
-		return out
 	}
-	co := NewCoalescer(bulk, 8, time.Millisecond)
-	var wg sync.WaitGroup
-	results := make([][]lookup.Candidate, 64)
-	for i := 0; i < 64; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			q := fmt.Sprintf("query-%0*d", i%5, i)
-			results[i] = co.Lookup(q, 3)
-		}(i)
-	}
-	wg.Wait()
-	for i := 0; i < 64; i++ {
-		q := fmt.Sprintf("query-%0*d", i%5, i)
-		want := []lookup.Candidate{{ID: kg.EntityID(len(q)), Score: 3}}
-		sameCandidates(t, "coalesced lookup", want, results[i])
-	}
-	st := co.Stats()
-	if st.Queries != 64 {
-		t.Fatalf("dispatched %d queries", st.Queries)
-	}
-	if st.Batches == 0 || st.Batches > 64 {
-		t.Fatalf("batches = %d", st.Batches)
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	for _, n := range batchSizes {
-		if n > 8 {
-			t.Fatalf("batch of %d exceeds MaxBatch", n)
+	for _, b := range m.bulks {
+		for _, s := range b {
+			if s == q {
+				n++
+			}
 		}
+	}
+	return n
+}
+
+// holdSlots occupies n slots of co with single-query calls blocked inside
+// the stub, and returns once all n are inside. done receives one value per
+// holder as it returns.
+func holdSlots(t *testing.T, co *Coalescer, m *stubModel, n int) (done chan struct{}) {
+	t.Helper()
+	done = make(chan struct{}, n)
+	for i := 0; i < n; i++ {
+		q := fmt.Sprintf("hold-%d", i)
+		go func() {
+			res, err := co.Lookup(context.Background(), nil, q, 1)
+			if err != nil || !slices.Equal(res, stubAnswer(q, 1)) {
+				t.Errorf("holder %q = %+v, %v", q, res, err)
+			}
+			done <- struct{}{}
+		}()
+	}
+	for i := 0; i < n; i++ {
+		<-m.entered
+	}
+	return done
+}
+
+// waitQueued returns once n requests sit in co's queue — the event the
+// queueing tests synchronize on; a request has no other way to tell the
+// test that it got as far as waiting.
+func waitQueued(co *Coalescer, n int) {
+	for {
+		co.mu.Lock()
+		queued := len(co.queue)
+		co.mu.Unlock()
+		if queued == n {
+			return
+		}
+		runtime.Gosched()
 	}
 }
 
-func TestCoalescerMixedK(t *testing.T) {
-	bulk := func(queries []string, k int) [][]lookup.Candidate {
-		out := make([][]lookup.Candidate, len(queries))
-		for i := range queries {
-			out[i] = []lookup.Candidate{{ID: kg.EntityID(k)}}
-		}
-		return out
+// TestCoalescerSoloWhenIdle: a lone request on an idle coalescer waits for
+// nothing — no second request, no window — and runs the single-query path.
+func TestCoalescerSoloWhenIdle(t *testing.T) {
+	m := newStubModel()
+	m.open()
+	co := NewCoalescer(m, 1<<20, 2)
+	res, err := co.Lookup(context.Background(), nil, "lone", 3)
+	if err != nil {
+		t.Fatal(err)
 	}
-	co := NewCoalescer(bulk, 16, 500*time.Microsecond)
+	sameCandidates(t, "lone lookup", stubAnswer("lone", 3), res)
+	if len(m.solos) != 1 || len(m.bulks) != 0 {
+		t.Fatalf("lone lookup ran %d single-query and %d bulk calls, want 1 and 0", len(m.solos), len(m.bulks))
+	}
+	if st := co.Stats(); st.Batches != 1 || st.Queries != 1 {
+		t.Fatalf("a solo run counts as a batch of one, stats = %+v", st)
+	}
+}
+
+// TestCoalescerBatchesBehindBusySlots: with every slot held, further
+// requests queue; freeing the slots answers them in batches of at most
+// MaxBatch, each caller with its own result.
+func TestCoalescerBatchesBehindBusySlots(t *testing.T) {
+	const slots, maxBatch, n = 2, 4, 10
+	m := newStubModel()
+	co := NewCoalescer(m, maxBatch, slots)
+	held := holdSlots(t, co, m, slots)
+
 	var wg sync.WaitGroup
-	for i := 0; i < 32; i++ {
+	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			k := 1 + i%3
-			res := co.Lookup("q", k)
-			if len(res) != 1 || res[0].ID != kg.EntityID(k) {
-				t.Errorf("k=%d got %+v", k, res)
+			q := fmt.Sprintf("queued-%0*d", i, i) // distinct lengths, distinct answers
+			res, err := co.Lookup(context.Background(), nil, q, 3)
+			if err != nil || !slices.Equal(res, stubAnswer(q, 3)) {
+				t.Errorf("%q = %+v, %v", q, res, err)
 			}
 		}(i)
 	}
+	waitQueued(co, n)
+	if st := co.Stats(); st.Queries != slots {
+		t.Fatalf("%d queries dispatched while every slot is held, want only the %d holders", st.Queries, slots)
+	}
+	m.open()
 	wg.Wait()
-}
+	<-held
+	<-held
+	co.Close() // waits for the batch goroutines, so the counters below are final
 
-func TestCoalescerWindowFlush(t *testing.T) {
-	bulk := func(queries []string, k int) [][]lookup.Candidate {
-		out := make([][]lookup.Candidate, len(queries))
-		for i := range queries {
-			out[i] = nil
-		}
-		return out
+	// Two freed slots take 4 + 4 of the 10, whichever finishes first the last 2.
+	sizes := map[int]int{}
+	for _, b := range m.bulks {
+		sizes[len(b)]++
 	}
-	co := NewCoalescer(bulk, 1<<20, 200*time.Microsecond)
-	done := make(chan struct{})
-	go func() {
-		co.Lookup("solo", 1)
-		close(done)
-	}()
-	select {
-	case <-done:
-	case <-time.After(5 * time.Second):
-		t.Fatal("window flush never fired for a lone query")
+	if len(m.bulks) != 3 || sizes[4] != 2 || sizes[2] != 1 {
+		t.Fatalf("bulk calls = %v, want sizes 4, 4 and 2", m.bulks)
+	}
+	if st := co.Stats(); st.Batches != slots+3 || st.Queries != slots+n {
+		t.Fatalf("stats = %+v, want %d batches over %d queries", st, slots+3, slots+n)
 	}
 }
 
-func TestCoalescerClose(t *testing.T) {
-	bulk := func(queries []string, k int) [][]lookup.Candidate {
-		return make([][]lookup.Candidate, len(queries))
-	}
-	co := NewCoalescer(bulk, 4, time.Hour) // window never fires on its own
+// TestCoalescerMixedK: requests with different k queued into one batch are
+// answered by one bulk call per k, each with its own k's result.
+func TestCoalescerMixedK(t *testing.T) {
+	m := newStubModel()
+	co := NewCoalescer(m, 16, 1)
+	held := holdSlots(t, co, m, 1)
 	var wg sync.WaitGroup
-	for i := 0; i < 3; i++ { // under MaxBatch: waits on the window
+	for i := 0; i < 6; i++ {
 		wg.Add(1)
-		go func() { defer wg.Done(); co.Lookup("q", 1) }()
+		go func(i int) {
+			defer wg.Done()
+			q, k := fmt.Sprintf("mixed-%d", i), 1+i%3
+			res, err := co.Lookup(context.Background(), nil, q, k)
+			if err != nil || !slices.Equal(res, stubAnswer(q, k)) {
+				t.Errorf("%q k=%d = %+v, %v", q, k, res, err)
+			}
+		}(i)
 	}
-	time.Sleep(50 * time.Millisecond)
-	co.Close()
+	waitQueued(co, 6)
+	m.open()
 	wg.Wait()
-	// After Close, lookups still answer (solo path).
-	if res := co.Lookup("after", 1); res != nil {
-		t.Fatalf("post-close lookup = %+v", res)
+	<-held
+	co.Close()
+	if len(m.bulks) != 3 {
+		t.Fatalf("one batch of three k values made %d bulk calls: %v", len(m.bulks), m.bulks)
 	}
+	for i, b := range m.bulks {
+		if len(b) != 2 {
+			t.Fatalf("bulk call %d (k=%d) got %v, want the two queries of that k", i, m.bulkK[i], b)
+		}
+	}
+	if st := co.Stats(); st.Batches != 2 || st.Queries != 7 {
+		t.Fatalf("stats = %+v, want the holder plus one batch of 6", st)
+	}
+}
+
+// TestCoalescerTracedQueue: a traced request that queues records its wait
+// and the batch's scan; one that gets a slot records the model's own spans.
+func TestCoalescerTracedQueue(t *testing.T) {
+	m := newStubModel()
+	co := NewCoalescer(m, 16, 1)
+	held := holdSlots(t, co, m, 1)
+	queued := obs.NewTrace()
+	got := make(chan []lookup.Candidate, 1)
+	go func() {
+		res, _ := co.Lookup(context.Background(), queued, "traced", 2)
+		got <- res
+	}()
+	waitQueued(co, 1)
+	m.open()
+	sameCandidates(t, "traced queued lookup", stubAnswer("traced", 2), <-got)
+	<-held
+	if names := spanNames(queued); len(names) != 2 || names[0] != "coalesce_wait" || names[1] != "batch_scan" {
+		t.Fatalf("queued trace spans = %v, want coalesce_wait then batch_scan", names)
+	}
+	co.Close()
+	solo := obs.NewTrace()
+	if _, err := co.Lookup(context.Background(), solo, "traced", 2); err != nil {
+		t.Fatal(err)
+	}
+	if names := spanNames(solo); len(names) != 1 || names[0] != "stub_lookup" {
+		t.Fatalf("solo trace spans = %v, want the model's own", names)
+	}
+}
+
+func spanNames(tr *obs.Trace) []string {
+	var names []string
+	for _, sp := range tr.Spans() {
+		names = append(names, sp.Name)
+	}
+	return names
+}
+
+// TestCoalescerClose: Close answers everything queued, on its own
+// goroutine, while the slots are still held; later lookups run solo.
+func TestCoalescerClose(t *testing.T) {
+	m := newStubModel()
+	co := NewCoalescer(m, 2, 1)
+	held := holdSlots(t, co, m, 1)
+	var wg sync.WaitGroup
+	for i := 0; i < 3; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			q := fmt.Sprintf("pending-%d", i)
+			res, err := co.Lookup(context.Background(), nil, q, 1)
+			if err != nil || !slices.Equal(res, stubAnswer(q, 1)) {
+				t.Errorf("%q = %+v, %v", q, res, err)
+			}
+		}(i)
+	}
+	waitQueued(co, 3)
+	co.Close()
+	wg.Wait() // the holder is still inside the model
+	if len(m.bulks) != 2 {
+		t.Fatalf("Close answered 3 queued requests at MaxBatch 2 in %d bulk calls", len(m.bulks))
+	}
+	// After Close nothing queues, even behind the held slot.
+	after := make(chan struct{})
+	go func() {
+		co.Lookup(context.Background(), nil, "after", 1)
+		close(after)
+	}()
+	if q := <-m.entered; q != "after" {
+		t.Fatalf("post-close lookup did not run solo: model entered with %q", q)
+	}
+	m.open()
+	<-after
+	<-held
 }
 
 // TestServeMatchesDirect is the package's core guarantee: every serving
@@ -223,7 +400,7 @@ func TestCoalescerClose(t *testing.T) {
 // returns bit-identical candidates to direct model.Lookup calls.
 func TestServeMatchesDirect(t *testing.T) {
 	g, m := testModel(t)
-	sv, err := New(m, Options{Shards: 3, MaxBatch: 4, Window: 200 * time.Microsecond, CacheSize: 64})
+	sv, err := New(m, Options{Shards: 3, MaxBatch: 4, CacheSize: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -300,37 +477,67 @@ func TestServeCaseNormalization(t *testing.T) {
 	sameCandidates(t, "embedding case invariance", m.Lookup(upper, 3), want)
 }
 
+// TestServeConcurrent (run with -race): 16 goroutines on one slot, so most
+// requests queue and come back through the batch path while the rest run
+// solo, with and without a deadline — every answer bit-identical to
+// model.Lookup on a Flat, a PQ and a FastScan index.
 func TestServeConcurrent(t *testing.T) {
 	g, m := testModel(t)
-	sv, err := New(m, Options{Shards: 2, MaxBatch: 4, Window: 100 * time.Microsecond, CacheSize: 128})
+	flat, err := m.WithCompression(false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer sv.Close()
-	queries := make([]string, 8)
-	want := make([][]lookup.Candidate, len(queries))
-	for i := range queries {
-		queries[i] = g.Entities[i].Label
-		want[i] = m.Lookup(queries[i], 5)
+	pq, err := m.WithCompression(true)
+	if err != nil {
+		t.Fatal(err)
 	}
-	var wg sync.WaitGroup
-	for w := 0; w < 16; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for i := 0; i < 20; i++ {
-				qi := (w + i) % len(queries)
-				got := sv.Lookup(queries[qi], 5)
-				for j := range want[qi] {
-					if got[j] != want[qi][j] {
-						t.Errorf("worker %d query %d diverged", w, qi)
-						return
-					}
-				}
+	fs, err := m.WithFastScan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, model := range map[string]*core.EmbLookup{"flat": flat, "pq": pq, "fastscan": fs} {
+		t.Run(name, func(t *testing.T) {
+			sv, err := New(model, Options{Shards: 2, MaxBatch: 4, CacheSize: -1, Parallelism: 1})
+			if err != nil {
+				t.Fatal(err)
 			}
-		}(w)
+			defer sv.Close()
+			queries := make([]string, 8)
+			want := make([][]lookup.Candidate, len(queries))
+			for i := range queries {
+				queries[i] = g.Entities[i].Label
+				want[i] = model.Lookup(queries[i], 5)
+			}
+			const workers, rounds = 16, 20
+			var wg sync.WaitGroup
+			for w := 0; w < workers; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					ctx, cancel := context.WithCancel(context.Background())
+					defer cancel()
+					for i := 0; i < rounds; i++ {
+						qi := (w + i) % len(queries)
+						var got []lookup.Candidate
+						var err error
+						if w%2 == 0 {
+							got = sv.Lookup(queries[qi], 5)
+						} else {
+							got, err = sv.LookupCtx(ctx, queries[qi], 5)
+						}
+						if err != nil || !slices.Equal(got, want[qi]) {
+							t.Errorf("worker %d query %d diverged (err %v)", w, qi, err)
+							return
+						}
+					}
+				}(w)
+			}
+			wg.Wait()
+			if st := sv.Stats().Coalescer; st.Queries != workers*rounds {
+				t.Fatalf("coalescer dispatched %d queries, want %d", st.Queries, workers*rounds)
+			}
+		})
 	}
-	wg.Wait()
 }
 
 // TestServeFastScan runs the full serving stack (shards, coalescer, cache)
@@ -341,7 +548,7 @@ func TestServeFastScan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sv, err := New(fs, Options{Shards: 3, MaxBatch: 4, Window: 200 * time.Microsecond, CacheSize: 64})
+	sv, err := New(fs, Options{Shards: 3, MaxBatch: 4, CacheSize: 64})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,7 +8,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"emblookup/internal/core"
 	"emblookup/internal/kg"
@@ -176,7 +175,6 @@ func servingServer(t *testing.T) (*kg.Graph, *Server, *serve.Serve) {
 	sv, err := serve.New(m, serve.Options{
 		Shards:    2,
 		MaxBatch:  4,
-		Window:    100 * time.Microsecond,
 		CacheSize: 256,
 	})
 	if err != nil {

@@ -145,7 +145,6 @@ func (t *Tenant) open() (*Handle, error) {
 		Shards:    t.cfg.Shards,
 		CacheSize: t.cfg.CacheSize,
 		MaxBatch:  t.cfg.MaxBatch,
-		Window:    time.Duration(t.cfg.WindowUs) * time.Microsecond,
 		Registry:  t.reg,
 	})
 	if err != nil {

@@ -236,3 +236,20 @@ func TestConfigValidate(t *testing.T) {
 		t.Fatal("NewRegistry accepted an empty config")
 	}
 }
+
+// TestLoadConfigIgnoresWindowUs: a conf.json written before the coalescer
+// lost its flush window still loads, the dead field ignored.
+func TestLoadConfigIgnoresWindowUs(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "conf.json")
+	conf := `{"tenants":[{"name":"a","graph":"g.bin","model":"m.bin","maxBatch":8,"windowUs":200}]}`
+	if err := os.WriteFile(path, []byte(conf), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	c, err := LoadConfig(path)
+	if err != nil {
+		t.Fatalf("config with a leftover windowUs refused: %v", err)
+	}
+	if len(c.Tenants) != 1 || c.Tenants[0].MaxBatch != 8 {
+		t.Fatalf("config = %+v", c)
+	}
+}

@@ -33,6 +33,12 @@ echo "== go test -race =="
 # give it room beyond the default 10m package timeout.
 go test -race -timeout 60m ./...
 
+echo "== flake check: serve and cluster, five runs =="
+# The coalescer and router-cancellation tests synchronize on events, not
+# sleeps (ROADMAP item 0); five plain runs catch one that starts to depend
+# on timing again.
+go test -count=5 ./internal/serve ./internal/cluster
+
 echo "== artifact parser fuzz (short) =="
 # 10 seconds of coverage-guided input on the v4 section parser and the
 # model-read dispatch (v4 magic sniffing plus the gob fallback). The
