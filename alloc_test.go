@@ -92,6 +92,45 @@ func TestLookupAllocsWithMetrics(t *testing.T) {
 	}
 }
 
+// maxBulkAllocs is the allocation budget of one 256-query BulkLookup on the
+// sharded fast-scan model (what serve runs): two normalization strings per
+// query plus 16 for the batch. Measured 531 at the commit before the
+// query-major batch scan (its per-(shard, query) state came from pooled
+// scratches, free in steady state) and 528 with per-worker state and one
+// result arena, so the budget is the old number.
+const maxBulkAllocs = 531
+
+// TestBulkLookupAllocs guards the batch path's fixed allocation count: the
+// batch scan's per-query state lives in flat per-batch arenas, so a bulk
+// request allocates no more than it did when that state came from pooled
+// scratches.
+func TestBulkLookupAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation guard trains a model; skipped in -short")
+	}
+	g, m, _ := model(t)
+	fs, err := m.WithFastScan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh, err := fs.WithShardedIndex(4, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	queries := make([]string, 256)
+	for i := range queries {
+		queries[i] = g.Entities[i%len(g.Entities)].Label
+	}
+	for i := 0; i < 4; i++ {
+		sh.BulkLookup(queries, 10, 0)
+	}
+	if n := testing.AllocsPerRun(20, func() { sh.BulkLookup(queries, 10, 0) }); n > maxBulkAllocs {
+		t.Errorf("BulkLookup of 256 on the sharded fast-scan model: %.0f allocs/op, budget %d", n, maxBulkAllocs)
+	} else {
+		t.Logf("BulkLookup of 256: %.0f allocs/op", n)
+	}
+}
+
 // TestTenantAdmissionAllocs guards the multi-tenant admission gate: the
 // uncontended Acquire/Release pair is allocation-free, so routing a lookup
 // through a tenant costs at most one allocation over the single-tenant

@@ -233,6 +233,18 @@ func BenchmarkFastScan(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			dst = fs.SearchAppendWith(&s, q, 10, dst)
 		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*data.Rows), "ns/query-row")
+	})
+	// One full group of the query-major kernel on one core: four distinct
+	// queries per pass over the codes (table quantization, LUT packing and
+	// the batch's result slices included).
+	b.Run("batch4", func(b *testing.B) {
+		group := [][]float32{data.Row(0), data.Row(1), data.Row(2), data.Row(3)}
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			index.BatchSearch(fs, group, 10, 1)
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(group)*data.Rows), "ns/query-row")
 	})
 }
 

@@ -577,7 +577,9 @@ func TestMergeHitsDedupe(t *testing.T) {
 
 // TestClusterFastScan runs the scatter-gather path over a fast-scan model:
 // each partition re-interleaves its row slice, and the merged cluster answer
-// must stay bit-identical to the single-process fast-scan lookup.
+// must stay bit-identical to the single-process fast-scan lookup — also for
+// a routed batch, which every node scans with the query-major group kernel
+// over its bare partition.
 func TestClusterFastScan(t *testing.T) {
 	g, m := testModel(t)
 	fs, err := m.WithFastScan()
@@ -588,7 +590,7 @@ func TestClusterFastScan(t *testing.T) {
 		t.Fatalf("index type %T, want *index.FastScan", fs.Index())
 	}
 	queries := testQueries(g)
-	for _, p := range []int{1, 3} {
+	for _, p := range []int{1, 2, 3} {
 		l, err := StartLocal(fs, p, LocalOptions{Router: fastRouterOptions()})
 		if err != nil {
 			t.Fatal(err)

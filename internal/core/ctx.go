@@ -6,7 +6,6 @@ import (
 
 	"emblookup/internal/index"
 	"emblookup/internal/lookup"
-	"emblookup/internal/par"
 )
 
 // LookupCtx is Lookup with cooperative cancellation: the pipeline checks
@@ -25,13 +24,13 @@ func (e *EmbLookup) LookupCtx(ctx context.Context, q string, k int) ([]lookup.Ca
 	}
 	sc := getScratch()
 	defer putScratch(sc)
-	return e.lookupCtx(sc, ctx, q, k, nil)
+	return e.lookupCtx(sc, ctx, q, k)
 }
 
 // lookupCtx is the cancellable twin of lookupTraced: same stages, same
 // stage histograms, same output, plus a ctx check between stages. The
 // caller has already established that ctx is cancellable and not yet done.
-func (e *EmbLookup) lookupCtx(sc *Scratch, ctx context.Context, q string, k int, dst []lookup.Candidate) ([]lookup.Candidate, error) {
+func (e *EmbLookup) lookupCtx(sc *Scratch, ctx context.Context, q string, k int) ([]lookup.Candidate, error) {
 	if k <= 0 {
 		return nil, nil
 	}
@@ -46,112 +45,19 @@ func (e *EmbLookup) lookupCtx(sc *Scratch, ctx context.Context, q string, k int,
 		return nil, err
 	}
 	t1 := time.Now()
-	var res []index.Result
-	switch ix := e.ix.(type) {
-	case index.CtxSearcher:
-		r, err := ix.SearchAppendCtx(ctx, &sc.ix, emb, fetch, sc.res)
-		if err != nil {
-			return nil, err
-		}
-		sc.res = r
-		res = r
-	case index.AppendSearcher:
-		sc.res = ix.SearchAppendWith(&sc.ix, emb, fetch, sc.res)
-		res = sc.res
-	case index.ScratchSearcher:
-		res = ix.SearchWith(&sc.ix, emb, fetch)
-	default:
-		res = e.ix.Search(emb, fetch)
-	}
+	res, err := index.SearchCtx(ctx, e.ix, &sc.ix, emb, fetch, sc.res)
 	stageSearch.Since(t1)
-	if err := ctx.Err(); err != nil {
-		return nil, err
+	if err == nil {
+		err = ctx.Err() // an uninterruptible scan may have outlived the caller
 	}
-	t2 := time.Now()
-	out := e.dedupeAppend(sc, res, k, dst)
-	stageMerge.Since(t2)
-	lookupsTotal.Inc()
-	lookupSeconds.Since(t0)
-	return out, nil
-}
-
-// BulkLookupCtx is BulkLookup with cooperative cancellation. Queries not
-// yet started when the context is done are skipped entirely; a cancelled
-// batch returns ctx.Err() and no results. With a context that can never be
-// cancelled this is exactly BulkLookup.
-func (e *EmbLookup) BulkLookupCtx(ctx context.Context, queries []string, k, parallelism int) ([][]lookup.Candidate, error) {
-	if ctx == nil || ctx.Done() == nil {
-		return e.BulkLookup(queries, k, parallelism), nil
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	bulkTotal.Inc()
-	bulkQueries.ObserveVal(int64(len(queries)))
-	out := make([][]lookup.Candidate, len(queries))
-	if len(queries) == 0 || k <= 0 {
-		return out, nil
-	}
-	if bs, ok := e.ix.(index.BatchCtxSearcher); ok {
-		return e.bulkViaBatchCtx(bs, ctx, queries, k, parallelism)
-	}
-	flat := make([]lookup.Candidate, len(queries)*k)
-	scratches := make([]*Scratch, par.Workers(len(queries), parallelism))
-	par.ForEachWorker(len(queries), parallelism, func(w, i int) {
-		if ctx.Err() != nil {
-			return
-		}
-		sc := scratches[w]
-		if sc == nil {
-			sc = getScratch()
-			scratches[w] = sc
-		}
-		out[i], _ = e.lookupCtx(sc, ctx, queries[i], k, flat[i*k:i*k:(i+1)*k])
-	})
-	for _, sc := range scratches {
-		if sc != nil {
-			putScratch(sc)
-		}
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// bulkViaBatchCtx is bulkViaBatch with the batch search and the per-query
-// dedupe under ctx.
-func (e *EmbLookup) bulkViaBatchCtx(bs index.BatchCtxSearcher, ctx context.Context, queries []string, k, parallelism int) ([][]lookup.Candidate, error) {
-	fetch := k
-	if e.cfg.IndexAliases {
-		fetch = k * 3
-	}
-	embs := e.EmbedAll(queries, parallelism)
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	res, err := bs.SearchBatchCtx(ctx, embs, fetch, parallelism)
 	if err != nil {
 		return nil, err
 	}
-	out := make([][]lookup.Candidate, len(queries))
-	flat := make([]lookup.Candidate, len(queries)*k)
-	scratches := make([]*Scratch, par.Workers(len(queries), parallelism))
-	par.ForEachWorker(len(queries), parallelism, func(w, i int) {
-		sc := scratches[w]
-		if sc == nil {
-			sc = getScratch()
-			scratches[w] = sc
-		}
-		out[i] = e.dedupeAppend(sc, res[i], k, flat[i*k:i*k:(i+1)*k])
-	})
-	for _, sc := range scratches {
-		if sc != nil {
-			putScratch(sc)
-		}
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
+	sc.res = res
+	t2 := time.Now()
+	out := e.dedupeAppend(sc, res, k, nil)
+	stageMerge.Since(t2)
+	lookupsTotal.Inc()
+	lookupSeconds.Since(t0)
 	return out, nil
 }

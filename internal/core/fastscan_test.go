@@ -74,13 +74,19 @@ func TestFastScanShardedBitIdentical(t *testing.T) {
 			}
 		}
 	}
-	// The batch path (shard-major SearchBatch) must agree too.
-	bulk := sh.BulkLookup(queries, 10, 4)
-	for i, q := range queries {
-		want := fs.Lookup(q, 10)
-		for j := range want {
-			if want[j] != bulk[i][j] {
-				t.Fatalf("bulk %q: candidate %d diverges", q, j)
+	// The batch path (query-major groups) must agree too — over the shards,
+	// and over the bare index, which scans a batch as one range.
+	for name, m := range map[string]*EmbLookup{"sharded": sh, "bare": fs} {
+		bulk := m.BulkLookup(queries, 10, 4)
+		for i, q := range queries {
+			want := fs.Lookup(q, 10)
+			if len(want) != len(bulk[i]) {
+				t.Fatalf("%s bulk %q: %d vs %d candidates", name, q, len(want), len(bulk[i]))
+			}
+			for j := range want {
+				if want[j] != bulk[i][j] {
+					t.Fatalf("%s bulk %q: candidate %d diverges", name, q, j)
+				}
 			}
 		}
 	}

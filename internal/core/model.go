@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"time"
 
 	"emblookup/internal/artifact"
@@ -124,82 +125,68 @@ func (e *EmbLookup) embed(s string, useMention bool) []float32 {
 func (e *EmbLookup) Lookup(q string, k int) []lookup.Candidate {
 	sc := getScratch()
 	defer putScratch(sc)
-	return e.lookupInto(sc, q, k)
+	return e.lookupTraced(sc, nil, q, k)
 }
 
-// BulkLookup embeds and searches a query batch with `parallelism`
-// goroutines (≤0 = all cores — the reproduction's GPU mode, see DESIGN.md).
-// Every worker owns one Scratch for the whole batch, amortizing all working
-// memory to zero allocations per query. When the index plans its own batch
-// execution (index.BatchSearcher — the sharded index scans a batch
-// shard-major), the embed and search stages are split so the whole batch
-// flows through one SearchBatch call; results are identical either way.
+// BulkLookup is BulkLookupCtx without cancellation.
 func (e *EmbLookup) BulkLookup(queries []string, k, parallelism int) [][]lookup.Candidate {
-	bulkTotal.Inc()
-	bulkQueries.ObserveVal(int64(len(queries)))
-	if bs, ok := e.ix.(index.BatchSearcher); ok && len(queries) > 0 && k > 0 {
-		return e.bulkViaBatch(bs, queries, k, parallelism)
-	}
-	out := make([][]lookup.Candidate, len(queries))
-	if k <= 0 {
-		return out
-	}
-	// One flat array backs every query's candidates: slot i appends into
-	// flat[i*k:i*k:(i+1)*k] (capacity-clipped, so slots can never bleed into
-	// each other), collapsing the per-query result allocations of the batch
-	// into this single one.
-	flat := make([]lookup.Candidate, len(queries)*k)
-	scratches := make([]*Scratch, par.Workers(len(queries), parallelism))
-	par.ForEachWorker(len(queries), parallelism, func(w, i int) {
-		sc := scratches[w]
-		if sc == nil {
-			sc = getScratch()
-			scratches[w] = sc
-		}
-		out[i] = e.lookupTraced(sc, nil, queries[i], k, flat[i*k:i*k:(i+1)*k])
-	})
-	for _, sc := range scratches {
-		if sc != nil {
-			putScratch(sc)
-		}
-	}
+	out, _ := e.BulkLookupCtx(context.Background(), queries, k, parallelism) // errors are ctx's only
 	return out
 }
 
-// bulkViaBatch is BulkLookup staged for a batch-scheduling index: embed all
-// queries, hand the whole batch to SearchBatch, then dedupe per query.
-func (e *EmbLookup) bulkViaBatch(bs index.BatchSearcher, queries []string, k, parallelism int) [][]lookup.Candidate {
+// BulkLookupCtx answers a query batch with `parallelism` goroutines (≤0 =
+// all cores — the reproduction's GPU mode, see DESIGN.md) in three stages:
+// embed every query, hand the whole batch to index.BatchSearchCtx — which
+// scans query-major where the index allows it — then dedupe per query.
+// Results align with the query order and are identical to per-query
+// Lookup. ctx is checked between the stages and inside the batch scan; a
+// cancelled batch returns ctx.Err() and no results.
+func (e *EmbLookup) BulkLookupCtx(ctx context.Context, queries []string, k, parallelism int) ([][]lookup.Candidate, error) {
+	if ctx == nil {
+		ctx = context.Background()
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	bulkTotal.Inc()
+	bulkQueries.ObserveVal(int64(len(queries)))
+	out := make([][]lookup.Candidate, len(queries))
+	if len(queries) == 0 || k <= 0 {
+		return out, nil
+	}
+	// Over-fetch when alias rows can collapse onto one entity.
 	fetch := k
 	if e.cfg.IndexAliases {
 		fetch = k * 3
 	}
 	embs := e.EmbedAll(queries, parallelism)
-	res := bs.SearchBatch(embs, fetch, parallelism)
-	out := make([][]lookup.Candidate, len(queries))
-	// Same flat-backing trick as the per-query bulk path: one allocation
-	// holds every query's candidate slice.
+	res, err := index.BatchSearchCtx(ctx, e.ix, embs, fetch, parallelism)
+	if err != nil {
+		return nil, err
+	}
+	// One flat array backs every query's candidates: slot i appends into
+	// flat[i*k:i*k:(i+1)*k] (capacity-clipped, so slots can never bleed into
+	// each other).
 	flat := make([]lookup.Candidate, len(queries)*k)
 	scratches := make([]*Scratch, par.Workers(len(queries), parallelism))
 	par.ForEachWorker(len(queries), parallelism, func(w, i int) {
-		sc := scratches[w]
-		if sc == nil {
-			sc = getScratch()
-			scratches[w] = sc
+		if scratches[w] == nil {
+			scratches[w] = getScratch()
 		}
-		out[i] = e.dedupeAppend(sc, res[i], k, flat[i*k:i*k:(i+1)*k])
+		out[i] = e.dedupeAppend(scratches[w], res[i], k, flat[i*k:i*k:(i+1)*k])
 	})
 	for _, sc := range scratches {
 		if sc != nil {
 			putScratch(sc)
 		}
 	}
-	return out
+	return out, nil
 }
 
 // WithShardedIndex returns a sibling service sharing this model's weights
 // and trained index whose scans fan out across `shards` row ranges
-// (index.Sharded): single queries merge per-shard top-k heaps, batches run
-// shard-major. Results are bit-identical to the unsharded service.
+// (index.Sharded): single queries merge per-shard top-k heaps, batches
+// split by shard only when they hold fewer query groups than workers. Results are bit-identical to the unsharded service.
 // parallelism bounds the per-query fan-out (≤0 = GOMAXPROCS).
 func (e *EmbLookup) WithShardedIndex(shards, parallelism int) (*EmbLookup, error) {
 	sh, err := index.NewSharded(e.ix, shards, parallelism)

@@ -34,5 +34,5 @@ var (
 func (e *EmbLookup) LookupTrace(tr *obs.Trace, q string, k int) []lookup.Candidate {
 	sc := getScratch()
 	defer putScratch(sc)
-	return e.lookupTraced(sc, tr, q, k, nil)
+	return e.lookupTraced(sc, tr, q, k)
 }

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"sync"
 	"time"
 
@@ -67,19 +68,12 @@ func (e *EmbLookup) embedInto(sc *Scratch, s string, useMention bool) []float32 
 	return e.mlp.ApplyInto(joint, &sc.nn)
 }
 
-// lookupInto is Lookup with all working memory taken from sc. Only the
-// returned candidate slice is allocated.
-func (e *EmbLookup) lookupInto(sc *Scratch, q string, k int) []lookup.Candidate {
-	return e.lookupTraced(sc, nil, q, k, nil)
-}
-
 // lookupTraced is the instrumented single-query path: each pipeline stage
 // records into its process-wide histogram and, when tr is non-nil, opens a
 // span. Stage timing costs two clock reads per stage; a nil trace adds
-// nothing else, keeping the path allocation-free. The returned candidates
-// land in dst[:0] when non-nil (the bulk path's flat batch array); a nil
-// dst allocates a fresh slice the caller owns.
-func (e *EmbLookup) lookupTraced(sc *Scratch, tr *obs.Trace, q string, k int, dst []lookup.Candidate) []lookup.Candidate {
+// nothing else, so all working memory comes from sc and only the returned
+// candidate slice is allocated.
+func (e *EmbLookup) lookupTraced(sc *Scratch, tr *obs.Trace, q string, k int) []lookup.Candidate {
 	if k <= 0 {
 		return nil
 	}
@@ -96,24 +90,15 @@ func (e *EmbLookup) lookupTraced(sc *Scratch, tr *obs.Trace, q string, k int, ds
 
 	t1 := time.Now()
 	sp = tr.Start("search")
-	var res []index.Result
-	switch ix := e.ix.(type) {
-	case index.AppendSearcher:
-		// The raw results are consumed by the merge below, so they live in
-		// the scratch-owned buffer — no per-query allocation.
-		sc.res = ix.SearchAppendWith(&sc.ix, emb, fetch, sc.res)
-		res = sc.res
-	case index.ScratchSearcher:
-		res = ix.SearchWith(&sc.ix, emb, fetch)
-	default:
-		res = e.ix.Search(emb, fetch)
-	}
+	// The raw results are consumed by the merge below, so they live in the
+	// scratch-owned buffer — no per-query allocation.
+	sc.res, _ = index.SearchCtx(context.Background(), e.ix, &sc.ix, emb, fetch, sc.res)
 	sp.End()
 	stageSearch.Since(t1)
 
 	t2 := time.Now()
 	sp = tr.Start("merge")
-	out := e.dedupeAppend(sc, res, k, dst)
+	out := e.dedupeAppend(sc, sc.res, k, nil)
 	sp.End()
 	stageMerge.Since(t2)
 
@@ -122,18 +107,13 @@ func (e *EmbLookup) lookupTraced(sc *Scratch, tr *obs.Trace, q string, k int, ds
 	return out
 }
 
-// dedupeInto converts ranked index results to candidates, collapsing alias
-// rows onto their entity with the scratch-owned seen set — same semantics
-// as lookup.DedupeTopK over the converted candidate list, without the
-// intermediate slice and map allocations.
-func (e *EmbLookup) dedupeInto(sc *Scratch, res []index.Result, k int) []lookup.Candidate {
-	return e.dedupeAppend(sc, res, k, nil)
-}
-
-// dedupeAppend is dedupeInto with the output slice taken from dst[:0] (nil
-// allocates a fresh one). At most k candidates are appended, so a dst with
-// capacity k never reallocates — the invariant the bulk path's flat batch
-// array depends on.
+// dedupeAppend converts ranked index results to candidates, collapsing
+// alias rows onto their entity with the scratch-owned seen set — same
+// semantics as lookup.DedupeTopK over the converted candidate list, without
+// the intermediate slice and map allocations. The output slice is taken
+// from dst[:0] (nil allocates a fresh one). At most k candidates are
+// appended, so a dst with capacity k never reallocates — the invariant the
+// bulk path's flat batch array depends on.
 func (e *EmbLookup) dedupeAppend(sc *Scratch, res []index.Result, k int, dst []lookup.Candidate) []lookup.Candidate {
 	if sc.seen == nil {
 		sc.seen = make(map[kg.EntityID]bool, len(res))

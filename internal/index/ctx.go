@@ -1,154 +1,29 @@
 package index
 
-import (
-	"context"
-
-	"emblookup/internal/par"
-)
+import "context"
 
 // CtxSearcher is implemented by indexes whose single-query scan can be
 // cancelled cooperatively: a caller that has given up (deadline passed,
 // client disconnected) stops paying for shard scans it will never read.
 // With an uncancelled context the results are bit-identical to
 // SearchAppendWith; once the context is done the scan returns ctx.Err()
-// and no results.
+// and no results. Sharded implements it.
 type CtxSearcher interface {
 	SearchAppendCtx(ctx context.Context, s *Scratch, q []float32, k int, dst []Result) ([]Result, error)
 }
 
-// BatchCtxSearcher is CtxSearcher for batch-scheduling indexes: the batch
-// execution checks the context between phases and before each (shard,
-// query) task, so a cancelled batch abandons the sweep instead of
-// finishing it.
-type BatchCtxSearcher interface {
-	SearchBatchCtx(ctx context.Context, queries [][]float32, k, parallelism int) ([][]Result, error)
-}
-
-// SearchAppendCtx implements CtxSearcher over the sharded fan-out. The
-// context is checked before the scan state is built and before each shard's
-// range scan — a shard range is the cancellation granularity, so a done
-// context wastes at most the ranges already in flight. A context that can
-// never be cancelled takes the exact SearchAppendWith path.
-func (sh *Sharded) SearchAppendCtx(ctx context.Context, s *Scratch, q []float32, k int, dst []Result) ([]Result, error) {
-	if ctx == nil || ctx.Done() == nil {
-		return sh.SearchAppendWith(s, q, k, dst), nil
+// SearchCtx searches one query on any index under ctx, with results in
+// dst[:0]: through the cancellable scan where the index has one, else with
+// ctx checked once before an uninterruptible scan.
+func SearchCtx(ctx context.Context, ix Index, s *Scratch, q []float32, k int, dst []Result) ([]Result, error) {
+	if cs, ok := ix.(CtxSearcher); ok {
+		return cs.SearchAppendCtx(ctx, s, q, k, dst)
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	if k <= 0 {
-		return dst[:0], nil
+	if as, ok := ix.(AppendSearcher); ok {
+		return as.SearchAppendWith(s, q, k, dst), nil
 	}
-	state := sh.inner.prepareScan(s, q)
-	ns := sh.Shards()
-	if ns == 0 {
-		if dst == nil {
-			return []Result{}, nil
-		}
-		return dst[:0], nil
-	}
-	scratches := make([]*Scratch, ns)
-	par.ForEach(ns, sh.parallelism, func(i int) {
-		if ctx.Err() != nil {
-			return // cancelled: skip the remaining shard ranges
-		}
-		ss := GetScratch()
-		scratches[i] = ss
-		t := &ss.res
-		t.reset(k)
-		sh.inner.scanRange(state, ss, t, sh.bounds[i], sh.bounds[i+1])
-	})
-	t := &s.res
-	t.reset(k)
-	for _, ss := range scratches {
-		if ss == nil {
-			continue
-		}
-		for _, r := range ss.res.heap {
-			t.push(r.ID, r.Dist)
-		}
-		PutScratch(ss)
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return t.appendSorted(dst), nil
-}
-
-// SearchBatchCtx implements BatchCtxSearcher: SearchBatch with the context
-// checked before every per-query preparation, every (shard, query) sweep
-// task, and every per-query merge. Uncancelled batches return exactly what
-// SearchBatch would.
-func (sh *Sharded) SearchBatchCtx(ctx context.Context, queries [][]float32, k, parallelism int) ([][]Result, error) {
-	if ctx == nil || ctx.Done() == nil {
-		return sh.SearchBatch(queries, k, parallelism), nil
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	nq := len(queries)
-	out := make([][]Result, nq)
-	if nq == 0 {
-		return out, nil
-	}
-	if k <= 0 {
-		return out, nil
-	}
-	ns := sh.Shards()
-	if ns == 0 {
-		for i := range out {
-			out[i] = []Result{}
-		}
-		return out, nil
-	}
-	prep := make([]*Scratch, nq)
-	states := make([][]float32, nq)
-	par.ForEach(nq, parallelism, func(i int) {
-		if ctx.Err() != nil {
-			return
-		}
-		prep[i] = GetScratch()
-		states[i] = sh.inner.prepareScan(prep[i], queries[i])
-	})
-	heaps := make([]*Scratch, ns*nq)
-	if ctx.Err() == nil {
-		par.ForEach(ns*nq, parallelism, func(t int) {
-			if ctx.Err() != nil {
-				return
-			}
-			si, qi := t/nq, t%nq
-			ss := GetScratch()
-			heaps[t] = ss
-			h := &ss.res
-			h.reset(k)
-			sh.inner.scanRange(states[qi], ss, h, sh.bounds[si], sh.bounds[si+1])
-		})
-	}
-	if err := ctx.Err(); err == nil {
-		flat := make([]Result, nq*k)
-		par.ForEach(nq, parallelism, func(qi int) {
-			t := &prep[qi].res
-			t.reset(k)
-			for si := 0; si < ns; si++ {
-				for _, r := range heaps[si*nq+qi].res.heap {
-					t.push(r.ID, r.Dist)
-				}
-			}
-			out[qi] = t.appendSorted(flat[qi*k : qi*k : (qi+1)*k])
-		})
-	}
-	for _, s := range heaps {
-		if s != nil {
-			PutScratch(s)
-		}
-	}
-	for _, s := range prep {
-		if s != nil {
-			PutScratch(s)
-		}
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	return out, nil
+	return append(dst[:0], ix.Search(q, k)...), nil
 }

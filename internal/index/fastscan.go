@@ -2,6 +2,7 @@ package index
 
 import (
 	"fmt"
+	"math/bits"
 
 	"emblookup/internal/mathx"
 	"emblookup/internal/par"
@@ -183,22 +184,23 @@ func (ix *FastScan) SearchAppendWith(s *Scratch, q []float32, k int, dst []Resul
 	if k <= 0 {
 		return dst[:0]
 	}
-	table := ix.prepareScan(s, q)
+	table := prepareScan(ix, s, q)
 	t := &s.res
 	t.reset(k)
 	ix.scanRange(table, s, t, 0, ix.n)
 	return t.appendSorted(dst)
 }
 
-// prepareScan implements rangeScanner: the shared per-query state is the
-// exact float32 ADC table (M4 rows of 16 entries — at M4=16 a single
-// kilobyte). Each range scan derives its integer tables from it, so the
-// shared state stays a plain []float32 and sharded scans need no extra
-// coordination.
-func (ix *FastScan) prepareScan(s *Scratch, q []float32) []float32 {
-	s.table = mathx.Resize(s.table, ix.pq.M*ix.pq.Ks)
-	ix.pq.ADCTableInto(q, s.table)
-	return s.table
+// stateLen and prepareInto implement rangeScanner: the shared per-query
+// state is the exact float32 ADC table (M4 rows of 16 entries — at M4=16 a
+// single kilobyte). A solo range scan derives its integer tables from it,
+// so the shared state stays a plain []float32 and sharded scans need no
+// extra coordination; a batch quantizes it once per query (searchBatch).
+func (ix *FastScan) stateLen() int { return ix.pq.M * quant.Ks4 }
+
+func (ix *FastScan) prepareInto(q, table []float32) []float32 {
+	ix.pq.ADCTableInto(q, table)
+	return table
 }
 
 // scanRange implements rangeScanner: quantize the float table into s's
@@ -214,62 +216,151 @@ func (ix *FastScan) scanRange(table []float32, s *Scratch, t *topK, lo, hi int) 
 	if lo >= hi {
 		return
 	}
-	m4 := ix.pq.M
-	np := m4 / 2
-	s.lut8 = resizeBytes(s.lut8, m4*quant.Ks4)
-	bias, delta := ix.pq.QuantizeTableInto(table, s.lut8)
-	s.lut2 = resizeU16(s.lut2, np*256)
-	for p := 0; p < np; p++ {
-		lo8 := s.lut8[2*p*quant.Ks4 : 2*p*quant.Ks4+quant.Ks4]
-		hi8 := s.lut8[(2*p+1)*quant.Ks4 : (2*p+1)*quant.Ks4+quant.Ks4]
-		fused := s.lut2[p*256 : p*256+256]
-		for b := range fused {
-			fused[b] = uint16(lo8[b&0xf]) + uint16(hi8[b>>4])
-		}
-	}
-	invDelta := 1 / delta
-	slack := uint32(m4) + 1
-	qlimit := fsLimit(t.worst(), bias, invDelta, slack)
-	bpb := fsBlockBytes(m4)
+	np := ix.pq.M / 2
+	s.lut8 = resize(s.lut8, ix.stateLen())
+	q := ix.quantize(table, s.lut8)
+	s.lut2 = resize(s.lut2, np*256)
+	clear(s.lut2)
+	fsFuse(s.lut2, q.lut8, np, 0)
+	qlimit := q.limit(t)
+	bpb := fsBlockBytes(ix.pq.M)
 	var qd [fsBlock]uint16
 	for b0 := lo / fsBlock * fsBlock; b0 < hi; b0 += fsBlock {
 		blk := ix.blocks[b0/fsBlock*bpb:][:bpb:bpb]
-		// Accumulate the quantized distances of all 32 rows, one fused
-		// pair LUT swept over one 32-byte code strip at a time. The first
-		// pair writes instead of adds, so qd needs no per-block reset.
-		fused := s.lut2[:256]
-		cb := blk[:fsBlock:fsBlock]
-		for r := 0; r < fsBlock; r += 4 {
-			qd[r] = fused[cb[r]]
-			qd[r+1] = fused[cb[r+1]]
-			qd[r+2] = fused[cb[r+2]]
-			qd[r+3] = fused[cb[r+3]]
-		}
-		for p := 1; p < np; p++ {
-			fused := s.lut2[p*256 : p*256+256]
-			cb := blk[p*fsBlock : p*fsBlock+fsBlock : p*fsBlock+fsBlock]
-			for r := 0; r < fsBlock; r += 4 {
-				qd[r] += fused[cb[r]]
-				qd[r+1] += fused[cb[r+1]]
-				qd[r+2] += fused[cb[r+2]]
-				qd[r+3] += fused[cb[r+3]]
-			}
-		}
+		fsAccumulate(&qd, s.lut2, blk, np)
 		// Candidate pass: one integer compare per row; survivors pay the
 		// exact float32 re-rank and the heap push.
-		rlo, rhi := 0, fsBlock
-		if b0 < lo {
-			rlo = lo - b0
-		}
-		if b0+fsBlock > hi {
-			rhi = hi - b0
-		}
-		for r := rlo; r < rhi; r++ {
+		for r, rhi := max(lo-b0, 0), min(hi-b0, fsBlock); r < rhi; r++ {
 			if uint32(qd[r]) > qlimit {
 				continue
 			}
 			t.push(int32(b0+r), fsRowDist(table, blk, np, r))
-			qlimit = fsLimit(t.worst(), bias, invDelta, slack)
+			qlimit = q.limit(t)
+		}
+	}
+}
+
+// fsLanes is the group width of the query-major kernel: the uint16 sums of
+// four queries ride the four 16-bit lanes of one uint64. It is the word
+// size over the lane size, not a tuning knob.
+const fsLanes = 4
+
+// fsGroupMaxM4 is the largest sub-quantizer count the group kernel serves.
+// A lane's sum is at most M4·255; the packed compare borrows each lane's
+// top bit, so the sum must stay below 0x8000 (128·255 = 32640). Wider
+// codes scan query-at-a-time.
+const fsGroupMaxM4 = 128
+
+// fsHigh is the top bit of every lane.
+const fsHigh = 0x8000_8000_8000_8000
+
+// scanGroup is scanRange for up to fsLanes prepared queries in one pass
+// over the codes: lane l of every fused LUT word holds query l's uint16
+// entry, so the accumulate loop — the same text as the solo kernel's, at
+// uint64 — advances four queries by two sub-quantizers per code byte. No
+// lane can carry into the next (sums stay below 0x8000), so each lane ends
+// up with exactly the integer the solo kernel computes, the prune admits
+// exactly the rows it would, and heaps[l] receives query l's solo pushes
+// in the solo order. Lanes past len(qs) stay zero and are masked out of
+// the compare.
+func (ix *FastScan) scanGroup(qs []fsQuery, s *Scratch, heaps []topK, lo, hi int) {
+	if lo >= hi {
+		return
+	}
+	np := ix.pq.M / 2
+	s.lut4 = resize(s.lut4, np*256)
+	clear(s.lut4)
+	// limits holds 0x8000|laneLimit per lane. A lane of limits−qd keeps its
+	// top bit exactly when limit ≥ sum, and never borrows from its neighbour.
+	var live, limits uint64 = 0, fsHigh
+	for l := range qs {
+		fsFuse(s.lut4, qs[l].lut8, np, uint(l))
+		live |= 0x8000 << (16 * l)
+		limits |= qs[l].laneLimit(&heaps[l]) << (16 * l)
+	}
+	bpb := fsBlockBytes(ix.pq.M)
+	var qd [fsBlock]uint64
+	for b0 := lo / fsBlock * fsBlock; b0 < hi; b0 += fsBlock {
+		blk := ix.blocks[b0/fsBlock*bpb:][:bpb:bpb]
+		fsAccumulate(&qd, s.lut4, blk, np)
+		// Candidate pass: one packed compare per row for all lanes; a row
+		// that survives in some lane pays that query's exact re-rank.
+		for r, rhi := max(lo-b0, 0), min(hi-b0, fsBlock); r < rhi; r++ {
+			alive := (limits - qd[r]) & live
+			for ; alive != 0; alive &= alive - 1 {
+				l := bits.TrailingZeros64(alive) / 16
+				q, t := &qs[l], &heaps[l]
+				t.push(int32(b0+r), fsRowDist(q.table, blk, np, r))
+				limits = limits&^(0x7fff<<(16*l)) | q.laneLimit(t)<<(16*l)
+			}
+		}
+	}
+}
+
+// fsQuery is one query prepared for the quantized kernels: the exact
+// float32 ADC table survivors are re-ranked against, its uint8
+// quantization, and the scale that maps a float bound to an integer one.
+type fsQuery struct {
+	table          []float32
+	lut8           []uint8
+	bias, invDelta float32
+	slack          uint32
+}
+
+// quantize prepares table for a quantized scan, writing its uint8 form
+// into lut8 (M4 × Ks4).
+func (ix *FastScan) quantize(table []float32, lut8 []uint8) fsQuery {
+	bias, delta := ix.pq.QuantizeTableInto(table, lut8)
+	return fsQuery{table: table, lut8: lut8, bias: bias, invDelta: 1 / delta, slack: uint32(ix.pq.M) + 1}
+}
+
+// limit is fsLimit against t's current k-th best distance.
+func (q *fsQuery) limit(t *topK) uint32 {
+	return fsLimit(t.worst(), q.bias, q.invDelta, q.slack)
+}
+
+// laneLimit is limit clamped to a lane of the group kernel: 0x7fff already
+// admits every sum a lane can hold, and the lane's top bit must stay free.
+func (q *fsQuery) laneLimit(t *topK) uint64 {
+	return uint64(min(q.limit(t), 0x7fff))
+}
+
+// fsFuse ORs one query's fused pair LUTs into lane `lane` of fused (M4/2
+// × 256 words, cleared by the caller): entry b of pair p is
+// lut8[2p][b&15] + lut8[2p+1][b>>4].
+func fsFuse[W uint16 | uint64](fused []W, lut8 []uint8, np int, lane uint) {
+	for p := 0; p < np; p++ {
+		lo8 := lut8[2*p*quant.Ks4:][:quant.Ks4]
+		hi8 := lut8[(2*p+1)*quant.Ks4:][:quant.Ks4]
+		for h, hv := range hi8 {
+			f := fused[p*256+h*quant.Ks4:][:quant.Ks4]
+			for l, lv := range lo8 {
+				f[l] |= W(uint16(lv)+uint16(hv)) << (16 * lane)
+			}
+		}
+	}
+}
+
+// fsAccumulate sums the quantized distances of one block's 32 rows into
+// qd, one fused pair LUT swept over one 32-byte code strip at a time. The
+// first pair writes instead of adds, so qd needs no per-block reset.
+func fsAccumulate[W uint16 | uint64](qd *[fsBlock]W, fused []W, blk []byte, np int) {
+	f := fused[:256]
+	cb := blk[:fsBlock:fsBlock]
+	for r := 0; r < fsBlock; r += 4 {
+		qd[r] = f[cb[r]]
+		qd[r+1] = f[cb[r+1]]
+		qd[r+2] = f[cb[r+2]]
+		qd[r+3] = f[cb[r+3]]
+	}
+	for p := 1; p < np; p++ {
+		f := fused[p*256 : p*256+256]
+		cb := blk[p*fsBlock : p*fsBlock+fsBlock : p*fsBlock+fsBlock]
+		for r := 0; r < fsBlock; r += 4 {
+			qd[r] += f[cb[r]]
+			qd[r+1] += f[cb[r+1]]
+			qd[r+2] += f[cb[r+2]]
+			qd[r+3] += f[cb[r+3]]
 		}
 	}
 }
@@ -364,17 +455,10 @@ func (ix *FastScan) Reconstruct(id int32) []float32 {
 	return ix.pq.Decode(nib)
 }
 
-// resizeBytes and resizeU16 are mathx.Resize for the integer LUT buffers.
-func resizeBytes(buf []uint8, n int) []uint8 {
+// resize is mathx.Resize for the integer LUT buffers.
+func resize[T any](buf []T, n int) []T {
 	if cap(buf) < n {
-		return make([]uint8, n)
-	}
-	return buf[:n]
-}
-
-func resizeU16(buf []uint16, n int) []uint16 {
-	if cap(buf) < n {
-		return make([]uint16, n)
+		return make([]T, n)
 	}
 	return buf[:n]
 }

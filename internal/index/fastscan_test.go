@@ -45,7 +45,7 @@ func TestFastScanMatchesPlain4(t *testing.T) {
 		for _, k := range []int{1, 5, n, n + 10} {
 			for qi := 0; qi < 5 && qi < n; qi++ {
 				q := data.Row(qi)
-				table := ix.prepareScan(s, q)
+				table := prepareScan(ix, s, q)
 
 				plain := newTopK(k)
 				ix.scanPlain4(table, plain)
@@ -118,7 +118,7 @@ func TestFastScanSharded(t *testing.T) {
 		for i := range batch {
 			batch[i] = data.Row(i)
 		}
-		res := sh.SearchBatch(batch, 10, 2)
+		res := BatchSearch(sh, batch, 10, 2)
 		for i, q := range batch {
 			sameResults(t, "sharded batch", ix.Search(q, 10), res[i])
 		}

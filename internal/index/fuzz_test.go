@@ -1,6 +1,7 @@
 package index
 
 import (
+	"context"
 	"testing"
 
 	"emblookup/internal/mathx"
@@ -64,21 +65,27 @@ func FuzzInterleave4RoundTrip(f *testing.F) {
 }
 
 // FuzzFastScanEquivalence asserts the quantized early-abandoning fast-scan
-// kernel returns bit-identical results to the plain float32 scan of the
-// same 4-bit codes, for arbitrary shapes, k, shard counts, and tie-heavy
-// integer distance tables (where the quantized prune must over-admit on
-// exact ties, never drop).
+// kernels — solo and query-major group — return bit-identical results to the
+// plain float32 scan of the same 4-bit codes, for arbitrary shapes, k
+// (including 1 and k > n), shard counts, batch sizes 1…9 (a batch of one,
+// masked remainders, full and several groups, a duplicate query inside the
+// batch), and tie-heavy integer distance tables (where the quantized prune
+// must over-admit on exact ties, never drop). Tables come from queries
+// against synthetic codebooks, so the batch entry points see them too.
 func FuzzFastScanEquivalence(f *testing.F) {
-	f.Add(uint16(1), uint8(1), uint8(1), uint16(1), uint8(1), uint64(0), uint8(0))
-	f.Add(uint16(200), uint8(4), uint8(15), uint16(10), uint8(4), uint64(7), uint8(3))
-	f.Add(uint16(700), uint8(2), uint8(7), uint16(250), uint8(7), uint64(42), uint8(1))
-	f.Add(uint16(96), uint8(6), uint8(3), uint16(5), uint8(2), uint64(99), uint8(0))
-	f.Fuzz(func(t *testing.T, nRaw uint16, m4Raw, ksRaw uint8, kRaw uint16, shardsRaw uint8, seed uint64, tieMod uint8) {
+	f.Add(uint16(1), uint8(1), uint8(1), uint16(1), uint8(1), uint64(0), uint8(0), uint8(0))
+	f.Add(uint16(200), uint8(4), uint8(15), uint16(10), uint8(4), uint64(7), uint8(3), uint8(1))
+	f.Add(uint16(700), uint8(2), uint8(7), uint16(250), uint8(7), uint64(42), uint8(1), uint8(2))
+	f.Add(uint16(96), uint8(6), uint8(3), uint16(5), uint8(2), uint64(99), uint8(0), uint8(3))
+	f.Add(uint16(40), uint8(5), uint8(9), uint16(250), uint8(3), uint64(5), uint8(4), uint8(4))
+	f.Add(uint16(333), uint8(3), uint8(15), uint16(0), uint8(5), uint64(11), uint8(2), uint8(8))
+	f.Fuzz(func(t *testing.T, nRaw uint16, m4Raw, ksRaw uint8, kRaw uint16, shardsRaw uint8, seed uint64, tieMod, batchRaw uint8) {
 		n := int(nRaw)%1200 + 1
 		m4 := (int(m4Raw)%6 + 1) * 2
 		ks := int(ksRaw)%quant.Ks4 + 1
 		k := int(kRaw)%300 + 1
 		shards := int(shardsRaw)%9 + 1
+		nq := int(batchRaw)%9 + 1
 
 		rng := mathx.NewRNG(seed)
 		nib := make([]byte, n*m4)
@@ -86,47 +93,79 @@ func FuzzFastScanEquivalence(f *testing.F) {
 			nib[i] = byte(rng.Intn(ks))
 		}
 		ix := syntheticFastScan(nib, m4, ks, n)
-		table := make([]float32, m4*quant.Ks4)
-		for m := 0; m < m4; m++ {
-			for c := 0; c < ks; c++ {
-				if tieMod == 0 {
-					table[m*quant.Ks4+c] = rng.Float32()
-				} else {
-					table[m*quant.Ks4+c] = float32(rng.Intn(int(tieMod)%4 + 1))
-				}
+		// Continuous coordinates, or a tiny integer alphabet under which most
+		// table entries — all of them at one level — collide.
+		draw := func(levels int) float32 {
+			if tieMod == 0 {
+				return rng.Float32()
+			}
+			return float32(rng.Intn(levels))
+		}
+		for _, cb := range ix.pq.Codebooks {
+			for c := range cb.Data {
+				cb.Data[c] = draw(int(tieMod)%4 + 1)
 			}
 		}
-
-		plain := newTopK(k)
-		ix.scanPlain4(table, plain)
-		want := plain.sorted()
-
-		s := GetScratch()
-		fast := newTopK(k)
-		ix.scanRange(table, s, fast, 0, n)
-		got := fast.sorted()
-		if len(want) != len(got) {
-			t.Fatalf("fast-scan: %d vs %d results", len(want), len(got))
-		}
-		for i := range want {
-			if want[i] != got[i] {
-				t.Fatalf("fast-scan diverges at %d: %+v vs %+v", i, want[i], got[i])
+		queries := make([][]float32, nq)
+		for i := range queries {
+			if i == 2 {
+				queries[i] = queries[0] // a duplicate inside the batch
+				continue
+			}
+			queries[i] = make([]float32, m4)
+			for m := range queries[i] {
+				queries[i][m] = draw(3)
 			}
 		}
-
 		sh, err := NewSharded(ix, shards, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		merged := sh.scanMerged(s, table, k)
-		PutScratch(s)
-		if len(want) != len(merged) {
-			t.Fatalf("sharded: %d vs %d results", len(want), len(merged))
+
+		s := GetScratch()
+		defer PutScratch(s)
+		want := make([][]Result, nq)
+		for i, q := range queries {
+			table := prepareScan(ix, s, q)
+			plain := newTopK(k)
+			ix.scanPlain4(table, plain)
+			want[i] = plain.sorted()
+
+			fast := newTopK(k)
+			ix.scanRange(table, s, fast, 0, n)
+			sameResults(t, "fast-scan", want[i], fast.sorted())
+			merged, _ := sh.scanMerged(context.Background(), s, table, k, nil)
+			sameResults(t, "sharded fast-scan", want[i], merged)
+			sameResults(t, "solo SearchWith", want[i], ix.SearchWith(s, q, k))
 		}
-		for i := range want {
-			if want[i] != merged[i] {
-				t.Fatalf("sharded fast-scan diverges at %d (shards=%d): %+v vs %+v",
-					i, shards, want[i], merged[i])
+
+		// One worker scans every group over all rows; three split a small
+		// batch's rows at the shard bounds.
+		for _, parallelism := range []int{1, 3} {
+			for name, b := range map[string]Index{"bare": ix, "sharded": sh} {
+				for i, got := range BatchSearch(b, queries, k, parallelism) {
+					sameResults(t, name+" batch", want[i], got)
+				}
+			}
+		}
+
+		// The group kernel against the solo kernel on a range that starts
+		// and ends mid-block.
+		lo := rng.Intn(n)
+		hi := lo + rng.Intn(n-lo+1)
+		for g := 0; g < nq; g += fsLanes {
+			group := queries[g:min(g+fsLanes, nq)]
+			fq, heaps := make([]fsQuery, len(group)), make([]topK, len(group))
+			for l, q := range group {
+				table := ix.prepareInto(q, make([]float32, ix.stateLen()))
+				fq[l] = ix.quantize(table, make([]uint8, ix.stateLen()))
+				heaps[l].reset(k)
+			}
+			ix.scanGroup(fq, s, heaps, lo, hi)
+			for l := range group {
+				solo := newTopK(k)
+				ix.scanRange(fq[l].table, s, solo, lo, hi)
+				sameResults(t, "group range", solo.sorted(), heaps[l].sorted())
 			}
 		}
 	})
@@ -184,7 +223,7 @@ func FuzzScanEquivalence(f *testing.F) {
 			t.Fatal(err)
 		}
 		s := GetScratch()
-		merged := sh.scanMerged(s, table, k)
+		merged, _ := sh.scanMerged(context.Background(), s, table, k, nil)
 		PutScratch(s)
 		if len(want) != len(merged) {
 			t.Fatalf("sharded: %d vs %d results", len(want), len(merged))

@@ -8,6 +8,7 @@
 package index
 
 import (
+	"context"
 	"slices"
 
 	"emblookup/internal/mathx"
@@ -34,61 +35,54 @@ type Index interface {
 	SizeBytes() int
 }
 
-// BatchSearcher is implemented by indexes with a batch execution strategy
-// better than query-at-a-time (Sharded scans a batch shard-major for
-// locality); BatchSearch delegates to it when present.
-type BatchSearcher interface {
-	// SearchBatch is BatchSearch with the index's own scheduling. Results
-	// align with the query order and are identical to per-query Search.
-	SearchBatch(queries [][]float32, k, parallelism int) [][]Result
+// BatchSearch is BatchSearchCtx without cancellation.
+func BatchSearch(ix Index, queries [][]float32, k, parallelism int) [][]Result {
+	out, _ := BatchSearchCtx(context.Background(), ix, queries, k, parallelism) // errors are ctx's only
+	return out
 }
 
-// BatchSearch runs Search for every query using `parallelism` goroutines
-// (≤0 means GOMAXPROCS). Results align with the query order. When the index
-// supports it, every worker owns one Scratch for the whole batch, so the
-// scan's working memory is amortized to zero allocations per query. Indexes
-// that implement BatchSearcher take over the whole batch with their own
-// scheduling.
-func BatchSearch(ix Index, queries [][]float32, k, parallelism int) [][]Result {
-	if bs, ok := ix.(BatchSearcher); ok {
-		return bs.SearchBatch(queries, k, parallelism)
+// BatchSearchCtx searches every query using `parallelism` goroutines (≤0
+// means GOMAXPROCS). Results align with the query order and are identical
+// to per-query Search. A batch over a range-scannable index — Sharded, or a
+// bare PQ, FastScan or Flat — is one searchBatch; a batch of one, and every
+// batch over the other indexes, runs query-at-a-time (the solo kernel and,
+// on a Sharded, the shard fan-out), each worker owning one Scratch and all
+// results sharing one flat array. A done context returns ctx.Err() and no
+// results.
+func BatchSearchCtx(ctx context.Context, ix Index, queries [][]float32, k, parallelism int) ([][]Result, error) {
+	if len(queries) > 1 {
+		switch x := ix.(type) {
+		case *Sharded:
+			return searchBatch(ctx, x.inner, x.bounds, queries, k, parallelism)
+		case rangeScanner:
+			return searchBatch(ctx, x, []int{0, x.Len()}, queries, k, parallelism)
+		}
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
 	out := make([][]Result, len(queries))
-	ss, ok := ix.(ScratchSearcher)
-	if !ok {
-		par.ForEach(len(queries), parallelism, func(i int) {
-			out[i] = ix.Search(queries[i], k)
-		})
-		return out
+	if k <= 0 {
+		return out, nil
 	}
-	as, appendable := ix.(AppendSearcher)
-	appendable = appendable && k > 0
-	var flat []Result
-	if appendable {
-		// One flat array backs every query's results: slot i appends into
-		// its capacity-clipped cap-k window, so the batch's result slices
-		// cost one allocation.
-		flat = make([]Result, len(queries)*k)
-	}
+	// Slot i appends into its capacity-clipped cap-k window of flat.
+	flat := make([]Result, len(queries)*k)
 	scratches := make([]*Scratch, par.Workers(len(queries), parallelism))
 	par.ForEachWorker(len(queries), parallelism, func(w, i int) {
-		s := scratches[w]
-		if s == nil {
-			s = GetScratch()
-			scratches[w] = s
+		if scratches[w] == nil {
+			scratches[w] = GetScratch()
 		}
-		if appendable {
-			out[i] = as.SearchAppendWith(s, queries[i], k, flat[i*k:i*k:(i+1)*k])
-		} else {
-			out[i] = ss.SearchWith(s, queries[i], k)
-		}
+		out[i], _ = SearchCtx(ctx, ix, scratches[w], queries[i], k, flat[i*k:i*k:(i+1)*k])
 	})
 	for _, s := range scratches {
 		if s != nil {
 			PutScratch(s)
 		}
 	}
-	return out
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	return out, nil
 }
 
 // worse reports whether a ranks strictly after b in the canonical result
@@ -251,9 +245,11 @@ func (f *Flat) SearchAppendWith(s *Scratch, q []float32, k int, dst []Result) []
 	return t.appendSorted(dst)
 }
 
-// prepareScan implements rangeScanner: an exact scan needs no per-query
-// precomputation, so the shared state is the query itself.
-func (f *Flat) prepareScan(_ *Scratch, q []float32) []float32 { return q }
+// stateLen and prepareInto implement rangeScanner: an exact scan needs no
+// per-query precomputation, so the shared state is the query itself.
+func (f *Flat) stateLen() int { return 0 }
+
+func (f *Flat) prepareInto(q, _ []float32) []float32 { return q }
 
 // scanRange implements rangeScanner: the brute-force scan restricted to
 // stored rows [lo, hi).

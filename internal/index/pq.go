@@ -65,7 +65,7 @@ func (ix *PQ) SearchAppendWith(s *Scratch, q []float32, k int, dst []Result) []R
 	if k <= 0 {
 		return dst[:0]
 	}
-	table := ix.prepareScan(s, q)
+	table := prepareScan(ix, s, q)
 	t := &s.res
 	t.reset(k)
 	ix.scanBlocked(table, t, &s.dists)
@@ -78,12 +78,13 @@ func (ix *PQ) SearchAppendWith(s *Scratch, q []float32, k int, dst []Result) []R
 // across the strip.
 const scanBlock = 256
 
-// prepareScan implements rangeScanner: the shared per-query scan state is
-// the ADC table, built once into s and read-only thereafter.
-func (ix *PQ) prepareScan(s *Scratch, q []float32) []float32 {
-	s.table = mathx.Resize(s.table, ix.pq.M*ix.pq.Ks)
-	ix.pq.ADCTableInto(q, s.table)
-	return s.table
+// stateLen and prepareInto implement rangeScanner: the shared per-query
+// scan state is the ADC table, built once and read-only thereafter.
+func (ix *PQ) stateLen() int { return ix.pq.M * ix.pq.Ks }
+
+func (ix *PQ) prepareInto(q, table []float32) []float32 {
+	ix.pq.ADCTableInto(q, table)
+	return table
 }
 
 // scanRange implements rangeScanner: the blocked scan restricted to stored

@@ -17,6 +17,7 @@ type Scratch struct {
 	dists    [scanBlock]float32
 	lut8     []uint8  // fast-scan: uint8-quantized ADC table (M4 × Ks4)
 	lut2     []uint16 // fast-scan: fused pair LUTs (M4/2 × 256)
+	lut4     []uint64 // fast-scan group kernel: fsLanes queries' fused LUTs, one per 16-bit lane
 }
 
 // ScratchSearcher is implemented by indexes whose search can reuse a

@@ -1,8 +1,10 @@
 package index
 
 import (
+	"context"
 	"fmt"
 
+	"emblookup/internal/mathx"
 	"emblookup/internal/par"
 )
 
@@ -14,20 +16,29 @@ import (
 // the same result set.
 type rangeScanner interface {
 	Index
-	// prepareScan computes the state shared read-only by every range scan
-	// of one query, using s for any working memory it retains.
-	prepareScan(s *Scratch, q []float32) []float32
+	// stateLen is the length of the per-query scan state (0 when the state
+	// is the query itself).
+	stateLen() int
+	// prepareInto computes the state shared read-only by every range scan
+	// of one query into state (stateLen entries) and returns it.
+	prepareInto(q, state []float32) []float32
 	// scanRange pushes stored rows [lo, hi) into t, taking per-range
 	// working memory (e.g. the blocked-scan distance strip) from s.
 	scanRange(state []float32, s *Scratch, t *topK, lo, hi int)
 }
 
-// Sharded partitions a PQ or Flat index's stored rows into S contiguous
-// shards. A single query builds its scan state once and fans the scan
-// across shards via par.ForEach, merging the per-shard top-k heaps; a batch
-// runs shard-major (every worker sweeps one shard across all queries), so
-// each shard's codes stay cache-resident while the whole batch crosses
-// them. Both paths return bit-identical results to the wrapped index.
+// prepareScan prepares one query's scan state in s.
+func prepareScan(rs rangeScanner, s *Scratch, q []float32) []float32 {
+	s.table = mathx.Resize(s.table, rs.stateLen())
+	return rs.prepareInto(q, s.table)
+}
+
+// Sharded partitions a PQ, FastScan or Flat index's stored rows into S
+// contiguous shards. A single query builds its scan state once and fans the
+// scan across shards via par.ForEach, merging the per-shard top-k heaps; a
+// batch goes through searchBatch, which splits by query group first and by
+// shard only when groups are scarce. Both paths return bit-identical
+// results to the wrapped index.
 type Sharded struct {
 	inner       rangeScanner
 	bounds      []int // len shards+1; shard i scans rows [bounds[i], bounds[i+1])
@@ -84,118 +95,172 @@ func (sh *Sharded) SearchWith(s *Scratch, q []float32, k int) []Result {
 
 // SearchAppendWith implements AppendSearcher: results land in dst[:0].
 func (sh *Sharded) SearchAppendWith(s *Scratch, q []float32, k int, dst []Result) []Result {
-	if k <= 0 {
-		return dst[:0]
+	res, _ := sh.SearchAppendCtx(context.Background(), s, q, k, dst) // errors are ctx's only
+	return res
+}
+
+// SearchAppendCtx implements CtxSearcher over the sharded fan-out. The
+// context is checked before the scan state is built and before each shard's
+// range scan — a shard range is the cancellation granularity, so a done
+// context wastes at most the ranges already in flight.
+func (sh *Sharded) SearchAppendCtx(ctx context.Context, s *Scratch, q []float32, k int, dst []Result) ([]Result, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
-	state := sh.inner.prepareScan(s, q)
-	return sh.scanMergedAppend(s, state, k, dst)
+	if k <= 0 {
+		return dst[:0], nil
+	}
+	return sh.scanMerged(ctx, s, prepareScan(sh.inner, s, q), k, dst)
 }
 
 // scanMerged runs the per-shard scans for one prepared query and merges the
-// per-shard heaps in shard order. The merge is single-threaded and the
-// per-shard heaps are deterministic, so the output does not depend on how
-// the fan-out was scheduled; canonical top-k selection makes it equal to
-// the unsharded scan's output.
-func (sh *Sharded) scanMerged(s *Scratch, state []float32, k int) []Result {
-	return sh.scanMergedAppend(s, state, k, nil)
-}
-
-func (sh *Sharded) scanMergedAppend(s *Scratch, state []float32, k int, dst []Result) []Result {
+// per-shard heaps in shard order into dst[:0]. The merge is single-threaded
+// and the per-shard heaps are deterministic, so the output does not depend
+// on how the fan-out was scheduled; canonical top-k selection makes it
+// equal to the unsharded scan's output.
+func (sh *Sharded) scanMerged(ctx context.Context, s *Scratch, state []float32, k int, dst []Result) ([]Result, error) {
 	ns := sh.Shards()
-	if ns == 0 {
-		if dst == nil {
-			return []Result{}
-		}
-		return dst[:0]
-	}
-	if ns == 1 {
-		t := &s.res
-		t.reset(k)
-		sh.inner.scanRange(state, s, t, sh.bounds[0], sh.bounds[1])
-		return t.appendSorted(dst)
-	}
-	scratches := make([]*Scratch, ns)
-	par.ForEach(ns, sh.parallelism, func(i int) {
-		ss := GetScratch()
-		scratches[i] = ss
-		t := &ss.res
-		t.reset(k)
-		sh.inner.scanRange(state, ss, t, sh.bounds[i], sh.bounds[i+1])
-	})
 	t := &s.res
 	t.reset(k)
-	for _, ss := range scratches {
-		for _, r := range ss.res.heap {
-			t.push(r.ID, r.Dist)
-		}
-		PutScratch(ss)
-	}
-	return t.appendSorted(dst)
-}
-
-// SearchBatch implements BatchSearcher: the batch is scanned shard-major.
-// Every query's scan state is prepared once (in parallel), then every
-// worker picks up (shard, query) pairs grouped by shard, so one shard's
-// codes are swept by consecutive tasks while they are cache-hot. Per-query
-// per-shard heaps are merged in shard order at the end, which keeps results
-// identical to per-query Search regardless of scheduling.
-func (sh *Sharded) SearchBatch(queries [][]float32, k, parallelism int) [][]Result {
-	nq := len(queries)
-	out := make([][]Result, nq)
-	if nq == 0 {
-		return out
-	}
-	if k <= 0 {
-		for i := range out {
-			out[i] = nil
-		}
-		return out
-	}
-	ns := sh.Shards()
-	if ns == 0 {
-		for i := range out {
-			out[i] = []Result{}
-		}
-		return out
-	}
-	// Phase 1: per-query scan state (ADC tables), one Scratch per query so
-	// the state stays alive across the whole batch.
-	prep := make([]*Scratch, nq)
-	states := make([][]float32, nq)
-	par.ForEach(nq, parallelism, func(i int) {
-		prep[i] = GetScratch()
-		states[i] = sh.inner.prepareScan(prep[i], queries[i])
-	})
-	// Phase 2: shard-major sweep. Task t = shard t/nq over query t%nq, so
-	// consecutive tasks reuse the same shard's codes.
-	heaps := make([]*Scratch, ns*nq)
-	par.ForEach(ns*nq, parallelism, func(t int) {
-		si, qi := t/nq, t%nq
-		ss := GetScratch()
-		heaps[t] = ss
-		h := &ss.res
-		h.reset(k)
-		sh.inner.scanRange(states[qi], ss, h, sh.bounds[si], sh.bounds[si+1])
-	})
-	// Phase 3: per-query merge in shard order. One flat array backs every
-	// query's results (a merged heap holds at most k), so the batch's
-	// result slices cost one allocation.
-	flat := make([]Result, nq*k)
-	par.ForEach(nq, parallelism, func(qi int) {
-		t := &prep[qi].res
-		t.reset(k)
-		for si := 0; si < ns; si++ {
-			for _, r := range heaps[si*nq+qi].res.heap {
+	if ns == 1 {
+		sh.inner.scanRange(state, s, t, sh.bounds[0], sh.bounds[1])
+	} else {
+		scratches := make([]*Scratch, ns)
+		par.ForEach(ns, sh.parallelism, func(i int) {
+			if ctx.Err() != nil {
+				return // cancelled: skip the remaining shard ranges
+			}
+			ss := GetScratch()
+			scratches[i] = ss
+			h := &ss.res
+			h.reset(k)
+			sh.inner.scanRange(state, ss, h, sh.bounds[i], sh.bounds[i+1])
+		})
+		for _, ss := range scratches {
+			if ss == nil {
+				continue
+			}
+			for _, r := range ss.res.heap {
 				t.push(r.ID, r.Dist)
 			}
+			PutScratch(ss)
 		}
-		out[qi] = t.appendSorted(flat[qi*k : qi*k : (qi+1)*k])
+		if err := ctx.Err(); err != nil {
+			return nil, err
+		}
+	}
+	return t.appendSorted(dst), nil
+}
+
+// searchBatch is the one batch scan, behind BatchSearchCtx for every
+// range-scannable index (bounds are a Sharded's shards, or the single range
+// [0, n) of a bare index). Every query's scan state is prepared once; the
+// unit of work is (group, row range), groups first: a group is up to
+// fsLanes queries the fast-scan kernel scans in one pass (one query for PQ
+// and Flat), and with at least as many groups as workers every task
+// prepares its group, scans all rows — the codes stream past a
+// cache-resident LUT once per group — and emits the results, with nothing
+// to merge. Only a batch with fewer groups than workers splits the rows at
+// bounds. Every (range, query) heap is a k-slot window of one flat arena;
+// range 0's heap absorbs the others in range order and is sorted in place
+// as the query's result, which canonical top-k selection makes identical to
+// a solo Search whatever the scheduling. ctx is checked before each task; a
+// cancelled batch returns ctx.Err() and no results.
+func searchBatch(ctx context.Context, rs rangeScanner, bounds []int, queries [][]float32, k, parallelism int) ([][]Result, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	nq := len(queries)
+	out := make([][]Result, nq)
+	if k <= 0 {
+		return out, nil
+	}
+	fs, _ := rs.(*FastScan)
+	width := 1
+	if fs != nil && fs.pq.M <= fsGroupMaxM4 {
+		width = fsLanes
+	}
+	ng := (nq + width - 1) / width
+	nr := len(bounds) - 1
+	if ng >= par.Workers(ng*nr, parallelism) {
+		nr = 1 // enough groups to fill the workers: every task scans all rows
+	}
+
+	qs := make([]fsQuery, nq)
+	arena := make([]Result, nr*nq*k)
+	heaps := make([]topK, nr*nq) // heap of (range r, query i) at r*nq+i
+	for i := range heaps {
+		heaps[i] = topK{k: k, heap: arena[i*k : i*k : (i+1)*k]}
+	}
+	// prepare computes query i's scan state, once, into table and qs[i].table
+	// (all a PQ or Flat scan reads of qs), and for the group kernel its
+	// quantization into lut8 (as long as the table: a byte per entry);
+	// finish turns its heaps into its result. With one range both run inside
+	// the query's only task and the state lives in the worker's Scratch;
+	// with several they run before and after all tasks, on per-batch arrays.
+	sl := rs.stateLen()
+	prepare := func(i int, table []float32, lut8 []uint8) {
+		qs[i].table = rs.prepareInto(queries[i], table)
+		if width > 1 {
+			qs[i] = fs.quantize(qs[i].table, lut8)
+		}
+	}
+	finish := func(i int) {
+		t := &heaps[i]
+		for r := 1; r < nr; r++ {
+			for _, c := range heaps[r*nq+i].heap {
+				t.push(c.ID, c.Dist)
+			}
+		}
+		sortResults(t.heap)
+		out[i] = t.heap
+	}
+	if nr > 1 {
+		tables, lut8 := make([]float32, nq*sl), make([]uint8, nq*sl)
+		par.ForEach(nq, parallelism, func(i int) {
+			prepare(i, tables[i*sl:(i+1)*sl], lut8[i*sl:(i+1)*sl])
+		})
+	}
+	scratches := make([]*Scratch, par.Workers(ng*nr, parallelism))
+	par.ForEachWorker(ng*nr, parallelism, func(w, t int) {
+		if ctx.Err() != nil {
+			return
+		}
+		s := scratches[w]
+		if s == nil {
+			s = GetScratch()
+			scratches[w] = s
+		}
+		r, lo := t/ng, t%ng*width
+		hi := min(lo+width, nq)
+		rlo, rhi := bounds[r], bounds[r+1]
+		if nr == 1 {
+			rhi = bounds[len(bounds)-1]
+			s.table, s.lut8 = mathx.Resize(s.table, width*sl), resize(s.lut8, width*sl)
+			for i, j := lo, 0; i < hi; i, j = i+1, j+sl {
+				prepare(i, s.table[j:j+sl], s.lut8[j:j+sl])
+			}
+		}
+		h := heaps[r*nq+lo : r*nq+hi]
+		if width > 1 {
+			fs.scanGroup(qs[lo:hi], s, h, rlo, rhi)
+		} else {
+			rs.scanRange(qs[lo].table, s, &h[0], rlo, rhi)
+		}
+		for i := lo; i < hi && nr == 1; i++ {
+			finish(i)
+		}
 	})
-	for _, s := range heaps {
-		PutScratch(s)
+	for _, s := range scratches {
+		if s != nil {
+			PutScratch(s)
+		}
 	}
-	for _, s := range prep {
-		PutScratch(s)
+	if err := ctx.Err(); err != nil {
+		return nil, err
 	}
-	return out
+	if nr > 1 {
+		par.ForEach(nq, parallelism, finish)
+	}
+	return out, nil
 }

@@ -80,7 +80,7 @@ func TestShardedBatchMatchesSequential(t *testing.T) {
 		queries[i] = data.Row(i * 13 % data.Rows)
 	}
 	for _, parallelism := range []int{1, 3, 8} {
-		batch := sh.SearchBatch(queries, 7, parallelism)
+		batch := BatchSearch(sh, queries, 7, parallelism)
 		for i, q := range queries {
 			assertSameResults(t, "sharded batch", pqIx.Search(q, 7), batch[i])
 		}
@@ -121,7 +121,7 @@ func TestShardedSearchKEdge(t *testing.T) {
 	if res := sh.Search(data.Row(0), 50); len(res) != 10 {
 		t.Fatalf("k>n returned %d results", len(res))
 	}
-	batch := sh.SearchBatch([][]float32{data.Row(0)}, 0, 0)
+	batch := BatchSearch(sh, [][]float32{data.Row(0)}, 0, 0)
 	if len(batch) != 1 || batch[0] != nil {
 		t.Fatalf("batch k=0 = %+v", batch)
 	}

@@ -83,8 +83,8 @@ func testQueries(g *kg.Graph, n int) []string {
 
 // TestReplicatedBitIdentical is the tentpole property extended to replica
 // sets: for P ∈ {1, 2, 4} × R ∈ {1, 2, 3}, a replicated cluster returns
-// bit-identical candidates to the single-process model — replication is
-// invisible to results.
+// bit-identical candidates to the single-process model, query by query and
+// as one routed batch — replication is invisible to results.
 func TestReplicatedBitIdentical(t *testing.T) {
 	g, m := testModel(t)
 	queries := testQueries(g, 10)
@@ -104,6 +104,16 @@ func TestReplicatedBitIdentical(t *testing.T) {
 						t.Fatalf("P=%d R=%d q=%q: unexpected degradation: %+v", p, r, q, got)
 					}
 					sameCandidates(t, fmt.Sprintf("P=%d R=%d k=%d q=%q", p, r, k, q), want, got.Candidates)
+				}
+				// The routed batch — one multi-query partition RPC per node —
+				// against the single-process batch.
+				want := m.BulkLookup(queries, k, 0)
+				got := c.Router.BulkLookup(queries, k)
+				if got.Partial || len(got.Failed) != 0 {
+					t.Fatalf("P=%d R=%d bulk: unexpected degradation: %+v", p, r, got.Failed)
+				}
+				for i, q := range queries {
+					sameCandidates(t, fmt.Sprintf("P=%d R=%d k=%d bulk q=%q", p, r, k, q), want[i], got.PerQuery[i])
 				}
 			}
 			c.Close()

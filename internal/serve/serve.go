@@ -6,11 +6,11 @@
 //
 //   - sharded scans (index.Sharded via core.WithShardedIndex): one query
 //     fans its index scan across S row shards and merges per-shard top-k
-//     heaps; batches sweep shard-major for locality
+//     heaps; batches scan query-major, four queries per pass
 //   - query coalescing (Coalescer): a Lookup runs at once while a core is
 //     free; those that arrive behind busy cores queue and are answered as one
-//     BulkLookup, amortizing ADC-table construction and scratch checkout
-//     across callers
+//     BulkLookup, amortizing scratch checkout and the scan itself (the
+//     batch path scans once per four queries) across callers
 //   - a sharded mention cache (MentionCache): table-annotation traffic
 //     repeats the same cell strings constantly, so results are cached under
 //     the embedding-invariant key core.NormalizeMention(q)
@@ -187,15 +187,22 @@ func (s *Serve) LookupCtx(ctx context.Context, q string, k int) ([]lookup.Candid
 	return res, nil
 }
 
-// BulkLookup answers an explicit batch: repeated mentions collapse onto one
-// computation, cache hits are served directly, and only the distinct misses
-// reach the model (hand-batched, bypassing the coalescer — the batch is
-// already formed). Results align with the query order and are bit-identical
-// to per-query model.Lookup calls.
+// BulkLookup is BulkLookupCtx without cancellation.
 func (s *Serve) BulkLookup(queries []string, k int) [][]lookup.Candidate {
+	out, _ := s.BulkLookupCtx(context.Background(), queries, k) // errors are ctx's only
+	return out
+}
+
+// BulkLookupCtx answers an explicit batch: repeated mentions collapse onto
+// one computation, cache hits are served directly (under a done context
+// too — they are already paid for), and only the distinct misses reach the
+// model, in one cancellable call (hand-batched, bypassing the coalescer —
+// the batch is already formed). Results align with the query order and are
+// bit-identical to per-query model.Lookup calls.
+func (s *Serve) BulkLookupCtx(ctx context.Context, queries []string, k int) ([][]lookup.Candidate, error) {
 	out := make([][]lookup.Candidate, len(queries))
 	if len(queries) == 0 || k <= 0 {
-		return out
+		return out, nil
 	}
 	norms := make([]string, len(queries))
 	hit := make([]bool, len(queries))
@@ -215,56 +222,7 @@ func (s *Serve) BulkLookup(queries []string, k int) [][]lookup.Candidate {
 		}
 	}
 	if len(misses) == 0 {
-		return out
-	}
-	results := s.model.BulkLookup(misses, k, s.opts.Parallelism)
-	for j, m := range misses {
-		if s.cache != nil {
-			s.cache.Put(m, k, results[j])
-		}
-	}
-	for i := range queries {
-		if !hit[i] {
-			out[i] = results[missIdx[norms[i]]]
-		}
-	}
-	return out
-}
-
-// BulkLookupCtx is BulkLookup under the caller's context: cache hits are
-// served regardless, and the one model call for the distinct misses runs
-// cancellably. A context that can never be cancelled takes the exact
-// BulkLookup path.
-func (s *Serve) BulkLookupCtx(ctx context.Context, queries []string, k int) ([][]lookup.Candidate, error) {
-	if ctx == nil || ctx.Done() == nil {
-		return s.BulkLookup(queries, k), nil
-	}
-	out := make([][]lookup.Candidate, len(queries))
-	if len(queries) == 0 || k <= 0 {
 		return out, nil
-	}
-	norms := make([]string, len(queries))
-	hit := make([]bool, len(queries))
-	missIdx := make(map[string]int)
-	var misses []string
-	for i, q := range queries {
-		norms[i] = core.NormalizeMention(q)
-		if s.cache != nil {
-			if res, ok := s.cache.Get(norms[i], k); ok {
-				out[i], hit[i] = res, true
-				continue
-			}
-		}
-		if _, ok := missIdx[norms[i]]; !ok {
-			missIdx[norms[i]] = len(misses)
-			misses = append(misses, norms[i])
-		}
-	}
-	if len(misses) == 0 {
-		return out, nil
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
 	}
 	results, err := s.model.BulkLookupCtx(ctx, misses, k, s.opts.Parallelism)
 	if err != nil {

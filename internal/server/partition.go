@@ -106,8 +106,13 @@ func (s *Server) handlePartitionSearch(w http.ResponseWriter, r *http.Request) {
 	}
 	start := time.Now()
 	sp := tr.Start("search")
-	res := index.BatchSearch(s.model.Index(), req.Queries, req.K, 0)
+	// Under the request's context: a router that hung up (deadline, a
+	// hedge that lost) stops costing this node the rest of the batch scan.
+	res, err := index.BatchSearchCtx(r.Context(), s.model.Index(), req.Queries, req.K, 0)
 	sp.End()
+	if err != nil {
+		return // the caller is gone; nobody reads a reply
+	}
 	sp = tr.Start("translate")
 	resp := PartitionSearchResponse{Partition: *s.partition}
 	resp.Results = make([][]PartitionHit, len(res))

@@ -33,11 +33,17 @@ echo "== go test -race =="
 # give it room beyond the default 10m package timeout.
 go test -race -timeout 60m ./...
 
-echo "== flake check: serve and cluster, five runs =="
+echo "== flake check: serve, cluster and index, five runs =="
 # The coalescer and router-cancellation tests synchronize on events, not
 # sleeps (ROADMAP item 0); five plain runs catch one that starts to depend
-# on timing again.
-go test -count=5 ./internal/serve ./internal/cluster
+# on timing again. The index package is here for its concurrent batch test
+# (16 goroutines of mixed-size batches against one Sharded).
+go test -count=5 ./internal/serve ./internal/cluster ./internal/index
+
+echo "== fast-scan kernel fuzz (short) =="
+# Solo and query-major group kernels against the plain float32 scan: batch
+# sizes 1-9, all-ties tables, mid-block ranges (DESIGN.md §11).
+go test -run '^$' -fuzz FuzzFastScanEquivalence -fuzztime 10s ./internal/index
 
 echo "== artifact parser fuzz (short) =="
 # 10 seconds of coverage-guided input on the v4 section parser and the
@@ -52,9 +58,11 @@ go test -run '^$' -bench 'BenchmarkPQSearch$|BenchmarkLookupAllocs' \
     -benchmem -benchtime 10x .
 
 echo "== fast-scan kernel benchmark (short) =="
-# The two compressed-scan kernels side by side (plain 8-bit ADC vs 4-bit
-# fast-scan); the full-length numbers are snapshotted into BENCH_lookup.json
-# (scan_pq / scan_fastscan) and diffed by `make bench-compare`.
+# The compressed-scan kernels side by side (plain 8-bit ADC, 4-bit
+# fast-scan solo, and the query-major group of four — compare their
+# ns/query-row); the full-length numbers are snapshotted into
+# BENCH_lookup.json (scan_pq / scan_fastscan / scan_fastscan_batch4) and
+# diffed by `make bench-compare`.
 go test -run '^$' -bench 'BenchmarkFastScan' \
     -benchmem -benchtime 100x .
 
