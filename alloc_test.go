@@ -1,11 +1,11 @@
 package emblookup_test
 
-// The allocation guard for the observability subsystem: metrics recording
-// and nil-trace span plumbing must not cost the hot path a single
-// allocation. These are the same budgets BenchmarkLookupAllocs reports and
-// cmd/benchkg snapshots into BENCH_lookup.json — asserted here as a test so
-// `make verify` (and plain `go test`) fails loudly if instrumentation ever
-// leaks an allocation into the query path.
+// The allocation guard for the observability subsystem: metrics recording,
+// the request context and untraced span plumbing must not cost the hot path
+// a single allocation. These are the same budgets BenchmarkLookupAllocs
+// reports and cmd/benchkg snapshots into BENCH_lookup.json — asserted here as
+// a test so `make verify` (and plain `go test`) fails loudly if
+// instrumentation ever leaks an allocation into the query path.
 
 import (
 	"context"
@@ -56,7 +56,7 @@ func TestLookupAllocsWithMetrics(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		m.Lookup("Bramonia Ridge", 10)
 		m.Embed("Bramonia Ridge")
-		m.LookupTrace(nil, "Bramonia Ridge", 10)
+		m.LookupCtx(context.Background(), "Bramonia Ridge", 10)
 	}
 
 	if n := testing.AllocsPerRun(200, func() {
@@ -69,11 +69,22 @@ func TestLookupAllocsWithMetrics(t *testing.T) {
 	}); n > maxEmbedAllocs {
 		t.Errorf("Embed with metrics enabled: %.1f allocs/op, budget %d", n, maxEmbedAllocs)
 	}
-	// A nil trace must be completely free: same budget as the untraced call.
+	// A request context is free: a cancellable, untraced one — what every
+	// served lookup runs under — holds the same budget, and putting a trace
+	// on it costs the one context.WithValue and nothing else (span records
+	// amortize into the trace's own slice, so one trace takes every run's).
+	live, cancel := context.WithCancel(context.Background())
+	defer cancel()
 	if n := testing.AllocsPerRun(200, func() {
-		m.LookupTrace(nil, "Bramonia Ridge", 10)
+		m.LookupCtx(live, "Bramonia Ridge", 10)
 	}); n > maxLookupAllocs {
-		t.Errorf("LookupTrace(nil) with metrics enabled: %.1f allocs/op, budget %d", n, maxLookupAllocs)
+		t.Errorf("LookupCtx under a cancellable context: %.1f allocs/op, budget %d", n, maxLookupAllocs)
+	}
+	tr := obs.NewTrace()
+	if n := testing.AllocsPerRun(200, func() {
+		m.LookupCtx(obs.WithTrace(live, tr), "Bramonia Ridge", 10)
+	}); n > maxLookupAllocs+1 {
+		t.Errorf("LookupCtx under a traced context: %.1f allocs/op, budget %d + 1", n, maxLookupAllocs)
 	}
 
 	// The fast-scan path shares the budget: its extra state (uint8 LUT,
@@ -89,6 +100,30 @@ func TestLookupAllocsWithMetrics(t *testing.T) {
 		fs.Lookup("Bramonia Ridge", 10)
 	}); n > maxLookupAllocs {
 		t.Errorf("fast-scan Lookup with metrics enabled: %.1f allocs/op, budget %d", n, maxLookupAllocs)
+	}
+}
+
+// maxDynamicLookupAllocs is the Lookup budget on a WithDynamicIndex model.
+// Measured 4 at the commit before the one search contract, where Dynamic
+// dropped its caller's scratch — a second pooled checkout and a fresh
+// result slice for the base segment's hits per query; 3 now that context,
+// scratch and a scratch-owned buffer pass through to the base, which is
+// what a lookup on the sealed model costs.
+const maxDynamicLookupAllocs = 3
+
+func TestDynamicLookupAllocs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation guard trains a model; skipped in -short")
+	}
+	_, m, _ := model(t)
+	dyn := m.WithDynamicIndex(0)
+	for i := 0; i < 8; i++ {
+		dyn.Lookup("Bramonia Ridge", 10)
+	}
+	if n := testing.AllocsPerRun(200, func() {
+		dyn.Lookup("Bramonia Ridge", 10)
+	}); n > maxDynamicLookupAllocs {
+		t.Errorf("Lookup on a dynamic index: %.1f allocs/op, budget %d", n, maxDynamicLookupAllocs)
 	}
 }
 

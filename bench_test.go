@@ -15,6 +15,7 @@ package emblookup_test
 //	go run ./cmd/experiments -run table2 -entities 4000
 
 import (
+	"context"
 	"io"
 	"sync"
 	"testing"
@@ -195,7 +196,7 @@ func BenchmarkPQSearch(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		ix.Search(q, 10)
+		index.Search(ix, q, 10)
 	}
 }
 
@@ -223,7 +224,7 @@ func BenchmarkFastScan(b *testing.B) {
 		var dst []index.Result
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			dst = pq.SearchAppendWith(&s, q, 10, dst)
+			dst, _ = pq.Search(context.Background(), &s, q, 10, dst)
 		}
 	})
 	b.Run("fastscan", func(b *testing.B) {
@@ -231,7 +232,7 @@ func BenchmarkFastScan(b *testing.B) {
 		var dst []index.Result
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			dst = fs.SearchAppendWith(&s, q, 10, dst)
+			dst, _ = fs.Search(context.Background(), &s, q, 10, dst)
 		}
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*data.Rows), "ns/query-row")
 	})

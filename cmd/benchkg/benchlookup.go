@@ -1,6 +1,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -129,14 +130,14 @@ func benchLookup(path string, entities int, seed uint64) error {
 			var s index.Scratch
 			var dst []index.Result
 			for i := 0; i < b.N; i++ {
-				dst = scanPQ.SearchAppendWith(&s, scanQ, 10, dst)
+				dst, _ = scanPQ.Search(context.Background(), &s, scanQ, 10, dst)
 			}
 		}},
 		{"scan_fastscan", map[string]float64{"rows": scanRows}, func(b *testing.B) {
 			var s index.Scratch
 			var dst []index.Result
 			for i := 0; i < b.N; i++ {
-				dst = scanFS.SearchAppendWith(&s, scanQ, 10, dst)
+				dst, _ = scanFS.Search(context.Background(), &s, scanQ, 10, dst)
 			}
 		}},
 		// One full group of the query-major kernel, one worker: ns_per_op

@@ -201,7 +201,7 @@ func benchScaleOne(snap *benchSnapshot, weights string, n int, seed uint64, dir,
 	flat := index.NewFlat(data)
 	truth := make([][]int32, nq)
 	for i, q := range queries {
-		rs := flat.Search(served.Embed(q), 10)
+		rs := index.Search(flat, served.Embed(q), 10)
 		ids := make([]int32, len(rs))
 		for j, r := range rs {
 			ids[j] = r.ID

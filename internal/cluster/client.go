@@ -155,10 +155,11 @@ func (c *nodeClient) markFailure() {
 // partition-scoped endpoint under the router's full request discipline —
 // per-attempt timeout, bounded retries with real backoff, and a hedged
 // duplicate raced against a straggling attempt. The request body is
-// marshaled once and reused across attempts and hedges. With a non-nil
-// trace, every attempt (retries and hedges included, losers too) becomes a
-// span, and the winning attempt's node-side spans are grafted under it.
-func (c *nodeClient) search(ctx context.Context, tr *obs.Trace, k int, embs [][]float32, timeout, hedgeAfter time.Duration, retry RetryPolicy) ([][]server.PartitionHit, error) {
+// marshaled once and reused across attempts and hedges. With a trace
+// riding in ctx, every attempt (retries and hedges included, losers too)
+// becomes a span, and the winning attempt's node-side spans are grafted
+// under it.
+func (c *nodeClient) search(ctx context.Context, k int, embs [][]float32, timeout, hedgeAfter time.Duration, retry RetryPolicy) ([][]server.PartitionHit, error) {
 	body, err := json.Marshal(server.PartitionSearchRequest{K: k, Queries: embs})
 	if err != nil {
 		return nil, err
@@ -179,7 +180,8 @@ func (c *nodeClient) search(ctx context.Context, tr *obs.Trace, k int, embs [][]
 		if tmo <= 0 {
 			return context.DeadlineExceeded
 		}
-		res, err := c.hedged(ctx, tr, attempt, body, len(embs), tmo, hedgeAfter)
+		self := func() *nodeClient { return c }
+		res, _, err := hedgeRace(ctx, attempt, c, self, func(*nodeClient, error) {}, body, len(embs), tmo, hedgeAfter)
 		if err != nil {
 			return err
 		}
@@ -198,7 +200,9 @@ func (c *nodeClient) search(ctx context.Context, tr *obs.Trace, k int, embs [][]
 	return out, nil
 }
 
+// searchReply is what one contender of a hedge race reports back.
 type searchReply struct {
+	node   *nodeClient
 	hits   [][]server.PartitionHit
 	spans  []obs.SpanRecord // node-side spans echoed in the response
 	start  time.Time        // when this attempt fired (graft base)
@@ -206,62 +210,63 @@ type searchReply struct {
 	hedged bool // true when produced by the duplicate request
 }
 
-// hedged issues the request and, if no reply lands within hedgeAfter,
-// races a duplicate against the straggler — the first success wins and the
-// loser is cancelled by the shared context when the caller returns.
-// hedgeAfter ≤ 0 disables hedging.
-func (c *nodeClient) hedged(ctx context.Context, tr *obs.Trace, attempt int, body []byte, nq int, timeout, hedgeAfter time.Duration) ([][]server.PartitionHit, error) {
-	if hedgeAfter <= 0 {
-		sp := tr.StartAttempt(c.spanRPC, false, attempt)
-		start := time.Now()
-		hits, spans, err := c.post(ctx, tr.ID(), body, nq, timeout)
-		sp.End()
-		if err == nil {
-			tr.Graft(c.spanPrefix, tr.SinceUs(start), spans)
-		}
-		return hits, err
-	}
+// hedgeRace is the one attempt discipline of a scatter leg: it issues the
+// request against primary and, if no reply lands within hedgeAfter (≤ 0
+// disables hedging), races a duplicate against the node alt names — the
+// straggler itself for a lone node, a distinct replica where there is one.
+// The first success wins and is returned with its node; the loser is
+// cancelled by the shared context when the caller returns. failed hears of
+// every contender that lost to an error. With a trace riding in ctx every
+// contender, losers too, becomes a span — a traced hedge race shows both
+// side by side — and the winner's node-side spans are grafted under it.
+func hedgeRace(ctx context.Context, attempt int, primary *nodeClient, alt func() *nodeClient, failed func(*nodeClient, error), body []byte, nq int, timeout, hedgeAfter time.Duration) ([][]server.PartitionHit, *nodeClient, error) {
+	tr := obs.FromContext(ctx)
 	cctx, cancel := context.WithCancel(ctx)
-	defer cancel() // aborts the losing duplicate as soon as a winner returns
-	ch := make(chan searchReply, 2)
-	fire := func(isHedge bool) {
-		go func() {
-			// Losing attempts close their spans too: a traced hedge race
-			// shows both contenders side by side.
-			sp := tr.StartAttempt(c.spanRPC, isHedge, attempt)
-			start := time.Now()
-			hits, spans, err := c.post(cctx, tr.ID(), body, nq, timeout)
-			sp.End()
-			ch <- searchReply{hits: hits, spans: spans, start: start, err: err, hedged: isHedge}
-		}()
+	defer cancel() // aborts the losing contender as soon as a winner returns
+	attemptOn := func(c *nodeClient, isHedge bool) searchReply {
+		sp := tr.StartAttempt(c.spanRPC, isHedge, attempt)
+		start := time.Now()
+		hits, spans, err := c.post(cctx, tr.ID(), body, nq, timeout)
+		sp.End()
+		return searchReply{node: c, hits: hits, spans: spans, start: start, err: err, hedged: isHedge}
 	}
-	fire(false)
-	timer := time.NewTimer(hedgeAfter)
-	defer timer.Stop()
+	ch := make(chan searchReply, 2)
 	inFlight := 1
+	var timer <-chan time.Time
+	if hedgeAfter <= 0 {
+		ch <- attemptOn(primary, false)
+	} else {
+		go func() { ch <- attemptOn(primary, false) }()
+		t := time.NewTimer(hedgeAfter)
+		defer t.Stop()
+		timer = t.C
+	}
 	var firstErr error
 	for {
 		select {
 		case r := <-ch:
 			if r.err == nil {
 				if r.hedged {
-					c.hedgeWins.Add(1)
-					c.hedgeWinTotal.Inc()
+					r.node.hedgeWins.Add(1)
+					r.node.hedgeWinTotal.Inc()
 				}
-				tr.Graft(c.spanPrefix, tr.SinceUs(r.start), r.spans)
-				return r.hits, nil
+				tr.Graft(r.node.spanPrefix, tr.SinceUs(r.start), r.spans)
+				return r.hits, r.node, nil
 			}
+			failed(r.node, r.err)
 			if firstErr == nil {
 				firstErr = r.err
 			}
-			inFlight--
-			if inFlight == 0 {
-				return nil, firstErr
+			if inFlight--; inFlight == 0 {
+				return nil, nil, firstErr
 			}
-		case <-timer.C:
-			c.hedges.Add(1)
-			c.hedgeTotal.Inc()
-			fire(true)
+		case <-timer:
+			// The hedge counter lands on the straggler — it is the node
+			// whose tail the duplicate insures against.
+			primary.hedges.Add(1)
+			primary.hedgeTotal.Inc()
+			c := alt()
+			go func() { ch <- attemptOn(c, true) }()
 			inFlight++
 		}
 	}

@@ -3,9 +3,7 @@ package cluster
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
 	"net/http"
 
 	"emblookup/internal/core"
@@ -128,20 +126,9 @@ func (r *Router) IngestCount() int64 { return r.ingestCount.Load() }
 func (r *Router) handleIngest(w http.ResponseWriter, req *http.Request) {
 	const maxBulkBytes = 1 << 20
 	const maxItems = 4096
-	req.Body = http.MaxBytesReader(w, req.Body, maxBulkBytes)
-	body, err := io.ReadAll(req.Body)
+	items, status, err := server.ReadIngestBody(w, req, maxBulkBytes, maxItems)
 	if err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			http.Error(w, fmt.Sprintf("request body exceeds %d bytes", maxBulkBytes), http.StatusRequestEntityTooLarge)
-			return
-		}
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	items, err := server.DecodeIngestItems(body, maxItems)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+		http.Error(w, err.Error(), status)
 		return
 	}
 	flush := req.URL.Query().Get("flush") == "1"

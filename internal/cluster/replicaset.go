@@ -4,9 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"time"
 
-	"emblookup/internal/obs"
 	"emblookup/internal/server"
 )
 
@@ -73,9 +71,9 @@ func (rs *replicaSet) pickFor(tried map[*nodeClient]bool) *nodeClient {
 // hedged duplicate races a *distinct* replica against the straggler — the
 // tail-latency win replication buys: a slow node cannot also be the
 // insurance against itself.
-func (rs *replicaSet) search(ctx context.Context, tr *obs.Trace, k int, embs [][]float32, opts RouterOptions) ([][]server.PartitionHit, error) {
+func (rs *replicaSet) search(ctx context.Context, k int, embs [][]float32, opts RouterOptions) ([][]server.PartitionHit, error) {
 	if len(rs.replicas) == 1 {
-		return rs.replicas[0].search(ctx, tr, k, embs, opts.Timeout, opts.HedgeAfter, opts.Retry)
+		return rs.replicas[0].search(ctx, k, embs, opts.Timeout, opts.HedgeAfter, opts.Retry)
 	}
 	body, err := json.Marshal(server.PartitionSearchRequest{K: k, Queries: embs})
 	if err != nil {
@@ -86,6 +84,15 @@ func (rs *replicaSet) search(ctx context.Context, tr *obs.Trace, k int, embs [][
 		attempts = 1
 	}
 	tried := make(map[*nodeClient]bool, len(rs.replicas))
+	// Failed contenders are marked down-path immediately. The shared context
+	// cancels the loser when a winner returns, and the caller's own abort
+	// (deadline spent, client gone) says nothing about the node's health
+	// either, so neither is a failure.
+	markFail := func(c *nodeClient, err error) {
+		if !errors.Is(err, context.Canceled) && ctx.Err() == nil {
+			c.markFailure()
+		}
+	}
 	var lastErr error
 	for a := 0; a < attempts; a++ {
 		if a > 0 {
@@ -115,7 +122,17 @@ func (rs *replicaSet) search(ctx context.Context, tr *obs.Trace, k int, embs [][
 			c.retryTotal.Inc()
 		}
 		tried[c] = true
-		hits, winner, err := rs.hedged(ctx, tr, a, c, tried, body, len(embs), opts, tmo)
+		// The duplicate goes to the best other untried replica, falling back
+		// to the same node only when the set is exhausted.
+		alt := func() *nodeClient {
+			o := rs.pick(tried, false)
+			if o == nil {
+				return c
+			}
+			tried[o] = true
+			return o
+		}
+		hits, winner, err := hedgeRace(ctx, a, c, alt, markFail, body, len(embs), tmo, opts.HedgeAfter)
 		if err == nil {
 			winner.markSuccess()
 			return hits, nil
@@ -126,90 +143,4 @@ func (rs *replicaSet) search(ctx context.Context, tr *obs.Trace, k int, embs [][
 		}
 	}
 	return nil, lastErr
-}
-
-// replicaReply extends searchReply with which contender produced it.
-type replicaReply struct {
-	searchReply
-	node *nodeClient
-}
-
-// hedged issues the attempt against primary and, if no reply lands within
-// HedgeAfter, fires the duplicate at the best *other* untried replica
-// (falling back to the same node only when the set is exhausted). Failed
-// contenders are marked down-path immediately — cancellation of the losing
-// duplicate is not a failure. Returns the winning node so the caller
-// credits the success where it landed.
-func (rs *replicaSet) hedged(ctx context.Context, tr *obs.Trace, attempt int, primary *nodeClient, tried map[*nodeClient]bool, body []byte, nq int, opts RouterOptions, timeout time.Duration) ([][]server.PartitionHit, *nodeClient, error) {
-	markFail := func(c *nodeClient, err error) {
-		// The shared context cancels the loser when a winner returns, and
-		// the caller's own context abort (deadline spent, client gone) says
-		// nothing about the node's health either.
-		if !errors.Is(err, context.Canceled) && ctx.Err() == nil {
-			c.markFailure()
-		}
-	}
-	if opts.HedgeAfter <= 0 {
-		sp := tr.StartAttempt(primary.spanRPC, false, attempt)
-		start := time.Now()
-		hits, spans, err := primary.post(ctx, tr.ID(), body, nq, timeout)
-		sp.End()
-		if err != nil {
-			markFail(primary, err)
-			return nil, nil, err
-		}
-		tr.Graft(primary.spanPrefix, tr.SinceUs(start), spans)
-		return hits, primary, nil
-	}
-	cctx, cancel := context.WithCancel(ctx)
-	defer cancel() // aborts the losing contender as soon as a winner returns
-	ch := make(chan replicaReply, 2)
-	fire := func(c *nodeClient, isHedge bool) {
-		go func() {
-			sp := tr.StartAttempt(c.spanRPC, isHedge, attempt)
-			start := time.Now()
-			hits, spans, err := c.post(cctx, tr.ID(), body, nq, timeout)
-			sp.End()
-			ch <- replicaReply{searchReply{hits: hits, spans: spans, start: start, err: err, hedged: isHedge}, c}
-		}()
-	}
-	fire(primary, false)
-	timer := time.NewTimer(opts.HedgeAfter)
-	defer timer.Stop()
-	inFlight := 1
-	var firstErr error
-	for {
-		select {
-		case r := <-ch:
-			if r.err == nil {
-				if r.hedged {
-					r.node.hedgeWins.Add(1)
-					r.node.hedgeWinTotal.Inc()
-				}
-				tr.Graft(r.node.spanPrefix, tr.SinceUs(r.start), r.spans)
-				return r.hits, r.node, nil
-			}
-			markFail(r.node, r.err)
-			if firstErr == nil {
-				firstErr = r.err
-			}
-			inFlight--
-			if inFlight == 0 {
-				return nil, nil, firstErr
-			}
-		case <-timer.C:
-			// The hedge counter lands on the straggler — it is the node
-			// whose tail the duplicate insures against.
-			primary.hedges.Add(1)
-			primary.hedgeTotal.Inc()
-			alt := rs.pick(tried, false)
-			if alt == nil {
-				alt = primary
-			} else {
-				tried[alt] = true
-			}
-			fire(alt, true)
-			inFlight++
-		}
-	}
 }

@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"net/http"
 	"slices"
-	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -370,67 +369,42 @@ type BulkResult struct {
 	Failed   []int
 }
 
-// Lookup answers one query through the cluster.
+// Lookup is LookupCtx without a context.
 func (r *Router) Lookup(q string, k int) Result {
-	return r.LookupTrace(nil, q, k)
+	res, _ := r.LookupCtx(context.Background(), q, k) // errors are ctx's only
+	return res
 }
 
-// LookupTrace is Lookup with the request's trace threaded through the whole
-// scatter: the router's embed and merge stages, one rpc span per node
-// attempt (hedged duplicates and retries flagged), and each node's own
-// spans grafted under its leg — one timeline for a routed query.
-func (r *Router) LookupTrace(tr *obs.Trace, q string, k int) Result {
-	br := r.BulkLookupTrace(tr, []string{q}, k)
-	return Result{Candidates: br.PerQuery[0], Partial: br.Partial, Failed: br.Failed}
-}
-
-// BulkLookup embeds the batch once locally and scatters it to every
-// partition's replica set in one partition-scoped request per partition.
-func (r *Router) BulkLookup(queries []string, k int) BulkResult {
-	return r.BulkLookupTrace(nil, queries, k)
-}
-
-// LookupCtx is Lookup under the caller's context: the scatter, its
-// retries, backoffs, and hedges all stop the moment ctx fires, and the
-// per-attempt node timeouts shrink to fit the remaining deadline. A
-// context loss returns ctx.Err(); the deadline_exceeded counter ticks
-// exactly once per lost query, here at the outermost layer.
+// LookupCtx answers one query through the cluster: BulkLookupCtx of one.
 func (r *Router) LookupCtx(ctx context.Context, q string, k int) (Result, error) {
-	return r.LookupTraceCtx(ctx, nil, q, k)
-}
-
-// LookupTraceCtx is LookupCtx with the request's trace threaded through.
-func (r *Router) LookupTraceCtx(ctx context.Context, tr *obs.Trace, q string, k int) (Result, error) {
-	br, err := r.BulkLookupTraceCtx(ctx, tr, []string{q}, k)
+	br, err := r.BulkLookupCtx(ctx, []string{q}, k)
 	if err != nil {
 		return Result{}, err
 	}
 	return Result{Candidates: br.PerQuery[0], Partial: br.Partial, Failed: br.Failed}, nil
 }
 
-// BulkLookupCtx is BulkLookup under the caller's context (see LookupCtx).
-func (r *Router) BulkLookupCtx(ctx context.Context, queries []string, k int) (BulkResult, error) {
-	return r.BulkLookupTraceCtx(ctx, nil, queries, k)
-}
-
-// BulkLookupTrace is BulkLookup with tracing (see LookupTrace).
-func (r *Router) BulkLookupTrace(tr *obs.Trace, queries []string, k int) BulkResult {
-	br, _ := r.BulkLookupTraceCtx(context.Background(), tr, queries, k)
+// BulkLookup is BulkLookupCtx without a context.
+func (r *Router) BulkLookup(queries []string, k int) BulkResult {
+	br, _ := r.BulkLookupCtx(context.Background(), queries, k) // errors are ctx's only
 	return br
 }
 
-// BulkLookupTraceCtx is the routed batch under both a trace and the
-// caller's context. The context reaches every scatter leg — node attempts,
-// backoff sleeps, hedged duplicates — so a caller that gives up cancels
-// the whole fan-out instead of letting it finish into the void. The
-// deadline_exceeded counter is incremented here and only here (once per
-// query of the lost batch); the inner retry and hedge layers report
-// context errors but never count them, which is what keeps the counter
-// exactly-once.
-func (r *Router) BulkLookupTraceCtx(ctx context.Context, tr *obs.Trace, queries []string, k int) (BulkResult, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
+// BulkLookupCtx is the one routed request: it embeds the batch once
+// locally and scatters it to every partition's replica set in one
+// partition-scoped request per partition. ctx is the whole request. Its
+// deadline or cancellation reaches every scatter leg — node attempts (whose
+// timeouts shrink to fit the remaining budget), backoff sleeps, hedged
+// duplicates — so a caller that gives up cancels the whole fan-out instead
+// of letting it finish into the void. Its trace (obs.WithTrace), if any,
+// gets the router's embed and merge stages, one rpc span per node attempt
+// (hedged duplicates and retries flagged), and each node's own spans
+// grafted under its leg — one timeline for a routed query. A context loss
+// returns ctx.Err(); the deadline_exceeded counter is incremented here and
+// only here (once per query of the lost batch) — the inner retry and hedge
+// layers report context errors but never count them, which is what keeps
+// the counter exactly-once.
+func (r *Router) BulkLookupCtx(ctx context.Context, queries []string, k int) (BulkResult, error) {
 	out := BulkResult{PerQuery: make([][]lookup.Candidate, len(queries))}
 	if len(queries) == 0 {
 		return out, nil
@@ -449,6 +423,7 @@ func (r *Router) BulkLookupTraceCtx(ctx context.Context, tr *obs.Trace, queries 
 	if r.model.Config().IndexAliases {
 		fetch = k * 3
 	}
+	tr := obs.FromContext(ctx)
 	sp := tr.Start("embed")
 	embs := r.model.EmbedAll(queries, r.opts.Parallelism)
 	sp.End()
@@ -468,7 +443,7 @@ func (r *Router) BulkLookupTraceCtx(ctx context.Context, tr *obs.Trace, queries 
 		wg.Add(1)
 		go func(i int, rs *replicaSet) {
 			defer wg.Done()
-			perPart[i], errs[i] = rs.search(ctx, tr, fetch, embs, r.opts)
+			perPart[i], errs[i] = rs.search(ctx, fetch, embs, r.opts)
 		}(i, rs)
 	}
 	wg.Wait()
@@ -639,33 +614,6 @@ func (r *Router) Handler() http.Handler {
 	return mux
 }
 
-// requestCtx derives the fan-out context from the request: the HTTP
-// request context (cancelled when the client disconnects) tightened by an
-// explicit ?deadline_ms= / header budget when the caller set one.
-func requestCtx(req *http.Request) (context.Context, context.CancelFunc, error) {
-	d, ok, err := server.RequestDeadline(req)
-	if err != nil {
-		return nil, nil, err
-	}
-	if !ok {
-		return req.Context(), func() {}, nil
-	}
-	ctx, cancel := context.WithTimeout(req.Context(), d)
-	return ctx, cancel, nil
-}
-
-func (r *Router) parseK(req *http.Request) (int, error) {
-	k := 10
-	if ks := req.URL.Query().Get("k"); ks != "" {
-		v, err := strconv.Atoi(ks)
-		if err != nil || v <= 0 || v > r.MaxK {
-			return 0, fmt.Errorf("\"k\" must be an integer in 1..%d", r.MaxK)
-		}
-		k = v
-	}
-	return k, nil
-}
-
 func (r *Router) hits(cands []lookup.Candidate) []server.Hit {
 	r.graphMu.RLock()
 	defer r.graphMu.RUnlock()
@@ -683,29 +631,20 @@ func (r *Router) handleLookup(w http.ResponseWriter, req *http.Request) {
 		http.Error(w, `missing "q" parameter`, http.StatusBadRequest)
 		return
 	}
-	k, err := r.parseK(req)
+	k, err := server.ParseK(req, r.MaxK)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	ctx, cancel, err := requestCtx(req)
+	ctx, cancel, wantTrace, err := server.RequestContext(req, 0, 0, r.SlowLog)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
 	defer cancel()
-	// Open a trace when the caller asked (?trace=1), when an upstream hop
-	// propagated an id, or when a slow entry might need the timeline.
-	wantTrace := req.URL.Query().Get("trace") == "1"
-	var tr *obs.Trace
-	if id := req.Header.Get(obs.TraceHeader); id != "" {
-		tr = obs.NewTraceWith(id)
-		wantTrace = true
-	} else if wantTrace || r.SlowLog != nil {
-		tr = obs.NewTrace()
-	}
+	tr := obs.FromContext(ctx)
 	start := time.Now()
-	res, err := r.LookupTraceCtx(ctx, tr, q, k)
+	res, err := r.LookupCtx(ctx, q, k)
 	if err != nil {
 		http.Error(w, "deadline exceeded", http.StatusGatewayTimeout)
 		return
@@ -735,25 +674,19 @@ func (r *Router) handleLookup(w http.ResponseWriter, req *http.Request) {
 // handleBulk mirrors the single-node /bulk: one query per body line, one
 // NDJSON object per line back, each carrying the batch's degradation flags.
 func (r *Router) handleBulk(w http.ResponseWriter, req *http.Request) {
-	k, err := r.parseK(req)
+	k, err := server.ParseK(req, r.MaxK)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
 	const maxBulkBytes = 1 << 20
 	const maxBulkQueries = 4096
-	req.Body = http.MaxBytesReader(w, req.Body, maxBulkBytes)
-	queries, err := server.ReadQueryLines(req.Body, maxBulkQueries)
+	queries, status, err := server.ReadBulkBody(w, req, maxBulkBytes, maxBulkQueries)
 	if err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			http.Error(w, fmt.Sprintf("request body exceeds %d bytes", maxBulkBytes), http.StatusRequestEntityTooLarge)
-			return
-		}
-		http.Error(w, err.Error(), http.StatusBadRequest)
+		http.Error(w, err.Error(), status)
 		return
 	}
-	ctx, cancel, err := requestCtx(req)
+	ctx, cancel, _, err := server.RequestContext(req, 0, 0, r.SlowLog)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -766,9 +699,10 @@ func (r *Router) handleBulk(w http.ResponseWriter, req *http.Request) {
 		return
 	}
 	if took := time.Since(start); r.SlowLog.Slow(took) {
+		tr := obs.FromContext(ctx)
 		r.SlowLog.Record(obs.SlowEntry{
 			Route: "/bulk", Query: fmt.Sprintf("[%d queries]", len(queries)),
-			K: k, DurUs: took.Microseconds(), Partial: res.Partial,
+			K: k, DurUs: took.Microseconds(), TraceID: tr.ID(), Partial: res.Partial, Spans: tr.Spans(),
 		})
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")

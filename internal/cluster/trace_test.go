@@ -1,7 +1,9 @@
 package cluster
 
 import (
+	"context"
 	"encoding/json"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -35,7 +37,7 @@ func TestTracePropagationAcrossCluster(t *testing.T) {
 	defer l.Close()
 
 	tr := obs.NewTrace()
-	res := l.Router.LookupTrace(tr, "marie curie", 5)
+	res, _ := l.Router.LookupCtx(obs.WithTrace(context.Background(), tr), "marie curie", 5)
 	if res.Partial {
 		t.Fatalf("unexpected partial result: failed=%v", res.Failed)
 	}
@@ -153,7 +155,7 @@ func TestTraceHedgedSpansFlagged(t *testing.T) {
 	defer l.Close()
 
 	tr := obs.NewTrace()
-	res := l.Router.LookupTrace(tr, "marie curie", 5)
+	res, _ := l.Router.LookupCtx(obs.WithTrace(context.Background(), tr), "marie curie", 5)
 	if res.Partial {
 		t.Fatalf("unexpected partial result: failed=%v", res.Failed)
 	}
@@ -187,5 +189,104 @@ func TestTraceHedgedSpansFlagged(t *testing.T) {
 	}
 	if st.Nodes[1].Hedges == 0 {
 		t.Fatalf("node 1 stats missing the hedge: %+v", st.Nodes[1])
+	}
+}
+
+// TestRouterOnePath holds the routed lookup to the one-path contract over
+// {background, cancellable, already done, cancelled mid-scatter} × {no
+// trace, trace}: candidates bit-identical to the single-process Lookup
+// whenever err is nil, ctx's error and no candidates otherwise, and on a
+// trace that rode in the whole cross-node timeline — or, once cancelled,
+// what was recorded before: the embed stage, never the merge.
+func TestRouterOnePath(t *testing.T) {
+	_, m := testModel(t)
+	// onSearch, when set, runs as a node receives a partition search — the
+	// instant a test cancels a lookup whose scatter is in flight.
+	var onSearch atomic.Pointer[context.CancelFunc]
+	l, err := StartLocal(m, 2, LocalOptions{
+		Router: RouterOptions{Registry: obs.New()},
+		Wrap: func(_ int, h http.Handler) http.Handler {
+			return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if cancel := onSearch.Load(); cancel != nil && r.URL.Path == "/partition/search" {
+					(*cancel)()
+				}
+				h.ServeHTTP(w, r)
+			})
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	want := m.Lookup("marie curie", 5)
+
+	for _, kind := range []string{"background", "cancellable", "done", "mid-scatter"} {
+		for _, traced := range []bool{false, true} {
+			ctx, cancel := context.Background(), context.CancelFunc(func() {})
+			if kind != "background" {
+				ctx, cancel = context.WithCancel(ctx)
+			}
+			switch kind {
+			case "done":
+				cancel()
+			case "mid-scatter":
+				onSearch.Store(&cancel)
+			}
+			var tr *obs.Trace
+			if traced {
+				tr = obs.NewTrace()
+				ctx = obs.WithTrace(ctx, tr)
+			}
+			res, err := l.Router.LookupCtx(ctx, "marie curie", 5)
+			onSearch.Store(nil)
+			cancel()
+			names := spanNames(tr.Spans())
+			if kind == "background" || kind == "cancellable" {
+				if err != nil || res.Partial {
+					t.Fatalf("%s: err %v, partial %v", kind, err, res.Partial)
+				}
+				sameCandidates(t, kind, want, res.Candidates)
+				for _, span := range []string{"embed", "node0/rpc", "node1/search", "merge"} {
+					if traced && names[span] == 0 {
+						t.Errorf("%s: trace missing span %q; got %v", kind, span, names)
+					}
+				}
+				continue
+			}
+			if !errors.Is(err, context.Canceled) || res.Candidates != nil {
+				t.Fatalf("%s: %d candidates, err %v", kind, len(res.Candidates), err)
+			}
+			if names["merge"] != 0 || (kind == "done" && len(names) != 0) {
+				t.Errorf("%s: cancelled lookup recorded spans %v", kind, names)
+			}
+			if traced && kind == "mid-scatter" && names["embed"] == 0 {
+				t.Errorf("mid-scatter: the embed span recorded before the cancellation was lost; got %v", names)
+			}
+		}
+	}
+	// The caller's departures are not node failures.
+	if st := l.Router.Stats(); st.Healthy != len(st.Nodes) {
+		t.Fatalf("cancelled lookups marked nodes unhealthy: %d/%d healthy", st.Healthy, len(st.Nodes))
+	}
+}
+
+// TestRouterStrictK: the router front-end reads ?k= with the same strict
+// parser as the single-node and tenant servers (server.ParseK).
+func TestRouterStrictK(t *testing.T) {
+	_, m := testModel(t)
+	l, err := StartLocal(m, 2, LocalOptions{Router: RouterOptions{Registry: obs.New()}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	h := l.Router.Handler()
+	for k, status := range map[string]int{"10abc": 400, "3.9": 400, "7+9": 400, "0": 400, "-1": 400, "": 200, "3": 200} {
+		for method, path := range map[string]string{"GET": "/lookup?q=x&k=" + k, "POST": "/bulk?k=" + k} {
+			rec := httptest.NewRecorder()
+			h.ServeHTTP(rec, httptest.NewRequest(method, path, strings.NewReader("x\n")))
+			if rec.Code != status {
+				t.Errorf("%s %s: status %d, want %d", method, path, rec.Code, status)
+			}
+		}
 	}
 }

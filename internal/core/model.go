@@ -12,6 +12,7 @@ import (
 	"emblookup/internal/mathx"
 	"emblookup/internal/ngram"
 	"emblookup/internal/nn"
+	"emblookup/internal/obs"
 	"emblookup/internal/par"
 )
 
@@ -120,12 +121,20 @@ func (e *EmbLookup) embed(s string, useMention bool) []float32 {
 
 // Lookup embeds q and returns the k nearest entities. Scores are negated
 // squared distances so that higher is better, matching lookup.Candidate.
-// It is a thin wrapper over the scratch path, so steady-state calls only
-// allocate the returned candidates.
+// It is LookupCtx without a context.
 func (e *EmbLookup) Lookup(q string, k int) []lookup.Candidate {
+	out, _ := e.LookupCtx(context.Background(), q, k) // errors are ctx's only
+	return out
+}
+
+// LookupCtx answers one request: ctx carries its deadline or cancellation
+// and, through obs.WithTrace, its trace. It is the pooled-scratch entry to
+// the one lookup body, so steady-state calls only allocate the returned
+// candidates.
+func (e *EmbLookup) LookupCtx(ctx context.Context, q string, k int) ([]lookup.Candidate, error) {
 	sc := getScratch()
 	defer putScratch(sc)
-	return e.lookupTraced(sc, nil, q, k)
+	return e.lookup(ctx, sc, q, k)
 }
 
 // BulkLookup is BulkLookupCtx without cancellation.
@@ -140,11 +149,9 @@ func (e *EmbLookup) BulkLookup(queries []string, k, parallelism int) [][]lookup.
 // scans query-major where the index allows it — then dedupe per query.
 // Results align with the query order and are identical to per-query
 // Lookup. ctx is checked between the stages and inside the batch scan; a
-// cancelled batch returns ctx.Err() and no results.
+// cancelled batch returns ctx.Err() and no results. A trace riding in ctx
+// gets the batch's embed, batch_scan and merge spans.
 func (e *EmbLookup) BulkLookupCtx(ctx context.Context, queries []string, k, parallelism int) ([][]lookup.Candidate, error) {
-	if ctx == nil {
-		ctx = context.Background()
-	}
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -154,16 +161,17 @@ func (e *EmbLookup) BulkLookupCtx(ctx context.Context, queries []string, k, para
 	if len(queries) == 0 || k <= 0 {
 		return out, nil
 	}
-	// Over-fetch when alias rows can collapse onto one entity.
-	fetch := k
-	if e.cfg.IndexAliases {
-		fetch = k * 3
-	}
+	tr := obs.FromContext(ctx)
+	sp := tr.Start("embed")
 	embs := e.EmbedAll(queries, parallelism)
-	res, err := index.BatchSearchCtx(ctx, e.ix, embs, fetch, parallelism)
+	sp.End()
+	sp = tr.Start("batch_scan")
+	res, err := index.BatchSearchCtx(ctx, e.ix, embs, e.fetch(k), parallelism)
+	sp.End()
 	if err != nil {
 		return nil, err
 	}
+	sp = tr.Start("merge")
 	// One flat array backs every query's candidates: slot i appends into
 	// flat[i*k:i*k:(i+1)*k] (capacity-clipped, so slots can never bleed into
 	// each other).
@@ -180,6 +188,7 @@ func (e *EmbLookup) BulkLookupCtx(ctx context.Context, queries []string, k, para
 			putScratch(sc)
 		}
 	}
+	sp.End()
 	return out, nil
 }
 

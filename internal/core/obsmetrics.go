@@ -1,9 +1,6 @@
 package core
 
-import (
-	"emblookup/internal/lookup"
-	"emblookup/internal/obs"
-)
+import "emblookup/internal/obs"
 
 // The core lookup path records into the process-wide registry through
 // handles resolved once at package init, so the hot path never touches the
@@ -26,13 +23,3 @@ var (
 	trainSemProgress  = obs.Default().Gauge("emblookup_train_semantic_pairs_done")
 	trainHogwildSteps = obs.Default().Counter("emblookup_train_hogwild_steps_total")
 )
-
-// LookupTrace is Lookup with per-stage spans recorded into tr: the embed →
-// search → merge pipeline of one query becomes three named intervals of the
-// request's trace. A nil trace makes this identical to Lookup — every span
-// call is a nil-check — so callers thread the trace unconditionally.
-func (e *EmbLookup) LookupTrace(tr *obs.Trace, q string, k int) []lookup.Candidate {
-	sc := getScratch()
-	defer putScratch(sc)
-	return e.lookupTraced(sc, tr, q, k)
-}

@@ -29,7 +29,7 @@ type Scratch struct {
 	mention []float32
 	joint   []float32
 	ix      index.Scratch
-	res     []index.Result // reused search-result buffer (AppendSearcher path)
+	res     []index.Result // reused search-result buffer
 	seen    map[kg.EntityID]bool
 }
 
@@ -68,43 +68,66 @@ func (e *EmbLookup) embedInto(sc *Scratch, s string, useMention bool) []float32 
 	return e.mlp.ApplyInto(joint, &sc.nn)
 }
 
-// lookupTraced is the instrumented single-query path: each pipeline stage
-// records into its process-wide histogram and, when tr is non-nil, opens a
-// span. Stage timing costs two clock reads per stage; a nil trace adds
-// nothing else, so all working memory comes from sc and only the returned
-// candidate slice is allocated.
-func (e *EmbLookup) lookupTraced(sc *Scratch, tr *obs.Trace, q string, k int) []lookup.Candidate {
+// lookup is the one single-query body: embed → search → merge. Each stage
+// records into its process-wide histogram, opens a span when a trace rides
+// in ctx (obs.FromContext; nil-safe, so an untraced request pays a nil
+// check per span), and is followed by a ctx check, so a caller that has
+// given up stops costing CPU at the next stage boundary — and inside the
+// scan too, where the index can stop (a Sharded fan-out). A context that is
+// never cancelled and carries no trace is the plain path: all working
+// memory comes from sc and only the returned candidate slice is allocated.
+// A done context returns ctx.Err() and no candidates; spans recorded before
+// it fired are kept.
+func (e *EmbLookup) lookup(ctx context.Context, sc *Scratch, q string, k int) ([]lookup.Candidate, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	if k <= 0 {
-		return nil
+		return nil, nil
 	}
-	// Over-fetch when alias rows can collapse onto one entity.
-	fetch := k
-	if e.cfg.IndexAliases {
-		fetch = k * 3
-	}
+	tr := obs.FromContext(ctx)
 	t0 := time.Now()
 	sp := tr.Start("embed")
 	emb := e.embedInto(sc, q, true)
 	sp.End()
 	stageEmbed.Since(t0)
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 
 	t1 := time.Now()
 	sp = tr.Start("search")
 	// The raw results are consumed by the merge below, so they live in the
 	// scratch-owned buffer — no per-query allocation.
-	sc.res, _ = index.SearchCtx(context.Background(), e.ix, &sc.ix, emb, fetch, sc.res)
+	res, err := e.ix.Search(ctx, &sc.ix, emb, e.fetch(k), sc.res)
 	sp.End()
 	stageSearch.Since(t1)
+	if err == nil {
+		err = ctx.Err() // an uninterruptible scan may have outlived the caller
+	}
+	if err != nil {
+		return nil, err
+	}
+	sc.res = res
 
 	t2 := time.Now()
 	sp = tr.Start("merge")
-	out := e.dedupeAppend(sc, sc.res, k, nil)
+	out := e.dedupeAppend(sc, res, k, nil)
 	sp.End()
 	stageMerge.Since(t2)
 
 	lookupsTotal.Inc()
 	lookupSeconds.Since(t0)
-	return out
+	return out, nil
+}
+
+// fetch is the index budget behind k candidates: over-fetched when alias
+// rows can collapse onto one entity.
+func (e *EmbLookup) fetch(k int) int {
+	if e.cfg.IndexAliases {
+		return k * 3
+	}
+	return k
 }
 
 // dedupeAppend converts ranked index results to candidates, collapsing

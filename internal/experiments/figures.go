@@ -153,7 +153,7 @@ func (s *pcaService) Name() string { return s.name }
 
 // Lookup projects the query embedding and searches the reduced space.
 func (s *pcaService) Lookup(q string, k int) []lookup.Candidate {
-	res := s.ix.Search(s.pca.Project(s.model.Embed(q)), k)
+	res := index.Search(s.ix, s.pca.Project(s.model.Embed(q)), k)
 	out := make([]lookup.Candidate, len(res))
 	for i, h := range res {
 		out[i] = lookup.Candidate{ID: s.rows[h.ID], Score: -float64(h.Dist)}

@@ -110,7 +110,7 @@ func TestFastScanGroupFallbackWideCodes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := ix.Search(queries[0], n+5)
+	want := Search(ix, queries[0], n+5)
 	if len(want) != n {
 		t.Fatalf("solo search returned %d of %d rows", len(want), n)
 	}
@@ -179,7 +179,7 @@ func TestShardedBatchConcurrent(t *testing.T) {
 	want := make([][]Result, len(queries))
 	for i := range queries {
 		queries[i] = data.Row(i * 7 % data.Rows)
-		want[i] = fs.Search(queries[i], 10)
+		want[i] = Search(fs, queries[i], 10)
 	}
 	var wg sync.WaitGroup
 	for g := 0; g < 16; g++ {

@@ -1,6 +1,7 @@
 package index
 
 import (
+	"context"
 	"fmt"
 	"slices"
 	"sync"
@@ -197,16 +198,11 @@ func (d *Dynamic) compactLocked() {
 	d.deltaIDs = d.deltaIDs[:0]
 }
 
-// Search returns the k nearest live rows, merged across the base and delta
-// segments. It is a thin wrapper over SearchWith with pooled scratch.
-func (d *Dynamic) Search(q []float32, k int) []Result {
-	s := GetScratch()
-	defer PutScratch(s)
-	return d.SearchWith(s, q, k)
-}
-
-// SearchWith implements ScratchSearcher: the merge heap is reused from s
-// (the base search pools its own scratch internally).
+// Search implements Index: the k nearest live rows, merged across the base
+// and delta segments. ctx, s and a scratch-owned hit buffer pass through to
+// the base search, so a cancelled context reaches a Sharded base's fan-out
+// and a query costs one Scratch however deep the wrapping. (The base's
+// search is finished with s.res before the merge below resets it.)
 //
 // Correctness of the merge: the base is over-fetched by the number of base
 // tombstones, so after filtering the dead ids at least the k best live base
@@ -215,18 +211,20 @@ func (d *Dynamic) Search(q []float32, k int) []Result {
 // are scanned exhaustively. baseIDs is strictly increasing, so mapping base
 // row ids to external ids preserves the canonical (Dist, ID) tie order and
 // the merged selection equals a from-scratch scan of the live rows.
-func (d *Dynamic) SearchWith(s *Scratch, q []float32, k int) []Result {
-	return d.SearchAppendWith(s, q, k, nil)
-}
-
-// SearchAppendWith implements AppendSearcher: results land in dst[:0].
-func (d *Dynamic) SearchAppendWith(s *Scratch, q []float32, k int, dst []Result) []Result {
+func (d *Dynamic) Search(ctx context.Context, s *Scratch, q []float32, k int, dst []Result) ([]Result, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	if k <= 0 {
-		return dst[:0]
+		return dst[:0], nil
 	}
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	base := d.base.Search(q, k+d.deadBase)
+	base, err := d.base.Search(ctx, s, q, k+d.deadBase, s.base)
+	if err != nil {
+		return nil, err
+	}
+	s.base = base
 	t := &s.res
 	t.reset(k)
 	for _, r := range base {
@@ -242,8 +240,11 @@ func (d *Dynamic) SearchAppendWith(s *Scratch, q []float32, k int, dst []Result)
 		}
 		t.push(id, mathx.SquaredL2(q, d.deltaVec[j*d.dim:(j+1)*d.dim]))
 	}
-	return t.appendSorted(dst)
+	return t.appendSorted(dst), nil
 }
+
+// SearchWith implements ScratchSearcher.
+func (d *Dynamic) SearchWith(s *Scratch, q []float32, k int) []Result { return searchWith(d, s, q, k) }
 
 // DynamicStats snapshots the segment sizes for observability.
 type DynamicStats struct {

@@ -53,7 +53,7 @@ func TestDynamicMatchesBruteForce(t *testing.T) {
 		t.Helper()
 		for trial := 0; trial < 5; trial++ {
 			q := randomQuery(rng, d)
-			got := dyn.Search(q, 10)
+			got := Search(dyn, q, 10)
 			want := bruteTopK(live, q, 10)
 			if len(got) != len(want) {
 				t.Fatalf("%s: got %d results, want %d", stage, len(got), len(want))
@@ -163,7 +163,7 @@ func TestDynamicCompactQuantizedBases(t *testing.T) {
 		}
 		idSet := func(stage string) {
 			t.Helper()
-			res := dyn.Search(randomQuery(rng, d), dyn.Len())
+			res := Search(dyn, randomQuery(rng, d), dyn.Len())
 			if len(res) != len(liveIDs) {
 				t.Fatalf("%s/%s: exhaustive search returned %d rows, want %d", name, stage, len(res), len(liveIDs))
 			}
@@ -205,7 +205,7 @@ func TestDynamicShardedBaseNeverCompacts(t *testing.T) {
 		t.Fatalf("sharded base should never compact, delta = %d", st.Delta)
 	}
 	q := randomQuery(rng, d)
-	got := dyn.Search(q, 8)
+	got := Search(dyn, q, 8)
 	want := bruteTopK(live, q, 8)
 	for i := range want {
 		if got[i] != want[i] {
@@ -262,7 +262,7 @@ func TestDynamicConcurrentMutation(t *testing.T) {
 			defer wg.Done()
 			rng := mathx.NewRNG(uint64(200 + w))
 			for i := 0; i < 200; i++ {
-				res := dyn.Search(randomQuery(rng, d), 10)
+				res := Search(dyn, randomQuery(rng, d), 10)
 				seen := map[int32]bool{}
 				for j, r := range res {
 					if seen[r.ID] {

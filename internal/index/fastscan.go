@@ -1,6 +1,7 @@
 package index
 
 import (
+	"context"
 	"fmt"
 	"math/bits"
 
@@ -166,29 +167,15 @@ func (ix *FastScan) SizeBytes() int { return len(ix.blocks) }
 // Quantizer exposes the trained 4-bit product quantizer.
 func (ix *FastScan) Quantizer() *quant.ProductQuantizer { return ix.pq }
 
-// Search builds the float ADC table for q once, quantizes it, and scans
-// all blocks. It is a thin wrapper over SearchWith with pooled scratch.
-func (ix *FastScan) Search(q []float32, k int) []Result {
-	s := GetScratch()
-	defer PutScratch(s)
-	return ix.SearchWith(s, q, k)
+// Search implements Index: the float ADC table for q is built once,
+// quantized, and swept over all blocks.
+func (ix *FastScan) Search(ctx context.Context, s *Scratch, q []float32, k int, dst []Result) ([]Result, error) {
+	return scanSolo(ctx, ix, nil, 0, s, q, k, dst)
 }
 
 // SearchWith implements ScratchSearcher.
 func (ix *FastScan) SearchWith(s *Scratch, q []float32, k int) []Result {
-	return ix.SearchAppendWith(s, q, k, nil)
-}
-
-// SearchAppendWith implements AppendSearcher: results land in dst[:0].
-func (ix *FastScan) SearchAppendWith(s *Scratch, q []float32, k int, dst []Result) []Result {
-	if k <= 0 {
-		return dst[:0]
-	}
-	table := prepareScan(ix, s, q)
-	t := &s.res
-	t.reset(k)
-	ix.scanRange(table, s, t, 0, ix.n)
-	return t.appendSorted(dst)
+	return searchWith(ix, s, q, k)
 }
 
 // stateLen and prepareInto implement rangeScanner: the shared per-query

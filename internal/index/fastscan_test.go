@@ -2,6 +2,7 @@ package index
 
 import (
 	"bytes"
+	"context"
 	"testing"
 
 	"emblookup/internal/mathx"
@@ -93,10 +94,10 @@ func TestFastScanScratchReuse(t *testing.T) {
 	var dst []Result
 	for qi := 0; qi < 20; qi++ {
 		q := data.Row(qi)
-		want := ix.Search(q, 10)
+		want := Search(ix, q, 10)
 		sameResults(t, "SearchWith", want, ix.SearchWith(s, q, 10))
-		dst = ix.SearchAppendWith(s, q, 10, dst)
-		sameResults(t, "SearchAppendWith", want, dst)
+		dst, _ = ix.Search(context.Background(), s, q, 10, dst)
+		sameResults(t, "Search into dst", want, dst)
 	}
 }
 
@@ -112,7 +113,7 @@ func TestFastScanSharded(t *testing.T) {
 		}
 		for qi := 0; qi < 8; qi++ {
 			q := data.Row(qi)
-			sameResults(t, "sharded", ix.Search(q, 10), sh.Search(q, 10))
+			sameResults(t, "sharded", Search(ix, q, 10), Search(sh, q, 10))
 		}
 		batch := make([][]float32, 6)
 		for i := range batch {
@@ -120,7 +121,7 @@ func TestFastScanSharded(t *testing.T) {
 		}
 		res := BatchSearch(sh, batch, 10, 2)
 		for i, q := range batch {
-			sameResults(t, "sharded batch", ix.Search(q, 10), res[i])
+			sameResults(t, "sharded batch", Search(ix, q, 10), res[i])
 		}
 	}
 }
@@ -148,7 +149,7 @@ func TestFastScanDynamic(t *testing.T) {
 	q := all.Row(0)
 	idSet := func(stage string) {
 		t.Helper()
-		res := d.Search(q, n+40)
+		res := Search(d, q, n+40)
 		if len(res) != n+40 {
 			t.Fatalf("%s: exhaustive search returned %d of %d rows", stage, len(res), n+40)
 		}
@@ -217,7 +218,7 @@ func TestFastScanFromParts(t *testing.T) {
 		t.Fatal(err)
 	}
 	q := data.Row(1)
-	sameResults(t, "from-parts", ix.Search(q, 10), re.Search(q, 10))
+	sameResults(t, "from-parts", Search(ix, q, 10), Search(re, q, 10))
 
 	if _, err := NewFastScanFromParts(ix.pq, ix.blocks[:len(ix.blocks)-1], ix.n); err == nil {
 		t.Fatal("truncated blocks accepted")

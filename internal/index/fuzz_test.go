@@ -134,7 +134,7 @@ func FuzzFastScanEquivalence(f *testing.F) {
 			fast := newTopK(k)
 			ix.scanRange(table, s, fast, 0, n)
 			sameResults(t, "fast-scan", want[i], fast.sorted())
-			merged, _ := sh.scanMerged(context.Background(), s, table, k, nil)
+			merged, _ := sh.Search(context.Background(), s, q, k, nil)
 			sameResults(t, "sharded fast-scan", want[i], merged)
 			sameResults(t, "solo SearchWith", want[i], ix.SearchWith(s, q, k))
 		}
@@ -207,7 +207,7 @@ func FuzzScanEquivalence(f *testing.F) {
 
 		blocked := newTopK(k)
 		var dists [scanBlock]float32
-		ix.scanBlocked(table, blocked, &dists)
+		ix.scanBlockedRange(table, blocked, &dists, 0, n)
 		got := blocked.sorted()
 		if len(want) != len(got) {
 			t.Fatalf("blocked: %d vs %d results", len(want), len(got))
@@ -218,13 +218,11 @@ func FuzzScanEquivalence(f *testing.F) {
 			}
 		}
 
-		sh, err := NewSharded(ix, shards, 2)
+		sh, err := NewSharded(tableScanner{ix, table}, shards, 2)
 		if err != nil {
 			t.Fatal(err)
 		}
-		s := GetScratch()
-		merged, _ := sh.scanMerged(context.Background(), s, table, k, nil)
-		PutScratch(s)
+		merged := Search(sh, nil, k)
 		if len(want) != len(merged) {
 			t.Fatalf("sharded: %d vs %d results", len(want), len(merged))
 		}
@@ -236,3 +234,13 @@ func FuzzScanEquivalence(f *testing.F) {
 		}
 	})
 }
+
+// tableScanner is a PQ that scans one fixed, synthetic ADC table whatever
+// the query — how the fuzzer drives the solo scan over tables no trained
+// quantizer would produce.
+type tableScanner struct {
+	*PQ
+	table []float32
+}
+
+func (ts tableScanner) prepareInto(_, _ []float32) []float32 { return ts.table }

@@ -24,8 +24,13 @@ type Result struct {
 
 // Index is a k-nearest-neighbor index over fixed vectors.
 type Index interface {
-	// Search returns the k nearest stored vectors to q, nearest first.
-	Search(q []float32, k int) []Result
+	// Search is the one search contract: the k nearest stored vectors to q,
+	// nearest first, written into dst[:0] (grown if needed; nil allocates)
+	// with all working memory taken from s. ctx is checked at whatever
+	// granularity the index can stop at — per shard range for Sharded, once
+	// before an uninterruptible scan for the others. A context that is never
+	// cancelled changes nothing; a done one returns ctx.Err() and no results.
+	Search(ctx context.Context, s *Scratch, q []float32, k int, dst []Result) ([]Result, error)
 	// Len returns the number of stored vectors.
 	Len() int
 	// Dim returns the vector dimensionality.
@@ -33,6 +38,21 @@ type Index interface {
 	// SizeBytes returns the approximate storage the index needs for its
 	// vector payload (codes or raw floats), excluding codebooks.
 	SizeBytes() int
+}
+
+// Search is ix.Search for callers that hold no Scratch and no context
+// (experiments, tests): pooled working memory, a fresh result slice.
+func Search(ix Index, q []float32, k int) []Result {
+	s := GetScratch()
+	defer PutScratch(s)
+	return searchWith(ix, s, q, k)
+}
+
+// searchWith backs every kind's SearchWith: an uncancellable search into a
+// fresh result slice.
+func searchWith(ix Index, s *Scratch, q []float32, k int) []Result {
+	res, _ := ix.Search(context.Background(), s, q, k, nil) // errors are ctx's only
+	return res
 }
 
 // BatchSearch is BatchSearchCtx without cancellation.
@@ -72,7 +92,7 @@ func BatchSearchCtx(ctx context.Context, ix Index, queries [][]float32, k, paral
 		if scratches[w] == nil {
 			scratches[w] = GetScratch()
 		}
-		out[i], _ = SearchCtx(ctx, ix, scratches[w], queries[i], k, flat[i*k:i*k:(i+1)*k])
+		out[i], _ = ix.Search(ctx, scratches[w], queries[i], k, flat[i*k:i*k:(i+1)*k])
 	})
 	for _, s := range scratches {
 		if s != nil {
@@ -221,29 +241,13 @@ func (f *Flat) Dim() int { return f.data.Cols }
 // SizeBytes returns the raw float storage cost.
 func (f *Flat) SizeBytes() int { return f.data.Rows * f.data.Cols * 4 }
 
-// Search scans every stored vector. It is a thin wrapper over SearchWith
-// with pooled scratch, so steady-state calls only allocate the result.
-func (f *Flat) Search(q []float32, k int) []Result {
-	s := GetScratch()
-	defer PutScratch(s)
-	return f.SearchWith(s, q, k)
+// Search implements Index: one exact scan of every stored vector.
+func (f *Flat) Search(ctx context.Context, s *Scratch, q []float32, k int, dst []Result) ([]Result, error) {
+	return scanSolo(ctx, f, nil, 0, s, q, k, dst)
 }
 
-// SearchWith implements ScratchSearcher: the top-k heap is reused from s.
-func (f *Flat) SearchWith(s *Scratch, q []float32, k int) []Result {
-	return f.SearchAppendWith(s, q, k, nil)
-}
-
-// SearchAppendWith implements AppendSearcher: results land in dst[:0].
-func (f *Flat) SearchAppendWith(s *Scratch, q []float32, k int, dst []Result) []Result {
-	if k <= 0 {
-		return dst[:0]
-	}
-	t := &s.res
-	t.reset(k)
-	f.scanRange(q, s, t, 0, f.data.Rows)
-	return t.appendSorted(dst)
-}
+// SearchWith implements ScratchSearcher.
+func (f *Flat) SearchWith(s *Scratch, q []float32, k int) []Result { return searchWith(f, s, q, k) }
 
 // stateLen and prepareInto implement rangeScanner: an exact scan needs no
 // per-query precomputation, so the shared state is the query itself.

@@ -17,7 +17,7 @@ func TestFlatExactness(t *testing.T) {
 	data := randomData(200, 8, 1)
 	ix := NewFlat(data)
 	q := data.Row(17)
-	res := ix.Search(q, 5)
+	res := Search(ix, q, 5)
 	if len(res) != 5 {
 		t.Fatalf("got %d results", len(res))
 	}
@@ -41,7 +41,7 @@ func TestFlatMatchesBruteForce(t *testing.T) {
 		for i := range q {
 			q[i] = float32(rng.NormFloat64())
 		}
-		res := ix.Search(q, 10)
+		res := Search(ix, q, 10)
 		// Verify against full scan.
 		var bestID int32
 		best := float32(3.4e38)
@@ -58,7 +58,7 @@ func TestFlatMatchesBruteForce(t *testing.T) {
 
 func TestSearchKLargerThanN(t *testing.T) {
 	data := randomData(5, 4, 4)
-	res := NewFlat(data).Search(data.Row(0), 50)
+	res := Search(NewFlat(data), data.Row(0), 50)
 	if len(res) != 5 {
 		t.Fatalf("got %d results for k>n", len(res))
 	}
@@ -66,7 +66,7 @@ func TestSearchKLargerThanN(t *testing.T) {
 
 func TestSearchKZero(t *testing.T) {
 	data := randomData(5, 4, 5)
-	if res := NewFlat(data).Search(data.Row(0), 0); res != nil {
+	if res := Search(NewFlat(data), data.Row(0), 0); res != nil {
 		t.Fatal("k=0 should return nil")
 	}
 }
@@ -90,10 +90,10 @@ func TestPQIndexRecall(t *testing.T) {
 			q[i] = float32(rng.NormFloat64())
 		}
 		truth := map[int32]bool{}
-		for _, r := range flat.Search(q, 10) {
+		for _, r := range Search(flat, q, 10) {
 			truth[r.ID] = true
 		}
-		for _, r := range pqIx.Search(q, 10) {
+		for _, r := range Search(pqIx, q, 10) {
 			if truth[r.ID] {
 				hits++
 			}
@@ -131,7 +131,7 @@ func TestIVFFlatFindsSelf(t *testing.T) {
 	}
 	// With nprobe = nlist the search is exhaustive, so self must be found.
 	for i := 0; i < 50; i++ {
-		res := ix.Search(data.Row(i), 1)
+		res := Search(ix, data.Row(i), 1)
 		if len(res) != 1 || res[0].ID != int32(i) {
 			t.Fatalf("IVF full-probe missed self for %d: %+v", i, res)
 		}
@@ -154,10 +154,10 @@ func TestIVFProbeTradeoff(t *testing.T) {
 				q[i] = float32(rng.NormFloat64())
 			}
 			truth := map[int32]bool{}
-			for _, r := range flat.Search(q, 5) {
+			for _, r := range Search(flat, q, 5) {
 				truth[r.ID] = true
 			}
-			for _, r := range ix.Search(q, 5) {
+			for _, r := range Search(ix, q, 5) {
 				if truth[r.ID] {
 					hits++
 				}
@@ -189,7 +189,7 @@ func TestIVFPQ(t *testing.T) {
 	// Self should usually be within top-5 under quantization.
 	hits := 0
 	for i := 0; i < 100; i++ {
-		for _, r := range ix.Search(data.Row(i), 5) {
+		for _, r := range Search(ix, data.Row(i), 5) {
 			if r.ID == int32(i) {
 				hits++
 				break

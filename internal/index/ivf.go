@@ -1,6 +1,7 @@
 package index
 
 import (
+	"context"
 	"fmt"
 
 	"emblookup/internal/mathx"
@@ -181,24 +182,15 @@ func (ix *IVF) SizeBytes() int {
 	return ix.n * ix.pq.M
 }
 
-// Search probes the nprobe nearest coarse lists. It is a thin wrapper over
-// SearchWith with pooled scratch.
-func (ix *IVF) Search(q []float32, k int) []Result {
-	s := GetScratch()
-	defer PutScratch(s)
-	return ix.SearchWith(s, q, k)
-}
-
-// SearchWith implements ScratchSearcher: the probe ranking, residual
-// vector, ADC table, and top-k heap are all reused from s.
-func (ix *IVF) SearchWith(s *Scratch, q []float32, k int) []Result {
-	return ix.SearchAppendWith(s, q, k, nil)
-}
-
-// SearchAppendWith implements AppendSearcher: results land in dst[:0].
-func (ix *IVF) SearchAppendWith(s *Scratch, q []float32, k int, dst []Result) []Result {
+// Search implements Index: probe the nprobe nearest coarse lists, with
+// the probe ranking, residual vector, ADC table, and top-k heap all reused
+// from s. The probe scan is uninterruptible; ctx is checked once on entry.
+func (ix *IVF) Search(ctx context.Context, s *Scratch, q []float32, k int, dst []Result) ([]Result, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
 	if k <= 0 {
-		return dst[:0]
+		return dst[:0], nil
 	}
 	// Rank coarse centroids.
 	probes := &s.probes
@@ -248,7 +240,7 @@ func (ix *IVF) SearchAppendWith(s *Scratch, q []float32, k int, dst []Result) []
 		}
 	}
 	if !rerank {
-		return t.appendSorted(dst)
+		return t.appendSorted(dst), nil
 	}
 	// Exact re-rank: true distances over the ADC candidates, pushed through
 	// a fresh top-k under the canonical (Dist, ID) order — deterministic
@@ -258,5 +250,8 @@ func (ix *IVF) SearchAppendWith(s *Scratch, q []float32, k int, dst []Result) []
 	for _, r := range t.heap {
 		final.push(r.ID, mathx.SquaredL2(q, ix.rvecs.Row(int(r.ID))))
 	}
-	return final.appendSorted(dst)
+	return final.appendSorted(dst), nil
 }
+
+// SearchWith implements ScratchSearcher.
+func (ix *IVF) SearchWith(s *Scratch, q []float32, k int) []Result { return searchWith(ix, s, q, k) }

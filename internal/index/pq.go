@@ -1,6 +1,8 @@
 package index
 
 import (
+	"context"
+
 	"emblookup/internal/mathx"
 	"emblookup/internal/par"
 	"emblookup/internal/quant"
@@ -44,33 +46,14 @@ func (ix *PQ) SizeBytes() int { return len(ix.codes) }
 // Quantizer exposes the trained product quantizer.
 func (ix *PQ) Quantizer() *quant.ProductQuantizer { return ix.pq }
 
-// Search builds the ADC table for q once and scans all codes. It is a thin
-// wrapper over SearchWith with pooled scratch, so steady-state calls
-// allocate nothing but the result slice.
-func (ix *PQ) Search(q []float32, k int) []Result {
-	s := GetScratch()
-	defer PutScratch(s)
-	return ix.SearchWith(s, q, k)
+// Search implements Index: the ADC table for q is built once and the
+// codes are walked with the blocked scan.
+func (ix *PQ) Search(ctx context.Context, s *Scratch, q []float32, k int, dst []Result) ([]Result, error) {
+	return scanSolo(ctx, ix, nil, 0, s, q, k, dst)
 }
 
-// SearchWith implements ScratchSearcher: the ADC table, top-k heap, and
-// block distance strip are reused from s, and the codes are walked with the
-// blocked scan.
-func (ix *PQ) SearchWith(s *Scratch, q []float32, k int) []Result {
-	return ix.SearchAppendWith(s, q, k, nil)
-}
-
-// SearchAppendWith implements AppendSearcher: results land in dst[:0].
-func (ix *PQ) SearchAppendWith(s *Scratch, q []float32, k int, dst []Result) []Result {
-	if k <= 0 {
-		return dst[:0]
-	}
-	table := prepareScan(ix, s, q)
-	t := &s.res
-	t.reset(k)
-	ix.scanBlocked(table, t, &s.dists)
-	return t.appendSorted(dst)
-}
+// SearchWith implements ScratchSearcher.
+func (ix *PQ) SearchWith(s *Scratch, q []float32, k int) []Result { return searchWith(ix, s, q, k) }
 
 // scanBlock is the number of codes one blocked-scan strip covers. At the
 // paper's M=8 a strip is 2 KB of codes plus a 1 KB distance buffer — both
@@ -91,11 +74,6 @@ func (ix *PQ) prepareInto(q, table []float32) []float32 {
 // rows [lo, hi).
 func (ix *PQ) scanRange(table []float32, s *Scratch, t *topK, lo, hi int) {
 	ix.scanBlockedRange(table, t, &s.dists, lo, hi)
-}
-
-// scanBlocked walks the full code matrix with the blocked scan.
-func (ix *PQ) scanBlocked(table []float32, t *topK, dists *[scanBlock]float32) {
-	ix.scanBlockedRange(table, t, dists, 0, ix.n)
 }
 
 // scanBlockedRange walks the codes of rows [lo, hi) in strips of scanBlock

@@ -21,7 +21,7 @@ func TestFlatMatchesNaiveProperty(t *testing.T) {
 		for i := range q {
 			q[i] = float32(rng.NormFloat64())
 		}
-		got := NewFlat(data).Search(q, k)
+		got := Search(NewFlat(data), q, k)
 
 		// Naive: compute all distances, selection-sort the smallest k.
 		dists := make([]float32, n)
@@ -80,7 +80,7 @@ func TestPQConsistencyProperty(t *testing.T) {
 		for i := range q {
 			q[i] = float32(rng.NormFloat64())
 		}
-		res := ix.Search(q, 5)
+		res := Search(ix, q, 5)
 		if len(res) != 5 {
 			return false
 		}

@@ -30,8 +30,8 @@ func TestIVFRerankExhaustiveExact(t *testing.T) {
 		for i := range q {
 			q[i] = float32(rng.NormFloat64())
 		}
-		want := flat.Search(q, 5)
-		got := ix.Search(q, 5)
+		want := Search(flat, q, 5)
+		got := Search(ix, q, 5)
 		if len(want) != len(got) {
 			t.Fatalf("trial %d: %d vs %d results", trial, len(got), len(want))
 		}
@@ -63,10 +63,10 @@ func TestIVFRerankImprovesRecall(t *testing.T) {
 				q[i] = float32(rng.NormFloat64())
 			}
 			truth := map[int32]bool{}
-			for _, r := range flat.Search(q, 10) {
+			for _, r := range Search(flat, q, 10) {
 				truth[r.ID] = true
 			}
-			for _, r := range ix.Search(q, 10) {
+			for _, r := range Search(ix, q, 10) {
 				if truth[r.ID] {
 					hits++
 				}

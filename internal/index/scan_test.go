@@ -36,7 +36,7 @@ func TestBlockedScanMatchesPlain(t *testing.T) {
 
 				blocked := newTopK(k)
 				var dists [scanBlock]float32
-				ix.scanBlocked(table, blocked, &dists)
+				ix.scanBlockedRange(table, blocked, &dists, 0, ix.n)
 
 				ps, bs := plain.sorted(), blocked.sorted()
 				if len(ps) != len(bs) {
@@ -61,7 +61,7 @@ func TestPQSearchScratchReuse(t *testing.T) {
 	s := &Scratch{}
 	for qi := 0; qi < 20; qi++ {
 		q := data.Row(qi)
-		want := ix.Search(q, 10)
+		want := Search(ix, q, 10)
 		got := ix.SearchWith(s, q, 10)
 		if len(want) != len(got) {
 			t.Fatalf("query %d: length mismatch", qi)
@@ -102,7 +102,7 @@ func TestScratchSharedAcrossIndexKinds(t *testing.T) {
 			{"flat", flat, flat, flatData.Row(round)},
 			{"ivf", ivf, ivf, flatData.Row(round)},
 		} {
-			want := check.ref.Search(check.q, 5)
+			want := Search(check.ref, check.q, 5)
 			got := check.ix.SearchWith(s, check.q, 5)
 			if len(want) != len(got) {
 				t.Fatalf("%s: length mismatch", check.name)

@@ -33,9 +33,59 @@ func prepareScan(rs rangeScanner, s *Scratch, q []float32) []float32 {
 	return rs.prepareInto(q, s.table)
 }
 
+// scanSolo is the one solo scan, behind Search for every range-scannable
+// index: prepare the query's scan state once in s, scan the row ranges
+// between bounds (nil is a bare index's single range [0, n)), merge the
+// per-range heaps in range order and sort into dst[:0]. Several ranges fan
+// out across `parallelism` goroutines, each with a pooled Scratch of its
+// own. The merge is single-threaded and the per-range heaps are
+// deterministic, so the output does not depend on how the fan-out was
+// scheduled; canonical top-k selection makes it equal to the one-range
+// scan's. ctx is checked on entry and before each range of a fan-out — a
+// range is the cancellation granularity, so a done context wastes at most
+// the ranges already in flight.
+func scanSolo(ctx context.Context, rs rangeScanner, bounds []int, parallelism int, s *Scratch, q []float32, k int, dst []Result) ([]Result, error) {
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	if k <= 0 {
+		return dst[:0], nil
+	}
+	state := prepareScan(rs, s, q)
+	t := &s.res
+	t.reset(k)
+	if len(bounds) <= 2 {
+		rs.scanRange(state, s, t, 0, rs.Len())
+		return t.appendSorted(dst), nil
+	}
+	scratches := make([]*Scratch, len(bounds)-1)
+	par.ForEach(len(scratches), parallelism, func(i int) {
+		if ctx.Err() != nil {
+			return // cancelled: skip the remaining ranges
+		}
+		ss := GetScratch()
+		scratches[i] = ss
+		h := &ss.res
+		h.reset(k)
+		rs.scanRange(state, ss, h, bounds[i], bounds[i+1])
+	})
+	for _, ss := range scratches {
+		if ss == nil {
+			continue
+		}
+		for _, r := range ss.res.heap {
+			t.push(r.ID, r.Dist)
+		}
+		PutScratch(ss)
+	}
+	if err := ctx.Err(); err != nil {
+		return nil, err
+	}
+	return t.appendSorted(dst), nil
+}
+
 // Sharded partitions a PQ, FastScan or Flat index's stored rows into S
-// contiguous shards. A single query builds its scan state once and fans the
-// scan across shards via par.ForEach, merging the per-shard top-k heaps; a
+// contiguous shards. A single query is scanSolo over the shard bounds; a
 // batch goes through searchBatch, which splits by query group first and by
 // shard only when groups are scarce. Both paths return bit-identical
 // results to the wrapped index.
@@ -78,78 +128,14 @@ func (sh *Sharded) Dim() int { return sh.inner.Dim() }
 // SizeBytes returns the wrapped index's payload cost (sharding adds none).
 func (sh *Sharded) SizeBytes() int { return sh.inner.SizeBytes() }
 
-// Search fans one query's scan across the shards. It is a thin wrapper
-// over SearchWith with pooled scratch.
-func (sh *Sharded) Search(q []float32, k int) []Result {
-	s := GetScratch()
-	defer PutScratch(s)
-	return sh.SearchWith(s, q, k)
+// Search implements Index: one query's scan fanned across the shards.
+func (sh *Sharded) Search(ctx context.Context, s *Scratch, q []float32, k int, dst []Result) ([]Result, error) {
+	return scanSolo(ctx, sh.inner, sh.bounds, sh.parallelism, s, q, k, dst)
 }
 
-// SearchWith implements ScratchSearcher: the scan state and the merge heap
-// are reused from s; every shard checks its own Scratch out of the shared
-// pool for the duration of the fan-out.
+// SearchWith implements ScratchSearcher.
 func (sh *Sharded) SearchWith(s *Scratch, q []float32, k int) []Result {
-	return sh.SearchAppendWith(s, q, k, nil)
-}
-
-// SearchAppendWith implements AppendSearcher: results land in dst[:0].
-func (sh *Sharded) SearchAppendWith(s *Scratch, q []float32, k int, dst []Result) []Result {
-	res, _ := sh.SearchAppendCtx(context.Background(), s, q, k, dst) // errors are ctx's only
-	return res
-}
-
-// SearchAppendCtx implements CtxSearcher over the sharded fan-out. The
-// context is checked before the scan state is built and before each shard's
-// range scan — a shard range is the cancellation granularity, so a done
-// context wastes at most the ranges already in flight.
-func (sh *Sharded) SearchAppendCtx(ctx context.Context, s *Scratch, q []float32, k int, dst []Result) ([]Result, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if k <= 0 {
-		return dst[:0], nil
-	}
-	return sh.scanMerged(ctx, s, prepareScan(sh.inner, s, q), k, dst)
-}
-
-// scanMerged runs the per-shard scans for one prepared query and merges the
-// per-shard heaps in shard order into dst[:0]. The merge is single-threaded
-// and the per-shard heaps are deterministic, so the output does not depend
-// on how the fan-out was scheduled; canonical top-k selection makes it
-// equal to the unsharded scan's output.
-func (sh *Sharded) scanMerged(ctx context.Context, s *Scratch, state []float32, k int, dst []Result) ([]Result, error) {
-	ns := sh.Shards()
-	t := &s.res
-	t.reset(k)
-	if ns == 1 {
-		sh.inner.scanRange(state, s, t, sh.bounds[0], sh.bounds[1])
-	} else {
-		scratches := make([]*Scratch, ns)
-		par.ForEach(ns, sh.parallelism, func(i int) {
-			if ctx.Err() != nil {
-				return // cancelled: skip the remaining shard ranges
-			}
-			ss := GetScratch()
-			scratches[i] = ss
-			h := &ss.res
-			h.reset(k)
-			sh.inner.scanRange(state, ss, h, sh.bounds[i], sh.bounds[i+1])
-		})
-		for _, ss := range scratches {
-			if ss == nil {
-				continue
-			}
-			for _, r := range ss.res.heap {
-				t.push(r.ID, r.Dist)
-			}
-			PutScratch(ss)
-		}
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-	}
-	return t.appendSorted(dst), nil
+	return searchWith(sh, s, q, k)
 }
 
 // searchBatch is the one batch scan, behind BatchSearchCtx for every

@@ -52,8 +52,8 @@ func TestShardedMatchesDirect(t *testing.T) {
 				for _, k := range []int{1, 3, n, n + 5} {
 					for qi := 0; qi < 4 && qi < n; qi++ {
 						q := data.Row(qi)
-						want := inner.Search(q, k)
-						got := sh.Search(q, k)
+						want := Search(inner, q, k)
+						got := Search(sh, q, k)
 						assertSameResults(t, "sharded search", want, got)
 					}
 				}
@@ -82,13 +82,13 @@ func TestShardedBatchMatchesSequential(t *testing.T) {
 	for _, parallelism := range []int{1, 3, 8} {
 		batch := BatchSearch(sh, queries, 7, parallelism)
 		for i, q := range queries {
-			assertSameResults(t, "sharded batch", pqIx.Search(q, 7), batch[i])
+			assertSameResults(t, "sharded batch", Search(pqIx, q, 7), batch[i])
 		}
 	}
 	// BatchSearch must route through the shard-major path.
 	viaBatchSearch := BatchSearch(sh, queries, 7, 2)
 	for i, q := range queries {
-		assertSameResults(t, "BatchSearch over Sharded", pqIx.Search(q, 7), viaBatchSearch[i])
+		assertSameResults(t, "BatchSearch over Sharded", Search(pqIx, q, 7), viaBatchSearch[i])
 	}
 }
 
@@ -115,10 +115,10 @@ func TestShardedSearchKEdge(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res := sh.Search(data.Row(0), 0); res != nil {
+	if res := Search(sh, data.Row(0), 0); res != nil {
 		t.Fatal("k=0 should return nil")
 	}
-	if res := sh.Search(data.Row(0), 50); len(res) != 10 {
+	if res := Search(sh, data.Row(0), 50); len(res) != 10 {
 		t.Fatalf("k>n returned %d results", len(res))
 	}
 	batch := BatchSearch(sh, [][]float32{data.Row(0)}, 0, 0)

@@ -11,14 +11,12 @@ import (
 	"emblookup/internal/obs"
 )
 
-// Model is what the coalescer runs queries on: the single-query paths for a
+// Model is what the coalescer runs queries on: the single-query path for a
 // request that finds a free slot, the batch path for requests that queued.
-// *core.EmbLookup implements it; every path must return, for each query,
-// what a solo lookup of that query returns. LookupTrace with a nil trace
-// and the Ctx methods with a context that can never be cancelled are the
-// plain paths.
+// *core.EmbLookup implements it; both must return, for each query, what a
+// solo lookup of that query returns, and both read the request's deadline
+// and trace from ctx.
 type Model interface {
-	LookupTrace(tr *obs.Trace, q string, k int) []lookup.Candidate
 	LookupCtx(ctx context.Context, q string, k int) ([]lookup.Candidate, error)
 	BulkLookupCtx(ctx context.Context, queries []string, k, parallelism int) ([][]lookup.Candidate, error)
 }
@@ -32,14 +30,13 @@ type coalOut struct {
 
 // coalReq is one caller queued behind the busy slots. t0 is its arrival
 // time, from which the coalescing-wait histogram is fed at dispatch; sp is
-// the traced caller's open span (coalesce_wait, then batch_scan; inert for
-// an untraced one). A caller that stops waiting (its context fired) sets
-// abandoned; dispatch drops abandoned requests before the bulk call — their
-// channel is buffered, so a lost race (result computed anyway) just gets
-// discarded.
+// the open span on the trace riding in ctx (coalesce_wait, then batch_scan;
+// inert for an untraced caller). A caller that stops waiting (its context
+// fired) sets abandoned; dispatch drops abandoned requests before the bulk
+// call — their channel is buffered, so a lost race (result computed anyway)
+// just gets discarded.
 type coalReq struct {
 	ctx       context.Context
-	tr        *obs.Trace
 	sp        obs.SpanTimer
 	q         string
 	k         int
@@ -99,12 +96,12 @@ func NewCoalescer(m Model, maxBatch, parallelism int) *Coalescer {
 }
 
 // Lookup answers one query, at once when a slot is free and as part of a
-// batch otherwise. A traced request records the core stage spans when it
-// runs solo, and coalesce_wait plus the shared batch_scan when it queued. A
-// queued caller stops waiting the moment ctx fires (marking the request
-// abandoned so dispatch can skip it); the only errors are ctx's. It is safe
-// for concurrent use.
-func (c *Coalescer) Lookup(ctx context.Context, tr *obs.Trace, q string, k int) ([]lookup.Candidate, error) {
+// batch otherwise. A trace riding in ctx records the core stage spans when
+// the request runs solo, and coalesce_wait plus the shared batch_scan when
+// it queued. A queued caller stops waiting the moment ctx fires (marking
+// the request abandoned so dispatch can skip it); the only errors are
+// ctx's. It is safe for concurrent use.
+func (c *Coalescer) Lookup(ctx context.Context, q string, k int) ([]lookup.Candidate, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -117,12 +114,9 @@ func (c *Coalescer) Lookup(ctx context.Context, tr *obs.Trace, q string, k int) 
 		defer c.release()
 		c.batchSize.ObserveVal(1)
 		c.wait.Observe(0)
-		if tr != nil {
-			return c.m.LookupTrace(tr, q, k), nil
-		}
 		return c.m.LookupCtx(ctx, q, k)
 	}
-	r := &coalReq{ctx: ctx, tr: tr, sp: tr.Start("coalesce_wait"), q: q, k: k, t0: time.Now(), ch: make(chan coalOut, 1)}
+	r := &coalReq{ctx: ctx, sp: obs.FromContext(ctx).Start("coalesce_wait"), q: q, k: k, t0: time.Now(), ch: make(chan coalOut, 1)}
 	c.queue = append(c.queue, r)
 	c.mu.Unlock()
 	select {
@@ -201,7 +195,7 @@ func (c *Coalescer) dispatch(batch []*coalReq) {
 	for _, r := range live {
 		c.wait.Since(r.t0)
 		r.sp.End()
-		r.sp = r.tr.Start("batch_scan")
+		r.sp = obs.FromContext(r.ctx).Start("batch_scan")
 	}
 	// Group by k preserving arrival order within each group. Almost every
 	// batch has a single k, so scan for that case first.

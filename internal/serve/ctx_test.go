@@ -3,12 +3,16 @@ package serve
 import (
 	"context"
 	"errors"
+	"fmt"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"emblookup/internal/kg"
 	"emblookup/internal/lookup"
+	"emblookup/internal/obs"
 	"emblookup/internal/strutil"
 )
 
@@ -113,12 +117,12 @@ func TestCoalescerAbandoned(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	gone := make(chan error, 1)
 	go func() {
-		_, err := co.Lookup(ctx, nil, "abandoned", 5)
+		_, err := co.Lookup(ctx, "abandoned", 5)
 		gone <- err
 	}()
 	live := make(chan []lookup.Candidate, 1)
 	go func() {
-		res, _ := co.Lookup(context.Background(), nil, "live", 5)
+		res, _ := co.Lookup(context.Background(), "live", 5)
 		live <- res
 	}()
 	waitQueued(co, 2)
@@ -137,7 +141,7 @@ func TestCoalescerAbandoned(t *testing.T) {
 		t.Fatalf("abandoned = %d, want 1", st.Abandoned)
 	}
 	// A context already done never takes a slot or a queue place.
-	if _, err := co.Lookup(ctx, nil, "late", 5); !errors.Is(err, context.Canceled) {
+	if _, err := co.Lookup(ctx, "late", 5); !errors.Is(err, context.Canceled) {
 		t.Fatalf("done ctx: err = %v, want context.Canceled", err)
 	}
 }
@@ -217,5 +221,92 @@ func TestHybridRerankDeterministic(t *testing.T) {
 		// The exact match could collide with another label normalizing the
 		// same; assert similarity ordering instead of the specific entity.
 		t.Logf("exact match ranked %q first (tie on normalized form)", got)
+	}
+}
+
+// countdownCtx reports context.Canceled from its (left+1)-th Err call on —
+// a context that fires at a chosen check inside a lookup, deterministically.
+type countdownCtx struct {
+	context.Context
+	left atomic.Int64
+}
+
+func (c *countdownCtx) Err() error {
+	if c.left.Add(-1) < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestServeOnePath holds LookupCtx — gate, core and sharded scan under one
+// context — to the one-path contract over {background, cancellable, already
+// done, cancelled at every check in turn} × {no trace, trace}: candidates
+// bit-identical to Lookup whenever err is nil, ctx's error and no
+// candidates otherwise, and on a trace that rode in exactly the spans of
+// the stages that ran, those before a cancellation kept.
+func TestServeOnePath(t *testing.T) {
+	g, m := testModel(t)
+	sv, err := New(m, Options{Shards: 4, CacheSize: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sv.Close()
+	q := g.Entities[3].Label
+	want := m.Lookup(q, 10)
+	stages := []string{"normalize", "embed", "search", "merge"}
+
+	live, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	done, cancelDone := context.WithCancel(context.Background())
+	cancelDone()
+	type ctxCase struct {
+		name string
+		ctx  func() context.Context
+		ok   bool // the lookup must succeed
+	}
+	cases := []ctxCase{
+		{"background", context.Background, true},
+		{"cancellable", func() context.Context { return live }, true},
+		{"done", func() context.Context { return done }, false},
+	}
+	// The gate, core's entry, after embed, the scan's entry, one per
+	// shard, after the fan-out, after the search: ten checks.
+	for n := 0; n < 13; n++ {
+		cases = append(cases, ctxCase{fmt.Sprintf("countdown-%d", n), func() context.Context {
+			c := &countdownCtx{Context: context.Background()}
+			c.left.Store(int64(n))
+			return c
+		}, n == 12})
+	}
+	var midScan bool
+	for _, c := range cases {
+		for _, traced := range []bool{false, true} {
+			ctx, tr := c.ctx(), (*obs.Trace)(nil)
+			if traced {
+				tr = obs.NewTrace()
+				ctx = obs.WithTrace(ctx, tr)
+			}
+			got, err := sv.LookupCtx(ctx, q, 10)
+			spans := spanNames(tr)
+			if err == nil {
+				sameCandidates(t, c.name, want, got)
+				if traced && !slices.Equal(spans, stages) {
+					t.Errorf("%s: spans %v, want %v", c.name, spans, stages)
+				}
+				continue
+			}
+			if c.ok || !errors.Is(err, context.Canceled) || got != nil {
+				t.Fatalf("%s: %d candidates, err %v", c.name, len(got), err)
+			}
+			// Normalizing precedes the first check; a cancelled lookup
+			// never merges, and keeps what it recorded on the way.
+			if traced && (len(spans) < 1 || len(spans) > 3 || !slices.Equal(spans, stages[:len(spans)])) {
+				t.Errorf("%s: cancelled lookup recorded spans %v", c.name, spans)
+			}
+			midScan = midScan || len(spans) == 3
+		}
+	}
+	if !midScan {
+		t.Fatal("no countdown cancelled the lookup inside its search stage")
 	}
 }

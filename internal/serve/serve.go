@@ -15,8 +15,13 @@
 //     repeats the same cell strings constantly, so results are cached under
 //     the embedding-invariant key core.NormalizeMention(q)
 //
-// Every path returns bit-identical candidates to a direct
-// core.EmbLookup.Lookup call (see DESIGN.md §7).
+// A request is one context.Context: LookupCtx and BulkLookupCtx are the
+// only bodies, a request's deadline and its trace (obs.WithTrace) both ride
+// in ctx through the cache, the coalescer's queue and the scan, and Lookup
+// and BulkLookup are one-line wrappers under context.Background() (kept
+// because benchmark/ compiles against them). Every path returns
+// bit-identical candidates to a direct core.EmbLookup.Lookup call (see
+// DESIGN.md §7).
 package serve
 
 import (
@@ -102,22 +107,28 @@ func New(model *core.EmbLookup, opts Options) (*Serve, error) {
 // when sharding is enabled).
 func (s *Serve) Model() *core.EmbLookup { return s.model }
 
-// Lookup answers one query: cache first, then the coalescer's gate.
-// Results are bit-identical to model.Lookup(q, k); cached slices are shared
-// across callers and must be treated as read-only.
+// Lookup is LookupCtx without a context.
 func (s *Serve) Lookup(q string, k int) []lookup.Candidate {
-	return s.LookupTrace(nil, q, k)
+	res, _ := s.LookupCtx(context.Background(), q, k) // errors are ctx's only
+	return res
 }
 
-// LookupTrace is Lookup with the request's trace threaded through: the
-// normalize and cache stages span here, and a traced miss takes the same
-// coalescer gate as an untraced one, so its latency is the one users see —
-// core stage spans when it ran at once, coalesce_wait and the shared
-// batch_scan when it queued. A nil trace makes this exactly Lookup.
-func (s *Serve) LookupTrace(tr *obs.Trace, q string, k int) []lookup.Candidate {
+// LookupCtx answers one request: normalize → cache → the coalescer's gate →
+// cache fill. ctx is the whole request: its deadline or cancellation and,
+// through obs.WithTrace, its trace. The normalize and cache stages span
+// here; a miss takes the same gate traced or not, so a traced latency is
+// the one users see — core stage spans when it ran at once, coalesce_wait
+// and the shared batch_scan when it queued. A cache hit is served even
+// under a done context (it is already paid for); a miss checks ctx before
+// starting, stops waiting in the coalescer's queue the moment ctx fires,
+// and is cancelled mid-scan. Results are bit-identical to model.Lookup(q,
+// k); cached slices are shared across callers and must be treated as
+// read-only. A done context returns ctx.Err() and no candidates.
+func (s *Serve) LookupCtx(ctx context.Context, q string, k int) ([]lookup.Candidate, error) {
 	if k <= 0 {
-		return nil
+		return nil, nil
 	}
+	tr := obs.FromContext(ctx)
 	t0 := time.Now()
 	sp := tr.Start("normalize")
 	norm := core.NormalizeMention(q)
@@ -129,51 +140,13 @@ func (s *Serve) LookupTrace(tr *obs.Trace, q string, k int) []lookup.Candidate {
 		sp.End()
 		if ok {
 			s.latency.Since(t0)
-			return res
-		}
-	}
-	var res []lookup.Candidate
-	if s.co != nil {
-		res, _ = s.co.Lookup(context.Background(), tr, norm, k) // errors are ctx's only
-	} else {
-		res = s.model.LookupTrace(tr, norm, k)
-	}
-	if s.cache != nil {
-		s.cache.Put(norm, k, res)
-	}
-	s.latency.Since(t0)
-	return res
-}
-
-// LookupCtx is Lookup with a deadline/cancellation context threaded
-// through the whole pipeline: a cache hit is served regardless (it is
-// already paid for), a miss checks ctx before starting, stops waiting in
-// the coalescer's queue the moment ctx fires, and the scan itself is
-// cancelled mid-shard once ctx fires. With a context that can never be
-// cancelled this is exactly Lookup. A done context returns ctx.Err().
-func (s *Serve) LookupCtx(ctx context.Context, q string, k int) ([]lookup.Candidate, error) {
-	if ctx == nil || ctx.Done() == nil {
-		return s.Lookup(q, k), nil
-	}
-	if k <= 0 {
-		return nil, nil
-	}
-	t0 := time.Now()
-	norm := core.NormalizeMention(q)
-	s.stageNormalize.Since(t0)
-	if s.cache != nil {
-		if res, ok := s.cache.Get(norm, k); ok {
-			s.latency.Since(t0)
 			return res, nil
 		}
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
 	}
 	var res []lookup.Candidate
 	var err error
 	if s.co != nil {
-		res, err = s.co.Lookup(ctx, nil, norm, k)
+		res, err = s.co.Lookup(ctx, norm, k)
 	} else {
 		res, err = s.model.LookupCtx(ctx, norm, k)
 	}

@@ -137,19 +137,15 @@ func stubAnswer(q string, k int) []lookup.Candidate {
 	return []lookup.Candidate{{ID: kg.EntityID(len(q)), Score: float64(k)}, {ID: kg.EntityID(q[len(q)-1])}}
 }
 
-func (m *stubModel) LookupTrace(tr *obs.Trace, q string, k int) []lookup.Candidate {
-	sp := tr.Start("stub_lookup")
+func (m *stubModel) LookupCtx(ctx context.Context, q string, k int) ([]lookup.Candidate, error) {
+	sp := obs.FromContext(ctx).Start("stub_lookup")
 	defer sp.End()
 	m.entered <- q
 	<-m.hold
 	m.mu.Lock()
 	m.solos = append(m.solos, q)
 	m.mu.Unlock()
-	return stubAnswer(q, k)
-}
-
-func (m *stubModel) LookupCtx(ctx context.Context, q string, k int) ([]lookup.Candidate, error) {
-	return m.LookupTrace(nil, q, k), nil
+	return stubAnswer(q, k), nil
 }
 
 func (m *stubModel) BulkLookupCtx(ctx context.Context, queries []string, k, parallelism int) ([][]lookup.Candidate, error) {
@@ -193,7 +189,7 @@ func holdSlots(t *testing.T, co *Coalescer, m *stubModel, n int) (done chan stru
 	for i := 0; i < n; i++ {
 		q := fmt.Sprintf("hold-%d", i)
 		go func() {
-			res, err := co.Lookup(context.Background(), nil, q, 1)
+			res, err := co.Lookup(context.Background(), q, 1)
 			if err != nil || !slices.Equal(res, stubAnswer(q, 1)) {
 				t.Errorf("holder %q = %+v, %v", q, res, err)
 			}
@@ -227,7 +223,7 @@ func TestCoalescerSoloWhenIdle(t *testing.T) {
 	m := newStubModel()
 	m.open()
 	co := NewCoalescer(m, 1<<20, 2)
-	res, err := co.Lookup(context.Background(), nil, "lone", 3)
+	res, err := co.Lookup(context.Background(), "lone", 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -255,7 +251,7 @@ func TestCoalescerBatchesBehindBusySlots(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			q := fmt.Sprintf("queued-%0*d", i, i) // distinct lengths, distinct answers
-			res, err := co.Lookup(context.Background(), nil, q, 3)
+			res, err := co.Lookup(context.Background(), q, 3)
 			if err != nil || !slices.Equal(res, stubAnswer(q, 3)) {
 				t.Errorf("%q = %+v, %v", q, res, err)
 			}
@@ -296,7 +292,7 @@ func TestCoalescerMixedK(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			q, k := fmt.Sprintf("mixed-%d", i), 1+i%3
-			res, err := co.Lookup(context.Background(), nil, q, k)
+			res, err := co.Lookup(context.Background(), q, k)
 			if err != nil || !slices.Equal(res, stubAnswer(q, k)) {
 				t.Errorf("%q k=%d = %+v, %v", q, k, res, err)
 			}
@@ -329,7 +325,7 @@ func TestCoalescerTracedQueue(t *testing.T) {
 	queued := obs.NewTrace()
 	got := make(chan []lookup.Candidate, 1)
 	go func() {
-		res, _ := co.Lookup(context.Background(), queued, "traced", 2)
+		res, _ := co.Lookup(obs.WithTrace(context.Background(), queued), "traced", 2)
 		got <- res
 	}()
 	waitQueued(co, 1)
@@ -341,7 +337,7 @@ func TestCoalescerTracedQueue(t *testing.T) {
 	}
 	co.Close()
 	solo := obs.NewTrace()
-	if _, err := co.Lookup(context.Background(), solo, "traced", 2); err != nil {
+	if _, err := co.Lookup(obs.WithTrace(context.Background(), solo), "traced", 2); err != nil {
 		t.Fatal(err)
 	}
 	if names := spanNames(solo); len(names) != 1 || names[0] != "stub_lookup" {
@@ -369,7 +365,7 @@ func TestCoalescerClose(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			q := fmt.Sprintf("pending-%d", i)
-			res, err := co.Lookup(context.Background(), nil, q, 1)
+			res, err := co.Lookup(context.Background(), q, 1)
 			if err != nil || !slices.Equal(res, stubAnswer(q, 1)) {
 				t.Errorf("%q = %+v, %v", q, res, err)
 			}
@@ -384,7 +380,7 @@ func TestCoalescerClose(t *testing.T) {
 	// After Close nothing queues, even behind the held slot.
 	after := make(chan struct{})
 	go func() {
-		co.Lookup(context.Background(), nil, "after", 1)
+		co.Lookup(context.Background(), "after", 1)
 		close(after)
 	}()
 	if q := <-m.entered; q != "after" {

@@ -14,10 +14,14 @@
 //	                                with WithPartition — see internal/cluster)
 //	GET /debug/pprof/...          → profiling (only with WithPprof)
 //
-// Handlers call the model's concurrency-safe entry points directly:
-// Lookup and BulkLookup pool their working memory per worker (see
-// DESIGN.md "Memory discipline"), so concurrent requests contend only on
-// the scratch pool, not on per-request allocation. With WithServe the
+// Every lookup handler — here, on the tenant routes and on the cluster
+// router's front-end — builds one request context (RequestContext: the
+// client's connection, its ?deadline_ms= budget, and the trace when one was
+// asked for or a slow log is configured) and calls the one LookupCtx /
+// BulkLookupCtx underneath; a request whose caller hung up or whose budget
+// ran out stops costing a scan and is answered 504. Those entry points pool
+// their working memory per worker (see DESIGN.md "Memory discipline"), so
+// concurrent requests contend only on the scratch pool. With WithServe the
 // request path additionally flows through internal/serve — the sharded
 // mention cache, the query coalescer, and sharded index scans — returning
 // bit-identical results at higher concurrent throughput (DESIGN.md §7).
@@ -26,13 +30,13 @@ package server
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
 	"net/http/pprof"
-	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -213,22 +217,21 @@ func (s *Server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	json.NewEncoder(w).Encode(resp)
 }
 
-// lookupOne answers one query through the serving substrate when present,
-// threading the request's trace (nil for untraced requests).
-func (s *Server) lookupOne(tr *obs.Trace, q string, k int) []lookup.Candidate {
+// lookupOne answers one query through the serving substrate when present.
+func (s *Server) lookupOne(ctx context.Context, q string, k int) ([]lookup.Candidate, error) {
 	if s.serve != nil {
-		return s.serve.LookupTrace(tr, q, k)
+		return s.serve.LookupCtx(ctx, q, k)
 	}
-	return s.model.LookupTrace(tr, q, k)
+	return s.model.LookupCtx(ctx, q, k)
 }
 
 // lookupBulk answers a query batch through the serving substrate when
 // present.
-func (s *Server) lookupBulk(queries []string, k int) [][]lookup.Candidate {
+func (s *Server) lookupBulk(ctx context.Context, queries []string, k int) ([][]lookup.Candidate, error) {
 	if s.serve != nil {
-		return s.serve.BulkLookup(queries, k)
+		return s.serve.BulkLookupCtx(ctx, queries, k)
 	}
-	return s.model.BulkLookup(queries, k, 0)
+	return s.model.BulkLookupCtx(ctx, queries, k, 0)
 }
 
 // ReadQueryLines reads one query per line from r, skipping blank lines and
@@ -252,6 +255,30 @@ func ReadQueryLines(r io.Reader, maxQueries int) ([]string, error) {
 	return queries, nil
 }
 
+// ReadBulkBody reads a /bulk request body of at most maxBytes through
+// ReadQueryLines, for every front-end. A failure comes with the status it
+// maps to: 413 for an oversized body, 400 for too many queries or an
+// unreadable body.
+func ReadBulkBody(w http.ResponseWriter, r *http.Request, maxBytes int64, maxQueries int) ([]string, int, error) {
+	r.Body = http.MaxBytesReader(w, r.Body, maxBytes)
+	queries, err := ReadQueryLines(r.Body, maxQueries)
+	if err != nil {
+		status, err := bodyError(err, maxBytes)
+		return nil, status, err
+	}
+	return queries, 0, nil
+}
+
+// bodyError maps a failed bounded body read to its reply: 413 when the body
+// ran past maxBytes, 400 otherwise.
+func bodyError(err error, maxBytes int64) (int, error) {
+	var mbe *http.MaxBytesError
+	if errors.As(err, &mbe) {
+		return http.StatusRequestEntityTooLarge, fmt.Errorf("request body exceeds %d bytes", maxBytes)
+	}
+	return http.StatusBadRequest, err
+}
+
 // Hit is one JSON result row.
 type Hit struct {
 	ID    int32    `json:"id"`
@@ -271,18 +298,6 @@ type LookupResponse struct {
 	Trace   []obs.SpanRecord `json:"trace,omitempty"`
 }
 
-func (s *Server) parseK(r *http.Request) (int, error) {
-	k := 10
-	if ks := r.URL.Query().Get("k"); ks != "" {
-		v, err := strconv.Atoi(ks)
-		if err != nil || v <= 0 || v > s.MaxK {
-			return 0, fmt.Errorf("\"k\" must be an integer in 1..%d", s.MaxK)
-		}
-		k = v
-	}
-	return k, nil
-}
-
 // graphRLock/graphRUnlock guard graph reads against live ingest. Without an
 // ingestor the graph is immutable and the calls are no-ops.
 func (s *Server) graphRLock() {
@@ -297,8 +312,11 @@ func (s *Server) graphRUnlock() {
 	}
 }
 
-func (s *Server) hits(tr *obs.Trace, q string, k int, hybrid bool) []Hit {
-	res := s.lookupOne(tr, q, k)
+func (s *Server) hits(ctx context.Context, q string, k int, hybrid bool) ([]Hit, error) {
+	res, err := s.lookupOne(ctx, q, k)
+	if err != nil {
+		return nil, err
+	}
 	if hybrid {
 		// Re-rank the embedding top-k by exact string similarity against the
 		// entity labels (DESIGN.md §15); the graph lock covers the label reads.
@@ -317,7 +335,7 @@ func (s *Server) hits(tr *obs.Trace, q string, k int, hybrid bool) []Hit {
 		hits[i] = h
 	}
 	s.graphRUnlock()
-	return hits
+	return hits, nil
 }
 
 func (s *Server) handleLookup(w http.ResponseWriter, r *http.Request) {
@@ -326,24 +344,25 @@ func (s *Server) handleLookup(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, `missing "q" parameter`, http.StatusBadRequest)
 		return
 	}
-	k, err := s.parseK(r)
+	k, err := ParseK(r, s.MaxK)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	// A trace is opened when the caller asked for one (?trace=1), when an
-	// upstream hop propagated an id, or when a slow log might need the span
-	// breakdown of a laggard.
-	wantTrace := r.URL.Query().Get("trace") == "1"
-	var tr *obs.Trace
-	if id := r.Header.Get(obs.TraceHeader); id != "" {
-		tr = obs.NewTraceWith(id)
-		wantTrace = true
-	} else if wantTrace || s.slowLog != nil {
-		tr = obs.NewTrace()
+	ctx, cancel, wantTrace, err := RequestContext(r, 0, 0, s.slowLog)
+	if err != nil {
+		http.Error(w, err.Error(), http.StatusBadRequest)
+		return
 	}
+	defer cancel()
+	tr := obs.FromContext(ctx)
 	start := time.Now()
-	hits := s.hits(tr, q, k, r.URL.Query().Get("hybrid") == "1")
+	hits, err := s.hits(ctx, q, k, r.URL.Query().Get("hybrid") == "1")
+	if err != nil {
+		// The client hung up or its budget ran out: the scan was cancelled.
+		http.Error(w, "deadline exceeded", http.StatusGatewayTimeout)
+		return
+	}
 	took := time.Since(start)
 	s.httpLookup.Observe(took)
 	if s.slowLog.Slow(took) {
@@ -371,30 +390,35 @@ func (s *Server) handleLookup(w http.ResponseWriter, r *http.Request) {
 // MaxBulkQueries (400 past it) — over-limit requests fail loudly instead of
 // being silently truncated.
 func (s *Server) handleBulk(w http.ResponseWriter, r *http.Request) {
-	k, err := s.parseK(r)
+	k, err := ParseK(r, s.MaxK)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
-	r.Body = http.MaxBytesReader(w, r.Body, s.MaxBulkBytes)
-	queries, err := ReadQueryLines(r.Body, s.MaxBulkQueries)
+	queries, status, err := ReadBulkBody(w, r, s.MaxBulkBytes, s.MaxBulkQueries)
 	if err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			http.Error(w, fmt.Sprintf("request body exceeds %d bytes", s.MaxBulkBytes), http.StatusRequestEntityTooLarge)
-			return
-		}
+		http.Error(w, err.Error(), status)
+		return
+	}
+	ctx, cancel, _, err := RequestContext(r, 0, 0, s.slowLog)
+	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
 	}
+	defer cancel()
 	start := time.Now()
-	results := s.lookupBulk(queries, k)
+	results, err := s.lookupBulk(ctx, queries, k)
+	if err != nil {
+		http.Error(w, "deadline exceeded", http.StatusGatewayTimeout)
+		return
+	}
 	took := time.Since(start)
 	s.httpBulk.Observe(took)
 	if s.slowLog.Slow(took) {
+		tr := obs.FromContext(ctx)
 		s.slowLog.Record(obs.SlowEntry{
 			Route: "/bulk", Query: fmt.Sprintf("[%d queries]", len(queries)),
-			K: k, DurUs: took.Microseconds(),
+			K: k, DurUs: took.Microseconds(), TraceID: tr.ID(), Spans: tr.Spans(),
 		})
 	}
 	w.Header().Set("Content-Type", "application/x-ndjson")
@@ -410,10 +434,27 @@ func (s *Server) handleBulk(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// ReadIngestBody reads an /ingest request body of at most maxBytes through
+// DecodeIngestItems, for the single-node handler and the cluster router's
+// ingest front-end. A failure comes with the status it maps to, as in
+// ReadBulkBody.
+func ReadIngestBody(w http.ResponseWriter, r *http.Request, maxBytes int64, maxItems int) ([]core.IngestItem, int, error) {
+	r.Body = http.MaxBytesReader(w, r.Body, maxBytes)
+	body, err := io.ReadAll(r.Body)
+	if err != nil {
+		status, err := bodyError(err, maxBytes)
+		return nil, status, err
+	}
+	items, err := DecodeIngestItems(body, maxItems)
+	if err != nil {
+		return nil, http.StatusBadRequest, err
+	}
+	return items, 0, nil
+}
+
 // DecodeIngestItems parses an ingest request body — one core.IngestItem or
-// a JSON array of them — enforcing maxItems. Shared by the single-node
-// /ingest handler and the cluster router's ingest front-end so both accept
-// the same wire shapes and apply the same bound.
+// a JSON array of them — enforcing maxItems, so every front-end accepts the
+// same wire shapes and applies the same bound.
 func DecodeIngestItems(body []byte, maxItems int) ([]core.IngestItem, error) {
 	var items []core.IngestItem
 	var err error
@@ -445,20 +486,9 @@ type IngestResponse struct {
 // ?flush=1 it waits until the batch is applied and replies 200 with the
 // ingestor's counters, which is how a client gets read-your-writes.
 func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
-	r.Body = http.MaxBytesReader(w, r.Body, s.MaxBulkBytes)
-	body, err := io.ReadAll(r.Body)
+	items, status, err := ReadIngestBody(w, r, s.MaxBulkBytes, s.MaxBulkQueries)
 	if err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			http.Error(w, fmt.Sprintf("request body exceeds %d bytes", s.MaxBulkBytes), http.StatusRequestEntityTooLarge)
-			return
-		}
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	items, err := DecodeIngestItems(body, s.MaxBulkQueries)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+		http.Error(w, err.Error(), status)
 		return
 	}
 	for _, it := range items {

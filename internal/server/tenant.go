@@ -1,7 +1,6 @@
 package server
 
 import (
-	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -136,26 +135,14 @@ func (s *TenantServer) admit(w http.ResponseWriter, r *http.Request) (*tenant.Te
 	return t, true
 }
 
-// deadlineCtx builds the request's budgeted context: an explicit
-// ?deadline_ms= (or header) clamped to the tenant's MaxDeadlineMs, else
-// the tenant's DefaultDeadlineMs, else just the request context (which
-// still cancels on client disconnect).
-func deadlineCtx(t *tenant.Tenant, r *http.Request) (context.Context, context.CancelFunc, error) {
-	d, ok, err := RequestDeadline(r)
+// requestK is ParseK against the tenant's MaxK; a violation has already
+// been written to w as a structured k_too_large.
+func requestK(w http.ResponseWriter, r *http.Request, tenant string, maxK int) (int, bool) {
+	k, err := ParseK(r, maxK)
 	if err != nil {
-		return nil, nil, err
+		writeError(w, http.StatusBadRequest, ErrorDetail{Code: "k_too_large", Message: err.Error(), Tenant: tenant, Limit: maxK})
 	}
-	lim := t.Limits()
-	if !ok {
-		d = lim.DefaultDeadline()
-	} else if maxD := lim.MaxDeadline(); maxD > 0 && d > maxD {
-		d = maxD
-	}
-	if d <= 0 {
-		return r.Context(), func() {}, nil
-	}
-	ctx, cancel := context.WithTimeout(r.Context(), d)
-	return ctx, cancel, nil
+	return k, err == nil
 }
 
 func (s *TenantServer) handleLookup(w http.ResponseWriter, r *http.Request) {
@@ -170,24 +157,17 @@ func (s *TenantServer) handleLookup(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	lim := t.Limits()
-	k := 10
-	if ks := r.URL.Query().Get("k"); ks != "" {
-		v, err := parsePositiveInt(ks)
-		if err != nil || v > lim.MaxK {
-			writeError(w, http.StatusBadRequest, ErrorDetail{
-				Code: "k_too_large", Message: fmt.Sprintf(`"k" must be an integer in 1..%d`, lim.MaxK),
-				Tenant: t.Name(), Limit: lim.MaxK,
-			})
-			return
-		}
-		k = v
+	k, ok := requestK(w, r, t.Name(), lim.MaxK)
+	if !ok {
+		return
 	}
-	ctx, cancel, err := deadlineCtx(t, r)
+	ctx, cancel, wantTrace, err := RequestContext(r, lim.DefaultDeadline(), lim.MaxDeadline(), s.slowLog)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, ErrorDetail{Code: "bad_request", Message: err.Error(), Tenant: t.Name()})
 		return
 	}
 	defer cancel()
+	tr := obs.FromContext(ctx)
 	h, err := t.Acquire()
 	if err != nil {
 		writeError(w, http.StatusServiceUnavailable, ErrorDetail{Code: "model_unavailable", Message: err.Error(), Tenant: t.Name()})
@@ -196,26 +176,34 @@ func (s *TenantServer) handleLookup(w http.ResponseWriter, r *http.Request) {
 	defer h.Release()
 	start := time.Now()
 	res, err := h.Serve().LookupCtx(ctx, q, k)
+	if err == nil && r.URL.Query().Get("hybrid") == "1" {
+		res = serve.HybridRerank(q, res, h.Graph().Label)
+	}
+	took := time.Since(start)
+	// A request that ran out its budget is logged with the spans it got to.
+	if s.slowLog.Slow(took) {
+		s.slowLog.Record(obs.SlowEntry{
+			Route: "/t/" + t.Name() + "/lookup", Query: q, K: k, DurUs: took.Microseconds(),
+			TraceID: tr.ID(), Spans: tr.Spans(),
+		})
+	}
 	if err != nil {
 		t.DeadlineExceeded(1)
 		writeError(w, http.StatusGatewayTimeout, ErrorDetail{Code: "deadline_exceeded", Message: "deadline exceeded before the lookup completed", Tenant: t.Name()})
 		return
 	}
-	if r.URL.Query().Get("hybrid") == "1" {
-		res = serve.HybridRerank(q, res, h.Graph().Label)
-	}
-	took := time.Since(start)
 	t.Latency().Observe(took)
-	if s.slowLog.Slow(took) {
-		s.slowLog.Record(obs.SlowEntry{Route: "/t/" + t.Name() + "/lookup", Query: q, K: k, DurUs: took.Microseconds()})
-	}
 	g := h.Graph()
 	hits := make([]Hit, len(res))
 	for i, c := range res {
 		hits[i] = Hit{ID: int32(c.ID), Label: g.Label(c.ID), Score: c.Score}
 	}
+	resp := LookupResponse{Query: q, TookUs: took.Microseconds(), Results: hits}
+	if wantTrace {
+		resp.TraceID, resp.Trace = tr.ID(), tr.Spans()
+	}
 	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(LookupResponse{Query: q, TookUs: took.Microseconds(), Results: hits})
+	json.NewEncoder(w).Encode(resp)
 }
 
 func (s *TenantServer) handleBulk(w http.ResponseWriter, r *http.Request) {
@@ -225,33 +213,24 @@ func (s *TenantServer) handleBulk(w http.ResponseWriter, r *http.Request) {
 	}
 	defer t.Admission().Release()
 	lim := t.Limits()
-	k := 10
-	if ks := r.URL.Query().Get("k"); ks != "" {
-		v, err := parsePositiveInt(ks)
-		if err != nil || v > lim.MaxK {
-			writeError(w, http.StatusBadRequest, ErrorDetail{
-				Code: "k_too_large", Message: fmt.Sprintf(`"k" must be an integer in 1..%d`, lim.MaxK),
-				Tenant: t.Name(), Limit: lim.MaxK,
-			})
-			return
-		}
-		k = v
+	k, ok := requestK(w, r, t.Name(), lim.MaxK)
+	if !ok {
+		return
 	}
-	r.Body = http.MaxBytesReader(w, r.Body, 1<<20)
-	queries, err := ReadQueryLines(r.Body, lim.MaxBatch)
+	queries, status, err := ReadBulkBody(w, r, 1<<20, lim.MaxBatch)
+	if status == http.StatusRequestEntityTooLarge {
+		writeError(w, status, ErrorDetail{Code: "body_too_large", Message: err.Error(), Tenant: t.Name()})
+		return
+	}
 	if err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			writeError(w, http.StatusRequestEntityTooLarge, ErrorDetail{Code: "body_too_large", Message: "request body exceeds 1 MiB", Tenant: t.Name()})
-			return
-		}
-		writeError(w, http.StatusBadRequest, ErrorDetail{
+		writeError(w, status, ErrorDetail{
 			Code: "batch_too_large", Message: fmt.Sprintf("at most %d queries per bulk request", lim.MaxBatch),
 			Tenant: t.Name(), Limit: lim.MaxBatch,
 		})
 		return
 	}
-	ctx, cancel, err := deadlineCtx(t, r)
+	// No slow log: bulk requests are not slow-logged on tenant routes.
+	ctx, cancel, _, err := RequestContext(r, lim.DefaultDeadline(), lim.MaxDeadline(), nil)
 	if err != nil {
 		writeError(w, http.StatusBadRequest, ErrorDetail{Code: "bad_request", Message: err.Error(), Tenant: t.Name()})
 		return
@@ -327,16 +306,4 @@ type TenantsStatsResponse struct {
 func (s *TenantServer) handleStats(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(TenantsStatsResponse{Tenants: s.tenants.Stats()})
-}
-
-// parsePositiveInt parses a strictly positive integer.
-func parsePositiveInt(s string) (int, error) {
-	var v int
-	if _, err := fmt.Sscanf(s, "%d", &v); err != nil {
-		return 0, err
-	}
-	if v <= 0 {
-		return 0, fmt.Errorf("must be positive")
-	}
-	return v, nil
 }

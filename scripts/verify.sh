@@ -33,12 +33,13 @@ echo "== go test -race =="
 # give it room beyond the default 10m package timeout.
 go test -race -timeout 60m ./...
 
-echo "== flake check: serve, cluster and index, five runs =="
+echo "== flake check: serve, cluster, index and server, five runs =="
 # The coalescer and router-cancellation tests synchronize on events, not
 # sleeps (ROADMAP item 0); five plain runs catch one that starts to depend
 # on timing again. The index package is here for its concurrent batch test
-# (16 goroutines of mixed-size batches against one Sharded).
-go test -count=5 ./internal/serve ./internal/cluster ./internal/index
+# (16 goroutines of mixed-size batches against one Sharded), the server
+# package for its concurrent trace + deadline test; neither sleeps.
+go test -count=5 ./internal/serve ./internal/cluster ./internal/index ./internal/server
 
 echo "== fast-scan kernel fuzz (short) =="
 # Solo and query-major group kernels against the plain float32 scan: batch
@@ -108,5 +109,12 @@ echo "== tenant admission benchmarks (short) =="
 # by `make bench-compare`.
 go test -run '^$' -bench 'BenchmarkAdmission' \
     -benchmem -benchtime 100x ./internal/tenant
+
+echo "== non-test Go lines, request-path packages =="
+# The baseline the next simplicity PR reads from this log instead of
+# re-deriving it.
+for pkg in core index serve server cluster; do
+    printf '%-8s %s\n' "$pkg" "$(find "internal/$pkg" -name '*.go' -not -name '*_test.go' -print0 | xargs -0 cat | wc -l)"
+done
 
 echo "verify: OK"
