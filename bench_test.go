@@ -236,9 +236,10 @@ func BenchmarkFastScan(b *testing.B) {
 		}
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*data.Rows), "ns/query-row")
 	})
-	// One full group of the query-major kernel on one core: four distinct
-	// queries per pass over the codes (table quantization, LUT packing and
-	// the batch's result slices included).
+	// A batch of four on one core (table quantization and the batch's
+	// result slices included): four runs of the AVX2 kernel, or off AVX2 one
+	// full group of the query-major kernel — four queries per pass over the
+	// codes, LUT packing included.
 	b.Run("batch4", func(b *testing.B) {
 		group := [][]float32{data.Row(0), data.Row(1), data.Row(2), data.Row(3)}
 		b.ReportAllocs()

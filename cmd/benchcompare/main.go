@@ -31,6 +31,7 @@ type benchEnv struct {
 	NumCPU     int    `json:"num_cpu"`
 	GOMAXPROCS int    `json:"gomaxprocs"`
 	Entities   int    `json:"entities"`
+	FastScan   string `json:"fastscan_kernel"`
 }
 
 type benchResult struct {

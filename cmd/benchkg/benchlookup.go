@@ -49,7 +49,7 @@ func recallVs(variant, truth *core.EmbLookup, queries []string) (r1, r10 float64
 // Rows: embed and lookup_* measure the end-to-end path (embedding included);
 // scan_* isolate the index-scan kernels on a 20k-row synthetic index with a
 // reused scratch — the loop the fast-scan layout accelerates — and
-// scan_fastscan_batch4 the query-major kernel on a batch of four. Every compressed
+// scan_fastscan_batch4 the batch path on a batch of four. Every compressed
 // variant carries recall@1/recall@10 against the flat ground truth (metric
 // keys without a timing suffix, so bench-compare treats them as
 // informational).
@@ -140,9 +140,10 @@ func benchLookup(path string, entities int, seed uint64) error {
 				dst, _ = scanFS.Search(context.Background(), &s, scanQ, 10, dst)
 			}
 		}},
-		// One full group of the query-major kernel, one worker: ns_per_op
-		// is four queries' scan, so a quarter of it compares with the
-		// scan_fastscan row.
+		// A batch of four, one worker (four runs of the AVX2 kernel, or off
+		// AVX2 one full group of the query-major kernel): ns_per_op is four
+		// queries' scan, so a quarter of it compares with the scan_fastscan
+		// row.
 		{"scan_fastscan_batch4", map[string]float64{"rows": scanRows, "queries": 4}, func(b *testing.B) {
 			group := [][]float32{scanData.Row(0), scanData.Row(1), scanData.Row(2), scanData.Row(3)}
 			for i := 0; i < b.N; i++ {

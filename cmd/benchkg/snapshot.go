@@ -6,11 +6,14 @@ import (
 	"os"
 	"runtime"
 	"sort"
+
+	"emblookup/internal/index"
 )
 
 // benchEnv records the machine and build context a snapshot was taken on,
 // so a diff between two snapshots can tell a code regression from an
-// environment change (different core count, Go release, or corpus size).
+// environment change (different core count, Go release, corpus size, or a
+// build or host on the portable fast-scan kernel).
 type benchEnv struct {
 	GoVersion  string `json:"go"`
 	GOOS       string `json:"goos"`
@@ -18,6 +21,7 @@ type benchEnv struct {
 	NumCPU     int    `json:"num_cpu"`
 	GOMAXPROCS int    `json:"gomaxprocs"`
 	Entities   int    `json:"entities"`
+	FastScan   string `json:"fastscan_kernel"`
 }
 
 func captureEnv(entities int) benchEnv {
@@ -28,6 +32,7 @@ func captureEnv(entities int) benchEnv {
 		NumCPU:     runtime.NumCPU(),
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
 		Entities:   entities,
+		FastScan:   index.FastScanKernel(),
 	}
 }
 

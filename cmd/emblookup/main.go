@@ -46,6 +46,7 @@ import (
 	"time"
 
 	"emblookup/internal/core"
+	"emblookup/internal/index"
 	"emblookup/internal/kg"
 	"emblookup/internal/obs"
 	"emblookup/internal/serve"
@@ -115,9 +116,9 @@ func cmdIndex(args []string) {
 		log.Fatalf("loading model: %v", err)
 	}
 	prov := model.IndexProvenance()
-	log.Printf("index %s in %v (%d rows, %d payload bytes; model load %v total)",
+	log.Printf("index %s in %v (%d rows, %d payload bytes%s; model load %v total)",
 		prov.Source, prov.Took.Round(time.Microsecond), model.Index().Len(),
-		model.Index().SizeBytes(), time.Since(start).Round(time.Millisecond))
+		model.Index().SizeBytes(), kernelNote(model.Index()), time.Since(start).Round(time.Millisecond))
 
 	switch sub {
 	case "load":
@@ -134,6 +135,15 @@ func cmdIndex(args []string) {
 	default:
 		log.Fatalf("unknown subcommand %q (want save or load)", sub)
 	}
+}
+
+// kernelNote names the fast-scan kernel behind ix for a log line, and says
+// nothing for an index that runs none.
+func kernelNote(ix index.Index) string {
+	if k := index.FastScanKernelOf(ix); k != "" {
+		return ", fast-scan kernel " + k
+	}
+	return ""
 }
 
 // cmdBulk runs the bulk-lookup mode the paper optimizes for: one query per
@@ -216,7 +226,7 @@ func cmdServe(args []string) {
 	graphPath := fs.String("graph", "graph.bin", "graph file")
 	modelPath := fs.String("model", "model.bin", "model file")
 	addr := fs.String("addr", ":8080", "listen address")
-	shards := fs.Int("shards", 0, "index scan shards (0 = default 4, 1 = unsharded)")
+	shards := fs.Int("shards", 0, "index scan shards (0 = by index kind and size, 1 = unsharded)")
 	batch := fs.Int("batch", 0, "coalescer max batch size (0 = default 32, negative disables coalescing)")
 	cacheSize := fs.Int("cache-size", 0, "mention cache entries (0 = default 4096, negative disables the cache)")
 	pprofOn := fs.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
@@ -276,7 +286,7 @@ func cmdServe(args []string) {
 		}
 		defer sv.Close()
 		opts = append(opts, server.WithServe(sv))
-		log.Printf("serving substrate: %d scan shards", sv.Stats().Shards)
+		log.Printf("serving substrate: %d scan shards%s", sv.Stats().Shards, kernelNote(model.Index()))
 	}
 	if *pprofOn {
 		opts = append(opts, server.WithPprof())

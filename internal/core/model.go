@@ -146,7 +146,8 @@ func (e *EmbLookup) BulkLookup(queries []string, k, parallelism int) [][]lookup.
 // BulkLookupCtx answers a query batch with `parallelism` goroutines (≤0 =
 // all cores — the reproduction's GPU mode, see DESIGN.md) in three stages:
 // embed every query, hand the whole batch to index.BatchSearchCtx — which
-// scans query-major where the index allows it — then dedupe per query.
+// spreads the queries over the workers, each scanning all rows — then
+// dedupe per query.
 // Results align with the query order and are identical to per-query
 // Lookup. ctx is checked between the stages and inside the batch scan; a
 // cancelled batch returns ctx.Err() and no results. A trace riding in ctx

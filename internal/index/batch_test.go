@@ -71,7 +71,7 @@ func TestFastScanGroupLanesNeverCarry(t *testing.T) {
 	ix.scanGroup(fq, s, heaps, 0, n)
 	for l := range fq {
 		plain := newTopK(k)
-		ix.scanPlain4(fq[l].table, plain)
+		ix.scanPlain4(fq[l].table, plain, 0, n)
 		sameResults(t, "lane beside a saturated lane", plain.sorted(), heaps[l].sorted())
 	}
 }
@@ -86,12 +86,14 @@ func fuseLanes(s *Scratch, fq []fsQuery, np int) []uint64 {
 	return s.lut4
 }
 
-// TestFastScanGroupFallbackWideCodes asserts a code too wide for the packed
-// compare (M4 > fsGroupMaxM4: a lane's sum can reach its top bit) scans
-// query-at-a-time and stays exact. Every row sits on each sub-quantizer's
-// far centroid, so every quantized sum is 130·255 = 33150 ≥ 0x8000 — sums
-// the group kernel's clamped limit would never admit — and k > n asks for
-// all of them.
+// TestFastScanGroupFallbackWideCodes asserts a code too wide for the group
+// kernel's packed compare (M4 > fsGroupMaxM4: a lane's sum can reach its top
+// bit) is still answered exactly, solo and in batches, bare and sharded — by
+// the AVX2 kernel, whose compare is a full unsigned 16 bits, or off AVX2 by
+// the plain float scan of each range. Every row sits on each
+// sub-quantizer's far centroid, so every quantized sum is 130·255 = 33150 ≥
+// 0x8000 — sums a signed or lane-clamped compare would never admit — and
+// k > n asks for all of them.
 func TestFastScanGroupFallbackWideCodes(t *testing.T) {
 	const m4, n = fsGroupMaxM4 + 2, 2*fsBlock + 3
 	nib := make([]byte, n*m4)
@@ -110,13 +112,17 @@ func TestFastScanGroupFallbackWideCodes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := Search(ix, queries[0], n+5)
+	plain := newTopK(n + 5)
+	ix.scanPlain4(ix.prepareInto(queries[0], make([]float32, ix.stateLen())), plain, 0, n)
+	want := plain.sorted()
 	if len(want) != n {
-		t.Fatalf("solo search returned %d of %d rows", len(want), n)
+		t.Fatalf("plain scan returned %d of %d rows", len(want), n)
 	}
+	kernel := FastScanKernel()
 	for name, b := range map[string]Index{"bare": ix, "sharded": sh} {
+		sameResults(t, kernel+" "+name+" wide-code solo", want, Search(b, queries[0], n+5))
 		for _, got := range BatchSearch(b, queries, n+5, 2) {
-			sameResults(t, name+" wide-code batch", want, got)
+			sameResults(t, kernel+" "+name+" wide-code batch", want, got)
 		}
 	}
 }

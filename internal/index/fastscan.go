@@ -11,22 +11,25 @@ import (
 )
 
 // FastScan is the 4-bit fast-scan PQ index (DESIGN.md §11): the same
-// asymmetric-distance scan as PQ, restructured so the scalar inner loop is
-// a tight gather over register/L1-resident integer tables instead of a
-// float32 walk of an 8 KB LUT. Three pieces cooperate:
+// asymmetric-distance scan as PQ, restructured — FAISS's PQFastScan layout —
+// so the inner loop is a byte shuffle over register-resident integer tables
+// instead of a float32 walk of an 8 KB LUT. Three pieces cooperate:
 //
 //   - 4-bit sub-quantizers (quant.Config4): twice the sub-quantizers at 16
 //     centroids each, so a row still costs M4/2 bytes — two nibble codes
-//     per byte — while each distance table row shrinks to 16 entries;
+//     per byte — while each distance table row shrinks to 16 entries, the
+//     width of one PSHUFB;
 //   - a block-interleaved code layout: codes for fsBlock (32) rows are
-//     transposed sub-quantizer-pair-major per block, so the kernel sweeps
-//     one 256-entry fused LUT over 32 consecutive code bytes at a time;
+//     transposed sub-quantizer-pair-major per block, so one 32-byte load is
+//     one pair's codes for 32 consecutive rows;
 //   - per-query uint8 quantization of the distance table
-//     (quant.QuantizeTableInto): distances accumulate in uint16 registers
-//     with a proven no-saturation bound, the early-abandon check is one
-//     integer compare per row, and the few surviving candidates are
-//     re-ranked with the exact float32 table.
+//     (quant.QuantizeTableInto): distances accumulate in uint16 with a
+//     proven no-saturation bound, the early-abandon check is an integer
+//     compare, and the few surviving candidates are re-ranked with the
+//     exact float32 table.
 //
+// One kernel per platform scans it: the AVX2 assembly (fsScanRun) where the
+// CPU has it, the portable query-major group kernel (scanGroup) elsewhere.
 // Because the quantized sum is a floor-based lower bound of the float sum,
 // the integer prune can only over-admit; the exact re-rank then selects
 // under the canonical (Dist, ID) order, so results are bit-identical to a
@@ -190,42 +193,92 @@ func (ix *FastScan) prepareInto(q, table []float32) []float32 {
 	return table
 }
 
-// scanRange implements rangeScanner: quantize the float table into s's
-// integer LUTs, then walk the blocks covering rows [lo, hi).
-//
-// The fused pair LUT is the scalar replacement for the SIMD shuffle FAISS
-// uses: entry b of pair p holds lut8[2p][b&15] + lut8[2p+1][b>>4], so one
-// byte load + one uint16 load + one add advance a row by TWO
-// sub-quantizers. At M4=16 the fused tables total 4 KB and the hot block
-// strip is 32 consecutive bytes — the memory layout, not intrinsics, keeps
-// the gather in L1.
+// FastScanKernel names the kernel fast-scan scans run on in this process:
+// "avx2" (the assembly kernel) or "portable" (the query-major group kernel:
+// a purego build, another architecture, or a CPU without AVX2). Operators
+// read it from /stats to tell a slow node from a slow build.
+func FastScanKernel() string {
+	if fsAVX2 {
+		return "avx2"
+	}
+	return "portable"
+}
+
+// FastScanKernelOf is FastScanKernel() for an index whose scans run a
+// fast-scan kernel — a *FastScan, bare or sharded — and "" for any other:
+// an 8-bit PQ, IVF or Flat index runs neither kernel, whatever the CPU has.
+func FastScanKernelOf(ix Index) string {
+	if sh, ok := ix.(*Sharded); ok {
+		ix = sh.Inner()
+	}
+	if _, ok := ix.(*FastScan); !ok {
+		return ""
+	}
+	return FastScanKernel()
+}
+
+// scanRange implements rangeScanner: quantize the float table into s.lut8
+// and run this platform's kernel over rows [lo, hi) — the AVX2 kernel, or a
+// portable group of one (a lone live lane costs the group kernel about 2 %
+// over a dedicated scalar kernel, DESIGN.md §11, so there is none). A code
+// too wide for the group kernel's lanes has, off AVX2, only the plain float
+// scan; no product configuration is that wide.
 func (ix *FastScan) scanRange(table []float32, s *Scratch, t *topK, lo, hi int) {
 	if lo >= hi {
 		return
 	}
-	np := ix.pq.M / 2
+	if !fsAVX2 && ix.pq.M > fsGroupMaxM4 {
+		ix.scanPlain4(table, t, lo, hi)
+		return
+	}
 	s.lut8 = resize(s.lut8, ix.stateLen())
 	q := ix.quantize(table, s.lut8)
-	s.lut2 = resize(s.lut2, np*256)
-	clear(s.lut2)
-	fsFuse(s.lut2, q.lut8, np, 0)
-	qlimit := q.limit(t)
+	if fsAVX2 {
+		ix.scanAVX2(&q, t, lo, hi)
+		return
+	}
+	qs, heaps := [1]fsQuery{q}, [1]topK{*t}
+	ix.scanGroup(qs[:], s, heaps[:], lo, hi)
+	*t = heaps[0]
+}
+
+// scanAVX2 scans rows [lo, hi) for one prepared query with the assembly
+// kernel: fsScanRun skips whole runs of blocks in which no row's quantized
+// sum reaches the limit and stops at the first block that has one, its 32
+// sums in qd; the candidate pass over that block — range clipping, the exact
+// float32 re-rank, the heap push, the limit refresh — is plain Go, and the
+// kernel re-enters after it with the tightened limit. The kernel may stop
+// for a padding row or a row outside [lo, hi); the clipping here drops it.
+// A run is at most fsMaxRun blocks: the runtime cannot preempt assembly, so
+// a GC stop would otherwise wait out a whole range that admits no row.
+func (ix *FastScan) scanAVX2(q *fsQuery, t *topK, lo, hi int) {
+	np := ix.pq.M / 2
 	bpb := fsBlockBytes(ix.pq.M)
+	qlimit := q.limit(t)
 	var qd [fsBlock]uint16
-	for b0 := lo / fsBlock * fsBlock; b0 < hi; b0 += fsBlock {
-		blk := ix.blocks[b0/fsBlock*bpb:][:bpb:bpb]
-		fsAccumulate(&qd, s.lut2, blk, np)
-		// Candidate pass: one integer compare per row; survivors pay the
-		// exact float32 re-rank and the heap push.
+	for b, end := lo/fsBlock, (hi+fsBlock-1)/fsBlock; b < end; {
+		run := min(end-b, fsMaxRun)
+		skipped := fsScanRun(ix.blocks[b*bpb:(b+run)*bpb], q.lut8, np, run, qlimit, &qd)
+		b += skipped
+		if skipped == run {
+			continue // nothing admitted in this run
+		}
+		blk := ix.blocks[b*bpb:][:bpb:bpb]
+		b0 := b * fsBlock
 		for r, rhi := max(lo-b0, 0), min(hi-b0, fsBlock); r < rhi; r++ {
 			if uint32(qd[r]) > qlimit {
 				continue
 			}
-			t.push(int32(b0+r), fsRowDist(table, blk, np, r))
+			t.push(int32(b0+r), fsRowDist(q.table, blk, np, r))
 			qlimit = q.limit(t)
 		}
+		b++
 	}
 }
+
+// fsMaxRun is the most blocks one call of the assembly kernel walks: 128k
+// rows, 70-85 µs at M4 = 16, for one extra call per MiB of those codes.
+const fsMaxRun = 4096
 
 // fsLanes is the group width of the query-major kernel: the uint16 sums of
 // four queries ride the four 16-bit lanes of one uint64. It is the word
@@ -235,21 +288,24 @@ const fsLanes = 4
 // fsGroupMaxM4 is the largest sub-quantizer count the group kernel serves.
 // A lane's sum is at most M4·255; the packed compare borrows each lane's
 // top bit, so the sum must stay below 0x8000 (128·255 = 32640). Wider
-// codes scan query-at-a-time.
+// codes are the AVX2 kernel's, or the plain float scan's (scanRange).
 const fsGroupMaxM4 = 128
 
 // fsHigh is the top bit of every lane.
 const fsHigh = 0x8000_8000_8000_8000
 
-// scanGroup is scanRange for up to fsLanes prepared queries in one pass
-// over the codes: lane l of every fused LUT word holds query l's uint16
-// entry, so the accumulate loop — the same text as the solo kernel's, at
-// uint64 — advances four queries by two sub-quantizers per code byte. No
-// lane can carry into the next (sums stay below 0x8000), so each lane ends
-// up with exactly the integer the solo kernel computes, the prune admits
-// exactly the rows it would, and heaps[l] receives query l's solo pushes
-// in the solo order. Lanes past len(qs) stay zero and are masked out of
-// the compare.
+// scanGroup is the portable kernel: rows [lo, hi) for up to fsLanes
+// prepared queries in one pass over the codes. The fused pair LUT is the
+// scalar stand-in for the shuffle: entry b of pair p holds
+// lut8[2p][b&15] + lut8[2p+1][b>>4], so one byte load, one word load and one
+// add advance a row by two sub-quantizers — and lane l of every LUT word
+// holds query l's uint16 entry, so that add advances four queries at once.
+// No lane can carry into the next (sums stay below 0x8000), so each lane
+// ends up with exactly the integer sum of its query's lut8 entries, the
+// prune admits for each query exactly the rows a scan of it alone would,
+// and heaps[l] receives query l's pushes in row order. Lanes past len(qs)
+// stay zero and are masked out of the compare; a solo scan off AVX2 is a
+// group of one.
 func (ix *FastScan) scanGroup(qs []fsQuery, s *Scratch, heaps []topK, lo, hi int) {
 	if lo >= hi {
 		return
@@ -315,23 +371,23 @@ func (q *fsQuery) laneLimit(t *topK) uint64 {
 // fsFuse ORs one query's fused pair LUTs into lane `lane` of fused (M4/2
 // × 256 words, cleared by the caller): entry b of pair p is
 // lut8[2p][b&15] + lut8[2p+1][b>>4].
-func fsFuse[W uint16 | uint64](fused []W, lut8 []uint8, np int, lane uint) {
+func fsFuse(fused []uint64, lut8 []uint8, np int, lane uint) {
 	for p := 0; p < np; p++ {
 		lo8 := lut8[2*p*quant.Ks4:][:quant.Ks4]
 		hi8 := lut8[(2*p+1)*quant.Ks4:][:quant.Ks4]
 		for h, hv := range hi8 {
 			f := fused[p*256+h*quant.Ks4:][:quant.Ks4]
 			for l, lv := range lo8 {
-				f[l] |= W(uint16(lv)+uint16(hv)) << (16 * lane)
+				f[l] |= uint64(uint16(lv)+uint16(hv)) << (16 * lane)
 			}
 		}
 	}
 }
 
-// fsAccumulate sums the quantized distances of one block's 32 rows into
-// qd, one fused pair LUT swept over one 32-byte code strip at a time. The
+// fsAccumulate sums the group's quantized distances of one block's 32 rows
+// into qd, one fused pair LUT swept over one 32-byte code strip at a time. The
 // first pair writes instead of adds, so qd needs no per-block reset.
-func fsAccumulate[W uint16 | uint64](qd *[fsBlock]W, fused []W, blk []byte, np int) {
+func fsAccumulate(qd *[fsBlock]uint64, fused []uint64, blk []byte, np int) {
 	f := fused[:256]
 	cb := blk[:fsBlock:fsBlock]
 	for r := 0; r < fsBlock; r += 4 {
@@ -384,12 +440,13 @@ func fsRowDist(table []float32, blk []byte, np, r int) float32 {
 	return d
 }
 
-// scanPlain4 is the straightforward float32 ADC scan over the 4-bit codes
-// — the ground-truth reference the fast-scan kernel is tested against.
-func (ix *FastScan) scanPlain4(table []float32, t *topK) {
+// scanPlain4 is the straightforward float32 ADC scan of rows [lo, hi) of
+// the 4-bit codes — the ground-truth reference every fast-scan kernel is
+// tested against.
+func (ix *FastScan) scanPlain4(table []float32, t *topK, lo, hi int) {
 	np := ix.pq.M / 2
 	bpb := fsBlockBytes(ix.pq.M)
-	for i := 0; i < ix.n; i++ {
+	for i := lo; i < hi; i++ {
 		blk := ix.blocks[i/fsBlock*bpb:]
 		t.push(int32(i), fsRowDist(table, blk, np, i%fsBlock))
 	}

@@ -49,7 +49,7 @@ func TestFastScanMatchesPlain4(t *testing.T) {
 				table := prepareScan(ix, s, q)
 
 				plain := newTopK(k)
-				ix.scanPlain4(table, plain)
+				ix.scanPlain4(table, plain, 0, ix.n)
 
 				fast := newTopK(k)
 				ix.scanRange(table, s, fast, 0, ix.n)

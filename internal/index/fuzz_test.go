@@ -65,8 +65,8 @@ func FuzzInterleave4RoundTrip(f *testing.F) {
 }
 
 // FuzzFastScanEquivalence asserts the quantized early-abandoning fast-scan
-// kernels — solo and query-major group — return bit-identical results to the
-// plain float32 scan of the same 4-bit codes, for arbitrary shapes, k
+// kernels — this build's solo kernel and the query-major group — return
+// bit-identical results to the plain float32 scan of the same 4-bit codes, for arbitrary shapes, k
 // (including 1 and k > n), shard counts, batch sizes 1…9 (a batch of one,
 // masked remainders, full and several groups, a duplicate query inside the
 // batch), and tie-heavy integer distance tables (where the quantized prune
@@ -128,7 +128,7 @@ func FuzzFastScanEquivalence(f *testing.F) {
 		for i, q := range queries {
 			table := prepareScan(ix, s, q)
 			plain := newTopK(k)
-			ix.scanPlain4(table, plain)
+			ix.scanPlain4(table, plain, 0, ix.n)
 			want[i] = plain.sorted()
 
 			fast := newTopK(k)
@@ -149,8 +149,8 @@ func FuzzFastScanEquivalence(f *testing.F) {
 			}
 		}
 
-		// The group kernel against the solo kernel on a range that starts
-		// and ends mid-block.
+		// The group kernel and the solo kernel against the plain scan on a
+		// range that starts and ends mid-block.
 		lo := rng.Intn(n)
 		hi := lo + rng.Intn(n-lo+1)
 		for g := 0; g < nq; g += fsLanes {
@@ -163,9 +163,11 @@ func FuzzFastScanEquivalence(f *testing.F) {
 			}
 			ix.scanGroup(fq, s, heaps, lo, hi)
 			for l := range group {
-				solo := newTopK(k)
+				plain, solo := newTopK(k), newTopK(k)
+				ix.scanPlain4(fq[l].table, plain, lo, hi)
 				ix.scanRange(fq[l].table, s, solo, lo, hi)
-				sameResults(t, "group range", solo.sorted(), heaps[l].sorted())
+				sameResults(t, "group range", plain.sorted(), heaps[l].sorted())
+				sameResults(t, "solo range", plain.sorted(), solo.sorted())
 			}
 		}
 	})

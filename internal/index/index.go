@@ -65,7 +65,7 @@ func BatchSearch(ix Index, queries [][]float32, k, parallelism int) [][]Result {
 // means GOMAXPROCS). Results align with the query order and are identical
 // to per-query Search. A batch over a range-scannable index — Sharded, or a
 // bare PQ, FastScan or Flat — is one searchBatch; a batch of one, and every
-// batch over the other indexes, runs query-at-a-time (the solo kernel and,
+// batch over the other indexes, runs query-at-a-time (the solo scan and,
 // on a Sharded, the shard fan-out), each worker owning one Scratch and all
 // results sharing one flat array. A done context returns ctx.Err() and no
 // results.

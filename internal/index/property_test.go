@@ -126,7 +126,7 @@ func TestFastScanSupersetProperty(t *testing.T) {
 		}
 
 		plain := newTopK(k)
-		ix.scanPlain4(table, plain)
+		ix.scanPlain4(table, plain, 0, ix.n)
 		want := plain.sorted()
 
 		s := GetScratch()

@@ -18,8 +18,7 @@ type Scratch struct {
 	base     []Result // Dynamic: the sealed base segment's hits, merged into res
 	dists    [scanBlock]float32
 	lut8     []uint8  // fast-scan: uint8-quantized ADC table (M4 × Ks4)
-	lut2     []uint16 // fast-scan: fused pair LUTs (M4/2 × 256)
-	lut4     []uint64 // fast-scan group kernel: fsLanes queries' fused LUTs, one per 16-bit lane
+	lut4     []uint64 // fast-scan group kernel: fsLanes queries' fused pair LUTs (M4/2 × 256), one per 16-bit lane
 }
 
 // ScratchSearcher is Index.Search without the context and the result

@@ -115,6 +115,43 @@ func NewSharded(inner Index, shards, parallelism int) (*Sharded, error) {
 	}, nil
 }
 
+// soloRangeBytes is the least payload one range of a solo fast-scan scan on
+// the AVX2 kernel must cover to be worth a goroutine of its own. It is a
+// measurement, not a knob: fanning a scan out means waking a second thread,
+// and on the 2-core benchmark host that costs a flat 60-70 µs on top of the
+// longest range's scan. Whole vs split in two: 0.76 MiB of codes (100k rows)
+// 54 vs 87 µs, 1.5 MiB 102 vs 117 µs, 3 MiB 253 vs 196 µs, 6 MiB 560 vs
+// 376 µs — a loss below 2 MiB, a gain above. A MiB of codes is ~130k
+// fast-scan rows, 70-85 µs of scanning: one wake-up's worth, so two ranges
+// of a MiB each break even and anything larger wins. Bytes stand for scan
+// time only on the kernel they were timed on. The same 100k rows, whole vs
+// the four ranges every other scan keeps: 8-bit PQ (also 0.76 MiB) 1.31 vs
+// 0.71 ms, Flat 5.67 vs 2.83 ms, FastScan on the portable kernel 441 vs
+// 356 µs — all still worth splitting.
+const soloRangeBytes = 1 << 20
+
+// maxDefaultShards caps DefaultShards: past it a solo scan has more ranges
+// than a small server has cores, and an operator with more names a count.
+// It is also the count of every scan the size rule was not measured on.
+const maxDefaultShards = 4
+
+// DefaultShards is the shard count a server wraps ix with when its operator
+// named none. A FastScan index on the AVX2 kernel gets one range per
+// soloRangeBytes of payload, at least 1 (serve the index as it is) and at
+// most maxDefaultShards; every other range-scannable index (PQ, Flat,
+// FastScan on the portable kernel) keeps maxDefaultShards, the count the
+// rule was not measured against; an index whose scan does not decompose by
+// row range (IVF, Dynamic) gets 1.
+func DefaultShards(ix Index) int {
+	if _, ok := ix.(rangeScanner); !ok {
+		return 1
+	}
+	if _, ok := ix.(*FastScan); ok && fsAVX2 {
+		return min(max(ix.SizeBytes()/soloRangeBytes, 1), maxDefaultShards)
+	}
+	return maxDefaultShards
+}
+
 // Shards returns the number of shards (ranges may be fewer than requested
 // when the index holds fewer rows).
 func (sh *Sharded) Shards() int { return len(sh.bounds) - 1 }
@@ -142,9 +179,10 @@ func (sh *Sharded) SearchWith(s *Scratch, q []float32, k int) []Result {
 // range-scannable index (bounds are a Sharded's shards, or the single range
 // [0, n) of a bare index). Every query's scan state is prepared once; the
 // unit of work is (group, row range), groups first: a group is up to
-// fsLanes queries the fast-scan kernel scans in one pass (one query for PQ
-// and Flat), and with at least as many groups as workers every task
-// prepares its group, scans all rows — the codes stream past a
+// fsLanes queries the portable fast-scan kernel scans in one pass (one query
+// for PQ and Flat, and for FastScan on AVX2, where the assembly kernel per
+// query beats the group kernel), and with at least as many groups as workers
+// every task prepares its group, scans all rows — the codes stream past a
 // cache-resident LUT once per group — and emits the results, with nothing
 // to merge. Only a batch with fewer groups than workers splits the rows at
 // bounds. Every (range, query) heap is a k-slot window of one flat arena;
@@ -163,7 +201,7 @@ func searchBatch(ctx context.Context, rs rangeScanner, bounds []int, queries [][
 	}
 	fs, _ := rs.(*FastScan)
 	width := 1
-	if fs != nil && fs.pq.M <= fsGroupMaxM4 {
+	if fs != nil && !fsAVX2 && fs.pq.M <= fsGroupMaxM4 {
 		width = fsLanes
 	}
 	ng := (nq + width - 1) / width

@@ -108,6 +108,59 @@ func TestShardedRejectsUnsupported(t *testing.T) {
 	}
 }
 
+// TestDefaultShards pins the derived shard count: for a FastScan index on
+// the AVX2 kernel one range per MiB of payload at its boundaries, never
+// fewer than one nor more than four; four for every other range-scannable
+// index whatever its size (the size rule was measured on that kernel only);
+// and one for an index that cannot be range-scanned.
+func TestDefaultShards(t *testing.T) {
+	for _, c := range []struct {
+		bytes, want int
+	}{
+		{32, 1},
+		{1<<20 - 32, 1}, // just under 1 MiB
+		{1 << 20, 1},
+		{2 << 20, 2},
+		{5 << 19, 2}, // 2.5 MiB
+		{4<<20 - 32, 3},
+		{4 << 20, 4},
+		{9 << 20, 4},
+	} {
+		want := c.want
+		if !fsAVX2 {
+			want = 4
+		}
+		fs := &FastScan{blocks: make([]byte, c.bytes)}
+		if got := DefaultShards(fs); got != want {
+			t.Errorf("FastScan (%s) of %d bytes: %d shards, want %d", FastScanKernel(), c.bytes, got, want)
+		}
+	}
+	const rowBytes = 64 * 4 // a Flat row at d = 64
+	for _, rows := range []int{1, (1 << 19) / rowBytes, (9 << 20) / rowBytes} {
+		if got := DefaultShards(NewFlat(mathx.NewMatrix(rows, 64))); got != 4 {
+			t.Errorf("Flat of %d rows: %d shards, want 4", rows, got)
+		}
+	}
+	data := randomData(64, 8, 21)
+	pq, err := NewPQ(data, quant.PQConfig{M: 4, Ks: 16, Iters: 3, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := DefaultShards(pq); got != 4 {
+		t.Errorf("PQ of %d bytes: %d shards, want 4", pq.SizeBytes(), got)
+	}
+	ivf, err := NewIVF(data, IVFConfig{NList: 4, NProbe: 2, Iters: 3, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := DefaultShards(ivf); got != 1 {
+		t.Errorf("IVF: %d shards, want 1", got)
+	}
+	if got := DefaultShards(NewDynamic(NewFlat(mathx.NewMatrix((9<<20)/rowBytes, 64)), 10)); got != 1 {
+		t.Errorf("Dynamic over 9 MiB: %d shards, want 1", got)
+	}
+}
+
 // TestShardedSearchKEdge covers k<=0 and k>n through the sharded paths.
 func TestShardedSearchKEdge(t *testing.T) {
 	data := randomData(10, 8, 31)

@@ -50,8 +50,8 @@ type coalReq struct {
 // goroutine through the single-query path, and requests that find every
 // slot busy queue. Whoever frees a slot hands it to up to MaxBatch queued
 // requests, answered by one bulk call — which amortizes per-query overheads
-// (scratch checkout, scheduling and, through the index's batch path, one
-// pass over the codes per four queries) across the batch. Batches
+// (scratch checkout, scheduling, a solo scan's shard fan-out and, on the
+// portable fast-scan kernel, the pass over the codes) across the batch. Batches
 // therefore form exactly when the cores are saturated, the only time
 // batching buys throughput, and an unloaded request waits for nothing.
 // Every caller receives exactly the result a solo lookup would have

@@ -4,13 +4,15 @@
 // concurrent traffic of small lookups. Three cooperating pieces raise
 // throughput without changing any result:
 //
-//   - sharded scans (index.Sharded via core.WithShardedIndex): one query
-//     fans its index scan across S row shards and merges per-shard top-k
-//     heaps; batches scan query-major, four queries per pass
+//   - sharded scans (index.Sharded via core.WithShardedIndex): over an
+//     index large enough for a range to be worth a thread wake-up, one query
+//     fans its scan across S row shards and merges per-shard top-k heaps; a
+//     batch spreads its queries over the cores instead
 //   - query coalescing (Coalescer): a Lookup runs at once while a core is
 //     free; those that arrive behind busy cores queue and are answered as one
-//     BulkLookup, amortizing scratch checkout and the scan itself (the
-//     batch path scans once per four queries) across callers
+//     BulkLookup, amortizing scratch checkout, scheduling and (on the
+//     portable fast-scan kernel, four queries per pass) the scan itself
+//     across callers
 //   - a sharded mention cache (MentionCache): table-annotation traffic
 //     repeats the same cell strings constantly, so results are cached under
 //     the embedding-invariant key core.NormalizeMention(q)
@@ -29,6 +31,7 @@ import (
 	"time"
 
 	"emblookup/internal/core"
+	"emblookup/internal/index"
 	"emblookup/internal/lookup"
 	"emblookup/internal/obs"
 )
@@ -36,8 +39,11 @@ import (
 // Options configures the serving substrate. The zero value enables every
 // piece at defaults; use the negative sentinels to disable pieces.
 type Options struct {
-	// Shards is the index shard count: 0 picks a default (4), 1 keeps the
-	// index unsharded.
+	// Shards is the index shard count: 0 derives it from the index
+	// (index.DefaultShards: a fast-scan index on the AVX2 kernel gets one per
+	// MiB of payload, 1 to 4, so a small one is served unsharded; PQ and Flat
+	// get 4; one that cannot be range-scanned gets 1), 1 keeps the index
+	// unsharded, n > 1 asks for exactly n.
 	Shards int
 	// MaxBatch caps a coalescer batch at this many queries (0 = 32;
 	// negative disables coalescing entirely — every Lookup goes solo).
@@ -67,13 +73,13 @@ type Serve struct {
 	stageNormalize *obs.Histogram // the serve-side stage of the lookup pipeline
 }
 
-// New builds the serving substrate over a trained model. With
-// opts.Shards > 1 the model's index is wrapped for sharded scans (the model
-// itself is shared, not retrained); PQ and Flat indexes support this, IVF
-// refuses and should be served with Shards = 1.
+// New builds the serving substrate over a trained model. With more than
+// one shard the model's index is wrapped for sharded scans (the model itself
+// is shared, not retrained); PQ, FastScan and Flat indexes support this, IVF
+// refuses an explicit opts.Shards > 1 and derives 1.
 func New(model *core.EmbLookup, opts Options) (*Serve, error) {
 	if opts.Shards == 0 {
-		opts.Shards = 4
+		opts.Shards = index.DefaultShards(model.Index())
 	}
 	if opts.CacheSize == 0 {
 		opts.CacheSize = 4096
@@ -217,6 +223,8 @@ func (s *Serve) BulkLookupCtx(ctx context.Context, queries []string, k int) ([][
 // Stats is the serving substrate's observability snapshot, exposed by the
 // HTTP server's /stats endpoint.
 type Stats struct {
+	// Shards is the number of row ranges a solo scan covers — what the index
+	// was split into, not what was asked for; 1 is an unsharded index.
 	Shards    int                 `json:"shards"`
 	Cache     *CacheStats         `json:"cache,omitempty"`
 	Coalescer *CoalescerStats     `json:"coalescer,omitempty"`
@@ -226,7 +234,10 @@ type Stats struct {
 // Stats snapshots cache and coalescer counters plus the serve-latency
 // quantiles.
 func (s *Serve) Stats() Stats {
-	st := Stats{Shards: s.opts.Shards}
+	st := Stats{Shards: 1}
+	if sh, ok := s.model.Index().(*index.Sharded); ok {
+		st.Shards = sh.Shards()
+	}
 	if s.cache != nil {
 		cs := s.cache.Stats()
 		st.Cache = &cs

@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"emblookup/internal/core"
+	"emblookup/internal/index"
 	"emblookup/internal/kg"
 	"emblookup/internal/lookup"
 	"emblookup/internal/obs"
@@ -561,5 +562,74 @@ func TestServeFastScan(t *testing.T) {
 			got := sv.Lookup(q, 5)
 			sameCandidates(t, fmt.Sprintf("fastscan serve round %d %q", round, q), want, got)
 		}
+	}
+}
+
+// TestServeDefaultShards asserts the zero Options derive the shard count
+// from the index and Stats reports what the index was actually split into:
+// a PQ index keeps the four ranges it always had, a small fast-scan index
+// on the AVX2 kernel is served unsharded (and answers as the model does),
+// an explicit count is honoured up to one range per row, and an IVF index —
+// which cannot be range-scanned — serves under the default but still
+// refuses an explicit split.
+func TestServeDefaultShards(t *testing.T) {
+	g, m := testModel(t)
+	q := g.Entities[3].Label
+	sv, err := New(m, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sv.Close()
+	if got := sv.Stats().Shards; got != 4 {
+		t.Fatalf("default over a PQ index: %d shards, want 4", got)
+	}
+	sameCandidates(t, "default serve", m.Lookup(q, 5), sv.Lookup(q, 5))
+
+	fs, err := m.WithFastScan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	svFS, err := New(fs, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svFS.Close()
+	want := 4
+	if index.FastScanKernel() == "avx2" {
+		want = 1
+	}
+	if got := svFS.Stats().Shards; got != want || (want == 1) != (svFS.Model() == fs) {
+		t.Fatalf("default over %d fast-scan bytes on %s: %d shards, want %d (model rewrapped %v)",
+			fs.Index().SizeBytes(), index.FastScanKernel(), got, want, svFS.Model() != fs)
+	}
+	sameCandidates(t, "default fast-scan serve", fs.Lookup(q, 5), svFS.Lookup(q, 5))
+
+	rows := m.Index().Len()
+	clamped, err := New(m, Options{Shards: rows + 50, MaxBatch: -1, CacheSize: -1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := clamped.Stats().Shards; got != rows {
+		t.Fatalf("%d shards asked of %d rows: stats report %d", rows+50, rows, got)
+	}
+
+	small, _ := kg.Generate(kg.DefaultGeneratorConfig(kg.WikidataProfile, 60))
+	cfg := core.FastConfig()
+	cfg.Epochs, cfg.TripletsPerEntity, cfg.IVF = 1, 4, true
+	ivf, err := core.Train(small, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	svIVF, err := New(ivf, Options{})
+	if err != nil {
+		t.Fatalf("IVF under default options: %v", err)
+	}
+	defer svIVF.Close()
+	if got := svIVF.Stats().Shards; got != 1 {
+		t.Fatalf("IVF default: %d shards", got)
+	}
+	sameCandidates(t, "IVF serve", ivf.Lookup(small.Entities[0].Label, 3), svIVF.Lookup(small.Entities[0].Label, 3))
+	if _, err := New(ivf, Options{Shards: 4}); err == nil {
+		t.Fatal("explicit Shards: 4 on an IVF index accepted")
 	}
 }

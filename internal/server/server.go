@@ -41,6 +41,7 @@ import (
 	"time"
 
 	"emblookup/internal/core"
+	"emblookup/internal/index"
 	"emblookup/internal/kg"
 	"emblookup/internal/lookup"
 	"emblookup/internal/obs"
@@ -513,19 +514,23 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 // server was built with WithServe. IndexSource tells a cold start that
 // attached a saved index artifact ("loaded") from one that re-embedded the
 // graph and retrained the quantizer ("rebuilt"); IndexAttachUs is how long
-// that took.
+// that took. FastScanKernel is present only for a fast-scan index: the
+// kernel its scans run on in this process ("avx2" or "portable") — a node on
+// the portable kernel scans several times slower, and this is where that
+// shows from the outside.
 type StatsResponse struct {
-	Graph         string         `json:"graph"`
-	Entities      int            `json:"entities"`
-	IndexRows     int            `json:"indexRows"`
-	IndexBytes    int            `json:"indexBytes"`
-	Dim           int            `json:"dim"`
-	Compressed    bool           `json:"compressed"`
-	IndexSource   string         `json:"indexSource,omitempty"`
-	IndexAttachUs int64          `json:"indexAttachUs,omitempty"`
-	Serving       *serve.Stats      `json:"serving,omitempty"`
-	Partition     *PartitionInfo    `json:"partition,omitempty"`
-	Ingest        *core.IngestStats `json:"ingest,omitempty"`
+	Graph          string            `json:"graph"`
+	Entities       int               `json:"entities"`
+	IndexRows      int               `json:"indexRows"`
+	IndexBytes     int               `json:"indexBytes"`
+	FastScanKernel string            `json:"fastScanKernel,omitempty"`
+	Dim            int               `json:"dim"`
+	Compressed     bool              `json:"compressed"`
+	IndexSource    string            `json:"indexSource,omitempty"`
+	IndexAttachUs  int64             `json:"indexAttachUs,omitempty"`
+	Serving        *serve.Stats      `json:"serving,omitempty"`
+	Partition      *PartitionInfo    `json:"partition,omitempty"`
+	Ingest         *core.IngestStats `json:"ingest,omitempty"`
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
@@ -535,14 +540,15 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	entities := len(s.graph.Entities)
 	s.graphRUnlock()
 	resp := StatsResponse{
-		Graph:         s.graph.Name,
-		Entities:      entities,
-		IndexRows:     s.model.Index().Len(),
-		IndexBytes:    s.model.Index().SizeBytes(),
-		Dim:           cfg.Dim,
-		Compressed:    cfg.Compress,
-		IndexSource:   prov.Source,
-		IndexAttachUs: prov.Took.Microseconds(),
+		Graph:          s.graph.Name,
+		Entities:       entities,
+		IndexRows:      s.model.Index().Len(),
+		IndexBytes:     s.model.Index().SizeBytes(),
+		FastScanKernel: index.FastScanKernelOf(s.model.Index()),
+		Dim:            cfg.Dim,
+		Compressed:     cfg.Compress,
+		IndexSource:    prov.Source,
+		IndexAttachUs:  prov.Took.Microseconds(),
 	}
 	if s.serve != nil {
 		st := s.serve.Stats()

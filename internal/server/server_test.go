@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"emblookup/internal/core"
+	"emblookup/internal/index"
 	"emblookup/internal/kg"
 	"emblookup/internal/serve"
 )
@@ -137,8 +138,20 @@ func TestStatsAndHealth(t *testing.T) {
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		t.Fatal(err)
 	}
-	if st.Entities != len(g.Entities) || st.IndexRows == 0 || st.Dim != 64 {
-		t.Fatalf("stats = %+v", st)
+	if st.Entities != len(g.Entities) || st.IndexRows == 0 || st.Dim != 64 || st.FastScanKernel != "" {
+		t.Fatalf("stats = %+v", st) // an 8-bit PQ index runs no fast-scan kernel
+	}
+	fs, err := tModel.WithFastScan()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	New(g, fs).Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/stats", nil))
+	if err := json.NewDecoder(rec.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	if st.FastScanKernel != index.FastScanKernel() {
+		t.Fatalf("fast-scan stats name kernel %q, want %q", st.FastScanKernel, index.FastScanKernel())
 	}
 
 	h, err := ts.Client().Get(ts.URL + "/healthz")

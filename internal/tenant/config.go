@@ -93,9 +93,9 @@ type TenantConfig struct {
 	Graph string `json:"graph"`
 	Model string `json:"model"`
 	// Shards, CacheSize, MaxBatch tune the tenant's serve substrate (zero =
-	// the serve package defaults: 4 shards, 4096 entries, 32 queries). A
-	// windowUs left over from an older file is ignored, as encoding/json
-	// ignores any unknown field.
+	// the serve package defaults: shards by index kind and size, 4096 entries, 32
+	// queries). A windowUs left over from an older file is ignored, as
+	// encoding/json ignores any unknown field.
 	Shards    int `json:"shards,omitempty"`
 	CacheSize int `json:"cacheSize,omitempty"`
 	MaxBatch  int `json:"maxBatch,omitempty"`

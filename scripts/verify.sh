@@ -41,10 +41,19 @@ echo "== flake check: serve, cluster, index and server, five runs =="
 # package for its concurrent trace + deadline test; neither sleeps.
 go test -count=5 ./internal/serve ./internal/cluster ./internal/index ./internal/server
 
-echo "== fast-scan kernel fuzz (short) =="
-# Solo and query-major group kernels against the plain float32 scan: batch
-# sizes 1-9, all-ties tables, mid-block ranges (DESIGN.md §11).
+echo "== portable fast-scan build: purego tests, arm64 vet =="
+# The AVX2 assembly kernel has a portable sibling (the query-major group
+# kernel; DESIGN.md §11) that this amd64 host never runs by itself: the
+# purego tag runs the scan, lookup and serve suites on it, and the arm64
+# vet type-checks the non-amd64 file set so it cannot rot.
+go test -tags purego ./internal/index ./internal/core ./internal/serve
+GOARCH=arm64 go vet ./internal/index ./internal/core
+
+echo "== fast-scan kernel fuzz (short, both builds) =="
+# Each build's kernels against the plain float32 scan: batch sizes 1-9,
+# all-ties tables, mid-block ranges (DESIGN.md §11).
 go test -run '^$' -fuzz FuzzFastScanEquivalence -fuzztime 10s ./internal/index
+go test -tags purego -run '^$' -fuzz FuzzFastScanEquivalence -fuzztime 10s ./internal/index
 
 echo "== artifact parser fuzz (short) =="
 # 10 seconds of coverage-guided input on the v4 section parser and the
@@ -58,13 +67,16 @@ echo "== allocation benchmarks (short) =="
 go test -run '^$' -bench 'BenchmarkPQSearch$|BenchmarkLookupAllocs' \
     -benchmem -benchtime 10x .
 
-echo "== fast-scan kernel benchmark (short) =="
+echo "== fast-scan kernel benchmark (short, both builds) =="
 # The compressed-scan kernels side by side (plain 8-bit ADC, 4-bit
-# fast-scan solo, and the query-major group of four — compare their
-# ns/query-row); the full-length numbers are snapshotted into
-# BENCH_lookup.json (scan_pq / scan_fastscan / scan_fastscan_batch4) and
-# diffed by `make bench-compare`.
+# fast-scan solo, and a batch of four — compare their ns/query-row), once
+# on this host's kernel and once on the portable one, so both land in the
+# log; the full-length numbers are snapshotted into BENCH_lookup.json
+# (scan_pq / scan_fastscan / scan_fastscan_batch4, kernel named in env)
+# and diffed by `make bench-compare`.
 go test -run '^$' -bench 'BenchmarkFastScan' \
+    -benchmem -benchtime 100x .
+go test -tags purego -run '^$' -bench 'BenchmarkFastScan' \
     -benchmem -benchtime 100x .
 
 echo "== metrics overhead benchmarks (short) =="
