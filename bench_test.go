@@ -206,6 +206,11 @@ func BenchmarkPQSearch(b *testing.B) {
 // with a uint8-quantized table and exact re-rank (DESIGN.md §11). Run under
 // `make verify` and diffed by `make bench-compare`; the fast-scan row is the
 // ≥2× single-core throughput gate of BENCH_lookup.json in kernel-only form.
+// The fast-scan rows report cand/query beside ns/query-row — the rows a
+// query re-ranks exactly (index.FastScanCounts), the count the timing rides
+// on — and clustered100k is the scan at the benchmark's scale over rows that
+// cluster as label embeddings do: independent Gaussian rows, every one about
+// as far from a query as the next, prune unlike them.
 func BenchmarkFastScan(b *testing.B) {
 	data := mathx.NewMatrix(20000, 64)
 	data.FillRandn(mathx.NewRNG(9), 1)
@@ -227,26 +232,64 @@ func BenchmarkFastScan(b *testing.B) {
 			dst, _ = pq.Search(context.Background(), &s, q, 10, dst)
 		}
 	})
-	b.Run("fastscan", func(b *testing.B) {
-		var s index.Scratch
-		var dst []index.Result
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			dst, _ = fs.Search(context.Background(), &s, q, 10, dst)
+	// solo times one query after another over ix and reports both metrics.
+	solo := func(ix *index.FastScan, queries [][]float32) func(b *testing.B) {
+		return func(b *testing.B) {
+			var s index.Scratch
+			var dst []index.Result
+			before := index.ReadFastScanCounts()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				dst, _ = ix.Search(context.Background(), &s, queries[i%len(queries)], 10, dst)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*ix.Len()), "ns/query-row")
+			b.ReportMetric(float64(index.ReadFastScanCounts().Candidates-before.Candidates)/float64(b.N), "cand/query")
 		}
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*data.Rows), "ns/query-row")
-	})
+	}
+	b.Run("fastscan", solo(fs, [][]float32{q}))
 	// A batch of four on one core (table quantization and the batch's
 	// result slices included): four runs of the AVX2 kernel, or off AVX2 one
 	// full group of the query-major kernel — four queries per pass over the
 	// codes, LUT packing included.
 	b.Run("batch4", func(b *testing.B) {
 		group := [][]float32{data.Row(0), data.Row(1), data.Row(2), data.Row(3)}
+		before := index.ReadFastScanCounts()
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			index.BatchSearch(fs, group, 10, 1)
 		}
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(group)*data.Rows), "ns/query-row")
+		b.ReportMetric(float64(index.ReadFastScanCounts().Candidates-before.Candidates)/float64(b.N*len(group)), "cand/query")
+	})
+	b.Run("clustered100k", func(b *testing.B) {
+		// 100 000 rows around 100 centres, 64 queries each a stored row
+		// nudged off its place.
+		const rows, centres, nq = 100000, 100, 64
+		rng := mathx.NewRNG(11)
+		cs := mathx.NewMatrix(centres, data.Cols)
+		cs.FillRandn(rng, 1)
+		clustered := mathx.NewMatrix(rows, data.Cols)
+		clustered.FillRandn(rng, 0.4)
+		for i := 0; i < rows; i++ {
+			for j, v := range cs.Row(rng.Intn(centres)) {
+				clustered.Row(i)[j] += v
+			}
+		}
+		c4 := quant.Config4(cfg)
+		c4.TrainSample = 20000
+		ix, err := index.NewFastScan(clustered, c4)
+		if err != nil {
+			b.Fatal(err)
+		}
+		queries := make([][]float32, nq)
+		for i := range queries {
+			queries[i] = append([]float32(nil), clustered.Row(rng.Intn(rows))...)
+			for j := range queries[i] {
+				queries[i][j] += 0.1 * float32(rng.NormFloat64())
+			}
+		}
+		solo(ix, queries)(b)
 	})
 }
 

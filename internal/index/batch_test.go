@@ -44,7 +44,7 @@ func TestFastScanGroupLanesNeverCarry(t *testing.T) {
 			for m := range q {
 				q[m] = rng.Float32()
 			}
-			fq[l] = ix.quantize(ix.prepareInto(q, table), lut8)
+			fq[l] = ix.quantize(ix.prepareInto(q, table), lut8, 0, 0)
 			continue
 		}
 		// Every distance is at least 255 per sub-quantizer, so 255 per entry
@@ -52,7 +52,7 @@ func TestFastScanGroupLanesNeverCarry(t *testing.T) {
 		for i := range table {
 			table[i], lut8[i] = 255+rng.Float32(), 255
 		}
-		fq[l] = fsQuery{table: table, lut8: lut8, invDelta: 1, slack: m4 + 1}
+		fq[l] = newFSQuery(table, lut8, 0, 1, m4*256)
 	}
 
 	s := &Scratch{}

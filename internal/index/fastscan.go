@@ -6,6 +6,7 @@ import (
 	"math/bits"
 
 	"emblookup/internal/mathx"
+	"emblookup/internal/obs"
 	"emblookup/internal/par"
 	"emblookup/internal/quant"
 )
@@ -23,14 +24,14 @@ import (
 //     transposed sub-quantizer-pair-major per block, so one 32-byte load is
 //     one pair's codes for 32 consecutive rows;
 //   - per-query uint8 quantization of the distance table
-//     (quant.QuantizeTableInto): distances accumulate in uint16 with a
-//     proven no-saturation bound, the early-abandon check is an integer
-//     compare, and the few surviving candidates are re-ranked with the
-//     exact float32 table.
+//     (quant.QuantizeTableInto): distances accumulate as integers, the
+//     early-abandon check is an integer compare, and the few surviving
+//     candidates are re-ranked with the exact float32 table.
 //
 // One kernel per platform scans it: the AVX2 assembly (fsScanRun) where the
-// CPU has it, the portable query-major group kernel (scanGroup) elsewhere.
-// Because the quantized sum is a floor-based lower bound of the float sum,
+// CPU has it, saturating bytes over a table scaled to the k-th best distance;
+// the portable query-major group kernel (scanGroup) elsewhere, 16-bit lanes
+// over a full-spread table. Floor, clamp and saturation all round down, so
 // the integer prune can only over-admit; the exact re-rank then selects
 // under the canonical (Dist, ID) order, so results are bit-identical to a
 // plain float32 ADC scan of the same 4-bit codes (fuzz- and
@@ -59,7 +60,7 @@ func fsBlocksLen(m4, n int) int {
 
 // validate4 rejects quantizers the fast-scan layout cannot serve: the
 // kernel's LUT stride and nibble packing hard-code Ks4 centroids, pairs of
-// sub-quantizers share a byte, and uint16 accumulation must never saturate.
+// sub-quantizers share a byte, and the prune's slack is derived up to MaxM4.
 func validate4(q *quant.ProductQuantizer) error {
 	if q.Ks != quant.Ks4 {
 		return fmt.Errorf("index: fast-scan needs Ks=%d sub-quantizers, got Ks=%d", quant.Ks4, q.Ks)
@@ -68,7 +69,7 @@ func validate4(q *quant.ProductQuantizer) error {
 		return fmt.Errorf("index: fast-scan needs an even sub-quantizer count, got M=%d", q.M)
 	}
 	if q.M > quant.MaxM4 {
-		return fmt.Errorf("index: fast-scan M=%d exceeds %d (uint16 accumulation would saturate)", q.M, quant.MaxM4)
+		return fmt.Errorf("index: fast-scan M=%d exceeds %d", q.M, quant.MaxM4)
 	}
 	return nil
 }
@@ -217,62 +218,136 @@ func FastScanKernelOf(ix Index) string {
 	return FastScanKernel()
 }
 
-// scanRange implements rangeScanner: quantize the float table into s.lut8
-// and run this platform's kernel over rows [lo, hi) — the AVX2 kernel, or a
-// portable group of one (a lone live lane costs the group kernel about 2 %
-// over a dedicated scalar kernel, DESIGN.md §11, so there is none). A code
-// too wide for the group kernel's lanes has, off AVX2, only the plain float
-// scan; no product configuration is that wide.
+// scanRange implements rangeScanner: this platform's kernel over rows
+// [lo, hi). On AVX2 the heap is first filled exactly, from as many leading
+// blocks as hold the rows it lacks, so there is a k-th best distance to
+// quantize the table against (a range that ends first never quantizes).
+// Elsewhere it is a portable group of one over the full-spread table (a lone
+// live lane costs the group kernel about 2 % over a dedicated scalar kernel,
+// DESIGN.md §11, so there is none); a code too wide for its lanes has only
+// the plain float scan, and no product configuration is that wide.
 func (ix *FastScan) scanRange(table []float32, s *Scratch, t *topK, lo, hi int) {
-	if lo >= hi {
-		return
-	}
 	if !fsAVX2 && ix.pq.M > fsGroupMaxM4 {
 		ix.scanPlain4(table, t, lo, hi)
 		return
 	}
-	s.lut8 = resize(s.lut8, ix.stateLen())
-	q := ix.quantize(table, s.lut8)
-	if fsAVX2 {
-		ix.scanAVX2(&q, t, lo, hi)
+	seeded := 0
+	if need := t.k - len(t.heap); fsAVX2 && need > 0 {
+		seeded = min(hi, (lo+need+fsBlock-1)/fsBlock*fsBlock) - lo
+		ix.scanPlain4(table, t, lo, lo+seeded)
+		lo += seeded
+	}
+	if lo >= hi {
 		return
 	}
-	qs, heaps := [1]fsQuery{q}, [1]topK{*t}
+	s.lut8 = resize(s.lut8, ix.stateLen())
+	if fsAVX2 {
+		q := ix.quantize(table, s.lut8, t.worst(), fsThreshold)
+		ix.scanAVX2(&q, t, lo, hi, seeded)
+		return
+	}
+	qs, heaps := [1]fsQuery{ix.quantize(table, s.lut8, 0, 0)}, [1]topK{*t}
 	ix.scanGroup(qs[:], s, heaps[:], lo, hi)
 	*t = heaps[0]
 }
 
+// fsThreshold is where a threshold-relative table puts the k-th best
+// distance: as high as a byte goes while the limit, a slack of 2 above it,
+// still prunes (255 admits every saturated sum). A limit that pushes have
+// pulled below half of it requantizes the table: the threshold lives in the
+// top half of the byte range — a derived invariant, not a tunable — so a scan
+// decides with seven bits or more and requantizes at most once per halving.
+const fsThreshold = 250
+
 // scanAVX2 scans rows [lo, hi) for one prepared query with the assembly
-// kernel: fsScanRun skips whole runs of blocks in which no row's quantized
-// sum reaches the limit and stops at the first block that has one, its 32
-// sums in qd; the candidate pass over that block — range clipping, the exact
-// float32 re-rank, the heap push, the limit refresh — is plain Go, and the
-// kernel re-enters after it with the tightened limit. The kernel may stop
-// for a padding row or a row outside [lo, hi); the clipping here drops it.
-// A run is at most fsMaxRun blocks: the runtime cannot preempt assembly, so
-// a GC stop would otherwise wait out a whole range that admits no row.
-func (ix *FastScan) scanAVX2(q *fsQuery, t *topK, lo, hi int) {
+// kernel: fsScanRun skips whole runs of blocks in which no row's saturated
+// sum reaches the limit and stops at the first block that has one, with its
+// row mask and its 32 sums in qd; the candidate pass walks the mask in plain
+// Go — clipped to [lo, hi) (the kernel may flag a padding row or one outside
+// the range), re-checked against a limit an earlier row of the block just
+// tightened, then the exact float32 re-rank and the heap push — and the
+// kernel re-enters after it. A limit fallen below fsThreshold/2 requantizes
+// q in place, until a requantization fails to lift it (the scale is at what
+// float32 resolves, or the full-spread one; a smaller w cures neither). A
+// run is at most fsMaxRun blocks: assembly cannot be preempted, so a GC stop
+// would otherwise wait out a whole range that admits no row. seeded counts
+// the rows the caller re-ranked to fill the heap.
+func (ix *FastScan) scanAVX2(q *fsQuery, t *topK, lo, hi, seeded int) {
 	np := ix.pq.M / 2
 	bpb := fsBlockBytes(ix.pq.M)
 	qlimit := q.limit(t)
-	var qd [fsBlock]uint16
+	c := FastScanCounts{Scans: 1, Rows: int64(hi - lo + seeded), Candidates: int64(seeded)}
+	requantize := true
+	var qd [fsBlock]uint8
 	for b, end := lo/fsBlock, (hi+fsBlock-1)/fsBlock; b < end; {
 		run := min(end-b, fsMaxRun)
-		skipped := fsScanRun(ix.blocks[b*bpb:(b+run)*bpb], q.lut8, np, run, qlimit, &qd)
+		skipped, mask := fsScanRun(ix.blocks[b*bpb:(b+run)*bpb], q.lut8, np, run, qlimit, &qd)
 		b += skipped
 		if skipped == run {
 			continue // nothing admitted in this run
 		}
+		c.FlaggedBlocks++
 		blk := ix.blocks[b*bpb:][:bpb:bpb]
 		b0 := b * fsBlock
-		for r, rhi := max(lo-b0, 0), min(hi-b0, fsBlock); r < rhi; r++ {
+		if r := lo - b0; r > 0 {
+			mask &= ^uint32(0) << r
+		}
+		if r := hi - b0; r < fsBlock {
+			mask &= 1<<r - 1
+		}
+		for ; mask != 0; mask &= mask - 1 {
+			r := bits.TrailingZeros32(mask)
 			if uint32(qd[r]) > qlimit {
 				continue
 			}
+			c.Candidates++
 			t.push(int32(b0+r), fsRowDist(q.table, blk, np, r))
 			qlimit = q.limit(t)
 		}
 		b++
+		if requantize && qlimit < fsThreshold/2 {
+			*q = ix.quantize(q.table, q.lut8, t.worst(), fsThreshold)
+			qlimit = q.limit(t)
+			requantize = qlimit >= fsThreshold/2
+			c.Requantizations++
+		}
+	}
+	c.flush()
+}
+
+// FastScanCounts is the prune accounting of the fast-scan scans this process
+// has run, as /stats and /metrics (emblookup_fastscan_*_total) show it:
+// (query, row range) scans that reached a kernel, the rows they covered, the
+// blocks in which the integer prune admitted a row, the rows re-ranked with
+// the float table (heap seed included) and the tables rescaled mid-scan. The
+// counts are a pure function of index, queries, k and ranges: a slack or
+// scale regression moves them, a noisy host does not.
+type FastScanCounts struct {
+	Scans           int64 `json:"scans"`
+	Rows            int64 `json:"rows"`
+	FlaggedBlocks   int64 `json:"flaggedBlocks"`
+	Candidates      int64 `json:"candidates"`
+	Requantizations int64 `json:"requantizations"`
+}
+
+// A scan accumulates in a FastScanCounts of its own and flushes once.
+var fsCounters = [...]*obs.Counter{
+	obs.Default().Counter("emblookup_fastscan_scans_total"),
+	obs.Default().Counter("emblookup_fastscan_rows_total"),
+	obs.Default().Counter("emblookup_fastscan_flagged_blocks_total"),
+	obs.Default().Counter("emblookup_fastscan_candidates_total"),
+	obs.Default().Counter("emblookup_fastscan_requantizations_total"),
+}
+
+// ReadFastScanCounts returns the current totals.
+func ReadFastScanCounts() FastScanCounts {
+	v := func(i int) int64 { return fsCounters[i].Value() }
+	return FastScanCounts{v(0), v(1), v(2), v(3), v(4)}
+}
+
+func (c FastScanCounts) flush() {
+	for i, n := range [...]int64{c.Scans, c.Rows, c.FlaggedBlocks, c.Candidates, c.Requantizations} {
+		fsCounters[i].Add(n)
 	}
 }
 
@@ -322,6 +397,8 @@ func (ix *FastScan) scanGroup(qs []fsQuery, s *Scratch, heaps []topK, lo, hi int
 		limits |= qs[l].laneLimit(&heaps[l]) << (16 * l)
 	}
 	bpb := fsBlockBytes(ix.pq.M)
+	c := FastScanCounts{Scans: int64(len(qs)), Rows: int64(len(qs) * (hi - lo))}
+	flagged := [fsLanes]int{-1, -1, -1, -1} // the last block each lane had a candidate in
 	var qd [fsBlock]uint64
 	for b0 := lo / fsBlock * fsBlock; b0 < hi; b0 += fsBlock {
 		blk := ix.blocks[b0/fsBlock*bpb:][:bpb:bpb]
@@ -335,9 +412,15 @@ func (ix *FastScan) scanGroup(qs []fsQuery, s *Scratch, heaps []topK, lo, hi int
 				q, t := &qs[l], &heaps[l]
 				t.push(int32(b0+r), fsRowDist(q.table, blk, np, r))
 				limits = limits&^(0x7fff<<(16*l)) | q.laneLimit(t)<<(16*l)
+				c.Candidates++
+				if flagged[l] != b0 {
+					flagged[l] = b0
+					c.FlaggedBlocks++
+				}
 			}
 		}
 	}
+	c.flush()
 }
 
 // fsQuery is one query prepared for the quantized kernels: the exact
@@ -351,10 +434,20 @@ type fsQuery struct {
 }
 
 // quantize prepares table for a quantized scan, writing its uint8 form
-// into lut8 (M4 × Ks4).
-func (ix *FastScan) quantize(table []float32, lut8 []uint8) fsQuery {
-	bias, delta := ix.pq.QuantizeTableInto(table, lut8)
-	return fsQuery{table: table, lut8: lut8, bias: bias, invDelta: 1 / delta, slack: uint32(ix.pq.M) + 1}
+// into lut8 (M4 × Ks4): scaled so that distance w sums to steps, or to the
+// table's full spread with steps = 0 (quant.QuantizeTableInto).
+func (ix *FastScan) quantize(table []float32, lut8 []uint8, w, steps float32) fsQuery {
+	bias, delta, mag := ix.pq.QuantizeTableInto(table, lut8, w, steps)
+	return newFSQuery(table, lut8, bias, delta, mag)
+}
+
+// newFSQuery is the one constructor of an fsQuery: lut8 must hold floors of
+// (table − per-sub-quantizer minimum)/delta, clamped at 255 or not, bias the
+// sum of those minima, and mag a bound on Σ|entry| of any row the scan may
+// not lose. It derives the slack of fsLimit — see there.
+func newFSQuery(table []float32, lut8 []uint8, bias, delta, mag float32) fsQuery {
+	e := 3 * float32(len(table)/quant.Ks4) / (1 << 24) * mag / delta
+	return fsQuery{table: table, lut8: lut8, bias: bias, invDelta: 1 / delta, slack: 2 + uint32(min(e, 1<<30))}
 }
 
 // limit is fsLimit against t's current k-th best distance.
@@ -410,14 +503,26 @@ func fsAccumulate(qd *[fsBlock]uint64, fused []uint64, blk []byte, np int) {
 
 // fsLimit converts the current k-th best float distance into the quantized
 // early-abandon threshold: rows whose integer sum exceeds it have a float
-// lower bound strictly above w and can never enter the heap. The slack of
-// M+1 quantization steps absorbs FP rounding in the floor quantization and
-// in this division, so the prune can only over-admit (a few extra exact
-// re-ranks), never drop a row the exact scan would keep — including exact
-// ties, which may still enter on the canonical ID tie-break.
+// lower bound strictly above w and can never enter the heap — including
+// exact ties, which may still enter on the canonical ID tie-break — so the
+// prune can only over-admit (a few extra exact re-ranks).
+//
+// The slack covers float32 rounding only: floors, clamps and saturation are
+// already on the safe side (bias + δ·Σ lut8 ≤ Σ table in exact arithmetic).
+// In steps of δ = 1/invDelta, a row the float scan keeps (float32 sum D ≤ w):
+//
+//	Σ lut8  ≤  (D − bias)/δ + E + ε  ≤  v + E + ε  <  ⌊v⌋ + 1 + E + ε
+//
+// ε < 2⁻⁶: one rounding in each of the M4 ≤ MaxM4 products (t − min)·invDelta,
+// each below 256, and those of v = (w − bias)·invDelta below 65 000.
+// E ≤ 2·M4·2⁻²⁴·mag/δ: the float32 sums D and bias, M4 additions each of
+// entries whose magnitudes sum to at most mag. Σ lut8 is an integer, so
+// 1 + ⌊1.5·E⌋ above ⌊v⌋ would do; newFSQuery spares one, 2 + ⌊3·M4·2⁻²⁴·mag/δ⌋:
+// 2 under a threshold-relative table (its δ ≥ 4·M4·2⁻²⁴·w, so E ≤ ½) and any
+// ordinary full-spread one, more only when distances dwarf their scale.
 func fsLimit(w, bias, invDelta float32, slack uint32) uint32 {
 	v := (w - bias) * invDelta
-	if !(v < 65000) { // catches +Inf and the underfull-heap sentinel
+	if !(v < 65000) { // catches +Inf, NaN and the underfull-heap sentinel
 		return 1<<32 - 1
 	}
 	if v < 0 {

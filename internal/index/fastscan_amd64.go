@@ -29,17 +29,17 @@ func detectAVX2() bool {
 }
 
 //go:noescape
-func fsScanAVX2(blocks *byte, nblocks int, lut8 *uint8, np int, limit uint32, qd *[fsBlock]uint16) int
+func fsScanAVX2(blocks *byte, nblocks int, lut8 *uint8, np int, limit uint32, qd *[fsBlock]uint8) (skipped int, mask uint32)
 
 // fsScanRun is the one door to the assembly kernel (see fastscan_amd64.s
 // for its contract), which has no bounds checks of its own: the index
 // expressions here panic on a blocks or lut8 shorter than the run, before
 // the kernel can read past either — blocks may be a read-only mapping with
-// nothing behind it.
-func fsScanRun(blocks []byte, lut8 []uint8, np, nblocks int, limit uint32, qd *[fsBlock]uint16) int {
+// nothing behind it. A limit of 255 or more admits every saturated sum.
+func fsScanRun(blocks []byte, lut8 []uint8, np, nblocks int, limit uint32, qd *[fsBlock]uint8) (skipped int, mask uint32) {
 	if nblocks <= 0 {
-		return 0
+		return 0, 0
 	}
 	_, _ = blocks[nblocks*np*fsBlock-1], lut8[2*np*quant.Ks4-1]
-	return fsScanAVX2(&blocks[0], nblocks, &lut8[0], np, min(limit, 0xffff), qd)
+	return fsScanAVX2(&blocks[0], nblocks, &lut8[0], np, min(limit, 0xff), qd)
 }

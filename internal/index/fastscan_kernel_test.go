@@ -8,14 +8,16 @@ import (
 	"emblookup/internal/quant"
 )
 
-// fsBlockSums is the scalar definition of what a kernel accumulates: row
-// r's sum of its M4 lut8 entries, in uint16.
-func fsBlockSums(blk []byte, lut8 []uint8, np int) (sums [fsBlock]uint16) {
+// fsBlockSums is the scalar definition of what the assembly kernel
+// accumulates: row r's sum of its M4 lut8 entries, saturated to a byte.
+func fsBlockSums(blk []byte, lut8 []uint8, np int) (sums [fsBlock]uint8) {
 	for r := range sums {
+		sum := 0
 		for p := 0; p < np; p++ {
 			b := blk[p*fsBlock+r]
-			sums[r] += uint16(lut8[2*p*quant.Ks4+int(b&0xf)]) + uint16(lut8[(2*p+1)*quant.Ks4+int(b>>4)])
+			sum += int(lut8[2*p*quant.Ks4+int(b&0xf)]) + int(lut8[(2*p+1)*quant.Ks4+int(b>>4)])
 		}
+		sums[r] = uint8(min(sum, 255))
 	}
 	return sums
 }
@@ -28,13 +30,23 @@ type fsKernelCase struct {
 	q    fsQuery
 }
 
+// query returns the case's prepared query over a lut8 of its own: the AVX2
+// scan requantizes in place, and the next kernel must not inherit that.
+func (c *fsKernelCase) query() *fsQuery {
+	q := c.q
+	q.lut8 = append([]uint8(nil), q.lut8...)
+	return &q
+}
+
 // fsKernelCases builds, for one code shape, a query from random codebooks,
-// one from an all-ties alphabet, and one whose every lut8 entry is 255 —
-// the largest sum the uint16 accumulators can be asked to hold, M4·255.
+// one from an all-ties alphabet, one whose table is constant per
+// sub-quantizer (every row at distance bias: w == bias, the fallback scale)
+// and one whose every lut8 entry is 255 — M4·255 per row, which a uint16
+// lane must hold exactly and a byte must saturate at, never wrap.
 func fsKernelCases(m4, ks, n int, seed uint64) []fsKernelCase {
 	rng := mathx.NewRNG(seed)
 	var cases []fsKernelCase
-	for _, style := range []string{"random", "ties", "all255"} {
+	for _, style := range []string{"random", "ties", "constant", "all255"} {
 		ix := syntheticFastScan(randomNibbles(n, m4, ks, seed+uint64(len(cases))), m4, ks, n)
 		table, lut8 := make([]float32, ix.stateLen()), make([]uint8, ix.stateLen())
 		var q fsQuery
@@ -45,14 +57,17 @@ func fsKernelCases(m4, ks, n int, seed uint64) []fsKernelCase {
 			for i := range table {
 				table[i], lut8[i] = 255+float32(rng.Intn(3)), 255
 			}
-			q = fsQuery{table: table, lut8: lut8, invDelta: 1, slack: uint32(m4) + 1}
+			q = newFSQuery(table, lut8, 0, 1, float32(m4)*257)
 		default:
 			query := make([]float32, m4)
 			for _, cb := range ix.pq.Codebooks {
 				for c := range cb.Data {
-					if style == "ties" {
+					switch style {
+					case "ties":
 						cb.Data[c] = float32(rng.Intn(2))
-					} else {
+					case "constant":
+						cb.Data[c] = 3
+					default:
 						cb.Data[c] = rng.Float32()
 					}
 				}
@@ -62,7 +77,7 @@ func fsKernelCases(m4, ks, n int, seed uint64) []fsKernelCase {
 					query[m] = rng.Float32()
 				}
 			}
-			q = ix.quantize(ix.prepareInto(query, table), lut8)
+			q = ix.quantize(ix.prepareInto(query, table), lut8, 0, 0)
 		}
 		cases = append(cases, fsKernelCase{fmt.Sprintf("M4=%d/Ks=%d/n=%d/%s", m4, ks, n, style), ix, q})
 	}
@@ -72,11 +87,13 @@ func fsKernelCases(m4, ks, n int, seed uint64) []fsKernelCase {
 // TestFastScanKernelsAgree is the equivalence table: the AVX2 kernel, the
 // portable kernel as a group of one, and scanRange's own dispatch each
 // against scanPlain4, over code widths on both sides of the group kernel's
-// lane bound and up to the accumulator bound, centroid counts from one to
-// all sixteen, the three table styles of fsKernelCases, row counts off the
-// block size, ranges that start and end mid-block or inside one block, and
-// k from 1 to past n (a heap that never fills, so the limit stays at its
-// admit-everything sentinel).
+// lane bound and up to the widest a configuration may name, centroid counts
+// from one to all sixteen, the four table styles of fsKernelCases, row
+// counts off the block size, ranges that start and end mid-block or inside
+// one block (the last ends inside the block the heap is seeded from), k from
+// 1 to past n (a heap that never fills: the limit stays at its
+// admit-everything sentinel and scanRange never quantizes), and a heap that
+// arrives already full of the rows before the range.
 func TestFastScanKernelsAgree(t *testing.T) {
 	s := &Scratch{}
 	for _, m4 := range []int{2, 4, 16, 126, 128, 130, 256} {
@@ -86,29 +103,105 @@ func TestFastScanKernelsAgree(t *testing.T) {
 					ranges := [][2]int{{0, n}, {n / 3, n - 1}, {1, min(n, fsBlock) - 1}}
 					for _, rg := range ranges {
 						for _, k := range []int{1, 9, n + 3} {
-							lo, hi := rg[0], rg[1]
-							plain := newTopK(k)
-							c.ix.scanPlain4(c.q.table, plain, lo, hi)
-							want := plain.sorted()
-							ctx := fmt.Sprintf("%s rows [%d,%d) k=%d", c.name, lo, hi, k)
+							for _, prefill := range []int{0, rg[0]} {
+								// prefill > 0: the heap arrives holding the best
+								// of rows [0, lo).
+								lo, hi := rg[0], rg[1]
+								heap := func() *topK {
+									h := newTopK(k)
+									c.ix.scanPlain4(c.q.table, h, 0, prefill)
+									return h
+								}
+								plain := heap()
+								c.ix.scanPlain4(c.q.table, plain, lo, hi)
+								want := plain.sorted()
+								ctx := fmt.Sprintf("%s rows [%d,%d) after %d k=%d", c.name, lo, hi, prefill, k)
 
-							if fsAVX2 {
-								got := newTopK(k)
-								c.ix.scanAVX2(&c.q, got, lo, hi)
-								sameResults(t, ctx+" avx2", want, got.sorted())
+								if fsAVX2 {
+									got := heap()
+									c.ix.scanAVX2(c.query(), got, lo, hi, 0)
+									sameResults(t, ctx+" avx2", want, got.sorted())
+								}
+								if m4 <= fsGroupMaxM4 {
+									heaps := []topK{*heap()}
+									c.ix.scanGroup([]fsQuery{*c.query()}, s, heaps, lo, hi)
+									sameResults(t, ctx+" group of one", want, heaps[0].sorted())
+								}
+								got := heap()
+								c.ix.scanRange(c.q.table, s, got, lo, hi)
+								sameResults(t, ctx+" scanRange", want, got.sorted())
 							}
-							if m4 <= fsGroupMaxM4 {
-								heaps := []topK{{k: k}}
-								c.ix.scanGroup([]fsQuery{c.q}, s, heaps, lo, hi)
-								sameResults(t, ctx+" group of one", want, heaps[0].sorted())
-							}
-							got := newTopK(k)
-							c.ix.scanRange(c.q.table, s, got, lo, hi)
-							sameResults(t, ctx+" scanRange", want, got.sorted())
 						}
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestFastScanRequantizes forces the table to be rescaled mid-range, twice
+// at least: rows sit far from the query except three planted ever nearer
+// matches, blocks apart, each of which pulls the k-th best distance — and
+// with it the limit — below half the threshold the table was last quantized
+// against. The answer must not notice, and off AVX2 (one full-spread table
+// per scan) nothing is requantized at all.
+func TestFastScanRequantizes(t *testing.T) {
+	const m4, far = 16, quant.Ks4 - 1
+	n := 40 * fsBlock
+	nib := randomNibbles(n, m4, 4, 5) // centroids 0-3, the query sits on 15
+	for i, row := range []int{10 * fsBlock, 20*fsBlock + 7, 30*fsBlock + 31} {
+		for m := 0; m < m4; m++ {
+			nib[row*m4+m] = byte(min(far, 9+3*i)) // 6, 3, then 0 away per coordinate
+		}
+	}
+	ix := syntheticFastScan(nib, m4, quant.Ks4, n)
+	for _, cb := range ix.pq.Codebooks {
+		for c := range cb.Data {
+			cb.Data[c] = float32(c)
+		}
+	}
+	query := make([]float32, m4)
+	for m := range query {
+		query[m] = far
+	}
+	s := &Scratch{}
+	table := append([]float32(nil), prepareScan(ix, s, query)...)
+	plain, got := newTopK(1), newTopK(1)
+	ix.scanPlain4(table, plain, 0, n)
+	before := ReadFastScanCounts()
+	ix.scanRange(table, s, got, 0, n)
+	requantized := ReadFastScanCounts().Requantizations - before.Requantizations
+	sameResults(t, "requantized scan", plain.sorted(), got.sorted())
+	if fsAVX2 && requantized < 2 {
+		t.Fatalf("%d requantizations, want the limit halved at least twice", requantized)
+	}
+	if !fsAVX2 && requantized != 0 {
+		t.Fatalf("%d requantizations on the portable kernel", requantized)
+	}
+}
+
+// TestFastScanDistancesDwarfSpread is the regime where float32 cannot
+// resolve what a threshold-relative table would like to: every table entry
+// is 1 plus a few units in the last place, so row sums differ only in bits
+// the summation itself rounds, and the k-th best distance sits a hair above
+// bias. A scale that followed w − bias down there would prune on rounding
+// noise; the quantizer's precision floor (and, on the full-spread table, the
+// derived slack) must keep every row the float scan keeps.
+func TestFastScanDistancesDwarfSpread(t *testing.T) {
+	const m4, n = 16, 50 * fsBlock
+	s := &Scratch{}
+	for seed := uint64(1); seed <= 20; seed++ {
+		rng := mathx.NewRNG(seed)
+		ix := syntheticFastScan(randomNibbles(n, m4, quant.Ks4, seed), m4, quant.Ks4, n)
+		table := make([]float32, ix.stateLen())
+		for i := range table {
+			table[i] = 1 + float32(rng.Intn(1<<uint(seed%6)))/(1<<23)
+		}
+		for _, k := range []int{1, 10, 100} {
+			plain, got := newTopK(k), newTopK(k)
+			ix.scanPlain4(table, plain, 0, n)
+			ix.scanRange(table, s, got, 0, n)
+			sameResults(t, fmt.Sprintf("seed %d k=%d", seed, k), plain.sorted(), got.sorted())
 		}
 	}
 }
@@ -152,12 +245,14 @@ func TestFastScanLongRange(t *testing.T) {
 }
 
 // TestFastScanRunMatchesScalarSums checks the assembly kernel's own
-// contract against the scalar sums: under every limit — 0 (only an
-// all-zero row stops it), a middling one, 0xFFFF and the underfull-heap
-// sentinel above it (both admit everything) — it stops at exactly the
-// first block holding a sum ≤ limit with that block's 32 sums in row
-// order, and otherwise returns the run's length. The all-255 table at
-// M4 = 256 drives every accumulator word through its wrap.
+// contract against a scalar saturating loop: under every limit — 0 (only an
+// all-zero row stops it), the lowest sum present, a middling one, 254, and
+// 255 and the underfull-heap sentinel above it (both admit everything, a
+// saturated row included) — it stops at exactly the first block holding a
+// sum ≤ limit, with that block's 32 byte sums in row order and exactly the
+// rows at or under the limit in the mask, and otherwise returns the run's
+// length and an empty mask. The all-255 table at M4 = 256 must read 255 on
+// every row: saturated, not wrapped.
 func TestFastScanRunMatchesScalarSums(t *testing.T) {
 	if !fsAVX2 {
 		t.Skip("no AVX2 kernel in this build")
@@ -166,27 +261,36 @@ func TestFastScanRunMatchesScalarSums(t *testing.T) {
 		for _, c := range fsKernelCases(m4, 16, 6*fsBlock+1, uint64(m4)) {
 			np, bpb := m4/2, fsBlockBytes(m4)
 			nblocks := len(c.ix.blocks) / bpb
-			sums := make([][fsBlock]uint16, nblocks)
-			var lowest uint16 = 0xffff
+			sums := make([][fsBlock]uint8, nblocks)
+			var lowest uint8 = 255
 			for b := range sums {
 				sums[b] = fsBlockSums(c.ix.blocks[b*bpb:], c.q.lut8, np)
 				for _, v := range sums[b] {
 					lowest = min(lowest, v)
 				}
 			}
-			for _, limit := range []uint32{0, uint32(lowest), uint32(lowest) + uint32(m4), 0xffff, 1<<32 - 1} {
+			for _, limit := range []uint32{0, uint32(lowest), (uint32(lowest) + 255) / 2, 254, 255, 1<<32 - 1} {
 				for b := 0; b < nblocks; b++ {
 					want := b
-					for want < nblocks && !anyAtMost(sums[want], min(limit, 0xffff)) {
+					for want < nblocks && maskAtMost(sums[want], limit) == 0 {
 						want++
 					}
-					var qd [fsBlock]uint16
-					got := b + fsScanRun(c.ix.blocks[b*bpb:], c.q.lut8, np, nblocks-b, limit, &qd)
-					if got != want {
+					var qd [fsBlock]uint8
+					skipped, mask := fsScanRun(c.ix.blocks[b*bpb:], c.q.lut8, np, nblocks-b, limit, &qd)
+					if got := b + skipped; got != want {
 						t.Fatalf("%s limit %d from block %d: stopped at %d, want %d", c.name, limit, b, got, want)
 					}
-					if got < nblocks && qd != sums[got] {
-						t.Fatalf("%s limit %d block %d: sums %v, want %v", c.name, limit, got, qd, sums[got])
+					if want == nblocks {
+						if mask != 0 {
+							t.Fatalf("%s limit %d from block %d: mask %#x for a run with no hit", c.name, limit, b, mask)
+						}
+						continue
+					}
+					if qd != sums[want] {
+						t.Fatalf("%s limit %d block %d: sums %v, want %v", c.name, limit, want, qd, sums[want])
+					}
+					if wantMask := maskAtMost(sums[want], limit); mask != wantMask {
+						t.Fatalf("%s limit %d block %d: mask %#x, want %#x", c.name, limit, want, mask, wantMask)
 					}
 				}
 			}
@@ -194,13 +298,14 @@ func TestFastScanRunMatchesScalarSums(t *testing.T) {
 	}
 }
 
-func anyAtMost(sums [fsBlock]uint16, limit uint32) bool {
-	for _, v := range sums {
+// maskAtMost is the row mask of a block's sums under limit.
+func maskAtMost(sums [fsBlock]uint8, limit uint32) (mask uint32) {
+	for r, v := range sums {
 		if uint32(v) <= limit {
-			return true
+			mask |= 1 << r
 		}
 	}
-	return false
+	return mask
 }
 
 // TestFastScanRunBoundsChecked asserts the wrapper refuses, with an
@@ -213,7 +318,7 @@ func TestFastScanRunBoundsChecked(t *testing.T) {
 	const m4 = 16
 	np, bpb := m4/2, fsBlockBytes(m4)
 	blocks, lut8 := make([]byte, 3*bpb), make([]uint8, m4*quant.Ks4)
-	var qd [fsBlock]uint16
+	var qd [fsBlock]uint8
 	for name, run := range map[string]func(){
 		"blocks one byte short":  func() { fsScanRun(blocks[:3*bpb-1], lut8, np, 3, 0, &qd) },
 		"blocks one block short": func() { fsScanRun(blocks[:2*bpb:2*bpb], lut8, np, 3, 0, &qd) },
@@ -230,7 +335,7 @@ func TestFastScanRunBoundsChecked(t *testing.T) {
 			run()
 		}()
 	}
-	if got := fsScanRun(blocks, lut8, np, 0, 0, &qd); got != 0 {
+	if got, _ := fsScanRun(blocks, lut8, np, 0, 0, &qd); got != 0 {
 		t.Fatalf("empty run returned %d", got)
 	}
 }

@@ -6,6 +6,6 @@ package index
 // scan runs the portable group kernel, and fsScanRun is never reached.
 const fsAVX2 = false
 
-func fsScanRun([]byte, []uint8, int, int, uint32, *[fsBlock]uint16) int {
+func fsScanRun([]byte, []uint8, int, int, uint32, *[fsBlock]uint8) (int, uint32) {
 	panic("index: no AVX2 fast-scan kernel in this build")
 }

@@ -158,7 +158,7 @@ func FuzzFastScanEquivalence(f *testing.F) {
 			fq, heaps := make([]fsQuery, len(group)), make([]topK, len(group))
 			for l, q := range group {
 				table := ix.prepareInto(q, make([]float32, ix.stateLen()))
-				fq[l] = ix.quantize(table, make([]uint8, ix.stateLen()))
+				fq[l] = ix.quantize(table, make([]uint8, ix.stateLen()), 0, 0)
 				heaps[l].reset(k)
 			}
 			ix.scanGroup(fq, s, heaps, lo, hi)

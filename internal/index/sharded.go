@@ -96,7 +96,7 @@ type Sharded struct {
 }
 
 // NewSharded wraps inner with S-way sharding. Only indexes whose scan
-// decomposes by row range are supported (PQ and Flat; IVF already
+// decomposes by row range are supported (PQ, FastScan and Flat; IVF already
 // partitions by coarse cluster). parallelism bounds the fan-out per
 // query/batch (≤0 means GOMAXPROCS). The inner index is retained, not
 // copied.
@@ -226,7 +226,7 @@ func searchBatch(ctx context.Context, rs rangeScanner, bounds []int, queries [][
 	prepare := func(i int, table []float32, lut8 []uint8) {
 		qs[i].table = rs.prepareInto(queries[i], table)
 		if width > 1 {
-			qs[i] = fs.quantize(qs[i].table, lut8)
+			qs[i] = fs.quantize(qs[i].table, lut8, 0, 0)
 		}
 	}
 	finish := func(i int) {

@@ -422,16 +422,38 @@ func (s *Server) handleBulk(w http.ResponseWriter, r *http.Request) {
 			K: k, DurUs: took.Microseconds(), TraceID: tr.ID(), Spans: tr.Spans(),
 		})
 	}
+	s.graphRLock()
+	hits := bulkHits(results, s.graph.Label)
+	s.graphRUnlock()
+	writeBulk(w, queries, results, hits)
+}
+
+// bulkHits resolves every result of a bulk request into one buffer, line
+// after line — one allocation and, for a caller that guards label reads, one
+// lock span per request instead of one per line.
+func bulkHits(results [][]lookup.Candidate, label func(kg.EntityID) string) []Hit {
+	total := 0
+	for _, res := range results {
+		total += len(res)
+	}
+	hits := make([]Hit, 0, total)
+	for _, res := range results {
+		for _, c := range res {
+			hits = append(hits, Hit{ID: int32(c.ID), Label: label(c.ID), Score: c.Score})
+		}
+	}
+	return hits
+}
+
+// writeBulk streams a bulk reply: one JSON object per query, each line's
+// results its window of hits (bulkHits over the same results).
+func writeBulk(w http.ResponseWriter, queries []string, results [][]lookup.Candidate, hits []Hit) {
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	enc := json.NewEncoder(w)
 	for i, q := range queries {
-		hits := make([]Hit, len(results[i]))
-		s.graphRLock()
-		for j, c := range results[i] {
-			hits[j] = Hit{ID: int32(c.ID), Label: s.graph.Label(c.ID), Score: c.Score}
-		}
-		s.graphRUnlock()
-		enc.Encode(LookupResponse{Query: q, Results: hits})
+		n := len(results[i])
+		enc.Encode(LookupResponse{Query: q, Results: hits[:n:n]})
+		hits = hits[n:]
 	}
 }
 
@@ -517,20 +539,24 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 // that took. FastScanKernel is present only for a fast-scan index: the
 // kernel its scans run on in this process ("avx2" or "portable") — a node on
 // the portable kernel scans several times slower, and this is where that
-// shows from the outside.
+// shows from the outside — and FastScanPrune beside it, the process-wide
+// prune accounting of those scans (index.FastScanCounts; the
+// emblookup_fastscan_*_total counters of /metrics): candidates and flagged
+// blocks per scan say how well the integer prune is doing on this data.
 type StatsResponse struct {
-	Graph          string            `json:"graph"`
-	Entities       int               `json:"entities"`
-	IndexRows      int               `json:"indexRows"`
-	IndexBytes     int               `json:"indexBytes"`
-	FastScanKernel string            `json:"fastScanKernel,omitempty"`
-	Dim            int               `json:"dim"`
-	Compressed     bool              `json:"compressed"`
-	IndexSource    string            `json:"indexSource,omitempty"`
-	IndexAttachUs  int64             `json:"indexAttachUs,omitempty"`
-	Serving        *serve.Stats      `json:"serving,omitempty"`
-	Partition      *PartitionInfo    `json:"partition,omitempty"`
-	Ingest         *core.IngestStats `json:"ingest,omitempty"`
+	Graph          string                `json:"graph"`
+	Entities       int                   `json:"entities"`
+	IndexRows      int                   `json:"indexRows"`
+	IndexBytes     int                   `json:"indexBytes"`
+	FastScanKernel string                `json:"fastScanKernel,omitempty"`
+	FastScanPrune  *index.FastScanCounts `json:"fastScanPrune,omitempty"`
+	Dim            int                   `json:"dim"`
+	Compressed     bool                  `json:"compressed"`
+	IndexSource    string                `json:"indexSource,omitempty"`
+	IndexAttachUs  int64                 `json:"indexAttachUs,omitempty"`
+	Serving        *serve.Stats          `json:"serving,omitempty"`
+	Partition      *PartitionInfo        `json:"partition,omitempty"`
+	Ingest         *core.IngestStats     `json:"ingest,omitempty"`
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
@@ -549,6 +575,10 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		Compressed:     cfg.Compress,
 		IndexSource:    prov.Source,
 		IndexAttachUs:  prov.Took.Microseconds(),
+	}
+	if resp.FastScanKernel != "" {
+		counts := index.ReadFastScanCounts()
+		resp.FastScanPrune = &counts
 	}
 	if s.serve != nil {
 		st := s.serve.Stats()

@@ -253,19 +253,12 @@ func (s *TenantServer) handleBulk(w http.ResponseWriter, r *http.Request) {
 	took := time.Since(start)
 	t.Latency().Observe(took)
 	g := h.Graph()
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	enc := json.NewEncoder(w)
-	for i, q := range queries {
-		res := results[i]
-		if hybrid {
-			res = serve.HybridRerank(q, res, g.Label)
+	if hybrid {
+		for i, q := range queries {
+			results[i] = serve.HybridRerank(q, results[i], g.Label)
 		}
-		hits := make([]Hit, len(res))
-		for j, c := range res {
-			hits[j] = Hit{ID: int32(c.ID), Label: g.Label(c.ID), Score: c.Score}
-		}
-		enc.Encode(LookupResponse{Query: q, Results: hits})
 	}
+	writeBulk(w, queries, results, bulkHits(results, g.Label))
 }
 
 func (s *TenantServer) handleTenantStats(w http.ResponseWriter, r *http.Request) {

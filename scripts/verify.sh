@@ -69,7 +69,9 @@ go test -run '^$' -bench 'BenchmarkPQSearch$|BenchmarkLookupAllocs' \
 
 echo "== fast-scan kernel benchmark (short, both builds) =="
 # The compressed-scan kernels side by side (plain 8-bit ADC, 4-bit
-# fast-scan solo, and a batch of four — compare their ns/query-row), once
+# fast-scan solo, a batch of four, and the solo scan over 100k clustered
+# rows — compare their ns/query-row, and cand/query: the rows a query
+# re-ranks exactly, index.FastScanCounts, a count no host noise moves), once
 # on this host's kernel and once on the portable one, so both land in the
 # log; the full-length numbers are snapshotted into BENCH_lookup.json
 # (scan_pq / scan_fastscan / scan_fastscan_batch4, kernel named in env)
