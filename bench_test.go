@@ -16,7 +16,10 @@ package emblookup_test
 
 import (
 	"context"
+	"encoding/gob"
 	"io"
+	"os"
+	"path/filepath"
 	"sync"
 	"testing"
 
@@ -491,5 +494,88 @@ func BenchmarkNoiseInjection(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		in.Apply(ds)
+	}
+}
+
+// ---- graph load and clone -----------------------------------------------
+
+// graph100k is the graph the served benchmark loads (benchmark/prepare.go:
+// 100k entities, Wikidata profile, default seed), generated once.
+var graph100k = sync.OnceValue(func() *kg.Graph {
+	g, _ := kg.Generate(kg.DefaultGeneratorConfig(kg.WikidataProfile, 100_000))
+	return g
+})
+
+// BenchmarkGraphLoad is kg.LoadFile of that graph from the flat container
+// SaveFile writes and from the gob stream it wrote before, which still loads
+// (the encoder below is the only gob graph writer left, kept for this
+// comparison). B/op and allocs/op are the point: the flat decode's
+// allocations do not grow with the graph (kg.TestLoadFileAllocs), and
+// neither load builds an index (DESIGN.md §12).
+func BenchmarkGraphLoad(b *testing.B) {
+	g, dir := graph100k(), b.TempDir()
+	flat, legacy := filepath.Join(dir, "flat.bin"), filepath.Join(dir, "gob.bin")
+	if err := g.SaveFile(flat); err != nil {
+		b.Fatal(err)
+	}
+	f, err := os.Create(legacy)
+	if err != nil {
+		b.Fatal(err)
+	}
+	err = gob.NewEncoder(f).Encode(struct {
+		Name     string
+		Entities []kg.Entity
+		Types    []kg.Type
+		Props    []kg.Property
+		Facts    []kg.Fact
+	}{g.Name, g.Entities, g.Types, g.Props, g.Facts})
+	if cerr := f.Close(); err != nil || cerr != nil {
+		b.Fatal(err, cerr)
+	}
+	for _, c := range []struct{ name, path string }{{"gob", legacy}, {"flat", flat}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := kg.LoadFile(c.path); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// BenchmarkGraphClone is what every replica of a replicated cluster pays
+// per node: four slice copies, no index.
+func BenchmarkGraphClone(b *testing.B) {
+	g := graph100k()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if g.Clone().Indexed() {
+			b.Fatal("Clone built an index")
+		}
+	}
+}
+
+// BenchmarkGraphFirstUse is the build a load no longer does, paid by the
+// first ExactMatch (mention map) and the first FactsFrom (adjacency).
+func BenchmarkGraphFirstUse(b *testing.B) {
+	g := graph100k()
+	for _, c := range []struct {
+		name string
+		use  func(*kg.Graph)
+	}{
+		{"mentions", func(g *kg.Graph) { g.ExactMatch("x") }},
+		{"adjacency", func(g *kg.Graph) { g.FactsFrom(0) }},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				ng := g.Clone()
+				b.StartTimer()
+				c.use(ng)
+			}
+		})
 	}
 }

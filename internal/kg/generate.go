@@ -76,11 +76,6 @@ func Generate(cfg GeneratorConfig) (*Graph, *Schema) {
 		name = "synthetic-dbpedia"
 	}
 	g := NewGraph(name)
-	// Suspend incremental mention indexing for the duration of generation:
-	// AddEntity would grow the map entity by entity only for the final
-	// Reindex to throw that work away and rebuild it presized. At a million
-	// entities the double build dominated the whole generation profile.
-	g.byMention = nil
 	s := buildSchema(g)
 
 	// Type mix loosely mirrors the entity classes the SemTab tables draw
@@ -213,7 +208,6 @@ func Generate(cfg GeneratorConfig) (*Graph, *Schema) {
 		g.AddLiteralFact(ci, s.Population, strconv.Itoa(1_000+rng.Intn(9_000_000)))
 	}
 
-	g.Reindex()
 	return g, s
 }
 

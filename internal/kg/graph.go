@@ -8,6 +8,8 @@ package kg
 import (
 	"fmt"
 	"strings"
+	"sync"
+	"sync/atomic"
 )
 
 // EntityID identifies an entity within a Graph. IDs are dense indexes into
@@ -71,8 +73,12 @@ type Fact struct {
 	Literal string
 }
 
-// Graph is an in-memory knowledge graph with lookup indexes. Build the
-// indexes with Reindex after mutating the raw slices directly.
+// Graph is an in-memory knowledge graph. The raw slices are the graph; the
+// mention and adjacency indexes are derived from them by the first reader
+// that needs one (ExactMatch; FactsFrom / FactsTo and what sits on them), so
+// a process that only resolves labels pays for neither. Any number of
+// goroutines may make that first read together; mutators need the exclusion
+// from readers they always needed. Reindex after editing the slices directly.
 type Graph struct {
 	Name     string
 	Entities []Entity
@@ -80,34 +86,49 @@ type Graph struct {
 	Props    []Property
 	Facts    []Fact
 
-	byMention map[string][]EntityID // lowercased label/alias -> entities
-	out       [][]int32             // entity -> fact indexes where it is subject
-	in        [][]int32             // entity -> fact indexes where it is object
+	mu       sync.Mutex                            // serialises the first-use builds
+	mentions atomic.Pointer[map[string][]EntityID] // lowercased label/alias -> entities
+	adj      atomic.Pointer[adjacency]
 }
 
+// adjacency: per entity, the indexes of the facts it is subject (out) or object (in) of.
+type adjacency struct{ out, in [][]int32 }
+
 // NewGraph returns an empty graph with the given name.
-func NewGraph(name string) *Graph {
-	return &Graph{Name: name, byMention: make(map[string][]EntityID)}
+func NewGraph(name string) *Graph { return &Graph{Name: name} }
+
+// derived returns *p, building it first if no reader has yet.
+func derived[T any](g *Graph, p *atomic.Pointer[T], build func() *T) *T {
+	if v := p.Load(); v != nil {
+		return v
+	}
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	if p.Load() == nil {
+		p.Store(build())
+	}
+	return p.Load()
 }
+
+// Indexed reports whether any reader has made the graph derive an index.
+func (g *Graph) Indexed() bool { return g.mentions.Load() != nil || g.adj.Load() != nil }
 
 // Clone returns an independently growable copy of the graph: appending
 // entities or facts to the clone never reallocates into (or reads from)
-// the original's slices, and the clone gets its own lookup indexes. The
+// the original's slices, and the clone derives its own lookup indexes. The
 // per-entity alias and type slices are shared read-only — AddEntity only
 // ever appends new Entity values, so both sides stay safe as long as
 // callers never mutate an existing entity in place. Replicated serving
 // uses this to give every node (and the router's control plane) a graph
 // it can grow through ingest without coordinating with its siblings.
 func (g *Graph) Clone() *Graph {
-	ng := &Graph{
+	return &Graph{
 		Name:     g.Name,
 		Entities: append([]Entity(nil), g.Entities...),
 		Types:    append([]Type(nil), g.Types...),
 		Props:    append([]Property(nil), g.Props...),
 		Facts:    append([]Fact(nil), g.Facts...),
 	}
-	ng.Reindex()
-	return ng
 }
 
 // AddType appends a type and returns its ID.
@@ -124,25 +145,28 @@ func (g *Graph) AddProperty(name string, domain, rng TypeID) PropID {
 	return id
 }
 
-// AddEntity appends an entity and returns its ID. Reindex (or AddEntity for
-// every entity before the first query) keeps the mention index current.
+// AddEntity appends an entity and returns its ID, extending the mention
+// index only if one exists.
 func (g *Graph) AddEntity(label string, aliases []string, types ...TypeID) EntityID {
 	id := EntityID(len(g.Entities))
 	g.Entities = append(g.Entities, Entity{ID: id, Label: label, Aliases: aliases, Types: types})
-	if g.byMention != nil {
-		g.indexMentions(id)
+	if m := g.mentions.Load(); m != nil {
+		g.indexMentions(*m, id)
 	}
 	return id
 }
 
-// AddFact appends an entity-valued fact.
+// AddFact appends an entity-valued fact and drops the adjacency: the next
+// read rebuilds it.
 func (g *Graph) AddFact(s EntityID, p PropID, o EntityID) {
 	g.Facts = append(g.Facts, Fact{Subject: s, Prop: p, Object: o})
+	g.adj.Store(nil)
 }
 
 // AddLiteralFact appends a literal-valued fact.
 func (g *Graph) AddLiteralFact(s EntityID, p PropID, lit string) {
 	g.Facts = append(g.Facts, Fact{Subject: s, Prop: p, Object: NoEntity, Literal: lit})
+	g.adj.Store(nil)
 }
 
 // Entity returns the entity with the given ID, or nil when out of range.
@@ -177,98 +201,93 @@ func (g *Graph) PropName(id PropID) string {
 	return g.Props[id].Name
 }
 
-// Reindex rebuilds the mention and adjacency indexes from the raw slices.
-// It is sized for million-entity graphs: the mention map is presized to the
-// exact mention count (one growth-free build instead of log₂(n) rehashes)
-// and the adjacency lists are laid out CSR-style over two shared backing
-// arrays — a constant number of allocations instead of two per entity.
+// Reindex rebuilds both indexes now: the call for code that edited the raw slices directly.
 func (g *Graph) Reindex() {
+	g.mentions.Store(g.buildMentions())
+	g.adj.Store(g.buildAdjacency())
+}
+
+// buildMentions presizes the map to the exact mention count: no rehash at a million entities.
+func (g *Graph) buildMentions() *map[string][]EntityID {
 	mentions := 0
 	for i := range g.Entities {
 		mentions += 1 + len(g.Entities[i].Aliases)
 	}
-	g.byMention = make(map[string][]EntityID, mentions)
+	m := make(map[string][]EntityID, mentions)
 	for i := range g.Entities {
-		g.indexMentions(EntityID(i))
+		g.indexMentions(m, EntityID(i))
 	}
-	n := len(g.Entities)
-	g.out = make([][]int32, n)
-	g.in = make([][]int32, n)
-	if len(g.Facts) == 0 {
-		return
-	}
-	// Prefix-sum the degrees, then cursor-fill: fact indexes stay ascending
-	// within each list, exactly as the old append loop produced them.
-	outOff := make([]int, n+1)
-	inOff := make([]int, n+1)
-	for _, f := range g.Facts {
-		outOff[f.Subject+1]++
-		if f.Object != NoEntity {
-			inOff[f.Object+1]++
-		}
-	}
-	for i := 0; i < n; i++ {
-		outOff[i+1] += outOff[i]
-		inOff[i+1] += inOff[i]
-	}
-	outBack := make([]int32, outOff[n])
-	inBack := make([]int32, inOff[n])
-	outCur := make([]int, n)
-	inCur := make([]int, n)
-	copy(outCur, outOff[:n])
-	copy(inCur, inOff[:n])
-	for i, f := range g.Facts {
-		outBack[outCur[f.Subject]] = int32(i)
-		outCur[f.Subject]++
-		if f.Object != NoEntity {
-			inBack[inCur[f.Object]] = int32(i)
-			inCur[f.Object]++
-		}
-	}
-	// The per-entity views are capacity-clipped so an append to one list
-	// could never spill into its neighbor's backing.
-	for i := 0; i < n; i++ {
-		g.out[i] = outBack[outOff[i]:outOff[i+1]:outOff[i+1]]
-		g.in[i] = inBack[inOff[i]:inOff[i+1]:inOff[i+1]]
+	return &m
+}
+
+func (g *Graph) indexMentions(m map[string][]EntityID, id EntityID) {
+	e := &g.Entities[id]
+	key := strings.ToLower(e.Label)
+	m[key] = append(m[key], id)
+	for _, a := range e.Aliases {
+		key = strings.ToLower(a)
+		m[key] = append(m[key], id)
 	}
 }
 
-func (g *Graph) indexMentions(id EntityID) {
-	e := &g.Entities[id]
-	for _, m := range e.Mentions() {
-		key := strings.ToLower(m)
-		g.byMention[key] = append(g.byMention[key], id)
+// buildAdjacency groups the fact indexes by subject and by object.
+func (g *Graph) buildAdjacency() *adjacency {
+	return &adjacency{
+		out: g.factsBy(func(f *Fact) EntityID { return f.Subject }),
+		in:  g.factsBy(func(f *Fact) EntityID { return f.Object }),
 	}
+}
+
+// factsBy lists, per entity, the indexes of the facts whose key names it, ascending, CSR-style
+// over one backing array. A list starts empty with its degree as capacity, so filling it cannot
+// spill into its neighbour's and it ends capacity-clipped.
+func (g *Graph) factsBy(key func(*Fact) EntityID) [][]int32 {
+	n := len(g.Entities)
+	off := make([]int, n+1)
+	for i := range g.Facts {
+		if k := key(&g.Facts[i]); k != NoEntity {
+			off[k+1]++
+		}
+	}
+	for i := 0; i < n; i++ {
+		off[i+1] += off[i]
+	}
+	back, lists := make([]int32, off[n]), make([][]int32, n)
+	for i := range lists {
+		lists[i] = back[off[i]:off[i]:off[i+1]]
+	}
+	for i := range g.Facts {
+		if k := key(&g.Facts[i]); k != NoEntity {
+			lists[k] = append(lists[k], int32(i))
+		}
+	}
+	return lists
 }
 
 // ExactMatch returns the entities whose label or alias equals q
 // (case-insensitively). The returned slice is shared; callers must not
 // modify it.
 func (g *Graph) ExactMatch(q string) []EntityID {
-	return g.byMention[strings.ToLower(q)]
+	return (*derived(g, &g.mentions, g.buildMentions))[strings.ToLower(q)]
 }
 
 // FactsFrom returns the facts whose subject is id.
 func (g *Graph) FactsFrom(id EntityID) []Fact {
-	if g.out == nil || int(id) >= len(g.out) || id < 0 {
-		return nil
-	}
-	idx := g.out[id]
-	out := make([]Fact, len(idx))
-	for i, fi := range idx {
-		out[i] = g.Facts[fi]
-	}
-	return out
+	return g.facts(derived(g, &g.adj, g.buildAdjacency).out, id)
 }
 
 // FactsTo returns the facts whose object is id.
 func (g *Graph) FactsTo(id EntityID) []Fact {
-	if g.in == nil || int(id) >= len(g.in) || id < 0 {
+	return g.facts(derived(g, &g.adj, g.buildAdjacency).in, id)
+}
+
+// facts resolves one list; an entity added since the build has none (AddFact drops the adjacency).
+func (g *Graph) facts(lists [][]int32, id EntityID) []Fact {
+	if id < 0 || int(id) >= len(lists) {
 		return nil
 	}
-	idx := g.in[id]
-	out := make([]Fact, len(idx))
-	for i, fi := range idx {
+	out := make([]Fact, len(lists[id]))
+	for i, fi := range lists[id] {
 		out[i] = g.Facts[fi]
 	}
 	return out

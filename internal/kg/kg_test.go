@@ -257,3 +257,76 @@ func TestStatsString(t *testing.T) {
 		t.Fatalf("Stats = %q", s)
 	}
 }
+
+// TestAddAfterFirstReadIsVisible: an entity and facts added after the
+// adjacency was derived are in the next read. (With the eager indexes this
+// package had, the new entity read as "no facts" until someone remembered to
+// call Reindex.)
+func TestAddAfterFirstReadIsVisible(t *testing.T) {
+	g, s := smallGraph(t)
+	city := EntityID(-1)
+	for i := range g.Entities {
+		if hasType(g.Entities[i].Types, s.City) {
+			city = EntityID(i)
+			break
+		}
+	}
+	before := len(g.FactsTo(city)) // derives the adjacency
+	if len(g.ExactMatch("Newcomer Example")) != 0 {
+		t.Fatal("fixture label already taken")
+	}
+	id := g.AddEntity("Newcomer Example", []string{"N. Example"}, s.Person)
+	if g.FactsFrom(id) != nil {
+		t.Fatal("an entity no fact names yet should read as nil")
+	}
+	g.AddFact(id, s.BornIn, city)
+	g.AddLiteralFact(id, s.Population, "1")
+	if from := g.FactsFrom(id); len(from) != 2 || from[0].Object != city || from[1].Literal != "1" {
+		t.Fatalf("FactsFrom(new) = %+v", from)
+	}
+	if to := g.FactsTo(city); len(to) != before+1 || to[len(to)-1].Subject != id {
+		t.Fatalf("FactsTo(city) grew %d → %d", before, len(to))
+	}
+	if nb := g.Neighbors(id); len(nb) != 1 || nb[0] != city {
+		t.Fatalf("Neighbors(new) = %v", nb)
+	}
+	res, err := g.Query([]TriplePattern{{S: V("who"), P: P(s.BornIn), O: E(city)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	found := false
+	for _, b := range res {
+		found = found || b.Entities["who"] == id
+	}
+	if !found {
+		t.Fatal("Query does not see the added fact")
+	}
+	for _, m := range []string{"newcomer example", "n. example"} {
+		if got := g.ExactMatch(m); len(got) != 1 || got[0] != id {
+			t.Fatalf("ExactMatch(%q) = %v", m, got)
+		}
+	}
+}
+
+// TestIndexesAreDerivedOnUse: nothing that produces a graph builds an index,
+// mutators leave an unbuilt index unbuilt, and Reindex picks up raw-slice
+// edits.
+func TestIndexesAreDerivedOnUse(t *testing.T) {
+	g, s := smallGraph(t)
+	c := g.Clone()
+	c.AddFact(c.AddEntity("Somebody New", nil, s.Person), s.BornIn, 0)
+	if g.Indexed() || c.Indexed() {
+		t.Fatal("Generate, Clone, AddEntity or AddFact built an index")
+	}
+	if len(g.ExactMatch("somebody new")) != 0 || len(c.ExactMatch("somebody new")) != 1 {
+		t.Fatal("the clone's entity leaked, or was not indexed on first use")
+	}
+	if !g.Indexed() || g.adj.Load() != nil {
+		t.Fatal("ExactMatch should derive the mention map and nothing else")
+	}
+	g.Entities[0].Label = "Renamed In Place"
+	g.Reindex()
+	if got := g.ExactMatch("renamed in place"); len(got) != 1 || got[0] != 0 || g.adj.Load() == nil {
+		t.Fatalf("Reindex: ExactMatch = %v", got)
+	}
+}

@@ -3,6 +3,8 @@ package obs
 import (
 	"fmt"
 	"math/rand/v2"
+	"os"
+	"runtime"
 	"sort"
 	"strings"
 	"sync"
@@ -307,5 +309,36 @@ func TestLabels(t *testing.T) {
 	}
 	if got := Labels("f_total", "a", "1", "b", "2"); got != `f_total{a="1",b="2"}` {
 		t.Fatal(got)
+	}
+}
+
+// TestProcessMemoryGauges: the process-wide registry exposes resident, peak
+// resident and live-heap bytes without anyone registering them, and an
+// absent /proc field reads as 0 rather than failing the scrape.
+func TestProcessMemoryGauges(t *testing.T) {
+	runtime.GC() // the live-heap gauge reports what the last cycle marked
+	var sb strings.Builder
+	if err := Default().WritePrometheus(&sb); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{
+		"emblookup_process_resident_bytes",
+		"emblookup_process_resident_peak_bytes",
+		"emblookup_go_heap_live_bytes",
+	} {
+		if !strings.Contains(sb.String(), "# TYPE "+name+" gauge\n") {
+			t.Errorf("/metrics lacks %s", name)
+		}
+	}
+	_, entries := Default().snapshot()
+	if live := entries["emblookup_go_heap_live_bytes"].f(); live <= 0 {
+		t.Errorf("live heap = %v after a GC", live)
+	}
+	rss, peak := procStatusBytes("VmRSS:"), procStatusBytes("VmHWM:")
+	if _, err := os.Stat("/proc/self/status"); err == nil && (rss <= 0 || peak < rss) {
+		t.Errorf("resident %v, peak %v", rss, peak)
+	}
+	if v := procStatusBytes("NoSuchField:"); v != 0 {
+		t.Errorf("absent field read as %v", v)
 	}
 }

@@ -536,7 +536,10 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 // server was built with WithServe. IndexSource tells a cold start that
 // attached a saved index artifact ("loaded") from one that re-embedded the
 // graph and retrained the quantizer ("rebuilt"); IndexAttachUs is how long
-// that took. FastScanKernel is present only for a fast-scan index: the
+// that took. GraphIndexed says whether anything in this process has made the
+// graph derive its mention or adjacency index (kg.Graph.Indexed) — serving
+// never does, so true means something else in the process paid for one.
+// FastScanKernel is present only for a fast-scan index: the
 // kernel its scans run on in this process ("avx2" or "portable") — a node on
 // the portable kernel scans several times slower, and this is where that
 // shows from the outside — and FastScanPrune beside it, the process-wide
@@ -546,6 +549,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 type StatsResponse struct {
 	Graph          string                `json:"graph"`
 	Entities       int                   `json:"entities"`
+	GraphIndexed   bool                  `json:"graphIndexed"`
 	IndexRows      int                   `json:"indexRows"`
 	IndexBytes     int                   `json:"indexBytes"`
 	FastScanKernel string                `json:"fastScanKernel,omitempty"`
@@ -568,6 +572,7 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 	resp := StatsResponse{
 		Graph:          s.graph.Name,
 		Entities:       entities,
+		GraphIndexed:   s.graph.Indexed(),
 		IndexRows:      s.model.Index().Len(),
 		IndexBytes:     s.model.Index().SizeBytes(),
 		FastScanKernel: index.FastScanKernelOf(s.model.Index()),

@@ -186,6 +186,7 @@ type TenantStats struct {
 	Serving          *serve.Stats        `json:"serving,omitempty"`
 	Graph            string              `json:"graph,omitempty"`
 	Entities         int                 `json:"entities,omitempty"`
+	GraphIndexed     bool                `json:"graphIndexed,omitempty"`
 }
 
 // Stats snapshots the tenant without forcing a lazy load.
@@ -205,6 +206,7 @@ func (t *Tenant) Stats() TenantStats {
 		st.Serving = &sv
 		st.Graph = h.graph.Name
 		st.Entities = len(h.graph.Entities)
+		st.GraphIndexed = h.graph.Indexed()
 	}
 	return st
 }

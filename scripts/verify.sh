@@ -33,13 +33,15 @@ echo "== go test -race =="
 # give it room beyond the default 10m package timeout.
 go test -race -timeout 60m ./...
 
-echo "== flake check: serve, cluster, index and server, five runs =="
+echo "== flake check: serve, cluster, index, server and kg, five runs =="
 # The coalescer and router-cancellation tests synchronize on events, not
 # sleeps (ROADMAP item 0); five plain runs catch one that starts to depend
 # on timing again. The index package is here for its concurrent batch test
 # (16 goroutines of mixed-size batches against one Sharded), the server
-# package for its concurrent trace + deadline test; neither sleeps.
-go test -count=5 ./internal/serve ./internal/cluster ./internal/index ./internal/server
+# package for its concurrent trace + deadline test, the kg package for its
+# first-use test (16 goroutines deriving a fresh graph's indexes together,
+# one build each; the -race line above runs it too); none sleeps.
+go test -count=5 ./internal/serve ./internal/cluster ./internal/index ./internal/server ./internal/kg
 
 echo "== portable fast-scan build: purego tests, arm64 vet =="
 # The AVX2 assembly kernel has a portable sibling (the query-major group
@@ -62,10 +64,20 @@ echo "== artifact parser fuzz (short) =="
 # adds a short exploration pass so new parser bugs surface pre-merge.
 go test -run '^$' -fuzz FuzzParse -fuzztime 10s ./internal/artifact
 go test -run '^$' -fuzz FuzzReadArtifact -fuzztime 10s ./internal/core
+# Graph files are containers too, with a read-only gob path behind the same
+# magic sniff (DESIGN.md §12): whatever kg.Read accepts must be safe to
+# index and to re-save.
+go test -run '^$' -fuzz FuzzReadGraph -fuzztime 10s ./internal/kg
 
 echo "== allocation benchmarks (short) =="
 go test -run '^$' -bench 'BenchmarkPQSearch$|BenchmarkLookupAllocs' \
     -benchmem -benchtime 10x .
+
+echo "== graph load and clone benchmarks (short, 100k entities) =="
+# kg.LoadFile of the flat container vs the legacy gob stream, Clone, and
+# the first-use index builds a load no longer pays: B/op and allocs/op are
+# the rows to read (flat ≈ 43 MB / 74 allocs, neither growing an index).
+go test -run '^$' -bench 'BenchmarkGraph' -benchmem -benchtime 3x .
 
 echo "== fast-scan kernel benchmark (short, both builds) =="
 # The compressed-scan kernels side by side (plain 8-bit ADC, 4-bit
