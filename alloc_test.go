@@ -22,11 +22,12 @@ import (
 )
 
 // Allocation budgets of the end-to-end query path with metrics enabled:
-// Lookup = result slice + its candidate backing + two query-normalization
-// scratch strings; Embed = the returned vector + normalization scratch.
+// Lookup = result slice + its candidate backing; Embed = the returned
+// vector. The query is lowercased into the pooled scratch, once for both
+// encoders, so a mention with capitals costs what a lowercase one does.
 const (
-	maxLookupAllocs = 4
-	maxEmbedAllocs  = 3
+	maxLookupAllocs = 2
+	maxEmbedAllocs  = 1
 )
 
 // Attach budgets for the zero-copy v4 path: LoadFile on an mmap'd artifact
@@ -127,18 +128,16 @@ func TestDynamicLookupAllocs(t *testing.T) {
 	}
 }
 
-// maxBulkAllocs is the allocation budget of one 256-query BulkLookup on the
-// sharded fast-scan model (what serve runs): two normalization strings per
-// query plus 16 for the batch. Measured 531 at the commit before the
-// query-major batch scan (its per-(shard, query) state came from pooled
-// scratches, free in steady state) and 528 with per-worker state and one
-// result arena, so the budget is the old number.
-const maxBulkAllocs = 531
+// maxBulkAllocs is the allocation budget of one BulkLookup on the sharded
+// fast-scan model (what serve runs): the batch's result, embedding and
+// candidate arenas and the per-worker state, none of it per query
+// (16 measured).
+const maxBulkAllocs = 24
 
 // TestBulkLookupAllocs guards the batch path's fixed allocation count: the
-// batch scan's per-query state lives in flat per-batch arenas, so a bulk
-// request allocates no more than it did when that state came from pooled
-// scratches.
+// batch scan's per-query state lives in flat per-batch arenas and the
+// embedding allocates nothing, so a bulk request of 16 queries allocates
+// exactly as many objects as one of 256.
 func TestBulkLookupAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation guard trains a model; skipped in -short")
@@ -152,17 +151,23 @@ func TestBulkLookupAllocs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	queries := make([]string, 256)
-	for i := range queries {
-		queries[i] = g.Entities[i%len(g.Entities)].Label
+	allocs := func(n int) float64 {
+		queries := make([]string, n)
+		for i := range queries {
+			queries[i] = g.Entities[i%len(g.Entities)].Label
+		}
+		for i := 0; i < 4; i++ {
+			sh.BulkLookup(queries, 10, 0)
+		}
+		return testing.AllocsPerRun(20, func() { sh.BulkLookup(queries, 10, 0) })
 	}
-	for i := 0; i < 4; i++ {
-		sh.BulkLookup(queries, 10, 0)
+	small, large := allocs(16), allocs(256)
+	t.Logf("BulkLookup allocs/op: %.0f of 16, %.0f of 256", small, large)
+	if large > maxBulkAllocs {
+		t.Errorf("BulkLookup of 256 on the sharded fast-scan model: %.0f allocs/op, budget %d", large, maxBulkAllocs)
 	}
-	if n := testing.AllocsPerRun(20, func() { sh.BulkLookup(queries, 10, 0) }); n > maxBulkAllocs {
-		t.Errorf("BulkLookup of 256 on the sharded fast-scan model: %.0f allocs/op, budget %d", n, maxBulkAllocs)
-	} else {
-		t.Logf("BulkLookup of 256: %.0f allocs/op", n)
+	if small != large {
+		t.Errorf("BulkLookup allocations grow with the batch: %.0f of 16 queries, %.0f of 256", small, large)
 	}
 }
 
@@ -209,31 +214,48 @@ func TestTenantAdmissionAllocs(t *testing.T) {
 	}
 }
 
+// maxShardedLookupAllocs is the allocation budget of one Lookup on the
+// 4-shard model serve derives for a PQ index: maxLookupAllocs plus what
+// the shard fan-out costs (4 measured). With the normalized query string a
+// served solo miss may make one more: 5, the ceiling it had when the
+// embedding still allocated its two normalization strings.
+const maxShardedLookupAllocs = maxLookupAllocs + 2
+
 // TestServeSoloMissAllocs guards the coalescer's idle path: a serve miss
 // that finds a core free runs the single-query lookup on its own goroutine,
 // so the whole substrate — gate, counters, histograms — may add at most the
-// normalized query string to the direct lookup's budget. (A queued request
-// pays for its queue entry, channel and the bulk call's slices; an idle
-// coalescer must not.)
+// normalized query string to a direct lookup on the model it serves, which
+// itself stays within maxShardedLookupAllocs. (A queued request pays for its
+// queue entry, channel and the bulk call's slices; an idle coalescer must
+// not.)
 func TestServeSoloMissAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation guard trains a model; skipped in -short")
 	}
 	_, m, _ := model(t)
 	obs.Default().SetEnabled(true)
-	sv, err := serve.New(m, serve.Options{CacheSize: -1, Registry: obs.New()})
+	sv, err := serve.New(m, serve.Options{Shards: 4, CacheSize: -1, Registry: obs.New()})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer sv.Close()
 	for i := 0; i < 8; i++ {
 		sv.Lookup("Bramonia Ridge", 10)
+		sv.Model().Lookup("bramonia ridge", 10)
 	}
-	if n := testing.AllocsPerRun(200, func() {
+	direct := testing.AllocsPerRun(200, func() {
+		sv.Model().Lookup("bramonia ridge", 10)
+	})
+	n := testing.AllocsPerRun(200, func() {
 		sv.Lookup("Bramonia Ridge", 10)
-	}); n > maxLookupAllocs+1 {
-		t.Errorf("serve miss on an idle coalescer: %.1f allocs/op, budget %d (direct lookup %d + 1)",
-			n, maxLookupAllocs+1, maxLookupAllocs)
+	})
+	t.Logf("4-shard lookup: %.1f allocs/op direct, %.1f served", direct, n)
+	if direct > maxShardedLookupAllocs {
+		t.Errorf("direct lookup on the 4-shard model: %.1f allocs/op, budget %d", direct, maxShardedLookupAllocs)
+	}
+	if n > direct+1 {
+		t.Errorf("serve miss on an idle coalescer: %.1f allocs/op, budget %.0f (direct lookup %.0f + 1)",
+			n, direct+1, direct)
 	}
 	if st := sv.Stats().Coalescer; st.Batches != st.Queries {
 		t.Errorf("idle coalescer formed batches: %+v", st)

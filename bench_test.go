@@ -24,12 +24,15 @@ import (
 	"testing"
 
 	"emblookup/internal/baselines"
+	"emblookup/internal/charenc"
 	"emblookup/internal/core"
 	"emblookup/internal/experiments"
 	"emblookup/internal/index"
 	"emblookup/internal/kg"
 	"emblookup/internal/lookup"
 	"emblookup/internal/mathx"
+	"emblookup/internal/ngram"
+	"emblookup/internal/nn"
 	"emblookup/internal/quant"
 	"emblookup/internal/tabular"
 )
@@ -115,12 +118,56 @@ func BenchmarkAblations(b *testing.B) { benchExperiment(b, "ablations") }
 
 // ---- micro-benchmarks: the operations behind the speedup claims ------
 
+// BenchmarkEmbed times one query embedding (all) and its three stages: the
+// n-gram bag (ngram), the character encoding plus CharCNN (cnn) and the MLP
+// combiner (mlp). The stage rows run freshly initialised layers of the
+// bench model's shapes, whose cost is the trained layers' — a stage's work
+// depends on its shapes and the mention, not on its weights. The stage
+// mention is lowercase, so no stage row pays for case folding; all does.
 func BenchmarkEmbed(b *testing.B) {
 	_, m, _ := model(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		m.Embed("Bramonia Ridge")
+	cfg := m.Config()
+	const q = "bramonia ridge"
+	rng := mathx.NewRNG(1)
+	enc := charenc.NewEncoder(charenc.DefaultAlphabet(), cfg.MaxLen)
+	cnn := nn.NewCharCNN(rng, enc.Alphabet.Size(), cfg.CNNChannels, cfg.Kernel, cfg.CNNLayers)
+	sem := ngram.NewModel(cfg.Dim, cfg.NgramBuckets, 2)
+	joint := make([]float32, cfg.CNNChannels+cfg.Dim)
+	if cfg.MentionSlot {
+		joint = append(joint, make([]float32, cfg.Dim)...)
 	}
+	mlp := nn.NewMLP(rng, len(joint), cfg.Hidden, cfg.Dim)
+	for i := range joint {
+		joint[i] = float32(rng.NormFloat64())
+	}
+	var (
+		ns       ngram.Scratch
+		s        nn.Scratch
+		idx      []int
+		sub, men = make([]float32, cfg.Dim), make([]float32, cfg.Dim)
+	)
+	b.Run("ngram", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			sem.EmbedPartsInto(&ns, q, sub, men)
+		}
+	})
+	b.Run("cnn", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			idx = enc.EncodeIndexesInto(q, idx)
+			cnn.ApplyIdxInto(idx[:len(q)], &s)
+		}
+	})
+	b.Run("mlp", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			mlp.ApplyInto(joint, &s)
+		}
+	})
+	b.Run("all", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			m.Embed("Bramonia Ridge")
+		}
+	})
 }
 
 func BenchmarkLookupPQ(b *testing.B) {
@@ -389,6 +436,32 @@ func BenchmarkPQBuild(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// BenchmarkIndexBuild is core.LoadFile of a weights-only fast-scan model
+// over a 20k-entity graph: the rebuild a process pays when its artifact
+// carries no index, as the served benchmark's setup_s does for fs100k —
+// embed every entity, train the 4-bit quantizer, encode the rows.
+func BenchmarkIndexBuild(b *testing.B) {
+	_, m, _ := model(b)
+	fs, err := m.WithFastScan()
+	if err != nil {
+		b.Fatal(err)
+	}
+	g, _ := kg.Generate(kg.DefaultGeneratorConfig(kg.WikidataProfile, 20_000))
+	path := filepath.Join(b.TempDir(), "weights.v4")
+	if err := fs.SaveFile(path); err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		lm, err := core.LoadFile(path, g)
+		if err != nil {
+			b.Fatal(err)
+		}
+		lm.Close()
 	}
 }
 

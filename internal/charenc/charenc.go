@@ -123,13 +123,15 @@ func (e *Encoder) EncodeInto(m string, X *mathx.Matrix) {
 // MaxLen and padded with -1. This sparse form lets the first convolution
 // layer skip the dense one-hot multiply.
 func (e *Encoder) EncodeIndexes(m string) []int {
-	return e.EncodeIndexesInto(m, nil)
+	return e.EncodeIndexesInto(strings.ToLower(m), nil)
 }
 
-// EncodeIndexesInto is EncodeIndexes writing into buf, which is reused when
-// its capacity suffices (the returned slice always has length MaxLen).
-// Reusing a buffer keeps the steady-state query path allocation-free.
-func (e *Encoder) EncodeIndexesInto(m string, buf []int) []int {
+// EncodeIndexesInto is EncodeIndexes of a mention the caller has already
+// lowercased (lower is strings.ToLower of it), writing into buf, which is
+// reused when its capacity suffices (the returned slice always has length
+// MaxLen). Reusing a buffer keeps the steady-state query path
+// allocation-free.
+func (e *Encoder) EncodeIndexesInto(lower string, buf []int) []int {
 	if cap(buf) < e.MaxLen {
 		buf = make([]int, e.MaxLen)
 	}
@@ -138,7 +140,7 @@ func (e *Encoder) EncodeIndexesInto(m string, buf []int) []int {
 		out[i] = -1
 	}
 	i := 0
-	for _, r := range strings.ToLower(m) {
+	for _, r := range lower {
 		if i >= e.MaxLen {
 			break
 		}

@@ -1,5 +1,10 @@
 package core
 
+import (
+	"unicode"
+	"unicode/utf8"
+)
+
 // NormalizeMention maps a query string to its cache key: two queries with
 // the same key are guaranteed to produce the same embedding, so a cached
 // lookup result can be served for either. The normalization is exactly the
@@ -29,4 +34,28 @@ func NormalizeMention(s string) string {
 		}
 	}
 	return string(b)
+}
+
+// lowerInto writes strings.ToLower(s) into dst[:0] and returns it: the same
+// bytes, built without allocating once dst has grown to fit. ASCII goes
+// byte by byte; anything else rune by rune through unicode.ToLower, each
+// invalid UTF-8 byte becoming U+FFFD as strings.Map writes it.
+func lowerInto(dst []byte, s string) []byte {
+	dst = dst[:0]
+	for i := 0; i < len(s); i++ {
+		if s[i] >= utf8.RuneSelf {
+			for _, r := range s {
+				dst = utf8.AppendRune(dst, unicode.ToLower(r))
+			}
+			return dst
+		}
+	}
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		dst = append(dst, c)
+	}
+	return dst
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"sync"
 	"time"
+	"unsafe"
 
 	"emblookup/internal/index"
 	"emblookup/internal/kg"
@@ -14,14 +15,15 @@ import (
 	"emblookup/internal/obs"
 )
 
-// Scratch is the per-worker working memory of one lookup: the character
-// index buffer, the CNN/MLP activation scratch, the n-gram feature scratch,
-// the subword/mention accumulators, the joint input vector, the index
-// search scratch, and the dedupe set. Every buffer grows on demand and is
-// retained across queries, so a worker that owns a Scratch answers queries
-// with only the result slices allocated. The zero value is ready to use; a
-// Scratch must not be used concurrently.
+// Scratch is the per-worker working memory of one lookup: the lowercased
+// query, the character index buffer, the CNN/MLP activation scratch, the
+// n-gram feature scratch, the subword/mention accumulators, the joint input
+// vector, the index search scratch, and the dedupe set. Every buffer grows
+// on demand and is retained across queries, so a worker that owns a
+// Scratch answers queries with only the result slices allocated. The zero
+// value is ready to use; a Scratch must not be used concurrently.
 type Scratch struct {
+	lower   []byte // the query, lowercased once for both encoders
 	idx     []int
 	nn      nn.Scratch
 	ng      ngram.Scratch
@@ -44,9 +46,11 @@ func putScratch(s *Scratch) { scratchPool.Put(s) }
 // from sc. The returned vector is owned by sc and valid until its next use.
 func (e *EmbLookup) embedInto(sc *Scratch, s string, useMention bool) []float32 {
 	dim := e.sem.Dim
+	sc.lower = lowerInto(sc.lower, s)
+	lower := unsafe.String(unsafe.SliceData(sc.lower), len(sc.lower)) // a view: neither encoder keeps it
 	sc.sub = mathx.Resize(sc.sub, dim)
 	sc.mention = mathx.Resize(sc.mention, dim)
-	e.sem.EmbedPartsInto(&sc.ng, s, sc.sub, sc.mention)
+	e.sem.EmbedPartsInto(&sc.ng, lower, sc.sub, sc.mention)
 	mention := sc.mention
 	if !e.cfg.MentionSlot {
 		mention = nil
@@ -57,7 +61,7 @@ func (e *EmbLookup) embedInto(sc *Scratch, s string, useMention bool) []float32 
 	}
 	var syn []float32
 	if e.cnn != nil {
-		sc.idx = e.enc.EncodeIndexesInto(s, sc.idx)
+		sc.idx = e.enc.EncodeIndexesInto(lower, sc.idx)
 		syn = e.cnn.ApplyIdxInto(trimIdx(sc.idx), &sc.nn)
 	}
 	joint := sc.joint[:0]

@@ -2,31 +2,14 @@
 
 package index
 
-import "emblookup/internal/quant"
+import (
+	"emblookup/internal/mathx"
+	"emblookup/internal/quant"
+)
 
-// fsAVX2 reports whether the assembly kernel can run here: the CPU has AVX2
-// and the OS saves the YMM state. Detected once, by hand — the module
-// depends on nothing that exports it.
-var fsAVX2 = detectAVX2()
-
-func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
-func xgetbv() (eax, edx uint32)
-
-func detectAVX2() bool {
-	maxLeaf, _, _, _ := cpuid(0, 0)
-	if maxLeaf < 7 {
-		return false
-	}
-	const osxsave, avx = 1 << 27, 1 << 28
-	if _, _, ecx, _ := cpuid(1, 0); ecx&osxsave == 0 || ecx&avx == 0 {
-		return false
-	}
-	if xcr0, _ := xgetbv(); xcr0&6 != 6 { // XMM and YMM state enabled
-		return false
-	}
-	_, ebx, _, _ := cpuid(7, 0)
-	return ebx&(1<<5) != 0
-}
+// fsAVX2 reports whether the assembly kernel can run here (mathx.HasAVX2:
+// the CPU has AVX2 and the OS saves the YMM state).
+var fsAVX2 = mathx.HasAVX2
 
 //go:noescape
 func fsScanAVX2(blocks *byte, nblocks int, lut8 *uint8, np int, limit uint32, qd *[fsBlock]uint8) (skipped int, mask uint32)

@@ -46,24 +46,38 @@ func (m *Matrix) Zero() {
 // MatVec computes out = m · x for a vector x of length m.Cols, returning a
 // vector of length m.Rows.
 func (m *Matrix) MatVec(x []float32) []float32 {
-	if len(x) != m.Cols {
-		panic(fmt.Sprintf("mathx: MatVec shape mismatch %d vs %d", len(x), m.Cols))
-	}
 	out := make([]float32, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		out[i] = Dot(m.Row(i), x)
-	}
+	m.MatVecInto(x, out)
 	return out
 }
 
 // MatVecInto computes out = m · x into the provided out (length m.Rows),
-// avoiding the per-call allocation of MatVec.
+// avoiding the per-call allocation of MatVec. Four rows share each pass
+// over x as four independent sums, whose adds the CPU overlaps; each
+// row's sum is still Dot's sequential s += m[r][j]*x[j] from j = 0, so
+// every output is bit-identical to a Dot per row.
 func (m *Matrix) MatVecInto(x, out []float32) {
-	if len(x) != m.Cols || len(out) != m.Rows {
+	n := m.Cols
+	if len(x) != n || len(out) != m.Rows {
 		panic(fmt.Sprintf("mathx: MatVecInto shape mismatch %d,%d vs %dx%d", len(x), len(out), m.Rows, m.Cols))
 	}
-	for i := 0; i < m.Rows; i++ {
-		out[i] = Dot(m.Row(i), x)
+	r := 0
+	for ; r+4 <= m.Rows; r += 4 {
+		w0 := m.Data[r*n:][:n]
+		w1 := m.Data[(r+1)*n:][:n]
+		w2 := m.Data[(r+2)*n:][:n]
+		w3 := m.Data[(r+3)*n:][:n]
+		var s0, s1, s2, s3 float32
+		for j, v := range x {
+			s0 += float32(w0[j] * v)
+			s1 += float32(w1[j] * v)
+			s2 += float32(w2[j] * v)
+			s3 += float32(w3[j] * v)
+		}
+		out[r], out[r+1], out[r+2], out[r+3] = s0, s1, s2, s3
+	}
+	for ; r < m.Rows; r++ {
+		out[r] = Dot(m.Row(r), x)
 	}
 }
 

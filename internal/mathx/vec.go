@@ -3,10 +3,13 @@ package mathx
 import "math"
 
 // Dot returns the dot product of a and b. The slices must have equal length.
+// The float32 conversion rounds each product before its add: Go may fuse an
+// unconverted a*b+s into one multiply-add (it does on arm64), and the
+// embedding kernels promise the same bits on every architecture.
 func Dot(a, b []float32) float32 {
 	var s float32
 	for i := range a {
-		s += a[i] * b[i]
+		s += float32(a[i] * b[i])
 	}
 	return s
 }

@@ -146,15 +146,18 @@ func (m *Model) EmbedParts(s string) (subword, mention []float32) {
 	subword = make([]float32, m.Dim)
 	mention = make([]float32, m.Dim)
 	var sc Scratch
-	m.EmbedPartsInto(&sc, s, subword, mention)
+	m.EmbedPartsInto(&sc, strings.ToLower(s), subword, mention)
 	return subword, mention
 }
 
-// EmbedPartsInto is EmbedParts writing into the caller's sub and mention
-// buffers (each of length Dim) with all intermediate state taken from sc —
-// the steady-state query path runs it without allocating.
-func (m *Model) EmbedPartsInto(sc *Scratch, s string, sub, mention []float32) {
-	norm := strings.ToLower(strings.TrimSpace(s))
+// EmbedPartsInto is EmbedParts of a mention the caller has already
+// lowercased (lower is strings.ToLower of it), writing into the caller's
+// sub and mention buffers (each of length Dim) with all intermediate state
+// taken from sc — the steady-state query path runs it without allocating.
+// Trimming after lowering gives what Features normalizes to,
+// strings.ToLower(strings.TrimSpace(s)).
+func (m *Model) EmbedPartsInto(sc *Scratch, lower string, sub, mention []float32) {
+	norm := strings.TrimSpace(lower)
 	for i := range mention {
 		mention[i] = 0
 	}

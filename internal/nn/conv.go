@@ -1,6 +1,11 @@
 package nn
 
-import "emblookup/internal/mathx"
+import (
+	"fmt"
+	"math"
+
+	"emblookup/internal/mathx"
+)
 
 // Conv1D is a 1-D convolution over a channels×length matrix with "same"
 // zero padding, the building block of the paper's syntactic CNN (5 layers of
@@ -46,10 +51,36 @@ func (c *Conv1D) Apply(x *mathx.Matrix) *mathx.Matrix {
 
 // ApplyInto computes the convolution into y, which must be Out×x.Cols; every
 // element of y is overwritten, so a reused scratch matrix needs no zeroing.
+func (c *Conv1D) ApplyInto(x, y *mathx.Matrix) { c.applyInto(x, y, false) }
+
+// convMaxK is the widest kernel the assembly kernel takes (its per-tap lane
+// masks live in a fixed array); wider kernels run the portable one.
+const convMaxK = 8
+
+// applyInto is the one convolution entry: ApplyInto, and with relu set the
+// inference layers, which store max(v, 0) as `if v < 0 { v = 0 }` does (−0
+// and NaN stay). Every output is b + Σ_{i,k} W[o][i,k]·x[i][t+k-pad] added
+// in (i, k) order, skipping zero weights and taps outside [0, L), with each
+// product rounded before its add — whichever kernel runs, so the bits are
+// the same (DESIGN.md §3, "Inference kernels").
+func (c *Conv1D) applyInto(x, y *mathx.Matrix, relu bool) {
+	L := x.Cols
+	if x.Rows != c.In || y.Rows != c.Out || y.Cols != L || len(x.Data) < c.In*L || len(y.Data) < c.Out*L ||
+		len(c.Weight.W.Data) < c.Out*c.In*c.K || len(c.Bias.W.Data) < c.Out {
+		panic(fmt.Sprintf("nn: Conv1D %d→%d (K=%d) applied to %dx%d into %dx%d", c.In, c.Out, c.K, x.Rows, x.Cols, y.Rows, y.Cols))
+	}
+	if mathx.HasAVX2 && c.K >= 1 && c.K <= convMaxK && c.In > 0 && c.Out > 0 && L > 0 {
+		c.applyAVX2(x, y, relu)
+		return
+	}
+	c.applyPortable(x, y, relu)
+}
+
+// applyPortable is the kernel of builds and CPUs without the assembly one.
 // The loops run over contiguous slices (per input channel and kernel tap) so
 // the hot inner loop is a strided multiply-add the compiler keeps in
-// registers.
-func (c *Conv1D) ApplyInto(x, y *mathx.Matrix) {
+// registers; the float32 conversion keeps it from fusing into an FMA.
+func (c *Conv1D) applyPortable(x, y *mathx.Matrix, relu bool) {
 	L := x.Cols
 	pad := (c.K - 1) / 2
 	for o := 0; o < c.Out; o++ {
@@ -74,14 +105,36 @@ func (c *Conv1D) ApplyInto(x, y *mathx.Matrix) {
 				} else if off > 0 {
 					hi = L - off
 				}
+				if lo >= hi {
+					continue // a tap past both ends of a row shorter than pad
+				}
 				xs := xr[lo+off : hi+off]
 				ys := yr[lo:hi]
 				for t := range ys {
-					ys[t] += wv * xs[t]
+					ys[t] += float32(wv * xs[t])
 				}
 			}
 		}
+		if relu {
+			for t, v := range yr {
+				yr[t] = reluValue(v)
+			}
+		}
 	}
+}
+
+// reluValue is the inference ReLU, `if v < 0 { v = 0 }` (so −0 and NaN
+// pass), without a branch on the data: v < 0 holds for exactly the bit
+// patterns 0x80000001 (the negative subnormal nearest zero) through
+// 0xff800000 (−Inf), one unsigned compare, and the compiler selects with a
+// conditional move. A branch there mispredicts on about half of a layer's
+// outputs.
+func reluValue(v float32) float32 {
+	u := math.Float32bits(v)
+	if u-0x80000001 < 0x7f800000 {
+		u = 0
+	}
+	return math.Float32frombits(u)
 }
 
 // Backward accumulates dWeight/dBias and returns dL/dx, with the same

@@ -21,6 +21,12 @@ func (c *Conv1D) ApplySparseOneHot(idx []int) *mathx.Matrix {
 // ApplySparseOneHotInto is ApplySparseOneHot into y, which must be
 // Out×len(idx); every element is overwritten.
 func (c *Conv1D) ApplySparseOneHotInto(idx []int, y *mathx.Matrix) {
+	c.applySparseOneHotInto(idx, y, false)
+}
+
+// applySparseOneHotInto is ApplySparseOneHotInto with the inference ReLU
+// fused into the store when relu is set (as Conv1D.applyInto does).
+func (c *Conv1D) applySparseOneHotInto(idx []int, y *mathx.Matrix, relu bool) {
 	L := len(idx)
 	pad := (c.K - 1) / 2
 	for o := 0; o < c.Out; o++ {
@@ -39,6 +45,9 @@ func (c *Conv1D) ApplySparseOneHotInto(idx []int, y *mathx.Matrix) {
 					continue
 				}
 				s += w[ch*c.K+k]
+			}
+			if relu {
+				s = reluValue(s)
 			}
 			yr[t] = s
 		}

@@ -43,8 +43,7 @@ func (m *CharCNN) Apply(x *mathx.Matrix) []float32 {
 // returned slice is owned by s.
 func (m *CharCNN) ApplyInto(x *mathx.Matrix, s *Scratch) []float32 {
 	h := s.mat(0, m.Convs[0].Out, x.Cols)
-	m.Convs[0].ApplyInto(x, h)
-	reluMat(h)
+	m.Convs[0].applyInto(x, h, true)
 	return m.applyRest(h, s)
 }
 
@@ -60,19 +59,17 @@ func (m *CharCNN) ApplyIdx(idx []int) []float32 {
 // The returned slice is owned by s.
 func (m *CharCNN) ApplyIdxInto(idx []int, s *Scratch) []float32 {
 	h := s.mat(0, m.Convs[0].Out, len(idx))
-	m.Convs[0].ApplySparseOneHotInto(idx, h)
-	reluMat(h)
+	m.Convs[0].applySparseOneHotInto(idx, h, true)
 	return m.applyRest(h, s)
 }
 
-// applyRest runs the remaining conv layers over the first-layer activations
-// in h (ping-pong slot 0) and pools.
+// applyRest runs the remaining conv layers, ReLU fused into each, over the
+// first-layer activations in h (ping-pong slot 0) and pools.
 func (m *CharCNN) applyRest(h *mathx.Matrix, s *Scratch) []float32 {
 	slot := 1
 	for _, c := range m.Convs[1:] {
 		y := s.mat(slot, c.Out, h.Cols)
-		c.ApplyInto(h, y)
-		reluMat(y)
+		c.applyInto(h, y, true)
 		h = y
 		slot ^= 1
 	}
@@ -81,23 +78,13 @@ func (m *CharCNN) applyRest(h *mathx.Matrix, s *Scratch) []float32 {
 	return s.pooled
 }
 
-func reluMat(m *mathx.Matrix) {
-	for i, v := range m.Data {
-		if v < 0 {
-			m.Data[i] = 0
-		}
-	}
-}
-
 // ApplyInto is the MLP inference pass with the hidden and output vectors
 // taken from s. The returned slice is owned by s.
 func (m *MLP) ApplyInto(x []float32, s *Scratch) []float32 {
 	s.hidden = mathx.Resize(s.hidden, m.L1.Out)
 	m.L1.ApplyInto(x, s.hidden)
 	for i, v := range s.hidden {
-		if v < 0 {
-			s.hidden[i] = 0
-		}
+		s.hidden[i] = reluValue(v)
 	}
 	s.out = mathx.Resize(s.out, m.L2.Out)
 	m.L2.ApplyInto(s.hidden, s.out)

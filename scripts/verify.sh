@@ -43,19 +43,30 @@ echo "== flake check: serve, cluster, index, server and kg, five runs =="
 # one build each; the -race line above runs it too); none sleeps.
 go test -count=5 ./internal/serve ./internal/cluster ./internal/index ./internal/server ./internal/kg
 
-echo "== portable fast-scan build: purego tests, arm64 vet =="
-# The AVX2 assembly kernel has a portable sibling (the query-major group
-# kernel; DESIGN.md §11) that this amd64 host never runs by itself: the
-# purego tag runs the scan, lookup and serve suites on it, and the arm64
-# vet type-checks the non-amd64 file set so it cannot rot.
-go test -tags purego ./internal/index ./internal/core ./internal/serve
-GOARCH=arm64 go vet ./internal/index ./internal/core
+echo "== portable kernel builds: purego tests, arm64 vet, GOAMD64=v3 =="
+# Each AVX2 assembly kernel has a portable sibling that this amd64 host
+# never runs by itself: the fast-scan query-major group kernel (DESIGN.md
+# §11) and the convolution loop (§3, "Inference kernels"). The purego tag
+# runs the kernel, scan, lookup and serve suites on them — the embedding
+# golden included — and the arm64 vet type-checks the non-amd64 file set so
+# it cannot rot. The GOAMD64=v3 run lets the compiler use every FMA the
+# language allows: the portable loops round each product (float32(w*x)), so
+# the embedding golden and the kernel equivalence hold there too.
+go test -tags purego ./internal/nn ./internal/mathx ./internal/index ./internal/core ./internal/serve
+GOARCH=arm64 go vet ./internal/nn ./internal/mathx ./internal/index ./internal/core
+GOAMD64=v3 go test -run 'Golden|Equivalence' ./internal/nn ./internal/core
 
-echo "== fast-scan kernel fuzz (short, both builds) =="
-# Each build's kernels against the plain float32 scan: batch sizes 1-9,
-# all-ties tables, mid-block ranges (DESIGN.md §11).
+echo "== kernel fuzz (short, both builds) =="
+# Each build's fast-scan kernels against the plain float32 scan: batch sizes
+# 1-9, all-ties tables, mid-block ranges (DESIGN.md §11). Each build's
+# convolution kernels against the scalar loop, bit for bit: lengths 1-40,
+# signed zeros, subnormals, overflow (DESIGN.md §3). The query's one case
+# fold against strings.ToLower.
 go test -run '^$' -fuzz FuzzFastScanEquivalence -fuzztime 10s ./internal/index
 go test -tags purego -run '^$' -fuzz FuzzFastScanEquivalence -fuzztime 10s ./internal/index
+go test -run '^$' -fuzz FuzzConvEquivalence -fuzztime 10s ./internal/nn
+go test -tags purego -run '^$' -fuzz FuzzConvEquivalence -fuzztime 10s ./internal/nn
+go test -run '^$' -fuzz FuzzLowerInto -fuzztime 10s ./internal/core
 
 echo "== artifact parser fuzz (short) =="
 # 10 seconds of coverage-guided input on the v4 section parser and the
@@ -72,6 +83,13 @@ go test -run '^$' -fuzz FuzzReadGraph -fuzztime 10s ./internal/kg
 echo "== allocation benchmarks (short) =="
 go test -run '^$' -bench 'BenchmarkPQSearch$|BenchmarkLookupAllocs' \
     -benchmem -benchtime 10x .
+
+echo "== embedding and index build benchmarks (short) =="
+# One query's embedding by stage (ngram / cnn / mlp) and whole (all, which
+# allocates only the returned vector), and the rebuild of a 20k-entity
+# fast-scan index from weights: embedding every label, then the quantizer.
+go test -run '^$' -bench 'BenchmarkEmbed' -benchmem -benchtime 20000x .
+go test -run '^$' -bench 'BenchmarkIndexBuild' -benchmem -benchtime 2x .
 
 echo "== graph load and clone benchmarks (short, 100k entities) =="
 # kg.LoadFile of the flat container vs the legacy gob stream, Clone, and
