@@ -65,12 +65,11 @@ func timingMetric(name string) bool {
 }
 
 // parallelMetric reports whether a metric times a multi-worker code path
-// (parallel build phases, hogwild training at hwN workers). On a
+// (parallel build phases, the combiner trained on two workers). On a
 // single-core machine those timings measure goroutine oversubscription,
 // not the code, so they are reported but never gated there.
 func parallelMetric(name string) bool {
-	return name == "par_us" ||
-		(strings.HasPrefix(name, "hw") && strings.HasSuffix(name, "_us"))
+	return name == "par_us" || name == "w2_us"
 }
 
 func main() {
@@ -95,7 +94,7 @@ func main() {
 	}
 	singleCore := oldSnap.Env.NumCPU <= 1 || newSnap.Env.NumCPU <= 1
 	if singleCore {
-		fmt.Println("note: single-core environment — parallel-path timings (par_us, hw*_us) reported without gating")
+		fmt.Println("note: single-core environment — parallel-path timings (par_us, w2_us) reported without gating")
 	}
 
 	oldByName := make(map[string]map[string]float64, len(oldSnap.Results))

@@ -87,27 +87,24 @@ func benchBuild(path string, entities int, seed uint64) error {
 		snap.Results = append(snap.Results, benchResult{Name: name, Metrics: metrics})
 	}
 
-	// Phase 0: training, deterministic vs hogwild at 1/2/4 workers. One run
-	// per mode — each is seconds of wall clock — with per-phase durations
-	// taken from core.TrainStats instead of re-timing the call. The env
-	// block records NumCPU/GOMAXPROCS, so a single-core snapshot is
-	// self-describing (and benchcompare skips gating hw*_us there).
-	trainSem := map[string]float64{"det_us": float64(detSt.SemanticDur.Microseconds())}
-	trainComb := map[string]float64{"det_us": float64(detSt.CombinerDur.Microseconds())}
-	for _, w := range []int{1, 2, 4} {
-		hwCfg := cfg
-		hwCfg.Hogwild = true
-		hwCfg.Workers = w
-		var st core.TrainStats
-		if _, err := core.Train(tg, hwCfg, core.WithTrainStats(&st)); err != nil {
-			return fmt.Errorf("hogwild training (%d workers): %w", w, err)
-		}
-		key := fmt.Sprintf("hw%d_us", w)
-		trainSem[key] = float64(st.SemanticDur.Microseconds())
-		trainComb[key] = float64(st.CombinerDur.Microseconds())
+	// Phase 0: training. det_us is the run above at the default worker
+	// count; the combiner phase runs once more on two replica workers
+	// (w2_us). The semantic phase is sequential, so it has no w2 row.
+	// Per-phase durations come from core.TrainStats instead of re-timing
+	// the call. The env block records NumCPU/GOMAXPROCS, so a single-core
+	// snapshot is self-describing (and benchcompare skips gating w2_us
+	// there).
+	w2Cfg := cfg
+	w2Cfg.Workers = 2
+	var w2St core.TrainStats
+	if _, err := core.Train(tg, w2Cfg, core.WithTrainStats(&w2St)); err != nil {
+		return fmt.Errorf("training on 2 workers: %w", err)
 	}
-	add("train_semantic", trainSem)
-	add("train_combiner", trainComb)
+	add("train_semantic", map[string]float64{"det_us": float64(detSt.SemanticDur.Microseconds())})
+	add("train_combiner", map[string]float64{
+		"det_us": float64(detSt.CombinerDur.Microseconds()),
+		"w2_us":  float64(w2St.CombinerDur.Microseconds()),
+	})
 
 	// Phase 1: embedding every entity (always parallel in buildIndex).
 	var data *mathx.Matrix

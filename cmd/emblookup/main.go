@@ -335,7 +335,6 @@ func cmdTrain(args []string) {
 	saveIndex := fs.Bool("save-index", true, "embed the built index in the model file (IO-bound cold starts)")
 	paper := fs.Bool("paper", false, "use the full paper configuration (100 epochs, 100 triplets/entity)")
 	workers := fs.Int("workers", 0, "training/indexing worker count (0 = GOMAXPROCS)")
-	hogwild := fs.Bool("hogwild", false, "lock-free parallel SGD for both training phases (faster on multi-core, non-deterministic)")
 	fs.Parse(args)
 
 	g, err := kg.LoadFile(*graphPath)
@@ -354,7 +353,6 @@ func cmdTrain(args []string) {
 	cfg.Compress = *compress
 	cfg.FastScan = *fastScan
 	cfg.Workers = *workers
-	cfg.Hogwild = *hogwild
 
 	start := time.Now()
 	var stats core.TrainStats
@@ -362,12 +360,8 @@ func cmdTrain(args []string) {
 	if err != nil {
 		log.Fatalf("training: %v", err)
 	}
-	mode := "deterministic"
-	if cfg.Hogwild {
-		mode = "hogwild"
-	}
-	log.Printf("trained in %v (%s: semantic %v, combiner %v); index %d rows, %d payload bytes",
-		time.Since(start).Round(time.Millisecond), mode,
+	log.Printf("trained in %v (semantic %v, combiner %v); index %d rows, %d payload bytes",
+		time.Since(start).Round(time.Millisecond),
 		stats.SemanticDur.Round(time.Millisecond), stats.CombinerDur.Round(time.Millisecond),
 		model.Index().Len(), model.Index().SizeBytes())
 	if *saveIndex {

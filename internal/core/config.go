@@ -114,15 +114,6 @@ type Config struct {
 	// Workers bounds training/indexing parallelism (≤0 = GOMAXPROCS).
 	Workers int
 
-	// Hogwild switches both training phases to lock-free parallel SGD
-	// (DESIGN.md §13): the semantic model trains with per-worker synonym
-	// ranges over a shared bucket table, and the combiner drops the
-	// per-batch replica-merge barrier for direct atomic updates to the
-	// master parameters with per-worker Adam moment shards. Off (the
-	// default) keeps the deterministic paths: bit-identical output for a
-	// given seed at every worker count.
-	Hogwild bool
-
 	// Seed drives every random choice in mining, initialization, and
 	// training order.
 	Seed uint64

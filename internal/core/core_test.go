@@ -216,28 +216,6 @@ func TestBulkLookupMatchesSequential(t *testing.T) {
 	}
 }
 
-func TestTrainDeterministic(t *testing.T) {
-	g, _ := kg.Generate(kg.DefaultGeneratorConfig(kg.WikidataProfile, 120))
-	cfg := testConfig()
-	cfg.Epochs = 2
-	cfg.Workers = 1 // replica merge order varies with >1 worker
-	e1, err := Train(g, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e2, err := Train(g, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a := e1.Embed("Bramonia")
-	b := e2.Embed("Bramonia")
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatal("single-worker training not deterministic")
-		}
-	}
-}
-
 func TestCompressionToggle(t *testing.T) {
 	g, e := fixture(t)
 	// EL (compressed) payload must be Dim*4/M smaller than EL-NC.

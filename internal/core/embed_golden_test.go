@@ -88,25 +88,27 @@ func TestEmbedGolden(t *testing.T) {
 
 func writeEmbedGolden(t *testing.T, path string, m *EmbLookup, mentions []string) {
 	t.Helper()
-	var buf bytes.Buffer
-	put := func(v any) {
-		if err := binary.Write(&buf, binary.LittleEndian, v); err != nil {
-			t.Fatal(err)
-		}
-	}
-	put(uint32(len(mentions)))
-	put(uint32(m.Config().Dim))
+	b := binary.LittleEndian.AppendUint32(nil, uint32(len(mentions)))
+	b = binary.LittleEndian.AppendUint32(b, uint32(m.Config().Dim))
 	for _, s := range mentions {
-		put(uint32(len(s)))
-		buf.WriteString(s)
-		for _, v := range append(m.Embed(s), m.IndexEmbed(s)...) {
-			put(math.Float32bits(v))
-		}
+		b = appendEmbedRecord(b, m, s)
 	}
-	if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+	if err := os.WriteFile(path, b, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	t.Logf("embedding golden rewritten: %d mentions", len(mentions))
+}
+
+// appendEmbedRecord appends one mention's record of the embedding golden to
+// b: its byte length, its bytes, then its query-space and index-space
+// embeddings under m as float32 bits.
+func appendEmbedRecord(b []byte, m *EmbLookup, s string) []byte {
+	b = binary.LittleEndian.AppendUint32(b, uint32(len(s)))
+	b = append(b, s...)
+	for _, v := range append(m.Embed(s), m.IndexEmbed(s)...) {
+		b = binary.LittleEndian.AppendUint32(b, math.Float32bits(v))
+	}
+	return b
 }
 
 // goldenMentions is the embedding golden's input set, about 200 strings

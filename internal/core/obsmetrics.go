@@ -16,10 +16,4 @@ var (
 	stageMerge    = obs.Default().Histogram(obs.Labels("emblookup_lookup_stage_seconds", "stage", "merge"))
 	bulkTotal     = obs.Default().Counter("emblookup_bulk_lookups_total")
 	bulkQueries   = obs.Default().Histogram("emblookup_bulk_batch_size")
-
-	// Hogwild training progress (DESIGN.md §13): the semantic phase's
-	// atomic pair counter mirrored as a gauge, and one count per combiner
-	// micro-batch push.
-	trainSemProgress  = obs.Default().Gauge("emblookup_train_semantic_pairs_done")
-	trainHogwildSteps = obs.Default().Counter("emblookup_train_hogwild_steps_total")
 )

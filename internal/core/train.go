@@ -13,6 +13,7 @@ import (
 	"emblookup/internal/mathx"
 	"emblookup/internal/ngram"
 	"emblookup/internal/nn"
+	"emblookup/internal/par"
 	"emblookup/internal/quant"
 	"emblookup/internal/strutil"
 	"emblookup/internal/triplet"
@@ -32,16 +33,14 @@ func WithTriplets(ts []triplet.Triplet) TrainOption {
 	return func(s *trainState) { s.triplets = ts }
 }
 
-// TrainStats reports phase timings and the final combiner loss of one Train
-// run — benchkg uses it for the per-phase train rows, and the convergence
-// test compares FinalLoss across modes.
+// TrainStats reports the phase timings of one Train run — benchkg uses it
+// for the per-phase train rows.
 type TrainStats struct {
 	SemanticDur time.Duration // synonym-pair (ngram) phase
 	CombinerDur time.Duration // triplet/combiner phase
-	FinalLoss   float64       // mean triplet loss of the last epoch run
 }
 
-// WithTrainStats fills st with phase timings and the final loss.
+// WithTrainStats fills st with phase timings.
 func WithTrainStats(st *TrainStats) TrainOption {
 	return func(s *trainState) { s.stats = st }
 }
@@ -88,13 +87,6 @@ func Train(g *kg.Graph, cfg Config, opts ...TrainOption) (*EmbLookup, error) {
 	ngCfg := ngram.DefaultTrainConfig()
 	ngCfg.Epochs = cfg.NgramEpochs
 	ngCfg.Seed = rng.Uint64()
-	if cfg.Hogwild {
-		ngCfg.Deterministic = false
-		ngCfg.Workers = cfg.Workers
-		ngCfg.OnProgress = func(done, total int64) {
-			trainSemProgress.Set(float64(done))
-		}
-	}
 	semStart := time.Now()
 	sem.Train(pairs, triplet.Labels(g), ngCfg)
 	if st.stats != nil {
@@ -136,10 +128,9 @@ func Train(g *kg.Graph, cfg Config, opts ...TrainOption) (*EmbLookup, error) {
 
 	if cfg.Epochs > 0 && len(ts) > 0 {
 		combStart := time.Now()
-		finalLoss := e.train(ts, cfg, rng, st.logf)
+		e.train(ts, cfg, rng, st.logf)
 		if st.stats != nil {
 			st.stats.CombinerDur = time.Since(combStart)
-			st.stats.FinalLoss = finalLoss
 		}
 	}
 
@@ -297,13 +288,9 @@ func (e *EmbLookup) masterParams() []*nn.Param {
 }
 
 // train runs the two-phase schedule: offline epochs over all triplets, then
-// online epochs over the semi-hard/hard subset re-selected each epoch. It
-// returns the mean loss of the last epoch run. The per-batch loop comes in
-// two flavors: the deterministic replica path (shared weights, private
-// gradients, MergeGrads barrier, one Adam) and the hogwild path
-// (cfg.Hogwild: detached per-worker weights, per-worker HogwildAdam pushing
-// CAS deltas straight onto the master — no barrier inside an epoch).
-func (e *EmbLookup) train(ts []triplet.Triplet, cfg Config, rng *mathx.RNG, logf func(string, ...any)) float64 {
+// online epochs over the semi-hard/hard subset re-selected each epoch. Each
+// epoch runs on the replica trainer (runEpochReplica).
+func (e *EmbLookup) train(ts []triplet.Triplet, cfg Config, rng *mathx.RNG, logf func(string, ...any)) {
 	workers := cfg.Workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -312,36 +299,20 @@ func (e *EmbLookup) train(ts []triplet.Triplet, cfg Config, rng *mathx.RNG, logf
 		workers = 1
 	}
 	master := e.masterParams()
-
-	var runEpoch func(active []triplet.Triplet, order []int) float64
-	if cfg.Hogwild {
-		hws := make([]*hogwildWorker, workers)
-		for i := range hws {
-			hws[i] = e.newHogwildWorker(cfg, master, cfg.Seed^(uint64(i+1)*0x9e3779b97f4a7c15))
-		}
-		runEpoch = func(active []triplet.Triplet, order []int) float64 {
-			return e.runEpochHogwild(hws, active, order, cfg, rng)
-		}
-	} else {
-		opt := nn.NewAdam(cfg.LR, master)
-		ws := make([]*trainWorker, workers)
-		for i := range ws {
-			ws[i] = e.newWorker(cfg.Seed ^ (uint64(i+1) * 0x9e3779b97f4a7c15))
-		}
-		runEpoch = func(active []triplet.Triplet, order []int) float64 {
-			return e.runEpochReplica(ws, master, opt, active, order, cfg, rng)
-		}
+	opt := nn.NewAdam(cfg.LR, master)
+	ws := make([]*trainWorker, workers)
+	for i := range ws {
+		ws[i] = e.newWorker(cfg.Seed ^ (uint64(i+1) * 0x9e3779b97f4a7c15))
 	}
 
 	offline := cfg.Epochs / 2
 	order := make([]int, len(ts))
-	var lastLoss float64
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		active := ts
 		phase := "offline"
 		if epoch >= offline {
 			phase = "online"
-			active = e.selectHardParallel(ts, cfg.Margin, workers)
+			active = triplet.SelectHard(ts, e.Embed, cfg.Margin, workers)
 			if len(active) == 0 {
 				logf("core: epoch %d (%s): all triplets easy, stopping early", epoch, phase)
 				break
@@ -359,16 +330,20 @@ func (e *EmbLookup) train(ts []triplet.Triplet, cfg Config, rng *mathx.RNG, logf
 		for i := 0; i < len(active); i++ {
 			order[i] = i
 		}
-		lastLoss = runEpoch(active, order)
-		logf("core: epoch %d (%s): %d triplets, mean loss %.4f", epoch, phase, len(active), lastLoss)
+		loss := e.runEpochReplica(ws, master, opt, active, order, cfg, rng)
+		logf("core: epoch %d (%s): %d triplets, mean loss %.4f", epoch, phase, len(active), loss)
 	}
-	return lastLoss
 }
 
-// runEpochReplica is the deterministic per-batch loop: workers stride over
-// each batch on replica modules, MergeGrads folds their gradients into the
+// runEpochReplica is the per-batch training loop: workers stride over each
+// batch on replica modules, MergeGrads folds their gradients into the
 // master, and one shared Adam steps — bit-identical for a given (seed,
-// workers) pair.
+// workers) pair. The stride is fixed on purpose: worker wi always takes
+// batch items wi, wi+workers, …, so each replica's gradient sum and
+// mention-dropout draws, and the order MergeGrads adds the replicas in,
+// never depend on scheduling. A dynamic fan-out (internal/par hands items
+// to whichever goroutine is free) would reorder float additions from run
+// to run.
 func (e *EmbLookup) runEpochReplica(ws []*trainWorker, master []*nn.Param, opt *nn.Adam, active []triplet.Triplet, order []int, cfg Config, rng *mathx.RNG) float64 {
 	rng.ShuffleInts(order[:len(active)])
 	var epochLoss float64
@@ -402,125 +377,6 @@ func (e *EmbLookup) runEpochReplica(ws []*trainWorker, master []*nn.Param, opt *
 	return epochLoss / float64(len(active))
 }
 
-// hogwildWorker pairs a trainWorker whose modules are detached deep copies
-// with its personal HogwildAdam (per-worker moment shards).
-type hogwildWorker struct {
-	w   *trainWorker
-	opt *nn.HogwildAdam
-}
-
-// newHogwildWorker builds a worker with fully private weights plus the
-// optimizer that syncs them against the master cells: Pull refreshes the
-// private copy with atomic loads, Step pushes Adam deltas back with CAS
-// adds. Parameter order matches masterParams (MLP then CNN).
-func (e *EmbLookup) newHogwildWorker(cfg Config, master []*nn.Param, seed uint64) *hogwildWorker {
-	w := &trainWorker{
-		sem: e.sem, enc: e.enc, mlp: e.mlp.Detach(),
-		rng:            mathx.NewRNG(seed),
-		mentionSlot:    cfg.MentionSlot,
-		mentionDropout: cfg.MentionDropout,
-		loss:           nn.TripletLoss,
-	}
-	if cfg.Loss == "contrastive" {
-		w.loss = nn.ContrastiveLoss
-	}
-	w.params = w.mlp.Params()
-	if e.cnn != nil {
-		w.cnn = e.cnn.Detach()
-		w.params = append(w.params, w.cnn.Params()...)
-	}
-	return &hogwildWorker{w: w, opt: nn.NewHogwildAdam(cfg.LR, master, w.params)}
-}
-
-// runEpochHogwild shards the epoch's triplets into contiguous per-worker
-// ranges. Each worker shuffles its own range, then repeatedly pulls a fresh
-// weight snapshot, runs a micro-batch (BatchSize/workers triplets) on its
-// private copy, and pushes the Adam-preconditioned deltas onto the master —
-// all workers concurrently, with the only barrier at the epoch boundary
-// (selectHardParallel reads master weights plain, so it must not overlap
-// with pushes).
-func (e *EmbLookup) runEpochHogwild(hws []*hogwildWorker, active []triplet.Triplet, order []int, cfg Config, rng *mathx.RNG) float64 {
-	rng.ShuffleInts(order[:len(active)])
-	micro := cfg.BatchSize / len(hws)
-	if micro < 1 {
-		micro = 1
-	}
-	losses := make([]float64, len(hws))
-	var wg sync.WaitGroup
-	for wi := range hws {
-		lo := wi * len(active) / len(hws)
-		hi := (wi + 1) * len(active) / len(hws)
-		if lo == hi {
-			continue
-		}
-		wg.Add(1)
-		go func(wi, lo, hi int) {
-			defer wg.Done()
-			hw := hws[wi]
-			mine := order[lo:hi]
-			hw.w.rng.ShuffleInts(mine)
-			var sum float64
-			for start := 0; start < len(mine); start += micro {
-				end := start + micro
-				if end > len(mine) {
-					end = len(mine)
-				}
-				hw.opt.Pull()
-				for _, ti := range mine[start:end] {
-					sum += float64(hw.w.step(active[ti], cfg.Margin))
-				}
-				hw.opt.Step(1 / float32(end-start))
-				trainHogwildSteps.Add(1)
-			}
-			losses[wi] = sum
-		}(wi, lo, hi)
-	}
-	wg.Wait()
-	var epochLoss float64
-	for _, l := range losses {
-		epochLoss += l
-	}
-	return epochLoss / float64(len(active))
-}
-
-// selectHardParallel is triplet.SelectHard fanned across workers using the
-// inference path.
-func (e *EmbLookup) selectHardParallel(ts []triplet.Triplet, margin float32, workers int) []triplet.Triplet {
-	out := make([]bool, len(ts))
-	var wg sync.WaitGroup
-	chunk := (len(ts) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		if lo >= len(ts) {
-			break
-		}
-		hi := lo + chunk
-		if hi > len(ts) {
-			hi = len(ts)
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				t := ts[i]
-				a := e.Embed(t.Anchor)
-				p := e.Embed(t.Positive)
-				n := e.Embed(t.Negative)
-				dap, dan := nn.TripletDistances(a, p, n)
-				out[i] = triplet.Classify(dap, dan, margin) != triplet.Easy
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
-	var hard []triplet.Triplet
-	for i, keep := range out {
-		if keep {
-			hard = append(hard, ts[i])
-		}
-	}
-	return hard
-}
-
 // selectTopLoss ranks the triplets by their loss under the current model
 // and keeps the top cfg.TopLossFraction — the "most promising triplets"
 // schedule from the paper's future-work discussion.
@@ -530,28 +386,10 @@ func (e *EmbLookup) selectTopLoss(ts []triplet.Triplet, cfg Config, workers int)
 	if cfg.Loss == "contrastive" {
 		lossFn = nn.ContrastiveLoss
 	}
-	var wg sync.WaitGroup
-	chunk := (len(ts) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo := w * chunk
-		if lo >= len(ts) {
-			break
-		}
-		hi := lo + chunk
-		if hi > len(ts) {
-			hi = len(ts)
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			for i := lo; i < hi; i++ {
-				t := ts[i]
-				l, _, _, _ := lossFn(e.Embed(t.Anchor), e.Embed(t.Positive), e.Embed(t.Negative), cfg.Margin)
-				losses[i] = l
-			}
-		}(lo, hi)
-	}
-	wg.Wait()
+	par.ForEach(len(ts), workers, func(i int) {
+		t := ts[i]
+		losses[i], _, _, _ = lossFn(e.Embed(t.Anchor), e.Embed(t.Positive), e.Embed(t.Negative), cfg.Margin)
+	})
 	idx := make([]int, len(ts))
 	for i := range idx {
 		idx[i] = i

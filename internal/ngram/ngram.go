@@ -331,27 +331,11 @@ type TrainConfig struct {
 	// synonyms.
 	Negatives int
 	Seed      uint64
-	// Workers is the hogwild thread count (0 = GOMAXPROCS). Ignored when
-	// Deterministic is set: the deterministic path is single-threaded by
-	// construction, so its output is bit-identical at every worker count.
-	Workers int
-	// Deterministic selects the sequential trainer: one goroutine, one RNG
-	// stream, bit-exact against every earlier release. With it off, Train
-	// runs hogwild (hogwild.go): per-worker pair ranges updating the shared
-	// bucket table lock-free, a shared unigram negative-sampling table, and
-	// an atomic progress counter decaying the learning rate.
-	Deterministic bool
-	// OnProgress, when set, is called periodically during hogwild training
-	// with (pairs processed, total pairs across all epochs). It may be
-	// invoked concurrently from several workers and must be cheap.
-	OnProgress func(done, total int64)
 }
 
-// DefaultTrainConfig returns the settings used by the pipeline. It is
-// deterministic: hogwild is strictly opt-in (clear Deterministic and set
-// Workers).
+// DefaultTrainConfig returns the settings used by the pipeline.
 func DefaultTrainConfig() TrainConfig {
-	return TrainConfig{Epochs: 5, LR: 0.05, Margin: 1.0, Negatives: 5, Seed: 17, Deterministic: true}
+	return TrainConfig{Epochs: 5, LR: 0.05, Margin: 1.0, Negatives: 5, Seed: 17}
 }
 
 // Pair is one (label, synonym) training example.
@@ -367,6 +351,12 @@ type Pair struct {
 // closer to some foreign label than to their own. Gradients are sparse:
 // only the buckets touched by an update move. Feature extraction is
 // memoized across epochs (the string set is fixed).
+//
+// Training runs on one goroutine with one RNG stream, so the table is a
+// pure function of (model, pairs, negatives, cfg). The per-pair working
+// buffers (feature embeddings and the gradient) live in one trainScratch
+// reused across the whole run, so the epoch loop allocates nothing once the
+// feature cache is warm (asserted in alloc_test.go).
 func (m *Model) Train(pairs []Pair, negatives []string, cfg TrainConfig) {
 	if len(pairs) == 0 || len(negatives) == 0 {
 		return
@@ -380,19 +370,6 @@ func (m *Model) Train(pairs []Pair, negatives []string, cfg TrainConfig) {
 	for _, n := range negatives {
 		m.RegisterMention(n)
 	}
-	if cfg.Deterministic {
-		m.trainSeq(pairs, negatives, cfg)
-		return
-	}
-	m.trainHogwild(pairs, negatives, cfg)
-}
-
-// trainSeq is the deterministic single-threaded trainer — the original
-// training loop, bit-exact against every earlier release. The per-pair
-// working buffers (feature embeddings and the gradient) live in one
-// trainScratch reused across the whole run, so the epoch loop allocates
-// nothing once the feature cache is warm (asserted in alloc_test.go).
-func (m *Model) trainSeq(pairs []Pair, negatives []string, cfg TrainConfig) {
 	rng := mathx.NewRNG(cfg.Seed)
 	featCache := make(map[string][]int)
 	feats := func(s string) []int {

@@ -97,12 +97,6 @@ func TripletLoss(a, p, n []float32, margin float32) (loss float32, da, dp, dn []
 	return loss, da, dp, dn
 }
 
-// TripletDistances returns ‖a−p‖² and ‖a−n‖², used by the online mining
-// phase to classify triplets as easy / semi-hard / hard.
-func TripletDistances(a, p, n []float32) (dap, dan float32) {
-	return mathx.SquaredL2(a, p), mathx.SquaredL2(a, n)
-}
-
 // ContrastiveLoss is the alternative training objective the paper's
 // conclusion proposes evaluating: instead of the relative triplet
 // constraint, it penalizes the positive pair's distance absolutely and

@@ -10,6 +10,7 @@ package triplet
 import (
 	"emblookup/internal/kg"
 	"emblookup/internal/mathx"
+	"emblookup/internal/par"
 	"emblookup/internal/tabular"
 )
 
@@ -199,15 +200,19 @@ func Classify(dap, dan, margin float32) Hardness {
 
 // SelectHard returns the subset of triplets that are semi-hard or hard
 // under embed — the working set for the online-mining epochs (the second
-// half of the paper's training schedule).
-func SelectHard(ts []Triplet, embed func(string) []float32, margin float32) []Triplet {
+// half of the paper's training schedule). The triplets are classified on
+// `workers` goroutines (≤0 = GOMAXPROCS), so embed must be safe for
+// concurrent use; the subset keeps the input order at every worker count.
+func SelectHard(ts []Triplet, embed func(string) []float32, margin float32, workers int) []Triplet {
+	keep := make([]bool, len(ts))
+	par.ForEach(len(ts), workers, func(i int) {
+		a, p, n := embed(ts[i].Anchor), embed(ts[i].Positive), embed(ts[i].Negative)
+		keep[i] = Classify(mathx.SquaredL2(a, p), mathx.SquaredL2(a, n), margin) != Easy
+	})
 	var out []Triplet
-	for _, t := range ts {
-		a, p, n := embed(t.Anchor), embed(t.Positive), embed(t.Negative)
-		dap := mathx.SquaredL2(a, p)
-		dan := mathx.SquaredL2(a, n)
-		if Classify(dap, dan, margin) != Easy {
-			out = append(out, t)
+	for i, k := range keep {
+		if k {
+			out = append(out, ts[i])
 		}
 	}
 	return out

@@ -164,8 +164,10 @@ func TestSelectHardFilters(t *testing.T) {
 		{"a", "p_easy", "n_far"}, // easy: dap=0.01, dan=100
 		{"a", "p2", "n_near"},    // hard-ish: dan=0.0025 < margin
 	}
-	got := SelectHard(ts, embed, 1)
-	if len(got) != 1 || got[0].Positive != "p2" {
-		t.Fatalf("SelectHard = %+v", got)
+	for _, workers := range []int{1, 4} {
+		got := SelectHard(ts, embed, 1, workers)
+		if len(got) != 1 || got[0].Positive != "p2" {
+			t.Fatalf("SelectHard(workers=%d) = %+v", workers, got)
+		}
 	}
 }
