@@ -24,6 +24,16 @@ func newSlowLog(ms int) *obs.SlowLog {
 	return obs.NewSlowLog(time.Duration(ms)*time.Millisecond, 0)
 }
 
+// obsOptions attaches a serving command's /metrics (-metrics) and slow log
+// (-slowlog-ms; nil for none) to its front-end.
+func obsOptions(metricsOn bool, sl *obs.SlowLog) []server.Option {
+	opts := []server.Option{server.WithSlowLog(sl)}
+	if metricsOn {
+		opts = append(opts, server.WithMetrics(nil))
+	}
+	return opts
+}
+
 // cmdClusterPart splits a trained model into P partition artifacts, each a
 // full model file whose index covers only that partition's rows (written via
 // the PR-3 index-artifact path, so node cold starts stay IO-bound), plus a
@@ -84,13 +94,7 @@ func cmdClusterNode(args []string) {
 		RowHi: man.Bounds[*part+1],
 	}
 	obs.Default().SetEnabled(*metricsOn)
-	opts := []server.Option{server.WithPartition(info)}
-	if *metricsOn {
-		opts = append(opts, server.WithMetrics(nil))
-	}
-	if sl := newSlowLog(*slowMs); sl != nil {
-		opts = append(opts, server.WithSlowLog(sl))
-	}
+	opts := append(obsOptions(*metricsOn, newSlowLog(*slowMs)), server.WithPartition(info))
 	h := server.New(g, model, opts...).Handler()
 	log.Printf("serving partition %d/%d (rows [%d, %d)) on %s",
 		info.ID, info.Count, info.RowLo, info.RowHi, *addr)
@@ -161,12 +165,8 @@ func cmdClusterRoute(args []string) {
 		}
 	}
 	defer rt.Close()
-	if *metricsOn {
-		rt.Metrics = obs.Default()
-	}
-	rt.SlowLog = newSlowLog(*slowMs)
 	log.Printf("routing over %d partitions on %s", rt.Partitions(), *addr)
-	log.Fatal(server.NewHTTPServer(*addr, rt.Handler()).ListenAndServe())
+	log.Fatal(server.NewHTTPServer(*addr, rt.Handler(obsOptions(*metricsOn, newSlowLog(*slowMs))...)).ListenAndServe())
 }
 
 // serveCluster is `emblookup serve -cluster N`: an in-process demo cluster —
@@ -183,10 +183,6 @@ func serveCluster(g *kg.Graph, model *core.EmbLookup, addr string, n, replicas i
 			log.Fatalf("starting in-process replicated cluster: %v", err)
 		}
 		defer c.Close()
-		if metricsOn {
-			c.Router.Metrics = obs.Default()
-		}
-		c.Router.SlowLog = sl
 		for p := 0; p < n; p++ {
 			for j := 0; j < replicas; j++ {
 				log.Printf("  node %d/%d: rows [%d, %d) at %s",
@@ -196,22 +192,18 @@ func serveCluster(g *kg.Graph, model *core.EmbLookup, addr string, n, replicas i
 		log.Printf("cluster map at %s (epoch %d)", c.MapURL, c.Coord.Epoch())
 		log.Printf("routing over %d in-process partitions x %d replicas on %s (graph: %s, %d entities)",
 			n, replicas, addr, g.Name, len(g.Entities))
-		log.Fatal(server.NewHTTPServer(addr, c.Router.Handler()).ListenAndServe())
+		log.Fatal(server.NewHTTPServer(addr, c.Router.Handler(obsOptions(metricsOn, sl)...)).ListenAndServe())
 	}
 	l, err := cluster.StartLocal(model, n, cluster.LocalOptions{})
 	if err != nil {
 		log.Fatalf("starting in-process cluster: %v", err)
 	}
 	defer l.Close()
-	if metricsOn {
-		l.Router.Metrics = obs.Default()
-	}
-	l.Router.SlowLog = sl
 	for i, u := range l.URLs {
 		log.Printf("  node %d: rows [%d, %d) at %s",
 			i, l.Manifest.Bounds[i], l.Manifest.Bounds[i+1], u)
 	}
 	log.Printf("routing over %d in-process partitions on %s (graph: %s, %d entities)",
 		n, addr, g.Name, len(g.Entities))
-	log.Fatal(server.NewHTTPServer(addr, l.Router.Handler()).ListenAndServe())
+	log.Fatal(server.NewHTTPServer(addr, l.Router.Handler(obsOptions(metricsOn, sl)...)).ListenAndServe())
 }

@@ -292,12 +292,7 @@ func cmdServe(args []string) {
 		opts = append(opts, server.WithPprof())
 		log.Printf("pprof enabled at /debug/pprof/")
 	}
-	if *metricsOn {
-		opts = append(opts, server.WithMetrics(nil))
-	}
-	if sl != nil {
-		opts = append(opts, server.WithSlowLog(sl))
-	}
+	opts = append(opts, obsOptions(*metricsOn, sl)...)
 	log.Printf("serving lookups on %s (graph: %s, %d entities)", *addr, g.Name, len(g.Entities))
 	log.Fatal(server.NewHTTPServer(*addr, server.New(g, model, opts...).Handler()).ListenAndServe())
 }

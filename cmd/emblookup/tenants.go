@@ -38,14 +38,7 @@ func serveTenants(confPath, addr string, metricsOn bool, sl *obs.SlowLog) {
 		log.Fatalf("building tenant registry: %v", err)
 	}
 	defer reg.Close()
-	var opts []server.TenantOption
-	if metricsOn {
-		opts = append(opts, server.WithTenantMetrics(nil))
-	}
-	if sl != nil {
-		opts = append(opts, server.WithTenantSlowLog(sl))
-	}
-	ts := server.NewTenantServer(reg, opts...)
+	ts := server.NewTenantServer(reg, obsOptions(metricsOn, sl)...)
 	log.Printf("serving %d tenants on %s: %v", len(cfg.Tenants), addr, reg.Names())
 	log.Fatal(server.NewHTTPServer(addr, ts.Handler()).ListenAndServe())
 }

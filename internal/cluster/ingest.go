@@ -124,16 +124,14 @@ func (r *Router) IngestCount() int64 { return r.ingestCount.Load() }
 // handleIngest is the router's POST /ingest: same wire shapes and bounds as
 // the single-node endpoint, routed to the owning partition's replica set.
 func (r *Router) handleIngest(w http.ResponseWriter, req *http.Request) {
-	const maxBulkBytes = 1 << 20
-	const maxItems = 4096
-	items, status, err := server.ReadIngestBody(w, req, maxBulkBytes, maxItems)
-	if err != nil {
-		http.Error(w, err.Error(), status)
+	items, e := server.ReadIngestBody(w, req, server.DefaultLimits())
+	if e != nil {
+		server.WriteError(w, req, e)
 		return
 	}
 	flush := req.URL.Query().Get("flush") == "1"
 	if err := r.Ingest(req.Context(), items, flush); err != nil {
-		http.Error(w, err.Error(), http.StatusServiceUnavailable)
+		server.WriteError(w, req, server.NewError(http.StatusServiceUnavailable, "ingest_unavailable", err.Error()))
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")

@@ -110,15 +110,6 @@ type routerView struct {
 type Router struct {
 	model *core.EmbLookup
 	opts  RouterOptions
-	// MaxK bounds the per-request candidate budget of the HTTP front-end.
-	MaxK int
-	// Metrics, when set, is mounted as GET /metrics on the Handler —
-	// normally the same registry the router records into.
-	Metrics *obs.Registry
-	// SlowLog, when set, records routed lookups that cross its threshold
-	// (with the full cross-node span timeline) and is mounted as
-	// GET /debug/slowlog.
-	SlowLog *obs.SlowLog
 
 	view atomic.Pointer[routerView]
 
@@ -140,7 +131,7 @@ type Router struct {
 
 	reg              *obs.Registry
 	partials         atomic.Int64
-	deadlineExceeded atomic.Int64 // queries lost to a spent caller deadline
+	deadlineExceeded atomic.Int64   // queries lost to a spent caller deadline
 	latency          *obs.Histogram // end-to-end routed lookup latency
 	mapSwaps         *obs.Counter
 	ingestRouted     *obs.Counter
@@ -171,7 +162,6 @@ func NewRouterWithMap(model *core.EmbLookup, m Map, opts RouterOptions) (*Router
 	r := &Router{
 		model:   model,
 		opts:    opts,
-		MaxK:    1000,
 		clients: make(map[string]*nodeClient),
 		stop:    make(chan struct{}),
 	}
@@ -351,41 +341,25 @@ func (r *Router) Partitions() int {
 	return 0
 }
 
-// Result is one routed lookup: the merged candidates plus the degradation
-// flags — Partial is true when at least one partition contributed nothing,
-// and Failed lists those partition ids.
-type Result struct {
-	Candidates []lookup.Candidate
-	Partial    bool
-	Failed     []int
-}
-
-// BulkResult is a routed batch; PerQuery aligns with the query order and
-// the degradation flags cover the whole batch (all queries of one scatter
-// share the same surviving node set).
-type BulkResult struct {
-	PerQuery [][]lookup.Candidate
-	Partial  bool
-	Failed   []int
-}
-
 // Lookup is LookupCtx without a context.
-func (r *Router) Lookup(q string, k int) Result {
+func (r *Router) Lookup(q string, k int) server.Answer {
 	res, _ := r.LookupCtx(context.Background(), q, k) // errors are ctx's only
 	return res
 }
 
 // LookupCtx answers one query through the cluster: BulkLookupCtx of one.
-func (r *Router) LookupCtx(ctx context.Context, q string, k int) (Result, error) {
+// Partial is true when at least one partition contributed nothing, and
+// Failed lists those partition ids.
+func (r *Router) LookupCtx(ctx context.Context, q string, k int) (server.Answer, error) {
 	br, err := r.BulkLookupCtx(ctx, []string{q}, k)
 	if err != nil {
-		return Result{}, err
+		return server.Answer{}, err
 	}
-	return Result{Candidates: br.PerQuery[0], Partial: br.Partial, Failed: br.Failed}, nil
+	return server.Answer{Candidates: br.PerQuery[0], Partial: br.Partial, Failed: br.Failed}, nil
 }
 
 // BulkLookup is BulkLookupCtx without a context.
-func (r *Router) BulkLookup(queries []string, k int) BulkResult {
+func (r *Router) BulkLookup(queries []string, k int) server.BulkAnswer {
 	br, _ := r.BulkLookupCtx(context.Background(), queries, k) // errors are ctx's only
 	return br
 }
@@ -403,9 +377,10 @@ func (r *Router) BulkLookup(queries []string, k int) BulkResult {
 // returns ctx.Err(); the deadline_exceeded counter is incremented here and
 // only here (once per query of the lost batch) — the inner retry and hedge
 // layers report context errors but never count them, which is what keeps
-// the counter exactly-once.
-func (r *Router) BulkLookupCtx(ctx context.Context, queries []string, k int) (BulkResult, error) {
-	out := BulkResult{PerQuery: make([][]lookup.Candidate, len(queries))}
+// the counter exactly-once. All queries of one scatter share the surviving
+// node set, so the degradation flags cover the whole batch.
+func (r *Router) BulkLookupCtx(ctx context.Context, queries []string, k int) (server.BulkAnswer, error) {
+	out := server.BulkAnswer{PerQuery: make([][]lookup.Candidate, len(queries))}
 	if len(queries) == 0 {
 		return out, nil
 	}
@@ -579,142 +554,26 @@ func (r *Router) Stats() RouterStats {
 	return st
 }
 
-// RouteResponse is the router front-end's /lookup reply — the single-node
-// LookupResponse shape plus the degradation flags, so a client can tell an
-// exact answer from a surviving-partitions one.
-type RouteResponse struct {
-	Query   string           `json:"query"`
-	TookUs  int64            `json:"tookUs"`
-	Partial bool             `json:"partial,omitempty"`
-	Failed  []int            `json:"failedPartitions,omitempty"`
-	Results []server.Hit     `json:"results"`
-	TraceID string           `json:"traceId,omitempty"`
-	Trace   []obs.SpanRecord `json:"trace,omitempty"`
-}
-
 // Handler returns the router's HTTP front-end: the same /lookup, /bulk,
 // /stats, /healthz, /ingest surface as a single node, answered by the
-// cluster.
-func (r *Router) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("GET /lookup", r.handleLookup)
-	mux.HandleFunc("POST /bulk", r.handleBulk)
+// cluster. opts attach /metrics and the slow log (server.WithMetrics,
+// server.WithSlowLog).
+func (r *Router) Handler(opts ...server.Option) http.Handler {
+	mux := server.NewMux("", r.route, opts...)
 	mux.HandleFunc("GET /stats", r.handleStats)
 	mux.HandleFunc("POST /ingest", r.handleIngest)
 	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
 		json.NewEncoder(w).Encode(server.HealthzResponse{Status: "ok", Epoch: r.Epoch(), IngestApplied: r.ingestCount.Load()})
 	})
-	if r.Metrics != nil {
-		mux.Handle("GET /metrics", r.Metrics.Handler())
-	}
-	if r.SlowLog != nil {
-		mux.Handle("GET /debug/slowlog", r.SlowLog.Handler())
-	}
 	return mux
 }
 
-func (r *Router) hits(cands []lookup.Candidate) []server.Hit {
-	r.graphMu.RLock()
-	defer r.graphMu.RUnlock()
-	g := r.model.Graph()
-	hits := make([]server.Hit, len(cands))
-	for i, c := range cands {
-		hits[i] = server.Hit{ID: int32(c.ID), Label: g.Label(c.ID), Score: c.Score}
-	}
-	return hits
-}
-
-func (r *Router) handleLookup(w http.ResponseWriter, req *http.Request) {
-	q := req.URL.Query().Get("q")
-	if q == "" {
-		http.Error(w, `missing "q" parameter`, http.StatusBadRequest)
-		return
-	}
-	k, err := server.ParseK(req, r.MaxK)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	ctx, cancel, wantTrace, err := server.RequestContext(req, 0, 0, r.SlowLog)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	defer cancel()
-	tr := obs.FromContext(ctx)
-	start := time.Now()
-	res, err := r.LookupCtx(ctx, q, k)
-	if err != nil {
-		http.Error(w, "deadline exceeded", http.StatusGatewayTimeout)
-		return
-	}
-	took := time.Since(start)
-	if r.SlowLog.Slow(took) {
-		r.SlowLog.Record(obs.SlowEntry{
-			Route: "/lookup", Query: q, K: k, DurUs: took.Microseconds(),
-			TraceID: tr.ID(), Partial: res.Partial, Spans: tr.Spans(),
-		})
-	}
-	resp := RouteResponse{
-		Query:   q,
-		TookUs:  took.Microseconds(),
-		Partial: res.Partial,
-		Failed:  res.Failed,
-		Results: r.hits(res.Candidates),
-	}
-	if wantTrace {
-		resp.TraceID = tr.ID()
-		resp.Trace = tr.Spans()
-	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(resp)
-}
-
-// handleBulk mirrors the single-node /bulk: one query per body line, one
-// NDJSON object per line back, each carrying the batch's degradation flags.
-func (r *Router) handleBulk(w http.ResponseWriter, req *http.Request) {
-	k, err := server.ParseK(req, r.MaxK)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	const maxBulkBytes = 1 << 20
-	const maxBulkQueries = 4096
-	queries, status, err := server.ReadBulkBody(w, req, maxBulkBytes, maxBulkQueries)
-	if err != nil {
-		http.Error(w, err.Error(), status)
-		return
-	}
-	ctx, cancel, _, err := server.RequestContext(req, 0, 0, r.SlowLog)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
-		return
-	}
-	defer cancel()
-	start := time.Now()
-	res, err := r.BulkLookupCtx(ctx, queries, k)
-	if err != nil {
-		http.Error(w, "deadline exceeded", http.StatusGatewayTimeout)
-		return
-	}
-	if took := time.Since(start); r.SlowLog.Slow(took) {
-		tr := obs.FromContext(ctx)
-		r.SlowLog.Record(obs.SlowEntry{
-			Route: "/bulk", Query: fmt.Sprintf("[%d queries]", len(queries)),
-			K: k, DurUs: took.Microseconds(), TraceID: tr.ID(), Partial: res.Partial, Spans: tr.Spans(),
-		})
-	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	enc := json.NewEncoder(w)
-	for i, q := range queries {
-		enc.Encode(RouteResponse{
-			Query:   q,
-			Partial: res.Partial,
-			Failed:  res.Failed,
-			Results: r.hits(res.PerQuery[i]),
-		})
-	}
+// route answers every front-end request through the cluster, with the
+// labels of the router's own graph copy, which routed ingest grows under
+// graphMu.
+func (r *Router) route(http.ResponseWriter, *http.Request) (server.Route, *server.Error) {
+	return server.Route{Backend: r, Labels: r.model.Graph(), Lock: &r.graphMu, Limits: server.DefaultLimits()}, nil
 }
 
 func (r *Router) handleStats(w http.ResponseWriter, _ *http.Request) {

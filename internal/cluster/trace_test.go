@@ -6,12 +6,14 @@ import (
 	"errors"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"emblookup/internal/obs"
+	"emblookup/internal/server"
 )
 
 // spanNames collects the distinct names of a span list.
@@ -77,16 +79,15 @@ func TestTraceHTTPFrontEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer l.Close()
-	l.Router.Metrics = reg
-	l.Router.SlowLog = obs.NewSlowLog(0, 16) // threshold 0: log everything
+	slow := obs.NewSlowLog(0, 16) // threshold 0: log everything
 
-	h := l.Router.Handler()
+	h := l.Router.Handler(server.WithMetrics(reg), server.WithSlowLog(slow))
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest("GET", "/lookup?q=marie+curie&k=3&trace=1", nil))
 	if rec.Code != http.StatusOK {
 		t.Fatalf("status %d: %s", rec.Code, rec.Body.String())
 	}
-	var resp RouteResponse
+	var resp server.LookupResponse
 	if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
 		t.Fatal(err)
 	}
@@ -100,7 +101,7 @@ func TestTraceHTTPFrontEnd(t *testing.T) {
 		}
 	}
 	// The zero-threshold slow log captured the same request with its spans.
-	entries := l.Router.SlowLog.Snapshot()
+	entries := slow.Snapshot()
 	if len(entries) != 1 || entries[0].TraceID != resp.TraceID || len(entries[0].Spans) == 0 {
 		t.Fatalf("slow log entry = %+v", entries)
 	}
@@ -280,12 +281,19 @@ func TestRouterStrictK(t *testing.T) {
 	}
 	defer l.Close()
 	h := l.Router.Handler()
-	for k, status := range map[string]int{"10abc": 400, "3.9": 400, "7+9": 400, "0": 400, "-1": 400, "": 200, "3": 200} {
+	for _, c := range strictKCases {
+		k := url.QueryEscape(c.k)
 		for method, path := range map[string]string{"GET": "/lookup?q=x&k=" + k, "POST": "/bulk?k=" + k} {
 			rec := httptest.NewRecorder()
 			h.ServeHTTP(rec, httptest.NewRequest(method, path, strings.NewReader("x\n")))
-			if rec.Code != status {
-				t.Errorf("%s %s: status %d, want %d", method, path, rec.Code, status)
+			if rec.Code != c.status {
+				t.Errorf("%s %s: status %d, want %d", method, path, rec.Code, c.status)
+			}
+			if c.status == 400 {
+				var eb server.ErrorBody
+				if err := json.Unmarshal(rec.Body.Bytes(), &eb); err != nil || eb.Error.Code != "k_too_large" || eb.Error.Limit == 0 {
+					t.Errorf("%s %s: error body %s, want a structured k_too_large with its limit", method, path, rec.Body)
+				}
 			}
 		}
 	}

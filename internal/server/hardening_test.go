@@ -62,12 +62,17 @@ func TestBulkQueryCountLimit(t *testing.T) {
 }
 
 func TestReadQueryLines(t *testing.T) {
-	qs, err := ReadQueryLines(strings.NewReader("a\n\nb\nc\n"), 10)
+	qs, err := ReadQueryLines(strings.NewReader("a\n\nb\nc\n"), 10, 1<<20)
 	if err != nil || len(qs) != 3 {
 		t.Fatalf("qs=%v err=%v", qs, err)
 	}
-	if _, err := ReadQueryLines(strings.NewReader("a\nb\nc\n"), 2); err == nil {
+	if _, err := ReadQueryLines(strings.NewReader("a\nb\nc\n"), 2, 1<<20); err == nil {
 		t.Fatal("over-limit line count should fail")
+	}
+	// A line is bounded by the body alone, not by a scanner token cap.
+	long := strings.Repeat("x", 100<<10)
+	if qs, err := ReadQueryLines(strings.NewReader("a\n"+long), 10, int64(len(long))+2); err != nil || len(qs) != 2 || qs[1] != long {
+		t.Fatalf("a %d-byte line: %d queries, err %v", len(long), len(qs), err)
 	}
 }
 

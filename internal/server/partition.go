@@ -2,9 +2,9 @@ package server
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
 	"net/http"
+	"slices"
 	"time"
 
 	"emblookup/internal/index"
@@ -28,7 +28,7 @@ type PartitionInfo struct {
 // mounted — the partition-scoped bulk endpoint the scatter-gather router
 // fans out to (already-embedded queries in, raw per-partition top-k out).
 func WithPartition(info PartitionInfo) Option {
-	return func(s *Server) { s.partition = &info }
+	return func(o *options) { o.partition = &info }
 }
 
 // PartitionSearchRequest is the body of POST /partition/search: queries
@@ -69,34 +69,23 @@ func (s *Server) handlePartitionSearch(w http.ResponseWriter, r *http.Request) {
 	r.Body = http.MaxBytesReader(w, r.Body, s.MaxPartitionBytes)
 	var req PartitionSearchRequest
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		var mbe *http.MaxBytesError
-		if errors.As(err, &mbe) {
-			http.Error(w, fmt.Sprintf("request body exceeds %d bytes", s.MaxPartitionBytes), http.StatusRequestEntityTooLarge)
-			return
-		}
-		http.Error(w, "decoding request: "+err.Error(), http.StatusBadRequest)
+		WriteError(w, r, bodyError(err, s.Limits))
 		return
 	}
 	// The router over-fetches dedupe headroom (up to 3k when alias rows are
 	// indexed), so the partition budget is bounded at 3×MaxK.
-	if req.K <= 0 || req.K > 3*s.MaxK {
-		http.Error(w, fmt.Sprintf("\"k\" must be in 1..%d", 3*s.MaxK), http.StatusBadRequest)
-		return
+	var bad string
+	switch dim := s.model.Index().Dim(); {
+	case req.K <= 0 || req.K > 3*s.MaxK:
+		bad = fmt.Sprintf(`"k" must be in 1..%d`, 3*s.MaxK)
+	case len(req.Queries) == 0 || len(req.Queries) > s.MaxBulkQueries:
+		bad = fmt.Sprintf("query count %d is not in 1..%d", len(req.Queries), s.MaxBulkQueries)
+	case slices.ContainsFunc(req.Queries, func(q []float32) bool { return len(q) != dim }):
+		bad = fmt.Sprintf("every query must have the index dim %d", dim)
 	}
-	if len(req.Queries) == 0 {
-		http.Error(w, "no queries", http.StatusBadRequest)
+	if bad != "" {
+		WriteError(w, r, NewError(http.StatusBadRequest, "bad_request", bad))
 		return
-	}
-	if len(req.Queries) > s.MaxBulkQueries {
-		http.Error(w, fmt.Sprintf("query count %d exceeds limit %d", len(req.Queries), s.MaxBulkQueries), http.StatusBadRequest)
-		return
-	}
-	dim := s.model.Index().Dim()
-	for i, q := range req.Queries {
-		if len(q) != dim {
-			http.Error(w, fmt.Sprintf("query %d has dim %d, index dim is %d", i, len(q), dim), http.StatusBadRequest)
-			return
-		}
 	}
 
 	// Adopt the router's trace id so this node's spans join its timeline.

@@ -25,8 +25,8 @@ var strictKCases = []struct {
 }
 
 // TestStrictK drives ?k= through /lookup and /bulk of the single-tenant and
-// the tenant front-end (the router's twin lives in internal/cluster). The
-// tenant routes used to read k with Sscanf("%d") and serve "10abc" as 10.
+// the tenant front-end (the router's twin lives in internal/cluster). Both
+// answer a bad k with a structured k_too_large naming its limit.
 func TestStrictK(t *testing.T) {
 	_, s := testServer(t)
 	single := s.Handler()
@@ -55,10 +55,10 @@ func TestStrictK(t *testing.T) {
 			if rec.Code != c.status {
 				t.Errorf("%s %s: status %d, want %d", route.method, route.path, rec.Code, c.status)
 			}
-			if c.status == 400 && strings.HasPrefix(route.path, "/t/") {
+			if c.status == 400 {
 				var eb ErrorBody
 				if err := json.Unmarshal(rec.Body.Bytes(), &eb); err != nil || eb.Error.Code != "k_too_large" || eb.Error.Limit == 0 {
-					t.Errorf("%s: tenant error body %s, want a structured k_too_large with its limit", route.path, rec.Body)
+					t.Errorf("%s %s: error body %s, want a structured k_too_large with its limit", route.method, route.path, rec.Body)
 				}
 			}
 		}
@@ -92,7 +92,7 @@ func TestTenantTraceAndDeadline(t *testing.T) {
 	}
 	defer reg.Close()
 	slow := obs.NewSlowLog(0, 64) // threshold 0: log everything
-	h := NewTenantServer(reg, WithTenantSlowLog(slow)).Handler()
+	h := NewTenantServer(reg, WithSlowLog(slow)).Handler()
 	get := func(req *http.Request) (*httptest.ResponseRecorder, LookupResponse) {
 		rec := httptest.NewRecorder()
 		h.ServeHTTP(rec, req)

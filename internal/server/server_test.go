@@ -13,7 +13,9 @@ import (
 	"emblookup/internal/core"
 	"emblookup/internal/index"
 	"emblookup/internal/kg"
+	"emblookup/internal/obs"
 	"emblookup/internal/serve"
+	"emblookup/internal/tenant"
 )
 
 var (
@@ -389,6 +391,53 @@ func TestPprofGating(t *testing.T) {
 	}
 }
 
+// TestLookupHandlerAllocs pins the allocations of one solo GET /lookup
+// through the handler, on the single-node Server and on a tenant route over
+// the same model generation and serving substrate. Both run the one shared
+// handler, so the tenant route may cost only its admission budget (1, the
+// TestTenantAdmissionAllocs rule) more. The query repeats, so the lookup
+// under the handler is a cache hit and the count is the front-end's.
+func TestLookupHandlerAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("under the race detector sync.Pool drops entries at random, and the count with them")
+	}
+	gp, mp := tenantArtifacts(t)
+	g, _ := testModel(t)
+	reg, err := tenant.NewRegistry(tenant.Config{Tenants: []tenant.TenantConfig{{Name: "wd", Graph: gp, Model: mp, Shards: 1, Preload: true}}}, obs.New())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer reg.Close()
+	tn, _ := reg.Tenant("wd")
+	h, err := tn.Acquire()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h.Release()
+	q := url.QueryEscape(g.Entities[0].Label)
+	count := func(handler http.Handler, path string) float64 {
+		get := func() *httptest.ResponseRecorder {
+			rec := httptest.NewRecorder()
+			handler.ServeHTTP(rec, httptest.NewRequest("GET", path, nil))
+			return rec
+		}
+		if rec := get(); rec.Code != 200 {
+			t.Fatalf("%s: status %d", path, rec.Code)
+		}
+		return testing.AllocsPerRun(200, func() { get() })
+	}
+	single := count(New(h.Graph(), h.Serve().Model(), WithServe(h.Serve())).Handler(), "/lookup?k=10&q="+q)
+	tenantRoute := count(NewTenantServer(reg).Handler(), "/t/wd/lookup?k=10&q="+q)
+	t.Logf("solo /lookup: %.0f allocs/op on Server, %.0f on a tenant route", single, tenantRoute)
+	const maxLookupHandlerAllocs = 28
+	if single > maxLookupHandlerAllocs {
+		t.Errorf("Server /lookup: %.0f allocs/op, budget %d", single, maxLookupHandlerAllocs)
+	}
+	if tenantRoute > single+1 {
+		t.Errorf("tenant /lookup: %.0f allocs/op, budget %.0f (Server's %.0f + 1 admission)", tenantRoute, single+1, single)
+	}
+}
+
 // TestBulkHandlerAllocs pins the allocations of one 256-line POST /bulk
 // through the handler: the reply's hits are one buffer re-sliced per line
 // (and the graph lock one span), not a slice per line — 255 allocations a
@@ -415,7 +464,9 @@ func TestBulkHandlerAllocs(t *testing.T) {
 		t.Fatalf("bulk reply: status %d, %d lines", rec.Code, strings.Count(rec.Body.String(), "\n"))
 	}
 	const maxBulkHandlerAllocs = 1100
-	if n := testing.AllocsPerRun(20, func() { post() }); n > maxBulkHandlerAllocs {
+	n := testing.AllocsPerRun(20, func() { post() })
+	t.Logf("256-line /bulk: %.0f allocs/op", n)
+	if n > maxBulkHandlerAllocs {
 		t.Errorf("256-line /bulk: %.0f allocs/op, budget %d", n, maxBulkHandlerAllocs)
 	}
 }

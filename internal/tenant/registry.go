@@ -20,7 +20,7 @@ import (
 // the last in-flight request on it finishes — the routerView drain
 // discipline applied to model lifetimes.
 type Handle struct {
-	tenant string
+	tenant *Tenant
 	graph  *kg.Graph
 	model  *core.EmbLookup // the attached model owning the artifact backing
 	sv     *serve.Serve
@@ -35,6 +35,9 @@ func (h *Handle) Graph() *kg.Graph { return h.graph }
 
 // Serve returns the handle's serving substrate.
 func (h *Handle) Serve() *serve.Serve { return h.sv }
+
+// Tenant returns the tenant the handle is a generation of.
+func (h *Handle) Tenant() *Tenant { return h.tenant }
 
 // Release unpins the handle. The last release of a retired handle closes
 // it: the serve coalescer flushes and the artifact backing is unmapped.
@@ -151,7 +154,7 @@ func (t *Tenant) open() (*Handle, error) {
 		model.Close()
 		return nil, fmt.Errorf("tenant %s: serve substrate: %w", t.cfg.Name, err)
 	}
-	h := &Handle{tenant: t.cfg.Name, graph: g, model: model, sv: sv}
+	h := &Handle{tenant: t, graph: g, model: model, sv: sv}
 	h.refs.Store(1) // the registry's reference
 	t.loadedAt.Store(time.Now().UnixNano())
 	return h, nil

@@ -82,6 +82,13 @@ go test -run '^$' -fuzz FuzzReadArtifact -fuzztime 10s ./internal/core
 # index and to re-save.
 go test -run '^$' -fuzz FuzzReadGraph -fuzztime 10s ./internal/kg
 
+echo "== request parser fuzz (short) =="
+# The parsers every HTTP front-end shares (the single-node server, the
+# tenant routes and the cluster router): the /bulk body under both of its
+# bounds with ?k=, and the /ingest body of the server and the router.
+go test -run '^$' -fuzz FuzzReadBulkBody -fuzztime 10s ./internal/server
+go test -run '^$' -fuzz FuzzDecodeIngestItems -fuzztime 10s ./internal/server
+
 echo "== allocation benchmarks (short) =="
 go test -run '^$' -bench 'BenchmarkPQSearch$|BenchmarkLookupAllocs' \
     -benchmem -benchtime 10x .
@@ -161,8 +168,10 @@ go test -run '^$' -bench 'BenchmarkAdmission' \
 echo "== non-test Go lines, request-path and training packages =="
 # The baseline the next simplicity PR reads from this log instead of
 # re-deriving it.
-for pkg in core index serve server cluster ngram nn mathx triplet; do
-    printf '%-8s %s\n' "$pkg" "$(find "internal/$pkg" -name '*.go' -not -name '*_test.go' -print0 | xargs -0 cat | wc -l)"
+lines() { find "internal/$1" -name '*.go' -not -name '*_test.go' -print0 | xargs -0 cat | wc -l; }
+for pkg in core index serve server cluster tenant replica ngram nn mathx triplet; do
+    printf '%-8s %s\n' "$pkg" "$(lines "$pkg")"
 done
+printf '%-8s %s\n' "server + cluster" "$(( $(lines server) + $(lines cluster) ))"
 
 echo "verify: OK"
