@@ -151,25 +151,28 @@ func (c *nodeClient) markFailure() {
 	}
 }
 
+// leg is one scatter leg's request: the partition that must answer it and
+// the frame every attempt, retry and hedge of the routed request sends,
+// encoded once by BulkLookupCtx.
+type leg struct {
+	partition int
+	frame     []byte
+	nq        int
+}
+
 // search runs one scatter leg: POST the embedded query batch to the node's
 // partition-scoped endpoint under the router's full request discipline —
 // per-attempt timeout, bounded retries with real backoff, and a hedged
-// duplicate raced against a straggling attempt. The request body is
-// marshaled once and reused across attempts and hedges. With a trace
-// riding in ctx, every attempt (retries and hedges included, losers too)
-// becomes a span, and the winning attempt's node-side spans are grafted
-// under it.
-func (c *nodeClient) search(ctx context.Context, k int, embs [][]float32, timeout, hedgeAfter time.Duration, retry RetryPolicy) ([][]server.PartitionHit, error) {
-	body, err := json.Marshal(server.PartitionSearchRequest{K: k, Queries: embs})
-	if err != nil {
-		return nil, err
-	}
+// duplicate raced against a straggling attempt. With a trace riding in ctx,
+// every attempt (retries and hedges included, losers too) becomes a span,
+// and the winning attempt's node-side spans are grafted under it.
+func (c *nodeClient) search(ctx context.Context, lg leg, timeout, hedgeAfter time.Duration, retry RetryPolicy) ([][]server.PartitionHit, error) {
 	attempts := retry.Attempts
 	if attempts < 1 {
 		attempts = 1
 	}
 	var out [][]server.PartitionHit
-	err = retry.DoCtx(ctx, RealSleep, func(attempt int) error {
+	err := retry.DoCtx(ctx, RealSleep, func(attempt int) error {
 		if attempt > 0 {
 			c.retries.Add(1)
 			c.retryTotal.Inc()
@@ -181,7 +184,7 @@ func (c *nodeClient) search(ctx context.Context, k int, embs [][]float32, timeou
 			return context.DeadlineExceeded
 		}
 		self := func() *nodeClient { return c }
-		res, _, err := hedgeRace(ctx, attempt, c, self, func(*nodeClient, error) {}, body, len(embs), tmo, hedgeAfter)
+		res, _, err := hedgeRace(ctx, attempt, c, self, func(*nodeClient, error) {}, lg, tmo, hedgeAfter)
 		if err != nil {
 			return err
 		}
@@ -219,14 +222,14 @@ type searchReply struct {
 // every contender that lost to an error. With a trace riding in ctx every
 // contender, losers too, becomes a span — a traced hedge race shows both
 // side by side — and the winner's node-side spans are grafted under it.
-func hedgeRace(ctx context.Context, attempt int, primary *nodeClient, alt func() *nodeClient, failed func(*nodeClient, error), body []byte, nq int, timeout, hedgeAfter time.Duration) ([][]server.PartitionHit, *nodeClient, error) {
+func hedgeRace(ctx context.Context, attempt int, primary *nodeClient, alt func() *nodeClient, failed func(*nodeClient, error), lg leg, timeout, hedgeAfter time.Duration) ([][]server.PartitionHit, *nodeClient, error) {
 	tr := obs.FromContext(ctx)
 	cctx, cancel := context.WithCancel(ctx)
 	defer cancel() // aborts the losing contender as soon as a winner returns
 	attemptOn := func(c *nodeClient, isHedge bool) searchReply {
 		sp := tr.StartAttempt(c.spanRPC, isHedge, attempt)
 		start := time.Now()
-		hits, spans, err := c.post(cctx, tr.ID(), body, nq, timeout)
+		hits, spans, err := c.post(cctx, tr.ID(), lg, timeout)
 		sp.End()
 		return searchReply{node: c, hits: hits, spans: spans, start: start, err: err, hedged: isHedge}
 	}
@@ -272,20 +275,23 @@ func hedgeRace(ctx context.Context, attempt int, primary *nodeClient, alt func()
 	}
 }
 
-// post is one attempt against /partition/search. A non-empty traceID is
-// propagated in the X-Emblookup-Trace header; the node echoes its spans in
-// the response for the caller to graft.
-func (c *nodeClient) post(ctx context.Context, traceID string, body []byte, nq int, timeout time.Duration) ([][]server.PartitionHit, []obs.SpanRecord, error) {
+// post is one attempt against /partition/search: the leg's frame out, a
+// reply frame back. A non-empty traceID is propagated in the
+// X-Emblookup-Trace header; the node echoes its spans in the reply for the
+// caller to graft. A reply from a node serving another partition than the
+// leg's is a failure, as a dead node is: merging it would silently drop the
+// leg's partition from the answer.
+func (c *nodeClient) post(ctx context.Context, traceID string, lg leg, timeout time.Duration) ([][]server.PartitionHit, []obs.SpanRecord, error) {
 	cctx, cancel := context.WithTimeout(ctx, timeout)
 	defer cancel()
 	c.requests.Add(1)
 	c.reqTotal.Inc()
 	t0 := time.Now()
-	req, err := http.NewRequestWithContext(cctx, http.MethodPost, c.url+"/partition/search", bytes.NewReader(body))
+	req, err := http.NewRequestWithContext(cctx, http.MethodPost, c.url+"/partition/search", bytes.NewReader(lg.frame))
 	if err != nil {
 		return nil, nil, err
 	}
-	req.Header.Set("Content-Type", "application/json")
+	req.Header.Set("Content-Type", server.FrameContentType)
 	if traceID != "" {
 		req.Header.Set(obs.TraceHeader, traceID)
 	}
@@ -298,12 +304,15 @@ func (c *nodeClient) post(ctx context.Context, traceID string, body []byte, nq i
 		io.Copy(io.Discard, io.LimitReader(resp.Body, 512))
 		return nil, nil, fmt.Errorf("cluster: node %s: status %d", c.url, resp.StatusCode)
 	}
-	var psr server.PartitionSearchResponse
-	if err := json.NewDecoder(resp.Body).Decode(&psr); err != nil {
+	psr, err := server.ReadHitsFrame(resp.Body)
+	if err != nil {
 		return nil, nil, fmt.Errorf("cluster: node %s: decoding response: %w", c.url, err)
 	}
-	if len(psr.Results) != nq {
-		return nil, nil, fmt.Errorf("cluster: node %s: %d result lists for %d queries", c.url, len(psr.Results), nq)
+	if psr.Partition.ID != lg.partition {
+		return nil, nil, fmt.Errorf("cluster: node %s answered for partition %d, not %d", c.url, psr.Partition.ID, lg.partition)
+	}
+	if len(psr.Results) != lg.nq {
+		return nil, nil, fmt.Errorf("cluster: node %s: %d result lists for %d queries", c.url, len(psr.Results), lg.nq)
 	}
 	took := time.Since(t0)
 	c.latSec.Observe(took)

@@ -2,8 +2,11 @@ package cluster
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/json"
 	"fmt"
 	"net/http"
+	"slices"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -276,6 +279,31 @@ func TestClusterNodeDownAndRecovery(t *testing.T) {
 	}
 }
 
+// TestClusterSwappedMap points partition 0's leg at the node serving
+// partition 1 and partition 1's at partition 0's. Every reply names the
+// partition it answered for, so both legs fail instead of merging two
+// misplaced halves into an answer that looks whole: the lookup returns
+// partition 2's exact hits, flagged partial with partitions 0 and 1.
+func TestClusterSwappedMap(t *testing.T) {
+	g, m := testModel(t)
+	const p, k = 3, 5
+	l, err := StartLocal(m, p, LocalOptions{Router: fastRouterOptions()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	swapped := Map{Epoch: 2, Replicas: [][]string{{l.URLs[1]}, {l.URLs[0]}, {l.URLs[2]}}}
+	if err := l.Router.ApplyMap(swapped); err != nil {
+		t.Fatal(err)
+	}
+	q := g.Entities[0].Label
+	res := l.Router.Lookup(q, k)
+	if !res.Partial || !slices.Equal(res.Failed, []int{0, 1}) {
+		t.Fatalf("swapped map: partial %v, failed %v; want partial with [0 1]", res.Partial, res.Failed)
+	}
+	sameCandidates(t, "swapped map", expectedSurviving(t, m, p, []bool{false, false, true}, q, k), res.Candidates)
+}
+
 // TestClusterHedging makes one node's first answer a straggler and checks
 // the hedged duplicate wins without costing correctness.
 func TestClusterHedging(t *testing.T) {
@@ -364,9 +392,13 @@ func TestPartitionArtifactRoundTrip(t *testing.T) {
 	}
 }
 
-// TestPartitionEndpointValidation drives the node-side bounds: bad JSON,
-// non-positive or oversized k, empty batch, and dimension mismatches are
-// 400s, never silent clamps.
+// TestPartitionEndpointValidation drives the node-side bounds in both
+// codecs: non-positive or oversized k, an empty or oversized batch, and
+// dimension mismatches are 400s, never silent clamps, with the same status
+// and error code whether the request came as JSON or as a frame. Bodies
+// that are not a request of their codec at all — bad JSON; a truncated
+// header, a wrong magic or version, or a payload that is not nq·dim·4 bytes
+// — are 400s too.
 func TestPartitionEndpointValidation(t *testing.T) {
 	_, m := testModel(t)
 	l, err := StartLocal(m, 1, LocalOptions{Router: fastRouterOptions()})
@@ -375,34 +407,79 @@ func TestPartitionEndpointValidation(t *testing.T) {
 	}
 	defer l.Close()
 	url := l.URLs[0] + "/partition/search"
-
-	dim := m.Index().Dim()
-	good := func(k int) string {
-		emb := make([]string, dim)
-		for i := range emb {
-			emb[i] = "0.5"
-		}
-		return fmt.Sprintf(`{"k":%d,"queries":[[%s]]}`, k, strings.Join(emb, ","))
-	}
-	cases := []struct {
-		name, body string
-		want       int
-	}{
-		{"bad json", "{", 400},
-		{"k zero", good(0), 400},
-		{"k huge", good(30001), 400},
-		{"no queries", `{"k":5,"queries":[]}`, 400},
-		{"dim mismatch", `{"k":5,"queries":[[1,2,3]]}`, 400},
-		{"ok", good(5), 200},
-	}
-	for _, c := range cases {
-		resp, err := http.Post(url, "application/json", bytes.NewReader([]byte(c.body)))
+	post := func(contentType string, body []byte) (status int, code string) {
+		resp, err := http.Post(url, contentType, bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
-		resp.Body.Close()
-		if resp.StatusCode != c.want {
-			t.Errorf("%s: status %d, want %d", c.name, resp.StatusCode, c.want)
+		defer resp.Body.Close()
+		var eb server.ErrorBody
+		json.NewDecoder(resp.Body).Decode(&eb) // a 200 has no error to decode
+		return resp.StatusCode, eb.Error.Code
+	}
+
+	dim := m.Index().Dim()
+	queries := func(n, d int) [][]float32 {
+		qs := make([][]float32, n)
+		for i := range qs {
+			qs[i] = make([]float32, d)
+			for j := range qs[i] {
+				qs[i][j] = 0.5
+			}
+		}
+		return qs
+	}
+	cases := []struct {
+		name    string
+		k       int
+		queries [][]float32
+		status  int
+		code    string
+	}{
+		{"k zero", 0, queries(1, dim), 400, "bad_request"},
+		{"k huge", 30001, queries(1, dim), 400, "bad_request"},
+		{"no queries", 5, nil, 400, "bad_request"},
+		{"too many queries", 5, queries(server.DefaultLimits().MaxBulkQueries+1, 1), 400, "bad_request"},
+		{"dim mismatch", 5, queries(1, 3), 400, "bad_request"},
+		{"ok", 5, queries(2, dim), 200, ""},
+	}
+	for _, c := range cases {
+		body, err := json.Marshal(server.PartitionSearchRequest{K: c.k, Queries: c.queries})
+		if err != nil {
+			t.Fatal(err)
+		}
+		js, jc := post("application/json", body)
+		fs, fc := post(server.FrameContentType, server.AppendSearchFrame(nil, c.k, c.queries))
+		if js != c.status || jc != c.code || fs != c.status || fc != c.code {
+			t.Errorf("%s: JSON %d %q, frame %d %q; want %d %q", c.name, js, jc, fs, fc, c.status, c.code)
+		}
+	}
+
+	good := server.AppendSearchFrame(nil, 5, queries(2, dim))
+	header := func(k, nq, d uint32) []byte {
+		h := append([]byte(nil), good[:4]...)
+		for _, v := range []uint32{k, nq, d} {
+			h = binary.LittleEndian.AppendUint32(h, v)
+		}
+		return h
+	}
+	malformed := []struct {
+		name, contentType string
+		body              []byte
+	}{
+		{"bad json", "application/json", []byte("{")},
+		{"truncated header", server.FrameContentType, good[:10]},
+		{"wrong magic", server.FrameContentType, append([]byte("XLQ\x01"), good[4:]...)},
+		{"wrong version", server.FrameContentType, append([]byte("ELQ\x02"), good[4:]...)},
+		{"payload short of nq·dim·4", server.FrameContentType, good[:len(good)-4]},
+		{"payload past nq·dim·4", server.FrameContentType, append(slices.Clone(good), 0, 0, 0, 0)},
+		{"2^31 queries claimed", server.FrameContentType, header(5, 1<<31, uint32(dim))},
+		{"nq·dim wraps to 0 in 32 bits", server.FrameContentType, header(5, 1<<16, 1<<16)},
+		{"dim mismatch at the right length", server.FrameContentType, append(header(5, 4, uint32(dim/2)), good[16:]...)},
+	}
+	for _, c := range malformed {
+		if status, code := post(c.contentType, c.body); status != 400 || code != "bad_request" {
+			t.Errorf("%s: %d %q, want 400 bad_request", c.name, status, code)
 		}
 	}
 }

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 
 	"emblookup/internal/server"
@@ -64,20 +63,18 @@ func (rs *replicaSet) pickFor(tried map[*nodeClient]bool) *nodeClient {
 	return rs.pick(tried, true)
 }
 
-// search runs one scatter leg against the replica set. With one replica it
+// search runs one scatter leg against the replica set: frame is the routed
+// request's search frame for its nq queries. With one replica it
 // is exactly the PR-4 single-node discipline (bounded retries against that
 // node, hedged duplicate to the same node). With more, every retry attempt
 // is steered to a different replica (health first, then EWMA score) and the
 // hedged duplicate races a *distinct* replica against the straggler — the
 // tail-latency win replication buys: a slow node cannot also be the
 // insurance against itself.
-func (rs *replicaSet) search(ctx context.Context, k int, embs [][]float32, opts RouterOptions) ([][]server.PartitionHit, error) {
+func (rs *replicaSet) search(ctx context.Context, frame []byte, nq int, opts RouterOptions) ([][]server.PartitionHit, error) {
+	lg := leg{partition: rs.partition, frame: frame, nq: nq}
 	if len(rs.replicas) == 1 {
-		return rs.replicas[0].search(ctx, k, embs, opts.Timeout, opts.HedgeAfter, opts.Retry)
-	}
-	body, err := json.Marshal(server.PartitionSearchRequest{K: k, Queries: embs})
-	if err != nil {
-		return nil, err
+		return rs.replicas[0].search(ctx, lg, opts.Timeout, opts.HedgeAfter, opts.Retry)
 	}
 	attempts := opts.Retry.Attempts
 	if attempts < 1 {
@@ -132,7 +129,7 @@ func (rs *replicaSet) search(ctx context.Context, k int, embs [][]float32, opts 
 			tried[o] = true
 			return o
 		}
-		hits, winner, err := hedgeRace(ctx, a, c, alt, markFail, body, len(embs), tmo, opts.HedgeAfter)
+		hits, winner, err := hedgeRace(ctx, a, c, alt, markFail, lg, tmo, opts.HedgeAfter)
 		if err == nil {
 			winner.markSuccess()
 			return hits, nil

@@ -366,7 +366,9 @@ func (r *Router) BulkLookup(queries []string, k int) server.BulkAnswer {
 
 // BulkLookupCtx is the one routed request: it embeds the batch once
 // locally and scatters it to every partition's replica set in one
-// partition-scoped request per partition. ctx is the whole request. Its
+// partition-scoped request per partition, every leg, retry and hedge
+// sending the one search frame (server.AppendSearchFrame) encoded here.
+// ctx is the whole request. Its
 // deadline or cancellation reaches every scatter leg — node attempts (whose
 // timeouts shrink to fit the remaining budget), backoff sleeps, hedged
 // duplicates — so a caller that gives up cancels the whole fan-out instead
@@ -402,6 +404,7 @@ func (r *Router) BulkLookupCtx(ctx context.Context, queries []string, k int) (se
 	sp := tr.Start("embed")
 	embs := r.model.EmbedAll(queries, r.opts.Parallelism)
 	sp.End()
+	frame := server.AppendSearchFrame(nil, fetch, embs)
 
 	v := r.acquireView()
 	defer v.release()
@@ -418,7 +421,7 @@ func (r *Router) BulkLookupCtx(ctx context.Context, queries []string, k int) (se
 		wg.Add(1)
 		go func(i int, rs *replicaSet) {
 			defer wg.Done()
-			perPart[i], errs[i] = rs.search(ctx, fetch, embs, r.opts)
+			perPart[i], errs[i] = rs.search(ctx, frame, len(embs), r.opts)
 		}(i, rs)
 	}
 	wg.Wait()

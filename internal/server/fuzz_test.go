@@ -2,7 +2,9 @@ package server
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"slices"
@@ -97,6 +99,87 @@ func FuzzDecodeIngestItems(f *testing.F) {
 		}
 		if enc2, _ := json.Marshal(again); !bytes.Equal(enc, enc2) {
 			t.Fatalf("re-encoded items changed:\n%s\n%s", enc, enc2)
+		}
+	})
+}
+
+// frameHeader is magic followed by words, little-endian: a frame header
+// claiming whatever the words say, with nothing behind it.
+func frameHeader(magic [4]byte, words ...uint32) []byte {
+	b := magic[:]
+	for _, w := range words {
+		b = binary.LittleEndian.AppendUint32(b, w)
+	}
+	return b
+}
+
+// rejectsWithoutAllocating fails t when decode allocates on its way to
+// rejecting the input: a header claiming more than its frame carries must
+// cost nothing.
+func rejectsWithoutAllocating(t *testing.T, b []byte, decode func()) {
+	t.Helper()
+	if raceEnabled {
+		return // the race runtime's own bookkeeping shows up in the count
+	}
+	if n := testing.AllocsPerRun(1, decode); n != 0 {
+		t.Fatalf("rejecting %d bytes (%.40x…) allocated %.0f times", len(b), b, n)
+	}
+}
+
+// FuzzDecodeSearchFrame drives the request-frame decoder every partition
+// node runs on a routed search: it never panics, whatever it accepts
+// re-encodes to the same bytes, and whatever it rejects, a header claiming
+// 2^31 queries or an nq·dim past 32 bits among them, it rejects before
+// allocating anything.
+func FuzzDecodeSearchFrame(f *testing.F) {
+	negZero := float32(math.Copysign(0, -1))
+	nan := math.Float32frombits(0x7fc00001) // a NaN with a payload to keep
+	f.Add(AppendSearchFrame(nil, 10, [][]float32{{0.5, -1, 3}}))
+	f.Add(AppendSearchFrame(nil, 30, [][]float32{{nan, float32(math.Inf(-1))}, {negZero, math.SmallestNonzeroFloat32}}))
+	f.Add(frameHeader(searchMagic, 10, 1<<31, 64))
+	f.Add(frameHeader(searchMagic, 10, 1<<16, 1<<16))
+	f.Add(frameHeader(searchMagic, 10, 2, 1<<31))
+	f.Add(frameHeader(searchMagic, 10, math.MaxUint32, math.MaxUint32))
+	f.Add(frameHeader(searchMagic, 5, 0, 0))
+	f.Add(frameHeader(hitsMagic, 10, 1, 1))
+	f.Add([]byte("ELQ"))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		req, err := decodeSearchFrame(b)
+		if err != nil {
+			rejectsWithoutAllocating(t, b, func() { decodeSearchFrame(b) })
+			return
+		}
+		if len(req.Queries) == 0 || slices.ContainsFunc(req.Queries, func(q []float32) bool { return len(q) != len(req.Queries[0]) || len(q) == 0 }) {
+			t.Fatalf("accepted %d queries of uneven or zero dim", len(req.Queries))
+		}
+		if again := AppendSearchFrame(nil, req.K, req.Queries); !bytes.Equal(again, b) {
+			t.Fatalf("re-encoded frame differs:\n%x\n%x", b, again)
+		}
+	})
+}
+
+// FuzzDecodeHitsFrame drives the reply-frame decoder the cluster router
+// runs on every node reply: it never panics, whatever it accepts re-encodes
+// to the same bytes, and whatever it rejects, a header claiming 2^31
+// queries or a hit list longer than the frame among them, it rejects before
+// allocating anything.
+func FuzzDecodeHitsFrame(f *testing.F) {
+	f.Add(appendHitsFrame(nil, 1, [][]PartitionHit{{{Row: 5, Dist: 0.25, Entity: 3}, {Row: 9, Dist: 0.5, Entity: 3}}, {}}, nil))
+	f.Add(appendHitsFrame(nil, 7, [][]PartitionHit{{{Row: -1, Dist: math.Float32frombits(0x7fc00001), Entity: math.MaxInt32}}},
+		[]byte(`[{"name":"search","startUs":1,"durUs":2}]`)))
+	f.Add(appendHitsFrame(nil, 3, nil, nil))
+	f.Add(frameHeader(hitsMagic, 0, 1<<31))
+	f.Add(frameHeader(hitsMagic, 0, 1, math.MaxInt32, 0))
+	f.Add(frameHeader(hitsMagic, 0, 1, 0, 1<<31))
+	f.Add(frameHeader(searchMagic, 0, 0, 0))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		part, results, spans, err := decodeHitsFrame(b)
+		if err != nil {
+			rejectsWithoutAllocating(t, b, func() { decodeHitsFrame(b) })
+			return
+		}
+		if again := appendHitsFrame(nil, part, results, spans); !bytes.Equal(again, b) {
+			t.Fatalf("re-encoded frame differs:\n%x\n%x", b, again)
 		}
 	})
 }

@@ -143,7 +143,8 @@ func TestPartitionEndpointGating(t *testing.T) {
 	}
 }
 
-// TestPartitionBodyLimit checks the partition endpoint's own 413 bound.
+// TestPartitionBodyLimit checks the partition endpoint's own 413 bound, in
+// both codecs.
 func TestPartitionBodyLimit(t *testing.T) {
 	g, m := testModel(t)
 	pm, err := m.WithPartition(0, m.Index().Len())
@@ -155,13 +156,20 @@ func TestPartitionBodyLimit(t *testing.T) {
 	ts := httptest.NewServer(s.Handler())
 	defer ts.Close()
 
-	body := fmt.Sprintf(`{"k":1,"queries":[[%s]]}`, strings.Repeat("0.123,", 63)+"0.123")
-	resp, err := ts.Client().Post(ts.URL+"/partition/search", "application/json", strings.NewReader(body))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != 413 {
-		t.Fatalf("oversized partition body: status %d, want 413", resp.StatusCode)
+	emb := make([]float32, 64)
+	for contentType, body := range map[string]string{
+		"application/json": fmt.Sprintf(`{"k":1,"queries":[[%s]]}`, strings.Repeat("0.123,", 63)+"0.123"),
+		FrameContentType:   string(AppendSearchFrame(nil, 1, [][]float32{emb})),
+	} {
+		resp, err := ts.Client().Post(ts.URL+"/partition/search", contentType, strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var eb ErrorBody
+		json.NewDecoder(resp.Body).Decode(&eb)
+		resp.Body.Close()
+		if resp.StatusCode != 413 || eb.Error.Code != "body_too_large" {
+			t.Fatalf("oversized %s partition body: status %d, code %q; want 413 body_too_large", contentType, resp.StatusCode, eb.Error.Code)
+		}
 	}
 }

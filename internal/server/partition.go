@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/http"
 	"slices"
+	"strconv"
 	"time"
 
 	"emblookup/internal/index"
@@ -31,9 +32,10 @@ func WithPartition(info PartitionInfo) Option {
 	return func(o *options) { o.partition = &info }
 }
 
-// PartitionSearchRequest is the body of POST /partition/search: queries
-// already embedded by the router (embedding happens once, at the router),
-// and the per-query candidate budget k.
+// PartitionSearchRequest is the body of POST /partition/search, as JSON or
+// as a request frame (FrameContentType): queries already embedded by the
+// router (embedding happens once, at the router), and the per-query
+// candidate budget k.
 type PartitionSearchRequest struct {
 	K       int         `json:"k"`
 	Queries [][]float32 `json:"queries"`
@@ -54,7 +56,8 @@ type PartitionHit struct {
 // PartitionSearchResponse is the /partition/search reply; Results aligns
 // with the request's query order. When the router propagated a trace id
 // (X-Emblookup-Trace), the node echoes it with its own spans, which the
-// router grafts under this hop's leg — one timeline across the cluster.
+// router grafts under this hop's leg — one timeline across the cluster. A
+// reply frame carries the partition's ID, the results and the spans.
 type PartitionSearchResponse struct {
 	Partition PartitionInfo    `json:"partition"`
 	Results   [][]PartitionHit `json:"results"`
@@ -64,11 +67,25 @@ type PartitionSearchResponse struct {
 
 // handlePartitionSearch answers a router's scatter: validate strictly (400
 // on any bound violation rather than silently clamping), run the batch over
-// this node's index slice, and translate row ids into the global space.
+// this node's index slice, and translate row ids into the global space. A
+// request sent as FrameContentType is read and answered in frames; any other
+// is JSON both ways. Both codecs fill one PartitionSearchRequest and answer
+// one PartitionSearchResponse, so the bounds, statuses and hits are the same.
 func (s *Server) handlePartitionSearch(w http.ResponseWriter, r *http.Request) {
 	r.Body = http.MaxBytesReader(w, r.Body, s.MaxPartitionBytes)
+	frame := r.Header.Get("Content-Type") == FrameContentType
 	var req PartitionSearchRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
+	var err error
+	if frame {
+		var bp *[]byte
+		if bp, err = readFrame(r.Body); err == nil {
+			req, err = decodeSearchFrame(*bp)
+		}
+		framePool.Put(bp)
+	} else {
+		err = json.NewDecoder(r.Body).Decode(&req)
+	}
+	if err != nil {
 		WriteError(w, r, bodyError(err, s.Limits))
 		return
 	}
@@ -126,6 +143,19 @@ func (s *Server) handlePartitionSearch(w http.ResponseWriter, r *http.Request) {
 	}
 	resp.TraceID = tr.ID()
 	resp.Spans = tr.Spans()
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(resp)
+	if !frame {
+		w.Header().Set("Content-Type", "application/json")
+		json.NewEncoder(w).Encode(resp)
+		return
+	}
+	var spans []byte
+	if len(resp.Spans) > 0 {
+		spans, _ = json.Marshal(resp.Spans) // a []obs.SpanRecord always marshals
+	}
+	bp := framePool.Get().(*[]byte)
+	*bp = appendHitsFrame((*bp)[:0], resp.Partition.ID, resp.Results, spans)
+	w.Header().Set("Content-Type", FrameContentType)
+	w.Header().Set("Content-Length", strconv.Itoa(len(*bp)))
+	w.Write(*bp)
+	framePool.Put(bp)
 }

@@ -11,7 +11,10 @@
 //	                                to detect a stale assignment, not just a
 //	                                dead process
 //	POST /partition/search        → partition-scoped batch search (only
-//	                                with WithPartition — see internal/cluster)
+//	                                with WithPartition — see internal/cluster):
+//	                                little-endian frames both ways for
+//	                                Content-Type FrameContentType (the
+//	                                router's codec), JSON for any other
 //	GET /debug/pprof/...          → profiling (only with WithPprof)
 //
 // The single-node Server, the tenant routes (TenantServer) and the cluster

@@ -85,9 +85,14 @@ go test -run '^$' -fuzz FuzzReadGraph -fuzztime 10s ./internal/kg
 echo "== request parser fuzz (short) =="
 # The parsers every HTTP front-end shares (the single-node server, the
 # tenant routes and the cluster router): the /bulk body under both of its
-# bounds with ?k=, and the /ingest body of the server and the router.
+# bounds with ?k=, and the /ingest body of the server and the router. The
+# /partition/search frames both ways (DESIGN.md §9): the request frame a
+# node decodes and the reply frame the router decodes, each re-encoding to
+# its own bytes and rejecting an over-claiming header before allocating.
 go test -run '^$' -fuzz FuzzReadBulkBody -fuzztime 10s ./internal/server
 go test -run '^$' -fuzz FuzzDecodeIngestItems -fuzztime 10s ./internal/server
+go test -run '^$' -fuzz FuzzDecodeSearchFrame -fuzztime 10s ./internal/server
+go test -run '^$' -fuzz FuzzDecodeHitsFrame -fuzztime 10s ./internal/server
 
 echo "== allocation benchmarks (short) =="
 go test -run '^$' -bench 'BenchmarkPQSearch$|BenchmarkLookupAllocs' \
