@@ -18,10 +18,10 @@ import (
 )
 
 // benchScale is the million-entity benchmark: for each entity count it
-// measures what the v4 zero-copy artifact format (DESIGN.md §12) buys at
-// that scale — cold attach time and resident memory against the gob
-// format, recall@1/@10 against exact flat search, the served lookup
-// latency distribution, and the IVF nprobe recall/latency trade-off.
+// measures the v4 zero-copy artifact format (DESIGN.md §12) at that scale —
+// cold attach time, resident memory and file size — plus recall@1/@10
+// against exact flat search, the served lookup latency distribution, and
+// the IVF nprobe recall/latency trade-off.
 //
 // The model weights are trained once on a small donor graph; each scale
 // then rebuilds only the index over its own graph (embedding every entity
@@ -130,42 +130,28 @@ func benchScaleOne(snap *benchSnapshot, weights string, n int, seed uint64, dir,
 	fmt.Printf("scale %d: index rebuilt (%.1fs)\n", n, time.Since(buildStart).Seconds())
 
 	v4Path := filepath.Join(dir, fmt.Sprintf("scale_%d.v4", n))
-	gobPath := filepath.Join(dir, fmt.Sprintf("scale_%d.gob", n))
 	if err := m.SaveFileWithIndex(v4Path); err != nil {
 		return err
 	}
-	if err := m.SaveFileGob(gobPath, true); err != nil {
-		return err
-	}
-	v4MB, gobMB := fileMB(v4Path), fileMB(gobPath)
 	m.Close()
 
 	// Cold attach: each measurement is a fresh process that regenerates the
-	// graph, then times exactly one LoadFile and one first lookup. The v4
+	// graph, then times exactly one LoadFile and one first lookup. The
 	// attach is so fast that scheduler noise dominates a single sample, so
-	// it gets the most repetitions; a gob decode at 1M runs for tens of
-	// seconds, so past 200k one suffices.
-	v4Reps, reps := 5, 3
+	// it takes the fastest of several.
+	reps := 5
 	if n > 200_000 {
-		v4Reps, reps = 3, 1
+		reps = 3
 	}
-	v4Probe, err := coldAttach(exe, v4Path, n, seed, v4Reps)
+	v4Probe, err := coldAttach(exe, v4Path, n, seed, reps)
 	if err != nil {
 		return fmt.Errorf("v4 cold attach: %w", err)
 	}
-	gobProbe, err := coldAttach(exe, gobPath, n, seed, reps)
-	if err != nil {
-		return fmt.Errorf("gob cold attach: %w", err)
-	}
 	add(tag("cold_attach"), map[string]float64{
 		"v4_attach_us":       v4Probe.AttachUs,
-		"gob_attach_us":      gobProbe.AttachUs,
-		"attach_speedup":     gobProbe.AttachUs / v4Probe.AttachUs,
 		"v4_first_lookup_us": v4Probe.FirstLookupUs,
 		"v4_rss_delta_kb":    v4Probe.RSSAfterKB - v4Probe.RSSBeforeKB,
-		"gob_rss_delta_kb":   gobProbe.RSSAfterKB - gobProbe.RSSBeforeKB,
-		"v4_file_mb":         v4MB,
-		"gob_file_mb":        gobMB,
+		"v4_file_mb":         fileMB(v4Path),
 	})
 	add(tag("build"), map[string]float64{
 		"gen_us":     genUs,

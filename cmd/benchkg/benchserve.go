@@ -81,8 +81,9 @@ func benchServe(path string, entities, clients int, seed uint64) error {
 	add("lookup_direct", map[string]float64{"ns_per_op": ns, "p50_us": p50, "p99_us": p99})
 	directNs := ns
 
-	// Cache-miss path: sharded scan, no cache, no coalescer.
-	svMiss, err := serve.New(m, serve.Options{MaxBatch: -1, CacheSize: -1})
+	// Cache-miss path: sharded scan, no cache; one client never queues in
+	// the coalescer, so every lookup runs solo.
+	svMiss, err := serve.New(m, serve.Options{CacheSize: -1})
 	if err != nil {
 		return fmt.Errorf("serve (miss): %w", err)
 	}
@@ -90,7 +91,7 @@ func benchServe(path string, entities, clients int, seed uint64) error {
 	add("serve_cache_miss", map[string]float64{"ns_per_op": missNs, "p50_us": p50, "p99_us": p99})
 
 	// Cache-hit path: warm every mention in the mix first.
-	svHit, err := serve.New(m, serve.Options{Shards: 1, MaxBatch: -1, CacheSize: 8192})
+	svHit, err := serve.New(m, serve.Options{Shards: 1, CacheSize: 8192})
 	if err != nil {
 		return fmt.Errorf("serve (hit): %w", err)
 	}
@@ -149,7 +150,7 @@ func benchServe(path string, entities, clients int, seed uint64) error {
 	}
 
 	regFull := obs.New()
-	svFull, err := serve.New(m, serve.Options{MaxBatch: clients, CacheSize: 4096, Registry: regFull})
+	svFull, err := serve.New(m, serve.Options{CacheSize: 4096, Registry: regFull})
 	if err != nil {
 		return fmt.Errorf("serve (full): %w", err)
 	}
@@ -180,7 +181,7 @@ func benchServe(path string, entities, clients int, seed uint64) error {
 	// Coalesced serving without the cache: every query reaches the model, so
 	// the per-query wall cost isolates what micro-batching itself delivers.
 	regCo := obs.New()
-	svCo, err := serve.New(m, serve.Options{MaxBatch: clients, CacheSize: -1, Registry: regCo})
+	svCo, err := serve.New(m, serve.Options{CacheSize: -1, Registry: regCo})
 	if err != nil {
 		return fmt.Errorf("serve (coalesced): %w", err)
 	}

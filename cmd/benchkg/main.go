@@ -39,11 +39,10 @@
 //
 //	benchkg -bench-replica BENCH_replica.json [-entities 2000]
 //
-// With -bench-scale it measures what the zero-copy v4 artifact format buys
-// as the corpus grows: per entity count, cold attach time and resident
-// memory (v4 mmap vs gob decode, each in a fresh subprocess), recall@1/@10
-// against exact flat search, lookup latency percentiles, and the IVF
-// nprobe recall/latency sweep:
+// With -bench-scale it measures the zero-copy v4 artifact format as the
+// corpus grows: per entity count, cold attach time and resident memory (in
+// a fresh subprocess), recall@1/@10 against exact flat search, lookup
+// latency percentiles, and the IVF nprobe recall/latency sweep:
 //
 //	benchkg -bench-scale BENCH_scale.json [-scales 10000,100000,1000000]
 package main

@@ -218,8 +218,8 @@ func max(a, b int) int {
 // responds with a JSON candidate list. This is the "transparent
 // replacement for remote lookup services" deployment shape from the paper.
 // Requests flow through the serving substrate (internal/serve): sharded
-// index scans, query coalescing, and a sharded mention cache — each tunable
-// or disableable via flags, all returning bit-identical results to direct
+// index scans, query coalescing, and a sharded mention cache — shards and
+// cache tunable via flags, all returning bit-identical results to direct
 // model lookups.
 func cmdServe(args []string) {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
@@ -227,7 +227,6 @@ func cmdServe(args []string) {
 	modelPath := fs.String("model", "model.bin", "model file")
 	addr := fs.String("addr", ":8080", "listen address")
 	shards := fs.Int("shards", 0, "index scan shards (0 = by index kind and size, 1 = unsharded)")
-	batch := fs.Int("batch", 0, "coalescer max batch size (0 = default 32, negative disables coalescing)")
 	cacheSize := fs.Int("cache-size", 0, "mention cache entries (0 = default 4096, negative disables the cache)")
 	pprofOn := fs.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/")
 	clusterN := fs.Int("cluster", 0, "run an in-process demo cluster with N partition nodes behind a router")
@@ -278,7 +277,6 @@ func cmdServe(args []string) {
 	} else {
 		sv, err := serve.New(model, serve.Options{
 			Shards:    *shards,
-			MaxBatch:  *batch,
 			CacheSize: *cacheSize,
 		})
 		if err != nil {

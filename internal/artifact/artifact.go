@@ -262,17 +262,6 @@ func readFallback(r io.ReaderAt, size int, name string) (*File, error) {
 	return af, nil
 }
 
-// ReadFrom consumes a whole artifact from a stream into an aligned heap
-// buffer, verifying every payload checksum. It is the io.Reader-source
-// counterpart of Open (network transfers, in-memory round trips).
-func ReadFrom(r io.Reader) (*File, error) {
-	data, err := io.ReadAll(r)
-	if err != nil {
-		return nil, err
-	}
-	return Decode(data)
-}
-
 // Decode parses an artifact held in memory. The buffer is copied into
 // aligned storage when misaligned for the widest element; payload checksums
 // are always verified.

@@ -85,15 +85,6 @@ func TestRoundTripDecode(t *testing.T) {
 	checkSample(t, af)
 }
 
-func TestRoundTripReadFrom(t *testing.T) {
-	raw := buildSample(t)
-	af, err := ReadFrom(bytes.NewReader(raw))
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkSample(t, af)
-}
-
 func TestRoundTripOpenMmap(t *testing.T) {
 	raw := buildSample(t)
 	path := filepath.Join(t.TempDir(), "a.bin")

@@ -386,6 +386,10 @@ func (c *nodeClient) postIngest(ctx context.Context, body []byte, flush bool, ti
 		return err
 	}
 	defer resp.Body.Close()
+	if resp.StatusCode == http.StatusNotFound {
+		io.Copy(io.Discard, io.LimitReader(resp.Body, 512))
+		return fmt.Errorf("cluster: node %s: %w", c.url, errReadOnly)
+	}
 	if resp.StatusCode != http.StatusOK && resp.StatusCode != http.StatusAccepted {
 		io.Copy(io.Discard, io.LimitReader(resp.Body, 512))
 		return fmt.Errorf("cluster: node %s: ingest status %d", c.url, resp.StatusCode)

@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 
@@ -19,6 +20,13 @@ import (
 // the remaining replicas best-effort; a replica that misses the fan-out is
 // caught by the staleness-aware health probe and healed by control-plane
 // replay from the router's ingest log.
+//
+// A node that mounts no /ingest (cluster-node and StartLocal build
+// read-only nodes) answers 404. That rejects the batch and says nothing
+// about the node's health: it serves lookups as well as ever.
+
+// errReadOnly is a node's 404 on POST /ingest.
+var errReadOnly = errors.New("partition is read-only (no /ingest)")
 
 // Ingest routes one batch through the cluster. flush asks the owning nodes
 // for read-your-writes (the batch is applied, not just enqueued, before the
@@ -53,6 +61,9 @@ func (r *Router) ingestLocked(ctx context.Context, items []core.IngestItem, flus
 				continue
 			}
 			if err := c.postIngest(ctx, body, flush, r.opts.Timeout); err != nil {
+				if errors.Is(err, errReadOnly) {
+					return err
+				}
 				lastErr = err
 				c.markFailure()
 				continue
@@ -70,7 +81,9 @@ func (r *Router) ingestLocked(ctx context.Context, items []core.IngestItem, flus
 			continue
 		}
 		if err := c.postIngest(ctx, body, flush, r.opts.Timeout); err != nil {
-			c.markFailure()
+			if !errors.Is(err, errReadOnly) {
+				c.markFailure()
+			}
 			r.ingestFanFail.Inc()
 		}
 	}

@@ -71,7 +71,7 @@ const manifestName = "manifest.json"
 func nodeFileName(i int) string { return fmt.Sprintf("node-%d.bin", i) }
 
 // SavePartitions partitions model P ways and writes one artifact per node
-// into dir — node-<i>.bin via WriteWithIndex, so a node's cold start is
+// into dir — node-<i>.bin via SaveFileWithIndex, so a node's cold start is
 // IO-bound and loads only its slice — plus manifest.json.
 func SavePartitions(dir string, model *core.EmbLookup, p int) (Manifest, error) {
 	parts, man, err := BuildPartitions(model, p)

@@ -43,9 +43,6 @@ type RouterOptions struct {
 	ProbeInterval time.Duration
 	// ProbeTimeout bounds one /healthz probe (default 500ms).
 	ProbeTimeout time.Duration
-	// Parallelism bounds the router's local embedding fan-out
-	// (≤0 = GOMAXPROCS).
-	Parallelism int
 	// Registry receives the router's metrics — routed-lookup latency,
 	// per-partition counters and latency, health gauges (nil =
 	// obs.Default()).
@@ -402,7 +399,7 @@ func (r *Router) BulkLookupCtx(ctx context.Context, queries []string, k int) (se
 	}
 	tr := obs.FromContext(ctx)
 	sp := tr.Start("embed")
-	embs := r.model.EmbedAll(queries, r.opts.Parallelism)
+	embs := r.model.EmbedAll(queries, 0)
 	sp.End()
 	frame := server.AppendSearchFrame(nil, fetch, embs)
 

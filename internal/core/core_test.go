@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"fmt"
 	"sync"
 	"testing"
@@ -236,14 +235,15 @@ func TestCompressionToggle(t *testing.T) {
 
 func TestSaveLoadRoundTrip(t *testing.T) {
 	g, e := fixture(t)
-	var buf bytes.Buffer
-	if err := e.Write(&buf); err != nil {
+	path := t.TempDir() + "/weights.bin"
+	if err := e.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
-	e2, err := Read(&buf, g)
+	e2, err := LoadFile(path, g)
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer e2.Close()
 	for _, q := range []string{"Bramonia", g.Entities[0].Label, "xyz 123"} {
 		a, b := e.Embed(q), e2.Embed(q)
 		for i := range a {

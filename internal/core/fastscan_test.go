@@ -1,8 +1,6 @@
 package core
 
 import (
-	"bytes"
-	"encoding/gob"
 	"testing"
 
 	"emblookup/internal/index"
@@ -127,61 +125,6 @@ func TestFastScanPartition(t *testing.T) {
 		if best.ID != want[0].ID || best.Score != want[0].Score {
 			t.Fatalf("%q: partition best %+v, full %+v", q, best, want[0])
 		}
-	}
-}
-
-// TestFastScanSaveLoadRoundTrip asserts the legacy gob version-3 artifact
-// round-trips bit-identically, and that non-fast-scan models keep stamping
-// version 2 (the current default format, v4, is covered in
-// persist4_test.go).
-func TestFastScanSaveLoadRoundTrip(t *testing.T) {
-	g, e, fs := fastScanSibling(t)
-	var buf bytes.Buffer
-	if err := fs.WriteGob(&buf, true); err != nil {
-		t.Fatal(err)
-	}
-	raw := buf.Bytes()
-	var wire modelWire
-	if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&wire); err != nil {
-		t.Fatal(err)
-	}
-	if wire.Version != 3 {
-		t.Fatalf("fast-scan artifact stamped version %d, want 3", wire.Version)
-	}
-	if wire.Index == nil || wire.Index.Kind != "fastscan" {
-		t.Fatalf("artifact kind %+v, want fastscan", wire.Index)
-	}
-	re, err := Read(bytes.NewReader(raw), g)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if re.IndexProvenance().Source != "loaded" {
-		t.Fatalf("provenance %q, want loaded", re.IndexProvenance().Source)
-	}
-	for i := 0; i < 20; i++ {
-		q := g.Entities[i].Label
-		want, got := fs.Lookup(q, 10), re.Lookup(q, 10)
-		if len(want) != len(got) {
-			t.Fatalf("%q: %d vs %d candidates", q, len(want), len(got))
-		}
-		for j := range want {
-			if want[j] != got[j] {
-				t.Fatalf("%q: loaded index diverges at %d: %+v vs %+v", q, j, want[j], got[j])
-			}
-		}
-	}
-
-	// Back-compat: a model without fast-scan still writes version 2.
-	buf.Reset()
-	if err := e.WriteGob(&buf, true); err != nil {
-		t.Fatal(err)
-	}
-	var wire2 modelWire
-	if err := gob.NewDecoder(&buf).Decode(&wire2); err != nil {
-		t.Fatal(err)
-	}
-	if wire2.Version != 2 {
-		t.Fatalf("PQ artifact stamped version %d, want 2", wire2.Version)
 	}
 }
 

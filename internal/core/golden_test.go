@@ -6,26 +6,29 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
-	"sync"
 	"testing"
 
+	"emblookup/internal/index"
 	"emblookup/internal/kg"
 )
 
 // The golden corpus pins backward compatibility to real bytes: tiny models
-// in every historic format (gob v0 weights-only, gob v2 index artifact, gob
-// v3 fast-scan artifact) are checked into testdata/, and every build must
-// keep loading them and re-serializing them to the current format (v4) with
-// bit-identical search results. Regenerate with
-//
-//	go test ./internal/core/ -run TestGoldenCorpus -update-golden
-//
-// after an intentional format change (the graph below must stay fixed — the
-// goldens' row mappings reference its entity numbering).
-var updateGolden = flag.Bool("update-golden", false, "rewrite the golden corpus in testdata/")
+// in every gob format older builds wrote (v0 weights-only, v2 with an index
+// artifact of each non-fast-scan kind, v3 fast-scan) are checked into
+// testdata/, and every build must keep loading them and re-serializing them
+// to the current format (v4) with bit-identical search results. Nothing
+// writes gob any more, so the corpus is frozen: these files are the only
+// source of gob bytes. golden_v0/v2/v3 came from a model trained on
+// goldenGraph; the golden_v2_<kind> files re-index golden_v2's weights.
 
-// goldenEntities pins the graph the goldens were trained on. Never change
-// it without regenerating the corpus.
+// updateGolden rewrites the embedding and training goldens (the gob corpus
+// has no writer and never changes):
+//
+//	go test ./internal/core/ -run 'TestEmbedGolden|TestTrainDeterministic' -update-golden
+var updateGolden = flag.Bool("update-golden", false, "rewrite the embedding and training goldens in testdata/")
+
+// goldenEntities pins the graph the goldens were trained on; their row
+// mappings reference its entity numbering.
 const goldenEntities = 80
 
 func goldenGraph() *kg.Graph {
@@ -33,111 +36,35 @@ func goldenGraph() *kg.Graph {
 	return g
 }
 
-var (
-	goldenOnce  sync.Once
-	goldenModel *EmbLookup
-)
-
-// goldenTrain trains the corpus model (only used with -update-golden).
-func goldenTrain(t *testing.T, g *kg.Graph) *EmbLookup {
-	t.Helper()
-	goldenOnce.Do(func() {
-		cfg := FastConfig()
-		cfg.Epochs = 2
-		cfg.TripletsPerEntity = 4
-		cfg.NgramEpochs = 4
-		cfg.NgramBuckets = 1 << 10 // keeps each checked-in golden under ~1 MB
-		cfg.Compress = true
-		e, err := Train(g, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		goldenModel = e
-	})
-	return goldenModel
-}
-
-// wireV0 mirrors the original weights-only layout, before the Version and
-// Index fields existed. Gob matches fields by name, so decoding a wireV0
-// stream into modelWire leaves Version at 0 and Index nil — exactly how a
-// real pre-versioning file reads.
-type wireV0 struct {
-	Cfg           Config
-	Alphabet      string
-	Ngram         wireMatrix
-	NgramCfg      [2]int
-	KnownMentions []int
-	Params        []wireMatrix
-}
-
-func writeGoldenFiles(t *testing.T, dir string, g *kg.Graph) {
-	t.Helper()
-	e := goldenTrain(t, g)
-
-	// v0: strip the trained model down to the pre-versioning wire struct.
-	var wire modelWire
-	var gobBuf bytes.Buffer
-	if err := e.writeGob(&gobBuf, false); err != nil {
-		t.Fatal(err)
-	}
-	if err := gob.NewDecoder(&gobBuf).Decode(&wire); err != nil {
-		t.Fatal(err)
-	}
-	v0 := wireV0{Cfg: wire.Cfg, Alphabet: wire.Alphabet, Ngram: wire.Ngram,
-		NgramCfg: wire.NgramCfg, KnownMentions: wire.KnownMentions, Params: wire.Params}
-	var v0Buf bytes.Buffer
-	if err := gob.NewEncoder(&v0Buf).Encode(v0); err != nil {
-		t.Fatal(err)
-	}
-	if err := os.WriteFile(filepath.Join(dir, "golden_v0.bin"), v0Buf.Bytes(), 0o644); err != nil {
-		t.Fatal(err)
-	}
-
-	// v2: the PQ model with its index artifact.
-	if err := e.SaveFileGob(filepath.Join(dir, "golden_v2.bin"), true); err != nil {
-		t.Fatal(err)
-	}
-
-	// v3: the fast-scan sibling.
-	fs, err := e.WithFastScan()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := fs.SaveFileGob(filepath.Join(dir, "golden_v3.bin"), true); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // TestGoldenCorpus loads every checked-in historic artifact and asserts (a)
 // it still loads, with the provenance its format implies, and (b) rewriting
 // it in the current format and reloading preserves every search result bit
 // for bit.
 func TestGoldenCorpus(t *testing.T) {
-	dir := "testdata"
 	g := goldenGraph()
-	if *updateGolden {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
-			t.Fatal(err)
-		}
-		writeGoldenFiles(t, dir, g)
-		t.Log("golden corpus rewritten")
-	}
+	// The version each stream is stamped with, the index kind it carries
+	// ("" for weights only, whose load rebuilds the index) and its ivf-pq
+	// re-rank factor.
 	cases := []struct {
-		file     string
-		source   string // expected provenance of the gob load
-		gobVer   int
-		fastscan bool
+		file   string
+		gobVer int
+		kind   string
+		rerank int
 	}{
-		{"golden_v0.bin", "rebuilt", 0, false},
-		{"golden_v2.bin", "loaded", 2, false},
-		{"golden_v3.bin", "loaded", 3, true},
+		{"golden_v0.bin", 0, "", 0},
+		{"golden_v2.bin", 2, "pq", 0},
+		{"golden_v3.bin", 3, "fastscan", 0},
+		{"golden_v2_flat.bin", 2, "flat", 0},
+		{"golden_v2_ivf_flat.bin", 2, "ivf-flat", 0},
+		{"golden_v2_ivf_pq.bin", 2, "ivf-pq", 0},
+		{"golden_v2_ivf_pq_rerank8.bin", 2, "ivf-pq", 8},
 	}
 	for _, c := range cases {
 		t.Run(c.file, func(t *testing.T) {
-			path := filepath.Join(dir, c.file)
+			path := filepath.Join("testdata", c.file)
 			raw, err := os.ReadFile(path)
 			if err != nil {
-				t.Fatalf("golden corpus missing (regenerate with -update-golden): %v", err)
+				t.Fatal(err)
 			}
 			var wire modelWire
 			if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&wire); err != nil {
@@ -146,20 +73,30 @@ func TestGoldenCorpus(t *testing.T) {
 			if wire.Version != c.gobVer {
 				t.Fatalf("golden stamped version %d, want %d", wire.Version, c.gobVer)
 			}
+			kind, rerank := "", 0
+			if wire.Index != nil {
+				kind, rerank = wire.Index.Kind, wire.Index.Rerank
+			}
+			if kind != c.kind || rerank != c.rerank {
+				t.Fatalf("golden carries index %q ×%d, want %q ×%d", kind, rerank, c.kind, c.rerank)
+			}
+			withIndex, source := c.kind != "", "rebuilt"
+			if withIndex {
+				source = "loaded"
+			}
 			old, err := LoadFile(path, g)
 			if err != nil {
 				t.Fatalf("loading %s: %v", c.file, err)
 			}
-			if src := old.IndexProvenance().Source; src != c.source {
-				t.Fatalf("provenance %q, want %q", src, c.source)
+			if src := old.IndexProvenance().Source; src != source {
+				t.Fatalf("provenance %q, want %q", src, source)
 			}
-			if c.fastscan && !old.Config().FastScan {
-				t.Fatal("v3 golden lost its fast-scan config")
+			if (c.kind == "fastscan") != old.Config().FastScan {
+				t.Fatalf("FastScan config %v on a %q golden", old.Config().FastScan, c.kind)
 			}
 
-			// Re-serialize to the current format and reload both ways.
+			// Re-serialize to the current format and reload.
 			v4Path := filepath.Join(t.TempDir(), "rewritten.v4")
-			withIndex := c.source == "loaded"
 			if withIndex {
 				err = old.SaveFileWithIndex(v4Path)
 			} else {
@@ -173,8 +110,13 @@ func TestGoldenCorpus(t *testing.T) {
 				t.Fatalf("reloading v4 rewrite: %v", err)
 			}
 			defer now.Close()
-			if withIndex && now.IndexProvenance().Source != "loaded" {
-				t.Fatalf("v4 rewrite provenance %q, want loaded", now.IndexProvenance().Source)
+			if src := now.IndexProvenance().Source; src != source {
+				t.Fatalf("v4 rewrite provenance %q, want %q", src, source)
+			}
+			if c.rerank > 0 {
+				if f, vecs := now.Index().(*index.IVF).Rerank(); f != c.rerank || vecs == nil {
+					t.Fatalf("v4 rewrite re-ranks ×%d (vectors %v), want ×%d", f, vecs != nil, c.rerank)
+				}
 			}
 			sameLookups(t, c.file+"→v4", old, now)
 		})

@@ -13,7 +13,7 @@ import (
 // Row ids in the partition index are local (0-based); the caller tracks the
 // global offset lo. The slice shares the parent's storage (codes, vectors,
 // quantizer) — nothing is re-embedded or retrained — and serializes through
-// WriteWithIndex like any other model, so each cluster node's artifact
+// SaveFileWithIndex like any other model, so each cluster node's artifact
 // carries exactly its slice.
 //
 // Supported for Flat, PQ, and FastScan indexes, the same restriction as

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"os"
 	"runtime"
-	"sync"
 	"testing"
 
 	"emblookup/internal/artifact"
@@ -28,6 +27,20 @@ var v4Variants = []struct {
 	{"ivf-pq-rerank", true, true, false, 8},
 }
 
+// decodeModel is LoadFile's dispatch over bytes held in memory: a v4
+// artifact decoded onto the heap, every payload checksum verified, or else
+// a gob stream.
+func decodeModel(data []byte, g *kg.Graph) (*EmbLookup, error) {
+	if !artifact.Sniff(data) {
+		return readGob(bytes.NewReader(data), g)
+	}
+	af, err := artifact.Decode(data)
+	if err != nil {
+		return nil, err
+	}
+	return readV4(af, g)
+}
+
 func sameLookups(t *testing.T, tag string, want, got *EmbLookup) {
 	t.Helper()
 	g := want.Graph()
@@ -48,7 +61,8 @@ func sameLookups(t *testing.T, tag string, want, got *EmbLookup) {
 // TestV4MmapAttachBitIdentity is the acceptance gate of the v4 format: for
 // every index kind, a model attached zero-copy from an mmap'd artifact and
 // one decoded from the same bytes on the heap both answer bit-identically
-// to the in-process model that wrote them.
+// to the in-process model that wrote them. (The gob reader of every kind is
+// held to the same answers by TestGoldenCorpus.)
 func TestV4MmapAttachBitIdentity(t *testing.T) {
 	g, fixtureM := fixture(t)
 	base := *fixtureM // shallow copy so re-indexing never mutates the shared fixture
@@ -92,27 +106,16 @@ func TestV4MmapAttachBitIdentity(t *testing.T) {
 			t.Fatalf("%s: backing %q, want mmap", v.name, prov.Backing)
 		}
 
-		heap, err := Read(bytes.NewReader(raw), g)
+		heap, err := decodeModel(raw, g)
 		if err != nil {
 			t.Fatalf("%s: heap read: %v", v.name, err)
 		}
 		if b := heap.IndexProvenance().Backing; b != "heap" {
-			t.Fatalf("%s: stream read backing %q, want heap", v.name, b)
+			t.Fatalf("%s: heap read backing %q, want heap", v.name, b)
 		}
 
 		sameLookups(t, v.name+"/mmap", &base, mmapped)
 		sameLookups(t, v.name+"/heap", &base, heap)
-
-		// The gob writer must serialize the same model to the same answers.
-		var gobBuf bytes.Buffer
-		if err := base.WriteGob(&gobBuf, true); err != nil {
-			t.Fatalf("%s: gob write: %v", v.name, err)
-		}
-		fromGob, err := Read(bytes.NewReader(gobBuf.Bytes()), g)
-		if err != nil {
-			t.Fatalf("%s: gob read: %v", v.name, err)
-		}
-		sameLookups(t, v.name+"/gob", &base, fromGob)
 
 		if err := mmapped.Close(); err != nil {
 			t.Fatalf("%s: close: %v", v.name, err)
@@ -154,10 +157,10 @@ func TestV4WeightsOnly(t *testing.T) {
 func TestV4DeterministicBytes(t *testing.T) {
 	_, e := fixture(t)
 	var a, b bytes.Buffer
-	if err := e.WriteWithIndex(&a); err != nil {
+	if err := e.writeV4(&a, true); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.WriteWithIndex(&b); err != nil {
+	if err := e.writeV4(&b, true); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
@@ -165,21 +168,22 @@ func TestV4DeterministicBytes(t *testing.T) {
 	}
 }
 
-// TestV4CorruptionRejected: a payload flip fails the load on both paths
-// (Read verifies payload checksums; LoadFile→mmap verifies the table, and
-// a table flip breaks its checksum).
+// TestV4CorruptionRejected: a table flip fails the load on both paths
+// (LoadFile→mmap verifies the table, and a table flip breaks its
+// checksum), and a payload flip fails the heap decode, which verifies
+// payload checksums.
 func TestV4CorruptionRejected(t *testing.T) {
 	g, e := fixture(t)
 	var buf bytes.Buffer
-	if err := e.WriteWithIndex(&buf); err != nil {
+	if err := e.writeV4(&buf, true); err != nil {
 		t.Fatal(err)
 	}
 	raw := buf.Bytes()
 	// Flip one byte in the section table (offset area of section 0).
 	mut := bytes.Clone(raw)
 	mut[64+17] ^= 0xff
-	if _, err := Read(bytes.NewReader(mut), g); err == nil {
-		t.Fatal("corrupted section table accepted by Read")
+	if _, err := decodeModel(mut, g); err == nil {
+		t.Fatal("corrupted section table accepted by the heap decode")
 	}
 	path := t.TempDir() + "/corrupt.v4"
 	if err := os.WriteFile(path, mut, 0o644); err != nil {
@@ -188,64 +192,49 @@ func TestV4CorruptionRejected(t *testing.T) {
 	if _, err := LoadFile(path, g); err == nil {
 		t.Fatal("corrupted section table accepted by LoadFile")
 	}
-	// Flip one byte in the last payload: the stream path must catch it.
+	// Flip one byte in the last payload: the heap decode must catch it.
 	mut = bytes.Clone(raw)
 	mut[len(mut)-1] ^= 0xff
-	if _, err := Read(bytes.NewReader(mut), g); err == nil {
-		t.Fatal("corrupted payload accepted by Read")
+	if _, err := decodeModel(mut, g); err == nil {
+		t.Fatal("corrupted payload accepted by the heap decode")
 	}
 }
 
 // FuzzReadArtifact hammers the whole model-read dispatch — v4 magic
 // sniffing, the v4 section parser and attach path, and the gob fallback —
-// with arbitrary bytes. Read must return an error or a valid model, never
-// panic, and never allocate proportionally to corrupt header fields.
+// with arbitrary bytes, seeded from the golden PQ gob file and its v4
+// rewrite. A read must return an error or a valid model, never panic, and
+// never allocate proportionally to corrupt header fields.
 func FuzzReadArtifact(f *testing.F) {
-	g, e := fixtureForFuzz()
-	var v4 bytes.Buffer
-	if err := e.WriteWithIndex(&v4); err != nil {
+	g := goldenGraph()
+	gobBytes, err := os.ReadFile("testdata/golden_v2.bin")
+	if err != nil {
 		f.Fatal(err)
 	}
-	var gobBuf bytes.Buffer
-	if err := e.WriteGob(&gobBuf, true); err != nil {
+	e, err := decodeModel(gobBytes, g)
+	if err != nil {
 		f.Fatal(err)
 	}
-	f.Add(v4.Bytes())
-	f.Add(v4.Bytes()[:200])
-	f.Add(gobBuf.Bytes())
-	f.Add(gobBuf.Bytes()[:50])
+	path := f.TempDir() + "/golden_v2.v4"
+	if err := e.SaveFileWithIndex(path); err != nil {
+		f.Fatal(err)
+	}
+	v4, err := os.ReadFile(path)
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(v4)
+	f.Add(v4[:200])
+	f.Add(gobBytes)
+	f.Add(gobBytes[:50])
 	f.Add([]byte(artifact.Magic))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := Read(bytes.NewReader(data), g)
+		m, err := decodeModel(data, g)
 		if err != nil {
 			return
 		}
 		// A model that parses must serve a lookup without panicking.
 		_ = m.Lookup(g.Entities[0].Label, 3)
 	})
-}
-
-// fuzz fixture: the tiniest usable model, trained once (fuzz setup runs
-// under *testing.F, so it cannot reuse the t.Helper-based fixture).
-var (
-	fuzzOnce  sync.Once
-	fuzzGraph *kg.Graph
-	fuzzModel *EmbLookup
-)
-
-func fixtureForFuzz() (*kg.Graph, *EmbLookup) {
-	fuzzOnce.Do(func() {
-		g, _ := kg.Generate(kg.DefaultGeneratorConfig(kg.WikidataProfile, 60))
-		cfg := testConfig()
-		cfg.Epochs = 2
-		cfg.TripletsPerEntity = 4
-		cfg.Compress = true
-		e, err := Train(g, cfg)
-		if err != nil {
-			panic(err)
-		}
-		fuzzGraph, fuzzModel = g, e
-	})
-	return fuzzGraph, fuzzModel
 }

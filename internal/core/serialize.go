@@ -19,19 +19,18 @@ import (
 	"emblookup/internal/quant"
 )
 
-// modelFormatVersion is the current on-disk format. Version 0 files are the
-// original weights-only layout (pre-versioning, the field decodes to zero);
-// version 2 adds the optional index artifact; version 3 adds the
-// "fastscan" artifact kind. Read accepts every version up to the current
-// one and rejects files written by a newer build. Write stamps version 3
-// only on models that actually use fast-scan — everything else keeps
-// version 2, so older builds still load it.
-const modelFormatVersion = 3
+// gobFormatVersion is the newest gob format, which older builds wrote and
+// this one only reads. Version 0 files are the original weights-only layout
+// (pre-versioning, the field decodes to zero); version 2 adds the optional
+// index artifact; version 3 adds the "fastscan" artifact kind. A gob stream
+// stamped with a newer version is rejected. Re-saving a loaded gob model
+// migrates it to v4; testdata/ holds the golden gob files that pin this
+// reader.
+const gobFormatVersion = 3
 
-// modelWire is the serialized form of a trained EmbLookup model. The
-// nearest-neighbor index either rides along as a versioned artifact
-// (WriteWithIndex) and is attached on load, or is rebuilt deterministically
-// from the stored weights; the knowledge graph is attached by the caller.
+// modelWire is the gob form of a trained EmbLookup model: the weights, and
+// optionally the built index as a wireIndex; the knowledge graph is
+// attached by the caller.
 type modelWire struct {
 	Version       int
 	Cfg           Config
@@ -72,20 +71,8 @@ type wireIndex struct {
 	Rerank    int           // ivf-pq exact re-rank over-fetch factor (0 = off)
 }
 
-func toWire(m *mathx.Matrix) wireMatrix {
-	return wireMatrix{Rows: m.Rows, Cols: m.Cols, Data: m.Data}
-}
-
 func fromWire(w wireMatrix) *mathx.Matrix {
 	return &mathx.Matrix{Rows: w.Rows, Cols: w.Cols, Data: w.Data}
-}
-
-func quantizerToWire(q *quant.ProductQuantizer) wireQuantizer {
-	wq := wireQuantizer{D: q.D, M: q.M, Ks: q.Ks, Dsub: q.Dsub}
-	for _, cb := range q.Codebooks {
-		wq.Codebooks = append(wq.Codebooks, toWire(cb))
-	}
-	return wq
 }
 
 func quantizerFromWire(wq wireQuantizer) *quant.ProductQuantizer {
@@ -94,53 +81,6 @@ func quantizerFromWire(wq wireQuantizer) *quant.ProductQuantizer {
 		q.Codebooks = append(q.Codebooks, fromWire(cb))
 	}
 	return q
-}
-
-// indexToWire snapshots the model's built index. A Sharded wrapper is
-// unwrapped (shard count is a serving-time choice, re-applied after load);
-// a Dynamic index must be compacted back to a sealed one by the caller
-// first, because its delta segment is serving state, not an artifact.
-func (e *EmbLookup) indexToWire() (*wireIndex, error) {
-	ix := e.ix
-	if sh, ok := ix.(*index.Sharded); ok {
-		ix = sh.Inner()
-	}
-	w := &wireIndex{Rows: e.rows}
-	switch t := ix.(type) {
-	case *index.Flat:
-		w.Kind = "flat"
-		w.Flat = toWire(t.Vectors())
-	case *index.PQ:
-		w.Kind = "pq"
-		w.Quant = quantizerToWire(t.Quantizer())
-		w.Codes = t.Codes()
-	case *index.FastScan:
-		// The blocks are stored interleaved exactly as scanned; the row
-		// count comes from the Rows mapping (blocks are padded to a
-		// multiple of the block size, so their length alone is ambiguous).
-		w.Kind = "fastscan"
-		w.Quant = quantizerToWire(t.Quantizer())
-		w.Codes = t.Blocks()
-	case *index.IVF:
-		w.Coarse = toWire(t.Coarse())
-		w.NProbe = t.NProbe()
-		w.Lists = t.Lists()
-		if q := t.Quantizer(); q != nil {
-			w.Kind = "ivf-pq"
-			w.Quant = quantizerToWire(q)
-			w.ListCodes = t.ListCodes()
-			if rr, rv := t.Rerank(); rv != nil {
-				w.Rerank = rr
-				w.Vectors = toWire(rv)
-			}
-		} else {
-			w.Kind = "ivf-flat"
-			w.Vectors = toWire(t.Vectors())
-		}
-	default:
-		return nil, fmt.Errorf("core: index type %T has no serialized form", ix)
-	}
-	return w, nil
 }
 
 // indexFromWire reassembles a saved index artifact and validates its row
@@ -181,87 +121,6 @@ func indexFromWire(w *wireIndex, g *kg.Graph) (index.Index, []kg.EntityID, error
 	return ix, w.Rows, nil
 }
 
-// Write serializes the trained model weights only — the compact form; the
-// index is rebuilt deterministically on load. Use WriteWithIndex to make
-// cold starts IO-bound instead.
-func (e *EmbLookup) Write(w io.Writer) error {
-	return e.write(w, false)
-}
-
-// WriteWithIndex serializes the model together with its built index
-// (codebooks, codes, vectors, inverted lists, and the row→entity mapping),
-// so Read attaches the index instead of re-embedding every entity and
-// retraining the quantizer.
-func (e *EmbLookup) WriteWithIndex(w io.Writer) error {
-	return e.write(w, true)
-}
-
-// write emits the current format: the sectioned zero-copy v4 artifact
-// (serialize4.go) on every little-endian host, the self-describing gob
-// stream on the big-endian exceptions. Read accepts both.
-func (e *EmbLookup) write(w io.Writer, withIndex bool) error {
-	if artifact.Supported() {
-		return e.writeV4(w, withIndex)
-	}
-	return e.writeGob(w, withIndex)
-}
-
-// WriteGob serializes in the legacy gob format (v2/v3) regardless of host
-// support for v4 — kept exported for the format benchmarks and for
-// generating the back-compat golden corpus.
-func (e *EmbLookup) WriteGob(w io.Writer, withIndex bool) error {
-	return e.writeGob(w, withIndex)
-}
-
-func (e *EmbLookup) writeGob(w io.Writer, withIndex bool) error {
-	// Only fast-scan models need the version-3 format; everything else is
-	// stamped version 2 so builds predating fast-scan still load it.
-	ver := modelFormatVersion
-	if !e.cfg.FastScan {
-		ver = 2
-	}
-	wire := modelWire{
-		Version:       ver,
-		Cfg:           e.cfg,
-		Alphabet:      e.enc.Alphabet.Runes(),
-		Ngram:         toWire(e.sem.Table),
-		NgramCfg:      [2]int{e.sem.Dim, e.sem.Buckets},
-		KnownMentions: e.sem.KnownMentionHashes(),
-	}
-	for _, p := range e.masterParams() {
-		wire.Params = append(wire.Params, toWire(p.W))
-	}
-	if withIndex {
-		wi, err := e.indexToWire()
-		if err != nil {
-			return err
-		}
-		wire.Index = wi
-	}
-	return gob.NewEncoder(w).Encode(wire)
-}
-
-// Read deserializes a model written by Write or WriteWithIndex — either a
-// format-v4 artifact or a gob stream (v0–v3), sniffed by magic. When the
-// file carries an index artifact it is attached directly — cold start
-// becomes an IO-bound load — otherwise the index is rebuilt over g from the
-// stored weights. g must be the graph the model was trained on (or a graph
-// with identical entity numbering); an artifact whose row mapping does not
-// fit g is rejected. Provenance (loaded vs rebuilt, backing, and how long
-// attaching took) is exposed via IndexProvenance. Reading from a stream
-// copies the artifact into the heap; use LoadFile to attach by mmap.
-func Read(r io.Reader, g *kg.Graph) (*EmbLookup, error) {
-	br := bufio.NewReader(r)
-	if prefix, err := br.Peek(len(artifact.Magic)); err == nil && artifact.Sniff(prefix) {
-		af, err := artifact.ReadFrom(br)
-		if err != nil {
-			return nil, err
-		}
-		return readV4(af, g)
-	}
-	return readGob(br, g)
-}
-
 // readGob deserializes the legacy gob formats (v0 weights-only, v2 index
 // artifact, v3 fast-scan artifact).
 func readGob(r io.Reader, g *kg.Graph) (*EmbLookup, error) {
@@ -269,8 +128,8 @@ func readGob(r io.Reader, g *kg.Graph) (*EmbLookup, error) {
 	if err := gob.NewDecoder(r).Decode(&wire); err != nil {
 		return nil, err
 	}
-	if wire.Version > modelFormatVersion {
-		return nil, fmt.Errorf("core: model format version %d is newer than this build supports (%d)", wire.Version, modelFormatVersion)
+	if wire.Version > gobFormatVersion {
+		return nil, fmt.Errorf("core: model format version %d is newer than this build supports (%d)", wire.Version, gobFormatVersion)
 	}
 	cfg := wire.Cfg
 	rng := mathx.NewRNG(cfg.Seed)
@@ -330,15 +189,7 @@ func (e *EmbLookup) SaveFileWithIndex(path string) error {
 
 func (e *EmbLookup) saveFile(path string, withIndex bool) error {
 	return AtomicWriteFile(path, func(w io.Writer) error {
-		return e.write(w, withIndex)
-	})
-}
-
-// SaveFileGob writes the model in the legacy gob format — the comparison
-// subject of the format benchmarks and the generator of the golden corpus.
-func (e *EmbLookup) SaveFileGob(path string, withIndex bool) error {
-	return AtomicWriteFile(path, func(w io.Writer) error {
-		return e.writeGob(w, withIndex)
+		return e.writeV4(w, withIndex)
 	})
 }
 
@@ -387,8 +238,8 @@ func AtomicWriteFile(path string, fill func(io.Writer) error) error {
 // attaching the saved index when present and rebuilding it over g
 // otherwise. A v4 artifact is attached by mmap where supported — the
 // payloads stay in the page cache and load time is independent of model
-// size; call Close on the returned model to release the mapping. Gob files
-// take the decode path unchanged.
+// size; call Close on the returned model to release the mapping. A gob file
+// (formats v0–v3, written by older builds) is decoded onto the heap.
 func LoadFile(path string, g *kg.Graph) (*EmbLookup, error) {
 	f, err := os.Open(path)
 	if err != nil {

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"io"
 	"sort"
@@ -19,9 +20,10 @@ import (
 
 // This file is the format-v4 serializer: the model (and optional index
 // artifact) laid out in the sectioned zero-copy container of
-// internal/artifact instead of a gob stream. Write emits v4 on every
-// little-endian host; Read and LoadFile sniff the magic and accept both v4
-// and the gob formats v0–v3, so every artifact ever written still loads.
+// internal/artifact. SaveFile and SaveFileWithIndex write it and are the only
+// way a model reaches disk (a big-endian host refuses); LoadFile sniffs the
+// magic and accepts both v4 and the read-only gob formats v0–v3, so every
+// artifact ever written still loads.
 // LoadFile attaches a v4 file by mmap: the index payloads (codes, vectors,
 // inverted lists, codebooks, weights) become typed views over the page
 // cache, making cold start O(sections), not O(model size).
@@ -97,6 +99,9 @@ func int32AsRows(ids []int32) []kg.EntityID {
 // deterministic: section order is fixed and the one map-ordered input (the
 // known-mention set) is sorted.
 func (e *EmbLookup) writeV4(w io.Writer, withIndex bool) error {
+	if !artifact.Supported() {
+		return errors.New("core: model files are little-endian containers; this host cannot write one")
+	}
 	aw := artifact.NewWriter()
 	meta := metaV4{
 		Cfg:      e.cfg,
@@ -142,10 +147,12 @@ func addQuantizer(aw *artifact.Writer, q *quant.ProductQuantizer) *metaQuantV4 {
 	return &metaQuantV4{D: q.D, M: q.M, Ks: q.Ks, Dsub: q.Dsub}
 }
 
-// indexSections decomposes the model's built index into v4 sections — the
-// same decomposition as indexToWire, but into flat arrays the reader can
-// view without copying. Inverted lists are concatenated with a prefix-offset
-// table; everything else is stored verbatim.
+// indexSections decomposes the model's built index into v4 sections — flat
+// arrays the reader can view without copying. Inverted lists are
+// concatenated with a prefix-offset table; everything else is stored
+// verbatim. A Sharded wrapper is unwrapped (shard count is a serving-time
+// choice, re-applied after load); a Dynamic index is refused, because its
+// delta segment is serving state, not an artifact.
 func (e *EmbLookup) indexSections(aw *artifact.Writer) (*metaIndexV4, error) {
 	ix := e.ix
 	if sh, ok := ix.(*index.Sharded); ok {

@@ -41,7 +41,7 @@ func benchSetup(b *testing.B) (*kg.Graph, *core.EmbLookup) {
 // regressions surface pre-merge.
 func BenchmarkServeCacheHit(b *testing.B) {
 	g, m := benchSetup(b)
-	sv, err := New(m, Options{Shards: 1, MaxBatch: -1, CacheSize: 256})
+	sv, err := New(m, Options{Shards: 1, CacheSize: 256})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -55,11 +55,11 @@ func BenchmarkServeCacheHit(b *testing.B) {
 }
 
 // BenchmarkServeCacheMiss measures the cache-cold serving path (sharded
-// scan, no coalescer) by rotating through more mentions than the cache
-// holds.
+// scan; one caller never queues, so the coalescer runs every lookup solo)
+// by rotating through more mentions than the cache holds.
 func BenchmarkServeCacheMiss(b *testing.B) {
 	g, m := benchSetup(b)
-	sv, err := New(m, Options{Shards: 2, MaxBatch: -1, CacheSize: 1})
+	sv, err := New(m, Options{Shards: 2, CacheSize: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func BenchmarkServeCacheMiss(b *testing.B) {
 // serving regime the coalescer exists for.
 func BenchmarkServeCoalesced(b *testing.B) {
 	g, m := benchSetup(b)
-	sv, err := New(m, Options{Shards: 2, MaxBatch: 16, CacheSize: -1})
+	sv, err := New(m, Options{Shards: 2, CacheSize: -1})
 	if err != nil {
 		b.Fatal(err)
 	}

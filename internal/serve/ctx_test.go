@@ -20,7 +20,7 @@ import (
 // exact Lookup path and return identical candidates.
 func TestLookupCtxBitIdentical(t *testing.T) {
 	g, m := testModel(t)
-	sv, err := New(m, Options{Shards: 2, MaxBatch: -1})
+	sv, err := New(m, Options{Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -45,7 +45,7 @@ func TestLookupCtxBitIdentical(t *testing.T) {
 
 func TestLookupCtxAlreadyDone(t *testing.T) {
 	_, m := testModel(t)
-	sv, err := New(m, Options{Shards: 1, MaxBatch: -1, CacheSize: -1})
+	sv, err := New(m, Options{Shards: 1, CacheSize: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,7 +60,7 @@ func TestLookupCtxAlreadyDone(t *testing.T) {
 // is served even when the context has fired.
 func TestLookupCtxCacheHitDespiteDeadline(t *testing.T) {
 	g, m := testModel(t)
-	sv, err := New(m, Options{Shards: 1, MaxBatch: -1, CacheSize: 64})
+	sv, err := New(m, Options{Shards: 1, CacheSize: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +79,7 @@ func TestLookupCtxCacheHitDespiteDeadline(t *testing.T) {
 // batches and still return bit-identical results.
 func TestCoalescerCtxGroup(t *testing.T) {
 	g, m := testModel(t)
-	sv, err := New(m, Options{Shards: 1, MaxBatch: 8, CacheSize: -1})
+	sv, err := New(m, Options{Shards: 1, CacheSize: -1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +150,7 @@ func TestCoalescerAbandoned(t *testing.T) {
 // explicit batches.
 func TestBulkLookupCtxBitIdentical(t *testing.T) {
 	g, m := testModel(t)
-	sv, err := New(m, Options{Shards: 2, MaxBatch: -1})
+	sv, err := New(m, Options{Shards: 2})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -37,7 +37,10 @@ import (
 )
 
 // Options configures the serving substrate. The zero value enables every
-// piece at defaults; use the negative sentinels to disable pieces.
+// piece at defaults; a negative CacheSize disables the cache. Coalescing is
+// always on, at one slot per core and batches of up to 32 queries: an idle
+// coalescer runs every lookup at once, so it costs nothing until the cores
+// are saturated.
 type Options struct {
 	// Shards is the index shard count: 0 derives it from the index
 	// (index.DefaultShards: a fast-scan index on the AVX2 kernel gets one per
@@ -45,15 +48,9 @@ type Options struct {
 	// get 4; one that cannot be range-scanned gets 1), 1 keeps the index
 	// unsharded, n > 1 asks for exactly n.
 	Shards int
-	// MaxBatch caps a coalescer batch at this many queries (0 = 32;
-	// negative disables coalescing entirely — every Lookup goes solo).
-	MaxBatch int
 	// CacheSize is the mention cache capacity in entries (0 = 4096;
 	// negative disables the cache).
 	CacheSize int
-	// Parallelism bounds worker fan-out for scans and batches, and the
-	// lookups the coalescer runs at once before it queues (≤0 = GOMAXPROCS).
-	Parallelism int
 	// Registry receives the substrate's metrics — serve latency, the
 	// normalize stage histogram, cache and coalescer collectors (nil =
 	// obs.Default()). Benchmarks hand each instance a fresh registry so
@@ -67,7 +64,6 @@ type Serve struct {
 	model *core.EmbLookup
 	cache *MentionCache
 	co    *Coalescer
-	opts  Options
 
 	latency        *obs.Histogram // end-to-end serve.Lookup latency
 	stageNormalize *obs.Histogram // the serve-side stage of the lookup pipeline
@@ -85,7 +81,7 @@ func New(model *core.EmbLookup, opts Options) (*Serve, error) {
 		opts.CacheSize = 4096
 	}
 	if opts.Shards > 1 {
-		sharded, err := model.WithShardedIndex(opts.Shards, opts.Parallelism)
+		sharded, err := model.WithShardedIndex(opts.Shards, 0)
 		if err != nil {
 			return nil, err
 		}
@@ -95,17 +91,15 @@ func New(model *core.EmbLookup, opts Options) (*Serve, error) {
 	if reg == nil {
 		reg = obs.Default()
 	}
-	s := &Serve{model: model, opts: opts}
+	s := &Serve{model: model}
 	s.latency = reg.Histogram("emblookup_serve_lookup_seconds")
 	s.stageNormalize = reg.Histogram(obs.Labels("emblookup_lookup_stage_seconds", "stage", "normalize"))
 	if opts.CacheSize > 0 {
 		s.cache = NewMentionCache(opts.CacheSize)
 		s.cache.Observe(reg)
 	}
-	if opts.MaxBatch >= 0 {
-		s.co = NewCoalescer(model, opts.MaxBatch, opts.Parallelism)
-		s.co.Observe(reg)
-	}
+	s.co = NewCoalescer(model, 0, 0)
+	s.co.Observe(reg)
 	return s, nil
 }
 
@@ -149,13 +143,7 @@ func (s *Serve) LookupCtx(ctx context.Context, q string, k int) ([]lookup.Candid
 			return res, nil
 		}
 	}
-	var res []lookup.Candidate
-	var err error
-	if s.co != nil {
-		res, err = s.co.Lookup(ctx, norm, k)
-	} else {
-		res, err = s.model.LookupCtx(ctx, norm, k)
-	}
+	res, err := s.co.Lookup(ctx, norm, k)
 	if err != nil {
 		return nil, err
 	}
@@ -203,7 +191,7 @@ func (s *Serve) BulkLookupCtx(ctx context.Context, queries []string, k int) ([][
 	if len(misses) == 0 {
 		return out, nil
 	}
-	results, err := s.model.BulkLookupCtx(ctx, misses, k, s.opts.Parallelism)
+	results, err := s.model.BulkLookupCtx(ctx, misses, k, 0)
 	if err != nil {
 		return nil, err
 	}
@@ -242,10 +230,8 @@ func (s *Serve) Stats() Stats {
 		cs := s.cache.Stats()
 		st.Cache = &cs
 	}
-	if s.co != nil {
-		co := s.co.Stats()
-		st.Coalescer = &co
-	}
+	co := s.co.Stats()
+	st.Coalescer = &co
 	if sum := s.latency.Summary(); sum.Count > 0 {
 		st.Latency = &sum
 	}
@@ -254,8 +240,4 @@ func (s *Serve) Stats() Stats {
 
 // Close answers what the coalescer has queued and waits for its running
 // batches. The Serve remains usable; subsequent lookups bypass batching.
-func (s *Serve) Close() {
-	if s.co != nil {
-		s.co.Close()
-	}
-}
+func (s *Serve) Close() { s.co.Close() }

@@ -397,7 +397,7 @@ func TestCoalescerClose(t *testing.T) {
 // returns bit-identical candidates to direct model.Lookup calls.
 func TestServeMatchesDirect(t *testing.T) {
 	g, m := testModel(t)
-	sv, err := New(m, Options{Shards: 3, MaxBatch: 4, CacheSize: 64})
+	sv, err := New(m, Options{Shards: 3, CacheSize: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -426,7 +426,7 @@ func TestServeMatchesDirect(t *testing.T) {
 
 func TestServeBulkDedupesMentions(t *testing.T) {
 	g, m := testModel(t)
-	sv, err := New(m, Options{Shards: 2, MaxBatch: -1, CacheSize: 32})
+	sv, err := New(m, Options{Shards: 2, CacheSize: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -451,7 +451,7 @@ func TestServeBulkDedupesMentions(t *testing.T) {
 
 func TestServeCaseNormalization(t *testing.T) {
 	g, m := testModel(t)
-	sv, err := New(m, Options{Shards: 1, MaxBatch: -1, CacheSize: 32})
+	sv, err := New(m, Options{Shards: 1, CacheSize: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -494,10 +494,11 @@ func TestServeConcurrent(t *testing.T) {
 	}
 	for name, model := range map[string]*core.EmbLookup{"flat": flat, "pq": pq, "fastscan": fs} {
 		t.Run(name, func(t *testing.T) {
-			sv, err := New(model, Options{Shards: 2, MaxBatch: 4, CacheSize: -1, Parallelism: 1})
+			sv, err := New(model, Options{Shards: 2, CacheSize: -1})
 			if err != nil {
 				t.Fatal(err)
 			}
+			sv.co = NewCoalescer(sv.model, 4, 1) // one slot, batches of four
 			defer sv.Close()
 			queries := make([]string, 8)
 			want := make([][]lookup.Candidate, len(queries))
@@ -545,7 +546,7 @@ func TestServeFastScan(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sv, err := New(fs, Options{Shards: 3, MaxBatch: 4, CacheSize: 64})
+	sv, err := New(fs, Options{Shards: 3, CacheSize: 64})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -605,7 +606,7 @@ func TestServeDefaultShards(t *testing.T) {
 	sameCandidates(t, "default fast-scan serve", fs.Lookup(q, 5), svFS.Lookup(q, 5))
 
 	rows := m.Index().Len()
-	clamped, err := New(m, Options{Shards: rows + 50, MaxBatch: -1, CacheSize: -1})
+	clamped, err := New(m, Options{Shards: rows + 50, CacheSize: -1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,10 +7,12 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"slices"
 	"strconv"
 	"strings"
 	"testing"
+	"time"
 )
 
 // FuzzReadBulkBody drives the /bulk request reading every front-end shares:
@@ -180,6 +182,61 @@ func FuzzDecodeHitsFrame(f *testing.F) {
 		}
 		if again := appendHitsFrame(nil, part, results, spans); !bytes.Equal(again, b) {
 			t.Fatalf("re-encoded frame differs:\n%x\n%x", b, again)
+		}
+	})
+}
+
+// FuzzRequestContext drives the deadline budget every front-end parses,
+// through ?deadline_ms= and through DeadlineHeader, under a 100 ms default
+// and a 1 s cap. A budget that is not a positive integer is a 400; any
+// other gets a deadline of min(budget, cap) from the call — never none, and
+// never later than the cap, however large the budget.
+func FuzzRequestContext(f *testing.F) {
+	for _, s := range []string{"50", "1000", "9223372036854", "9223372036855",
+		"9223372036854775807", "18446744073709551616", "0", "-5", "1e3", "10abc", ""} {
+		f.Add(s, false)
+		f.Add(s, true)
+	}
+	const defD, maxD = 100 * time.Millisecond, time.Second
+	f.Fuzz(func(t *testing.T, budget string, viaHeader bool) {
+		r := httptest.NewRequest(http.MethodGet, "/lookup", nil)
+		q := url.Values{}
+		if viaHeader {
+			r.Header.Set(DeadlineHeader, budget)
+		} else if budget != "" {
+			q.Set("deadline_ms", budget)
+		}
+		start := time.Now()
+		ctx, cancel, _, e := RequestContext(r, q, defD, maxD, nil)
+		end := time.Now()
+		want := defD
+		if budget != "" {
+			ms, err := strconv.ParseInt(budget, 10, 64)
+			if err != nil || ms <= 0 {
+				if e == nil {
+					cancel()
+					t.Fatalf("budget %q accepted, want a 400", budget)
+				}
+				if e.Status != http.StatusBadRequest {
+					t.Fatalf("budget %q: status %d, want 400", budget, e.Status)
+				}
+				return
+			}
+			want = maxD
+			if ms < maxD.Milliseconds() {
+				want = time.Duration(ms) * time.Millisecond
+			}
+		}
+		if e != nil {
+			t.Fatalf("budget %q rejected: %v", budget, e)
+		}
+		defer cancel()
+		dl, ok := ctx.Deadline()
+		if !ok {
+			t.Fatalf("budget %q: no deadline", budget)
+		}
+		if dl.Before(start.Add(want)) || dl.After(end.Add(want)) {
+			t.Fatalf("budget %q: deadline %v after the call, want %v", budget, dl.Sub(start), want)
 		}
 	})
 }

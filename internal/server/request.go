@@ -8,6 +8,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -44,7 +45,9 @@ func RequestContext(r *http.Request, query url.Values, defD, maxD time.Duration,
 		if err != nil || ms <= 0 {
 			return nil, nil, false, NewError(http.StatusBadRequest, "bad_request", `"deadline_ms" must be a positive integer of milliseconds`)
 		}
-		d = time.Duration(ms) * time.Millisecond
+		// A budget past the longest Duration saturates instead of wrapping
+		// negative, which would have meant no deadline at all.
+		d = time.Duration(min(int64(ms), math.MaxInt64/int64(time.Millisecond))) * time.Millisecond
 		if maxD > 0 && d > maxD {
 			d = maxD
 		}

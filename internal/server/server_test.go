@@ -197,7 +197,6 @@ func servingServer(t *testing.T) (*kg.Graph, *Server, *serve.Serve) {
 	g, m := testModel(t)
 	sv, err := serve.New(m, serve.Options{
 		Shards:    2,
-		MaxBatch:  4,
 		CacheSize: 256,
 	})
 	if err != nil {

@@ -154,13 +154,17 @@ func TestTenantUnknown404(t *testing.T) {
 }
 
 // TestTenantLimitValidation: per-tenant MaxK/MaxBatch violations are 400s
-// with structured bodies naming the violated limit.
+// with structured bodies naming the violated limit. The tenant comes from a
+// conf.json entry that still carries the retired tenant-level maxBatch (the
+// old coalescer cap): limits.maxBatch alone bounds /bulk.
 func TestTenantLimitValidation(t *testing.T) {
 	gp, mp := tenantArtifacts(t)
-	ts, _ := tenantTestServer(t, tenant.TenantConfig{
-		Name: "wd", Graph: gp, Model: mp, Shards: 1,
-		Limits: tenant.Limits{MaxK: 5, MaxBatch: 3},
-	})
+	var tc tenant.TenantConfig
+	if err := json.Unmarshal([]byte(`{"name":"wd","shards":1,"maxBatch":8,"limits":{"maxK":5,"maxBatch":3}}`), &tc); err != nil {
+		t.Fatal(err)
+	}
+	tc.Graph, tc.Model = gp, mp
+	ts, _ := tenantTestServer(t, tc)
 
 	resp, err := ts.Client().Get(ts.URL + "/t/wd/lookup?q=x&k=6")
 	if err != nil {

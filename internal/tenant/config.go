@@ -92,13 +92,13 @@ type TenantConfig struct {
 	Name  string `json:"name"`
 	Graph string `json:"graph"`
 	Model string `json:"model"`
-	// Shards, CacheSize, MaxBatch tune the tenant's serve substrate (zero =
-	// the serve package defaults: shards by index kind and size, 4096 entries, 32
-	// queries). A windowUs left over from an older file is ignored, as
-	// encoding/json ignores any unknown field.
+	// Shards and CacheSize tune the tenant's serve substrate (zero = the
+	// serve package defaults: shards by index kind and size, 4096 entries).
+	// A windowUs or tenant-level maxBatch (the coalescer cap, now fixed)
+	// left over from an older file is ignored, as encoding/json ignores any
+	// unknown field; limits.maxBatch is the /bulk cap.
 	Shards    int `json:"shards,omitempty"`
 	CacheSize int `json:"cacheSize,omitempty"`
-	MaxBatch  int `json:"maxBatch,omitempty"`
 	// Preload attaches the model at startup instead of on first request.
 	Preload bool   `json:"preload,omitempty"`
 	Limits  Limits `json:"limits"`

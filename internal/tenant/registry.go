@@ -147,7 +147,6 @@ func (t *Tenant) open() (*Handle, error) {
 	sv, err := serve.New(model, serve.Options{
 		Shards:    t.cfg.Shards,
 		CacheSize: t.cfg.CacheSize,
-		MaxBatch:  t.cfg.MaxBatch,
 		Registry:  t.reg,
 	})
 	if err != nil {

@@ -238,18 +238,28 @@ func TestConfigValidate(t *testing.T) {
 }
 
 // TestLoadConfigIgnoresWindowUs: a conf.json written before the coalescer
-// lost its flush window still loads, the dead field ignored.
+// lost its flush window and its tenant-level maxBatch (the coalescer cap)
+// still loads, both dead fields ignored; limits.maxBatch, the /bulk cap
+// that shared the key, is read as before.
 func TestLoadConfigIgnoresWindowUs(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "conf.json")
-	conf := `{"tenants":[{"name":"a","graph":"g.bin","model":"m.bin","maxBatch":8,"windowUs":200}]}`
-	if err := os.WriteFile(path, []byte(conf), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	c, err := LoadConfig(path)
-	if err != nil {
-		t.Fatalf("config with a leftover windowUs refused: %v", err)
-	}
-	if len(c.Tenants) != 1 || c.Tenants[0].MaxBatch != 8 {
-		t.Fatalf("config = %+v", c)
+	for _, c := range []struct {
+		conf string
+		want int // limits.maxBatch after defaults
+	}{
+		{`{"tenants":[{"name":"a","graph":"g.bin","model":"m.bin","windowUs":200}]}`, 4096},
+		{`{"tenants":[{"name":"a","graph":"g.bin","model":"m.bin","maxBatch":8,"windowUs":200}]}`, 4096},
+		{`{"tenants":[{"name":"a","graph":"g.bin","model":"m.bin","maxBatch":8,"limits":{"maxBatch":3}}]}`, 3},
+	} {
+		path := filepath.Join(t.TempDir(), "conf.json")
+		if err := os.WriteFile(path, []byte(c.conf), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		cfg, err := LoadConfig(path)
+		if err != nil {
+			t.Fatalf("config with leftover fields refused: %v\n%s", err, c.conf)
+		}
+		if len(cfg.Tenants) != 1 || cfg.Tenants[0].Limits.withDefaults().MaxBatch != c.want {
+			t.Fatalf("config = %+v, want limits.maxBatch %d\n%s", cfg, c.want, c.conf)
+		}
 	}
 }

@@ -72,9 +72,10 @@ go test -run '^$' -fuzz FuzzLowerInto -fuzztime 10s ./internal/core
 
 echo "== artifact parser fuzz (short) =="
 # 10 seconds of coverage-guided input on the v4 section parser and the
-# model-read dispatch (v4 magic sniffing plus the gob fallback). The
-# checked-in corpora under testdata/ always run as part of go test; this
-# adds a short exploration pass so new parser bugs surface pre-merge.
+# model-read dispatch (v4 magic sniffing plus the read-only gob path),
+# seeded from the golden gob file and its v4 rewrite. The checked-in
+# corpora under testdata/ always run as part of go test; this adds a short
+# exploration pass so new parser bugs surface pre-merge.
 go test -run '^$' -fuzz FuzzParse -fuzztime 10s ./internal/artifact
 go test -run '^$' -fuzz FuzzReadArtifact -fuzztime 10s ./internal/core
 # Graph files are containers too, with a read-only gob path behind the same
@@ -89,7 +90,11 @@ echo "== request parser fuzz (short) =="
 # /partition/search frames both ways (DESIGN.md §9): the request frame a
 # node decodes and the reply frame the router decodes, each re-encoding to
 # its own bytes and rejecting an over-claiming header before allocating.
+# The deadline budget (?deadline_ms= and its header): a 400 unless a
+# positive integer, otherwise a deadline no later than the cap, however
+# large the budget.
 go test -run '^$' -fuzz FuzzReadBulkBody -fuzztime 10s ./internal/server
+go test -run '^$' -fuzz FuzzRequestContext -fuzztime 10s ./internal/server
 go test -run '^$' -fuzz FuzzDecodeIngestItems -fuzztime 10s ./internal/server
 go test -run '^$' -fuzz FuzzDecodeSearchFrame -fuzztime 10s ./internal/server
 go test -run '^$' -fuzz FuzzDecodeHitsFrame -fuzztime 10s ./internal/server
@@ -170,11 +175,11 @@ echo "== tenant admission benchmarks (short) =="
 go test -run '^$' -bench 'BenchmarkAdmission' \
     -benchmem -benchtime 100x ./internal/tenant
 
-echo "== non-test Go lines, request-path and training packages =="
+echo "== non-test Go lines, request-path, artifact and training packages =="
 # The baseline the next simplicity PR reads from this log instead of
 # re-deriving it.
 lines() { find "internal/$1" -name '*.go' -not -name '*_test.go' -print0 | xargs -0 cat | wc -l; }
-for pkg in core index serve server cluster tenant replica ngram nn mathx triplet; do
+for pkg in core artifact index serve server cluster tenant replica ngram nn mathx triplet; do
     printf '%-8s %s\n' "$pkg" "$(lines "$pkg")"
 done
 printf '%-8s %s\n' "server + cluster" "$(( $(lines server) + $(lines cluster) ))"
