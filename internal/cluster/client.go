@@ -20,11 +20,11 @@ import (
 // the per-node health state machine, and the hedging/retry counters.
 //
 // Health follows a simple degradation protocol: a node that fails
-// failThreshold consecutive requests is marked unhealthy and skipped by the
-// scatter (responses turn partial) until a /healthz probe succeeds, at
-// which point it rejoins. Success on the request path also heals the node
-// immediately — a probe is just the cheap way back when no traffic is being
-// risked on it.
+// failThreshold consecutive requests (every attempt and hedged duplicate
+// counts on its own) is marked unhealthy and skipped by the scatter
+// (responses turn partial) until a /healthz probe succeeds, at which point
+// it rejoins. Success on the request path also heals the node immediately —
+// a probe is just the cheap way back when no traffic is being risked on it.
 type nodeClient struct {
 	partition int
 	replica   int // index within the partition's replica set at creation
@@ -158,121 +158,6 @@ type leg struct {
 	partition int
 	frame     []byte
 	nq        int
-}
-
-// search runs one scatter leg: POST the embedded query batch to the node's
-// partition-scoped endpoint under the router's full request discipline —
-// per-attempt timeout, bounded retries with real backoff, and a hedged
-// duplicate raced against a straggling attempt. With a trace riding in ctx,
-// every attempt (retries and hedges included, losers too) becomes a span,
-// and the winning attempt's node-side spans are grafted under it.
-func (c *nodeClient) search(ctx context.Context, lg leg, timeout, hedgeAfter time.Duration, retry RetryPolicy) ([][]server.PartitionHit, error) {
-	attempts := retry.Attempts
-	if attempts < 1 {
-		attempts = 1
-	}
-	var out [][]server.PartitionHit
-	err := retry.DoCtx(ctx, RealSleep, func(attempt int) error {
-		if attempt > 0 {
-			c.retries.Add(1)
-			c.retryTotal.Inc()
-		}
-		// Carve this attempt's timeout from the remaining deadline so the
-		// tries still in the budget all fit (see AttemptTimeout).
-		tmo := AttemptTimeout(ctx, timeout, attempts-attempt)
-		if tmo <= 0 {
-			return context.DeadlineExceeded
-		}
-		self := func() *nodeClient { return c }
-		res, _, err := hedgeRace(ctx, attempt, c, self, func(*nodeClient, error) {}, lg, tmo, hedgeAfter)
-		if err != nil {
-			return err
-		}
-		out = res
-		return nil
-	})
-	if err != nil {
-		// A caller-side abort (deadline spent, client gone) is not the
-		// node's fault; only node-side failures feed the health machine.
-		if ctx.Err() == nil {
-			c.markFailure()
-		}
-		return nil, err
-	}
-	c.markSuccess()
-	return out, nil
-}
-
-// searchReply is what one contender of a hedge race reports back.
-type searchReply struct {
-	node   *nodeClient
-	hits   [][]server.PartitionHit
-	spans  []obs.SpanRecord // node-side spans echoed in the response
-	start  time.Time        // when this attempt fired (graft base)
-	err    error
-	hedged bool // true when produced by the duplicate request
-}
-
-// hedgeRace is the one attempt discipline of a scatter leg: it issues the
-// request against primary and, if no reply lands within hedgeAfter (≤ 0
-// disables hedging), races a duplicate against the node alt names — the
-// straggler itself for a lone node, a distinct replica where there is one.
-// The first success wins and is returned with its node; the loser is
-// cancelled by the shared context when the caller returns. failed hears of
-// every contender that lost to an error. With a trace riding in ctx every
-// contender, losers too, becomes a span — a traced hedge race shows both
-// side by side — and the winner's node-side spans are grafted under it.
-func hedgeRace(ctx context.Context, attempt int, primary *nodeClient, alt func() *nodeClient, failed func(*nodeClient, error), lg leg, timeout, hedgeAfter time.Duration) ([][]server.PartitionHit, *nodeClient, error) {
-	tr := obs.FromContext(ctx)
-	cctx, cancel := context.WithCancel(ctx)
-	defer cancel() // aborts the losing contender as soon as a winner returns
-	attemptOn := func(c *nodeClient, isHedge bool) searchReply {
-		sp := tr.StartAttempt(c.spanRPC, isHedge, attempt)
-		start := time.Now()
-		hits, spans, err := c.post(cctx, tr.ID(), lg, timeout)
-		sp.End()
-		return searchReply{node: c, hits: hits, spans: spans, start: start, err: err, hedged: isHedge}
-	}
-	ch := make(chan searchReply, 2)
-	inFlight := 1
-	var timer <-chan time.Time
-	if hedgeAfter <= 0 {
-		ch <- attemptOn(primary, false)
-	} else {
-		go func() { ch <- attemptOn(primary, false) }()
-		t := time.NewTimer(hedgeAfter)
-		defer t.Stop()
-		timer = t.C
-	}
-	var firstErr error
-	for {
-		select {
-		case r := <-ch:
-			if r.err == nil {
-				if r.hedged {
-					r.node.hedgeWins.Add(1)
-					r.node.hedgeWinTotal.Inc()
-				}
-				tr.Graft(r.node.spanPrefix, tr.SinceUs(r.start), r.spans)
-				return r.hits, r.node, nil
-			}
-			failed(r.node, r.err)
-			if firstErr == nil {
-				firstErr = r.err
-			}
-			if inFlight--; inFlight == 0 {
-				return nil, nil, firstErr
-			}
-		case <-timer:
-			// The hedge counter lands on the straggler — it is the node
-			// whose tail the duplicate insures against.
-			primary.hedges.Add(1)
-			primary.hedgeTotal.Inc()
-			c := alt()
-			go func() { ch <- attemptOn(c, true) }()
-			inFlight++
-		}
-	}
 }
 
 // post is one attempt against /partition/search: the leg's frame out, a

@@ -2,10 +2,12 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
 	"net/http"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -17,6 +19,7 @@ import (
 	"emblookup/internal/index"
 	"emblookup/internal/kg"
 	"emblookup/internal/lookup"
+	"emblookup/internal/obs"
 	"emblookup/internal/server"
 )
 
@@ -86,11 +89,9 @@ func sameCandidates(t *testing.T, ctx string, want, got []lookup.Candidate) {
 func fastRouterOptions() RouterOptions {
 	return RouterOptions{
 		Timeout:       5 * time.Second,
-		Retry:         RetryPolicy{Attempts: 2, BaseBackoff: time.Millisecond, MaxBackoff: 10 * time.Millisecond},
 		HedgeAfter:    -1, // deterministic: no duplicates unless a test wants them
 		FailThreshold: 1,
 		ProbeInterval: 10 * time.Millisecond,
-		ProbeTimeout:  time.Second,
 	}
 }
 
@@ -132,7 +133,10 @@ func TestClusterBulkBitIdentical(t *testing.T) {
 
 	const k = 5
 	want := m.BulkLookup(queries, k, 0)
-	got := l.Router.BulkLookup(queries, k)
+	got, err := l.Router.BulkLookupCtx(context.Background(), queries, k)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if got.Partial {
 		t.Fatalf("unexpected partial: %+v", got.Failed)
 	}
@@ -283,7 +287,9 @@ func TestClusterNodeDownAndRecovery(t *testing.T) {
 // partition 1 and partition 1's at partition 0's. Every reply names the
 // partition it answered for, so both legs fail instead of merging two
 // misplaced halves into an answer that looks whole: the lookup returns
-// partition 2's exact hits, flagged partial with partitions 0 and 1.
+// partition 2's exact hits, flagged partial with partitions 0 and 1. The
+// two moved URLs get fresh clients, so each node's stats row names the
+// partition the new map gives it, not the one it served at epoch 1.
 func TestClusterSwappedMap(t *testing.T) {
 	g, m := testModel(t)
 	const p, k = 3, 5
@@ -302,6 +308,109 @@ func TestClusterSwappedMap(t *testing.T) {
 		t.Fatalf("swapped map: partial %v, failed %v; want partial with [0 1]", res.Partial, res.Failed)
 	}
 	sameCandidates(t, "swapped map", expectedSurviving(t, m, p, []bool{false, false, true}, q, k), res.Candidates)
+	for i, ns := range l.Router.Stats().Nodes {
+		if ns.Partition != i {
+			t.Errorf("Nodes[%d] (%s) reports partition %d, want %d", i, ns.URL, ns.Partition, i)
+		}
+	}
+}
+
+// TestSingleReplicaFailureAccounting pins the one attempt loop at R = 1:
+// every failed attempt counts against the node's health, as it does at
+// R ≥ 2, so one lookup spends the three-attempt budget on a node that
+// answers 503 and leaves it marked down after three consecutive failures.
+func TestSingleReplicaFailureAccounting(t *testing.T) {
+	g, m := testModel(t)
+	l, err := StartLocal(m, 2, LocalOptions{
+		Router: RouterOptions{HedgeAfter: -1, Registry: obs.New()},
+		Wrap: func(i int, h http.Handler) http.Handler {
+			return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if i == 1 && r.URL.Path == "/partition/search" {
+					http.Error(w, "unavailable", http.StatusServiceUnavailable)
+					return
+				}
+				h.ServeHTTP(w, r)
+			})
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	res := l.Router.Lookup(g.Entities[0].Label, 5)
+	if !res.Partial || !slices.Equal(res.Failed, []int{1}) {
+		t.Fatalf("partial %v, failed %v; want partial with [1]", res.Partial, res.Failed)
+	}
+	ns := l.Router.Stats().Nodes[1]
+	if ns.Requests != 3 || ns.Failures != 3 || ns.Healthy {
+		t.Fatalf("node 1: requests %d, failures %d, healthy %v; want 3, 3, false", ns.Requests, ns.Failures, ns.Healthy)
+	}
+}
+
+// TestApplyMapDrains holds one routed lookup inside a node handler and
+// checks that ApplyMap of the next epoch installs the new view at once but
+// returns only after that lookup — the last user of the old view — is
+// released.
+func TestApplyMapDrains(t *testing.T) {
+	g, m := testModel(t)
+	entered := make(chan struct{})
+	release := make(chan struct{})
+	var held atomic.Bool
+	l, err := StartLocal(m, 1, LocalOptions{
+		Router: RouterOptions{Timeout: 30 * time.Second, HedgeAfter: -1, Registry: obs.New()},
+		Wrap: func(_ int, h http.Handler) http.Handler {
+			return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+				if r.URL.Path == "/partition/search" && held.CompareAndSwap(false, true) {
+					entered <- struct{}{}
+					<-release
+				}
+				h.ServeHTTP(w, r)
+			})
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+
+	q := g.Entities[0].Label
+	lookedUp := make(chan server.Answer, 1)
+	go func() { lookedUp <- l.Router.Lookup(q, 5) }()
+	<-entered
+	old := l.Router.view.Load()
+
+	var releasedAt atomic.Bool // set just before the handler is let go
+	applied := make(chan bool, 1)
+	go func() {
+		err := l.Router.ApplyMap(Map{Epoch: 2, Replicas: [][]string{{l.URLs[0]}}})
+		if err != nil {
+			t.Error(err)
+		}
+		applied <- releasedAt.Load()
+	}()
+	for !old.retired.Load() {
+		runtime.Gosched()
+	}
+	if l.Router.Epoch() != 2 {
+		t.Fatalf("epoch %d after the old view retired, want 2", l.Router.Epoch())
+	}
+	select {
+	case <-old.drained:
+		t.Fatal("old view drained while a lookup still holds it")
+	case <-applied:
+		t.Fatal("ApplyMap returned while a lookup still holds the old view")
+	default:
+	}
+	releasedAt.Store(true)
+	close(release)
+	if !<-applied {
+		t.Fatal("ApplyMap returned before the held lookup was released")
+	}
+	res := <-lookedUp
+	if res.Partial {
+		t.Fatalf("drained lookup went partial: %v", res.Failed)
+	}
+	sameCandidates(t, "drained lookup", m.Lookup(q, 5), res.Candidates)
 }
 
 // TestClusterHedging makes one node's first answer a straggler and checks
@@ -311,7 +420,6 @@ func TestClusterHedging(t *testing.T) {
 	var firstSearch atomic.Int64
 	opts := fastRouterOptions()
 	opts.HedgeAfter = 10 * time.Millisecond
-	opts.Retry = RetryPolicy{Attempts: 1}
 	l, err := StartLocal(m, 2, LocalOptions{
 		Router: opts,
 		Wrap: func(i int, h http.Handler) http.Handler {
@@ -539,83 +647,26 @@ func BenchmarkClusterLookup(b *testing.B) {
 	}
 }
 
-// TestRetryPolicy pins the retry discipline: attempt budget, exponential
-// backoff sequence, cap, and the zero value meaning one attempt.
-func TestRetryPolicy(t *testing.T) {
-	var slept []time.Duration
-	s := SleepFunc(func(d time.Duration) { slept = append(slept, d) })
-
-	p := RetryPolicy{Attempts: 4, BaseBackoff: 10 * time.Millisecond, MaxBackoff: 25 * time.Millisecond}
-	calls := 0
-	err := p.Do(s, func(a int) error {
-		if a != calls {
-			t.Fatalf("attempt %d reported as %d", calls, a)
+// TestBackoff pins the retry delays: 10ms doubling per attempt, capped at
+// 1s, and a shift past the int64 range capped rather than wrapped.
+func TestBackoff(t *testing.T) {
+	for _, c := range []struct {
+		attempt int
+		want    time.Duration
+	}{
+		{0, 10 * time.Millisecond},
+		{1, 20 * time.Millisecond},
+		{2, 40 * time.Millisecond},
+		{6, 640 * time.Millisecond},
+		{7, time.Second}, // 1.28s capped
+		{40, time.Second},
+		{56, time.Second}, // 10ms = 78125·2⁷ ns: the shift lands on the sign bit
+		{57, time.Second}, // every set bit shifted out: 0
+		{70, time.Second}, // a shift past 64 bits yields 0 as well
+	} {
+		if got := backoff(c.attempt); got != c.want {
+			t.Errorf("backoff(%d) = %v, want %v", c.attempt, got, c.want)
 		}
-		calls++
-		return fmt.Errorf("fail %d", a)
-	})
-	if err == nil || calls != 4 {
-		t.Fatalf("err=%v calls=%d", err, calls)
-	}
-	wantSleeps := []time.Duration{10 * time.Millisecond, 20 * time.Millisecond, 25 * time.Millisecond}
-	if len(slept) != len(wantSleeps) {
-		t.Fatalf("slept %v", slept)
-	}
-	for i := range wantSleeps {
-		if slept[i] != wantSleeps[i] {
-			t.Fatalf("backoff %d = %v, want %v", i, slept[i], wantSleeps[i])
-		}
-	}
-
-	// Success on attempt 2 stops early.
-	calls = 0
-	if err := p.Do(s, func(a int) error {
-		calls++
-		if a == 1 {
-			return nil
-		}
-		return fmt.Errorf("fail")
-	}); err != nil || calls != 2 {
-		t.Fatalf("err=%v calls=%d", err, calls)
-	}
-
-	// Zero value: exactly one attempt, no sleeps.
-	slept = nil
-	calls = 0
-	var zero RetryPolicy
-	zero.Do(s, func(int) error { calls++; return fmt.Errorf("x") })
-	if calls != 1 || len(slept) != 0 {
-		t.Fatalf("zero policy: calls=%d slept=%v", calls, slept)
-	}
-}
-
-// TestGateAccounting pins the virtual clock: ceil(n/m) rounds plus charged
-// backoff, and Reset clearing both.
-func TestGateAccounting(t *testing.T) {
-	g := NewGate(5, 100*time.Millisecond)
-	for i := 0; i < 10; i++ {
-		g.Admit()
-	}
-	if g.Elapsed() != 200*time.Millisecond {
-		t.Fatalf("Elapsed = %v", g.Elapsed())
-	}
-	g.Admit() // 11 requests → 3 rounds
-	if g.Elapsed() != 300*time.Millisecond {
-		t.Fatalf("Elapsed = %v", g.Elapsed())
-	}
-	g.Sleep(30 * time.Millisecond) // backoff charges, not sleeps
-	if g.Elapsed() != 330*time.Millisecond {
-		t.Fatalf("Elapsed with backoff = %v", g.Elapsed())
-	}
-	if g.Requests() != 11 {
-		t.Fatalf("Requests = %d", g.Requests())
-	}
-	g.Reset()
-	if g.Elapsed() != 0 || g.Requests() != 0 {
-		t.Fatal("Reset incomplete")
-	}
-	if NewGate(0, time.Second).maxParallel != 1 {
-		t.Fatal("cap floor broken")
 	}
 }
 
@@ -681,7 +732,10 @@ func TestClusterFastScan(t *testing.T) {
 			sameCandidates(t, fmt.Sprintf("fastscan P=%d q=%q", p, q), want, got.Candidates)
 		}
 		want := fs.BulkLookup(queries, 5, 0)
-		bulk := l.Router.BulkLookup(queries, 5)
+		bulk, err := l.Router.BulkLookupCtx(context.Background(), queries, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for i := range queries {
 			sameCandidates(t, fmt.Sprintf("fastscan bulk q=%q", queries[i]), want[i], bulk.PerQuery[i])
 		}

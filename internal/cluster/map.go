@@ -31,10 +31,6 @@ func SingleMap(nodeURLs []string) Map {
 // Partitions returns the partition count P.
 func (m Map) Partitions() int { return len(m.Replicas) }
 
-// Primary returns partition p's first replica URL — where routed ingest
-// lands before fanning to the rest of the set.
-func (m Map) Primary(p int) string { return m.Replicas[p][0] }
-
 // Validate rejects maps a router must not serve from: no partitions, an
 // empty replica set, a blank URL, one URL assigned twice (a node serves
 // exactly one partition slice), a non-positive epoch, or bounds that do not

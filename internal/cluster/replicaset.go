@@ -3,7 +3,9 @@ package cluster
 import (
 	"context"
 	"errors"
+	"time"
 
+	"emblookup/internal/obs"
 	"emblookup/internal/server"
 )
 
@@ -63,37 +65,22 @@ func (rs *replicaSet) pickFor(tried map[*nodeClient]bool) *nodeClient {
 	return rs.pick(tried, true)
 }
 
-// search runs one scatter leg against the replica set: frame is the routed
-// request's search frame for its nq queries. With one replica it
-// is exactly the PR-4 single-node discipline (bounded retries against that
-// node, hedged duplicate to the same node). With more, every retry attempt
-// is steered to a different replica (health first, then EWMA score) and the
-// hedged duplicate races a *distinct* replica against the straggler — the
-// tail-latency win replication buys: a slow node cannot also be the
-// insurance against itself.
+// search runs one scatter leg against the replica set — the one attempt
+// loop of every leg at any replica count. frame is the routed request's
+// search frame for its nq queries. Each attempt is steered to a replica
+// (pickFor: health first, then EWMA score), runs under a timeout carved
+// from the caller's remaining deadline, and may race a hedged duplicate
+// against a *distinct* replica (race) — the tail-latency win replication
+// buys: a slow node cannot also be the insurance against itself. With one
+// replica every attempt and duplicate goes to that node. Failed attempts
+// feed the node's health one by one, whatever the replica count.
 func (rs *replicaSet) search(ctx context.Context, frame []byte, nq int, opts RouterOptions) ([][]server.PartitionHit, error) {
 	lg := leg{partition: rs.partition, frame: frame, nq: nq}
-	if len(rs.replicas) == 1 {
-		return rs.replicas[0].search(ctx, lg, opts.Timeout, opts.HedgeAfter, opts.Retry)
-	}
-	attempts := opts.Retry.Attempts
-	if attempts < 1 {
-		attempts = 1
-	}
 	tried := make(map[*nodeClient]bool, len(rs.replicas))
-	// Failed contenders are marked down-path immediately. The shared context
-	// cancels the loser when a winner returns, and the caller's own abort
-	// (deadline spent, client gone) says nothing about the node's health
-	// either, so neither is a failure.
-	markFail := func(c *nodeClient, err error) {
-		if !errors.Is(err, context.Canceled) && ctx.Err() == nil {
-			c.markFailure()
-		}
-	}
 	var lastErr error
 	for a := 0; a < attempts; a++ {
 		if a > 0 {
-			if err := sleepCtx(ctx, RealSleep, opts.Retry.Backoff(a-1)); err != nil {
+			if err := sleepCtx(ctx, backoff(a-1)); err != nil {
 				if lastErr == nil {
 					lastErr = err
 				}
@@ -119,17 +106,7 @@ func (rs *replicaSet) search(ctx context.Context, frame []byte, nq int, opts Rou
 			c.retryTotal.Inc()
 		}
 		tried[c] = true
-		// The duplicate goes to the best other untried replica, falling back
-		// to the same node only when the set is exhausted.
-		alt := func() *nodeClient {
-			o := rs.pick(tried, false)
-			if o == nil {
-				return c
-			}
-			tried[o] = true
-			return o
-		}
-		hits, winner, err := hedgeRace(ctx, a, c, alt, markFail, lg, tmo, opts.HedgeAfter)
+		hits, winner, err := rs.race(ctx, a, c, tried, lg, tmo, opts.HedgeAfter)
 		if err == nil {
 			winner.markSuccess()
 			return hits, nil
@@ -140,4 +117,84 @@ func (rs *replicaSet) search(ctx context.Context, frame []byte, nq int, opts Rou
 		}
 	}
 	return nil, lastErr
+}
+
+// searchReply is what one contender of a hedge race reports back.
+type searchReply struct {
+	node   *nodeClient
+	hits   [][]server.PartitionHit
+	spans  []obs.SpanRecord // node-side spans echoed in the response
+	start  time.Time        // when this attempt fired (graft base)
+	err    error
+	hedged bool // true when produced by the duplicate request
+}
+
+// race is one attempt of a scatter leg: it issues the request against
+// primary and, if no reply lands within hedgeAfter (≤ 0 disables hedging),
+// races a duplicate against the best other untried replica — the
+// straggler itself when the set has none left. The first success wins and
+// is returned with its node; the loser is cancelled by the shared context
+// when race returns. A contender that loses to an error is marked failed,
+// unless the error is the loser's cancellation or the caller's own abort
+// (deadline spent, client gone), neither of which says anything about the
+// node. With a trace riding in ctx every contender, losers too, becomes a
+// span — a traced hedge race shows both side by side — and the winner's
+// node-side spans are grafted under it.
+func (rs *replicaSet) race(ctx context.Context, attempt int, primary *nodeClient, tried map[*nodeClient]bool, lg leg, timeout, hedgeAfter time.Duration) ([][]server.PartitionHit, *nodeClient, error) {
+	tr := obs.FromContext(ctx)
+	cctx, cancel := context.WithCancel(ctx)
+	defer cancel() // aborts the losing contender as soon as a winner returns
+	attemptOn := func(c *nodeClient, isHedge bool) searchReply {
+		sp := tr.StartAttempt(c.spanRPC, isHedge, attempt)
+		start := time.Now()
+		hits, spans, err := c.post(cctx, tr.ID(), lg, timeout)
+		sp.End()
+		return searchReply{node: c, hits: hits, spans: spans, start: start, err: err, hedged: isHedge}
+	}
+	ch := make(chan searchReply, 2)
+	inFlight := 1
+	var timer <-chan time.Time
+	if hedgeAfter <= 0 {
+		ch <- attemptOn(primary, false)
+	} else {
+		go func() { ch <- attemptOn(primary, false) }()
+		t := time.NewTimer(hedgeAfter)
+		defer t.Stop()
+		timer = t.C
+	}
+	var firstErr error
+	for {
+		select {
+		case r := <-ch:
+			if r.err == nil {
+				if r.hedged {
+					r.node.hedgeWins.Add(1)
+					r.node.hedgeWinTotal.Inc()
+				}
+				tr.Graft(r.node.spanPrefix, tr.SinceUs(r.start), r.spans)
+				return r.hits, r.node, nil
+			}
+			if !errors.Is(r.err, context.Canceled) && ctx.Err() == nil {
+				r.node.markFailure()
+			}
+			if firstErr == nil {
+				firstErr = r.err
+			}
+			if inFlight--; inFlight == 0 {
+				return nil, nil, firstErr
+			}
+		case <-timer:
+			// The hedge counter lands on the straggler — it is the node
+			// whose tail the duplicate insures against.
+			primary.hedges.Add(1)
+			primary.hedgeTotal.Inc()
+			c := rs.pick(tried, false)
+			if c == nil {
+				c = primary
+			}
+			tried[c] = true
+			go func() { ch <- attemptOn(c, true) }()
+			inFlight++
+		}
+	}
 }

@@ -2,115 +2,33 @@
 // partitioned multi-node deployment: a partitioner that splits the entity
 // index into per-node slices (partition.go), a scatter-gather router that
 // embeds queries once and merges per-partition top-k under the canonical
-// (Dist, ID) order (router.go), and the request-discipline machinery a
-// networked service needs — bounded retries with backoff, hedged requests
-// against stragglers, and failure-aware degradation with health probes
-// (this file, client.go). See DESIGN.md §9.
+// (Dist, ID) order (router.go), and the request discipline a networked
+// service needs — bounded retries with backoff, hedged requests against
+// stragglers, and failure-aware degradation with health probes (this file,
+// replicaset.go, client.go). See DESIGN.md §9.
 package cluster
 
 import (
 	"context"
-	"sync/atomic"
 	"time"
 )
 
-// Sleeper abstracts how backoff and latency time is spent: live deployments
-// sleep for real (RealSleep), simulated endpoints charge a virtual clock
-// (Gate) so benchmarks account network discipline without waiting it out.
-// internal/remote and the cluster router share one retry code path through
-// this seam.
-type Sleeper interface {
-	Sleep(d time.Duration)
-}
+// The retry discipline of every scatter leg: three tries, the first retry
+// after 10ms, each later one after twice the last, never more than 1s.
+const (
+	attempts    = 3
+	baseBackoff = 10 * time.Millisecond
+	maxBackoff  = time.Second
+)
 
-// SleepFunc adapts a function to Sleeper.
-type SleepFunc func(time.Duration)
-
-// Sleep implements Sleeper.
-func (f SleepFunc) Sleep(d time.Duration) { f(d) }
-
-// realSleeper is the live Sleeper's concrete type — a named struct so
-// sleepCtx can recognize it and race the wait against a context.
-type realSleeper struct{}
-
-func (realSleeper) Sleep(d time.Duration) { time.Sleep(d) }
-
-// RealSleep is the Sleeper of live deployments: it actually waits.
-var RealSleep Sleeper = realSleeper{}
-
-// RetryPolicy bounds how a transient request failure is retried:
-// exponential backoff starting at BaseBackoff, doubling per attempt, capped
-// at MaxBackoff. The zero value means one attempt, no retries.
-type RetryPolicy struct {
-	// Attempts is the total number of tries (1 = no retries; ≤0 treated
-	// as 1).
-	Attempts int
-	// BaseBackoff is the delay before the first retry (default 10ms when
-	// retries are enabled).
-	BaseBackoff time.Duration
-	// MaxBackoff caps the exponential growth (default 1s).
-	MaxBackoff time.Duration
-}
-
-// DefaultRetryPolicy is the router's request discipline: three tries with
-// 10ms/20ms backoff.
-func DefaultRetryPolicy() RetryPolicy {
-	return RetryPolicy{Attempts: 3, BaseBackoff: 10 * time.Millisecond, MaxBackoff: time.Second}
-}
-
-// Backoff returns the delay slept after failed attempt number `attempt`
-// (0-based): BaseBackoff << attempt, capped at MaxBackoff.
-func (p RetryPolicy) Backoff(attempt int) time.Duration {
-	base := p.BaseBackoff
-	if base <= 0 {
-		base = 10 * time.Millisecond
-	}
-	maxB := p.MaxBackoff
-	if maxB <= 0 {
-		maxB = time.Second
-	}
-	d := base << uint(attempt)
-	if d > maxB || d <= 0 { // overflow guard
-		d = maxB
+// backoff returns the delay waited after failed attempt number `attempt`
+// (0-based): baseBackoff << attempt, capped at maxBackoff.
+func backoff(attempt int) time.Duration {
+	d := baseBackoff << uint(attempt)
+	if d > maxBackoff || d <= 0 { // overflow guard
+		d = maxBackoff
 	}
 	return d
-}
-
-// Do runs op until it succeeds or the attempt budget is spent, spending
-// backoff time through s between attempts. op receives the 0-based attempt
-// number; the error of the last attempt is returned.
-func (p RetryPolicy) Do(s Sleeper, op func(attempt int) error) error {
-	return p.DoCtx(context.Background(), s, op)
-}
-
-// DoCtx is Do under a caller deadline: a context that fires mid-backoff or
-// between attempts stops the loop immediately with ctx.Err() (retrying
-// work the caller has abandoned would be completed-and-discarded effort).
-// The error of the last real attempt wins over the context error when both
-// exist, so callers see what actually failed.
-func (p RetryPolicy) DoCtx(ctx context.Context, s Sleeper, op func(attempt int) error) error {
-	attempts := p.Attempts
-	if attempts < 1 {
-		attempts = 1
-	}
-	var err error
-	for a := 0; a < attempts; a++ {
-		if a > 0 {
-			if serr := sleepCtx(ctx, s, p.Backoff(a-1)); serr != nil {
-				if err == nil {
-					err = serr
-				}
-				return err
-			}
-		}
-		if err = op(a); err == nil {
-			return nil
-		}
-		if cerr := ctx.Err(); cerr != nil {
-			return err
-		}
-	}
-	return err
 }
 
 // AttemptTimeout derives one attempt's timeout from the caller's remaining
@@ -141,79 +59,15 @@ func AttemptTimeout(ctx context.Context, base time.Duration, attemptsLeft int) t
 	return base
 }
 
-// sleepCtx spends d through s unless ctx fires first. For the real sleeper
-// the wait races a timer against ctx.Done; virtual sleepers (Gate) charge
-// their clock in full and only report a context that was already done.
-func sleepCtx(ctx context.Context, s Sleeper, d time.Duration) error {
-	if ctx == nil || ctx.Done() == nil {
-		s.Sleep(d)
+// sleepCtx waits d unless ctx is done first, in which case it returns
+// ctx.Err() at once: a backoff the caller has abandoned is not waited out.
+func sleepCtx(ctx context.Context, d time.Duration) error {
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-t.C:
 		return nil
+	case <-ctx.Done():
+		return ctx.Err()
 	}
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if _, real := s.(realSleeper); real {
-		t := time.NewTimer(d)
-		defer t.Stop()
-		select {
-		case <-t.C:
-			return nil
-		case <-ctx.Done():
-			return ctx.Err()
-		}
-	}
-	s.Sleep(d)
-	return ctx.Err()
-}
-
-// Gate accounts requests issued against an endpoint with a per-client
-// parallelism cap, on a virtual clock: n requests at cost c under cap m
-// take ceil(n/m)·c of endpoint time, plus any backoff charged through the
-// Sleeper interface. It is the request-discipline bookkeeping shared by the
-// simulated remote services (internal/remote, Table V) and available to any
-// caller that must respect an endpoint's rate limit without actually
-// sleeping in benchmarks.
-type Gate struct {
-	maxParallel int64
-	perRequest  time.Duration
-	requests    atomic.Int64
-	charged     atomic.Int64 // extra virtual nanoseconds (backoff)
-}
-
-// NewGate builds a gate for an endpoint allowing maxParallel in-flight
-// requests (≤0 treated as 1), each costing perRequest of round-trip time.
-func NewGate(maxParallel int, perRequest time.Duration) *Gate {
-	if maxParallel <= 0 {
-		maxParallel = 1
-	}
-	return &Gate{maxParallel: int64(maxParallel), perRequest: perRequest}
-}
-
-// Admit counts one request against the gate.
-func (g *Gate) Admit() { g.requests.Add(1) }
-
-// Sleep implements Sleeper by charging the delay to the virtual clock —
-// backoff between retries against a simulated endpoint costs virtual time,
-// not wall time.
-func (g *Gate) Sleep(d time.Duration) { g.charged.Add(int64(d)) }
-
-// Requests returns how many requests were admitted since the last reset.
-func (g *Gate) Requests() int64 { return g.requests.Load() }
-
-// Elapsed returns the virtual time consumed: admitted requests serialized
-// into rounds of maxParallel, plus charged backoff.
-func (g *Gate) Elapsed() time.Duration {
-	n := g.requests.Load()
-	var d time.Duration
-	if n > 0 {
-		rounds := (n + g.maxParallel - 1) / g.maxParallel
-		d = time.Duration(rounds) * g.perRequest
-	}
-	return d + time.Duration(g.charged.Load())
-}
-
-// Reset clears the request counter and charged time.
-func (g *Gate) Reset() {
-	g.requests.Store(0)
-	g.charged.Store(0)
 }

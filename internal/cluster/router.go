@@ -19,30 +19,27 @@ import (
 )
 
 // RouterOptions tunes the coordinator's request discipline. The zero value
-// picks sensible defaults for a LAN deployment.
+// picks sensible defaults for a LAN deployment. The retry budget is fixed
+// (three attempts per leg, 10ms doubling backoff capped at 1s, each retry
+// steered to another replica where the set has one), and so is the 500ms
+// bound on one /healthz probe.
 type RouterOptions struct {
 	// Timeout bounds one attempt against one node (default 2s).
 	Timeout time.Duration
-	// Retry is the per-partition retry/backoff policy (default 3 attempts,
-	// 10ms base backoff). With replicas, each retry attempt is steered to a
-	// different replica of the set.
-	Retry RetryPolicy
 	// HedgeAfter races a duplicate request against a node that has not
 	// answered within this delay — the tail-latency insurance of
 	// partitioned fan-outs, where the slowest partition gates every query.
 	// With replicas the duplicate goes to a *distinct* replica (default
 	// 50ms; negative disables hedging).
 	HedgeAfter time.Duration
-	// FailThreshold consecutive failed requests mark a node unhealthy
-	// (default 3); an unhealthy node is skipped — responses turn partial
-	// only when every replica of a partition is down — until a health probe
-	// passes.
+	// FailThreshold consecutive failed requests — attempts and hedged
+	// duplicates, each counted on its own — mark a node unhealthy (default
+	// 3); an unhealthy node is skipped — responses turn partial only when
+	// every replica of a partition is down — until a health probe passes.
 	FailThreshold int
 	// ProbeInterval is how often unhealthy nodes are probed for recovery
 	// (default 1s).
 	ProbeInterval time.Duration
-	// ProbeTimeout bounds one /healthz probe (default 500ms).
-	ProbeTimeout time.Duration
 	// Registry receives the router's metrics — routed-lookup latency,
 	// per-partition counters and latency, health gauges (nil =
 	// obs.Default()).
@@ -53,9 +50,6 @@ func (o *RouterOptions) fill() {
 	if o.Timeout <= 0 {
 		o.Timeout = 2 * time.Second
 	}
-	if o.Retry.Attempts == 0 {
-		o.Retry = DefaultRetryPolicy()
-	}
 	if o.HedgeAfter == 0 {
 		o.HedgeAfter = 50 * time.Millisecond
 	}
@@ -65,10 +59,10 @@ func (o *RouterOptions) fill() {
 	if o.ProbeInterval <= 0 {
 		o.ProbeInterval = time.Second
 	}
-	if o.ProbeTimeout <= 0 {
-		o.ProbeTimeout = 500 * time.Millisecond
-	}
 }
+
+// probeTimeout bounds one /healthz probe.
+const probeTimeout = 500 * time.Millisecond
 
 // ErrStaleEpoch marks an ApplyMap rejected because the router already
 // serves that epoch or a newer one — expected when gossip and direct
@@ -84,8 +78,10 @@ type routerView struct {
 	m     Map
 	parts []*replicaSet
 
-	inflight atomic.Int64
-	retired  atomic.Bool
+	refs      atomic.Int64 // the router's own reference counts as 1
+	retired   atomic.Bool
+	drained   chan struct{} // closed by the last release of a retired view
+	drainOnce sync.Once
 }
 
 // Router is the cluster coordinator: it embeds each query once locally
@@ -112,7 +108,8 @@ type Router struct {
 
 	// mapMu serializes ApplyMap; clients persists nodeClients across
 	// epochs keyed by URL, so health state and latency EWMAs survive a map
-	// change and a readmitted URL keeps its history.
+	// change and a readmitted URL keeps its history — as long as the URL
+	// serves the same partition; one that moved gets a fresh client.
 	mapMu   sync.Mutex
 	clients map[string]*nodeClient
 
@@ -201,8 +198,11 @@ func NewRouterWithMap(model *core.EmbLookup, m Map, opts RouterOptions) (*Router
 // new queries land on the new assignment immediately, and the call returns
 // only after every query still running on the old assignment has finished —
 // at which point the control plane may stop nodes the new map dropped.
-// Node clients are reused across epochs by URL, so health state and latency
-// history survive. Maps at or below the current epoch are rejected.
+// Node clients are reused across epochs by URL while the URL keeps its
+// partition, so health state and latency history survive; a URL the new map
+// moves to another partition starts over with a fresh client, so its
+// health, EWMA and partition-labelled metrics follow the partition it now
+// serves. Maps at or below the current epoch are rejected.
 func (r *Router) ApplyMap(m Map) error {
 	if err := m.Validate(); err != nil {
 		return err
@@ -214,12 +214,13 @@ func (r *Router) ApplyMap(m Map) error {
 		r.mapMu.Unlock()
 		return fmt.Errorf("cluster: map epoch %d is not newer than the current %d: %w", m.Epoch, old.epoch, ErrStaleEpoch)
 	}
-	nv := &routerView{epoch: m.Epoch, m: m}
+	nv := &routerView{epoch: m.Epoch, m: m, drained: make(chan struct{})}
+	nv.refs.Store(1)
 	for p, urls := range m.Replicas {
 		rs := &replicaSet{partition: p}
 		for j, u := range urls {
 			c := r.clients[u]
-			if c == nil {
+			if c == nil || c.partition != p {
 				c = newNodeClient(p, j, u, r.opts.FailThreshold)
 				c.observe(r.reg)
 				r.clients[u] = c
@@ -231,12 +232,11 @@ func (r *Router) ApplyMap(m Map) error {
 	r.view.Store(nv)
 	r.mapMu.Unlock()
 	if old != nil {
-		// Drain: queries pin their view, so when the old view's refcount
-		// reaches zero nothing references the old assignment anymore.
+		// Drain: queries pin their view, so once the old view's last
+		// reference is released nothing touches the old assignment anymore.
 		old.retired.Store(true)
-		for old.inflight.Load() > 0 {
-			time.Sleep(200 * time.Microsecond)
-		}
+		old.release()
+		<-old.drained
 		r.mapSwaps.Inc()
 	}
 	return nil
@@ -249,15 +249,22 @@ func (r *Router) ApplyMap(m Map) error {
 func (r *Router) acquireView() *routerView {
 	for {
 		v := r.view.Load()
-		v.inflight.Add(1)
+		v.refs.Add(1)
 		if !v.retired.Load() {
 			return v
 		}
-		v.inflight.Add(-1)
+		v.release()
 	}
 }
 
-func (v *routerView) release() { v.inflight.Add(-1) }
+// release unpins the view. The last release of a retired view closes
+// drained; the Once is there because a racing acquireView can take and
+// drop a reference after that close, bringing the count to zero again.
+func (v *routerView) release() {
+	if v.refs.Add(-1) == 0 && v.retired.Load() {
+		v.drainOnce.Do(func() { close(v.drained) })
+	}
+}
 
 // viewClients returns the distinct node clients of the current view in
 // partition-major, replica-minor order (URLs are unique per map, so no
@@ -316,7 +323,7 @@ func (r *Router) probeLoop() {
 				}
 				for _, c := range rs.replicas {
 					if !c.healthy() {
-						c.probe(context.Background(), r.opts.ProbeTimeout, expect)
+						c.probe(context.Background(), probeTimeout, expect)
 					}
 				}
 			}
@@ -353,12 +360,6 @@ func (r *Router) LookupCtx(ctx context.Context, q string, k int) (server.Answer,
 		return server.Answer{}, err
 	}
 	return server.Answer{Candidates: br.PerQuery[0], Partial: br.Partial, Failed: br.Failed}, nil
-}
-
-// BulkLookup is BulkLookupCtx without a context.
-func (r *Router) BulkLookup(queries []string, k int) server.BulkAnswer {
-	br, _ := r.BulkLookupCtx(context.Background(), queries, k) // errors are ctx's only
-	return br
 }
 
 // BulkLookupCtx is the one routed request: it embeds the batch once

@@ -7,20 +7,14 @@
 // come from local indexes that, like the real services, know the full alias
 // set of every entity.
 //
-// Request discipline is the cluster router's (internal/cluster): the same
-// RetryPolicy drives retries against transient failures, and the
-// parallelism-cap accounting lives in cluster.Gate — backoff between
-// virtual attempts charges the virtual clock exactly where a live
-// deployment would sleep, so simulated and real networking share one code
-// path.
+// Each lookup is one round trip: the service counts them, and
+// VirtualElapsed serializes the count into rounds of MaxParallel.
 package remote
 
 import (
-	"errors"
 	"sync/atomic"
 	"time"
 
-	"emblookup/internal/cluster"
 	"emblookup/internal/lookup"
 	"emblookup/internal/obs"
 )
@@ -29,15 +23,9 @@ import (
 type Config struct {
 	// Latency is the round-trip cost of one request.
 	Latency time.Duration
-	// MaxParallel is the endpoint's per-client parallelism cap.
+	// MaxParallel is the endpoint's per-client parallelism cap (≤ 0
+	// treated as 1).
 	MaxParallel int
-	// Retry is the client-side retry/backoff policy applied when the
-	// endpoint fails a request (zero value = single attempt).
-	Retry cluster.RetryPolicy
-	// TransientFailures makes the endpoint drop its first N requests —
-	// the rate-limit hiccups and 5xx bursts a real endpoint serves. Each
-	// dropped request still costs a round trip and flows through Retry.
-	TransientFailures int
 }
 
 // WikidataAPIConfig models the Wikidata search endpoint: moderate latency,
@@ -52,22 +40,17 @@ func SearXConfig() Config {
 	return Config{Latency: 250 * time.Millisecond, MaxParallel: 4}
 }
 
-// errTransient is the simulated endpoint's failure mode.
-var errTransient = errors.New("remote: simulated transient failure")
-
 // Service wraps a result backend with virtual latency accounting. It
 // implements both lookup.Service and lookup.VirtualClock.
 type Service struct {
-	name    string
-	backend lookup.Service
-	cfg     Config
-	gate    *cluster.Gate
-	dropped atomic.Int64
+	name     string
+	backend  lookup.Service
+	cfg      Config
+	requests atomic.Int64
 
-	// Process-wide counters labeled by service name; simulated services
+	// A process-wide counter labeled by service name; simulated services
 	// surface on /metrics like any live dependency would.
-	reqTotal  *obs.Counter
-	failTotal *obs.Counter
+	reqTotal *obs.Counter
 }
 
 // New wraps backend as a simulated remote endpoint.
@@ -76,47 +59,33 @@ func New(name string, backend lookup.Service, cfg Config) *Service {
 		cfg.MaxParallel = 1
 	}
 	return &Service{
-		name:      name,
-		backend:   backend,
-		cfg:       cfg,
-		gate:      cluster.NewGate(cfg.MaxParallel, cfg.Latency),
-		reqTotal:  obs.Default().Counter(obs.Labels("emblookup_remote_requests_total", "service", name)),
-		failTotal: obs.Default().Counter(obs.Labels("emblookup_remote_failures_total", "service", name)),
+		name:     name,
+		backend:  backend,
+		cfg:      cfg,
+		reqTotal: obs.Default().Counter(obs.Labels("emblookup_remote_requests_total", "service", name)),
 	}
 }
 
 // Name implements lookup.Service.
 func (s *Service) Name() string { return s.name }
 
-// Lookup performs the backend lookup under the shared request discipline:
-// every attempt (including dropped ones) is admitted through the gate and
-// charges a round trip; retry backoff charges the virtual clock through the
-// same Sleeper seam a live client would sleep on.
+// Lookup performs the backend lookup as one round trip to the endpoint.
 func (s *Service) Lookup(q string, k int) []lookup.Candidate {
-	var res []lookup.Candidate
-	// Ignore the final error: a service that exhausts its retry budget
-	// returns no candidates, which is what a downstream annotation system
-	// sees from a dead endpoint.
-	_ = s.cfg.Retry.Do(s.gate, func(int) error {
-		s.gate.Admit()
-		s.reqTotal.Inc()
-		if s.dropped.Add(1) <= int64(s.cfg.TransientFailures) {
-			s.failTotal.Inc()
-			return errTransient
-		}
-		res = s.backend.Lookup(q, k)
-		return nil
-	})
-	return res
+	s.requests.Add(1)
+	s.reqTotal.Inc()
+	return s.backend.Lookup(q, k)
 }
 
 // VirtualElapsed returns the simulated network time: with MaxParallel
-// requests in flight, n requests take ceil(n/MaxParallel) round trips, plus
-// any retry backoff charged by the shared policy.
-func (s *Service) VirtualElapsed() time.Duration { return s.gate.Elapsed() }
+// requests in flight, n requests take ceil(n/MaxParallel) round trips.
+func (s *Service) VirtualElapsed() time.Duration {
+	n := s.requests.Load()
+	rounds := (n + int64(s.cfg.MaxParallel) - 1) / int64(s.cfg.MaxParallel)
+	return time.Duration(rounds) * s.cfg.Latency
+}
 
-// ResetVirtual clears the request counter and charged backoff.
-func (s *Service) ResetVirtual() { s.gate.Reset() }
+// ResetVirtual clears the request counter.
+func (s *Service) ResetVirtual() { s.requests.Store(0) }
 
 // Requests returns how many requests were issued since the last reset.
-func (s *Service) Requests() int64 { return s.gate.Requests() }
+func (s *Service) Requests() int64 { return s.requests.Load() }

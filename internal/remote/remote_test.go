@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"emblookup/internal/baselines"
-	"emblookup/internal/cluster"
 	"emblookup/internal/kg"
 	"emblookup/internal/lookup"
 )
@@ -70,47 +69,6 @@ func TestTotalDurationCombinesClocks(t *testing.T) {
 	local := backend()
 	if lookup.TotalDuration(local, 10*time.Millisecond) != 10*time.Millisecond {
 		t.Fatal("local service should add nothing")
-	}
-}
-
-// TestRetryChargesVirtualBackoff pins the shared request discipline: a
-// transient failure burns a request (one round trip each, serialized at
-// MaxParallel 1) and the retry backoff is charged to the virtual clock
-// through the same cluster.RetryPolicy code path live networking uses.
-func TestRetryChargesVirtualBackoff(t *testing.T) {
-	s := New("flaky", backend(), Config{
-		Latency:           100 * time.Millisecond,
-		MaxParallel:       1,
-		TransientFailures: 2,
-		Retry:             cluster.RetryPolicy{Attempts: 3, BaseBackoff: 10 * time.Millisecond, MaxBackoff: time.Second},
-	})
-	res := s.Lookup("Germany", 5)
-	if len(res) != 1 || res[0].ID != 1 {
-		t.Fatalf("retried lookup lost results: %+v", res)
-	}
-	if s.Requests() != 3 {
-		t.Fatalf("Requests = %d, want 3 (2 failures + 1 success)", s.Requests())
-	}
-	// 3 serialized round trips (300ms) + backoff 10ms and 20ms.
-	if got := s.VirtualElapsed(); got != 330*time.Millisecond {
-		t.Fatalf("VirtualElapsed = %v, want 330ms", got)
-	}
-}
-
-// TestRetryBudgetExhausted: an endpoint that stays down yields no
-// candidates, but every attempt and its backoff still cost virtual time.
-func TestRetryBudgetExhausted(t *testing.T) {
-	s := New("dead", backend(), Config{
-		Latency:           100 * time.Millisecond,
-		MaxParallel:       1,
-		TransientFailures: 10,
-		Retry:             cluster.RetryPolicy{Attempts: 2, BaseBackoff: 10 * time.Millisecond, MaxBackoff: time.Second},
-	})
-	if res := s.Lookup("Germany", 5); len(res) != 0 {
-		t.Fatalf("dead endpoint returned results: %+v", res)
-	}
-	if got := s.VirtualElapsed(); got != 210*time.Millisecond {
-		t.Fatalf("VirtualElapsed = %v, want 210ms (2 round trips + 10ms backoff)", got)
 	}
 }
 

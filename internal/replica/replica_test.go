@@ -1,6 +1,7 @@
 package replica
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -51,11 +52,9 @@ func fastOptions() Options {
 	return Options{
 		Router: cluster.RouterOptions{
 			Timeout:       5 * time.Second,
-			Retry:         cluster.RetryPolicy{Attempts: 3, BaseBackoff: time.Millisecond, MaxBackoff: 10 * time.Millisecond},
 			HedgeAfter:    -1,
 			FailThreshold: 1,
 			ProbeInterval: 10 * time.Millisecond,
-			ProbeTimeout:  time.Second,
 		},
 		PollInterval: 20 * time.Millisecond,
 	}
@@ -108,7 +107,10 @@ func TestReplicatedBitIdentical(t *testing.T) {
 				// The routed batch — one multi-query partition RPC per node —
 				// against the single-process batch.
 				want := m.BulkLookup(queries, k, 0)
-				got := c.Router.BulkLookup(queries, k)
+				got, err := c.Router.BulkLookupCtx(context.Background(), queries, k)
+				if err != nil {
+					t.Fatal(err)
+				}
 				if got.Partial || len(got.Failed) != 0 {
 					t.Fatalf("P=%d R=%d bulk: unexpected degradation: %+v", p, r, got.Failed)
 				}
@@ -192,7 +194,6 @@ func TestReplicaDistinctHedge(t *testing.T) {
 	opts := fastOptions()
 	opts.Replicas = 2
 	opts.Router.HedgeAfter = 10 * time.Millisecond
-	opts.Router.Retry = cluster.RetryPolicy{Attempts: 1}
 	opts.Wrap = func(p, j int, h http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			// Replica 0's first search stalls well past the hedge delay.

@@ -25,6 +25,15 @@ else
     echo "== govulncheck == (not installed; skipped)"
 fi
 
+echo "== no sleeps in non-test Go under internal/ =="
+# Waits synchronize on events: a drain closes a channel, a backoff races a
+# timer against the request's context (DESIGN.md §9, §14). A time.Sleep in
+# library code is a poll or a wait nobody can cancel.
+if grep -rn --include='*.go' --exclude='*_test.go' 'time\.Sleep(' internal; then
+    echo "verify: time.Sleep in non-test Go under internal/" >&2
+    exit 1
+fi
+
 echo "== go build =="
 go build ./...
 
@@ -179,7 +188,7 @@ echo "== non-test Go lines, request-path, artifact and training packages =="
 # The baseline the next simplicity PR reads from this log instead of
 # re-deriving it.
 lines() { find "internal/$1" -name '*.go' -not -name '*_test.go' -print0 | xargs -0 cat | wc -l; }
-for pkg in core artifact index serve server cluster tenant replica ngram nn mathx triplet; do
+for pkg in core artifact index serve server cluster remote tenant replica ngram nn mathx triplet; do
     printf '%-8s %s\n' "$pkg" "$(lines "$pkg")"
 done
 printf '%-8s %s\n' "server + cluster" "$(( $(lines server) + $(lines cluster) ))"
