@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"testing"
 
+	"emblookup/internal/artifact"
 	"emblookup/internal/index"
 	"emblookup/internal/kg"
 )
@@ -113,12 +114,25 @@ func TestGoldenCorpus(t *testing.T) {
 			if src := now.IndexProvenance().Source; src != source {
 				t.Fatalf("v4 rewrite provenance %q, want %q", src, source)
 			}
-			if c.rerank > 0 {
-				if f, vecs := now.Index().(*index.IVF).Rerank(); f != c.rerank || vecs == nil {
-					t.Fatalf("v4 rewrite re-ranks ×%d (vectors %v), want ×%d", f, vecs != nil, c.rerank)
+			if withIndex {
+				for tag, m := range map[string]*EmbLookup{"gob": old, "v4 rewrite": now} {
+					if mi := indexMeta(t, m); mi.Kind != c.kind || mi.Rerank != c.rerank {
+						t.Fatalf("%s attaches index %q ×%d, want %q ×%d", tag, mi.Kind, mi.Rerank, c.kind, c.rerank)
+					}
 				}
 			}
 			sameLookups(t, c.file+"→v4", old, now)
 		})
 	}
+}
+
+// indexMeta is the meta entry the codec writes for e's index: the kind and
+// re-rank factor the model actually serves with.
+func indexMeta(t *testing.T, e *EmbLookup) *index.Meta {
+	t.Helper()
+	mi, err := index.WriteSections(artifact.NewWriter(), e.Index())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return mi
 }

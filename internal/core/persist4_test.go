@@ -2,13 +2,16 @@ package core
 
 import (
 	"bytes"
+	"encoding/gob"
+	"encoding/json"
 	"os"
+	"path/filepath"
 	"runtime"
 	"testing"
 
 	"emblookup/internal/artifact"
-	"emblookup/internal/index"
 	"emblookup/internal/kg"
+	"emblookup/internal/mathx"
 )
 
 // v4Variants drives every index kind through the zero-copy artifact tests.
@@ -93,14 +96,8 @@ func TestV4MmapAttachBitIdentity(t *testing.T) {
 		if prov.Source != "loaded" {
 			t.Fatalf("%s: provenance %q, want loaded", v.name, prov.Source)
 		}
-		if v.rerank > 1 {
-			ivfIx, ok := mmapped.Index().(*index.IVF)
-			if !ok {
-				t.Fatalf("%s: loaded index is %T, want *index.IVF", v.name, mmapped.Index())
-			}
-			if f, vecs := ivfIx.Rerank(); f != v.rerank || vecs == nil {
-				t.Fatalf("%s: loaded rerank = (%d, %v), want (%d, non-nil)", v.name, f, vecs, v.rerank)
-			}
+		if mi := indexMeta(t, mmapped); mi.Rerank != v.rerank {
+			t.Fatalf("%s: loaded rerank ×%d, want ×%d", v.name, mi.Rerank, v.rerank)
 		}
 		if runtime.GOOS == "linux" && prov.Backing != "mmap" {
 			t.Fatalf("%s: backing %q, want mmap", v.name, prov.Backing)
@@ -200,35 +197,180 @@ func TestV4CorruptionRejected(t *testing.T) {
 	}
 }
 
-// FuzzReadArtifact hammers the whole model-read dispatch — v4 magic
-// sniffing, the v4 section parser and attach path, and the gob fallback —
-// with arbitrary bytes, seeded from the golden PQ gob file and its v4
-// rewrite. A read must return an error or a valid model, never panic, and
-// never allocate proportionally to corrupt header fields.
-func FuzzReadArtifact(f *testing.F) {
-	g := goldenGraph()
-	gobBytes, err := os.ReadFile("testdata/golden_v2.bin")
+// goldenPair reads a golden gob artifact and returns its bytes and those of
+// its v4 rewrite.
+func goldenPair(tb testing.TB, file string, g *kg.Graph) (gobBytes, v4 []byte) {
+	tb.Helper()
+	gobBytes, err := os.ReadFile(filepath.Join("testdata", file))
 	if err != nil {
-		f.Fatal(err)
+		tb.Fatal(err)
 	}
 	e, err := decodeModel(gobBytes, g)
 	if err != nil {
-		f.Fatal(err)
+		tb.Fatal(err)
 	}
-	path := f.TempDir() + "/golden_v2.v4"
-	if err := e.SaveFileWithIndex(path); err != nil {
-		f.Fatal(err)
+	var buf bytes.Buffer
+	if err := e.writeV4(&buf, true); err != nil {
+		tb.Fatal(err)
 	}
-	v4, err := os.ReadFile(path)
+	return gobBytes, buf.Bytes()
+}
+
+// rewriteSections re-emits a v4 artifact with the payloads of the named
+// sections replaced (a *mathx.Matrix replaces a float32 section's shape
+// too) and every other section as it was. Checksums are
+// recomputed, so only the reader's own shape checks stand between the edit
+// and a loaded model.
+func rewriteSections(t *testing.T, data []byte, repl map[string]any) []byte {
+	t.Helper()
+	af, err := artifact.Decode(data)
 	if err != nil {
-		f.Fatal(err)
+		t.Fatal(err)
 	}
+	aw := artifact.NewWriter()
+	secs := af.Sections()
+	for i := range secs {
+		s := &secs[i]
+		var v any
+		switch s.Elem {
+		case artifact.ElemU8:
+			v = s.Bytes()
+		case artifact.ElemF32:
+			v = s.Float32s()
+		case artifact.ElemI32:
+			v = s.Int32s()
+		case artifact.ElemI64:
+			v = s.Int64s()
+		case artifact.ElemJSON:
+			v = json.RawMessage(s.Bytes())
+		}
+		if r, ok := repl[s.Name]; ok {
+			v = r
+		}
+		switch v := v.(type) {
+		case []byte:
+			aw.AddBytes(s.Name, v)
+		case []float32:
+			aw.AddFloat32s(s.Name, v, s.Rows, s.Cols)
+		case *mathx.Matrix:
+			aw.AddFloat32s(s.Name, v.Data, v.Rows, v.Cols)
+		case []int32:
+			aw.AddInt32s(s.Name, v)
+		case []int64:
+			aw.AddInt64s(s.Name, v)
+		case json.RawMessage:
+			aw.AddJSON(s.Name, v)
+		}
+	}
+	var buf bytes.Buffer
+	if _, err := aw.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// TestMalformedIndexRejected: an index artifact whose counts agree but
+// whose contents would fail the first lookup that touches them is refused
+// at attach, by the gob reader and — where the v4 container can carry the
+// same defect — the v4 reader alike. Each case edits a golden's decoded gob
+// struct; v4 derives the sections the edit replaces in the golden's v4
+// rewrite (nil: the container cannot express the defect).
+func TestMalformedIndexRejected(t *testing.T) {
+	listSections := func(w *wireIndex) map[string]any {
+		offsets := []int64{0}
+		var ids []int32
+		var codes []byte
+		for i, l := range w.Lists {
+			ids = append(ids, l...)
+			offsets = append(offsets, int64(len(ids)))
+			if w.ListCodes != nil {
+				codes = append(codes, w.ListCodes[i]...)
+			}
+		}
+		repl := map[string]any{"rows": rowsAsInt32(w.Rows), "list_offsets": offsets, "list_ids": ids}
+		if codes != nil {
+			repl["list_codes"] = codes
+		}
+		return repl
+	}
+	// The longest list loses its last id (and that id's codes), the row map
+	// loses its last entry, and the list's first id becomes the new row
+	// count: every count agrees, one id names no row.
+	listIDPastRows := func(w *wireIndex) {
+		longest := 0
+		for i, l := range w.Lists {
+			if len(l) > len(w.Lists[longest]) {
+				longest = i
+			}
+		}
+		l := w.Lists[longest]
+		w.Lists[longest] = l[:len(l)-1]
+		if w.ListCodes != nil {
+			c := w.ListCodes[longest]
+			w.ListCodes[longest] = c[:len(c)-w.Quant.M]
+		}
+		w.Rows = w.Rows[:len(w.Rows)-1]
+		w.Lists[longest][0] = int32(len(w.Rows))
+	}
+	cases := []struct {
+		name, file string
+		edit       func(w *wireIndex)
+		v4         func(w *wireIndex) map[string]any
+	}{
+		{"ivf-flat list id past the row map", "golden_v2_ivf_flat.bin", listIDPastRows, listSections},
+		{"ivf-pq list id past the row map", "golden_v2_ivf_pq.bin", listIDPastRows, listSections},
+		{"flat vectors narrower than the model", "golden_v2_flat.bin", func(w *wireIndex) {
+			w.Flat.Cols /= 2
+			w.Flat.Data = w.Flat.Data[:w.Flat.Rows*w.Flat.Cols]
+		}, func(w *wireIndex) map[string]any { return map[string]any{"flat": fromWire(w.Flat)} }},
+		{"flat data short of its shape", "golden_v2_flat.bin", func(w *wireIndex) {
+			w.Flat.Data = w.Flat.Data[:len(w.Flat.Data)-1]
+		}, nil},
+	}
+	g := goldenGraph()
+	for _, c := range cases {
+		gobBytes, v4 := goldenPair(t, c.file, g)
+		var wire modelWire
+		if err := gob.NewDecoder(bytes.NewReader(gobBytes)).Decode(&wire); err != nil {
+			t.Fatal(err)
+		}
+		c.edit(wire.Index)
+		var badGob bytes.Buffer
+		if err := gob.NewEncoder(&badGob).Encode(&wire); err != nil {
+			t.Fatal(err)
+		}
+		bad := map[string][]byte{"gob": badGob.Bytes()}
+		if c.v4 != nil {
+			bad["v4"] = rewriteSections(t, v4, c.v4(wire.Index))
+		}
+		for format, data := range bad {
+			if _, err := decodeModel(data, g); err == nil {
+				t.Errorf("%s (%s): accepted", c.name, format)
+			}
+		}
+	}
+}
+
+// FuzzReadArtifact hammers the whole model-read dispatch — v4 magic
+// sniffing, the v4 section parser and attach path, and the gob fallback —
+// with arbitrary bytes, seeded from every golden gob file that carries an
+// index (PQ, fast-scan, IVF-Flat, IVF-PQ with and without re-rank) and its
+// v4 rewrite. A read must return an error or a valid model, never panic,
+// and never allocate proportionally to corrupt header fields.
+func FuzzReadArtifact(f *testing.F) {
+	g := goldenGraph()
+	gobBytes, v4 := goldenPair(f, "golden_v2.bin", g)
 	f.Add(v4)
 	f.Add(v4[:200])
 	f.Add(gobBytes)
 	f.Add(gobBytes[:50])
 	f.Add([]byte(artifact.Magic))
 	f.Add([]byte{})
+	for _, file := range []string{"golden_v2_ivf_flat.bin", "golden_v2_ivf_pq.bin", "golden_v2_ivf_pq_rerank8.bin", "golden_v3.bin"} {
+		gobBytes, v4 := goldenPair(f, file, g)
+		f.Add(gobBytes)
+		f.Add(v4)
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := decodeModel(data, g)
 		if err != nil {

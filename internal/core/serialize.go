@@ -83,42 +83,38 @@ func quantizerFromWire(wq wireQuantizer) *quant.ProductQuantizer {
 	return q
 }
 
-// indexFromWire reassembles a saved index artifact and validates its row
-// mapping against the graph the model is being attached to.
-func indexFromWire(w *wireIndex, g *kg.Graph) (index.Index, []kg.EntityID, error) {
-	var ix index.Index
-	var err error
-	switch w.Kind {
-	case "flat":
-		ix = index.NewFlat(fromWire(w.Flat))
-	case "pq":
-		ix, err = index.NewPQFromParts(quantizerFromWire(w.Quant), w.Codes)
-	case "fastscan":
-		ix, err = index.NewFastScanFromParts(quantizerFromWire(w.Quant), w.Codes, len(w.Rows))
-	case "ivf-flat":
-		ix, err = index.NewIVFFromParts(fromWire(w.Coarse), w.NProbe, w.Lists, fromWire(w.Vectors), nil, nil)
-	case "ivf-pq":
-		var ivf *index.IVF
-		ivf, err = index.NewIVFFromParts(fromWire(w.Coarse), w.NProbe, w.Lists, nil, quantizerFromWire(w.Quant), w.ListCodes)
-		if err == nil && w.Rerank > 1 {
-			err = ivf.SetRerank(w.Rerank, fromWire(w.Vectors))
-		}
-		ix = ivf
-	default:
-		return nil, nil, fmt.Errorf("core: unknown index artifact kind %q", w.Kind)
+// parts hands the decoded index artifact to the index codec.
+func (w *wireIndex) parts() *index.Parts {
+	return &index.Parts{
+		Kind:      w.Kind,
+		Flat:      fromWire(w.Flat),
+		Quant:     quantizerFromWire(w.Quant),
+		Codes:     w.Codes, // the one gob field holds PQ codes or fast-scan blocks
+		Blocks:    w.Codes,
+		Coarse:    fromWire(w.Coarse),
+		NProbe:    w.NProbe,
+		Lists:     w.Lists,
+		ListCodes: w.ListCodes,
+		Vectors:   fromWire(w.Vectors),
+		Rerank:    w.Rerank,
 	}
-	if err != nil {
-		return nil, nil, err
-	}
-	if len(w.Rows) != ix.Len() {
-		return nil, nil, fmt.Errorf("core: index artifact maps %d rows but stores %d vectors", len(w.Rows), ix.Len())
-	}
-	for _, id := range w.Rows {
-		if int(id) < 0 || int(id) >= len(g.Entities) {
-			return nil, nil, fmt.Errorf("core: index artifact references entity %d outside the graph (%d entities) — wrong graph?", id, len(g.Entities))
+}
+
+// attachIndex adopts an index read from an artifact and its row map, once
+// every row names an entity of the graph and the index holds vectors of the
+// model's dimension. start is when the read began.
+func (e *EmbLookup) attachIndex(ix index.Index, rows []kg.EntityID, start time.Time) error {
+	for _, id := range rows {
+		if int(id) < 0 || int(id) >= len(e.graph.Entities) {
+			return fmt.Errorf("core: index artifact references entity %d outside the graph (%d entities) — wrong graph?", id, len(e.graph.Entities))
 		}
 	}
-	return ix, w.Rows, nil
+	if ix.Dim() != e.cfg.Dim {
+		return fmt.Errorf("core: index artifact stores %d-dim vectors for a %d-dim model", ix.Dim(), e.cfg.Dim)
+	}
+	e.ix, e.rows = ix, rows
+	e.prov = IndexProvenance{Source: "loaded", Took: time.Since(start)}
+	return nil
 }
 
 // readGob deserializes the legacy gob formats (v0 weights-only, v2 index
@@ -162,12 +158,13 @@ func readGob(r io.Reader, g *kg.Graph) (*EmbLookup, error) {
 	}
 	if wire.Index != nil {
 		start := time.Now()
-		ix, rows, err := indexFromWire(wire.Index, g)
+		ix, err := index.Assemble(wire.Index.parts(), len(wire.Index.Rows))
 		if err != nil {
 			return nil, err
 		}
-		e.ix, e.rows = ix, rows
-		e.prov = IndexProvenance{Source: "loaded", Took: time.Since(start)}
+		if err := e.attachIndex(ix, wire.Index.Rows, start); err != nil {
+			return nil, err
+		}
 		return e, nil
 	}
 	if err := e.buildIndex(); err != nil {

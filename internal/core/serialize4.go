@@ -15,7 +15,6 @@ import (
 	"emblookup/internal/mathx"
 	"emblookup/internal/ngram"
 	"emblookup/internal/nn"
-	"emblookup/internal/quant"
 )
 
 // This file is the format-v4 serializer: the model (and optional index
@@ -28,55 +27,27 @@ import (
 // inverted lists, codebooks, weights) become typed views over the page
 // cache, making cold start O(sections), not O(model size).
 //
-// Section inventory (exactly the sections for the model's index kind exist):
+// Model sections (the index sections, present when the model carries its
+// index, are internal/index's; see its codec):
 //
-//	meta            JSON   config, alphabet, shapes, index kind, nprobe
+//	meta            JSON   config, alphabet, shapes, index.Meta
 //	known_mentions  i64    sorted trained mention hashes (may be empty)
 //	ngram_table     f32    Buckets×Dim subword table
 //	param_%d        f32    combiner/CNN weight matrices, master order
 //	rows            i32    index row → entity id
-//	flat            f32    flat: the vector matrix
-//	cb_%d           f32    pq/fastscan/ivf-pq: sub-codebook m
-//	codes           u8     pq: row-major codes
-//	blocks          u8     fastscan: 32-row interleaved blocks, verbatim
-//	coarse          f32    ivf-*: coarse centroid matrix
-//	list_offsets    i64    ivf-*: prefix offsets into list_ids (nlist+1)
-//	list_ids        i32    ivf-*: concatenated inverted lists
-//	vectors         f32    ivf-flat: the stored vectors; also written for
-//	                       ivf-pq when Config.Rerank > 1 (exact re-rank
-//	                       pages candidate rows in from this mmap'd view)
-//	list_codes      u8     ivf-pq: concatenated per-list residual codes
 //
-// Every view handed to the index constructors is cap-clipped, so the
-// read-only-backing discipline holds: any append (Dynamic compaction,
-// WithPartition growth) reallocates to the heap instead of writing through
-// to the mapping.
+// File order: param_%d, the index sections, rows, meta, known_mentions,
+// ngram_table.
 
 // metaV4 is the JSON "meta" section: everything structural that is not a
 // bulk payload.
 type metaV4 struct {
-	Cfg      Config       `json:"cfg"`
-	Alphabet string       `json:"alphabet"`
-	NgramDim int          `json:"ngram_dim"`
-	NgramBk  int          `json:"ngram_buckets"`
-	Params   [][2]int     `json:"params"` // shapes of param_%d, master order
-	Index    *metaIndexV4 `json:"index,omitempty"`
-}
-
-type metaIndexV4 struct {
-	Kind   string       `json:"kind"` // flat | pq | fastscan | ivf-flat | ivf-pq
-	NProbe int          `json:"nprobe,omitempty"`
-	Quant  *metaQuantV4 `json:"quant,omitempty"`
-	// Rerank is the ivf-pq exact re-rank over-fetch factor; when > 1 the
-	// artifact also carries a "vectors" section with the raw embeddings.
-	Rerank int `json:"rerank,omitempty"`
-}
-
-type metaQuantV4 struct {
-	D    int `json:"d"`
-	M    int `json:"m"`
-	Ks   int `json:"ks"`
-	Dsub int `json:"dsub"`
+	Cfg      Config      `json:"cfg"`
+	Alphabet string      `json:"alphabet"`
+	NgramDim int         `json:"ngram_dim"`
+	NgramBk  int         `json:"ngram_buckets"`
+	Params   [][2]int    `json:"params"` // shapes of param_%d, master order
+	Index    *index.Meta `json:"index,omitempty"`
 }
 
 // rowsAsInt32 reinterprets the row→entity table for zero-copy IO
@@ -124,7 +95,7 @@ func (e *EmbLookup) writeV4(w io.Writer, withIndex bool) error {
 	}
 
 	if withIndex {
-		mi, err := e.indexSections(aw)
+		mi, err := index.WriteSections(aw, e.ix)
 		if err != nil {
 			return err
 		}
@@ -139,80 +110,6 @@ func (e *EmbLookup) writeV4(w io.Writer, withIndex bool) error {
 	return err
 }
 
-// addQuantizer emits the M sub-codebooks as cb_%d sections.
-func addQuantizer(aw *artifact.Writer, q *quant.ProductQuantizer) *metaQuantV4 {
-	for m, cb := range q.Codebooks {
-		aw.AddFloat32s(fmt.Sprintf("cb_%d", m), cb.Data, cb.Rows, cb.Cols)
-	}
-	return &metaQuantV4{D: q.D, M: q.M, Ks: q.Ks, Dsub: q.Dsub}
-}
-
-// indexSections decomposes the model's built index into v4 sections — flat
-// arrays the reader can view without copying. Inverted lists are
-// concatenated with a prefix-offset table; everything else is stored
-// verbatim. A Sharded wrapper is unwrapped (shard count is a serving-time
-// choice, re-applied after load); a Dynamic index is refused, because its
-// delta segment is serving state, not an artifact.
-func (e *EmbLookup) indexSections(aw *artifact.Writer) (*metaIndexV4, error) {
-	ix := e.ix
-	if sh, ok := ix.(*index.Sharded); ok {
-		ix = sh.Inner()
-	}
-	mi := &metaIndexV4{}
-	switch t := ix.(type) {
-	case *index.Flat:
-		mi.Kind = "flat"
-		m := t.Vectors()
-		aw.AddFloat32s("flat", m.Data, m.Rows, m.Cols)
-	case *index.PQ:
-		mi.Kind = "pq"
-		mi.Quant = addQuantizer(aw, t.Quantizer())
-		aw.AddBytes("codes", t.Codes())
-	case *index.FastScan:
-		mi.Kind = "fastscan"
-		mi.Quant = addQuantizer(aw, t.Quantizer())
-		aw.AddBytes("blocks", t.Blocks())
-	case *index.IVF:
-		m := t.Coarse()
-		aw.AddFloat32s("coarse", m.Data, m.Rows, m.Cols)
-		mi.NProbe = t.NProbe()
-		lists := t.Lists()
-		offsets := make([]int64, len(lists)+1)
-		total := 0
-		for i, ids := range lists {
-			offsets[i] = int64(total)
-			total += len(ids)
-		}
-		offsets[len(lists)] = int64(total)
-		ids := make([]int32, 0, total)
-		for _, l := range lists {
-			ids = append(ids, l...)
-		}
-		aw.AddInt64s("list_offsets", offsets)
-		aw.AddInt32s("list_ids", ids)
-		if q := t.Quantizer(); q != nil {
-			mi.Kind = "ivf-pq"
-			mi.Quant = addQuantizer(aw, q)
-			codes := make([]byte, 0, total*q.M)
-			for _, c := range t.ListCodes() {
-				codes = append(codes, c...)
-			}
-			aw.AddBytes("list_codes", codes)
-			if rr, rv := t.Rerank(); rv != nil {
-				mi.Rerank = rr
-				aw.AddFloat32s("vectors", rv.Data, rv.Rows, rv.Cols)
-			}
-		} else {
-			mi.Kind = "ivf-flat"
-			v := t.Vectors()
-			aw.AddFloat32s("vectors", v.Data, v.Rows, v.Cols)
-		}
-	default:
-		return nil, fmt.Errorf("core: index type %T has no serialized form", ix)
-	}
-	return mi, nil
-}
-
 // sectionMatrix views an F32 section as a matrix. The returned matrix
 // aliases the artifact backing (cap-clipped); callers must not mutate it.
 func sectionMatrix(af *artifact.File, name string) (*mathx.Matrix, error) {
@@ -224,156 +121,6 @@ func sectionMatrix(af *artifact.File, name string) (*mathx.Matrix, error) {
 		return nil, fmt.Errorf("core: artifact section %q is not a float32 matrix", name)
 	}
 	return &mathx.Matrix{Rows: s.Rows, Cols: s.Cols, Data: s.Float32s()}, nil
-}
-
-func sectionBytes(af *artifact.File, name string) ([]byte, error) {
-	s := af.Section(name)
-	if s == nil {
-		return nil, fmt.Errorf("core: artifact is missing section %q", name)
-	}
-	return s.Bytes(), nil
-}
-
-// quantizerFromSections reassembles a product quantizer over cb_%d views.
-func quantizerFromSections(af *artifact.File, mq *metaQuantV4) (*quant.ProductQuantizer, error) {
-	if mq == nil {
-		return nil, fmt.Errorf("core: artifact index kind needs a quantizer but meta has none")
-	}
-	if mq.M <= 0 || mq.M > 256 {
-		return nil, fmt.Errorf("core: implausible quantizer M=%d", mq.M)
-	}
-	q := &quant.ProductQuantizer{D: mq.D, M: mq.M, Ks: mq.Ks, Dsub: mq.Dsub}
-	for m := 0; m < mq.M; m++ {
-		cb, err := sectionMatrix(af, fmt.Sprintf("cb_%d", m))
-		if err != nil {
-			return nil, err
-		}
-		q.Codebooks = append(q.Codebooks, cb)
-	}
-	return q, nil
-}
-
-// indexFromSections reassembles the index artifact over zero-copy views and
-// validates its row mapping against g — the v4 counterpart of
-// indexFromWire. All shape validation lives in the index.New*FromParts
-// constructors; nothing here allocates proportionally to untrusted metadata.
-func indexFromSections(af *artifact.File, mi *metaIndexV4, g *kg.Graph) (index.Index, []kg.EntityID, error) {
-	rowsSec := af.Section("rows")
-	if rowsSec == nil {
-		return nil, nil, fmt.Errorf("core: artifact declares an index but has no rows section")
-	}
-	rows := int32AsRows(rowsSec.Int32s())
-
-	var ix index.Index
-	var err error
-	switch mi.Kind {
-	case "flat":
-		var m *mathx.Matrix
-		if m, err = sectionMatrix(af, "flat"); err == nil {
-			ix = index.NewFlat(m)
-		}
-	case "pq":
-		var q *quant.ProductQuantizer
-		var codes []byte
-		if q, err = quantizerFromSections(af, mi.Quant); err == nil {
-			if codes, err = sectionBytes(af, "codes"); err == nil {
-				ix, err = index.NewPQFromParts(q, codes)
-			}
-		}
-	case "fastscan":
-		var q *quant.ProductQuantizer
-		var blocks []byte
-		if q, err = quantizerFromSections(af, mi.Quant); err == nil {
-			if blocks, err = sectionBytes(af, "blocks"); err == nil {
-				ix, err = index.NewFastScanFromParts(q, blocks, len(rows))
-			}
-		}
-	case "ivf-flat", "ivf-pq":
-		ix, err = ivfFromSections(af, mi)
-	default:
-		err = fmt.Errorf("core: unknown index artifact kind %q", mi.Kind)
-	}
-	if err != nil {
-		return nil, nil, err
-	}
-	if len(rows) != ix.Len() {
-		return nil, nil, fmt.Errorf("core: index artifact maps %d rows but stores %d vectors", len(rows), ix.Len())
-	}
-	for _, id := range rows {
-		if int(id) < 0 || int(id) >= len(g.Entities) {
-			return nil, nil, fmt.Errorf("core: index artifact references entity %d outside the graph (%d entities) — wrong graph?", id, len(g.Entities))
-		}
-	}
-	return ix, rows, nil
-}
-
-// ivfFromSections rebuilds the inverted lists as cap-clipped sub-slices of
-// the concatenated id (and code) arrays — per-list views over the backing,
-// not copies, so attaching a million-entity IVF index allocates only the
-// outer list headers.
-func ivfFromSections(af *artifact.File, mi *metaIndexV4) (index.Index, error) {
-	coarse, err := sectionMatrix(af, "coarse")
-	if err != nil {
-		return nil, err
-	}
-	offSec := af.Section("list_offsets")
-	idsSec := af.Section("list_ids")
-	if offSec == nil || idsSec == nil {
-		return nil, fmt.Errorf("core: IVF artifact is missing its list sections")
-	}
-	offsets := offSec.Int64s()
-	ids := idsSec.Int32s()
-	if len(offsets) != coarse.Rows+1 {
-		return nil, fmt.Errorf("core: IVF artifact holds %d list offsets for %d coarse centroids", len(offsets), coarse.Rows)
-	}
-	if len(offsets) == 0 || offsets[0] != 0 || offsets[len(offsets)-1] != int64(len(ids)) {
-		return nil, fmt.Errorf("core: IVF list offsets do not span the id array")
-	}
-	lists := make([][]int32, coarse.Rows)
-	for i := range lists {
-		lo, hi := offsets[i], offsets[i+1]
-		if lo < 0 || hi < lo || hi > int64(len(ids)) {
-			return nil, fmt.Errorf("core: IVF list %d has offsets [%d, %d) outside the %d stored ids", i, lo, hi, len(ids))
-		}
-		lists[i] = ids[lo:hi:hi]
-	}
-	if mi.Kind == "ivf-flat" {
-		vectors, err := sectionMatrix(af, "vectors")
-		if err != nil {
-			return nil, err
-		}
-		return index.NewIVFFromParts(coarse, mi.NProbe, lists, vectors, nil, nil)
-	}
-	q, err := quantizerFromSections(af, mi.Quant)
-	if err != nil {
-		return nil, err
-	}
-	flat, err := sectionBytes(af, "list_codes")
-	if err != nil {
-		return nil, err
-	}
-	if int64(len(flat)) != offsets[len(offsets)-1]*int64(q.M) {
-		return nil, fmt.Errorf("core: IVF artifact holds %d code bytes for %d ids ×M=%d", len(flat), len(ids), q.M)
-	}
-	codes := make([][]byte, len(lists))
-	for i := range codes {
-		lo, hi := offsets[i]*int64(q.M), offsets[i+1]*int64(q.M)
-		codes[i] = flat[lo:hi:hi]
-	}
-	ivf, err := index.NewIVFFromParts(coarse, mi.NProbe, lists, nil, q, codes)
-	if err != nil {
-		return nil, err
-	}
-	if mi.Rerank > 1 {
-		vectors, err := sectionMatrix(af, "vectors")
-		if err != nil {
-			return nil, fmt.Errorf("core: IVF-PQ artifact declares rerank=%d: %w", mi.Rerank, err)
-		}
-		if err := ivf.SetRerank(mi.Rerank, vectors); err != nil {
-			return nil, err
-		}
-	}
-	return ivf, nil
 }
 
 // readV4 assembles a model from a parsed artifact. Weight matrices, the
@@ -439,12 +186,19 @@ func readV4(af *artifact.File, g *kg.Graph) (*EmbLookup, error) {
 
 	if meta.Index != nil {
 		start := time.Now()
-		ix, rows, err := indexFromSections(af, meta.Index, g)
+		rowsSec := af.Section("rows")
+		if rowsSec == nil {
+			return nil, fmt.Errorf("core: artifact declares an index but has no rows section")
+		}
+		rows := int32AsRows(rowsSec.Int32s())
+		ix, err := index.ReadSections(af, meta.Index, len(rows))
 		if err != nil {
 			return nil, err
 		}
-		e.ix, e.rows = ix, rows
-		e.prov = IndexProvenance{Source: "loaded", Took: time.Since(start), Backing: af.Backing()}
+		if err := e.attachIndex(ix, rows, start); err != nil {
+			return nil, err
+		}
+		e.prov.Backing = af.Backing()
 		return e, nil
 	}
 	if err := e.buildIndex(); err != nil {

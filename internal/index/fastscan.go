@@ -579,24 +579,6 @@ func (ix *FastScan) appendRow(vec []float32) {
 	ix.n++
 }
 
-// Slice extracts rows [lo, hi) into a new FastScan sharing the quantizer
-// but owning re-interleaved blocks (row ids rebase to 0) — the fast-scan
-// leg of core.WithPartition. Interleaved blocks cannot be aliased on
-// non-block boundaries, so the nibbles are copied; the cost is one pass
-// over the slice's codes.
-func (ix *FastScan) Slice(lo, hi int) (*FastScan, error) {
-	if lo < 0 || hi > ix.n || lo > hi {
-		return nil, fmt.Errorf("index: fast-scan slice [%d, %d) outside rows [0, %d)", lo, hi, ix.n)
-	}
-	out := &FastScan{pq: ix.pq, n: hi - lo, blocks: make([]byte, fsBlocksLen(ix.pq.M, hi-lo))}
-	nib := make([]byte, ix.pq.M)
-	for i := lo; i < hi; i++ {
-		ix.rowNibbles(i, nib)
-		out.setRow(i-lo, nib)
-	}
-	return out, nil
-}
-
 // Reconstruct decodes the stored approximation of vector id.
 func (ix *FastScan) Reconstruct(id int32) []float32 {
 	nib := make([]byte, ix.pq.M)

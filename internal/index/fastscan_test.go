@@ -179,16 +179,17 @@ func TestFastScanDynamic(t *testing.T) {
 	}
 }
 
-// TestFastScanSlice asserts Slice extracts rows with rebased ids and
-// identical codes.
+// TestFastScanSlice asserts Slice extracts fast-scan rows with rebased ids
+// and identical codes.
 func TestFastScanSlice(t *testing.T) {
 	ix, _ := buildFastScan(t, 4*fsBlock+21, 32, 55)
 	for _, bounds := range [][2]int{{0, ix.n}, {0, 10}, {17, 3 * fsBlock}, {fsBlock, fsBlock}, {ix.n - 5, ix.n}} {
 		lo, hi := bounds[0], bounds[1]
-		sl, err := ix.Slice(lo, hi)
+		part, err := Slice(ix, lo, hi)
 		if err != nil {
 			t.Fatal(err)
 		}
+		sl := part.(*FastScan)
 		if sl.Len() != hi-lo {
 			t.Fatalf("slice [%d,%d) has %d rows", lo, hi, sl.Len())
 		}
@@ -201,36 +202,39 @@ func TestFastScanSlice(t *testing.T) {
 			}
 		}
 	}
-	if _, err := ix.Slice(-1, 3); err == nil {
+	if _, err := Slice(ix, -1, 3); err == nil {
 		t.Fatal("negative lo accepted")
 	}
-	if _, err := ix.Slice(5, ix.n+1); err == nil {
+	if _, err := Slice(ix, 5, ix.n+1); err == nil {
 		t.Fatal("hi past n accepted")
 	}
 }
 
-// TestFastScanFromParts round-trips the persistence seam and asserts the
-// validators reject corrupted artifacts.
+// TestFastScanFromParts round-trips a fast-scan index through the codec's
+// assembly and asserts it rejects corrupted artifacts.
 func TestFastScanFromParts(t *testing.T) {
 	ix, data := buildFastScan(t, 3*fsBlock+11, 32, 42)
-	re, err := NewFastScanFromParts(ix.Quantizer(), ix.Blocks(), ix.Len())
+	parts := func(q *quant.ProductQuantizer, blocks []byte) *Parts {
+		return &Parts{Kind: "fastscan", Quant: q, Blocks: blocks}
+	}
+	re, err := Assemble(parts(ix.pq, ix.blocks), ix.n)
 	if err != nil {
 		t.Fatal(err)
 	}
 	q := data.Row(1)
 	sameResults(t, "from-parts", Search(ix, q, 10), Search(re, q, 10))
 
-	if _, err := NewFastScanFromParts(ix.pq, ix.blocks[:len(ix.blocks)-1], ix.n); err == nil {
+	if _, err := Assemble(parts(ix.pq, ix.blocks[:len(ix.blocks)-1]), ix.n); err == nil {
 		t.Fatal("truncated blocks accepted")
 	}
 	bad := bytes.Clone(ix.blocks)
 	bad[len(bad)-1] = 0xff // padding row of the final partial block
-	if _, err := NewFastScanFromParts(ix.pq, bad, ix.n); err == nil {
+	if _, err := Assemble(parts(ix.pq, bad), ix.n); err == nil {
 		t.Fatal("non-zero padding accepted")
 	}
 	odd := *ix.pq
 	odd.M = 15
-	if _, err := NewFastScanFromParts(&odd, ix.blocks, ix.n); err == nil {
+	if _, err := Assemble(parts(&odd, ix.blocks), ix.n); err == nil {
 		t.Fatal("odd-M quantizer accepted")
 	}
 }

@@ -164,9 +164,11 @@ func (ix *IVF) SetRerank(factor int, vectors *mathx.Matrix) error {
 	return nil
 }
 
-// Rerank returns the re-rank over-fetch factor and raw-vector matrix, or
-// (0, nil) when re-ranking is disabled.
-func (ix *IVF) Rerank() (int, *mathx.Matrix) { return ix.rerank, ix.rvecs }
+// NProbe returns how many coarse lists a query scans.
+func (ix *IVF) NProbe() int { return ix.nprobe }
+
+// Quantizer exposes the residual product quantizer (nil for IVF-Flat).
+func (ix *IVF) Quantizer() *quant.ProductQuantizer { return ix.pq }
 
 // Len returns the number of stored vectors.
 func (ix *IVF) Len() int { return ix.n }

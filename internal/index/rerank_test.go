@@ -121,13 +121,13 @@ func TestSetRerankValidation(t *testing.T) {
 	if err := ix.SetRerank(4, data); err != nil {
 		t.Fatal(err)
 	}
-	if f, v := ix.Rerank(); f != 4 || v == nil {
-		t.Fatalf("Rerank() = (%d, %v) after enable", f, v)
+	if ix.rerank != 4 || ix.rvecs == nil {
+		t.Fatalf("rerank = (%d, %v) after enable", ix.rerank, ix.rvecs)
 	}
 	if err := ix.SetRerank(1, data); err != nil {
 		t.Fatal(err)
 	}
-	if f, v := ix.Rerank(); f != 0 || v != nil {
-		t.Fatalf("Rerank() = (%d, %v) after clear", f, v)
+	if ix.rerank != 0 || ix.rvecs != nil {
+		t.Fatalf("rerank = (%d, %v) after clear", ix.rerank, ix.rvecs)
 	}
 }

@@ -156,6 +156,10 @@ func DefaultShards(ix Index) int {
 // when the index holds fewer rows).
 func (sh *Sharded) Shards() int { return len(sh.bounds) - 1 }
 
+// Inner exposes the wrapped index (the codec takes the inner index apart;
+// sharding is a per-deployment serving choice, re-applied after load).
+func (sh *Sharded) Inner() Index { return sh.inner }
+
 // Len returns the number of stored vectors.
 func (sh *Sharded) Len() int { return sh.inner.Len() }
 

@@ -44,9 +44,10 @@ func (r *RNG) Intn(n int) int {
 	return int(r.Uint64() % uint64(n))
 }
 
-// Float64 returns a uniform float64 in [0, 1).
+// Float64 returns a uniform float64 in [0, 1). The outer conversion keeps
+// an inlined caller's 1-x from fusing with the scaling (see Dot).
 func (r *RNG) Float64() float64 {
-	return float64(r.Uint64()>>11) / (1 << 53)
+	return float64(float64(r.Uint64()>>11) / (1 << 53))
 }
 
 // Float32 returns a uniform float32 in [0, 1).
@@ -98,7 +99,7 @@ func (r *RNG) Zipf(n int, s float64) int {
 	if s == 1 {
 		s = 1.0001
 	}
-	x := math.Pow(1-u*(1-math.Pow(float64(n), 1-s)), 1/(1-s))
+	x := math.Pow(1-float64(u*(1-math.Pow(float64(n), 1-s))), 1/(1-s))
 	k := int(x) - 1
 	if k < 0 {
 		k = 0

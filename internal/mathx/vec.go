@@ -14,12 +14,13 @@ func Dot(a, b []float32) float32 {
 	return s
 }
 
-// SquaredL2 returns the squared Euclidean distance between a and b.
+// SquaredL2 returns the squared Euclidean distance between a and b. Like
+// Dot (and Norm and Axpy below) it rounds each product before its add.
 func SquaredL2(a, b []float32) float32 {
 	var s float32
 	for i := range a {
 		d := a[i] - b[i]
-		s += d * d
+		s += float32(d * d)
 	}
 	return s
 }
@@ -33,7 +34,7 @@ func L2(a, b []float32) float32 {
 func Norm(a []float32) float32 {
 	var s float32
 	for _, v := range a {
-		s += v * v
+		s += float32(v * v)
 	}
 	return float32(math.Sqrt(float64(s)))
 }
@@ -54,7 +55,7 @@ func Normalize(a []float32) {
 // Axpy computes y += alpha*x in place.
 func Axpy(alpha float32, x, y []float32) {
 	for i := range x {
-		y[i] += alpha * x[i]
+		y[i] += float32(alpha * x[i])
 	}
 }
 

@@ -44,7 +44,7 @@ func TrainPCA(data *mathx.Matrix, nComponents int) *PCA {
 				continue
 			}
 			for j := i; j < d; j++ {
-				cov[i][j] += xi * float64(row[j]-mean[j])
+				cov[i][j] += float64(xi * float64(row[j]-mean[j]))
 			}
 		}
 	}
@@ -94,7 +94,9 @@ func (p *PCA) Reconstruct(proj []float32) []float32 {
 }
 
 // jacobiEigen computes all eigenvalues and eigenvectors of a symmetric
-// matrix by cyclic Jacobi rotations. vecs columns are eigenvectors.
+// matrix by cyclic Jacobi rotations. vecs columns are eigenvectors. Each
+// product is rounded before its add, as in TrainPCA's covariance, so no
+// architecture fuses them into a multiply-add (see mathx.Dot).
 func jacobiEigen(a [][]float64) (vals []float64, vecs [][]float64) {
 	n := len(a)
 	// Work on a copy.
@@ -111,7 +113,7 @@ func jacobiEigen(a [][]float64) (vals []float64, vecs [][]float64) {
 		off := 0.0
 		for i := 0; i < n; i++ {
 			for j := i + 1; j < n; j++ {
-				off += m[i][j] * m[i][j]
+				off += float64(m[i][j] * m[i][j])
 			}
 		}
 		if off < 1e-18 {
@@ -123,23 +125,23 @@ func jacobiEigen(a [][]float64) (vals []float64, vecs [][]float64) {
 					continue
 				}
 				theta := (m[q][q] - m[p][p]) / (2 * m[p][q])
-				t := math.Copysign(1, theta) / (math.Abs(theta) + math.Sqrt(theta*theta+1))
-				c := 1 / math.Sqrt(t*t+1)
+				t := math.Copysign(1, theta) / (math.Abs(theta) + math.Sqrt(float64(theta*theta)+1))
+				c := 1 / math.Sqrt(float64(t*t)+1)
 				s := t * c
 				for k := 0; k < n; k++ {
 					mkp, mkq := m[k][p], m[k][q]
-					m[k][p] = c*mkp - s*mkq
-					m[k][q] = s*mkp + c*mkq
+					m[k][p] = float64(c*mkp) - float64(s*mkq)
+					m[k][q] = float64(s*mkp) + float64(c*mkq)
 				}
 				for k := 0; k < n; k++ {
 					mpk, mqk := m[p][k], m[q][k]
-					m[p][k] = c*mpk - s*mqk
-					m[q][k] = s*mpk + c*mqk
+					m[p][k] = float64(c*mpk) - float64(s*mqk)
+					m[q][k] = float64(s*mpk) + float64(c*mqk)
 				}
 				for k := 0; k < n; k++ {
 					vkp, vkq := vecs[k][p], vecs[k][q]
-					vecs[k][p] = c*vkp - s*vkq
-					vecs[k][q] = s*vkp + c*vkq
+					vecs[k][p] = float64(c*vkp) - float64(s*vkq)
+					vecs[k][q] = float64(s*vkp) + float64(c*vkq)
 				}
 			}
 		}

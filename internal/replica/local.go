@@ -15,19 +15,20 @@ import (
 	"emblookup/internal/server"
 )
 
+// Every node bounds its dynamic delta index at nodeMaxDelta rows and its
+// ingest buffer at nodeQueue items. Partition artifacts go to a fresh temp
+// directory, removed on Close.
+const (
+	nodeMaxDelta = 4096
+	nodeQueue    = 256
+)
+
 // Options configures a replicated in-process cluster.
 type Options struct {
 	// Replicas is R, the replica count per partition (≤0 = 1).
 	Replicas int
 	// Router tunes the data plane.
 	Router cluster.RouterOptions
-	// Dir is where partition artifacts are written (empty = a fresh temp
-	// directory, removed on Close).
-	Dir string
-	// MaxDelta bounds each node's dynamic delta index (≤0 = 4096 rows).
-	MaxDelta int
-	// Queue bounds each node's ingest buffer (≤0 = 256).
-	Queue int
 	// PollInterval is the router's map-gossip poll period (≤0 = 250ms).
 	// The harness also applies maps directly after publishing — the poller
 	// is the convergence backstop and the proof the gossip path works.
@@ -40,12 +41,6 @@ type Options struct {
 func (o *Options) fill() {
 	if o.Replicas <= 0 {
 		o.Replicas = 1
-	}
-	if o.MaxDelta <= 0 {
-		o.MaxDelta = 4096
-	}
-	if o.Queue <= 0 {
-		o.Queue = 256
 	}
 	if o.PollInterval <= 0 {
 		o.PollInterval = 250 * time.Millisecond
@@ -82,9 +77,8 @@ type Cluster struct {
 	opts    Options
 	graph   *kg.Graph       // pristine base graph; every node clones it
 	full    *core.EmbLookup // full model, kept for rebalance re-splits
-	dir     string
-	nodeDir string // directory of the artifacts current nodes loaded
-	ownDir  bool
+	dir     string          // temp directory of every split's artifacts
+	nodeDir string          // directory of the artifacts current nodes loaded
 	poller  *Poller
 	coordLn net.Listener
 	crdSrv  *http.Server
@@ -98,15 +92,11 @@ type Cluster struct {
 func Start(model *core.EmbLookup, partitions int, opts Options) (*Cluster, error) {
 	opts.fill()
 	c := &Cluster{opts: opts, graph: model.Graph(), full: model}
-	if opts.Dir == "" {
-		dir, err := os.MkdirTemp("", "emblookup-replica-")
-		if err != nil {
-			return nil, err
-		}
-		c.dir, c.ownDir = dir, true
-	} else {
-		c.dir = opts.Dir
+	dir, err := os.MkdirTemp("", "emblookup-replica-")
+	if err != nil {
+		return nil, err
 	}
+	c.dir = dir
 	c.nodeDir = filepath.Join(c.dir, "split-0")
 	man, err := cluster.SavePartitions(c.nodeDir, model, partitions)
 	if err != nil {
@@ -160,8 +150,8 @@ func (c *Cluster) startNode(dir string, man cluster.Manifest, p, j int, epoch in
 	if err != nil {
 		return nil, err
 	}
-	dm := m.WithDynamicIndex(c.opts.MaxDelta)
-	ing, err := dm.NewIngestor(c.opts.Queue)
+	dm := m.WithDynamicIndex(nodeMaxDelta)
+	ing, err := dm.NewIngestor(nodeQueue)
 	if err != nil {
 		m.Close()
 		return nil, err
@@ -431,7 +421,5 @@ func (c *Cluster) cleanup() {
 			n.stop()
 		}
 	}
-	if c.ownDir {
-		os.RemoveAll(c.dir)
-	}
+	os.RemoveAll(c.dir)
 }

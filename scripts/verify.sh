@@ -34,6 +34,29 @@ if grep -rn --include='*.go' --exclude='*_test.go' 'time\.Sleep(' internal; then
     exit 1
 fi
 
+echo "== index layouts stay in internal/index =="
+# The index codec (DESIGN.md §8) is the one place that takes each index
+# kind apart, puts it back together and slices it; core calls its entry
+# points and never switches on a concrete index kind or assembles one from
+# parts.
+if grep -rnE --include='*.go' --exclude='*_test.go' \
+    'case \*index\.(Flat|PQ|FastScan|IVF)\b|FromParts' internal/core; then
+    echo "verify: per-kind index code in internal/core" >&2
+    exit 1
+fi
+
+echo "== no fused multiply-add in served distances (arm64 assembly) =="
+# Go may fuse an unconverted a*b+c into one multiply-add where the target
+# has one (arm64 does; amd64 only at GOAMD64=v3), which changes the bits of
+# a distance. The arithmetic that decides served distances spells every
+# product float32(a*b) (float64 likewise), so these packages compile to
+# no fused instruction. Cross-compiling needs no arm64 host.
+fused=$(GOARCH=arm64 go build -gcflags=-S ./internal/mathx ./internal/quant ./internal/index 2>&1)
+if grep -E '\bF(N)?M(ADD|SUB)[SD]\b' <<<"$fused"; then
+    echo "verify: fused multiply-add in mathx, quant or index on arm64" >&2
+    exit 1
+fi
+
 echo "== go build =="
 go build ./...
 
