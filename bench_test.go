@@ -260,8 +260,9 @@ func BenchmarkPQSearch(b *testing.B) {
 // The fast-scan rows report cand/query beside ns/query-row — the rows a
 // query re-ranks exactly (index.FastScanCounts), the count the timing rides
 // on — and clustered100k is the scan at the benchmark's scale over rows that
-// cluster as label embeddings do: independent Gaussian rows, every one about
-// as far from a query as the next, prune unlike them.
+// cluster as label embeddings do (independent Gaussian rows, every one about
+// as far from a query as the next, prune unlike them), solo and, as
+// clustered100k_batch64, as one batch.
 func BenchmarkFastScan(b *testing.B) {
 	data := mathx.NewMatrix(20000, 64)
 	data.FillRandn(mathx.NewRNG(9), 1)
@@ -299,23 +300,34 @@ func BenchmarkFastScan(b *testing.B) {
 		}
 	}
 	b.Run("fastscan", solo(fs, [][]float32{q}))
-	// A batch of four on one core (table quantization and the batch's
-	// result slices included): four runs of the AVX2 kernel, or off AVX2 one
-	// full group of the query-major kernel — four queries per pass over the
-	// codes, LUT packing included.
-	b.Run("batch4", func(b *testing.B) {
-		group := [][]float32{data.Row(0), data.Row(1), data.Row(2), data.Row(3)}
-		before := index.ReadFastScanCounts()
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			index.BatchSearch(fs, group, 10, 1)
+	// batch times one BatchSearch of all queries after another on one core
+	// (table quantization and the batch's result slices included) and
+	// reports the same two metrics per query.
+	batch := func(ix *index.FastScan, queries [][]float32) func(b *testing.B) {
+		return func(b *testing.B) {
+			before := index.ReadFastScanCounts()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				index.BatchSearch(ix, queries, 10, 1)
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(queries)*ix.Len()), "ns/query-row")
+			b.ReportMetric(float64(index.ReadFastScanCounts().Candidates-before.Candidates)/float64(b.N*len(queries)), "cand/query")
 		}
-		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(group)*data.Rows), "ns/query-row")
-		b.ReportMetric(float64(index.ReadFastScanCounts().Candidates-before.Candidates)/float64(b.N*len(group)), "cand/query")
-	})
-	b.Run("clustered100k", func(b *testing.B) {
-		// 100 000 rows around 100 centres, 64 queries each a stored row
-		// nudged off its place.
+	}
+	// A batch of four is one group of either kernel: four queries per pass
+	// over the codes, each lane pruning as its solo scan would (on AVX2 the
+	// four-lane loop of the assembly kernel, elsewhere the query-major group
+	// kernel, LUT packing included).
+	b.Run("batch4", batch(fs, [][]float32{data.Row(0), data.Row(1), data.Row(2), data.Row(3)}))
+	// 100 000 rows around 100 centres, 64 queries each a stored row nudged
+	// off its place; built on first use.
+	var big *index.FastScan
+	var bigQueries [][]float32
+	clustered := func(b *testing.B) (*index.FastScan, [][]float32) {
+		if big != nil {
+			return big, bigQueries
+		}
 		const rows, centres, nq = 100000, 100, 64
 		rng := mathx.NewRNG(11)
 		cs := mathx.NewMatrix(centres, data.Cols)
@@ -340,7 +352,18 @@ func BenchmarkFastScan(b *testing.B) {
 				queries[i][j] += 0.1 * float32(rng.NormFloat64())
 			}
 		}
+		big, bigQueries = ix, queries
+		return ix, queries
+	}
+	b.Run("clustered100k", func(b *testing.B) {
+		ix, queries := clustered(b)
 		solo(ix, queries)(b)
+	})
+	// The same 64 queries as one batch on one core: the bulk path's scan at
+	// the benchmark's scale.
+	b.Run("clustered100k_batch64", func(b *testing.B) {
+		ix, queries := clustered(b)
+		batch(ix, queries)(b)
 	})
 }
 

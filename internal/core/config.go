@@ -157,10 +157,27 @@ func FastConfig() Config {
 	return c
 }
 
+// maxMaxLen bounds Config.MaxLen and Config.Kernel. A lookup encodes its
+// mention into MaxLen columns, so an artifact naming more would have every
+// lookup allocate past any memory, and no stored weight depends on MaxLen
+// to vouch for it. Mentions longer than MaxLen are truncated.
+const maxMaxLen = 1 << 16
+
 // Validate reports configuration errors early.
 func (c Config) Validate() error {
 	if c.Dim <= 0 || c.MaxLen <= 0 || c.Epochs < 0 || c.BatchSize <= 0 {
 		return fmt.Errorf("core: non-positive dimension/epoch/batch in config")
+	}
+	// A model read from an artifact is built from these before its weights
+	// are attached, so they are bounded here, not by a makeslice panic.
+	if c.Hidden <= 0 || c.CNNChannels <= 0 || c.CNNLayers <= 0 || c.Kernel <= 0 {
+		return fmt.Errorf("core: non-positive hidden width, channel, layer or kernel count in config")
+	}
+	if c.MaxLen > maxMaxLen || c.Kernel > maxMaxLen {
+		return fmt.Errorf("core: MaxLen %d or Kernel %d exceeds %d", c.MaxLen, c.Kernel, maxMaxLen)
+	}
+	if c.Compress && c.PQ.M <= 0 {
+		return fmt.Errorf("core: Compress needs a positive PQ.M, got %d", c.PQ.M)
 	}
 	if c.Compress && c.Dim%c.PQ.M != 0 {
 		return fmt.Errorf("core: Dim=%d not divisible by PQ.M=%d", c.Dim, c.PQ.M)

@@ -351,6 +351,107 @@ func TestMalformedIndexRejected(t *testing.T) {
 	}
 }
 
+// TestHostileConfigRejected: an artifact whose config alone is edited — the
+// gob stream's Cfg, or the v4 meta section with every checksum recomputed —
+// is refused at attach, before anything sized by the edited field is
+// allocated: negative or zero layer widths and counts (a makeslice panic
+// once), sizes no stored weight matches (2^28 hidden units was a 77 GB
+// allocation), and a mention length or kernel width past maxMaxLen, which no
+// stored weight vouches for.
+func TestHostileConfigRejected(t *testing.T) {
+	cases := []struct {
+		name string
+		edit func(c *Config)
+	}{
+		{"negative hidden width", func(c *Config) { c.Hidden = -1 }},
+		{"negative channel count", func(c *Config) { c.CNNChannels = -1 }},
+		{"negative layer count", func(c *Config) { c.CNNLayers = -1 }},
+		{"zero hidden width", func(c *Config) { c.Hidden = 0 }},
+		{"zero channel count", func(c *Config) { c.CNNChannels = 0 }},
+		{"zero layer count", func(c *Config) { c.CNNLayers = 0 }},
+		{"negative kernel width", func(c *Config) { c.Kernel = -1 }},
+		{"hidden width 2^28", func(c *Config) { c.Hidden = 1 << 28 }},
+		{"channel count 2^28", func(c *Config) { c.CNNChannels = 1 << 28 }},
+		{"layer count 2^40", func(c *Config) { c.CNNLayers = 1 << 40 }},
+		{"kernel width 2^40+1", func(c *Config) { c.Kernel = 1<<40 + 1 }},
+		{"mention length 2^40", func(c *Config) { c.MaxLen = 1 << 40 }},
+		{"dimension doubled", func(c *Config) { c.Dim *= 2 }},
+		{"one more layer", func(c *Config) { c.CNNLayers++ }},
+		{"kernel width 5", func(c *Config) { c.Kernel = 5 }},
+	}
+	g := goldenGraph()
+	gobBytes, v4 := goldenPair(t, "golden_v2.bin", g)
+	af, err := artifact.Decode(v4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var meta metaV4
+	if err := af.Section("meta").JSON(&meta); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range cases {
+		var wire modelWire
+		if err := gob.NewDecoder(bytes.NewReader(gobBytes)).Decode(&wire); err != nil {
+			t.Fatal(err)
+		}
+		c.edit(&wire.Cfg)
+		var badGob bytes.Buffer
+		if err := gob.NewEncoder(&badGob).Encode(&wire); err != nil {
+			t.Fatal(err)
+		}
+		m := meta
+		c.edit(&m.Cfg)
+		mj, err := json.Marshal(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bad := map[string][]byte{"gob": badGob.Bytes(), "v4": rewriteSections(t, v4, map[string]any{"meta": json.RawMessage(mj)})}
+		for format, data := range bad {
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Errorf("%s (%s): panicked: %v", c.name, format, r)
+					}
+				}()
+				if _, err := decodeModel(data, g); err == nil {
+					t.Errorf("%s (%s): accepted", c.name, format)
+				}
+			}()
+		}
+	}
+}
+
+// FuzzReadArtifactMeta mutates only the meta section of the golden v4 files
+// and re-emits them with valid checksums, so every input reaches the
+// reader's own checks instead of stopping at a CRC: the config, the alphabet,
+// the subword table's shape and the index description are all untrusted. A
+// read must return an error or a model that serves a lookup; it must never
+// panic or allocate by an unchecked size.
+func FuzzReadArtifactMeta(f *testing.F) {
+	g := goldenGraph()
+	files := []string{"golden_v2.bin", "golden_v3.bin", "golden_v2_flat.bin", "golden_v2_ivf_flat.bin", "golden_v2_ivf_pq.bin", "golden_v2_ivf_pq_rerank8.bin"}
+	v4s := make([][]byte, len(files))
+	for i, file := range files {
+		_, v4s[i] = goldenPair(f, file, g)
+		af, err := artifact.Decode(v4s[i])
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(uint8(i), af.Section("meta").Bytes())
+	}
+	f.Fuzz(func(t *testing.T, which uint8, meta []byte) {
+		if !json.Valid(meta) {
+			return // the meta parse refuses it; FuzzReadArtifact covers that
+		}
+		data := rewriteSections(t, v4s[int(which)%len(v4s)], map[string]any{"meta": json.RawMessage(meta)})
+		m, err := decodeModel(data, g)
+		if err != nil {
+			return
+		}
+		_ = m.Lookup(g.Entities[0].Label, 3)
+	})
+}
+
 // FuzzReadArtifact hammers the whole model-read dispatch — v4 magic
 // sniffing, the v4 section parser and attach path, and the gob fallback —
 // with arbitrary bytes, seeded from every golden gob file that carries an

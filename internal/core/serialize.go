@@ -117,6 +117,87 @@ func (e *EmbLookup) attachIndex(ix index.Index, rows []kg.EntityID, start time.T
 	return nil
 }
 
+// shapeHolds reports whether a rows × cols matrix is exactly n entries,
+// without a product that could wrap.
+func shapeHolds(rows, cols, n int) bool {
+	return rows > 0 && cols > 0 && n%rows == 0 && n/rows == cols
+}
+
+// checkNgram verifies the stored subword table against the dimension and
+// bucket count it is read with: Buckets × Dim entries, Dim the model's.
+func checkNgram(cfg Config, dim, buckets, rows, cols, n int) error {
+	if dim != cfg.Dim || rows != buckets || cols != dim || !shapeHolds(rows, cols, n) {
+		return fmt.Errorf("core: subword table %dx%d (%d entries) for %d buckets of dimension %d, model dimension %d", rows, cols, n, buckets, dim, cfg.Dim)
+	}
+	return nil
+}
+
+// checkParamShapes verifies, before a reader allocates anything sized by
+// cfg, that the n stored parameters are exactly the ones newLayers builds
+// for cfg over an alphabet of alpha symbols, in masterParams order: the
+// combiner's two layers (weights, bias), then each convolution layer's. A
+// layer built afterwards is then no larger than what the artifact stores.
+// shape(i) returns stored parameter i's rows, cols and entry count.
+func checkParamShapes(cfg Config, alpha, n int, shape func(i int) (rows, cols, entries int)) error {
+	layers := 0
+	if !cfg.SingleModel {
+		layers = cfg.CNNLayers
+	}
+	if n < 4 || (n-4)%2 != 0 || (n-4)/2 != layers {
+		return fmt.Errorf("core: model shape mismatch: %d params stored for %d convolution layers", n, layers)
+	}
+	joint := cfg.Dim
+	if cfg.MentionSlot {
+		joint += cfg.Dim
+	}
+	if layers > 0 {
+		joint += cfg.CNNChannels
+	}
+	for i := 0; i < n; i++ {
+		var wr, wc int
+		switch i {
+		case 0:
+			wr, wc = cfg.Hidden, joint
+		case 1:
+			wr, wc = cfg.Hidden, 1
+		case 2:
+			wr, wc = cfg.Dim, cfg.Hidden
+		case 3:
+			wr, wc = cfg.Dim, 1
+		default:
+			in := alpha
+			if i >= 6 {
+				in = cfg.CNNChannels
+			}
+			wr, wc = cfg.CNNChannels, in*cfg.Kernel
+			if i%2 == 1 {
+				wc = 1
+			}
+		}
+		if r, c, e := shape(i); r != wr || c != wc || !shapeHolds(r, c, e) {
+			return fmt.Errorf("core: param %d shape %dx%d (%d entries), expected %dx%d", i, r, c, e, wr, wc)
+		}
+	}
+	return nil
+}
+
+// newLayers builds a read model's layers for its config and alphabet; the
+// reader then points every parameter at its stored values, which
+// checkParamShapes has matched to these shapes.
+func (e *EmbLookup) newLayers() {
+	cfg := e.cfg
+	rng := mathx.NewRNG(cfg.Seed)
+	jointDim := cfg.Dim
+	if cfg.MentionSlot {
+		jointDim += cfg.Dim
+	}
+	if !cfg.SingleModel {
+		e.cnn = nn.NewCharCNN(rng, e.enc.Alphabet.Size(), cfg.CNNChannels, cfg.Kernel, cfg.CNNLayers)
+		jointDim += e.cnn.OutDim()
+	}
+	e.mlp = nn.NewMLP(rng, jointDim, cfg.Hidden, cfg.Dim)
+}
+
 // readGob deserializes the legacy gob formats (v0 weights-only, v2 index
 // artifact, v3 fast-scan artifact).
 func readGob(r io.Reader, g *kg.Graph) (*EmbLookup, error) {
@@ -128,33 +209,28 @@ func readGob(r io.Reader, g *kg.Graph) (*EmbLookup, error) {
 		return nil, fmt.Errorf("core: model format version %d is newer than this build supports (%d)", wire.Version, gobFormatVersion)
 	}
 	cfg := wire.Cfg
-	rng := mathx.NewRNG(cfg.Seed)
+	if err := cfg.Validate(); err != nil {
+		return nil, fmt.Errorf("core: model config: %w", err)
+	}
 	e := &EmbLookup{cfg: cfg, graph: g}
 	e.enc = charenc.NewEncoder(charenc.NewAlphabet(wire.Alphabet), cfg.MaxLen)
-	e.sem = ngram.NewModelForLoad(wire.NgramCfg[0], wire.NgramCfg[1])
-	e.sem.Table = fromWire(wire.Ngram)
-	e.sem.SetKnownMentionHashes(wire.KnownMentions)
-
-	jointDim := cfg.Dim
-	if cfg.MentionSlot {
-		jointDim += cfg.Dim
+	ng := wire.Ngram
+	if err := checkNgram(cfg, wire.NgramCfg[0], wire.NgramCfg[1], ng.Rows, ng.Cols, len(ng.Data)); err != nil {
+		return nil, err
 	}
-	if !cfg.SingleModel {
-		e.cnn = nn.NewCharCNN(rng, e.enc.Alphabet.Size(), cfg.CNNChannels, cfg.Kernel, cfg.CNNLayers)
-		jointDim += e.cnn.OutDim()
-	}
-	e.mlp = nn.NewMLP(rng, jointDim, cfg.Hidden, cfg.Dim)
-
-	params := e.masterParams()
-	if len(params) != len(wire.Params) {
-		return nil, fmt.Errorf("core: model shape mismatch: %d params stored, %d expected", len(wire.Params), len(params))
-	}
-	for i, p := range params {
+	err := checkParamShapes(cfg, e.enc.Alphabet.Size(), len(wire.Params), func(i int) (int, int, int) {
 		w := wire.Params[i]
-		if w.Rows != p.W.Rows || w.Cols != p.W.Cols {
-			return nil, fmt.Errorf("core: param %d shape %dx%d, expected %dx%d", i, w.Rows, w.Cols, p.W.Rows, p.W.Cols)
-		}
-		p.W.Data = w.Data
+		return w.Rows, w.Cols, len(w.Data)
+	})
+	if err != nil {
+		return nil, err
+	}
+	e.sem = ngram.NewModelForLoad(wire.NgramCfg[0], wire.NgramCfg[1])
+	e.sem.Table = fromWire(ng)
+	e.sem.SetKnownMentionHashes(wire.KnownMentions)
+	e.newLayers()
+	for i, p := range e.masterParams() {
+		p.W.Data = wire.Params[i].Data
 	}
 	if wire.Index != nil {
 		start := time.Now()

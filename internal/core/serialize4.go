@@ -14,7 +14,6 @@ import (
 	"emblookup/internal/kg"
 	"emblookup/internal/mathx"
 	"emblookup/internal/ngram"
-	"emblookup/internal/nn"
 )
 
 // This file is the format-v4 serializer: the model (and optional index
@@ -117,7 +116,7 @@ func sectionMatrix(af *artifact.File, name string) (*mathx.Matrix, error) {
 	if s == nil {
 		return nil, fmt.Errorf("core: artifact is missing section %q", name)
 	}
-	if s.Elem != artifact.ElemF32 || s.Rows*s.Cols != s.Len() {
+	if s.Elem != artifact.ElemF32 || !shapeHolds(s.Rows, s.Cols, s.Len()) {
 		return nil, fmt.Errorf("core: artifact section %q is not a float32 matrix", name)
 	}
 	return &mathx.Matrix{Rows: s.Rows, Cols: s.Cols, Data: s.Float32s()}, nil
@@ -139,14 +138,28 @@ func readV4(af *artifact.File, g *kg.Graph) (*EmbLookup, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("core: artifact config: %w", err)
 	}
-	rng := mathx.NewRNG(cfg.Seed)
 	e := &EmbLookup{cfg: cfg, graph: g, backing: af}
 	e.enc = charenc.NewEncoder(charenc.NewAlphabet(meta.Alphabet), cfg.MaxLen)
-	e.sem = ngram.NewModelForLoad(meta.NgramDim, meta.NgramBk)
 	tbl, err := sectionMatrix(af, "ngram_table")
 	if err != nil {
 		return nil, err
 	}
+	if err := checkNgram(cfg, meta.NgramDim, meta.NgramBk, tbl.Rows, tbl.Cols, len(tbl.Data)); err != nil {
+		return nil, err
+	}
+	params := make([]*mathx.Matrix, len(meta.Params))
+	for i := range params {
+		if params[i], err = sectionMatrix(af, fmt.Sprintf("param_%d", i)); err != nil {
+			return nil, err
+		}
+	}
+	err = checkParamShapes(cfg, e.enc.Alphabet.Size(), len(params), func(i int) (int, int, int) {
+		return params[i].Rows, params[i].Cols, len(params[i].Data)
+	})
+	if err != nil {
+		return nil, err
+	}
+	e.sem = ngram.NewModelForLoad(meta.NgramDim, meta.NgramBk)
 	e.sem.Table = tbl
 
 	kmSec := af.Section("known_mentions")
@@ -159,29 +172,9 @@ func readV4(af *artifact.File, g *kg.Graph) (*EmbLookup, error) {
 	// at 1M entities).
 	e.sem.SetKnownMentionView(kmSec.Int64s())
 
-	jointDim := cfg.Dim
-	if cfg.MentionSlot {
-		jointDim += cfg.Dim
-	}
-	if !cfg.SingleModel {
-		e.cnn = nn.NewCharCNN(rng, e.enc.Alphabet.Size(), cfg.CNNChannels, cfg.Kernel, cfg.CNNLayers)
-		jointDim += e.cnn.OutDim()
-	}
-	e.mlp = nn.NewMLP(rng, jointDim, cfg.Hidden, cfg.Dim)
-
-	params := e.masterParams()
-	if len(params) != len(meta.Params) {
-		return nil, fmt.Errorf("core: model shape mismatch: %d params stored, %d expected", len(meta.Params), len(params))
-	}
-	for i, p := range params {
-		w, err := sectionMatrix(af, fmt.Sprintf("param_%d", i))
-		if err != nil {
-			return nil, err
-		}
-		if w.Rows != p.W.Rows || w.Cols != p.W.Cols {
-			return nil, fmt.Errorf("core: param %d shape %dx%d, expected %dx%d", i, w.Rows, w.Cols, p.W.Rows, p.W.Cols)
-		}
-		p.W.Data = w.Data
+	e.newLayers()
+	for i, p := range e.masterParams() {
+		p.W.Data = params[i].Data
 	}
 
 	if meta.Index != nil {

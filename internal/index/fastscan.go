@@ -186,7 +186,8 @@ func (ix *FastScan) SearchWith(s *Scratch, q []float32, k int) []Result {
 // state is the exact float32 ADC table (M4 rows of 16 entries — at M4=16 a
 // single kilobyte). A solo range scan derives its integer tables from it,
 // so the shared state stays a plain []float32 and sharded scans need no
-// extra coordination; a batch quantizes it once per query (searchBatch).
+// extra coordination; a batch on the portable kernel quantizes it once per
+// query (searchBatch), one on AVX2 per (query, range) as a solo scan does.
 func (ix *FastScan) stateLen() int { return ix.pq.M * quant.Ks4 }
 
 func (ix *FastScan) prepareInto(q, table []float32) []float32 {
@@ -219,11 +220,9 @@ func FastScanKernelOf(ix Index) string {
 }
 
 // scanRange implements rangeScanner: this platform's kernel over rows
-// [lo, hi). On AVX2 the heap is first filled exactly, from as many leading
-// blocks as hold the rows it lacks, so there is a k-th best distance to
-// quantize the table against (a range that ends first never quantizes).
-// Elsewhere it is a portable group of one over the full-spread table (a lone
-// live lane costs the group kernel about 2 % over a dedicated scalar kernel,
+// [lo, hi), for one query. On AVX2 it is scanAVX2 with one lane. Elsewhere
+// it is a portable group of one over the full-spread table (a lone live
+// lane costs the group kernel about 2 % over a dedicated scalar kernel,
 // DESIGN.md §11, so there is none); a code too wide for its lanes has only
 // the plain float scan, and no product configuration is that wide.
 func (ix *FastScan) scanRange(table []float32, s *Scratch, t *topK, lo, hi int) {
@@ -231,23 +230,14 @@ func (ix *FastScan) scanRange(table []float32, s *Scratch, t *topK, lo, hi int) 
 		ix.scanPlain4(table, t, lo, hi)
 		return
 	}
-	seeded := 0
-	if need := t.k - len(t.heap); fsAVX2 && need > 0 {
-		seeded = min(hi, (lo+need+fsBlock-1)/fsBlock*fsBlock) - lo
-		ix.scanPlain4(table, t, lo, lo+seeded)
-		lo += seeded
-	}
-	if lo >= hi {
-		return
-	}
-	s.lut8 = resize(s.lut8, ix.stateLen())
+	qs, heaps := [1]fsQuery{{table: table}}, [1]topK{*t}
 	if fsAVX2 {
-		q := ix.quantize(table, s.lut8, t.worst(), fsThreshold)
-		ix.scanAVX2(&q, t, lo, hi, seeded)
-		return
+		ix.scanAVX2(qs[:], s, heaps[:], lo, hi)
+	} else {
+		s.lut8 = resize(s.lut8, ix.stateLen())
+		qs[0] = ix.quantize(table, s.lut8, 0, 0)
+		ix.scanGroup(qs[:], s, heaps[:], lo, hi)
 	}
-	qs, heaps := [1]fsQuery{ix.quantize(table, s.lut8, 0, 0)}, [1]topK{*t}
-	ix.scanGroup(qs[:], s, heaps[:], lo, hi)
 	*t = heaps[0]
 }
 
@@ -259,58 +249,112 @@ func (ix *FastScan) scanRange(table []float32, s *Scratch, t *topK, lo, hi int) 
 // decides with seven bits or more and requantizes at most once per halving.
 const fsThreshold = 250
 
-// scanAVX2 scans rows [lo, hi) for one prepared query with the assembly
-// kernel: fsScanRun skips whole runs of blocks in which no row's saturated
-// sum reaches the limit and stops at the first block that has one, with its
-// row mask and its 32 sums in qd; the candidate pass walks the mask in plain
-// Go — clipped to [lo, hi) (the kernel may flag a padding row or one outside
-// the range), re-checked against a limit an earlier row of the block just
-// tightened, then the exact float32 re-rank and the heap push — and the
-// kernel re-enters after it. A limit fallen below fsThreshold/2 requantizes
-// q in place, until a requantization fails to lift it (the scale is at what
-// float32 resolves, or the full-spread one; a smaller w cures neither). A
-// run is at most fsMaxRun blocks: assembly cannot be preempted, so a GC stop
-// would otherwise wait out a whole range that admits no row. seeded counts
-// the rows the caller re-ranked to fill the heap.
-func (ix *FastScan) scanAVX2(q *fsQuery, t *topK, lo, hi, seeded int) {
+// fsRunOut is what one call of the assembly kernel returns beside the
+// blocks it skipped: the sums and the row mask of every lane at the block it
+// stopped at (lane 0 only, for a one-lane run). Its layout is the kernel's.
+type fsRunOut struct {
+	qd   [fsLanes][fsBlock]uint8
+	mask [fsLanes]uint32
+}
+
+// scanAVX2 scans rows [lo, hi) for one query, or for a group of fsLanes
+// (qs, their exact float tables; heaps, theirs) in one pass over the codes,
+// with the assembly kernel. Every lane does what a solo scan of its query
+// does, so results and FastScanCounts do not depend on the grouping:
+//
+//   - the heap is first filled exactly, from as many leading blocks as hold
+//     the rows it lacks, so there is a k-th best distance to quantize a
+//     threshold-relative table against (a range that ends first never
+//     quantizes); the lanes' tables lie one after the other in s.lut8;
+//   - fsScanRun skips whole runs of blocks in which no lane has a row whose
+//     saturated sum reaches that lane's limit, and stops at the first block
+//     in which one does, with every lane's row mask and 32 sums;
+//   - each lane whose mask is non-zero runs its candidate pass in plain Go —
+//     the mask clipped to [lo, hi) (the kernel may flag a padding row or one
+//     outside the range), each row re-checked against a limit an earlier row
+//     of the block just tightened, then the exact float32 re-rank and the
+//     heap push — and the kernel re-enters after the block;
+//   - after each of its flagged blocks, a lane whose limit has fallen below
+//     fsThreshold/2 requantizes its table in place, until a requantization
+//     fails to lift it (the scale is at what float32 resolves, or the
+//     full-spread one; a smaller w cures neither).
+//
+// A group's heaps must arrive equally full (a batch's are fresh). A run is
+// at most fsMaxRun blocks for one lane, fsMaxRun4 for four: assembly cannot
+// be preempted, so a GC stop would otherwise wait out a whole range that
+// admits no row.
+func (ix *FastScan) scanAVX2(qs []fsQuery, s *Scratch, heaps []topK, lo, hi int) {
+	lanes, sl := len(qs), ix.stateLen()
+	need, seeded := heaps[0].k-len(heaps[0].heap), 0
+	if need > 0 {
+		seeded = min(hi, (lo+need+fsBlock-1)/fsBlock*fsBlock) - lo
+	}
+	for l := range heaps {
+		if heaps[l].k-len(heaps[l].heap) != need {
+			panic("index: a fast-scan group's heaps must arrive equally full")
+		}
+		ix.scanPlain4(qs[l].table, &heaps[l], lo, lo+seeded)
+	}
+	if lo += seeded; lo >= hi {
+		return
+	}
+	s.lut8 = resize(s.lut8, lanes*sl)
+	var (
+		fq         [fsLanes]fsQuery
+		limits     [fsLanes]uint32
+		requantize [fsLanes]bool
+	)
+	for l := range qs {
+		fq[l] = ix.quantize(qs[l].table, s.lut8[l*sl:(l+1)*sl], heaps[l].worst(), fsThreshold)
+		limits[l] = fq[l].limit(&heaps[l])
+		requantize[l] = true
+	}
 	np := ix.pq.M / 2
 	bpb := fsBlockBytes(ix.pq.M)
-	qlimit := q.limit(t)
-	c := FastScanCounts{Scans: 1, Rows: int64(hi - lo + seeded), Candidates: int64(seeded)}
-	requantize := true
-	var qd [fsBlock]uint8
+	maxRun := fsMaxRun
+	if lanes > 1 {
+		maxRun = fsMaxRun4
+	}
+	c := FastScanCounts{Scans: int64(lanes), Rows: int64(lanes * (hi - lo + seeded)), Candidates: int64(lanes * seeded)}
+	var out fsRunOut
 	for b, end := lo/fsBlock, (hi+fsBlock-1)/fsBlock; b < end; {
-		run := min(end-b, fsMaxRun)
-		skipped, mask := fsScanRun(ix.blocks[b*bpb:(b+run)*bpb], q.lut8, np, run, qlimit, &qd)
+		run := min(end-b, maxRun)
+		skipped := fsScanRun(ix.blocks[b*bpb:(b+run)*bpb], s.lut8, np, run, lanes, &limits, &out)
 		b += skipped
 		if skipped == run {
 			continue // nothing admitted in this run
 		}
-		c.FlaggedBlocks++
 		blk := ix.blocks[b*bpb:][:bpb:bpb]
 		b0 := b * fsBlock
-		if r := lo - b0; r > 0 {
-			mask &= ^uint32(0) << r
-		}
-		if r := hi - b0; r < fsBlock {
-			mask &= 1<<r - 1
-		}
-		for ; mask != 0; mask &= mask - 1 {
-			r := bits.TrailingZeros32(mask)
-			if uint32(qd[r]) > qlimit {
+		for l, mask := range out.mask[:lanes] {
+			if mask == 0 {
 				continue
 			}
-			c.Candidates++
-			t.push(int32(b0+r), fsRowDist(q.table, blk, np, r))
-			qlimit = q.limit(t)
+			c.FlaggedBlocks++
+			if r := lo - b0; r > 0 {
+				mask &= ^uint32(0) << r
+			}
+			if r := hi - b0; r < fsBlock {
+				mask &= 1<<r - 1
+			}
+			q, t, qd := &fq[l], &heaps[l], &out.qd[l]
+			for ; mask != 0; mask &= mask - 1 {
+				r := bits.TrailingZeros32(mask)
+				if uint32(qd[r]) > limits[l] {
+					continue
+				}
+				c.Candidates++
+				t.push(int32(b0+r), fsRowDist(q.table, blk, np, r))
+				limits[l] = q.limit(t)
+			}
+			if requantize[l] && limits[l] < fsThreshold/2 {
+				*q = ix.quantize(q.table, q.lut8, t.worst(), fsThreshold)
+				limits[l] = q.limit(t)
+				requantize[l] = limits[l] >= fsThreshold/2
+				c.Requantizations++
+			}
 		}
 		b++
-		if requantize && qlimit < fsThreshold/2 {
-			*q = ix.quantize(q.table, q.lut8, t.worst(), fsThreshold)
-			qlimit = q.limit(t)
-			requantize = qlimit >= fsThreshold/2
-			c.Requantizations++
-		}
 	}
 	c.flush()
 }
@@ -351,13 +395,20 @@ func (c FastScanCounts) flush() {
 	}
 }
 
-// fsMaxRun is the most blocks one call of the assembly kernel walks: 128k
-// rows, 70-85 µs at M4 = 16, for one extra call per MiB of those codes.
-const fsMaxRun = 4096
+// fsMaxRun is the most blocks one call of the assembly kernel walks for one
+// lane: 128k rows, 70-85 µs at M4 = 16, for one extra call per MiB of those
+// codes. fsMaxRun4 is the same bound for four lanes, whose blocks cost
+// about twice as much.
+const (
+	fsMaxRun  = 4096
+	fsMaxRun4 = fsMaxRun / 2
+)
 
-// fsLanes is the group width of the query-major kernel: the uint16 sums of
-// four queries ride the four 16-bit lanes of one uint64. It is the word
-// size over the lane size, not a tuning knob.
+// fsLanes is the group width of both kernels. In the portable query-major
+// kernel the uint16 sums of four queries ride the four 16-bit lanes of one
+// uint64: it is the word size over the lane size, not a tuning knob. The
+// AVX2 kernel's four-lane loop keeps one accumulator per lane, four of the
+// sixteen vector registers.
 const fsLanes = 4
 
 // fsGroupMaxM4 is the largest sub-quantizer count the group kernel serves.

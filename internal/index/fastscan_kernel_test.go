@@ -30,12 +30,39 @@ type fsKernelCase struct {
 	q    fsQuery
 }
 
-// query returns the case's prepared query over a lut8 of its own: the AVX2
-// scan requantizes in place, and the next kernel must not inherit that.
+// query returns the case's prepared query over a lut8 of its own: a kernel
+// that requantizes in place must not hand that to the next one.
 func (c *fsKernelCase) query() *fsQuery {
 	q := c.q
 	q.lut8 = append([]uint8(nil), q.lut8...)
 	return &q
+}
+
+// laneTables returns fsLanes tables over the case's index: its own, the
+// same with every sub-quantizer's entries rotated by 5 and by 11, and its
+// own again (a duplicate lane), so a group's lanes admit different rows.
+func (c *fsKernelCase) laneTables() [fsLanes][]float32 {
+	rotate := func(by int) []float32 {
+		out := make([]float32, len(c.q.table))
+		for i := range out {
+			out[i] = c.q.table[i/quant.Ks4*quant.Ks4+(i+by)%quant.Ks4]
+		}
+		return out
+	}
+	return [fsLanes][]float32{c.q.table, rotate(5), rotate(11), c.q.table}
+}
+
+// laneLUTs is laneTables for the kernel's own contract: the case's lut8
+// and its rotations, one lane after the other as the kernel reads them.
+func (c *fsKernelCase) laneLUTs() []uint8 {
+	sl := len(c.q.lut8)
+	out := make([]uint8, fsLanes*sl)
+	for l, by := range [fsLanes]int{0, 5, 11, 0} {
+		for i := 0; i < sl; i++ {
+			out[l*sl+i] = c.q.lut8[i/quant.Ks4*quant.Ks4+(i+by)%quant.Ks4]
+		}
+	}
+	return out
 }
 
 // fsKernelCases builds, for one code shape, a query from random codebooks,
@@ -84,22 +111,24 @@ func fsKernelCases(m4, ks, n int, seed uint64) []fsKernelCase {
 	return cases
 }
 
-// TestFastScanKernelsAgree is the equivalence table: the AVX2 kernel, the
-// portable kernel as a group of one, and scanRange's own dispatch each
+// TestFastScanKernelsAgree is the equivalence table: the AVX2 kernel with
+// one lane and with four (the case's query, two others and a duplicate),
+// the portable kernel as a group of one, and scanRange's own dispatch each
 // against scanPlain4, over code widths on both sides of the group kernel's
 // lane bound and up to the widest a configuration may name, centroid counts
 // from one to all sixteen, the four table styles of fsKernelCases, row
 // counts off the block size, ranges that start and end mid-block or inside
 // one block (the last ends inside the block the heap is seeded from), k from
-// 1 to past n (a heap that never fills: the limit stays at its
-// admit-everything sentinel and scanRange never quantizes), and a heap that
-// arrives already full of the rows before the range.
+// 1 to past n (a heap that never fills: the range ends inside the seed and
+// no table is ever quantized), and heaps that arrive already full of the
+// rows before the range.
 func TestFastScanKernelsAgree(t *testing.T) {
 	s := &Scratch{}
 	for _, m4 := range []int{2, 4, 16, 126, 128, 130, 256} {
 		for _, ks := range []int{1, 7, 16} {
 			for _, n := range []int{5, 3*fsBlock + 7} {
 				for _, c := range fsKernelCases(m4, ks, n, uint64(m4*100+ks)) {
+					lanes := c.laneTables()
 					ranges := [][2]int{{0, n}, {n / 3, n - 1}, {1, min(n, fsBlock) - 1}}
 					for _, rg := range ranges {
 						for _, k := range []int{1, 9, n + 3} {
@@ -107,33 +136,115 @@ func TestFastScanKernelsAgree(t *testing.T) {
 								// prefill > 0: the heap arrives holding the best
 								// of rows [0, lo).
 								lo, hi := rg[0], rg[1]
-								heap := func() *topK {
+								heap := func(table []float32) *topK {
 									h := newTopK(k)
-									c.ix.scanPlain4(c.q.table, h, 0, prefill)
+									c.ix.scanPlain4(table, h, 0, prefill)
 									return h
 								}
-								plain := heap()
-								c.ix.scanPlain4(c.q.table, plain, lo, hi)
-								want := plain.sorted()
+								plain := func(table []float32) []Result {
+									h := heap(table)
+									c.ix.scanPlain4(table, h, lo, hi)
+									return h.sorted()
+								}
+								want := plain(c.q.table)
 								ctx := fmt.Sprintf("%s rows [%d,%d) after %d k=%d", c.name, lo, hi, prefill, k)
 
 								if fsAVX2 {
-									got := heap()
-									c.ix.scanAVX2(c.query(), got, lo, hi, 0)
-									sameResults(t, ctx+" avx2", want, got.sorted())
+									heaps := []topK{*heap(c.q.table)}
+									c.ix.scanAVX2([]fsQuery{{table: c.q.table}}, s, heaps, lo, hi)
+									sameResults(t, ctx+" avx2", want, heaps[0].sorted())
+
+									qs, heaps := make([]fsQuery, fsLanes), make([]topK, fsLanes)
+									for l, table := range lanes {
+										qs[l], heaps[l] = fsQuery{table: table}, *heap(table)
+									}
+									c.ix.scanAVX2(qs, s, heaps, lo, hi)
+									for l, table := range lanes {
+										sameResults(t, fmt.Sprintf("%s avx2 lane %d of 4", ctx, l), plain(table), heaps[l].sorted())
+									}
 								}
 								if m4 <= fsGroupMaxM4 {
-									heaps := []topK{*heap()}
+									heaps := []topK{*heap(c.q.table)}
 									c.ix.scanGroup([]fsQuery{*c.query()}, s, heaps, lo, hi)
 									sameResults(t, ctx+" group of one", want, heaps[0].sorted())
 								}
-								got := heap()
+								got := heap(c.q.table)
 								c.ix.scanRange(c.q.table, s, got, lo, hi)
 								sameResults(t, ctx+" scanRange", want, got.sorted())
 							}
 						}
 					}
 				}
+			}
+		}
+	}
+}
+
+// TestFastScanGroupMatchesSolo holds the AVX2 kernel's four-lane loop to
+// four one-lane scans of the same queries, results and prune counts alike:
+// each lane seeds, quantizes, re-ranks and requantizes exactly as its solo
+// scan does. Lane 0 is TestFastScanRequantizes's query, which requantizes
+// mid-run at least twice; lanes 1 and 2 find their best row in the seed
+// block and never requantize; lane 3 repeats lane 0. Ranges start and end
+// mid-block, and k = 1 and 10.
+func TestFastScanGroupMatchesSolo(t *testing.T) {
+	if !fsAVX2 {
+		t.Skip("no AVX2 kernel in this build")
+	}
+	const m4, far = 16, quant.Ks4 - 1
+	n := 40 * fsBlock
+	nib := randomNibbles(n, m4, 4, 5) // centroids 0-3
+	for i, row := range []int{10 * fsBlock, 20*fsBlock + 7, 30*fsBlock + 31} {
+		for m := 0; m < m4; m++ {
+			nib[row*m4+m] = byte(min(far, 9+3*i)) // 6, 3, then 0 away from lane 0
+		}
+	}
+	for m := 0; m < m4; m++ {
+		nib[3*m4+m] = byte(m % 2) // row 3: the best row of lanes 1 and 2
+	}
+	ix := syntheticFastScan(nib, m4, quant.Ks4, n)
+	for _, cb := range ix.pq.Codebooks {
+		for c := range cb.Data {
+			cb.Data[c] = float32(c)
+		}
+	}
+	var qs [fsLanes]fsQuery
+	for l, at := range [fsLanes]float32{far, -1, -2, far} {
+		query := make([]float32, m4)
+		for m := range query {
+			query[m] = at
+		}
+		qs[l].table = ix.prepareInto(query, make([]float32, ix.stateLen()))
+	}
+	s := &Scratch{}
+	for _, rg := range [][2]int{{0, n}, {5, n - 9}, {fsBlock + 1, 31*fsBlock - 1}} {
+		for _, k := range []int{1, 10} {
+			lo, hi := rg[0], rg[1]
+			ctx := fmt.Sprintf("rows [%d,%d) k=%d", lo, hi, k)
+			var solo [fsLanes]FastScanCounts
+			want := make([][]Result, fsLanes)
+			for l := range qs {
+				heaps := []topK{*newTopK(k)}
+				solo[l] = countsOf(func() { ix.scanAVX2(qs[l:l+1], s, heaps, lo, hi) })
+				want[l] = heaps[0].sorted()
+			}
+			if rg == [2]int{0, n} && k == 1 && (solo[0].Requantizations < 2 || solo[1].Requantizations != 0 || solo[2].Requantizations != 0) {
+				t.Fatalf("%s: lanes requantized %d, %d, %d times; the test wants lane 0 at least twice and lanes 1, 2 never",
+					ctx, solo[0].Requantizations, solo[1].Requantizations, solo[2].Requantizations)
+			}
+			heaps := make([]topK, fsLanes)
+			for l := range heaps {
+				heaps[l] = *newTopK(k)
+			}
+			group := countsOf(func() { ix.scanAVX2(qs[:], s, heaps, lo, hi) })
+			var sum FastScanCounts
+			for l := range qs {
+				sameResults(t, fmt.Sprintf("%s lane %d", ctx, l), want[l], heaps[l].sorted())
+				sum = FastScanCounts{sum.Scans + solo[l].Scans, sum.Rows + solo[l].Rows, sum.FlaggedBlocks + solo[l].FlaggedBlocks,
+					sum.Candidates + solo[l].Candidates, sum.Requantizations + solo[l].Requantizations}
+			}
+			if group != sum {
+				t.Fatalf("%s: four-lane counts %+v, four solo scans %+v", ctx, group, sum)
 			}
 		}
 	}
@@ -207,12 +318,12 @@ func TestFastScanDistancesDwarfSpread(t *testing.T) {
 }
 
 // TestFastScanLongRange scans more blocks than one assembly call walks
-// (fsMaxRun), so scanAVX2 re-enters the kernel at run boundaries. Every row
-// is far from the query except two planted near matches — the last row of
-// the first run and the row after it — and one exact match a whole run
-// further on: the near matches tighten the limit until a full run admits
-// nothing and is skipped whole, and the exact match is missed if the
-// re-entry after that run loses a block.
+// (fsMaxRun for one lane, fsMaxRun4 for four), so scanAVX2 re-enters the
+// kernel at run boundaries. Every row is far from the query except two
+// planted near matches — the last row of a run and the row after it — and
+// one exact match a whole run further on: the near matches tighten the
+// limit until a full run admits nothing and is skipped whole, and the exact
+// match is missed if the re-entry after that run loses a block.
 func TestFastScanLongRange(t *testing.T) {
 	const m4, far = 2, quant.Ks4 - 1
 	n := 2*fsMaxRun*fsBlock + fsBlock + 5
@@ -240,57 +351,101 @@ func TestFastScanLongRange(t *testing.T) {
 				t.Fatalf("rows [%d,%d) k=%d: reference top hit %+v is not the exact match", rg[0], rg[1], k, want[0])
 			}
 			sameResults(t, fmt.Sprintf("rows [%d,%d) k=%d", rg[0], rg[1], k), want, got.sorted())
+			if fsAVX2 {
+				// Four lanes of the same query re-enter every fsMaxRun4 blocks.
+				qs, heaps := make([]fsQuery, fsLanes), make([]topK, fsLanes)
+				for l := range qs {
+					qs[l], heaps[l] = fsQuery{table: table}, *newTopK(k)
+				}
+				ix.scanAVX2(qs, s, heaps, rg[0], rg[1])
+				for l := range heaps {
+					sameResults(t, fmt.Sprintf("rows [%d,%d) k=%d lane %d of 4", rg[0], rg[1], k, l), want, heaps[l].sorted())
+				}
+			}
 		}
 	}
 }
 
 // TestFastScanRunMatchesScalarSums checks the assembly kernel's own
-// contract against a scalar saturating loop: under every limit — 0 (only an
-// all-zero row stops it), the lowest sum present, a middling one, 254, and
-// 255 and the underfull-heap sentinel above it (both admit everything, a
-// saturated row included) — it stops at exactly the first block holding a
-// sum ≤ limit, with that block's 32 byte sums in row order and exactly the
-// rows at or under the limit in the mask, and otherwise returns the run's
-// length and an empty mask. The all-255 table at M4 = 256 must read 255 on
-// every row: saturated, not wrapped.
+// contract against a scalar saturating loop, one lane and four: under every
+// limit — 0 (only an all-zero row stops it), the lowest sum present, a
+// middling one, 254, and 255 and the underfull-heap sentinel above it (both
+// admit everything, a saturated row included) — it stops at exactly the
+// first block holding a sum ≤ limit, with that block's 32 byte sums in row
+// order and exactly the rows at or under the limit in the mask, and
+// otherwise returns the run's length and an empty mask. Four lanes take
+// four different tables (laneLUTs) and run with every lane at the limit,
+// and with one lane at it while the other three sit at 0 — so a run stops
+// on a single lane's admission, the sentinel lane included, and every lane
+// reports its own mask and sums there. The all-255 table at M4 = 256 must
+// read 255 on every row: saturated, not wrapped.
 func TestFastScanRunMatchesScalarSums(t *testing.T) {
 	if !fsAVX2 {
 		t.Skip("no AVX2 kernel in this build")
 	}
 	for _, m4 := range []int{2, 16, 130, 256} {
 		for _, c := range fsKernelCases(m4, 16, 6*fsBlock+1, uint64(m4)) {
-			np, bpb := m4/2, fsBlockBytes(m4)
+			np, bpb, sl := m4/2, fsBlockBytes(m4), len(c.q.lut8)
 			nblocks := len(c.ix.blocks) / bpb
-			sums := make([][fsBlock]uint8, nblocks)
+			luts := c.laneLUTs()
+			sums := make([][fsLanes][fsBlock]uint8, nblocks) // sums[b][l]
 			var lowest uint8 = 255
 			for b := range sums {
-				sums[b] = fsBlockSums(c.ix.blocks[b*bpb:], c.q.lut8, np)
-				for _, v := range sums[b] {
+				for l := range sums[b] {
+					sums[b][l] = fsBlockSums(c.ix.blocks[b*bpb:], luts[l*sl:], np)
+				}
+				for _, v := range sums[b][0] {
 					lowest = min(lowest, v)
 				}
 			}
 			for _, limit := range []uint32{0, uint32(lowest), (uint32(lowest) + 255) / 2, 254, 255, 1<<32 - 1} {
-				for b := 0; b < nblocks; b++ {
-					want := b
-					for want < nblocks && maskAtMost(sums[want], limit) == 0 {
-						want++
-					}
-					var qd [fsBlock]uint8
-					skipped, mask := fsScanRun(c.ix.blocks[b*bpb:], c.q.lut8, np, nblocks-b, limit, &qd)
-					if got := b + skipped; got != want {
-						t.Fatalf("%s limit %d from block %d: stopped at %d, want %d", c.name, limit, b, got, want)
-					}
-					if want == nblocks {
-						if mask != 0 {
-							t.Fatalf("%s limit %d from block %d: mask %#x for a run with no hit", c.name, limit, b, mask)
+				type laneRun struct {
+					lanes  int
+					limits [fsLanes]uint32
+				}
+				runs := []laneRun{{1, [fsLanes]uint32{limit}}, {fsLanes, [fsLanes]uint32{limit, limit, limit, limit}}}
+				for hot := range fsLanes {
+					var limits [fsLanes]uint32
+					limits[hot] = limit
+					runs = append(runs, laneRun{fsLanes, limits})
+				}
+				for _, run := range runs {
+					ctx := fmt.Sprintf("%s %d lanes limits %v", c.name, run.lanes, run.limits[:run.lanes])
+					masks := func(b int) (m [fsLanes]uint32, any bool) {
+						for l := 0; l < run.lanes; l++ {
+							m[l] = maskAtMost(sums[b][l], run.limits[l])
+							any = any || m[l] != 0
 						}
-						continue
+						return m, any
 					}
-					if qd != sums[want] {
-						t.Fatalf("%s limit %d block %d: sums %v, want %v", c.name, limit, want, qd, sums[want])
-					}
-					if wantMask := maskAtMost(sums[want], limit); mask != wantMask {
-						t.Fatalf("%s limit %d block %d: mask %#x, want %#x", c.name, limit, want, mask, wantMask)
+					for b := 0; b < nblocks; b++ {
+						want := b
+						for want < nblocks {
+							if _, any := masks(want); any {
+								break
+							}
+							want++
+						}
+						var out fsRunOut
+						skipped := fsScanRun(c.ix.blocks[b*bpb:], luts[:run.lanes*sl], np, nblocks-b, run.lanes, &run.limits, &out)
+						if got := b + skipped; got != want {
+							t.Fatalf("%s from block %d: stopped at %d, want %d", ctx, b, got, want)
+						}
+						if want == nblocks {
+							if out.mask != ([fsLanes]uint32{}) {
+								t.Fatalf("%s from block %d: masks %#x for a run with no hit", ctx, b, out.mask)
+							}
+							continue
+						}
+						wantMasks, _ := masks(want)
+						for l := 0; l < run.lanes; l++ {
+							if out.qd[l] != sums[want][l] {
+								t.Fatalf("%s block %d lane %d: sums %v, want %v", ctx, want, l, out.qd[l], sums[want][l])
+							}
+							if out.mask[l] != wantMasks[l] {
+								t.Fatalf("%s block %d lane %d: mask %#x, want %#x", ctx, want, l, out.mask[l], wantMasks[l])
+							}
+						}
 					}
 				}
 			}
@@ -309,22 +464,36 @@ func maskAtMost(sums [fsBlock]uint8, limit uint32) (mask uint32) {
 }
 
 // TestFastScanRunBoundsChecked asserts the wrapper refuses, with an
-// ordinary Go panic, a run longer than the blocks or lut8 it is handed —
-// the assembly behind it would read past the slice.
+// ordinary Go panic, a run longer than the blocks it is handed or a lut8
+// shorter than its lanes' tables — any of the four, the last one a byte
+// short included — and a lane count the assembly has no loop for: the
+// assembly behind it would read past the slice.
 func TestFastScanRunBoundsChecked(t *testing.T) {
 	if !fsAVX2 {
 		t.Skip("no AVX2 kernel in this build")
 	}
 	const m4 = 16
-	np, bpb := m4/2, fsBlockBytes(m4)
-	blocks, lut8 := make([]byte, 3*bpb), make([]uint8, m4*quant.Ks4)
-	var qd [fsBlock]uint8
+	np, bpb, sl := m4/2, fsBlockBytes(m4), m4*quant.Ks4
+	blocks, lut8 := make([]byte, 3*bpb), make([]uint8, fsLanes*sl)
+	var limits [fsLanes]uint32
+	var out fsRunOut
+	run := func(blocks []byte, lut8 []uint8, np, lanes int) func() {
+		return func() { fsScanRun(blocks, lut8, np, 3, lanes, &limits, &out) }
+	}
 	for name, run := range map[string]func(){
-		"blocks one byte short":  func() { fsScanRun(blocks[:3*bpb-1], lut8, np, 3, 0, &qd) },
-		"blocks one block short": func() { fsScanRun(blocks[:2*bpb:2*bpb], lut8, np, 3, 0, &qd) },
-		"lut8 one row short":     func() { fsScanRun(blocks, lut8[:len(lut8)-quant.Ks4], np, 3, 0, &qd) },
-		"empty lut8":             func() { fsScanRun(blocks, nil, np, 3, 0, &qd) },
-		"no strips":              func() { fsScanRun(blocks, lut8, 0, 3, 0, &qd) },
+		"blocks one byte short":         run(blocks[:3*bpb-1], lut8, np, 1),
+		"blocks one block short":        run(blocks[:2*bpb:2*bpb], lut8, np, 1),
+		"lut8 one row short":            run(blocks, lut8[:sl-quant.Ks4], np, 1),
+		"empty lut8":                    run(blocks, nil, np, 1),
+		"no strips":                     run(blocks, lut8, 0, 1),
+		"four lanes, blocks short":      run(blocks[:3*bpb-1], lut8, np, fsLanes),
+		"four lanes, last lut8 byte":    run(blocks, lut8[:fsLanes*sl-1], np, fsLanes),
+		"four lanes, last lut8 row":     run(blocks, lut8[:fsLanes*sl-quant.Ks4], np, fsLanes),
+		"four lanes, three tables":      run(blocks, lut8[:3*sl], np, fsLanes),
+		"four lanes, second table half": run(blocks, lut8[:sl+sl/2], np, fsLanes),
+		"four lanes, one table":         run(blocks, lut8[:sl], np, fsLanes),
+		"two lanes":                     run(blocks, lut8, np, 2),
+		"no strips, four lanes":         run(blocks, lut8, 0, fsLanes),
 	} {
 		func() {
 			defer func() {
@@ -335,8 +504,10 @@ func TestFastScanRunBoundsChecked(t *testing.T) {
 			run()
 		}()
 	}
-	if got, _ := fsScanRun(blocks, lut8, np, 0, 0, &qd); got != 0 {
-		t.Fatalf("empty run returned %d", got)
+	for _, lanes := range []int{1, fsLanes} {
+		if got := fsScanRun(blocks, lut8, np, 0, lanes, &limits, &out); got != 0 {
+			t.Fatalf("empty %d-lane run returned %d", lanes, got)
+		}
 	}
 }
 
@@ -357,18 +528,39 @@ func TestFastScanIgnoresBytesPastRun(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	queries := make([][]float32, 6)
+	queries := make([][]float32, 9)
 	for i := range queries {
 		queries[i] = data.Row(i * 11)
 	}
+	s := &Scratch{}
 	for _, k := range []int{1, 10, exact.n + 1} {
-		batch, shBatch := BatchSearch(inside, queries, k, 1), BatchSearch(sh, queries, k, 2)
-		for i, q := range queries {
-			want := Search(exact, q, k)
-			sameResults(t, "solo inside a larger buffer", want, Search(inside, q, k))
-			sameResults(t, "sharded inside a larger buffer", want, Search(sh, q, k))
-			sameResults(t, "batch inside a larger buffer", want, batch[i])
-			sameResults(t, "sharded batch inside a larger buffer", want, shBatch[i])
+		for _, nq := range []int{4, 6, 9} { // one group, a group and two singles, two groups and a single
+			batch, shBatch := BatchSearch(inside, queries[:nq], k, 1), BatchSearch(sh, queries[:nq], k, 2)
+			for i, q := range queries[:nq] {
+				want := Search(exact, q, k)
+				sameResults(t, "solo inside a larger buffer", want, Search(inside, q, k))
+				sameResults(t, "sharded inside a larger buffer", want, Search(sh, q, k))
+				sameResults(t, "batch inside a larger buffer", want, batch[i])
+				sameResults(t, "sharded batch inside a larger buffer", want, shBatch[i])
+			}
+		}
+		if !fsAVX2 {
+			continue
+		}
+		// The four-lane loop itself, over ranges that end at the last row and
+		// start and end mid-block.
+		qs, heaps := make([]fsQuery, fsLanes), make([]topK, fsLanes)
+		for _, rg := range [][2]int{{0, exact.n}, {3, exact.n - 2}} {
+			for l := range qs {
+				qs[l].table = inside.prepareInto(queries[l], make([]float32, inside.stateLen()))
+				heaps[l] = *newTopK(k)
+			}
+			inside.scanAVX2(qs, s, heaps, rg[0], rg[1])
+			for l := range qs {
+				plain := newTopK(k)
+				exact.scanPlain4(qs[l].table, plain, rg[0], rg[1])
+				sameResults(t, fmt.Sprintf("four lanes inside a larger buffer, rows %v lane %d", rg, l), plain.sorted(), heaps[l].sorted())
+			}
 		}
 	}
 }

@@ -6,6 +6,6 @@ package index
 // scan runs the portable group kernel, and fsScanRun is never reached.
 const fsAVX2 = false
 
-func fsScanRun([]byte, []uint8, int, int, uint32, *[fsBlock]uint8) (int, uint32) {
+func fsScanRun([]byte, []uint8, int, int, int, *[fsLanes]uint32, *fsRunOut) int {
 	panic("index: no AVX2 fast-scan kernel in this build")
 }

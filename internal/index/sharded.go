@@ -182,18 +182,20 @@ func (sh *Sharded) SearchWith(s *Scratch, q []float32, k int) []Result {
 // searchBatch is the one batch scan, behind BatchSearchCtx for every
 // range-scannable index (bounds are a Sharded's shards, or the single range
 // [0, n) of a bare index). Every query's scan state is prepared once; the
-// unit of work is (group, row range), groups first: a group is up to
-// fsLanes queries the portable fast-scan kernel scans in one pass (one query
-// for PQ and Flat, and for FastScan on AVX2, where the assembly kernel per
-// query beats the group kernel), and with at least as many groups as workers
-// every task prepares its group, scans all rows — the codes stream past a
-// cache-resident LUT once per group — and emits the results, with nothing
-// to merge. Only a batch with fewer groups than workers splits the rows at
-// bounds. Every (range, query) heap is a k-slot window of one flat arena;
-// range 0's heap absorbs the others in range order and is sorted in place
-// as the query's result, which canonical top-k selection makes identical to
-// a solo Search whatever the scheduling. ctx is checked before each task; a
-// cancelled batch returns ctx.Err() and no results.
+// unit of work is (group, row range), groups first. A FastScan group is
+// fsLanes queries its kernel scans in one pass over the codes: the portable
+// kernel masks the lanes of a short last group, and on AVX2 each of the
+// last nq mod fsLanes queries is a one-lane group of its own (a task, so the
+// remainder spreads across the workers). A PQ or Flat group is one query.
+// With at least as many groups as workers every task prepares its group,
+// scans all rows — the codes stream past cache-resident LUTs once per group
+// — and emits the results, with nothing to merge. Only a batch with fewer
+// groups than workers splits the rows at bounds. Every (range, query) heap
+// is a k-slot window of one flat arena; range 0's heap absorbs the others in
+// range order and is sorted in place as the query's result, which canonical
+// top-k selection makes identical to a solo Search whatever the scheduling.
+// ctx is checked before each task; a cancelled batch returns ctx.Err() and
+// no results.
 func searchBatch(ctx context.Context, rs rangeScanner, bounds []int, queries [][]float32, k, parallelism int) ([][]Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -205,10 +207,25 @@ func searchBatch(ctx context.Context, rs rangeScanner, bounds []int, queries [][
 	}
 	fs, _ := rs.(*FastScan)
 	width := 1
-	if fs != nil && !fsAVX2 && fs.pq.M <= fsGroupMaxM4 {
+	if fs != nil && (fsAVX2 || fs.pq.M <= fsGroupMaxM4) {
 		width = fsLanes
 	}
-	ng := (nq + width - 1) / width
+	full, rest := nq/width, nq%width
+	ng := full + min(rest, 1)
+	if fsAVX2 {
+		ng = full + rest
+	}
+	// group returns group g's queries [lo, hi).
+	group := func(g int) (lo, hi int) {
+		switch {
+		case g < full:
+			return g * width, (g + 1) * width
+		case fsAVX2:
+			lo = full*width + g - full
+			return lo, lo + 1
+		}
+		return full * width, nq
+	}
 	nr := len(bounds) - 1
 	if ng >= par.Workers(ng*nr, parallelism) {
 		nr = 1 // enough groups to fill the workers: every task scans all rows
@@ -221,15 +238,16 @@ func searchBatch(ctx context.Context, rs rangeScanner, bounds []int, queries [][
 		heaps[i] = topK{k: k, heap: arena[i*k : i*k : (i+1)*k]}
 	}
 	// prepare computes query i's scan state, once, into table and qs[i].table
-	// (all a PQ or Flat scan reads of qs), and for the group kernel its
-	// quantization into lut8 (as long as the table: a byte per entry);
+	// (all a PQ, Flat or AVX2 scan reads of qs: the AVX2 kernel quantizes
+	// per range, into the task's Scratch), and for the portable group kernel
+	// its quantization into lut8 (as long as the table: a byte per entry);
 	// finish turns its heaps into its result. With one range both run inside
 	// the query's only task and the state lives in the worker's Scratch;
 	// with several they run before and after all tasks, on per-batch arrays.
 	sl := rs.stateLen()
 	prepare := func(i int, table []float32, lut8 []uint8) {
 		qs[i].table = rs.prepareInto(queries[i], table)
-		if width > 1 {
+		if width > 1 && !fsAVX2 {
 			qs[i] = fs.quantize(qs[i].table, lut8, 0, 0)
 		}
 	}
@@ -259,8 +277,8 @@ func searchBatch(ctx context.Context, rs rangeScanner, bounds []int, queries [][
 			s = GetScratch()
 			scratches[w] = s
 		}
-		r, lo := t/ng, t%ng*width
-		hi := min(lo+width, nq)
+		r := t / ng
+		lo, hi := group(t % ng)
 		rlo, rhi := bounds[r], bounds[r+1]
 		if nr == 1 {
 			rhi = bounds[len(bounds)-1]
@@ -270,9 +288,12 @@ func searchBatch(ctx context.Context, rs rangeScanner, bounds []int, queries [][
 			}
 		}
 		h := heaps[r*nq+lo : r*nq+hi]
-		if width > 1 {
+		switch {
+		case width > 1 && !fsAVX2:
 			fs.scanGroup(qs[lo:hi], s, h, rlo, rhi)
-		} else {
+		case hi-lo > 1:
+			fs.scanAVX2(qs[lo:hi], s, h, rlo, rhi)
+		default:
 			rs.scanRange(qs[lo].table, s, &h[0], rlo, rhi)
 		}
 		for i := lo; i < hi && nr == 1; i++ {

@@ -118,16 +118,23 @@ func (pq *ProductQuantizer) QuantizeTableInto(table []float32, lut8 []uint8, at,
 		panic(fmt.Sprintf("quant: M=%d exceeds MaxM4=%d", pq.M, MaxM4))
 	}
 	var spread, top float32
-	var mins [MaxM4]float32
+	var mins, maxs [MaxM4]float32
+	simd := pq.Ks == Ks4 && hasQuantizeAVX2
+	if simd {
+		rowSpans4(table, mins[:pq.M], maxs[:pq.M])
+	}
 	relative := steps > 0 // and, below, no negative entry
 	for m := 0; m < pq.M; m++ {
 		row := table[m*pq.Ks:][:pq.Codebooks[m].Rows]
-		mn, mx := row[0], row[0]
-		for _, v := range row[1:] {
-			if v < mn {
-				mn = v
-			} else if v > mx {
-				mx = v
+		mn, mx := mins[m], maxs[m]
+		if !simd || len(row) != Ks4 || mn == 0 || mx == 0 {
+			mn, mx = row[0], row[0]
+			for _, v := range row[1:] {
+				if v < mn {
+					mn = v
+				} else if v > mx {
+					mx = v
+				}
 			}
 		}
 		mins[m] = mn
@@ -144,6 +151,13 @@ func (pq *ProductQuantizer) QuantizeTableInto(table []float32, lut8 []uint8, at,
 		}
 	}
 	inv := 1 / delta
+	if simd {
+		quantizeRows4(lut8, table, mins[:pq.M], inv)
+		for m, cb := range pq.Codebooks {
+			clear(lut8[m*Ks4+cb.Rows : (m+1)*Ks4])
+		}
+		return bias, delta, mag
+	}
 	for m := 0; m < pq.M; m++ {
 		rows := pq.Codebooks[m].Rows
 		row, out := table[m*pq.Ks:][:rows], lut8[m*pq.Ks:][:pq.Ks]

@@ -10,9 +10,9 @@
 //     batch spreads its queries over the cores instead
 //   - query coalescing (Coalescer): a Lookup runs at once while a core is
 //     free; those that arrive behind busy cores queue and are answered as one
-//     BulkLookup, amortizing scratch checkout, scheduling and (on the
-//     portable fast-scan kernel, four queries per pass) the scan itself
-//     across callers
+//     BulkLookup, amortizing scratch checkout, scheduling and (on either
+//     fast-scan kernel, four queries per pass over the codes) the scan
+//     itself across callers
 //   - a sharded mention cache (MentionCache): table-annotation traffic
 //     repeats the same cell strings constantly, so results are cached under
 //     the embedding-invariant key core.NormalizeMention(q)

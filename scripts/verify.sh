@@ -77,8 +77,9 @@ go test -count=5 ./internal/serve ./internal/cluster ./internal/index ./internal
 
 echo "== portable kernel builds: purego tests, arm64 vet, GOAMD64=v3 =="
 # Each AVX2 assembly kernel has a portable sibling that this amd64 host
-# never runs by itself: the fast-scan query-major group kernel (DESIGN.md
-# §11) and the convolution loop (§3, "Inference kernels"). The purego tag
+# never runs by itself: the fast-scan query-major group kernel and the
+# scalar loops of the table quantizer (DESIGN.md §11), and the convolution
+# loop (§3, "Inference kernels"). The purego tag
 # runs the kernel, scan, lookup and serve suites on them — the embedding
 # golden included — and the arm64 vet type-checks the non-amd64 file set so
 # it cannot rot. The GOAMD64=v3 run lets the compiler use every FMA the
@@ -86,8 +87,8 @@ echo "== portable kernel builds: purego tests, arm64 vet, GOAMD64=v3 =="
 # the embedding golden and the kernel equivalence hold there too. The
 # training golden (TestTrainDeterministicRunToRunAcrossWorkerCounts: the
 # trainer's Adam and backward passes included) holds there as well.
-go test -tags purego ./internal/nn ./internal/mathx ./internal/index ./internal/core ./internal/serve
-GOARCH=arm64 go vet ./internal/nn ./internal/mathx ./internal/index ./internal/core
+go test -tags purego ./internal/nn ./internal/mathx ./internal/quant ./internal/index ./internal/core ./internal/serve
+GOARCH=arm64 go vet ./internal/nn ./internal/mathx ./internal/quant ./internal/index ./internal/core
 GOAMD64=v3 go test -run 'Golden|Equivalence|TestTrainDeterministicRunToRun' ./internal/nn ./internal/core
 
 echo "== kernel fuzz (short, both builds) =="
@@ -105,11 +106,16 @@ go test -run '^$' -fuzz FuzzLowerInto -fuzztime 10s ./internal/core
 echo "== artifact parser fuzz (short) =="
 # 10 seconds of coverage-guided input on the v4 section parser and the
 # model-read dispatch (v4 magic sniffing plus the read-only gob path),
-# seeded from the golden gob file and its v4 rewrite. The checked-in
-# corpora under testdata/ always run as part of go test; this adds a short
-# exploration pass so new parser bugs surface pre-merge.
+# seeded from the golden gob file and its v4 rewrite, and on the meta
+# section alone, re-emitted with valid checksums so the config and shapes
+# it names reach the reader's own checks. The checked-in corpora under
+# testdata/ always run as part of go test; this adds a short exploration
+# pass so new parser bugs surface pre-merge. Whole-artifact inputs are a
+# few hundred KB: minimizing each new one for the default minute would
+# spend the whole pass on it, so minimization is capped.
 go test -run '^$' -fuzz FuzzParse -fuzztime 10s ./internal/artifact
-go test -run '^$' -fuzz FuzzReadArtifact -fuzztime 10s ./internal/core
+go test -run '^$' -fuzz 'FuzzReadArtifact$' -fuzztime 10s -fuzzminimizetime 20x ./internal/core
+go test -run '^$' -fuzz FuzzReadArtifactMeta -fuzztime 10s ./internal/core
 # Graph files are containers too, with a read-only gob path behind the same
 # magic sniff (DESIGN.md §12): whatever kg.Read accepts must be safe to
 # index and to re-save.
