@@ -328,30 +328,15 @@ func BenchmarkFastScan(b *testing.B) {
 		if big != nil {
 			return big, bigQueries
 		}
-		const rows, centres, nq = 100000, 100, 64
 		rng := mathx.NewRNG(11)
-		cs := mathx.NewMatrix(centres, data.Cols)
-		cs.FillRandn(rng, 1)
-		clustered := mathx.NewMatrix(rows, data.Cols)
-		clustered.FillRandn(rng, 0.4)
-		for i := 0; i < rows; i++ {
-			for j, v := range cs.Row(rng.Intn(centres)) {
-				clustered.Row(i)[j] += v
-			}
-		}
+		clustered := clusteredRows(rng, 100000, data.Cols)
 		c4 := quant.Config4(cfg)
 		c4.TrainSample = 20000
 		ix, err := index.NewFastScan(clustered, c4)
 		if err != nil {
 			b.Fatal(err)
 		}
-		queries := make([][]float32, nq)
-		for i := range queries {
-			queries[i] = append([]float32(nil), clustered.Row(rng.Intn(rows))...)
-			for j := range queries[i] {
-				queries[i][j] += 0.1 * float32(rng.NormFloat64())
-			}
-		}
+		queries := nudgedQueries(rng, clustered, 64)
 		big, bigQueries = ix, queries
 		return ix, queries
 	}
@@ -365,6 +350,90 @@ func BenchmarkFastScan(b *testing.B) {
 		ix, queries := clustered(b)
 		batch(ix, queries)(b)
 	})
+}
+
+// clusteredRows draws rows × cols values around 100 Gaussian centres, the
+// way label embeddings cluster.
+func clusteredRows(rng *mathx.RNG, rows, cols int) *mathx.Matrix {
+	cs := mathx.NewMatrix(100, cols)
+	cs.FillRandn(rng, 1)
+	m := mathx.NewMatrix(rows, cols)
+	m.FillRandn(rng, 0.4)
+	for i := 0; i < rows; i++ {
+		for j, v := range cs.Row(rng.Intn(cs.Rows)) {
+			m.Row(i)[j] += v
+		}
+	}
+	return m
+}
+
+// nudgedQueries returns n queries, each a row of data moved a little off
+// its place.
+func nudgedQueries(rng *mathx.RNG, data *mathx.Matrix, n int) [][]float32 {
+	queries := make([][]float32, n)
+	for i := range queries {
+		queries[i] = append([]float32(nil), data.Row(rng.Intn(data.Rows))...)
+		for j := range queries[i] {
+			queries[i][j] += 0.1 * float32(rng.NormFloat64())
+		}
+	}
+	return queries
+}
+
+// BenchmarkIVFSearch is the served ivf100k model's search in kernel-only
+// form: IVF-PQ over 100 000 clustered rows (√n coarse lists, 8 × 8-bit
+// residual codes, quantizers trained on 20 000 rows), nprobe 16, exact
+// re-rank ×8. A query ranks every coarse centroid, builds 16 ADC tables,
+// scans 16 lists and re-ranks 80 candidates.
+func BenchmarkIVFSearch(b *testing.B) {
+	rng := mathx.NewRNG(13)
+	data := clusteredRows(rng, 100000, 64)
+	pqCfg := quant.PQConfig{M: 8, Ks: 256, Iters: 10, Seed: 14}
+	cfg := index.DefaultIVFConfig(data.Rows)
+	cfg.NProbe, cfg.PQ, cfg.TrainSample = 16, &pqCfg, 20000
+	ix, err := index.NewIVF(data, cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	if err := ix.SetRerank(8, data); err != nil {
+		b.Fatal(err)
+	}
+	queries := nudgedQueries(rng, data, 64)
+	var s index.Scratch
+	var dst []index.Result
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		dst, _ = ix.Search(context.Background(), &s, queries[i%len(queries)], 10, dst)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/1e3/float64(b.N), "us/query")
+}
+
+// BenchmarkADCTable times one query's ADC table at the two quantizer shapes
+// the served models use: M = 8 sub-quantizers of Ks = 256 (the PQ and
+// IVF-PQ residual table, built once per probed list) and the fast-scan
+// shape M4 = 16 of Ks = 16 (built once per query before quantization).
+func BenchmarkADCTable(b *testing.B) {
+	data := clusteredRows(mathx.NewRNG(15), 5000, 64)
+	for _, bc := range []struct {
+		name string
+		cfg  quant.PQConfig
+	}{
+		{"m8_ks256", quant.PQConfig{M: 8, Ks: 256, Iters: 5, Seed: 16}},
+		{"m16_ks16", quant.Config4(quant.PQConfig{M: 8, Iters: 5, Seed: 16})},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			pq, err := quant.TrainPQ(data, bc.cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			table := make([]float32, pq.M*pq.Ks)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				pq.ADCTableInto(data.Row(i%data.Rows), table)
+			}
+		})
+	}
 }
 
 // BenchmarkLookupAllocs records the allocation profile of the end-to-end

@@ -12,6 +12,7 @@ package core
 import (
 	"fmt"
 
+	"emblookup/internal/index"
 	"emblookup/internal/quant"
 )
 
@@ -99,7 +100,8 @@ type Config struct {
 	// distances against the raw embedding matrix. With a v4 artifact the raw
 	// vectors are an mmap'd section paged in on demand, so the fix for the
 	// large-scale recall@10 sag costs pages only for the candidate rows a
-	// query actually touches. Requires IVF and Compress; 0 disables.
+	// query actually touches. Requires IVF and Compress; 0 disables; at most
+	// index.MaxRerank.
 	Rerank int
 
 	// IndexAliases additionally embeds every alias as its own index row
@@ -198,8 +200,8 @@ func (c Config) Validate() error {
 			return fmt.Errorf("core: fast-scan sub-quantizer count %d exceeds %d", 2*c.PQ.M, quant.MaxM4)
 		}
 	}
-	if c.Rerank < 0 {
-		return fmt.Errorf("core: Rerank must be >= 0, got %d", c.Rerank)
+	if c.Rerank < 0 || c.Rerank > index.MaxRerank {
+		return fmt.Errorf("core: Rerank must be in [0, %d], got %d", index.MaxRerank, c.Rerank)
 	}
 	if c.Rerank > 1 && !(c.IVF && c.Compress) {
 		return fmt.Errorf("core: Rerank requires IVF and Compress (exact re-rank only applies to IVF-PQ)")

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"emblookup/internal/artifact"
+	"emblookup/internal/index"
 	"emblookup/internal/kg"
 	"emblookup/internal/mathx"
 )
@@ -269,6 +270,28 @@ func rewriteSections(t *testing.T, data []byte, repl map[string]any) []byte {
 	return buf.Bytes()
 }
 
+// withIndexRerank returns the meta section of v4 with the index's re-rank
+// factor replaced.
+func withIndexRerank(t testing.TB, v4 []byte, factor int) json.RawMessage {
+	t.Helper()
+	af, err := artifact.Decode(v4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var meta metaV4
+	if err := af.Section("meta").JSON(&meta); err != nil {
+		t.Fatal(err)
+	}
+	mi := *meta.Index
+	mi.Rerank = factor
+	meta.Index = &mi
+	mj, err := json.Marshal(meta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return mj
+}
+
 // TestMalformedIndexRejected: an index artifact whose counts agree but
 // whose contents would fail the first lookup that touches them is refused
 // at attach, by the gob reader and — where the v4 container can carry the
@@ -312,6 +335,9 @@ func TestMalformedIndexRejected(t *testing.T) {
 		w.Rows = w.Rows[:len(w.Rows)-1]
 		w.Lists[longest][0] = int32(len(w.Rows))
 	}
+	g := goldenGraph()
+	_, rerank8 := goldenPair(t, "golden_v2_ivf_pq_rerank8.bin", g)
+	hugeRerank, pastCap := withIndexRerank(t, rerank8, 1<<62), withIndexRerank(t, rerank8, index.MaxRerank+1)
 	cases := []struct {
 		name, file string
 		edit       func(w *wireIndex)
@@ -326,8 +352,15 @@ func TestMalformedIndexRejected(t *testing.T) {
 		{"flat data short of its shape", "golden_v2_flat.bin", func(w *wireIndex) {
 			w.Flat.Data = w.Flat.Data[:len(w.Flat.Data)-1]
 		}, nil},
+		// k × 2^62 wraps negative: the over-fetch heap would take no
+		// candidate and the first lookup would index it empty.
+		{"ivf-pq re-rank factor 2^62", "golden_v2_ivf_pq_rerank8.bin", func(w *wireIndex) {
+			w.Rerank = 1 << 62
+		}, func(*wireIndex) map[string]any { return map[string]any{"meta": hugeRerank} }},
+		{"ivf-pq re-rank factor past the cap", "golden_v2_ivf_pq_rerank8.bin", func(w *wireIndex) {
+			w.Rerank = index.MaxRerank + 1
+		}, func(*wireIndex) map[string]any { return map[string]any{"meta": pastCap} }},
 	}
-	g := goldenGraph()
 	for _, c := range cases {
 		gobBytes, v4 := goldenPair(t, c.file, g)
 		var wire modelWire
@@ -356,40 +389,47 @@ func TestMalformedIndexRejected(t *testing.T) {
 // is refused at attach, before anything sized by the edited field is
 // allocated: negative or zero layer widths and counts (a makeslice panic
 // once), sizes no stored weight matches (2^28 hidden units was a 77 GB
-// allocation), and a mention length or kernel width past maxMaxLen, which no
-// stored weight vouches for.
+// allocation), a mention length or kernel width past maxMaxLen, which no
+// stored weight vouches for, and on a model that re-ranks a re-rank factor
+// past index.MaxRerank.
 func TestHostileConfigRejected(t *testing.T) {
 	cases := []struct {
 		name string
 		edit func(c *Config)
+		file string // "" is golden_v2.bin
 	}{
-		{"negative hidden width", func(c *Config) { c.Hidden = -1 }},
-		{"negative channel count", func(c *Config) { c.CNNChannels = -1 }},
-		{"negative layer count", func(c *Config) { c.CNNLayers = -1 }},
-		{"zero hidden width", func(c *Config) { c.Hidden = 0 }},
-		{"zero channel count", func(c *Config) { c.CNNChannels = 0 }},
-		{"zero layer count", func(c *Config) { c.CNNLayers = 0 }},
-		{"negative kernel width", func(c *Config) { c.Kernel = -1 }},
-		{"hidden width 2^28", func(c *Config) { c.Hidden = 1 << 28 }},
-		{"channel count 2^28", func(c *Config) { c.CNNChannels = 1 << 28 }},
-		{"layer count 2^40", func(c *Config) { c.CNNLayers = 1 << 40 }},
-		{"kernel width 2^40+1", func(c *Config) { c.Kernel = 1<<40 + 1 }},
-		{"mention length 2^40", func(c *Config) { c.MaxLen = 1 << 40 }},
-		{"dimension doubled", func(c *Config) { c.Dim *= 2 }},
-		{"one more layer", func(c *Config) { c.CNNLayers++ }},
-		{"kernel width 5", func(c *Config) { c.Kernel = 5 }},
+		{"negative hidden width", func(c *Config) { c.Hidden = -1 }, ""},
+		{"negative channel count", func(c *Config) { c.CNNChannels = -1 }, ""},
+		{"negative layer count", func(c *Config) { c.CNNLayers = -1 }, ""},
+		{"zero hidden width", func(c *Config) { c.Hidden = 0 }, ""},
+		{"zero channel count", func(c *Config) { c.CNNChannels = 0 }, ""},
+		{"zero layer count", func(c *Config) { c.CNNLayers = 0 }, ""},
+		{"negative kernel width", func(c *Config) { c.Kernel = -1 }, ""},
+		{"hidden width 2^28", func(c *Config) { c.Hidden = 1 << 28 }, ""},
+		{"channel count 2^28", func(c *Config) { c.CNNChannels = 1 << 28 }, ""},
+		{"layer count 2^40", func(c *Config) { c.CNNLayers = 1 << 40 }, ""},
+		{"kernel width 2^40+1", func(c *Config) { c.Kernel = 1<<40 + 1 }, ""},
+		{"mention length 2^40", func(c *Config) { c.MaxLen = 1 << 40 }, ""},
+		{"dimension doubled", func(c *Config) { c.Dim *= 2 }, ""},
+		{"one more layer", func(c *Config) { c.CNNLayers++ }, ""},
+		{"kernel width 5", func(c *Config) { c.Kernel = 5 }, ""},
+		// On a model that re-ranks: k × 2^62 wraps negative.
+		{"re-rank factor 2^62", func(c *Config) { c.Rerank = 1 << 62 }, "golden_v2_ivf_pq_rerank8.bin"},
 	}
 	g := goldenGraph()
-	gobBytes, v4 := goldenPair(t, "golden_v2.bin", g)
-	af, err := artifact.Decode(v4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var meta metaV4
-	if err := af.Section("meta").JSON(&meta); err != nil {
-		t.Fatal(err)
-	}
 	for _, c := range cases {
+		if c.file == "" {
+			c.file = "golden_v2.bin"
+		}
+		gobBytes, v4 := goldenPair(t, c.file, g)
+		af, err := artifact.Decode(v4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var meta metaV4
+		if err := af.Section("meta").JSON(&meta); err != nil {
+			t.Fatal(err)
+		}
 		var wire modelWire
 		if err := gob.NewDecoder(bytes.NewReader(gobBytes)).Decode(&wire); err != nil {
 			t.Fatal(err)
@@ -438,6 +478,9 @@ func FuzzReadArtifactMeta(f *testing.F) {
 			f.Fatal(err)
 		}
 		f.Add(uint8(i), af.Section("meta").Bytes())
+		if file == "golden_v2_ivf_pq_rerank8.bin" {
+			f.Add(uint8(i), []byte(withIndexRerank(f, v4s[i], 1<<62)))
+		}
 	}
 	f.Fuzz(func(t *testing.T, which uint8, meta []byte) {
 		if !json.Valid(meta) {

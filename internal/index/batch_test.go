@@ -36,6 +36,7 @@ func TestFastScanGroupLanesNeverCarry(t *testing.T) {
 			cb.Data[c] = rng.Float32()
 		}
 	}
+	remakeQuantizer(ix)
 	fq := make([]fsQuery, fsLanes)
 	for l := range fq {
 		table, lut8 := make([]float32, ix.stateLen()), make([]uint8, ix.stateLen())
@@ -104,6 +105,7 @@ func TestFastScanGroupFallbackWideCodes(t *testing.T) {
 	for _, cb := range ix.pq.Codebooks {
 		cb.Data[1] = 1 // centroid 0 at the origin, centroid 1 one unit away
 	}
+	remakeQuantizer(ix)
 	queries := make([][]float32, 5)
 	for i := range queries {
 		queries[i] = make([]float32, m4) // the origin: table rows are {0, 1}

@@ -1,0 +1,124 @@
+package index
+
+import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"hash"
+	"math"
+	"testing"
+
+	"emblookup/internal/mathx"
+	"emblookup/internal/quant"
+)
+
+// buildBitsHash is the SHA-256 of every bit an index build over
+// clusteredData produces (see TestBuildBitsPinned). It was computed before
+// the column-block distance kernel replaced the scalar loops, and it is the
+// same on the default, purego and GOAMD64=v3 builds: a kernel that moved
+// one argmin, one centroid bit or one code would change it.
+const buildBitsHash = "d3b688eaf2959cbf1f411537dd3845239035d5fa366186c1f6d8ac84b45a195f"
+
+// clusteredData is n rows of dimension d around 24 Gaussian centres, the
+// shape label embeddings have, so k-means has real clusters to find and
+// ties between near-equal distances come up.
+func clusteredData(n, d int, seed uint64) *mathx.Matrix {
+	rng := mathx.NewRNG(seed)
+	cs := mathx.NewMatrix(24, d)
+	cs.FillRandn(rng, 1)
+	m := mathx.NewMatrix(n, d)
+	m.FillRandn(rng, 0.3)
+	for i := 0; i < n; i++ {
+		for j, v := range cs.Row(rng.Intn(cs.Rows)) {
+			m.Row(i)[j] += v
+		}
+	}
+	return m
+}
+
+type bitsHash struct{ h hash.Hash }
+
+func (b bitsHash) floats(v []float32) {
+	var buf [4]byte
+	for _, f := range v {
+		binary.LittleEndian.PutUint32(buf[:], math.Float32bits(f))
+		b.h.Write(buf[:])
+	}
+}
+
+func (b bitsHash) ints(v []int) {
+	var buf [8]byte
+	for _, x := range v {
+		binary.LittleEndian.PutUint64(buf[:], uint64(x))
+		b.h.Write(buf[:])
+	}
+}
+
+func (b bitsHash) quantizer(q *quant.ProductQuantizer) {
+	b.ints([]int{q.D, q.M, q.Ks, q.Dsub})
+	for _, cb := range q.Codebooks {
+		b.ints([]int{cb.Rows, cb.Cols})
+		b.floats(cb.Data)
+	}
+}
+
+// TestBuildBitsPinned hashes the output of every index build step over a
+// seeded clustered matrix — k-means centroids and assignments, TrainPQ
+// codebooks and the PQ codes of every row, the fast-scan quantizer and
+// blocks, query-time ADC tables of both quantizers, and the IVF-PQ coarse
+// centroids, lists and list codes (ragged NList, sub-table sizes off
+// multiples of 8, and a trained-sample build among them) — against a
+// constant computed on the scalar build. Every
+// other bit-identity test compares two paths of one tree; this one holds
+// the tree to its past.
+func TestBuildBitsPinned(t *testing.T) {
+	data := clusteredData(3000, 32, 71)
+	b := bitsHash{sha256.New()}
+
+	cents, assign := quant.KMeans(data, quant.KMeansConfig{K: 37, MaxIters: 12, Seed: 72})
+	b.floats(cents.Data)
+	b.ints(assign)
+
+	pq, err := quant.TrainPQ(data, quant.PQConfig{M: 4, Ks: 100, Iters: 8, Seed: 73})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.quantizer(pq)
+	for i := 0; i < data.Rows; i++ {
+		b.h.Write(pq.Encode(data.Row(i)))
+	}
+	// A few query-time ADC tables: the distances themselves, which a
+	// rounding change moves even where no argmin flips.
+	for i := 0; i < 16; i++ {
+		b.floats(pq.ADCTable(data.Row(i)))
+	}
+
+	fs, err := NewFastScan(data, quant.Config4(quant.PQConfig{M: 4, Iters: 8, Seed: 74}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.quantizer(fs.pq)
+	b.h.Write(fs.blocks)
+	for i := 0; i < 16; i++ {
+		b.floats(fs.pq.ADCTable(data.Row(i)))
+	}
+
+	pqCfg := quant.PQConfig{M: 8, Ks: 64, Iters: 6, Seed: 75}
+	ivf, err := NewIVF(data, IVFConfig{NList: 53, NProbe: 4, PQ: &pqCfg, Iters: 8, Seed: 76, TrainSample: 1500})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b.floats(ivf.coarse.Data)
+	b.quantizer(ivf.pq)
+	for li, ids := range ivf.lists {
+		b.ints([]int{len(ids)})
+		for _, id := range ids {
+			b.ints([]int{int(id)})
+		}
+		b.h.Write(ivf.codes[li])
+	}
+
+	if got := hex.EncodeToString(b.h.Sum(nil)); got != buildBitsHash {
+		t.Fatalf("index build bits hash %s, want %s", got, buildBitsHash)
+	}
+}

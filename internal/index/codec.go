@@ -272,21 +272,23 @@ func checkMatrix(m *mathx.Matrix, name string) error {
 	return nil
 }
 
-// checkQuantizer checks a product quantizer's internal consistency before
-// any code is decoded against it.
-func checkQuantizer(q *quant.ProductQuantizer) error {
+// assembleQuantizer checks a product quantizer's internal consistency
+// before any code is decoded against it, and makes the quantizer the index
+// serves from its codebooks (quant.NewProductQuantizer, which lays them out
+// for the distance kernel).
+func assembleQuantizer(q *quant.ProductQuantizer) (*quant.ProductQuantizer, error) {
 	if q == nil || q.M <= 0 || q.Ks <= 0 || q.Ks > 256 || q.Dsub <= 0 || q.D != q.M*q.Dsub {
-		return fmt.Errorf("index: missing or inconsistent quantizer")
+		return nil, fmt.Errorf("index: missing or inconsistent quantizer")
 	}
 	if len(q.Codebooks) != q.M {
-		return fmt.Errorf("index: quantizer has %d codebooks, want M=%d", len(q.Codebooks), q.M)
+		return nil, fmt.Errorf("index: quantizer has %d codebooks, want M=%d", len(q.Codebooks), q.M)
 	}
 	for m, cb := range q.Codebooks {
 		if cb == nil || cb.Cols != q.Dsub || cb.Rows == 0 || cb.Rows > q.Ks || len(cb.Data) != cb.Rows*cb.Cols {
-			return fmt.Errorf("index: codebook %d has bad shape", m)
+			return nil, fmt.Errorf("index: codebook %d has bad shape", m)
 		}
 	}
-	return nil
+	return quant.NewProductQuantizer(q.Ks, q.Codebooks), nil
 }
 
 // checkCodes rejects code bytes referencing centroids past the trained
@@ -302,8 +304,8 @@ func checkCodes(q *quant.ProductQuantizer, codes []byte) error {
 
 // assemblePQ reads a trained quantizer and its row-major codes.
 func assemblePQ(p *Parts) (*PQ, error) {
-	q := p.Quant
-	if err := checkQuantizer(q); err != nil {
+	q, err := assembleQuantizer(p.Quant)
+	if err != nil {
 		return nil, err
 	}
 	if len(p.Codes)%q.M != 0 {
@@ -320,8 +322,8 @@ func assemblePQ(p *Parts) (*PQ, error) {
 // trained centroids and the padding rows of the final partial block must
 // be zero.
 func assembleFastScan(p *Parts, n int) (*FastScan, error) {
-	q := p.Quant
-	if err := checkQuantizer(q); err != nil {
+	q, err := assembleQuantizer(p.Quant)
+	if err != nil {
 		return nil, err
 	}
 	if err := validate4(q); err != nil {
@@ -374,7 +376,8 @@ func assembleIVF(p *Parts, n int) (*IVF, error) {
 	if total != n {
 		return nil, fmt.Errorf("index: IVF lists hold %d ids for %d rows", total, n)
 	}
-	ix := &IVF{coarse: coarse, nprobe: max(p.NProbe, 1), dim: coarse.Cols, n: n, lists: p.Lists}
+	ix := &IVF{coarse: coarse, cols: mathx.NewCentroids(coarse), dim: coarse.Cols, n: n, lists: p.Lists}
+	ix.SetNProbe(p.NProbe)
 	if p.Kind == "ivf-flat" {
 		if err := checkMatrix(p.Vectors, "vectors"); err != nil {
 			return nil, err
@@ -385,8 +388,8 @@ func assembleIVF(p *Parts, n int) (*IVF, error) {
 		ix.vectors = p.Vectors
 		return ix, nil
 	}
-	q := p.Quant
-	if err := checkQuantizer(q); err != nil {
+	q, err := assembleQuantizer(p.Quant)
+	if err != nil {
 		return nil, err
 	}
 	if q.D != coarse.Cols {

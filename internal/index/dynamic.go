@@ -36,9 +36,10 @@ func (ix *PQ) appendRow(vec []float32) {
 // appendRow routes vec to its nearest coarse list and stores it there — raw
 // for IVF-Flat, as a residual code for IVF-PQ.
 func (ix *IVF) appendRow(vec []float32) {
+	dists := make([]float32, ix.cols.K)
+	ix.cols.SquaredL2Into(vec, dists)
 	best, bestD := 0, float32(0)
-	for c := 0; c < ix.coarse.Rows; c++ {
-		d := mathx.SquaredL2(vec, ix.coarse.Row(c))
+	for c, d := range dists {
 		if c == 0 || d < bestD {
 			best, bestD = c, d
 		}

@@ -99,6 +99,7 @@ func fsKernelCases(m4, ks, n int, seed uint64) []fsKernelCase {
 					}
 				}
 			}
+			remakeQuantizer(ix)
 			for m := range query {
 				if style == "random" {
 					query[m] = rng.Float32()
@@ -208,6 +209,7 @@ func TestFastScanGroupMatchesSolo(t *testing.T) {
 			cb.Data[c] = float32(c)
 		}
 	}
+	remakeQuantizer(ix)
 	var qs [fsLanes]fsQuery
 	for l, at := range [fsLanes]float32{far, -1, -2, far} {
 		query := make([]float32, m4)
@@ -271,6 +273,7 @@ func TestFastScanRequantizes(t *testing.T) {
 			cb.Data[c] = float32(c)
 		}
 	}
+	remakeQuantizer(ix)
 	query := make([]float32, m4)
 	for m := range query {
 		query[m] = far
@@ -339,6 +342,7 @@ func TestFastScanLongRange(t *testing.T) {
 			cb.Data[c] = float32(c)
 		}
 	}
+	remakeQuantizer(ix)
 	table := ix.prepareInto([]float32{far, far}, make([]float32, ix.stateLen()))
 	s := &Scratch{}
 	for _, rg := range [][2]int{{0, n}, {fsBlock + 3, n - 1}, {near[0], near[1] + 1}} {

@@ -23,8 +23,13 @@ func syntheticFastScan(nib []byte, m4, ks, n int) *FastScan {
 	for m := range cbs {
 		cbs[m] = mathx.NewMatrix(ks, 1)
 	}
-	pq := &quant.ProductQuantizer{D: m4, M: m4, Ks: quant.Ks4, Dsub: 1, Codebooks: cbs}
-	return &FastScan{pq: pq, blocks: interleave4(nib, m4, n), n: n}
+	return &FastScan{pq: quant.NewProductQuantizer(quant.Ks4, cbs), blocks: interleave4(nib, m4, n), n: n}
+}
+
+// remakeQuantizer makes ix's quantizer anew from its codebooks, as the
+// codec does at attach, after a test has written centroids into them.
+func remakeQuantizer(ix *FastScan) {
+	ix.pq = quant.NewProductQuantizer(ix.pq.Ks, ix.pq.Codebooks)
 }
 
 // FuzzInterleave4RoundTrip locks down the block-interleaved 4-bit layout:
@@ -106,6 +111,7 @@ func FuzzFastScanEquivalence(f *testing.F) {
 				cb.Data[c] = draw(int(tieMod)%4 + 1)
 			}
 		}
+		remakeQuantizer(ix)
 		queries := make([][]float32, nq)
 		for i := range queries {
 			if i == 2 {

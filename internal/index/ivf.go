@@ -46,7 +46,8 @@ func DefaultIVFConfig(n int) IVFConfig {
 // vector to one list; a query scans only the NProbe nearest lists. With the
 // optional PQ it stores compressed codes (FAISS's IVFPQ).
 type IVF struct {
-	coarse *mathx.Matrix // NList × D centroids
+	coarse *mathx.Matrix    // NList × D centroids
+	cols   *mathx.Centroids // coarse, column-major: what queries and appends rank
 	nprobe int
 	dim    int
 	n      int
@@ -79,6 +80,7 @@ func NewIVF(data *mathx.Matrix, cfg IVFConfig) (*IVF, error) {
 	cents, assign := quant.KMeans(data, quant.KMeansConfig{K: cfg.NList, MaxIters: cfg.Iters, Seed: cfg.Seed, Workers: cfg.Workers, TrainSample: cfg.TrainSample})
 	ix := &IVF{
 		coarse: cents,
+		cols:   mathx.NewCentroids(cents),
 		nprobe: cfg.NProbe,
 		dim:    data.Cols,
 		n:      data.Rows,
@@ -142,6 +144,11 @@ func (ix *IVF) SetNProbe(n int) {
 	ix.nprobe = n
 }
 
+// MaxRerank caps the exact re-rank over-fetch factor. Past it the ADC pass
+// would keep more candidates than any list scan yields, and a factor near
+// the int range would wrap k×factor negative.
+const MaxRerank = 1024
+
 // SetRerank enables (factor > 1) or disables (factor <= 1) exact re-ranking
 // for an IVF-PQ index: the ADC scan over-fetches k×factor candidates and the
 // final top-k is decided by exact squared-L2 distances against vectors, which
@@ -153,6 +160,9 @@ func (ix *IVF) SetRerank(factor int, vectors *mathx.Matrix) error {
 	if factor <= 1 || vectors == nil {
 		ix.rerank, ix.rvecs = 0, nil
 		return nil
+	}
+	if factor > MaxRerank {
+		return fmt.Errorf("index: rerank factor %d exceeds %d", factor, MaxRerank)
 	}
 	if ix.pq == nil {
 		return fmt.Errorf("index: rerank requires IVF-PQ (IVF-Flat distances are already exact)")
@@ -197,8 +207,10 @@ func (ix *IVF) Search(ctx context.Context, s *Scratch, q []float32, k int, dst [
 	// Rank coarse centroids.
 	probes := &s.probes
 	probes.reset(ix.nprobe)
-	for c := 0; c < ix.coarse.Rows; c++ {
-		probes.push(int32(c), mathx.SquaredL2(q, ix.coarse.Row(c)))
+	s.coarse = mathx.Resize(s.coarse, ix.cols.K)
+	ix.cols.SquaredL2Into(q, s.coarse)
+	for c, d := range s.coarse {
+		probes.push(int32(c), d)
 	}
 	s.probeBuf = probes.appendSorted(s.probeBuf)
 	// With re-ranking on, the ADC pass over-fetches into the probe heap

@@ -131,3 +131,48 @@ func TestSetRerankValidation(t *testing.T) {
 		t.Fatalf("rerank = (%d, %v) after clear", ix.rerank, ix.rvecs)
 	}
 }
+
+// TestRerankFactorCapped: SetRerank takes factors up to MaxRerank and
+// refuses any above it, 2^62 (which wraps k×factor negative) included,
+// leaving the index as it was.
+func TestRerankFactorCapped(t *testing.T) {
+	data := randomData(300, 16, 31)
+	pqCfg := quant.PQConfig{M: 4, Ks: 16, Iters: 4, Seed: 32}
+	ix, err := NewIVF(data, IVFConfig{NList: 6, NProbe: 2, PQ: &pqCfg, Iters: 4, Seed: 33})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ix.SetRerank(MaxRerank, data); err != nil {
+		t.Fatalf("factor %d refused: %v", MaxRerank, err)
+	}
+	for _, f := range []int{MaxRerank + 1, 1 << 62} {
+		if err := ix.SetRerank(f, data); err == nil {
+			t.Fatalf("factor %d accepted", f)
+		}
+		if ix.rerank != MaxRerank {
+			t.Fatalf("refused factor %d left rerank %d", f, ix.rerank)
+		}
+	}
+	if got := Search(ix, data.Row(0), 10); len(got) != 10 || got[0].ID != 0 {
+		t.Fatalf("search after refusals: %+v", got)
+	}
+}
+
+// TestAssembleIVFClampsNProbe: an artifact's nprobe outside [1, NList] is
+// clamped at attach, as SetNProbe clamps it.
+func TestAssembleIVFClampsNProbe(t *testing.T) {
+	data := randomData(200, 8, 34)
+	ix, err := NewIVF(data, IVFConfig{NList: 6, NProbe: 2, Iters: 4, Seed: 35})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct{ in, want int }{{1 << 40, 6}, {7, 6}, {6, 6}, {4, 4}, {0, 1}, {-3, 1}} {
+		got, err := Assemble(&Parts{Kind: "ivf-flat", Coarse: ix.coarse, NProbe: c.in, Lists: ix.lists, Vectors: data}, data.Rows)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n := got.(*IVF).NProbe(); n != c.want {
+			t.Errorf("nprobe %d attached as %d, want %d", c.in, n, c.want)
+		}
+	}
+}

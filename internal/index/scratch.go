@@ -14,6 +14,7 @@ type Scratch struct {
 	probes   topK
 	table    []float32
 	residual []float32
+	coarse   []float32 // IVF: the query's distance to every coarse centroid
 	probeBuf []Result
 	base     []Result // Dynamic: the sealed base segment's hits, merged into res
 	dists    [scanBlock]float32

@@ -35,16 +35,17 @@ type KMeansConfig struct {
 // deterministic across worker counts.
 const kmeansParts = 64
 
-// kmeansState holds the preallocated per-partition reduction buffers of one
-// KMeans run: partial centroid sums and counts for the update step, partial
-// distance-total decrements for the seeding step, and the per-partition
-// changed flags of the assignment step.
+// kmeansState holds the preallocated per-partition buffers of one KMeans
+// run: partial centroid sums and counts for the update step, partial
+// distance-total decrements for the seeding step, and the changed flags
+// and one row's distances to every centroid for the assignment step.
 type kmeansState struct {
 	bounds  []int // len parts+1, partition p covers rows [bounds[p], bounds[p+1])
 	sums    []*mathx.Matrix
 	counts  [][]int
 	deltas  []float64
 	changed []bool
+	dists   [][]float32
 	workers int
 }
 
@@ -57,11 +58,13 @@ func newKMeansState(n, k, d, workers int) *kmeansState {
 		counts:  make([][]int, parts),
 		deltas:  make([]float64, parts),
 		changed: make([]bool, parts),
+		dists:   make([][]float32, parts),
 		workers: workers,
 	}
 	for p := range st.sums {
 		st.sums[p] = mathx.NewMatrix(k, d)
 		st.counts[p] = make([]int, k)
+		st.dists[p] = make([]float32, k)
 	}
 	return st
 }
@@ -187,15 +190,18 @@ func seedPlusPlus(data, centroids *mathx.Matrix, rng *mathx.RNG, st *kmeansState
 
 // assignStep reassigns every row to its nearest centroid in parallel and
 // reports whether any assignment moved. Each row's nearest centroid is an
-// exact argmin, so the result is independent of scheduling.
+// exact argmin, so the result is independent of scheduling. The centroids
+// are laid out column-major once per step, and each row's distances to all
+// of them come from one call of the column-block kernel.
 func assignStep(data, centroids *mathx.Matrix, assign []int, st *kmeansState) bool {
-	k := centroids.Rows
+	cols := mathx.NewCentroids(centroids)
 	par.ForEach(st.parts(), st.workers, func(p int) {
+		dists := st.dists[p]
 		moved := false
 		for i := st.bounds[p]; i < st.bounds[p+1]; i++ {
+			cols.SquaredL2Into(data.Row(i), dists)
 			best, bestD := 0, float32(0)
-			for c := 0; c < k; c++ {
-				d := mathx.SquaredL2(data.Row(i), centroids.Row(c))
+			for c, d := range dists {
 				if c == 0 || d < bestD {
 					best, bestD = c, d
 				}

@@ -17,6 +17,26 @@ type ProductQuantizer struct {
 	D, M, Ks, Dsub int
 	// Codebooks[m] is a Ks×Dsub matrix of centroids for group m.
 	Codebooks []*mathx.Matrix
+	// cols[m] is Codebooks[m] column-major: the block EncodeInto and
+	// ADCTableInto score a sub-vector against, eight centroids per
+	// instruction on AVX2.
+	cols []*mathx.Centroids
+}
+
+// NewProductQuantizer makes the quantizer of the given sub-codebooks: M of
+// them, each of at most ks centroids and all of one width Dsub (D = M·Dsub).
+// It is the one constructor — TrainPQ and the index codec's assembly both
+// end here — and it lays every codebook out column-major once. The
+// codebooks must not change afterwards; ones read from an artifact are
+// checked before they get here.
+func NewProductQuantizer(ks int, codebooks []*mathx.Matrix) *ProductQuantizer {
+	pq := &ProductQuantizer{M: len(codebooks), Ks: ks, Dsub: codebooks[0].Cols, Codebooks: codebooks}
+	pq.D = pq.M * pq.Dsub
+	pq.cols = make([]*mathx.Centroids, pq.M)
+	for m, cb := range codebooks {
+		pq.cols[m] = mathx.NewCentroids(cb)
+	}
+	return pq
 }
 
 // PQConfig configures training.
@@ -48,8 +68,8 @@ func TrainPQ(data *mathx.Matrix, cfg PQConfig) (*ProductQuantizer, error) {
 	if data.Cols%cfg.M != 0 {
 		return nil, fmt.Errorf("quant: dimension %d not divisible by M=%d", data.Cols, cfg.M)
 	}
-	pq := &ProductQuantizer{D: data.Cols, M: cfg.M, Ks: cfg.Ks, Dsub: data.Cols / cfg.M}
-	pq.Codebooks = make([]*mathx.Matrix, cfg.M)
+	dsub := data.Cols / cfg.M
+	codebooks := make([]*mathx.Matrix, cfg.M)
 	// Each sub-codebook is an independent clustering of its own column
 	// group with its own seed, so the groups fan across workers; leftover
 	// workers fold into each group's KMeans (whose result is worker-count
@@ -63,14 +83,13 @@ func TrainPQ(data *mathx.Matrix, cfg PQConfig) (*ProductQuantizer, error) {
 		inner = 1
 	}
 	par.ForEach(cfg.M, cfg.Workers, func(m int) {
-		sub := mathx.NewMatrix(data.Rows, pq.Dsub)
+		sub := mathx.NewMatrix(data.Rows, dsub)
 		for i := 0; i < data.Rows; i++ {
-			copy(sub.Row(i), data.Row(i)[m*pq.Dsub:(m+1)*pq.Dsub])
+			copy(sub.Row(i), data.Row(i)[m*dsub:(m+1)*dsub])
 		}
-		cents, _ := KMeans(sub, KMeansConfig{K: cfg.Ks, MaxIters: cfg.Iters, Seed: cfg.Seed + uint64(m), Workers: inner, TrainSample: cfg.TrainSample})
-		pq.Codebooks[m] = cents
+		codebooks[m], _ = KMeans(sub, KMeansConfig{K: cfg.Ks, MaxIters: cfg.Iters, Seed: cfg.Seed + uint64(m), Workers: inner, TrainSample: cfg.TrainSample})
 	})
-	return pq, nil
+	return NewProductQuantizer(cfg.Ks, codebooks), nil
 }
 
 // Encode quantizes vec into its M-byte code.
@@ -82,12 +101,11 @@ func (pq *ProductQuantizer) Encode(vec []float32) []byte {
 
 // EncodeInto quantizes vec into code, which must have length M.
 func (pq *ProductQuantizer) EncodeInto(vec []float32, code []byte) {
-	for m := 0; m < pq.M; m++ {
-		sub := vec[m*pq.Dsub : (m+1)*pq.Dsub]
-		cb := pq.Codebooks[m]
+	var dists [256]float32 // Ks ≤ 256
+	for m, cols := range pq.cols {
+		cols.SquaredL2Into(vec[m*pq.Dsub:(m+1)*pq.Dsub], dists[:])
 		best, bestD := 0, float32(0)
-		for c := 0; c < cb.Rows; c++ {
-			d := mathx.SquaredL2(sub, cb.Row(c))
+		for c, d := range dists[:cols.K] {
 			if c == 0 || d < bestD {
 				best, bestD = c, d
 			}
@@ -122,18 +140,12 @@ func (pq *ProductQuantizer) ADCTableInto(query, table []float32) {
 	if len(table) != pq.M*pq.Ks {
 		panic(fmt.Sprintf("quant: ADC table length %d, want %d", len(table), pq.M*pq.Ks))
 	}
-	for m := 0; m < pq.M; m++ {
-		sub := query[m*pq.Dsub : (m+1)*pq.Dsub]
-		cb := pq.Codebooks[m]
-		base := m * pq.Ks
-		for c := 0; c < cb.Rows; c++ {
-			table[base+c] = mathx.SquaredL2(sub, cb.Row(c))
-		}
+	for m, cols := range pq.cols {
+		row := table[m*pq.Ks:][:pq.Ks]
+		cols.SquaredL2Into(query[m*pq.Dsub:(m+1)*pq.Dsub], row)
 		// A reused table may hold stale values past the trained centroids;
 		// codes never reference them, but keep the table well-defined.
-		for c := cb.Rows; c < pq.Ks; c++ {
-			table[base+c] = 0
-		}
+		clear(row[cols.K:])
 	}
 }
 

@@ -78,29 +78,35 @@ go test -count=5 ./internal/serve ./internal/cluster ./internal/index ./internal
 echo "== portable kernel builds: purego tests, arm64 vet, GOAMD64=v3 =="
 # Each AVX2 assembly kernel has a portable sibling that this amd64 host
 # never runs by itself: the fast-scan query-major group kernel and the
-# scalar loops of the table quantizer (DESIGN.md §11), and the convolution
-# loop (§3, "Inference kernels"). The purego tag
+# scalar loops of the table quantizer and the four-lane loop of the
+# centroid-distance block (DESIGN.md §11), and the convolution loop (§3,
+# "Inference kernels"). The purego tag
 # runs the kernel, scan, lookup and serve suites on them — the embedding
 # golden included — and the arm64 vet type-checks the non-amd64 file set so
 # it cannot rot. The GOAMD64=v3 run lets the compiler use every FMA the
 # language allows: the portable loops round each product (float32(w*x)), so
-# the embedding golden and the kernel equivalence hold there too. The
-# training golden (TestTrainDeterministicRunToRunAcrossWorkerCounts: the
-# trainer's Adam and backward passes included) holds there as well.
+# the embedding golden, the kernel equivalence and the pinned index build
+# bits (TestBuildBitsPinned) hold there too. The training golden
+# (TestTrainDeterministicRunToRunAcrossWorkerCounts: the trainer's Adam and
+# backward passes included) holds there as well.
 go test -tags purego ./internal/nn ./internal/mathx ./internal/quant ./internal/index ./internal/core ./internal/serve
 GOARCH=arm64 go vet ./internal/nn ./internal/mathx ./internal/quant ./internal/index ./internal/core
-GOAMD64=v3 go test -run 'Golden|Equivalence|TestTrainDeterministicRunToRun' ./internal/nn ./internal/core
+GOAMD64=v3 go test -run 'Golden|Equivalence|TestTrainDeterministicRunToRun|BitIdentity|TestBuildBitsPinned' ./internal/nn ./internal/core ./internal/mathx ./internal/index
 
 echo "== kernel fuzz (short, both builds) =="
 # Each build's fast-scan kernels against the plain float32 scan: batch sizes
 # 1-9, all-ties tables, mid-block ranges (DESIGN.md §11). Each build's
 # convolution kernels against the scalar loop, bit for bit: lengths 1-40,
-# signed zeros, subnormals, overflow (DESIGN.md §3). The query's one case
+# signed zeros, subnormals, overflow (DESIGN.md §3). Each build's centroid
+# block against SquaredL2 per centroid, bit for bit, on arbitrary float32
+# bit patterns (DESIGN.md §11). The query's one case
 # fold against strings.ToLower.
 go test -run '^$' -fuzz FuzzFastScanEquivalence -fuzztime 10s ./internal/index
 go test -tags purego -run '^$' -fuzz FuzzFastScanEquivalence -fuzztime 10s ./internal/index
 go test -run '^$' -fuzz FuzzConvEquivalence -fuzztime 10s ./internal/nn
 go test -tags purego -run '^$' -fuzz FuzzConvEquivalence -fuzztime 10s ./internal/nn
+go test -run '^$' -fuzz FuzzSquaredL2ManyEquivalence -fuzztime 10s ./internal/mathx
+go test -tags purego -run '^$' -fuzz FuzzSquaredL2ManyEquivalence -fuzztime 10s ./internal/mathx
 go test -run '^$' -fuzz FuzzLowerInto -fuzztime 10s ./internal/core
 
 echo "== artifact parser fuzz (short) =="
