@@ -14,6 +14,7 @@ import (
 
 	"emblookup/internal/artifact"
 	"emblookup/internal/core"
+	"emblookup/internal/index"
 	"emblookup/internal/kg"
 	"emblookup/internal/ngram"
 	"emblookup/internal/obs"
@@ -90,7 +91,7 @@ func TestLookupAllocsWithMetrics(t *testing.T) {
 
 	// The fast-scan path shares the budget: its extra state (uint8 LUT,
 	// fused pair tables) lives in the same pooled scratch.
-	fs, err := m.WithFastScan()
+	fs, err := m.WithIndex(index.Spec{Compress: true, FastScan: true, PQ: m.Config().PQ})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -143,7 +144,7 @@ func TestBulkLookupAllocs(t *testing.T) {
 		t.Skip("allocation guard trains a model; skipped in -short")
 	}
 	g, m, _ := model(t)
-	fs, err := m.WithFastScan()
+	fs, err := m.WithIndex(index.Spec{Compress: true, FastScan: true, PQ: m.Config().PQ})
 	if err != nil {
 		t.Fatal(err)
 	}

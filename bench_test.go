@@ -81,7 +81,7 @@ func model(b testing.TB) (*kg.Graph, *core.EmbLookup, *core.EmbLookup) {
 		if err != nil {
 			panic(err)
 		}
-		nc, err := m.WithCompression(false)
+		nc, err := m.WithIndex(index.Spec{})
 		if err != nil {
 			panic(err)
 		}
@@ -538,7 +538,7 @@ func BenchmarkPQBuild(b *testing.B) {
 // embed every entity, train the 4-bit quantizer, encode the rows.
 func BenchmarkIndexBuild(b *testing.B) {
 	_, m, _ := model(b)
-	fs, err := m.WithFastScan()
+	fs, err := m.WithIndex(index.Spec{Compress: true, FastScan: true, PQ: m.Config().PQ})
 	if err != nil {
 		b.Fatal(err)
 	}

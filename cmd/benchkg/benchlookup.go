@@ -64,11 +64,11 @@ func benchLookup(path string, entities int, seed uint64) error {
 	if err != nil {
 		return fmt.Errorf("training: %w", err)
 	}
-	nc, err := m.WithCompression(false)
+	nc, err := m.WithIndex(index.Spec{})
 	if err != nil {
 		return fmt.Errorf("decompressing: %w", err)
 	}
-	fs, err := m.WithFastScan()
+	fs, err := m.WithIndex(index.Spec{Compress: true, FastScan: true, PQ: m.Config().PQ})
 	if err != nil {
 		return fmt.Errorf("fast-scan sibling: %w", err)
 	}

@@ -46,14 +46,7 @@ func cmdClusterPart(args []string) {
 	p := fs.Int("p", 2, "partition count")
 	fs.Parse(args)
 
-	g, err := kg.LoadFile(*graphPath)
-	if err != nil {
-		log.Fatalf("loading graph: %v", err)
-	}
-	model, err := core.LoadFile(*modelPath, g)
-	if err != nil {
-		log.Fatalf("loading model: %v", err)
-	}
+	_, model := loadModel(*graphPath, *modelPath)
 	start := time.Now()
 	man, err := cluster.SavePartitions(*dir, model, *p)
 	if err != nil {
@@ -125,20 +118,14 @@ func cmdClusterRoute(args []string) {
 	if (*nodes == "") == (*mapURL == "") {
 		log.Fatal("cluster-route: exactly one of -nodes or -map-url is required")
 	}
-	g, err := kg.LoadFile(*graphPath)
-	if err != nil {
-		log.Fatalf("loading graph: %v", err)
-	}
-	model, err := core.LoadFile(*modelPath, g)
-	if err != nil {
-		log.Fatalf("loading model: %v", err)
-	}
+	_, model := loadModel(*graphPath, *modelPath)
 	obs.Default().SetEnabled(*metricsOn)
 	ropts := cluster.RouterOptions{
 		Timeout:    *timeout,
 		HedgeAfter: *hedgeAfter,
 	}
 	var rt *cluster.Router
+	var err error
 	if *mapURL != "" {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		m, err := replica.FetchMap(ctx, nil, *mapURL)

@@ -5,7 +5,7 @@
 // Usage:
 //
 //	emblookup gen   -entities 2000 -profile wikidata -out graph.bin
-//	emblookup train -graph graph.bin -out model.bin [-epochs 6] [-dim 64] [-save-index=false]
+//	emblookup train -graph graph.bin -out model.bin [-index pq] [-epochs 6] [-dim 64] [-save-index=false]
 //	emblookup query -graph graph.bin -model model.bin -k 10 "Germany" "Germoney" ...
 //	emblookup bulk  -graph graph.bin -model model.bin -in queries.txt -k 10
 //	emblookup serve -graph graph.bin -model model.bin -addr :8080
@@ -137,6 +137,20 @@ func cmdIndex(args []string) {
 	}
 }
 
+// loadModel loads the graph at graphPath and the model at modelPath over
+// it, exiting on either failure.
+func loadModel(graphPath, modelPath string) (*kg.Graph, *core.EmbLookup) {
+	g, err := kg.LoadFile(graphPath)
+	if err != nil {
+		log.Fatalf("loading graph: %v", err)
+	}
+	model, err := core.LoadFile(modelPath, g)
+	if err != nil {
+		log.Fatalf("loading model: %v", err)
+	}
+	return g, model
+}
+
 // kernelNote names the fast-scan kernel behind ix for a log line, and says
 // nothing for an index that runs none.
 func kernelNote(ix index.Index) string {
@@ -158,14 +172,7 @@ func cmdBulk(args []string) {
 	parallelism := fs.Int("parallel", 0, "worker count (0 = all cores)")
 	fs.Parse(args)
 
-	g, err := kg.LoadFile(*graphPath)
-	if err != nil {
-		log.Fatalf("loading graph: %v", err)
-	}
-	model, err := core.LoadFile(*modelPath, g)
-	if err != nil {
-		log.Fatalf("loading model: %v", err)
-	}
+	g, model := loadModel(*graphPath, *modelPath)
 
 	in := os.Stdin
 	if *inPath != "-" {
@@ -204,13 +211,6 @@ func cmdBulk(args []string) {
 		elapsed.Round(time.Millisecond), (elapsed / time.Duration(max(1, len(queries)))).Round(time.Microsecond))
 }
 
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
 // cmdServe exposes the lookup service over HTTP:
 //
 //	GET /lookup?q=Germoney&k=10
@@ -244,14 +244,7 @@ func cmdServe(args []string) {
 		return
 	}
 
-	g, err := kg.LoadFile(*graphPath)
-	if err != nil {
-		log.Fatalf("loading graph: %v", err)
-	}
-	model, err := core.LoadFile(*modelPath, g)
-	if err != nil {
-		log.Fatalf("loading model: %v", err)
-	}
+	g, model := loadModel(*graphPath, *modelPath)
 	prov := model.IndexProvenance()
 	log.Printf("index %s in %v (also under /stats)", prov.Source, prov.Took.Round(time.Microsecond))
 	obs.Default().SetEnabled(*metricsOn)
@@ -323,28 +316,31 @@ func cmdTrain(args []string) {
 	dim := fs.Int("dim", 64, "embedding dimension")
 	epochs := fs.Int("epochs", 6, "training epochs (half offline, half online-mined)")
 	triplets := fs.Int("triplets", 20, "triplets mined per entity")
-	compress := fs.Bool("compress", true, "product-quantize the index")
-	fastScan := fs.Bool("fastscan", false, "build the compressed index as the 4-bit fast-scan variant (requires -compress)")
+	kind := fs.String("index", "pq", "index kind: flat, pq, fastscan (4-bit PQ), ivf-flat or ivf-pq")
 	saveIndex := fs.Bool("save-index", true, "embed the built index in the model file (IO-bound cold starts)")
 	paper := fs.Bool("paper", false, "use the full paper configuration (100 epochs, 100 triplets/entity)")
 	workers := fs.Int("workers", 0, "training/indexing worker count (0 = GOMAXPROCS)")
 	fs.Parse(args)
 
-	g, err := kg.LoadFile(*graphPath)
-	if err != nil {
-		log.Fatalf("loading graph: %v", err)
-	}
 	cfg := core.FastConfig()
 	if *paper {
 		cfg = core.DefaultConfig()
+	}
+	spec, err := cfg.Spec.WithKind(*kind)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(2)
+	}
+	cfg.Spec = spec
+	g, err := kg.LoadFile(*graphPath)
+	if err != nil {
+		log.Fatalf("loading graph: %v", err)
 	}
 	cfg.Dim = *dim
 	if !*paper {
 		cfg.Epochs = *epochs
 		cfg.TripletsPerEntity = *triplets
 	}
-	cfg.Compress = *compress
-	cfg.FastScan = *fastScan
 	cfg.Workers = *workers
 
 	start := time.Now()
@@ -383,14 +379,7 @@ func cmdQuery(args []string) {
 		log.Fatal("query: provide at least one query string")
 	}
 
-	g, err := kg.LoadFile(*graphPath)
-	if err != nil {
-		log.Fatalf("loading graph: %v", err)
-	}
-	model, err := core.LoadFile(*modelPath, g)
-	if err != nil {
-		log.Fatalf("loading model: %v", err)
-	}
+	g, model := loadModel(*graphPath, *modelPath)
 	for _, q := range queries {
 		start := time.Now()
 		res := model.Lookup(q, *k)

@@ -11,6 +11,7 @@ import (
 	"log"
 
 	"emblookup/internal/core"
+	"emblookup/internal/index"
 	"emblookup/internal/kg"
 	"emblookup/internal/lookup"
 	"emblookup/internal/systems"
@@ -47,7 +48,7 @@ func main() {
 	run("original (Elastic)", sys.Original)
 	run("EmbLookup (PQ)", model)
 
-	nc, err := model.WithCompression(false)
+	nc, err := model.WithIndex(index.Spec{}) // exact flat search
 	if err != nil {
 		log.Fatal(err)
 	}

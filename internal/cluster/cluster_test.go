@@ -710,7 +710,7 @@ func TestMergeHitsDedupe(t *testing.T) {
 // over its bare partition.
 func TestClusterFastScan(t *testing.T) {
 	g, m := testModel(t)
-	fs, err := m.WithFastScan()
+	fs, err := m.WithIndex(index.Spec{Compress: true, FastScan: true, PQ: m.Config().PQ})
 	if err != nil {
 		t.Fatal(err)
 	}

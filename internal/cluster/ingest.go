@@ -114,20 +114,12 @@ func (r *Router) ingestLocked(ctx context.Context, items []core.IngestItem, flus
 // cutover primitive: while held, no batch can land between a log replay
 // onto a fresh replica and the map publish that adds it, so the replica
 // rejoins exactly caught-up. fn receives the ingest log snapshot (the
-// replay source); it must not call back into Ingest or IngestLog, which
-// would self-deadlock on the lock it already holds.
+// replay source); it must not call back into Ingest, which would
+// self-deadlock on the lock it already holds.
 func (r *Router) WithIngestLock(fn func(log []core.IngestItem)) {
 	r.ingestMu.Lock()
 	defer r.ingestMu.Unlock()
 	fn(append([]core.IngestItem(nil), r.ingestLog...))
-}
-
-// IngestLog returns a copy of every item routed so far, in applied order —
-// what the control plane replays onto a replica that restarted empty.
-func (r *Router) IngestLog() []core.IngestItem {
-	r.ingestMu.Lock()
-	defer r.ingestMu.Unlock()
-	return append([]core.IngestItem(nil), r.ingestLog...)
 }
 
 // IngestCount returns how many items have been routed — the watermark a

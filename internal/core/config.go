@@ -74,35 +74,9 @@ type Config struct {
 	// slot alone and never learns to use the CNN/subword paths.
 	MentionDropout float64
 
-	// Compress enables product quantization of the entity index (the EL
-	// variant; false gives EL-NC).
-	Compress bool
-	// IVF adds an inverted-file coarse quantizer in front of the index
-	// (FAISS's IVFFlat / IVFPQ, depending on Compress): queries probe only
-	// the nearest coarse lists, trading a little recall for sub-linear
-	// scans on large graphs.
-	IVF bool
-	// IVFNProbe is how many coarse lists a query scans (0 = the index
-	// default).
-	IVFNProbe int
-	// PQ configures the product quantizer when Compress is set.
-	PQ quant.PQConfig
-	// FastScan builds the compressed index as the 4-bit fast-scan variant
-	// (DESIGN.md §11): the PQ configuration is rewritten by quant.Config4
-	// to twice the sub-quantizers at 16 centroids each (same bytes per
-	// code), codes are stored block-interleaved, and queries scan a
-	// uint8-quantized distance table with an exact float32 re-rank of the
-	// survivors. Requires Compress; incompatible with IVF.
-	FastScan bool
-
-	// Rerank, when > 1, makes IVF-PQ queries over-fetch Rerank×k candidates
-	// from the compressed ADC scan and decide the final top-k by exact
-	// distances against the raw embedding matrix. With a v4 artifact the raw
-	// vectors are an mmap'd section paged in on demand, so the fix for the
-	// large-scale recall@10 sag costs pages only for the candidate rows a
-	// query actually touches. Requires IVF and Compress; 0 disables; at most
-	// index.MaxRerank.
-	Rerank int
+	// Spec chooses the served index (index.Spec documents its fields);
+	// JSON and gob flatten it, so artifacts store them as before.
+	index.Spec
 
 	// IndexAliases additionally embeds every alias as its own index row
 	// (Section III-C notes this trades storage for accuracy).
@@ -138,8 +112,7 @@ func DefaultConfig() Config {
 		NgramBuckets:      1 << 17,
 		NgramEpochs:       20,
 		MentionDropout:    0.5,
-		Compress:          true,
-		PQ:                quant.DefaultPQConfig(),
+		Spec:              index.Spec{Compress: true, PQ: quant.DefaultPQConfig()},
 		Seed:              1234,
 	}
 }
@@ -178,33 +151,8 @@ func (c Config) Validate() error {
 	if c.MaxLen > maxMaxLen || c.Kernel > maxMaxLen {
 		return fmt.Errorf("core: MaxLen %d or Kernel %d exceeds %d", c.MaxLen, c.Kernel, maxMaxLen)
 	}
-	if c.Compress && c.PQ.M <= 0 {
-		return fmt.Errorf("core: Compress needs a positive PQ.M, got %d", c.PQ.M)
-	}
-	if c.Compress && c.Dim%c.PQ.M != 0 {
-		return fmt.Errorf("core: Dim=%d not divisible by PQ.M=%d", c.Dim, c.PQ.M)
-	}
-	if c.FastScan {
-		if !c.Compress {
-			return fmt.Errorf("core: FastScan requires Compress (it is a compressed-index layout)")
-		}
-		if c.IVF {
-			return fmt.Errorf("core: FastScan is incompatible with IVF")
-		}
-		// The 4-bit variant doubles the sub-quantizer count (quant.Config4),
-		// so the dimensionality must split across 2·M sub-spaces.
-		if c.Dim%(2*c.PQ.M) != 0 {
-			return fmt.Errorf("core: Dim=%d not divisible by the fast-scan sub-quantizer count 2·PQ.M=%d", c.Dim, 2*c.PQ.M)
-		}
-		if 2*c.PQ.M > quant.MaxM4 {
-			return fmt.Errorf("core: fast-scan sub-quantizer count %d exceeds %d", 2*c.PQ.M, quant.MaxM4)
-		}
-	}
-	if c.Rerank < 0 || c.Rerank > index.MaxRerank {
-		return fmt.Errorf("core: Rerank must be in [0, %d], got %d", index.MaxRerank, c.Rerank)
-	}
-	if c.Rerank > 1 && !(c.IVF && c.Compress) {
-		return fmt.Errorf("core: Rerank requires IVF and Compress (exact re-rank only applies to IVF-PQ)")
+	if err := c.Spec.Validate(c.Dim); err != nil {
+		return err
 	}
 	if c.Kernel%2 == 0 {
 		return fmt.Errorf("core: kernel size must be odd for same-padding, got %d", c.Kernel)

@@ -5,6 +5,7 @@ import (
 	"sync"
 	"testing"
 
+	"emblookup/internal/index"
 	"emblookup/internal/kg"
 	"emblookup/internal/lookup"
 	"emblookup/internal/mathx"
@@ -216,21 +217,16 @@ func TestBulkLookupMatchesSequential(t *testing.T) {
 }
 
 func TestCompressionToggle(t *testing.T) {
-	g, e := fixture(t)
+	_, e := fixture(t)
 	// EL (compressed) payload must be Dim*4/M smaller than EL-NC.
-	elBytes := e.Index().SizeBytes()
-	if err := e.RebuildIndex(false); err != nil {
+	nc, err := e.WithIndex(index.Spec{})
+	if err != nil {
 		t.Fatal(err)
 	}
-	ncBytes := e.Index().SizeBytes()
+	elBytes, ncBytes := e.Index().SizeBytes(), nc.Index().SizeBytes()
 	if ncBytes <= elBytes*4 {
 		t.Fatalf("EL-NC (%d B) should be much larger than EL (%d B)", ncBytes, elBytes)
 	}
-	// Restore compressed state for other tests.
-	if err := e.RebuildIndex(true); err != nil {
-		t.Fatal(err)
-	}
-	_ = g
 }
 
 func TestSaveLoadRoundTrip(t *testing.T) {
@@ -330,6 +326,8 @@ func TestIndexAliasesImprovesAliasRecall(t *testing.T) {
 }
 
 func TestValidate(t *testing.T) {
+	// The index spec's own rules are index.TestSpecValidate's; this checks
+	// only that Config.Validate applies them at the model's dimension.
 	cfg := DefaultConfig()
 	cfg.Dim = 60 // not divisible by PQ.M=8
 	if err := cfg.Validate(); err == nil {
@@ -421,29 +419,6 @@ func TestValidateNewOptions(t *testing.T) {
 	}
 }
 
-func TestValidateRerank(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Rerank = -1
-	if err := cfg.Validate(); err == nil {
-		t.Fatal("negative Rerank should fail validation")
-	}
-	cfg = DefaultConfig()
-	cfg.Rerank = 8
-	if err := cfg.Validate(); err == nil {
-		t.Fatal("Rerank without IVF+Compress should fail validation")
-	}
-	cfg.IVF, cfg.Compress = true, true
-	if err := cfg.Validate(); err != nil {
-		t.Fatalf("valid rerank config rejected: %v", err)
-	}
-	// Rerank ≤ 1 is a no-op and needs no index preconditions.
-	cfg = DefaultConfig()
-	cfg.Rerank = 1
-	if err := cfg.Validate(); err != nil {
-		t.Fatalf("Rerank=1 rejected: %v", err)
-	}
-}
-
 func TestWithAliasRows(t *testing.T) {
 	g, e := fixture(t)
 	withA, err := e.WithAliasRows()
@@ -516,5 +491,28 @@ func TestMinerRelatedHook(t *testing.T) {
 	}
 	if neighborPositives == 0 {
 		t.Fatal("Related hook produced no neighbor positives")
+	}
+}
+
+func TestValidateRerank(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Rerank = -1
+	if err := cfg.Validate(); err == nil {
+		t.Fatal("negative Rerank should fail validation")
+	}
+	cfg = DefaultConfig()
+	cfg.Rerank = 8
+	if err := cfg.Validate(); err == nil {
+		t.Fatal("Rerank without IVF+Compress should fail validation")
+	}
+	cfg.IVF, cfg.Compress = true, true
+	if err := cfg.Validate(); err != nil {
+		t.Fatalf("valid rerank config rejected: %v", err)
+	}
+	// Rerank ≤ 1 is a no-op and needs no index preconditions.
+	cfg = DefaultConfig()
+	cfg.Rerank = 1
+	if err := cfg.Validate(); err != nil {
+		t.Fatalf("Rerank=1 rejected: %v", err)
 	}
 }

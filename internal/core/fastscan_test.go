@@ -11,7 +11,7 @@ import (
 func fastScanSibling(t *testing.T) (*kg.Graph, *EmbLookup, *EmbLookup) {
 	t.Helper()
 	g, e := fixture(t)
-	fs, err := e.WithFastScan()
+	fs, err := e.WithIndex(index.Spec{Compress: true, FastScan: true, PQ: e.Config().PQ})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -27,7 +27,7 @@ func TestWithFastScan(t *testing.T) {
 		t.Fatalf("index type %T, want *index.FastScan", fs.Index())
 	}
 	if e.Config().FastScan {
-		t.Fatal("WithFastScan mutated the receiver")
+		t.Fatal("WithIndex mutated the receiver")
 	}
 	// Same bytes per code: 2·M nibbles pack into M bytes; only the final
 	// partial block adds padding.
@@ -128,7 +128,6 @@ func TestFastScanPartition(t *testing.T) {
 	}
 }
 
-// TestValidateFastScan covers the fast-scan configuration rules.
 func TestValidateFastScan(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.FastScan = true

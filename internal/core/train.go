@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"runtime"
 	"sort"
 	"sync"
@@ -14,7 +13,6 @@ import (
 	"emblookup/internal/ngram"
 	"emblookup/internal/nn"
 	"emblookup/internal/par"
-	"emblookup/internal/quant"
 	"emblookup/internal/strutil"
 	"emblookup/internal/triplet"
 )
@@ -407,9 +405,9 @@ func (e *EmbLookup) selectTopLoss(ts []triplet.Triplet, cfg Config, workers int)
 }
 
 // buildIndex embeds every entity (by label, plus aliases when configured)
-// and constructs the configured nearest-neighbor index. Embedding, k-means,
-// and row encoding all fan across cfg.Workers; the built index is
-// bit-identical at every worker count (see quant.KMeansConfig).
+// and builds the index cfg.Spec names. Embedding, k-means, and row encoding
+// all fan across cfg.Workers; the built index is bit-identical at every
+// worker count (see quant.KMeansConfig).
 func (e *EmbLookup) buildIndex() error {
 	start := time.Now()
 	var strs []string
@@ -426,75 +424,25 @@ func (e *EmbLookup) buildIndex() error {
 		}
 	}
 	m := e.EmbeddingMatrix(strs, e.cfg.Workers)
-	e.rows = rows
-	pqCfg := e.cfg.PQ
-	if pqCfg.Workers == 0 {
-		pqCfg.Workers = e.cfg.Workers
+	ix, err := index.Build(e.cfg.Spec, m, e.cfg.Workers)
+	if err != nil {
+		return err
 	}
-	switch {
-	case e.cfg.IVF:
-		ivfCfg := index.DefaultIVFConfig(m.Rows)
-		if e.cfg.IVFNProbe > 0 {
-			ivfCfg.NProbe = e.cfg.IVFNProbe
-		}
-		if e.cfg.Compress {
-			ivfCfg.PQ = &pqCfg
-		}
-		ivfCfg.Workers = e.cfg.Workers
-		// The PQ config's sampling knob governs the coarse k-means too, so
-		// one setting bounds all training cost at million-entity scale.
-		ivfCfg.TrainSample = pqCfg.TrainSample
-		ivf, err := index.NewIVF(m, ivfCfg)
-		if err != nil {
-			return fmt.Errorf("core: building IVF index: %w", err)
-		}
-		if e.cfg.Rerank > 1 && e.cfg.Compress {
-			// The embedding matrix is in memory anyway at build time; the
-			// artifact writer persists it as the "vectors" section so a later
-			// attach re-ranks against the mmap'd view instead.
-			if err := ivf.SetRerank(e.cfg.Rerank, m); err != nil {
-				return fmt.Errorf("core: enabling IVF re-rank: %w", err)
-			}
-		}
-		e.ix = ivf
-	case e.cfg.Compress && e.cfg.FastScan:
-		fsIx, err := index.NewFastScan(m, quant.Config4(pqCfg))
-		if err != nil {
-			return fmt.Errorf("core: building fast-scan index: %w", err)
-		}
-		e.ix = fsIx
-	case e.cfg.Compress:
-		pqIx, err := index.NewPQ(m, pqCfg)
-		if err != nil {
-			return fmt.Errorf("core: building PQ index: %w", err)
-		}
-		e.ix = pqIx
-	default:
-		e.ix = index.NewFlat(m)
-	}
+	e.ix, e.rows = ix, rows
 	e.prov = IndexProvenance{Source: "rebuilt", Took: time.Since(start)}
 	return nil
 }
 
-// RebuildIndex re-embeds and re-indexes with a modified compression
-// setting, reusing the trained model (used by the EL vs EL-NC comparisons
-// and the Figure 4/5 sweeps).
-func (e *EmbLookup) RebuildIndex(compress bool) error {
-	e.cfg.Compress = compress
-	return e.buildIndex()
-}
-
-// WithCompression returns a sibling service sharing this model's trained
-// weights but with its own index built at the given compression setting —
-// the cheap way to hold the EL and EL-NC variants of Tables II/III
-// simultaneously.
-func (e *EmbLookup) WithCompression(compress bool) (*EmbLookup, error) {
+// WithIndex returns a sibling service sharing this model's trained weights
+// whose index is the one s names — the EL and EL-NC variants of Tables
+// II/III side by side, the Figure 5 bytes-per-code sweep, the fast-scan
+// layout of the same codes. The whole configuration is validated first, so
+// the sibling's config is one an artifact of it can be loaded with. The
+// receiver is untouched.
+func (e *EmbLookup) WithIndex(s index.Spec) (*EmbLookup, error) {
 	clone := *e
-	clone.cfg.Compress = compress
-	if err := clone.buildIndex(); err != nil {
-		return nil, err
-	}
-	return &clone, nil
+	clone.cfg.Spec = s
+	return clone.rebuilt()
 }
 
 // WithAliasRows returns a sibling service sharing this model's trained
@@ -503,42 +451,18 @@ func (e *EmbLookup) WithCompression(compress bool) (*EmbLookup, error) {
 func (e *EmbLookup) WithAliasRows() (*EmbLookup, error) {
 	clone := *e
 	clone.cfg.IndexAliases = true
-	if err := clone.buildIndex(); err != nil {
-		return nil, err
-	}
-	return &clone, nil
+	return clone.rebuilt()
 }
 
-// WithPQ returns a sibling service whose index uses the given product
-// quantizer configuration (the Figure 5 bytes-per-code sweep).
-func (e *EmbLookup) WithPQ(pq quant.PQConfig) (*EmbLookup, error) {
-	clone := *e
-	clone.cfg.Compress = true
-	clone.cfg.PQ = pq
-	if err := clone.cfg.Validate(); err != nil {
+// rebuilt validates e's configuration and builds its index afresh.
+func (e *EmbLookup) rebuilt() (*EmbLookup, error) {
+	if err := e.cfg.Validate(); err != nil {
 		return nil, err
 	}
-	if err := clone.buildIndex(); err != nil {
+	if err := e.buildIndex(); err != nil {
 		return nil, err
 	}
-	return &clone, nil
-}
-
-// WithFastScan returns a sibling service sharing this model's trained
-// weights whose index is the 4-bit fast-scan variant of the current PQ
-// configuration (DESIGN.md §11) — same bytes per code, block-interleaved
-// layout, quantized-LUT scan with exact re-rank.
-func (e *EmbLookup) WithFastScan() (*EmbLookup, error) {
-	clone := *e
-	clone.cfg.Compress = true
-	clone.cfg.FastScan = true
-	if err := clone.cfg.Validate(); err != nil {
-		return nil, err
-	}
-	if err := clone.buildIndex(); err != nil {
-		return nil, err
-	}
-	return &clone, nil
+	return e, nil
 }
 
 // IndexRows returns the entity behind each index row (alias rows map to

@@ -5,6 +5,7 @@ import (
 	"runtime"
 
 	"emblookup/internal/core"
+	"emblookup/internal/index"
 	"emblookup/internal/kg"
 	"emblookup/internal/systems"
 	"emblookup/internal/tabular"
@@ -150,7 +151,8 @@ func NewEnv(o Options) (*Env, error) {
 	if err != nil {
 		return nil, fmt.Errorf("training wikidata model: %w", err)
 	}
-	env.WELNC, err = env.WEL.WithCompression(false)
+	// The zero spec is the exact flat index: EL-NC, EL without compression.
+	env.WELNC, err = env.WEL.WithIndex(index.Spec{})
 	if err != nil {
 		return nil, err
 	}
@@ -159,7 +161,7 @@ func NewEnv(o Options) (*Env, error) {
 	if err != nil {
 		return nil, fmt.Errorf("training dbpedia model: %w", err)
 	}
-	env.DELNC, err = env.DEL.WithCompression(false)
+	env.DELNC, err = env.DEL.WithIndex(index.Spec{})
 	if err != nil {
 		return nil, err
 	}

@@ -170,7 +170,7 @@ func (env *Env) Figure5() *Report {
 	for _, bytes := range []int{8, 16, 32, 64} {
 		pqCfg := env.Opts.TrainConfig.PQ
 		pqCfg.M = bytes // one byte per sub-quantizer
-		pqModel, err := env.WEL.WithPQ(pqCfg)
+		pqModel, err := env.WEL.WithIndex(index.Spec{Compress: true, PQ: pqCfg})
 		if err != nil {
 			r.AddNote("PQ %d bytes failed: %v", bytes, err)
 			continue

@@ -51,9 +51,6 @@ func (p *Param) ZeroGrad() {
 	p.Grad.Zero()
 }
 
-// NumValues returns the number of scalar weights in p.
-func (p *Param) NumValues() int { return len(p.W.Data) }
-
 // Adam implements the Adam optimizer (Kingma & Ba) over a set of
 // parameters. The paper trains EmbLookup with Adam and batch size 128.
 type Adam struct {

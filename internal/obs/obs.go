@@ -148,9 +148,6 @@ func Default() *Registry { return defaultRegistry }
 // moving.
 func (r *Registry) SetEnabled(on bool) { r.off.Store(!on) }
 
-// Enabled reports whether the registry is recording.
-func (r *Registry) Enabled() bool { return !r.off.Load() }
-
 // family strips the constant-label suffix from a full metric name.
 func family(name string) string {
 	if i := strings.IndexByte(name, '{'); i >= 0 {

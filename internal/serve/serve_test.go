@@ -480,15 +480,15 @@ func TestServeCaseNormalization(t *testing.T) {
 // model.Lookup on a Flat, a PQ and a FastScan index.
 func TestServeConcurrent(t *testing.T) {
 	g, m := testModel(t)
-	flat, err := m.WithCompression(false)
+	flat, err := m.WithIndex(index.Spec{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	pq, err := m.WithCompression(true)
+	pq, err := m.WithIndex(index.Spec{Compress: true, PQ: m.Config().PQ})
 	if err != nil {
 		t.Fatal(err)
 	}
-	fs, err := m.WithFastScan()
+	fs, err := m.WithIndex(index.Spec{Compress: true, FastScan: true, PQ: m.Config().PQ})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -542,7 +542,7 @@ func TestServeConcurrent(t *testing.T) {
 // over a fast-scan model and checks bit-identity with direct lookups.
 func TestServeFastScan(t *testing.T) {
 	g, m := testModel(t)
-	fs, err := m.WithFastScan()
+	fs, err := m.WithIndex(index.Spec{Compress: true, FastScan: true, PQ: m.Config().PQ})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -586,7 +586,7 @@ func TestServeDefaultShards(t *testing.T) {
 	}
 	sameCandidates(t, "default serve", m.Lookup(q, 5), sv.Lookup(q, 5))
 
-	fs, err := m.WithFastScan()
+	fs, err := m.WithIndex(index.Spec{Compress: true, FastScan: true, PQ: m.Config().PQ})
 	if err != nil {
 		t.Fatal(err)
 	}

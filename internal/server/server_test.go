@@ -144,7 +144,7 @@ func TestStatsAndHealth(t *testing.T) {
 	if st.Entities != len(g.Entities) || st.IndexRows == 0 || st.Dim != 64 || st.FastScanKernel != "" || st.FastScanPrune != nil {
 		t.Fatalf("stats = %+v", st) // an 8-bit PQ index runs no fast-scan kernel
 	}
-	fs, err := tModel.WithFastScan()
+	fs, err := tModel.WithIndex(index.Spec{Compress: true, FastScan: true, PQ: tModel.Config().PQ})
 	if err != nil {
 		t.Fatal(err)
 	}

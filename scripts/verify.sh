@@ -36,11 +36,12 @@ fi
 
 echo "== index layouts stay in internal/index =="
 # The index codec (DESIGN.md §8) is the one place that takes each index
-# kind apart, puts it back together and slices it; core calls its entry
-# points and never switches on a concrete index kind or assembles one from
-# parts.
+# kind apart, puts it back together and slices it, and index.Build the one
+# place that builds one from an index.Spec; core calls their entry points
+# and never switches on a concrete index kind, assembles one from parts or
+# constructs one itself.
 if grep -rnE --include='*.go' --exclude='*_test.go' \
-    'case \*index\.(Flat|PQ|FastScan|IVF)\b|FromParts' internal/core; then
+    'case \*index\.(Flat|PQ|FastScan|IVF)\b|FromParts|index\.New(Flat|PQ|FastScan|IVF)\(|\.SetRerank\(|index\.DefaultIVFConfig|quant\.Config4' internal/core; then
     echo "verify: per-kind index code in internal/core" >&2
     exit 1
 fi
