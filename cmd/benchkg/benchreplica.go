@@ -119,7 +119,7 @@ func benchReplica(path string, entities int, seed uint64) error {
 		return fmt.Errorf("degraded (replica hedge): %w", err)
 	}
 	add("degraded_replica_hedged", map[string]float64{
-		"ns_per_op":  ns, "p50_us": p50, "p99_us": p99Hedged,
+		"ns_per_op": ns, "p50_us": p50, "p99_us": p99Hedged,
 		"hedges":     float64(hst.Totals.Hedges),
 		"hedge_wins": float64(hst.Totals.HedgeWins),
 	})

@@ -44,6 +44,7 @@ import (
 	"io"
 	"math"
 	"os"
+	"sync/atomic"
 	"unsafe"
 )
 
@@ -157,14 +158,16 @@ func (s *Section) verify() error {
 }
 
 // File is a parsed artifact: the section directory over one contiguous
-// backing buffer. Close releases the backing (munmap when mapped); after
-// Close every section view is invalid.
+// backing buffer, shared by reference. The opener holds the first
+// reference and Retain takes another; each holder calls Close once, and the
+// Close that drops the last reference releases the backing (munmap when
+// mapped), after which every section view is invalid.
 type File struct {
 	sections []Section
 	byName   map[string]*Section
-	mapping  []byte // munmap target; nil for heap backings
-	backing  string // "mmap" or "heap"
-	closed   bool
+	mapping  []byte       // munmap target; nil for heap backings
+	backing  string       // "mmap" or "heap"
+	refs     atomic.Int32 // references not yet dropped by Close
 }
 
 // Backing reports how the payloads are held: "mmap" (views over the page
@@ -188,18 +191,24 @@ func (f *File) Verify() error {
 	return nil
 }
 
-// Close releases the backing memory. It is safe to call twice.
+// Retain takes one more reference to f for a holder that closes it on its
+// own. The caller must hold a reference itself: a File whose last reference
+// is gone cannot be revived, and Retain panics rather than let its backing
+// be released twice.
+func (f *File) Retain() {
+	if f.refs.Add(1) <= 1 {
+		panic("artifact: Retain after the last Close")
+	}
+}
+
+// Close drops one reference. The drop of the last one releases the backing
+// memory, exactly once however many holders close concurrently; Close calls
+// past the last reference are no-ops, so a single holder may call it twice.
 func (f *File) Close() error {
-	if f.closed {
+	if f.refs.Add(-1) != 0 || f.mapping == nil {
 		return nil
 	}
-	f.closed = true
-	if f.mapping != nil {
-		m := f.mapping
-		f.mapping = nil
-		return munmap(m)
-	}
-	return nil
+	return munmap(f.mapping)
 }
 
 // Sniff reports whether prefix (at least 8 bytes of a stream) begins a
@@ -327,6 +336,7 @@ func parse(data []byte, backing string) (*File, error) {
 		byName:   make(map[string]*Section, nsec),
 		backing:  backing,
 	}
+	af.refs.Store(1)
 	for i := 0; i < nsec; i++ {
 		ent := table[i*entrySize : (i+1)*entrySize]
 		name := trimName(ent[:maxName])

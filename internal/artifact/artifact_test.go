@@ -7,6 +7,8 @@ import (
 	"path/filepath"
 	"runtime"
 	"testing"
+
+	"emblookup/internal/procmaps"
 )
 
 // buildSample writes a small artifact exercising every element kind and
@@ -106,6 +108,37 @@ func TestRoundTripOpenMmap(t *testing.T) {
 	if err := af.Close(); err != nil { // double close is a no-op
 		t.Fatal(err)
 	}
+}
+
+// TestRetainClose checks the reference count: the backing stays mapped
+// until the last holder closes, and a Retain after that panics rather than
+// revive an unmapped file.
+func TestRetainClose(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "a.bin")
+	if err := os.WriteFile(path, buildSample(t), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	af, err := Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	af.Retain()
+	if err := af.Close(); err != nil {
+		t.Fatal(err)
+	}
+	checkSample(t, af) // one reference left
+	if err := af.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if ms := procmaps.Under(t, path); len(ms) != 0 {
+		t.Fatalf("still mapped after the last Close: %v", ms)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Retain after the last Close did not panic")
+		}
+	}()
+	af.Retain()
 }
 
 func TestSectionAlignment(t *testing.T) {

@@ -30,6 +30,7 @@ type Local struct {
 	URLs     []string
 	Manifest Manifest
 	servers  []*http.Server
+	parts    []*core.EmbLookup // the partition siblings of the model
 }
 
 // StartLocal partitions model P ways and serves every partition on its own
@@ -40,7 +41,7 @@ func StartLocal(model *core.EmbLookup, p int, opts LocalOptions) (*Local, error)
 		return nil, err
 	}
 	g := model.Graph()
-	l := &Local{Manifest: man}
+	l := &Local{Manifest: man, parts: parts}
 	for i, pm := range parts {
 		info := server.PartitionInfo{
 			ID:    i,
@@ -71,7 +72,8 @@ func StartLocal(model *core.EmbLookup, p int, opts LocalOptions) (*Local, error)
 	return l, nil
 }
 
-// Close stops the router's prober and every node listener.
+// Close stops the router's prober and every node listener, and closes the
+// partition siblings.
 func (l *Local) Close() {
 	if l.Router != nil {
 		l.Router.Close()
@@ -79,4 +81,5 @@ func (l *Local) Close() {
 	for _, s := range l.servers {
 		s.Close()
 	}
+	closeAll(l.parts)
 }

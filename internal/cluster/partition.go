@@ -40,7 +40,8 @@ func PartitionBounds(totalRows, p int) []int {
 // BuildPartitions splits model into P per-node sibling models, each holding
 // only its slice of the index (core.WithPartition), plus the manifest
 // binding them together. The slices share the parent's storage; nothing is
-// re-embedded or retrained.
+// re-embedded or retrained. Each part is a sibling of model and must be
+// closed.
 func BuildPartitions(model *core.EmbLookup, p int) ([]*core.EmbLookup, Manifest, error) {
 	if p <= 0 {
 		return nil, Manifest{}, fmt.Errorf("cluster: partition count must be positive, got %d", p)
@@ -51,6 +52,7 @@ func BuildPartitions(model *core.EmbLookup, p int) ([]*core.EmbLookup, Manifest,
 	for i := range parts {
 		pm, err := model.WithPartition(bounds[i], bounds[i+1])
 		if err != nil {
+			closeAll(parts[:i])
 			return nil, Manifest{}, fmt.Errorf("cluster: partition %d: %w", i, err)
 		}
 		parts[i] = pm
@@ -62,6 +64,13 @@ func BuildPartitions(model *core.EmbLookup, p int) ([]*core.EmbLookup, Manifest,
 		Bounds:     bounds,
 	}
 	return parts, man, nil
+}
+
+// closeAll closes every model in ms.
+func closeAll(ms []*core.EmbLookup) {
+	for _, m := range ms {
+		m.Close()
+	}
 }
 
 // manifestName and nodeFileName fix the artifact layout SavePartitions
@@ -78,6 +87,7 @@ func SavePartitions(dir string, model *core.EmbLookup, p int) (Manifest, error) 
 	if err != nil {
 		return Manifest{}, err
 	}
+	defer closeAll(parts)
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return Manifest{}, err
 	}
@@ -136,6 +146,7 @@ func LoadNodeModel(dir string, i int, g *kg.Graph) (*core.EmbLookup, Manifest, e
 		return nil, Manifest{}, fmt.Errorf("cluster: loading partition %d: %w", i, err)
 	}
 	if got := m.Index().Len(); got != man.Bounds[i+1]-man.Bounds[i] {
+		m.Close()
 		return nil, Manifest{}, fmt.Errorf("cluster: partition %d holds %d rows, manifest says %d", i, got, man.Bounds[i+1]-man.Bounds[i])
 	}
 	return m, man, nil

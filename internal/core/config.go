@@ -163,9 +163,7 @@ func (c Config) Validate() error {
 		return fmt.Errorf("core: unknown loss %q (want triplet or contrastive)", c.Loss)
 	}
 	if c.TopLossFraction < 0 || c.TopLossFraction >= 1 {
-		if c.TopLossFraction != 0 {
-			return fmt.Errorf("core: TopLossFraction %v out of (0,1)", c.TopLossFraction)
-		}
+		return fmt.Errorf("core: TopLossFraction %v out of (0,1)", c.TopLossFraction)
 	}
 	return nil
 }

@@ -46,12 +46,14 @@ func (e *EmbLookup) RowEntity(row int32) kg.EntityID {
 // under the canonical result order). maxDelta is the delta size that
 // triggers compaction back into the base (≤0 = index default). The wrapped
 // index is retained and mutated by compaction, so the parent service must
-// not keep serving from it.
+// not keep serving from it. Like every sibling it holds a reference to an
+// attached artifact: close it.
 func (e *EmbLookup) WithDynamicIndex(maxDelta int) *EmbLookup {
-	clone := *e
-	clone.ix = index.NewDynamic(e.ix, maxDelta)
-	clone.extra = &extraRows{}
-	return &clone
+	clone, _ := e.derive(func(c *EmbLookup) error {
+		c.ix, c.extra = index.NewDynamic(e.ix, maxDelta), &extraRows{}
+		return nil
+	})
+	return clone
 }
 
 // Dynamic exposes the mutable index, or nil when the service was not built

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"sync"
 	"time"
 
 	"emblookup/internal/artifact"
@@ -35,20 +36,38 @@ type EmbLookup struct {
 
 	// backing is the artifact this model's weights and index alias when it
 	// was attached from a v4 file (nil for trained or gob-loaded models).
-	// Its memory — possibly a read-only mapping — must stay alive as long
-	// as the model serves; Close releases it.
+	// The model holds one reference to it, which release drops once.
 	backing *artifact.File
+	release func() error
 }
 
-// Close releases the artifact backing an attached model (munmap for
-// mmap-attached files). After Close the model must not be used: its weight
-// and index views dangle. Models that own their memory (trained in-process
-// or gob-loaded) have no backing and Close is a no-op.
+// Close drops this model's reference to the artifact it was attached from.
+// The model LoadFile returned and every sibling derived from it hold one
+// reference each, and whichever of them closes last unmaps the artifact, in
+// any order. After Close this model must not be used; its siblings still
+// open keep serving. A second Close is a no-op. Models that own their
+// memory (trained in-process or gob-loaded) have no backing, and Close is a
+// no-op.
 func (e *EmbLookup) Close() error {
-	if e.backing == nil {
+	if e.release == nil {
 		return nil
 	}
-	return e.backing.Close()
+	return e.release()
+}
+
+// derive makes every With* sibling: a copy of e, changed by edit, that
+// shares e's weights and holds its own reference to e's artifact. A failed
+// edit takes no reference.
+func (e *EmbLookup) derive(edit func(*EmbLookup) error) (*EmbLookup, error) {
+	clone := *e
+	if err := edit(&clone); err != nil {
+		return nil, err
+	}
+	if e.backing != nil {
+		e.backing.Retain()
+		clone.release = sync.OnceValue(e.backing.Close)
+	}
+	return &clone, nil
 }
 
 // IndexProvenance records how the model's current index came to be: rebuilt
@@ -85,11 +104,11 @@ func (e *EmbLookup) Graph() *kg.Graph { return e.graph }
 // WithGraph returns a sibling service resolving entities against g — a
 // graph with identical entity numbering, normally a Clone of this model's
 // graph. A router or replica node uses it to grow its own copy through
-// ingest without mutating the graph shared with other nodes.
+// ingest without mutating the graph shared with other nodes. Like every
+// sibling it holds a reference to an attached artifact: close it.
 func (e *EmbLookup) WithGraph(g *kg.Graph) *EmbLookup {
-	clone := *e
-	clone.graph = g
-	return &clone
+	clone, _ := e.derive(func(c *EmbLookup) error { c.graph = g; return nil })
+	return clone
 }
 
 // Index exposes the underlying nearest-neighbor index (for size reporting
@@ -196,16 +215,15 @@ func (e *EmbLookup) BulkLookupCtx(ctx context.Context, queries []string, k, para
 // WithShardedIndex returns a sibling service sharing this model's weights
 // and trained index whose scans fan out across `shards` row ranges
 // (index.Sharded): single queries merge per-shard top-k heaps, batches
-// split by shard only when they hold fewer query groups than workers. Results are bit-identical to the unsharded service.
-// parallelism bounds the per-query fan-out (≤0 = GOMAXPROCS).
+// split by shard only when they hold fewer query groups than workers.
+// Results are bit-identical to the unsharded service. parallelism bounds
+// the per-query fan-out (≤0 = GOMAXPROCS). Like every sibling it holds a
+// reference to an attached artifact: close it.
 func (e *EmbLookup) WithShardedIndex(shards, parallelism int) (*EmbLookup, error) {
-	sh, err := index.NewSharded(e.ix, shards, parallelism)
-	if err != nil {
-		return nil, err
-	}
-	clone := *e
-	clone.ix = sh
-	return &clone, nil
+	return e.derive(func(c *EmbLookup) (err error) {
+		c.ix, err = index.NewSharded(e.ix, shards, parallelism)
+		return err
+	})
 }
 
 // EmbedAll embeds a list of strings in parallel (query space), preserving

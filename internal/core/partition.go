@@ -15,15 +15,13 @@ import "emblookup/internal/index"
 // sharded scans: all decompose by contiguous row range with per-row
 // distances that do not depend on the range's position, which is what makes
 // a partitioned search bit-identical to the single-process scan (DESIGN.md
-// §9).
+// §9). Like every sibling it holds a reference to an attached artifact:
+// close it.
 func (e *EmbLookup) WithPartition(lo, hi int) (*EmbLookup, error) {
-	part, err := index.Slice(e.ix, lo, hi)
-	if err != nil {
-		return nil, err
-	}
-	clone := *e
-	clone.ix = part
-	clone.rows = e.rows[lo:hi]
-	clone.extra = nil
-	return &clone, nil
+	return e.derive(func(c *EmbLookup) (err error) {
+		if c.ix, err = index.Slice(e.ix, lo, hi); err == nil {
+			c.rows, c.extra = e.rows[lo:hi], nil
+		}
+		return err
+	})
 }

@@ -241,9 +241,7 @@ func readGob(r io.Reader, g *kg.Graph) (*EmbLookup, error) {
 		if err := e.attachIndex(ix, wire.Index.Rows, start); err != nil {
 			return nil, err
 		}
-		return e, nil
-	}
-	if err := e.buildIndex(); err != nil {
+	} else if err := e.buildIndex(); err != nil {
 		return nil, err
 	}
 	return e, nil

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"sync"
 	"time"
 	"unsafe"
 
@@ -138,7 +139,7 @@ func readV4(af *artifact.File, g *kg.Graph) (*EmbLookup, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, fmt.Errorf("core: artifact config: %w", err)
 	}
-	e := &EmbLookup{cfg: cfg, graph: g, backing: af}
+	e := &EmbLookup{cfg: cfg, graph: g, backing: af, release: sync.OnceValue(af.Close)}
 	e.enc = charenc.NewEncoder(charenc.NewAlphabet(meta.Alphabet), cfg.MaxLen)
 	tbl, err := sectionMatrix(af, "ngram_table")
 	if err != nil {
@@ -191,10 +192,7 @@ func readV4(af *artifact.File, g *kg.Graph) (*EmbLookup, error) {
 		if err := e.attachIndex(ix, rows, start); err != nil {
 			return nil, err
 		}
-		e.prov.Backing = af.Backing()
-		return e, nil
-	}
-	if err := e.buildIndex(); err != nil {
+	} else if err := e.buildIndex(); err != nil {
 		return nil, err
 	}
 	e.prov.Backing = af.Backing()

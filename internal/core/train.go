@@ -58,7 +58,7 @@ func Train(g *kg.Graph, cfg Config, opts ...TrainOption) (*EmbLookup, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	st := &trainState{logf: func(string, ...any) {}}
+	st := &trainState{logf: func(string, ...any) {}, stats: &TrainStats{}}
 	for _, o := range opts {
 		o(st)
 	}
@@ -87,9 +87,7 @@ func Train(g *kg.Graph, cfg Config, opts ...TrainOption) (*EmbLookup, error) {
 	ngCfg.Seed = rng.Uint64()
 	semStart := time.Now()
 	sem.Train(pairs, triplet.Labels(g), ngCfg)
-	if st.stats != nil {
-		st.stats.SemanticDur = time.Since(semStart)
-	}
+	st.stats.SemanticDur = time.Since(semStart)
 	st.logf("core: semantic model trained on %d synonym pairs", len(pairs))
 
 	// Syntactic path + combiner. The semantic path contributes the subword
@@ -127,9 +125,7 @@ func Train(g *kg.Graph, cfg Config, opts ...TrainOption) (*EmbLookup, error) {
 	if cfg.Epochs > 0 && len(ts) > 0 {
 		combStart := time.Now()
 		e.train(ts, cfg, rng, st.logf)
-		if st.stats != nil {
-			st.stats.CombinerDur = time.Since(combStart)
-		}
+		st.stats.CombinerDur = time.Since(combStart)
 	}
 
 	if err := e.buildIndex(); err != nil {
@@ -213,9 +209,7 @@ func (w *trainWorker) forward(s string, useMention bool) ([]float32, fwdCache) {
 	if !w.mentionSlot {
 		mention = nil
 	} else if !useMention {
-		for i := range mention {
-			mention[i] = 0
-		}
+		clear(mention)
 	}
 	var syn []float32
 	var cc *nn.CharCNNCache
@@ -293,9 +287,6 @@ func (e *EmbLookup) train(ts []triplet.Triplet, cfg Config, rng *mathx.RNG, logf
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers < 1 {
-		workers = 1
-	}
 	master := e.masterParams()
 	opt := nn.NewAdam(cfg.LR, master)
 	ws := make([]*trainWorker, workers)
@@ -346,11 +337,7 @@ func (e *EmbLookup) runEpochReplica(ws []*trainWorker, master []*nn.Param, opt *
 	rng.ShuffleInts(order[:len(active)])
 	var epochLoss float64
 	for start := 0; start < len(active); start += cfg.BatchSize {
-		end := start + cfg.BatchSize
-		if end > len(active) {
-			end = len(active)
-		}
-		batch := order[start:end]
+		batch := order[start:min(start+cfg.BatchSize, len(active))]
 		var wg sync.WaitGroup
 		losses := make([]float32, len(ws))
 		for wi := range ws {
@@ -393,10 +380,7 @@ func (e *EmbLookup) selectTopLoss(ts []triplet.Triplet, cfg Config, workers int)
 		idx[i] = i
 	}
 	sort.Slice(idx, func(a, b int) bool { return losses[idx[a]] > losses[idx[b]] })
-	keep := int(float64(len(ts)) * cfg.TopLossFraction)
-	if keep < 1 {
-		keep = 1
-	}
+	keep := max(int(float64(len(ts))*cfg.TopLossFraction), 1)
 	out := make([]triplet.Triplet, keep)
 	for i := 0; i < keep; i++ {
 		out[i] = ts[idx[i]]
@@ -438,31 +422,32 @@ func (e *EmbLookup) buildIndex() error {
 // II/III side by side, the Figure 5 bytes-per-code sweep, the fast-scan
 // layout of the same codes. The whole configuration is validated first, so
 // the sibling's config is one an artifact of it can be loaded with. The
-// receiver is untouched.
+// receiver is untouched. Like every sibling it holds a reference to an
+// attached artifact (its weights still alias it): close it.
 func (e *EmbLookup) WithIndex(s index.Spec) (*EmbLookup, error) {
-	clone := *e
-	clone.cfg.Spec = s
-	return clone.rebuilt()
+	return e.derive(func(c *EmbLookup) error {
+		c.cfg.Spec = s
+		return c.rebuild()
+	})
 }
 
 // WithAliasRows returns a sibling service sharing this model's trained
 // weights whose index additionally embeds every alias as its own row — the
-// accuracy-for-storage trade-off Section III-C describes.
+// accuracy-for-storage trade-off Section III-C describes. Like every
+// sibling it holds a reference to an attached artifact: close it.
 func (e *EmbLookup) WithAliasRows() (*EmbLookup, error) {
-	clone := *e
-	clone.cfg.IndexAliases = true
-	return clone.rebuilt()
+	return e.derive(func(c *EmbLookup) error {
+		c.cfg.IndexAliases = true
+		return c.rebuild()
+	})
 }
 
-// rebuilt validates e's configuration and builds its index afresh.
-func (e *EmbLookup) rebuilt() (*EmbLookup, error) {
+// rebuild validates e's configuration and builds its index afresh.
+func (e *EmbLookup) rebuild() error {
 	if err := e.cfg.Validate(); err != nil {
-		return nil, err
+		return err
 	}
-	if err := e.buildIndex(); err != nil {
-		return nil, err
-	}
-	return e, nil
+	return e.buildIndex()
 }
 
 // IndexRows returns the entity behind each index row (alias rows map to

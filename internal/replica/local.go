@@ -56,7 +56,8 @@ type Node struct {
 	Replica   int
 	URL       string
 
-	model  *core.EmbLookup
+	base   *core.EmbLookup // the model attached from the partition artifact
+	model  *core.EmbLookup // base's dynamic sibling, which the node serves
 	ingest *core.Ingestor
 	srv    *server.Server
 	hsrv   *http.Server
@@ -77,6 +78,7 @@ type Cluster struct {
 	opts    Options
 	graph   *kg.Graph       // pristine base graph; every node clones it
 	full    *core.EmbLookup // full model, kept for rebalance re-splits
+	routed  *core.EmbLookup // the router's sibling of full; Close closes it
 	dir     string          // temp directory of every split's artifacts
 	nodeDir string          // directory of the artifacts current nodes loaded
 	poller  *Poller
@@ -132,8 +134,8 @@ func Start(model *core.EmbLookup, partitions int, opts Options) (*Cluster, error
 	go c.crdSrv.Serve(c.coordLn)
 	c.MapURL = "http://" + c.coordLn.Addr().String() + "/cluster/map"
 
-	rmodel := model.WithGraph(model.Graph().Clone())
-	rt, err := cluster.NewRouterWithMap(rmodel, m, opts.Router)
+	c.routed = model.WithGraph(model.Graph().Clone())
+	rt, err := cluster.NewRouterWithMap(c.routed, m, opts.Router)
 	if err != nil {
 		c.cleanup()
 		return nil, err
@@ -153,6 +155,7 @@ func (c *Cluster) startNode(dir string, man cluster.Manifest, p, j int, epoch in
 	dm := m.WithDynamicIndex(nodeMaxDelta)
 	ing, err := dm.NewIngestor(nodeQueue)
 	if err != nil {
+		dm.Close()
 		m.Close()
 		return nil, err
 	}
@@ -166,6 +169,7 @@ func (c *Cluster) startNode(dir string, man cluster.Manifest, p, j int, epoch in
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		ing.Close()
+		dm.Close()
 		m.Close()
 		return nil, fmt.Errorf("replica: listening for node %d/%d: %w", p, j, err)
 	}
@@ -173,12 +177,13 @@ func (c *Cluster) startNode(dir string, man cluster.Manifest, p, j int, epoch in
 	go hsrv.Serve(ln)
 	return &Node{
 		Partition: p, Replica: j,
-		URL:   "http://" + ln.Addr().String(),
-		model: dm, ingest: ing, srv: s, hsrv: hsrv,
+		URL:  "http://" + ln.Addr().String(),
+		base: m, model: dm, ingest: ing, srv: s, hsrv: hsrv,
 	}, nil
 }
 
-// stopNode tears one replica down: listener, ingest worker, mmap. Callers
+// stop tears one replica down: listener, ingest worker, and the two models
+// it holds; closing both unmaps the partition artifact. Callers
 // must have drained router traffic off the node first (ApplyMap of a map
 // without it); the graceful Shutdown then waits out handlers the drain
 // cannot see — hedge losers and canceled attempts whose clients already
@@ -197,6 +202,7 @@ func (n *Node) stop() {
 	}
 	if n.model != nil {
 		n.model.Close()
+		n.base.Close()
 	}
 }
 
@@ -420,6 +426,9 @@ func (c *Cluster) cleanup() {
 		for _, n := range reps {
 			n.stop()
 		}
+	}
+	if c.routed != nil {
+		c.routed.Close()
 	}
 	os.RemoveAll(c.dir)
 }

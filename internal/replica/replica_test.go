@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"path/filepath"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -16,6 +17,7 @@ import (
 	"emblookup/internal/core"
 	"emblookup/internal/kg"
 	"emblookup/internal/lookup"
+	"emblookup/internal/procmaps"
 	"emblookup/internal/server"
 )
 
@@ -434,6 +436,56 @@ func TestRollingRestart(t *testing.T) {
 // traffic: zero dropped, zero partial, bit-identical throughout — both
 // splits cover the same rows, and routed deltas follow the owning partition
 // across the move.
+// TestStoppedNodeUnmapped checks that a node gives its artifact back when
+// it stops: a restarted replica's old node and a rebalanced-away split
+// leave no mapping behind, and Close leaves none at all. Each node holds
+// two models over its artifact, the attached partition and its dynamic
+// sibling, and must close both.
+func TestStoppedNodeUnmapped(t *testing.T) {
+	_, m := testModel(t)
+	opts := fastOptions()
+	opts.Replicas = 2
+	c, err := Start(m, 2, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	closed := false
+	defer func() {
+		if !closed {
+			c.Close()
+		}
+	}()
+	split0 := c.nodeDir
+	node0 := filepath.Join(split0, "node-0.bin")
+	if n := len(procmaps.Under(t, node0)); n != 2 {
+		t.Fatalf("partition 0's two replicas map its artifact %d times, want 2", n)
+	}
+	if err := c.RestartReplica(0, 0); err != nil {
+		t.Fatal(err)
+	}
+	if n := len(procmaps.Under(t, node0)); n != 2 {
+		t.Fatalf("after a restart partition 0's artifact is mapped %d times, want 2", n)
+	}
+	if err := c.Rebalance(3); err != nil {
+		t.Fatal(err)
+	}
+	if ms := procmaps.Under(t, split0); len(ms) != 0 {
+		t.Fatalf("rebalanced-away split still mapped: %v", ms)
+	}
+	if n := len(procmaps.Under(t, c.nodeDir)); n != 6 {
+		t.Fatalf("new split mapped %d times, want 3 partitions × 2 replicas", n)
+	}
+	dir, err := filepath.EvalSymlinks(c.dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Close()
+	closed = true
+	if ms := procmaps.Under(t, dir); len(ms) != 0 {
+		t.Fatalf("artifacts still mapped after Close: %v", ms)
+	}
+}
+
 func TestRebalanceUnderLoad(t *testing.T) {
 	g, m := testModel(t)
 	opts := fastOptions()

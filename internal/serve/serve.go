@@ -61,9 +61,10 @@ type Options struct {
 // Serve answers lookups through the cache, the coalescer, and the sharded
 // index. Safe for concurrent use.
 type Serve struct {
-	model *core.EmbLookup
-	cache *MentionCache
-	co    *Coalescer
+	model   *core.EmbLookup
+	derived bool // model is the sharded sibling New made; Close closes it
+	cache   *MentionCache
+	co      *Coalescer
 
 	latency        *obs.Histogram // end-to-end serve.Lookup latency
 	stageNormalize *obs.Histogram // the serve-side stage of the lookup pipeline
@@ -72,7 +73,8 @@ type Serve struct {
 // New builds the serving substrate over a trained model. With more than
 // one shard the model's index is wrapped for sharded scans (the model itself
 // is shared, not retrained); PQ, FastScan and Flat indexes support this, IVF
-// refuses an explicit opts.Shards > 1 and derives 1.
+// refuses an explicit opts.Shards > 1 and derives 1. The caller keeps
+// model and closes it after the Serve.
 func New(model *core.EmbLookup, opts Options) (*Serve, error) {
 	if opts.Shards == 0 {
 		opts.Shards = index.DefaultShards(model.Index())
@@ -80,7 +82,8 @@ func New(model *core.EmbLookup, opts Options) (*Serve, error) {
 	if opts.CacheSize == 0 {
 		opts.CacheSize = 4096
 	}
-	if opts.Shards > 1 {
+	derived := opts.Shards > 1
+	if derived {
 		sharded, err := model.WithShardedIndex(opts.Shards, 0)
 		if err != nil {
 			return nil, err
@@ -91,7 +94,7 @@ func New(model *core.EmbLookup, opts Options) (*Serve, error) {
 	if reg == nil {
 		reg = obs.Default()
 	}
-	s := &Serve{model: model}
+	s := &Serve{model: model, derived: derived}
 	s.latency = reg.Histogram("emblookup_serve_lookup_seconds")
 	s.stageNormalize = reg.Histogram(obs.Labels("emblookup_lookup_stage_seconds", "stage", "normalize"))
 	if opts.CacheSize > 0 {
@@ -238,6 +241,13 @@ func (s *Serve) Stats() Stats {
 	return st
 }
 
-// Close answers what the coalescer has queued and waits for its running
-// batches. The Serve remains usable; subsequent lookups bypass batching.
-func (s *Serve) Close() { s.co.Close() }
+// Close answers what the coalescer has queued, waits for its running
+// batches, and closes the sharded sibling New derived, which holds a
+// reference to the caller's artifact. Lookups after Close bypass batching
+// and stay valid while the caller's model is open.
+func (s *Serve) Close() {
+	s.co.Close()
+	if s.derived {
+		s.model.Close()
+	}
+}

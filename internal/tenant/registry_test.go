@@ -9,6 +9,7 @@ import (
 	"emblookup/internal/core"
 	"emblookup/internal/kg"
 	"emblookup/internal/obs"
+	"emblookup/internal/procmaps"
 )
 
 var (
@@ -186,6 +187,63 @@ func TestRegistryAcquireSwapRace(t *testing.T) {
 		}
 	}
 	wg.Wait()
+}
+
+// inodes returns the inodes of the mappings of path.
+func inodes(t *testing.T, path string) map[uint64]bool {
+	t.Helper()
+	out := map[uint64]bool{}
+	for _, m := range procmaps.Under(t, path) {
+		out[m.Inode] = true
+	}
+	return out
+}
+
+// TestSwapUnmapsRetiredArtifact rewrites a sharded tenant's artifact in
+// place, swaps, and drains the old generation: the old file must leave the
+// process map, the new one stay in it. The serve substrate's sharded
+// sibling holds a reference of its own, so this fails if Handle's close
+// misses it.
+func TestSwapUnmapsRetiredArtifact(t *testing.T) {
+	gp, src := testArtifacts(t)
+	mp := filepath.Join(t.TempDir(), "model.bin")
+	raw, err := os.ReadFile(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(mp, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	r := testRegistry(t, TenantConfig{Name: "a", Graph: gp, Model: mp, Shards: 2, Preload: true})
+	tn, _ := r.Tenant("a")
+	old, err := tn.Acquire()
+	if err != nil {
+		t.Fatal(err)
+	}
+	before := inodes(t, mp)
+	if len(before) != 1 {
+		t.Fatalf("first generation maps %d files, want 1", len(before))
+	}
+	// A re-save renames a new file into place, as a redeploy does.
+	if err := artModel.SaveFileWithIndex(mp); err != nil {
+		t.Fatal(err)
+	}
+	if err := tn.Swap(); err != nil {
+		t.Fatal(err)
+	}
+	if now := inodes(t, mp); len(now) != 2 {
+		t.Fatalf("%d files mapped while the old generation is pinned, want 2", len(now))
+	}
+	old.Release()
+	after := inodes(t, mp)
+	for ino := range before {
+		if after[ino] {
+			t.Fatalf("retired generation's artifact (inode %d) still mapped after its drain", ino)
+		}
+	}
+	if len(after) != 1 {
+		t.Fatalf("%d files mapped after the swap, want the new generation's 1", len(after))
+	}
 }
 
 func TestRegistryCloseWithPinnedHandle(t *testing.T) {

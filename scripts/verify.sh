@@ -9,6 +9,16 @@ cd "$(dirname "$0")/.."
 echo "== go vet =="
 go vet ./...
 
+echo "== gofmt =="
+# Every Go file is gofmt-clean; the step fails on any file gofmt would
+# rewrite.
+unformatted=$(gofmt -l .)
+if [[ -n "$unformatted" ]]; then
+    echo "$unformatted"
+    echo "verify: files not gofmt-clean (run gofmt -w on them)" >&2
+    exit 1
+fi
+
 # Deeper linters run when present; the container image does not ship them
 # and installing tools is out of scope for the gate, so absence is a skip,
 # not a failure.
@@ -144,8 +154,11 @@ go test -run '^$' -fuzz FuzzDecodeIngestItems -fuzztime 10s ./internal/server
 go test -run '^$' -fuzz FuzzDecodeSearchFrame -fuzztime 10s ./internal/server
 go test -run '^$' -fuzz FuzzDecodeHitsFrame -fuzztime 10s ./internal/server
 
-echo "== allocation benchmarks (short) =="
-go test -run '^$' -bench 'BenchmarkPQSearch$|BenchmarkLookupAllocs' \
+echo "== allocation guards and benchmarks (short) =="
+# The root allocation guards skip under the race detector (its runtime
+# makes sync.Pool drop entries, and the count with them), so they run here,
+# without it.
+go test -run 'Alloc' -bench 'BenchmarkPQSearch$|BenchmarkLookupAllocs' \
     -benchmem -benchtime 10x .
 
 echo "== embedding and index build benchmarks (short) =="
