@@ -233,7 +233,7 @@ func cmdServe(args []string) {
 	replicasN := fs.Int("replicas", 1, "replicas per partition with -cluster (R > 1 runs the replicated control plane: coordinator, versioned map, routed ingest)")
 	metricsOn := fs.Bool("metrics", true, "record metrics and expose them at GET /metrics (false disables all recording)")
 	slowMs := fs.Int("slowlog-ms", 100, "log queries slower than this many ms at GET /debug/slowlog (0 disables)")
-	dynamic := fs.Bool("dynamic", false, "live ingest mode: mutable index + POST /ingest (bypasses the serving substrate, whose caches assume an immutable index)")
+	dynamic := fs.Bool("dynamic", false, "live ingest mode: mutable index + POST /ingest, served through an unsharded, cacheless serving substrate (-shards and -cache-size are ignored)")
 	ingestQueue := fs.Int("ingest-queue", 256, "ingest queue depth in -dynamic mode (Enqueue blocks when full)")
 	tenantsConf := fs.String("tenants", "", "multi-tenant mode: JSON config of named tenants served under /t/{tenant}/ (ignores -graph/-model)")
 	fs.Parse(args)
@@ -257,8 +257,8 @@ func cmdServe(args []string) {
 	if *dynamic {
 		// Live ingest: the mention cache and fixed shard ranges of the
 		// serving substrate assume an immutable index, so dynamic mode
-		// serves straight from the model (which is still concurrency-safe
-		// and allocation-disciplined) and mounts POST /ingest.
+		// leaves the server to build its own unsharded, cacheless one and
+		// mounts POST /ingest.
 		model = model.WithDynamicIndex(0)
 		ing, err := model.NewIngestor(*ingestQueue)
 		if err != nil {
@@ -266,7 +266,7 @@ func cmdServe(args []string) {
 		}
 		defer ing.Close()
 		opts = append(opts, server.WithIngest(ing))
-		log.Printf("dynamic mode: POST /ingest mounted (queue %d), serving substrate bypassed", *ingestQueue)
+		log.Printf("dynamic mode: POST /ingest mounted (queue %d), serving substrate unsharded and cacheless", *ingestQueue)
 	} else {
 		sv, err := serve.New(model, serve.Options{
 			Shards:    *shards,

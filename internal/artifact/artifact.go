@@ -44,8 +44,9 @@ import (
 	"io"
 	"math"
 	"os"
-	"sync/atomic"
 	"unsafe"
+
+	"emblookup/internal/refcount"
 )
 
 // Magic identifies a format-v4 artifact. Gob streams (format v0–v3) can
@@ -165,9 +166,9 @@ func (s *Section) verify() error {
 type File struct {
 	sections []Section
 	byName   map[string]*Section
-	mapping  []byte       // munmap target; nil for heap backings
-	backing  string       // "mmap" or "heap"
-	refs     atomic.Int32 // references not yet dropped by Close
+	mapping  []byte         // munmap target; nil for heap backings
+	backing  string         // "mmap" or "heap"
+	refs     refcount.Count // the opener's reference and every Retain
 }
 
 // Backing reports how the payloads are held: "mmap" (views over the page
@@ -196,7 +197,7 @@ func (f *File) Verify() error {
 // is gone cannot be revived, and Retain panics rather than let its backing
 // be released twice.
 func (f *File) Retain() {
-	if f.refs.Add(1) <= 1 {
+	if !f.refs.Acquire() {
 		panic("artifact: Retain after the last Close")
 	}
 }
@@ -205,7 +206,7 @@ func (f *File) Retain() {
 // memory, exactly once however many holders close concurrently; Close calls
 // past the last reference are no-ops, so a single holder may call it twice.
 func (f *File) Close() error {
-	if f.refs.Add(-1) != 0 || f.mapping == nil {
+	if !f.refs.Release() || f.mapping == nil {
 		return nil
 	}
 	return munmap(f.mapping)
@@ -336,7 +337,6 @@ func parse(data []byte, backing string) (*File, error) {
 		byName:   make(map[string]*Section, nsec),
 		backing:  backing,
 	}
-	af.refs.Store(1)
 	for i := 0; i < nsec; i++ {
 		ent := table[i*entrySize : (i+1)*entrySize]
 		name := trimName(ent[:maxName])

@@ -350,7 +350,7 @@ func TestSingleReplicaFailureAccounting(t *testing.T) {
 // TestApplyMapDrains holds one routed lookup inside a node handler and
 // checks that ApplyMap of the next epoch installs the new view at once but
 // returns only after that lookup — the last user of the old view — is
-// released.
+// released, after which the old view can never be pinned again.
 func TestApplyMapDrains(t *testing.T) {
 	g, m := testModel(t)
 	entered := make(chan struct{})
@@ -388,11 +388,11 @@ func TestApplyMapDrains(t *testing.T) {
 		}
 		applied <- releasedAt.Load()
 	}()
-	for !old.retired.Load() {
+	for l.Router.view.Load() == old {
 		runtime.Gosched()
 	}
 	if l.Router.Epoch() != 2 {
-		t.Fatalf("epoch %d after the old view retired, want 2", l.Router.Epoch())
+		t.Fatalf("epoch %d after the view moved, want 2", l.Router.Epoch())
 	}
 	select {
 	case <-old.drained:
@@ -405,6 +405,9 @@ func TestApplyMapDrains(t *testing.T) {
 	close(release)
 	if !<-applied {
 		t.Fatal("ApplyMap returned before the held lookup was released")
+	}
+	if old.refs.Acquire() {
+		t.Fatal("the drained view took a new reference")
 	}
 	res := <-lookedUp
 	if res.Partial {

@@ -15,6 +15,7 @@ import (
 	"emblookup/internal/kg"
 	"emblookup/internal/lookup"
 	"emblookup/internal/obs"
+	"emblookup/internal/refcount"
 	"emblookup/internal/server"
 )
 
@@ -78,10 +79,8 @@ type routerView struct {
 	m     Map
 	parts []*replicaSet
 
-	refs      atomic.Int64 // the router's own reference counts as 1
-	retired   atomic.Bool
-	drained   chan struct{} // closed by the last release of a retired view
-	drainOnce sync.Once
+	refs    refcount.Count // the router's reference while current, and every lookup's
+	drained chan struct{}  // closed by the release of the last reference
 }
 
 // Router is the cluster coordinator: it embeds each query once locally
@@ -215,7 +214,6 @@ func (r *Router) ApplyMap(m Map) error {
 		return fmt.Errorf("cluster: map epoch %d is not newer than the current %d: %w", m.Epoch, old.epoch, ErrStaleEpoch)
 	}
 	nv := &routerView{epoch: m.Epoch, m: m, drained: make(chan struct{})}
-	nv.refs.Store(1)
 	for p, urls := range m.Replicas {
 		rs := &replicaSet{partition: p}
 		for j, u := range urls {
@@ -234,7 +232,6 @@ func (r *Router) ApplyMap(m Map) error {
 	if old != nil {
 		// Drain: queries pin their view, so once the old view's last
 		// reference is released nothing touches the old assignment anymore.
-		old.retired.Store(true)
 		old.release()
 		<-old.drained
 		r.mapSwaps.Inc()
@@ -242,27 +239,23 @@ func (r *Router) ApplyMap(m Map) error {
 	return nil
 }
 
-// acquireView pins the current view for one request. The retry loop closes
-// the race with a concurrent ApplyMap: if the view retired between load and
-// pin, the pin is released and the new view is taken instead — so the drain
-// in ApplyMap can never miss a request.
+// acquireView pins the current view for one request. A view that drained
+// between load and pin refuses the pin, and by then ApplyMap has installed
+// its successor, which the next turn takes — so the drain in ApplyMap can
+// never miss a request.
 func (r *Router) acquireView() *routerView {
 	for {
-		v := r.view.Load()
-		v.refs.Add(1)
-		if !v.retired.Load() {
+		if v := r.view.Load(); v.refs.Acquire() {
 			return v
 		}
-		v.release()
 	}
 }
 
-// release unpins the view. The last release of a retired view closes
-// drained; the Once is there because a racing acquireView can take and
-// drop a reference after that close, bringing the count to zero again.
+// release unpins the view; the release of the last reference closes
+// drained.
 func (v *routerView) release() {
-	if v.refs.Add(-1) == 0 && v.retired.Load() {
-		v.drainOnce.Do(func() { close(v.drained) })
+	if v.refs.Release() {
+		close(v.drained)
 	}
 }
 
@@ -392,12 +385,7 @@ func (r *Router) BulkLookupCtx(ctx context.Context, queries []string, k int) (se
 		return out, err
 	}
 	t0 := time.Now()
-	// Same over-fetch discipline as core.EmbLookup.Lookup: alias rows can
-	// collapse onto one entity, so dedupe needs headroom.
-	fetch := k
-	if r.model.Config().IndexAliases {
-		fetch = k * 3
-	}
+	fetch := core.FetchBudget(k, r.model.Config().IndexAliases)
 	tr := obs.FromContext(ctx)
 	sp := tr.Start("embed")
 	embs := r.model.EmbedAll(queries, 0)

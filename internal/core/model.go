@@ -186,7 +186,7 @@ func (e *EmbLookup) BulkLookupCtx(ctx context.Context, queries []string, k, para
 	embs := e.EmbedAll(queries, parallelism)
 	sp.End()
 	sp = tr.Start("batch_scan")
-	res, err := index.BatchSearchCtx(ctx, e.ix, embs, e.fetch(k), parallelism)
+	res, err := index.BatchSearchCtx(ctx, e.ix, embs, FetchBudget(k, e.cfg.IndexAliases), parallelism)
 	sp.End()
 	if err != nil {
 		return nil, err

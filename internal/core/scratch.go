@@ -103,7 +103,7 @@ func (e *EmbLookup) lookup(ctx context.Context, sc *Scratch, q string, k int) ([
 	sp = tr.Start("search")
 	// The raw results are consumed by the merge below, so they live in the
 	// scratch-owned buffer — no per-query allocation.
-	res, err := e.ix.Search(ctx, &sc.ix, emb, e.fetch(k), sc.res)
+	res, err := e.ix.Search(ctx, &sc.ix, emb, FetchBudget(k, e.cfg.IndexAliases), sc.res)
 	sp.End()
 	stageSearch.Since(t1)
 	if err == nil {
@@ -125,10 +125,12 @@ func (e *EmbLookup) lookup(ctx context.Context, sc *Scratch, q string, k int) ([
 	return out, nil
 }
 
-// fetch is the index budget behind k candidates: over-fetched when alias
-// rows can collapse onto one entity.
-func (e *EmbLookup) fetch(k int) int {
-	if e.cfg.IndexAliases {
+// FetchBudget is the index budget behind k candidates: over-fetched three
+// times when alias rows are indexed, because several rows can collapse onto
+// one entity and the dedupe down to k needs the headroom. The cluster
+// router asks its partitions for this budget and merges down to k.
+func FetchBudget(k int, aliases bool) int {
+	if aliases {
 		return k * 3
 	}
 	return k

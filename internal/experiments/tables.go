@@ -188,12 +188,7 @@ func (env *Env) TableV() *Report {
 	}
 	const k = 10
 	success := func(svc lookup.Service, queries []string, par int) (float64, time.Duration) {
-		if vc, ok := svc.(lookup.VirtualClock); ok {
-			vc.ResetVirtual()
-		}
-		start := time.Now()
-		res := lookup.Bulk(svc, queries, k, par)
-		elapsed := lookup.TotalDuration(svc, time.Since(start))
+		res, elapsed := lookup.Timed(svc, queries, k, par)
 		var conf metrics.Confusion
 		for i, cands := range res {
 			hit := false

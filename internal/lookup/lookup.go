@@ -41,13 +41,17 @@ func Bulk(s Service, queries []string, k, parallelism int) [][]Candidate {
 	return out
 }
 
-// Timed measures the wall-clock duration of a bulk lookup. Services that
-// simulate remote latency additionally expose virtual time via the
-// VirtualClock interface; TotalDuration combines both.
+// Timed runs one measured bulk lookup and returns its results and its
+// duration: wall time plus, for a service that simulates remote latency
+// (VirtualClock), the virtual time the run accrued, counted from a reset
+// just before it.
 func Timed(s Service, queries []string, k, parallelism int) ([][]Candidate, time.Duration) {
+	if vc, ok := s.(VirtualClock); ok {
+		vc.ResetVirtual()
+	}
 	start := time.Now()
 	res := Bulk(s, queries, k, parallelism)
-	return res, time.Since(start)
+	return res, TotalDuration(s, time.Since(start))
 }
 
 // VirtualClock is implemented by simulated remote services whose dominant

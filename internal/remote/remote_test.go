@@ -72,6 +72,23 @@ func TestTotalDurationCombinesClocks(t *testing.T) {
 	}
 }
 
+// TestTimedCountsOnlyItsRun: Timed over a service that already accrued
+// virtual time charges the run its own round trips, not the earlier ones,
+// on top of its wall time.
+func TestTimedCountsOnlyItsRun(t *testing.T) {
+	s := New("x", backend(), Config{Latency: time.Hour, MaxParallel: 1})
+	for i := 0; i < 5; i++ {
+		s.Lookup("France", 1) // five hours accrued before the measured run
+	}
+	res, took := lookup.Timed(s, []string{"Germany", "France"}, 1, 1)
+	if took < 2*time.Hour || took >= 3*time.Hour {
+		t.Fatalf("Timed = %v, want the run's 2h of round trips plus its wall time", took)
+	}
+	if len(res) != 2 || res[0][0].ID != 1 || res[1][0].ID != 2 {
+		t.Fatalf("Timed results = %+v", res)
+	}
+}
+
 func TestSearXSlowerThanWikidata(t *testing.T) {
 	w := WikidataAPIConfig()
 	x := SearXConfig()

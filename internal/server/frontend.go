@@ -16,9 +16,9 @@ import (
 )
 
 // Limits bounds what one request may ask of a front-end: DefaultLimits on
-// the cluster router, a Server's own (DefaultLimits unless changed), and on
-// a tenant route DefaultLimits with the tenant's maxK and maxBatch for MaxK
-// and MaxBulkQueries.
+// the cluster router, a Server's own on its static routes (DefaultLimits
+// unless changed), and on a tenant route DefaultLimits with the tenant's
+// maxK and maxBatch for MaxK and MaxBulkQueries.
 type Limits struct {
 	// MaxK bounds the per-request candidate budget ?k=.
 	MaxK int
@@ -53,8 +53,8 @@ type BulkAnswer struct {
 	Failed   []int
 }
 
-// Backend answers a request's lookups: a model, directly or through
-// serve.Serve, a tenant's pinned model generation, or the cluster router.
+// Backend answers a request's lookups: a Server's serving substrate, a
+// tenant's pinned model generation, or the cluster router.
 // An error is the context's: the caller hung up or its budget ran out.
 type Backend interface {
 	// LookupCtx answers one query on the backend's solo path.
@@ -153,8 +153,9 @@ func WriteError(w http.ResponseWriter, r *http.Request, e *Error) {
 
 // Option configures a front-end at construction. WithMetrics and
 // WithSlowLog apply to every front-end (New, NewTenantServer, the cluster
-// router's Handler); WithServe, WithPprof, WithIngest and WithPartition
-// configure the single-node Server and mean nothing to the other two.
+// router's Handler), WithPprof to both Server constructors; WithServe,
+// WithIngest and WithPartition configure the model New serves and mean
+// nothing to the tenant routes, whose generations bring their own.
 type Option func(*options)
 
 type options struct {

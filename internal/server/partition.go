@@ -8,6 +8,7 @@ import (
 	"strconv"
 	"time"
 
+	"emblookup/internal/core"
 	"emblookup/internal/index"
 	"emblookup/internal/obs"
 )
@@ -89,12 +90,12 @@ func (s *Server) handlePartitionSearch(w http.ResponseWriter, r *http.Request) {
 		WriteError(w, r, bodyError(err, s.Limits))
 		return
 	}
-	// The router over-fetches dedupe headroom (up to 3k when alias rows are
-	// indexed), so the partition budget is bounded at 3×MaxK.
+	// The router asks for its over-fetched budget, so the partition bound
+	// is the largest one a k within MaxK can need.
 	var bad string
-	switch dim := s.model.Index().Dim(); {
-	case req.K <= 0 || req.K > 3*s.MaxK:
-		bad = fmt.Sprintf(`"k" must be in 1..%d`, 3*s.MaxK)
+	switch dim, maxK := s.model.Index().Dim(), core.FetchBudget(s.MaxK, true); {
+	case req.K <= 0 || req.K > maxK:
+		bad = fmt.Sprintf(`"k" must be in 1..%d`, maxK)
 	case len(req.Queries) == 0 || len(req.Queries) > s.MaxBulkQueries:
 		bad = fmt.Sprintf("query count %d is not in 1..%d", len(req.Queries), s.MaxBulkQueries)
 	case slices.ContainsFunc(req.Queries, func(q []float32) bool { return len(q) != dim }):

@@ -67,12 +67,12 @@ func RequestContext(r *http.Request, query url.Values, defD, maxD time.Duration,
 	return ctx, cancel, echo, nil
 }
 
-// ParseK reads a candidate budget ?k= (10 when absent). The whole value
-// must be a decimal integer in 1..maxK — "10abc" and "3.9" are errors, not
-// 10 and 3.
+// ParseK reads a candidate budget ?k= (min(10, maxK) when absent). The
+// whole value must be a decimal integer in 1..maxK — "10abc" and "3.9" are
+// errors, not 10 and 3.
 func ParseK(s string, maxK int) (int, error) {
 	if s == "" {
-		return 10, nil
+		return min(10, maxK), nil
 	}
 	k, err := strconv.Atoi(s)
 	if err != nil || k <= 0 || k > maxK {

@@ -65,6 +65,16 @@ func TestStrictK(t *testing.T) {
 	}
 }
 
+// TestParseKDefault: an omitted ?k= is 10, but never more than the
+// route's bound.
+func TestParseKDefault(t *testing.T) {
+	for _, c := range []struct{ maxK, want int }{{1000, 10}, {10, 10}, {5, 5}, {1, 1}} {
+		if k, err := ParseK("", c.maxK); k != c.want || err != nil {
+			t.Errorf(`ParseK("", %d) = %d, %v; want %d`, c.maxK, k, err, c.want)
+		}
+	}
+}
+
 func spanCount(spans []obs.SpanRecord, name string) int {
 	n := 0
 	for _, sp := range spans {

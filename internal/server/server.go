@@ -1,6 +1,8 @@
-// Package server exposes a trained EmbLookup model over HTTP — the
-// deployment shape the paper positions EmbLookup for: a transparent,
-// local, rate-limit-free replacement for remote lookup endpoints.
+// Package server exposes EmbLookup over HTTP — the deployment shape the
+// paper positions EmbLookup for: a transparent, local, rate-limit-free
+// replacement for remote lookup endpoints. Server is the one front-end
+// type: New serves one model on the static routes, NewTenantServer the
+// models of a tenant.Registry on the tenant routes.
 //
 //	GET /lookup?q=<query>&k=<n>   → JSON candidate list
 //	GET /bulk  (POST body: one query per line) → NDJSON results
@@ -17,17 +19,17 @@
 //	                                router's codec), JSON for any other
 //	GET /debug/pprof/...          → profiling (only with WithPprof)
 //
-// The single-node Server, the tenant routes (TenantServer) and the cluster
-// router answer /lookup and /bulk through one handler pair (NewMux), with
-// one reply shape (LookupResponse), one error shape (ErrorBody) and one set
-// of Limits; each supplies only how a request finds its Backend and that
-// backend's labels (an Opener). A request runs under one context
-// (RequestContext: the client's connection, its ?deadline_ms= budget, its
-// trace); one whose caller hung up or whose budget ran out stops costing a
-// scan and is answered 504. With WithServe the request path flows through
-// internal/serve — the sharded mention cache, the query coalescer, and
-// sharded index scans — returning bit-identical results at higher
-// concurrent throughput (DESIGN.md §7).
+// Every server and the cluster router answer /lookup and /bulk through one
+// handler pair (NewMux), with one reply shape (LookupResponse), one error
+// shape (ErrorBody) and one set of Limits; each supplies only how a request
+// finds its Backend and that backend's labels (an Opener). A request runs
+// under one context (RequestContext: the client's connection, its
+// ?deadline_ms= budget, its trace); one whose caller hung up or whose
+// budget ran out stops costing a scan and is answered 504. Every lookup of
+// a Server runs through internal/serve — the query coalescer, and where
+// configured the sharded mention cache and sharded index scans — which
+// returns bit-identical results at higher concurrent throughput
+// (DESIGN.md §7).
 package server
 
 import (
@@ -43,18 +45,20 @@ import (
 	"emblookup/internal/kg"
 	"emblookup/internal/obs"
 	"emblookup/internal/serve"
+	"emblookup/internal/tenant"
 )
 
-// Server routes lookup requests to a model. Create with New and mount via
-// Handler.
+// Server is the HTTP front-end: one model's static routes (New) or a tenant
+// registry's routes (NewTenantServer). Mount it via Handler.
 type Server struct {
 	Limits
 	// MaxPartitionBytes bounds the /partition/search body (embeddings are
 	// bulkier than query strings).
 	MaxPartitionBytes int64
 
-	graph *kg.Graph
-	model *core.EmbLookup
+	graph   *kg.Graph
+	model   *core.EmbLookup
+	tenants *tenant.Registry // set: the tenant routes replace the static ones
 	options
 	// epoch is the cluster-map version this node last heard from the
 	// control plane; /healthz reports it so probes can tell a live node
@@ -63,9 +67,9 @@ type Server struct {
 	httpPartition *obs.Histogram
 }
 
-// WithServe routes /lookup and /bulk through the serving substrate (mention
-// cache + query coalescer + sharded scans) instead of calling the model
-// directly, and adds its counters to /stats.
+// WithServe answers /lookup and /bulk through sv (mention cache + query
+// coalescer + sharded scans over the server's model) instead of the
+// substrate New builds by itself.
 func WithServe(sv *serve.Serve) Option {
 	return func(o *options) { o.serve = sv }
 }
@@ -91,13 +95,25 @@ func (s *Server) SetEpoch(e int64) { s.epoch.Store(e) }
 // Epoch returns the last recorded cluster-map epoch (0 when standalone).
 func (s *Server) Epoch() int64 { return s.epoch.Load() }
 
-// New builds a server over a trained model.
+// New builds a server over a trained model. Without WithServe its lookups
+// run through a substrate of its own: unsharded, so it derives no sibling
+// to close, and cacheless, because live ingest would leave cached answers
+// stale; the coalescer answers bit-identically to the model.
 func New(g *kg.Graph, model *core.EmbLookup, opts ...Option) *Server {
-	s := &Server{Limits: DefaultLimits(), MaxPartitionBytes: 64 << 20, graph: g, model: model}
+	s := newServer(opts)
+	s.graph, s.model = g, model
+	if s.serve == nil {
+		s.serve, _ = serve.New(model, serve.Options{Shards: 1, CacheSize: -1, Registry: s.reg}) // one shard cannot fail
+	}
+	s.httpPartition = s.registry().Histogram(obs.Labels("emblookup_http_request_seconds", "route", "/partition/search"))
+	return s
+}
+
+func newServer(opts []Option) *Server {
+	s := &Server{Limits: DefaultLimits(), MaxPartitionBytes: 64 << 20}
 	for _, o := range opts {
 		o(&s.options)
 	}
-	s.httpPartition = s.registry().Histogram(obs.Labels("emblookup_http_request_seconds", "route", "/partition/search"))
 	return s
 }
 
@@ -117,17 +133,26 @@ func NewHTTPServer(addr string, h http.Handler) *http.Server {
 	}
 }
 
-// Handler returns the HTTP handler with all routes mounted.
+// Handler returns the HTTP handler with all routes mounted: the tenant
+// routes or the static ones, beside /healthz and what the options add.
 func (s *Server) Handler() http.Handler {
-	mux := s.mux("", s.route)
-	mux.HandleFunc("GET /stats", s.handleStats)
+	var mux *http.ServeMux
+	if s.tenants != nil {
+		mux = s.mux("/t/{tenant}", s.openTenant)
+		mux.HandleFunc("GET /t/{tenant}/stats", s.handleTenantStats)
+		mux.HandleFunc("POST /t/{tenant}/reload", s.handleReload)
+		mux.HandleFunc("GET /stats", s.handleTenantsStats)
+	} else {
+		mux = s.mux("", s.route)
+		mux.HandleFunc("GET /stats", s.handleStats)
+		if s.partition != nil {
+			mux.HandleFunc("POST /partition/search", s.handlePartitionSearch)
+		}
+		if s.ingest != nil {
+			mux.HandleFunc("POST /ingest", s.handleIngest)
+		}
+	}
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
-	if s.partition != nil {
-		mux.HandleFunc("POST /partition/search", s.handlePartitionSearch)
-	}
-	if s.ingest != nil {
-		mux.HandleFunc("POST /ingest", s.handleIngest)
-	}
 	if s.pprof {
 		mux.HandleFunc("/debug/pprof/", pprof.Index)
 		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -138,26 +163,19 @@ func (s *Server) Handler() http.Handler {
 	return mux
 }
 
-// route answers every lookup from the server's model — through the serving
-// substrate when there is one — with its graph's labels, read under the
-// ingestor's lock while ingest grows the graph.
+// route answers every lookup through the server's serving substrate, with
+// its graph's labels, read under the ingestor's lock while ingest grows
+// the graph.
 func (s *Server) route(http.ResponseWriter, *http.Request) (Route, *Error) {
-	rt := Route{Backend: modelBackend{s.model}, Labels: s.graph, Limits: s.Limits}
-	if s.serve != nil {
-		rt.Backend = serveBackend{s.serve}
-	}
+	rt := Route{Backend: serveBackend{s.serve}, Labels: s.graph, Limits: s.Limits}
 	if s.ingest != nil {
 		rt.Lock = s.ingest
 	}
 	return rt, nil
 }
 
-// serveBackend answers through the serving substrate, modelBackend straight
-// from the model.
-type (
-	serveBackend struct{ sv *serve.Serve }
-	modelBackend struct{ m *core.EmbLookup }
-)
+// serveBackend answers through a serving substrate.
+type serveBackend struct{ sv *serve.Serve }
 
 func (b serveBackend) LookupCtx(ctx context.Context, q string, k int) (Answer, error) {
 	res, err := b.sv.LookupCtx(ctx, q, k)
@@ -166,16 +184,6 @@ func (b serveBackend) LookupCtx(ctx context.Context, q string, k int) (Answer, e
 
 func (b serveBackend) BulkLookupCtx(ctx context.Context, queries []string, k int) (BulkAnswer, error) {
 	res, err := b.sv.BulkLookupCtx(ctx, queries, k)
-	return BulkAnswer{PerQuery: res}, err
-}
-
-func (b modelBackend) LookupCtx(ctx context.Context, q string, k int) (Answer, error) {
-	res, err := b.m.LookupCtx(ctx, q, k)
-	return Answer{Candidates: res}, err
-}
-
-func (b modelBackend) BulkLookupCtx(ctx context.Context, queries []string, k int) (BulkAnswer, error) {
-	res, err := b.m.BulkLookupCtx(ctx, queries, k, 0)
 	return BulkAnswer{PerQuery: res}, err
 }
 
@@ -234,11 +242,11 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	json.NewEncoder(w).Encode(resp)
 }
 
-// StatsResponse is the /stats reply. Serving is present only when the
-// server was built with WithServe. IndexSource tells a cold start that
-// attached a saved index artifact ("loaded") from one that re-embedded the
-// graph and retrained the quantizer ("rebuilt"); IndexAttachUs is how long
-// that took. GraphIndexed says whether anything in this process has made the
+// StatsResponse is the /stats reply. Serving is the server's substrate:
+// the one WithServe passed, or its own one-shard, cacheless one.
+// IndexSource tells a cold start that attached a saved index artifact
+// ("loaded") from one that re-embedded the graph and retrained the
+// quantizer ("rebuilt"); IndexAttachUs is how long that took. GraphIndexed says whether anything in this process has made the
 // graph derive its mention or adjacency index (kg.Graph.Indexed) — serving
 // never does, so true means something else in the process paid for one.
 // FastScanKernel is present only for a fast-scan index: the
@@ -284,10 +292,8 @@ func (s *Server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		counts := index.ReadFastScanCounts()
 		resp.FastScanPrune = &counts
 	}
-	if s.serve != nil {
-		st := s.serve.Stats()
-		resp.Serving = &st
-	}
+	sv := s.serve.Stats()
+	resp.Serving = &sv
 	if s.ingest != nil {
 		st := s.ingest.Stats()
 		resp.Ingest = &st

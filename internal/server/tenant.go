@@ -11,51 +11,30 @@ import (
 	"emblookup/internal/tenant"
 )
 
-// TenantServer fronts a tenant.Registry: the multi-tenant HTTP surface.
+// NewTenantServer builds the multi-tenant front-end over a registry:
 //
 //	GET  /t/{tenant}/lookup?q=&k=[&deadline_ms=][&hybrid=1] → JSON candidates
 //	POST /t/{tenant}/bulk                                   → NDJSON results
 //	GET  /t/{tenant}/stats                                  → one tenant's stats
 //	POST /t/{tenant}/reload                                 → hot-swap the model
 //	GET  /stats                                             → all tenants
-//	GET  /healthz, GET /metrics
+//	GET  /healthz
 //
 // Every request passes the tenant's admission gate first (429 +
 // Retry-After when throttled or shed) and pins the tenant's current model
 // generation, then runs under its deadline budget (explicit ?deadline_ms=
 // clamped to the tenant's MaxDeadlineMs, else the tenant's default), which
-// the serve substrate propagates into coalescer flushes and shard scans — a
-// 504 means the work was cancelled, not completed and discarded. The
-// tenant's maxK and maxBatch stand in for DefaultLimits' MaxK and
-// MaxBulkQueries on its routes.
-type TenantServer struct {
-	tenants *tenant.Registry
-	options
-}
-
-// NewTenantServer builds the multi-tenant front-end over a registry.
-func NewTenantServer(tenants *tenant.Registry, opts ...Option) *TenantServer {
-	s := &TenantServer{tenants: tenants}
-	for _, o := range opts {
-		o(&s.options)
-	}
+// the generation's serve substrate propagates into coalescer flushes and
+// shard scans — a 504 means the work was cancelled, not completed and
+// discarded. The tenant's maxK and maxBatch stand in for DefaultLimits'
+// MaxK and MaxBulkQueries on its routes.
+func NewTenantServer(tenants *tenant.Registry, opts ...Option) *Server {
+	s := newServer(opts)
+	s.tenants = tenants
 	return s
 }
 
-// Handler mounts all tenant routes.
-func (s *TenantServer) Handler() http.Handler {
-	mux := s.mux("/t/{tenant}", s.open)
-	mux.HandleFunc("GET /t/{tenant}/stats", s.handleTenantStats)
-	mux.HandleFunc("POST /t/{tenant}/reload", s.handleReload)
-	mux.HandleFunc("GET /stats", s.handleStats)
-	mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
-		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(HealthzResponse{Status: "ok"})
-	})
-	return mux
-}
-
-func (s *TenantServer) tenantOf(r *http.Request) (*tenant.Tenant, *Error) {
+func (s *Server) tenantOf(r *http.Request) (*tenant.Tenant, *Error) {
 	name := r.PathValue("tenant")
 	if t, ok := s.tenants.Tenant(name); ok {
 		return t, nil
@@ -63,10 +42,10 @@ func (s *TenantServer) tenantOf(r *http.Request) (*tenant.Tenant, *Error) {
 	return nil, NewError(http.StatusNotFound, "tenant_not_found", fmt.Sprintf("unknown tenant %q", name))
 }
 
-// open passes the tenant's admission gate and pins its current model
+// openTenant passes the tenant's admission gate and pins its current model
 // generation, which answers the request under the tenant's limits and
 // deadline budget; both are released with the route's Pin.
-func (s *TenantServer) open(w http.ResponseWriter, r *http.Request) (Route, *Error) {
+func (s *Server) openTenant(w http.ResponseWriter, r *http.Request) (Route, *Error) {
 	t, e := s.tenantOf(r)
 	if e != nil {
 		return Route{}, e
@@ -127,7 +106,7 @@ func (b tenantBackend) Release() {
 	t.Admission().Release()
 }
 
-func (s *TenantServer) handleTenantStats(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleTenantStats(w http.ResponseWriter, r *http.Request) {
 	t, e := s.tenantOf(r)
 	if e != nil {
 		WriteError(w, r, e)
@@ -141,7 +120,7 @@ func (s *TenantServer) handleTenantStats(w http.ResponseWriter, r *http.Request)
 // paths: the new generation attaches, the pointer swaps atomically, and
 // the old closes once its in-flight requests drain. In-flight and new
 // requests never block.
-func (s *TenantServer) handleReload(w http.ResponseWriter, r *http.Request) {
+func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 	t, e := s.tenantOf(r)
 	if e != nil {
 		WriteError(w, r, e)
@@ -160,7 +139,7 @@ type TenantsStatsResponse struct {
 	Tenants []tenant.TenantStats `json:"tenants"`
 }
 
-func (s *TenantServer) handleStats(w http.ResponseWriter, _ *http.Request) {
+func (s *Server) handleTenantsStats(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "application/json")
 	json.NewEncoder(w).Encode(TenantsStatsResponse{Tenants: s.tenants.Stats()})
 }

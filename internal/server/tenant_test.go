@@ -383,3 +383,44 @@ func TestTenantBulk(t *testing.T) {
 		}
 	}
 }
+
+// TestTenantDefaultKBound: a request that names no k gets the default 10
+// candidates clipped to the tenant's maxK, on /lookup and on every /bulk
+// line, as an explicit k past it is refused.
+func TestTenantDefaultKBound(t *testing.T) {
+	gp, mp := tenantArtifacts(t)
+	g, _ := testModel(t)
+	ts, _ := tenantTestServer(t, tenant.TenantConfig{Name: "wd", Graph: gp, Model: mp, Shards: 1,
+		Limits: tenant.Limits{MaxK: 3}})
+	q := g.Entities[0].Label
+	var lr LookupResponse
+	resp, err := ts.Client().Get(ts.URL + "/t/wd/lookup?q=" + url.QueryEscape(q))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	if err := json.NewDecoder(resp.Body).Decode(&lr); err != nil || resp.StatusCode != 200 {
+		t.Fatalf("status %d, %v", resp.StatusCode, err)
+	}
+	if len(lr.Results) != 3 {
+		t.Fatalf("/lookup without k: %d results, want the tenant's maxK 3", len(lr.Results))
+	}
+	resp, err = ts.Client().Post(ts.URL+"/t/wd/bulk", "text/plain", strings.NewReader(q+"\n"+g.Entities[1].Label+"\n"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	dec := json.NewDecoder(resp.Body)
+	lines := 0
+	for ; dec.More(); lines++ {
+		if err := dec.Decode(&lr); err != nil {
+			t.Fatal(err)
+		}
+		if len(lr.Results) != 3 {
+			t.Fatalf("/bulk line %d without k: %d results, want the tenant's maxK 3", lines, len(lr.Results))
+		}
+	}
+	if resp.StatusCode != 200 || lines != 2 {
+		t.Fatalf("/bulk without k: status %d, %d lines", resp.StatusCode, lines)
+	}
+}

@@ -98,12 +98,7 @@ func Repair(masked *tabular.Dataset, cells []MaskedCell, svc lookup.Service, cfg
 	for _, k := range keys {
 		queries = append(queries, masked.Tables[k.table].Rows[k.row][0].Text)
 	}
-	if vc, ok := svc.(lookup.VirtualClock); ok {
-		vc.ResetVirtual()
-	}
-	start := time.Now()
-	candLists := lookup.Bulk(svc, queries, cfg.K, cfg.Parallelism)
-	elapsed := lookup.TotalDuration(svc, time.Since(start))
+	candLists, elapsed := lookup.Timed(svc, queries, cfg.K, cfg.Parallelism)
 
 	subjects := make(map[rowKey]kg.EntityID, len(keys))
 	for i, k := range keys {

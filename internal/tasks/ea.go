@@ -50,12 +50,7 @@ func Disambiguate(g *kg.Graph, svc lookup.Service, mentions []string, truths []k
 	if cfg.Iterations <= 0 {
 		cfg.Iterations = 10
 	}
-	if vc, ok := svc.(lookup.VirtualClock); ok {
-		vc.ResetVirtual()
-	}
-	start := time.Now()
-	candLists := lookup.Bulk(svc, mentions, cfg.K, cfg.Parallelism)
-	elapsed := lookup.TotalDuration(svc, time.Since(start))
+	candLists, elapsed := lookup.Timed(svc, mentions, cfg.K, cfg.Parallelism)
 
 	// Node set: (mention index, candidate). Prior = normalized lookup rank.
 	type node struct {

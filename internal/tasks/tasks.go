@@ -86,12 +86,7 @@ func lookupAll(ds *tabular.Dataset, svc lookup.Service, k, parallelism int) (map
 			}
 		}
 	}
-	if vc, ok := svc.(lookup.VirtualClock); ok {
-		vc.ResetVirtual()
-	}
-	start := time.Now()
-	results := lookup.Bulk(svc, queries, k, parallelism)
-	elapsed := lookup.TotalDuration(svc, time.Since(start))
+	results, elapsed := lookup.Timed(svc, queries, k, parallelism)
 
 	out := make(map[CellRef][]lookup.Candidate, len(refs))
 	for i, r := range refs {

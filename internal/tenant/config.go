@@ -17,7 +17,10 @@ import (
 )
 
 // Limits is one tenant's admission contract. Zero values pick the
-// defaults below; explicit negatives disable the corresponding limit.
+// defaults below. A negative QueueDepth, DefaultDeadlineMs or MaxDeadlineMs
+// turns that limit off; a negative MaxConcurrent, MaxK or MaxBatch would
+// refuse every request, so Config.Validate rejects it, and a Burst below 1
+// under a rate would never hold a whole token, so Validate rejects that too.
 type Limits struct {
 	// RatePerSec is the token-bucket refill rate in requests per second
 	// (0 = unlimited: no rate gate).
@@ -109,7 +112,8 @@ type Config struct {
 	Tenants []TenantConfig `json:"tenants"`
 }
 
-// Validate checks names are present and unique and paths are set.
+// Validate checks names are present and unique, paths are set, and no
+// limit is set to a value that would refuse every request.
 func (c Config) Validate() error {
 	if len(c.Tenants) == 0 {
 		return fmt.Errorf("tenant: config declares no tenants")
@@ -125,6 +129,18 @@ func (c Config) Validate() error {
 		seen[t.Name] = true
 		if t.Graph == "" || t.Model == "" {
 			return fmt.Errorf("tenant: tenant %q needs both graph and model paths", t.Name)
+		}
+		l := t.Limits
+		for _, f := range []struct {
+			name string
+			v    int
+		}{{"maxConcurrent", l.MaxConcurrent}, {"maxK", l.MaxK}, {"maxBatch", l.MaxBatch}} {
+			if f.v < 0 {
+				return fmt.Errorf("tenant: tenant %q: limits.%s is %d, must not be negative (0 picks the default)", t.Name, f.name, f.v)
+			}
+		}
+		if l.RatePerSec > 0 && l.Burst > 0 && l.Burst < 1 {
+			return fmt.Errorf("tenant: tenant %q: limits.burst is %g, must be at least 1 (0 picks the default)", t.Name, l.Burst)
 		}
 	}
 	return nil

@@ -10,24 +10,23 @@ import (
 	"emblookup/internal/core"
 	"emblookup/internal/kg"
 	"emblookup/internal/obs"
+	"emblookup/internal/refcount"
 	"emblookup/internal/serve"
 )
 
 // Handle is one loaded generation of a tenant's model: the zero-copy
-// attached artifact, its graph, and the serve substrate over them. Handles
-// are ref-counted: every request pins the handle it serves with, so a hot
-// swap can retire the old generation and close its mmap backing only after
-// the last in-flight request on it finishes — the routerView drain
-// discipline applied to model lifetimes.
+// attached artifact, its graph, and the serve substrate over them. Every
+// request pins the handle it serves with, and the registry holds one
+// reference while the handle is current, so a hot swap retires the old
+// generation by dropping that reference: the release that drops the last
+// one closes the substrate and unmaps the artifact, and no later Acquire
+// can pin it (refcount.Count, DESIGN.md §14).
 type Handle struct {
 	tenant *Tenant
 	graph  *kg.Graph
 	model  *core.EmbLookup // the attached model owning the artifact backing
 	sv     *serve.Serve
-
-	refs      atomic.Int64 // registry's reference counts as 1
-	retired   atomic.Bool
-	closeOnce sync.Once
+	refs   refcount.Count // the registry's reference and every request's
 }
 
 // Graph returns the handle's knowledge graph.
@@ -39,26 +38,13 @@ func (h *Handle) Serve() *serve.Serve { return h.sv }
 // Tenant returns the tenant the handle is a generation of.
 func (h *Handle) Tenant() *Tenant { return h.tenant }
 
-// Release unpins the handle. The last release of a retired handle closes
-// it: the serve coalescer flushes and the artifact backing is unmapped.
+// Release unpins the handle. The release of the last reference closes it:
+// the serve coalescer flushes and the artifact backing is unmapped.
 func (h *Handle) Release() {
-	if h.refs.Add(-1) == 0 && h.retired.Load() {
-		h.close()
-	}
-}
-
-func (h *Handle) close() {
-	h.closeOnce.Do(func() {
+	if h.refs.Release() {
 		h.sv.Close()
 		h.model.Close()
-	})
-}
-
-// retire drops the registry's own reference. New acquires bounce to the
-// replacement handle; the generation closes when its refcount drains.
-func (h *Handle) retire() {
-	h.retired.Store(true)
-	h.Release()
+	}
 }
 
 // Tenant is one hosted model slot: its admission gate, its limits, and the
@@ -99,9 +85,9 @@ func (t *Tenant) DeadlineExceeded(n int64) { t.ddlExc.Add(n) }
 func (t *Tenant) Loaded() bool { return t.cur.Load() != nil }
 
 // Acquire pins the tenant's current handle, lazily attaching the model on
-// first use. The retry loop closes the race with a concurrent Swap: a
-// handle retired between load and pin is released and the new generation
-// taken instead, so a swap's drain can never miss a request.
+// first use. A handle that drained between load and pin refuses the pin,
+// and by then a concurrent Swap has installed its replacement, which the
+// next turn takes.
 func (t *Tenant) Acquire() (*Handle, error) {
 	for {
 		h := t.cur.Load()
@@ -111,11 +97,9 @@ func (t *Tenant) Acquire() (*Handle, error) {
 				return nil, err
 			}
 		}
-		h.refs.Add(1)
-		if !h.retired.Load() {
+		if h.refs.Acquire() {
 			return h, nil
 		}
-		h.Release()
 	}
 }
 
@@ -154,7 +138,6 @@ func (t *Tenant) open() (*Handle, error) {
 		return nil, fmt.Errorf("tenant %s: serve substrate: %w", t.cfg.Name, err)
 	}
 	h := &Handle{tenant: t, graph: g, model: model, sv: sv}
-	h.refs.Store(1) // the registry's reference
 	t.loadedAt.Store(time.Now().UnixNano())
 	return h, nil
 }
@@ -170,9 +153,8 @@ func (t *Tenant) Swap() error {
 	if err != nil {
 		return err
 	}
-	old := t.cur.Swap(h)
-	if old != nil {
-		old.retire()
+	if old := t.cur.Swap(h); old != nil {
+		old.Release() // the registry's reference
 	}
 	return nil
 }
@@ -273,7 +255,7 @@ func (r *Registry) Close() {
 	for _, t := range r.tenants {
 		t.mu.Lock()
 		if h := t.cur.Swap(nil); h != nil {
-			h.retire()
+			h.Release()
 		}
 		t.mu.Unlock()
 	}

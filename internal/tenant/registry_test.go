@@ -3,6 +3,7 @@ package tenant
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -126,8 +127,8 @@ func TestRegistrySwapDrain(t *testing.T) {
 	if err := tn.Swap(); err != nil {
 		t.Fatal(err)
 	}
-	if !old.retired.Load() {
-		t.Fatal("old generation not retired after swap")
+	if tn.cur.Load() == old {
+		t.Fatal("the current generation did not move on swap")
 	}
 	// Still pinned: the old handle must keep answering.
 	q := artGraph.Entities[1].Label
@@ -142,12 +143,9 @@ func TestRegistrySwapDrain(t *testing.T) {
 	if fresh == old {
 		t.Fatal("Acquire after swap returned the retired generation")
 	}
-	if refs := old.refs.Load(); refs != 1 {
-		t.Fatalf("old generation refs = %d, want 1 (just this test)", refs)
-	}
-	old.Release()
-	if refs := old.refs.Load(); refs != 0 {
-		t.Fatalf("old generation refs = %d after final release, want 0", refs)
+	old.Release() // the last reference: the swap dropped the registry's
+	if old.refs.Acquire() {
+		t.Fatal("the drained generation took a new reference")
 	}
 	if res := fresh.Serve().Lookup(q, 3); len(res) == 0 {
 		t.Fatal("new generation not serving")
@@ -156,7 +154,7 @@ func TestRegistrySwapDrain(t *testing.T) {
 }
 
 // TestRegistryAcquireSwapRace hammers Acquire/Release against concurrent
-// Swaps; under -race this exercises the retired-handle retry loop.
+// Swaps; under -race this exercises Acquire's turn past a drained handle.
 func TestRegistryAcquireSwapRace(t *testing.T) {
 	gp, mp := testArtifacts(t)
 	r := testRegistry(t, TenantConfig{Name: "a", Graph: gp, Model: mp, Shards: 1, Preload: true})
@@ -265,9 +263,12 @@ func TestRegistryCloseWithPinnedHandle(t *testing.T) {
 	if res := h.Serve().Lookup(q, 3); len(res) == 0 {
 		t.Fatal("pinned handle stopped serving after registry close")
 	}
+	if tn.cur.Load() != nil {
+		t.Fatal("registry close left a current generation")
+	}
 	h.Release()
-	if refs := h.refs.Load(); refs != 0 {
-		t.Fatalf("refs = %d after final release", refs)
+	if h.refs.Acquire() {
+		t.Fatal("the drained generation took a new reference")
 	}
 }
 
@@ -289,6 +290,25 @@ func TestConfigValidate(t *testing.T) {
 		if err := tc.cfg.Validate(); err == nil {
 			t.Errorf("%s: Validate accepted an invalid config", tc.name)
 		}
+	}
+	// A limit that would refuse every request is named with its tenant; a
+	// negative that means "off" is accepted.
+	one := func(l Limits) Config {
+		return Config{Tenants: []TenantConfig{{Name: "wd", Graph: gp, Model: mp, Limits: l}}}
+	}
+	for field, l := range map[string]Limits{
+		"maxConcurrent": {MaxConcurrent: -1},
+		"maxK":          {MaxK: -1},
+		"maxBatch":      {MaxBatch: -2},
+		"burst":         {RatePerSec: 5, Burst: 0.5},
+	} {
+		err := one(l).Validate()
+		if err == nil || !strings.Contains(err.Error(), `"wd"`) || !strings.Contains(err.Error(), "limits."+field) {
+			t.Errorf("%s: Validate = %v, want an error naming tenant \"wd\" and limits.%s", field, err, field)
+		}
+	}
+	if err := one(Limits{QueueDepth: -1, DefaultDeadlineMs: -1, MaxDeadlineMs: -1, Burst: 0.5}).Validate(); err != nil {
+		t.Errorf("negatives that turn a limit off refused: %v", err)
 	}
 	if _, err := NewRegistry(Config{}, obs.New()); err == nil {
 		t.Fatal("NewRegistry accepted an empty config")

@@ -153,6 +153,11 @@ go test -run '^$' -fuzz FuzzRequestContext -fuzztime 10s ./internal/server
 go test -run '^$' -fuzz FuzzDecodeIngestItems -fuzztime 10s ./internal/server
 go test -run '^$' -fuzz FuzzDecodeSearchFrame -fuzztime 10s ./internal/server
 go test -run '^$' -fuzz FuzzDecodeHitsFrame -fuzztime 10s ./internal/server
+# The two files an operator writes: a tenants config Validate accepts must
+# admit a request on an idle gate, and a cluster map Validate accepts must
+# survive Clone and a JSON round trip unchanged.
+go test -run '^$' -fuzz FuzzTenantConfig -fuzztime 10s ./internal/tenant
+go test -run '^$' -fuzz FuzzMapJSON -fuzztime 10s ./internal/cluster
 
 echo "== allocation guards and benchmarks (short) =="
 # The root allocation guards skip under the race detector (its runtime
