@@ -2,6 +2,7 @@ package index
 
 import (
 	"context"
+	"math"
 	"testing"
 
 	"emblookup/internal/mathx"
@@ -252,3 +253,73 @@ type tableScanner struct {
 }
 
 func (ts tableScanner) prepareInto(_, _ []float32) []float32 { return ts.table }
+
+// FuzzADCListScanEquivalence holds the IVF-PQ list scan (scanADCList: eight
+// sums in flight, a push only where the heap admits) to pushing every row's
+// plain one-at-a-time sum, heap entry for heap entry, at M 1–12, lists of
+// 0–100 rows (whole groups of eight and a tail), k 1–40, and a heap that
+// arrives with 0 to k+3 entries already in it — underfull, full, or tied
+// with the rows' distances. Table entries are +Inf or NaN one time in
+// eight, and otherwise continuous or drawn from a tiny integer alphabet
+// where ties dominate; an underfull heap must take a +Inf or NaN row, a
+// full one never does.
+func FuzzADCListScanEquivalence(f *testing.F) {
+	f.Add(uint8(8), uint8(40), uint8(10), uint8(0), uint64(1), uint8(0))
+	f.Add(uint8(1), uint8(17), uint8(3), uint8(5), uint64(7), uint8(2))
+	f.Add(uint8(12), uint8(100), uint8(39), uint8(20), uint64(42), uint8(1))
+	f.Add(uint8(5), uint8(9), uint8(40), uint8(2), uint64(99), uint8(3))
+	f.Fuzz(func(t *testing.T, mRaw, nRaw, kRaw, preRaw uint8, seed uint64, tieMod uint8) {
+		m, n, k := int(mRaw)%12+1, int(nRaw)%101, int(kRaw)%40+1
+		pre := int(preRaw) % (k + 4)
+		const ks = 16
+		rng := mathx.NewRNG(seed)
+		value := func() float32 {
+			switch {
+			case rng.Intn(16) == 0:
+				return float32(math.Inf(1))
+			case rng.Intn(16) == 0:
+				return float32(math.NaN())
+			case tieMod == 0:
+				return rng.Float32()
+			default:
+				return float32(rng.Intn(int(tieMod)%4 + 1))
+			}
+		}
+		table := make([]float32, m*ks)
+		for i := range table {
+			table[i] = value()
+		}
+		codes := make([]byte, n*m)
+		for i := range codes {
+			codes[i] = byte(rng.Intn(ks))
+		}
+		ids := make([]int32, n)
+		for i := range ids {
+			ids[i] = int32(rng.Intn(200))
+		}
+		got, want := newTopK(k), newTopK(k)
+		for i := 0; i < pre; i++ {
+			id, d := int32(rng.Intn(200)), value()*float32(m)
+			got.push(id, d)
+			want.push(id, d)
+		}
+
+		scanADCList(table, ks, codes, ids, got)
+		for j, id := range ids {
+			var d float32
+			for b := 0; b < m; b++ {
+				d += table[b*ks+int(codes[j*m+b])]
+			}
+			want.push(id, d)
+		}
+		if len(got.heap) != len(want.heap) {
+			t.Fatalf("M=%d n=%d k=%d pre=%d: %d entries, want %d", m, n, k, pre, len(got.heap), len(want.heap))
+		}
+		for i, w := range want.heap {
+			g := got.heap[i]
+			if g.ID != w.ID || (math.Float32bits(g.Dist) != math.Float32bits(w.Dist) && !(g.Dist != g.Dist && w.Dist != w.Dist)) {
+				t.Fatalf("M=%d n=%d k=%d pre=%d: heap[%d] = %+v, want %+v", m, n, k, pre, i, g, w)
+			}
+		}
+	})
+}

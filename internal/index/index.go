@@ -148,6 +148,15 @@ func (t *topK) push(id int32, dist float32) {
 	t.down(0)
 }
 
+// admits reports whether push(_, dist) could change the heap: always while
+// it is underfull (+Inf and NaN included), and once full only for a
+// distance no larger than the k-th, which may still win the ID tie-break.
+// A scan that pushes only what admits passes leaves the heap exactly as
+// pushing every candidate would.
+func (t *topK) admits(dist float32) bool {
+	return len(t.heap) < t.k || dist <= t.heap[0].Dist
+}
+
 // worst returns the current k-th distance, or +inf while underfull. A
 // candidate with a strictly larger distance can never enter the heap; one
 // with an equal distance still can (it may win the ID tie-break), so

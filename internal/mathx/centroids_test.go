@@ -1,7 +1,6 @@
 package mathx
 
 import (
-	"encoding/binary"
 	"math"
 	"testing"
 )
@@ -141,10 +140,7 @@ func FuzzSquaredL2ManyEquivalence(f *testing.F) {
 	f.Add(uint8(64), []byte("some bytes to be floats"))
 	f.Fuzz(func(t *testing.T, dRaw uint8, raw []byte) {
 		d := int(dRaw)%80 + 1
-		floats := make([]float32, len(raw)/4)
-		for i := range floats {
-			floats[i] = math.Float32frombits(binary.LittleEndian.Uint32(raw[4*i:]))
-		}
+		floats := floatsOf(raw)
 		if len(floats) < d {
 			return
 		}

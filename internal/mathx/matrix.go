@@ -52,16 +52,23 @@ func (m *Matrix) MatVec(x []float32) []float32 {
 }
 
 // MatVecInto computes out = m · x into the provided out (length m.Rows),
-// avoiding the per-call allocation of MatVec. Four rows share each pass
-// over x as four independent sums, whose adds the CPU overlaps; each
-// row's sum is still Dot's sequential s += m[r][j]*x[j] from j = 0, so
-// every output is bit-identical to a Dot per row.
+// avoiding the per-call allocation of MatVec. Every row's sum is Dot's
+// sequential s += m[r][j]*x[j] from j = 0, so each output is bit-identical
+// to a Dot per row. On AVX2 (dense_amd64.s) eight rows share each
+// instruction: 8×8 tiles of the row-major weights are transposed in
+// registers, so that each lane adds its own row's products in column
+// order, and two groups of eight rows run per pass over x. Elsewhere, and
+// for the rows past the last multiple of eight, four rows share each pass
+// as four independent sums, whose adds the CPU overlaps.
 func (m *Matrix) MatVecInto(x, out []float32) {
 	n := m.Cols
 	if len(x) != n || len(out) != m.Rows {
 		panic(fmt.Sprintf("mathx: MatVecInto shape mismatch %d,%d vs %dx%d", len(x), len(out), m.Rows, m.Cols))
 	}
 	r := 0
+	if HasAVX2 {
+		r = m.matVecAVX2(x, out)
+	}
 	for ; r+4 <= m.Rows; r += 4 {
 		w0 := m.Data[r*n:][:n]
 		w1 := m.Data[(r+1)*n:][:n]

@@ -1,6 +1,9 @@
 package mathx
 
-import "math"
+import (
+	"fmt"
+	"math"
+)
 
 // Dot returns the dot product of a and b. The slices must have equal length.
 // The float32 conversion rounds each product before its add: Go may fuse an
@@ -52,9 +55,19 @@ func Normalize(a []float32) {
 	}
 }
 
-// Axpy computes y += alpha*x in place.
+// Axpy computes y += alpha*x in place; y must be at least as long as x
+// and must not partly overlap it. Each element is y[i] + float32(alpha*x[i])
+// on every build: on AVX2 (dense_amd64.s) eight elements per instruction,
+// the product rounded before its add, the rest of x one at a time.
 func Axpy(alpha float32, x, y []float32) {
-	for i := range x {
+	if len(y) < len(x) {
+		panic(fmt.Sprintf("mathx: Axpy of %d elements into %d", len(x), len(y)))
+	}
+	i := 0
+	if HasAVX2 {
+		i = axpyAVX2Blocks(alpha, x, y)
+	}
+	for ; i < len(x); i++ {
 		y[i] += float32(alpha * x[i])
 	}
 }

@@ -122,7 +122,7 @@ func ContrastiveLoss(a, p, n []float32, margin float32) (loss float32, da, dp, d
 		da[i] = 2 * (a[i] - p[i])
 		dp[i] = -2 * (a[i] - p[i])
 		if hinge > 0 {
-			da[i] += -2 * (a[i] - n[i])
+			da[i] += float32(-2 * (a[i] - n[i]))
 			dn[i] = 2 * (a[i] - n[i])
 		}
 	}

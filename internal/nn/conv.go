@@ -172,8 +172,8 @@ func (c *Conv1D) Backward(cache *ConvCache, dy *mathx.Matrix) *mathx.Matrix {
 				wv := w[wBase+k]
 				for t := range ds {
 					g := ds[t]
-					gwAcc += g * xs[t]
-					dxs[t] += g * wv
+					gwAcc += float32(g * xs[t])
+					dxs[t] += float32(g * wv)
 				}
 				gw[wBase+k] += gwAcc
 			}

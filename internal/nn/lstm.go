@@ -78,7 +78,7 @@ func (l *LSTM) step(x, hPrev, cPrev []float32) *lstmStep {
 		st.f[j] = sigmoid(z[H+j])
 		st.g[j] = tanhf(z[2*H+j])
 		st.o[j] = sigmoid(z[3*H+j])
-		st.c[j] = st.f[j]*cPrev[j] + st.i[j]*st.g[j]
+		st.c[j] = float32(st.f[j]*cPrev[j]) + float32(st.i[j]*st.g[j])
 		st.tanhC[j] = tanhf(st.c[j])
 		st.h[j] = st.o[j] * st.tanhC[j]
 	}
@@ -138,13 +138,13 @@ func (l *LSTM) Backward(cache *LSTMCache, dhFinal []float32) {
 		st := cache.steps[t]
 		for j := 0; j < H; j++ {
 			do := dh[j] * st.tanhC[j]
-			dcj := dc[j] + dh[j]*st.o[j]*(1-st.tanhC[j]*st.tanhC[j])
+			dcj := dc[j] + float32(dh[j]*st.o[j]*(1-float32(st.tanhC[j]*st.tanhC[j])))
 			di := dcj * st.g[j]
 			df := dcj * st.cPrev[j]
 			dg := dcj * st.i[j]
 			dz[j] = di * st.i[j] * (1 - st.i[j])
 			dz[H+j] = df * st.f[j] * (1 - st.f[j])
-			dz[2*H+j] = dg * (1 - st.g[j]*st.g[j])
+			dz[2*H+j] = dg * (1 - float32(st.g[j]*st.g[j]))
 			dz[3*H+j] = do * st.o[j] * (1 - st.o[j])
 			dc[j] = dcj * st.f[j]
 		}

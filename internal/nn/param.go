@@ -82,12 +82,12 @@ func (a *Adam) Step(scale float32) {
 			p.v = mathx.NewMatrix(p.W.Rows, p.W.Cols)
 		}
 		for i, g := range p.Grad.Data {
-			g *= scale
+			g = float32(g * scale)
 			if a.WeightDecay > 0 {
-				g += a.WeightDecay * p.W.Data[i]
+				g += float32(a.WeightDecay * p.W.Data[i])
 			}
-			p.m.Data[i] = a.Beta1*p.m.Data[i] + (1-a.Beta1)*g
-			p.v.Data[i] = a.Beta2*p.v.Data[i] + (1-a.Beta2)*g*g
+			p.m.Data[i] = float32(a.Beta1*p.m.Data[i]) + float32((1-a.Beta1)*g)
+			p.v.Data[i] = float32(a.Beta2*p.v.Data[i]) + float32((1-a.Beta2)*g*g)
 			mHat := p.m.Data[i] / c1
 			vHat := p.v.Data[i] / c2
 			p.W.Data[i] -= a.LR * mHat / (float32(math.Sqrt(float64(vHat))) + a.Eps)
@@ -113,7 +113,7 @@ func NewSGD(lr float32, params []*Param) *SGD {
 func (s *SGD) Step(scale float32) {
 	for _, p := range s.params {
 		for i, g := range p.Grad.Data {
-			p.W.Data[i] -= s.LR * g * scale
+			p.W.Data[i] -= float32(s.LR * g * scale)
 		}
 		p.ZeroGrad()
 	}

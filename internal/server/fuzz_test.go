@@ -240,3 +240,82 @@ func FuzzRequestContext(f *testing.F) {
 		}
 	})
 }
+
+// FuzzPartitionSearchJSON drives the JSON branch of POST /partition/search
+// on a small trained model, with a 16 KiB body bound: whatever the body, the
+// answer is 200, 400 or 413 and nothing panics; a 200 carries one result
+// list per query of at most k hits each; and the frame encoding of an
+// accepted body, posted to a node without the small bound, answers the same
+// hits, distances down to their bits.
+func FuzzPartitionSearchJSON(f *testing.F) {
+	g, m := testModel(f)
+	n := m.Index().Len()
+	pm, err := m.WithPartition(0, n)
+	if err != nil {
+		f.Fatal(err)
+	}
+	info := PartitionInfo{ID: 0, Count: 1, RowLo: 0, RowHi: n}
+	small := New(g, pm, WithPartition(info))
+	small.MaxPartitionBytes = 16 << 10
+	viaJSON, viaFrame := small.Handler(), New(g, pm, WithPartition(info)).Handler()
+
+	emb := m.Embed(g.Entities[3].Label)
+	valid, _ := json.Marshal(PartitionSearchRequest{K: 5, Queries: [][]float32{emb, m.Embed(g.Entities[9].Label)}})
+	f.Add(valid)
+	f.Add(bytes.Replace(valid, []byte(`"k":5`), []byte(`"k":0`), 1))
+	f.Add(bytes.Replace(valid, []byte(`"k":5`), []byte(`"k":99999999`), 1))
+	f.Add([]byte(`{"k":3,"queries":[]}`))
+	f.Add([]byte(`{"k":3,"queries":[[1,2,3]]}`))
+	f.Add([]byte(`{"k":3,"queries":[[1e39]]}`))
+	f.Add([]byte(`{"k":3,"queries":null} trailing`))
+	f.Add(append(bytes.Repeat([]byte(" "), 17<<10), valid...))
+	f.Add([]byte(`[`))
+	f.Fuzz(func(t *testing.T, body []byte) {
+		rec := searchPartition(viaJSON, body, "application/json", "")
+		switch rec.Code {
+		case http.StatusOK:
+		case http.StatusBadRequest, http.StatusRequestEntityTooLarge:
+			return
+		default:
+			t.Fatalf("status %d for %q", rec.Code, body)
+		}
+		var req PartitionSearchRequest
+		if err := json.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
+			t.Fatalf("answered 200 to a body that does not decode: %v", err)
+		}
+		var got PartitionSearchResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil {
+			t.Fatal(err)
+		}
+		if len(got.Results) != len(req.Queries) {
+			t.Fatalf("%d result lists for %d queries", len(got.Results), len(req.Queries))
+		}
+		for i, hits := range got.Results {
+			if len(hits) > req.K {
+				t.Fatalf("query %d: %d hits past k = %d", i, len(hits), req.K)
+			}
+		}
+		frec := searchPartition(viaFrame, AppendSearchFrame(nil, req.K, req.Queries), FrameContentType, "")
+		if frec.Code != http.StatusOK {
+			t.Fatalf("frame of an accepted body: status %d", frec.Code)
+		}
+		want, err := ReadHitsFrame(frec.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(want.Results) != len(got.Results) {
+			t.Fatalf("%d result lists by JSON, %d by frame", len(got.Results), len(want.Results))
+		}
+		for i, w := range want.Results {
+			g := got.Results[i]
+			if len(g) != len(w) {
+				t.Fatalf("query %d: %d hits by JSON, %d by frame", i, len(g), len(w))
+			}
+			for j := range w {
+				if g[j].Row != w[j].Row || g[j].Entity != w[j].Entity || math.Float32bits(g[j].Dist) != math.Float32bits(w[j].Dist) {
+					t.Fatalf("query %d hit %d: %+v by JSON, %+v by frame", i, j, g[j], w[j])
+				}
+			}
+		}
+	})
+}

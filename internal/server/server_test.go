@@ -26,7 +26,7 @@ var (
 	tErr   error
 )
 
-func testServer(t *testing.T) (*kg.Graph, *Server) {
+func testServer(t testing.TB) (*kg.Graph, *Server) {
 	t.Helper()
 	once.Do(func() {
 		g, _ := kg.Generate(kg.DefaultGeneratorConfig(kg.WikidataProfile, 200))
@@ -48,7 +48,7 @@ func testServer(t *testing.T) (*kg.Graph, *Server) {
 
 // testModel returns the shared trained model (training once for the whole
 // package).
-func testModel(t *testing.T) (*kg.Graph, *core.EmbLookup) {
+func testModel(t testing.TB) (*kg.Graph, *core.EmbLookup) {
 	g, _ := testServer(t)
 	return g, tModel
 }

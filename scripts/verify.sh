@@ -56,15 +56,26 @@ if grep -rnE --include='*.go' --exclude='*_test.go' \
     exit 1
 fi
 
-echo "== no fused multiply-add in served distances (arm64 assembly) =="
+echo "== no fused multiply-add in served distances or training (arm64 assembly) =="
 # Go may fuse an unconverted a*b+c into one multiply-add where the target
 # has one (arm64 does; amd64 only at GOAMD64=v3), which changes the bits of
-# a distance. The arithmetic that decides served distances spells every
-# product float32(a*b) (float64 likewise), so these packages compile to
-# no fused instruction. Cross-compiling needs no arm64 host.
-fused=$(GOARCH=arm64 go build -gcflags=-S ./internal/mathx ./internal/quant ./internal/index 2>&1)
+# a distance or of a trained weight. The arithmetic that decides served
+# distances and the trainer's (the embedding and training goldens) spells
+# every product float32(a*b) (float64 likewise), so these packages compile
+# to no fused instruction. Cross-compiling needs no arm64 host.
+fused=$(GOARCH=arm64 go build -gcflags=-S ./internal/mathx ./internal/quant ./internal/index \
+    ./internal/nn ./internal/ngram ./internal/triplet 2>&1)
 if grep -E '\bF(N)?M(ADD|SUB)[SD]\b' <<<"$fused"; then
-    echo "verify: fused multiply-add in mathx, quant or index on arm64" >&2
+    echo "verify: fused multiply-add in mathx, quant, index, nn, ngram or triplet on arm64" >&2
+    exit 1
+fi
+
+echo "== no fused multiply-add in the assembly kernels =="
+# Every AVX2 kernel matches its portable loop bit for bit because it
+# rounds each product (VMULPS) before its add (VADDPS); a fused
+# instruction rounds once and changes the bits.
+if grep -rnE --include='*.s' '\bVF(N)?M(ADD|SUB)' internal; then
+    echo "verify: fused multiply-add in an assembly kernel under internal/" >&2
     exit 1
 fi
 
@@ -90,8 +101,8 @@ echo "== portable kernel builds: purego tests, arm64 vet, GOAMD64=v3 =="
 # Each AVX2 assembly kernel has a portable sibling that this amd64 host
 # never runs by itself: the fast-scan query-major group kernel and the
 # scalar loops of the table quantizer and the four-lane loop of the
-# centroid-distance block (DESIGN.md §11), and the convolution loop (§3,
-# "Inference kernels"). The purego tag
+# centroid-distance block (DESIGN.md §11), and the convolution, four-row
+# matvec and Axpy loops (§3, "Inference kernels"). The purego tag
 # runs the kernel, scan, lookup and serve suites on them — the embedding
 # golden included — and the arm64 vet type-checks the non-amd64 file set so
 # it cannot rot. The GOAMD64=v3 run lets the compiler use every FMA the
@@ -109,15 +120,23 @@ echo "== kernel fuzz (short, both builds) =="
 # 1-9, all-ties tables, mid-block ranges (DESIGN.md §11). Each build's
 # convolution kernels against the scalar loop, bit for bit: lengths 1-40,
 # signed zeros, subnormals, overflow (DESIGN.md §3). Each build's centroid
-# block against SquaredL2 per centroid, bit for bit, on arbitrary float32
-# bit patterns (DESIGN.md §11). The query's one case
-# fold against strings.ToLower.
+# block against SquaredL2 per centroid, and each build's matvec against Dot
+# per row and Axpy against its one-element loop, bit for bit, on arbitrary
+# float32 bit patterns (DESIGN.md §3, §11). The IVF-PQ list scan against
+# pushing every row's plain sum: M 1-12, underfull, tied and full heaps,
+# +Inf and NaN rows. The query's one case fold against strings.ToLower.
 go test -run '^$' -fuzz FuzzFastScanEquivalence -fuzztime 10s ./internal/index
 go test -tags purego -run '^$' -fuzz FuzzFastScanEquivalence -fuzztime 10s ./internal/index
 go test -run '^$' -fuzz FuzzConvEquivalence -fuzztime 10s ./internal/nn
 go test -tags purego -run '^$' -fuzz FuzzConvEquivalence -fuzztime 10s ./internal/nn
 go test -run '^$' -fuzz FuzzSquaredL2ManyEquivalence -fuzztime 10s ./internal/mathx
 go test -tags purego -run '^$' -fuzz FuzzSquaredL2ManyEquivalence -fuzztime 10s ./internal/mathx
+go test -run '^$' -fuzz FuzzMatVecEquivalence -fuzztime 10s ./internal/mathx
+go test -tags purego -run '^$' -fuzz FuzzMatVecEquivalence -fuzztime 10s ./internal/mathx
+go test -run '^$' -fuzz FuzzAxpyEquivalence -fuzztime 10s ./internal/mathx
+go test -tags purego -run '^$' -fuzz FuzzAxpyEquivalence -fuzztime 10s ./internal/mathx
+go test -run '^$' -fuzz FuzzADCListScanEquivalence -fuzztime 10s ./internal/index
+go test -tags purego -run '^$' -fuzz FuzzADCListScanEquivalence -fuzztime 10s ./internal/index
 go test -run '^$' -fuzz FuzzLowerInto -fuzztime 10s ./internal/core
 
 echo "== artifact parser fuzz (short) =="
@@ -147,12 +166,16 @@ echo "== request parser fuzz (short) =="
 # its own bytes and rejecting an over-claiming header before allocating.
 # The deadline budget (?deadline_ms= and its header): a 400 unless a
 # positive integer, otherwise a deadline no later than the cap, however
-# large the budget.
+# large the budget. The JSON /partition/search body: 200, 400 or 413 and
+# never a panic, at most k hits per query, and an accepted body answers
+# what its frame encoding answers (its inputs reach the 16 KiB body bound,
+# so minimization is capped as for the artifacts).
 go test -run '^$' -fuzz FuzzReadBulkBody -fuzztime 10s ./internal/server
 go test -run '^$' -fuzz FuzzRequestContext -fuzztime 10s ./internal/server
 go test -run '^$' -fuzz FuzzDecodeIngestItems -fuzztime 10s ./internal/server
 go test -run '^$' -fuzz FuzzDecodeSearchFrame -fuzztime 10s ./internal/server
 go test -run '^$' -fuzz FuzzDecodeHitsFrame -fuzztime 10s ./internal/server
+go test -run '^$' -fuzz FuzzPartitionSearchJSON -fuzztime 10s -fuzzminimizetime 20x ./internal/server
 # The two files an operator writes: a tenants config Validate accepts must
 # admit a request on an idle gate, and a cluster map Validate accepts must
 # survive Clone and a JSON round trip unchanged.
@@ -202,8 +225,12 @@ go test -run '^$' -bench 'BenchmarkServe' \
     -benchmem -benchtime 10x ./internal/serve
 
 echo "== build benchmarks (short) =="
+# The IVF-PQ builds, then the served ivf100k shape's search over the
+# built index (us/query: coarse ranking, 16 ADC tables, 16 list scans,
+# the exact re-rank of 80).
 go test -run '^$' -bench 'BenchmarkPQBuild|BenchmarkIVFBuild' \
     -benchtime 3x .
+go test -run '^$' -bench 'BenchmarkIVFSearch' -benchtime 2000x .
 
 echo "== training and ingest benchmarks (short) =="
 # Training on one and on two replica workers (w1/w2) and the streaming
@@ -237,6 +264,14 @@ echo "== tenant admission benchmarks (short) =="
 # by `make bench-compare`.
 go test -run '^$' -bench 'BenchmarkAdmission' \
     -benchmem -benchtime 100x ./internal/tenant
+
+echo "== tier-1 time of internal/experiments (report; budget 60 s) =="
+# ROADMAP 18(c) budgets the slowest tier-1 package at 60 s with the same
+# sizes and assertions. This prints the time against it; it is a report,
+# not a gate.
+start=$SECONDS
+go test -count=1 ./internal/experiments
+echo "internal/experiments tier-1: $((SECONDS - start)) s of a 60 s budget"
 
 echo "== non-test Go lines, request-path, artifact and training packages =="
 # The baseline the next simplicity PR reads from this log instead of
