@@ -130,7 +130,7 @@ func BenchmarkEmbed(b *testing.B) {
 	cfg := m.Config()
 	const q = "bramonia ridge"
 	rng := mathx.NewRNG(1)
-	enc := charenc.NewEncoder(charenc.DefaultAlphabet(), cfg.MaxLen)
+	enc := charenc.NewEncoder(charenc.NewAlphabet("abcdefghijklmnopqrstuvwxyz0123456789 .'-()&,/"), cfg.MaxLen)
 	cnn := nn.NewCharCNN(rng, enc.Alphabet.Size(), cfg.CNNChannels, cfg.Kernel, cfg.CNNLayers)
 	sem := ngram.NewModel(cfg.Dim, cfg.NgramBuckets, 2)
 	joint := make([]float32, cfg.CNNChannels+cfg.Dim)
@@ -222,10 +222,6 @@ func BenchmarkBaselineFuzzyWuzzy(b *testing.B) {
 
 func BenchmarkBaselineLevenshtein(b *testing.B) {
 	benchBaseline(b, func(c *lookup.Corpus) lookup.Service { return baselines.NewLevenshteinScan(c) })
-}
-
-func BenchmarkBaselineQGram(b *testing.B) {
-	benchBaseline(b, func(c *lookup.Corpus) lookup.Service { return baselines.NewQGram(c) })
 }
 
 func BenchmarkBaselineLSH(b *testing.B) {

@@ -30,7 +30,7 @@ func services(c *lookup.Corpus) []lookup.Service {
 		NewExact(c),
 		NewLevenshteinScan(c),
 		NewFuzzyWuzzy(c),
-		NewQGram(c),
+		NewElasticQGram(c),
 		NewElastic(c),
 		NewLSH(c),
 	}
@@ -60,7 +60,7 @@ func TestFuzzyServicesTolerateTypo(t *testing.T) {
 	fuzzy := []lookup.Service{
 		NewLevenshteinScan(c),
 		NewFuzzyWuzzy(c),
-		NewQGram(c),
+		NewElasticQGram(c),
 		NewElastic(c),
 	}
 	for _, s := range fuzzy {
@@ -85,7 +85,7 @@ func TestExactMatchCollapsesOnTypo(t *testing.T) {
 
 func TestRankingPrefersCloserString(t *testing.T) {
 	c, ids := fixedCorpus()
-	for _, s := range []lookup.Service{NewLevenshteinScan(c), NewFuzzyWuzzy(c), NewQGram(c)} {
+	for _, s := range []lookup.Service{NewLevenshteinScan(c), NewFuzzyWuzzy(c), NewElasticQGram(c)} {
 		res := s.Lookup("Berlin", 3)
 		if len(res) == 0 || res[0].ID != ids["Berlin"] {
 			t.Errorf("%s did not rank Berlin first: %+v", s.Name(), res)
@@ -192,14 +192,6 @@ func TestCorpusFromGraphAliasToggle(t *testing.T) {
 	}
 	if withAliases.SizeBytes() <= labelsOnly.SizeBytes() {
 		t.Fatal("alias corpus should cost more bytes")
-	}
-}
-
-func TestQGramIndexSize(t *testing.T) {
-	c, _ := fixedCorpus()
-	g := NewQGram(c)
-	if g.SizeBytes() <= 0 {
-		t.Fatal("q-gram index size should be positive")
 	}
 }
 

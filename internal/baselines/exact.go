@@ -1,7 +1,8 @@
 // Package baselines implements the comparison lookup services of Table V:
-// exact match, a full Levenshtein scan, the FuzzyWuzzy ratio matcher, a
-// q-gram inverted index, an ElasticSearch-style BM25 engine over words and
-// trigrams with fuzzy expansion, and a MinHash-LSH approximate matcher.
+// exact match, a full Levenshtein scan, the FuzzyWuzzy ratio matcher, an
+// ElasticSearch-style BM25 engine over words and trigrams with fuzzy
+// expansion (which also hosts exact, q-gram and Levenshtein matching), and
+// a MinHash-LSH approximate matcher.
 // Every service indexes a lookup.Corpus and implements lookup.Service.
 package baselines
 

@@ -19,11 +19,6 @@ type Alphabet struct {
 	unknown int
 }
 
-// DefaultAlphabetRunes is the character inventory used when building an
-// alphabet without scanning a corpus: lowercase letters, digits, and common
-// punctuation found in entity mentions.
-const DefaultAlphabetRunes = "abcdefghijklmnopqrstuvwxyz0123456789 .'-()&,/"
-
 // NewAlphabet builds an alphabet over the given runes plus one unknown slot.
 // Input characters are matched case-insensitively (mentions are lowercased
 // before encoding).
@@ -39,9 +34,6 @@ func NewAlphabet(runes string) *Alphabet {
 	a.unknown = len(a.runes)
 	return a
 }
-
-// DefaultAlphabet returns the standard alphabet.
-func DefaultAlphabet() *Alphabet { return NewAlphabet(DefaultAlphabetRunes) }
 
 // AlphabetFromMentions scans mentions and builds an alphabet over every
 // character that appears, in first-seen order.

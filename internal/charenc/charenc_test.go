@@ -5,6 +5,10 @@ import (
 	"testing/quick"
 )
 
+// testRunes is a mention alphabet: lowercase letters, digits and common
+// punctuation.
+const testRunes = "abcdefghijklmnopqrstuvwxyz0123456789 .'-()&,/"
+
 func TestAlphabetPositions(t *testing.T) {
 	a := NewAlphabet("abc")
 	if a.Size() != 4 { // 3 + unknown
@@ -75,7 +79,7 @@ func TestEncodeTruncates(t *testing.T) {
 // Property: every column of an encoding has at most one 1, and the number of
 // ones equals min(len(mention), L).
 func TestEncodeOneHotProperty(t *testing.T) {
-	a := DefaultAlphabet()
+	a := NewAlphabet(testRunes)
 	e := NewEncoder(a, 16)
 	f := func(s string) bool {
 		if len(s) > 100 {
@@ -129,7 +133,7 @@ func TestEncodeIndexes(t *testing.T) {
 }
 
 func TestNewEncoderDefaultLen(t *testing.T) {
-	e := NewEncoder(DefaultAlphabet(), 0)
+	e := NewEncoder(NewAlphabet(testRunes), 0)
 	if e.MaxLen != 32 {
 		t.Fatalf("default MaxLen = %d", e.MaxLen)
 	}

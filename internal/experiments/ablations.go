@@ -52,12 +52,16 @@ func (env *Env) Ablations() *Report {
 		r.AddNote("offline-only variant failed: %v", err)
 	}
 
-	// Margin sweep.
+	// Margin sweep. The trained weights do not depend on the index spec,
+	// so at the default margin the variant is env.WELNC itself.
 	for _, margin := range []float32{0.2, 1.0, 3.0} {
-		m, err := train(func(c *core.Config) { c.Margin = margin })
-		if err != nil {
-			r.AddNote("margin %.1f failed: %v", margin, err)
-			continue
+		m := env.WELNC
+		if margin != env.Opts.TrainConfig.Margin {
+			var err error
+			if m, err = train(func(c *core.Config) { c.Margin = margin }); err != nil {
+				r.AddNote("margin %.1f failed: %v", margin, err)
+				continue
+			}
 		}
 		evaluate(fmt.Sprintf("margin %.1f", margin), m)
 	}
@@ -86,8 +90,12 @@ func (env *Env) Ablations() *Report {
 	}
 
 	// IVF coarse quantizer (FAISS's "wide variety of indexing options"):
-	// probe a handful of lists instead of scanning everything.
-	if m, err := train(func(c *core.Config) { c.IVF = true }); err == nil {
+	// probe a handful of lists instead of scanning everything. Only the
+	// index differs from the default model's, so it is rebuilt, not
+	// retrained.
+	spec := env.Opts.TrainConfig.Spec
+	spec.Compress, spec.IVF = false, true
+	if m, err := env.WELNC.WithIndex(spec); err == nil {
 		evaluate("IVF-flat index (nprobe default)", m)
 	} else {
 		r.AddNote("IVF variant failed: %v", err)

@@ -2,5 +2,5 @@
 
 package experiments
 
-// See race_on.go.
+// See race_on_test.go.
 const raceEnabled = false

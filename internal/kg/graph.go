@@ -193,14 +193,6 @@ func (g *Graph) TypeName(id TypeID) string {
 	return g.Types[id].Name
 }
 
-// PropName returns the name of property id, or "" when out of range.
-func (g *Graph) PropName(id PropID) string {
-	if id < 0 || int(id) >= len(g.Props) {
-		return ""
-	}
-	return g.Props[id].Name
-}
-
 // Reindex rebuilds both indexes now: the call for code that edited the raw slices directly.
 func (g *Graph) Reindex() {
 	g.mentions.Store(g.buildMentions())

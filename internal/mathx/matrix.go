@@ -101,33 +101,6 @@ func (m *Matrix) MatVecT(x []float32) []float32 {
 	return out
 }
 
-// MatMul returns a·b. Panics on a shape mismatch.
-func MatMul(a, b *Matrix) *Matrix {
-	if a.Cols != b.Rows {
-		panic(fmt.Sprintf("mathx: MatMul shape mismatch %dx%d · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	out := NewMatrix(a.Rows, b.Cols)
-	for i := 0; i < a.Rows; i++ {
-		arow := a.Row(i)
-		orow := out.Row(i)
-		for k := 0; k < a.Cols; k++ {
-			Axpy(arow[k], b.Row(k), orow)
-		}
-	}
-	return out
-}
-
-// Transpose returns mᵀ as a new matrix.
-func (m *Matrix) Transpose() *Matrix {
-	out := NewMatrix(m.Cols, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		for j := 0; j < m.Cols; j++ {
-			out.Set(j, i, m.At(i, j))
-		}
-	}
-	return out
-}
-
 // FillRandn fills m with normally distributed values scaled by std.
 func (m *Matrix) FillRandn(r *RNG, std float64) {
 	for i := range m.Data {

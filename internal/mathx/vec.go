@@ -28,11 +28,6 @@ func SquaredL2(a, b []float32) float32 {
 	return s
 }
 
-// L2 returns the Euclidean distance between a and b.
-func L2(a, b []float32) float32 {
-	return float32(math.Sqrt(float64(SquaredL2(a, b))))
-}
-
 // Norm returns the Euclidean norm of a.
 func Norm(a []float32) float32 {
 	var s float32
@@ -79,38 +74,12 @@ func Scale(alpha float32, a []float32) {
 	}
 }
 
-// Add returns a new vector a+b.
-func Add(a, b []float32) []float32 {
-	out := make([]float32, len(a))
-	for i := range a {
-		out[i] = a[i] + b[i]
-	}
-	return out
-}
-
 // Sub returns a new vector a-b.
 func Sub(a, b []float32) []float32 {
 	out := make([]float32, len(a))
 	for i := range a {
 		out[i] = a[i] - b[i]
 	}
-	return out
-}
-
-// Mean returns the element-wise mean of the vectors in vs. All vectors must
-// share a length; Mean of no vectors returns nil.
-func Mean(vs [][]float32) []float32 {
-	if len(vs) == 0 {
-		return nil
-	}
-	out := make([]float32, len(vs[0]))
-	for _, v := range vs {
-		for i := range v {
-			out[i] += v[i]
-		}
-	}
-	inv := 1 / float32(len(vs))
-	Scale(inv, out)
 	return out
 }
 
@@ -128,42 +97,4 @@ func Clone(a []float32) []float32 {
 	out := make([]float32, len(a))
 	copy(out, a)
 	return out
-}
-
-// Cosine returns the cosine similarity of a and b, or 0 if either is a zero
-// vector.
-func Cosine(a, b []float32) float32 {
-	na, nb := Norm(a), Norm(b)
-	if na == 0 || nb == 0 {
-		return 0
-	}
-	return Dot(a, b) / (na * nb)
-}
-
-// ArgMin returns the index of the smallest element of a, or -1 for empty a.
-func ArgMin(a []float32) int {
-	if len(a) == 0 {
-		return -1
-	}
-	best, idx := a[0], 0
-	for i, v := range a[1:] {
-		if v < best {
-			best, idx = v, i+1
-		}
-	}
-	return idx
-}
-
-// ArgMax returns the index of the largest element of a, or -1 for empty a.
-func ArgMax(a []float32) int {
-	if len(a) == 0 {
-		return -1
-	}
-	best, idx := a[0], 0
-	for i, v := range a[1:] {
-		if v > best {
-			best, idx = v, i+1
-		}
-	}
-	return idx
 }

@@ -22,9 +22,6 @@ func TestSquaredL2AndL2(t *testing.T) {
 	if got := SquaredL2(a, b); got != 25 {
 		t.Fatalf("SquaredL2 = %v, want 25", got)
 	}
-	if got := L2(a, b); got != 5 {
-		t.Fatalf("L2 = %v, want 5", got)
-	}
 }
 
 func TestNormalize(t *testing.T) {
@@ -50,48 +47,9 @@ func TestAxpyScaleAddSub(t *testing.T) {
 	if y[0] != 3.5 || y[1] != 4.5 {
 		t.Fatalf("Scale = %v", y)
 	}
-	s := Add([]float32{1, 2}, []float32{3, 4})
-	if s[0] != 4 || s[1] != 6 {
-		t.Fatalf("Add = %v", s)
-	}
 	d := Sub([]float32{1, 2}, []float32{3, 4})
 	if d[0] != -2 || d[1] != -2 {
 		t.Fatalf("Sub = %v", d)
-	}
-}
-
-func TestMean(t *testing.T) {
-	m := Mean([][]float32{{1, 2}, {3, 4}})
-	if m[0] != 2 || m[1] != 3 {
-		t.Fatalf("Mean = %v", m)
-	}
-	if Mean(nil) != nil {
-		t.Fatal("Mean(nil) should be nil")
-	}
-}
-
-func TestCosine(t *testing.T) {
-	if got := Cosine([]float32{1, 0}, []float32{1, 0}); !approx(got, 1, 1e-6) {
-		t.Fatalf("Cosine identical = %v", got)
-	}
-	if got := Cosine([]float32{1, 0}, []float32{0, 1}); !approx(got, 0, 1e-6) {
-		t.Fatalf("Cosine orthogonal = %v", got)
-	}
-	if got := Cosine([]float32{0, 0}, []float32{1, 1}); got != 0 {
-		t.Fatalf("Cosine zero vector = %v", got)
-	}
-}
-
-func TestArgMinArgMax(t *testing.T) {
-	v := []float32{3, 1, 2}
-	if ArgMin(v) != 1 {
-		t.Fatalf("ArgMin = %d", ArgMin(v))
-	}
-	if ArgMax(v) != 0 {
-		t.Fatalf("ArgMax = %d", ArgMax(v))
-	}
-	if ArgMin(nil) != -1 || ArgMax(nil) != -1 {
-		t.Fatal("empty Arg should be -1")
 	}
 }
 
@@ -136,52 +94,6 @@ func TestMatrixOps(t *testing.T) {
 	vt := m.MatVecT([]float32{1, 1})
 	if vt[0] != 5 || vt[1] != 7 || vt[2] != 9 {
 		t.Fatalf("MatVecT = %v", vt)
-	}
-	tr := m.Transpose()
-	if tr.Rows != 3 || tr.Cols != 2 || tr.At(2, 1) != 6 {
-		t.Fatalf("Transpose wrong: %+v", tr)
-	}
-}
-
-func TestMatMul(t *testing.T) {
-	a := NewMatrix(2, 2)
-	copy(a.Data, []float32{1, 2, 3, 4})
-	b := NewMatrix(2, 2)
-	copy(b.Data, []float32{5, 6, 7, 8})
-	c := MatMul(a, b)
-	want := []float32{19, 22, 43, 50}
-	for i, w := range want {
-		if c.Data[i] != w {
-			t.Fatalf("MatMul = %v, want %v", c.Data, want)
-		}
-	}
-}
-
-func TestMatMulShapeMismatchPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	MatMul(NewMatrix(2, 3), NewMatrix(2, 3))
-}
-
-// Property: (A·B)ᵀ == Bᵀ·Aᵀ for small random matrices.
-func TestMatMulTransposeProperty(t *testing.T) {
-	r := NewRNG(42)
-	for trial := 0; trial < 20; trial++ {
-		m, k, n := 1+r.Intn(5), 1+r.Intn(5), 1+r.Intn(5)
-		a := NewMatrix(m, k)
-		a.FillRandn(r, 1)
-		b := NewMatrix(k, n)
-		b.FillRandn(r, 1)
-		left := MatMul(a, b).Transpose()
-		right := MatMul(b.Transpose(), a.Transpose())
-		for i := range left.Data {
-			if !approx(left.Data[i], right.Data[i], 1e-4) {
-				t.Fatalf("transpose property violated at trial %d", trial)
-			}
-		}
 	}
 }
 

@@ -1,6 +1,6 @@
 // Package metrics provides the evaluation bookkeeping of Section IV:
-// precision/recall/F-score accounting for the annotation tasks, speedup
-// ratios, and simple timing helpers.
+// precision/recall/F-score accounting for the annotation tasks
+// and speedup ratios.
 package metrics
 
 import (
@@ -83,25 +83,3 @@ func FormatSpeedup(ratio float64) string {
 	}
 	return fmt.Sprintf("%.1fx", ratio)
 }
-
-// Stopwatch accumulates durations across code regions, used to instrument
-// the lookup fraction of each annotation system.
-type Stopwatch struct {
-	total time.Duration
-}
-
-// Time runs fn and adds its duration to the stopwatch.
-func (s *Stopwatch) Time(fn func()) {
-	start := time.Now()
-	fn()
-	s.total += time.Since(start)
-}
-
-// AddDuration adds d directly (for virtual-clock components).
-func (s *Stopwatch) AddDuration(d time.Duration) { s.total += d }
-
-// Total returns the accumulated duration.
-func (s *Stopwatch) Total() time.Duration { return s.total }
-
-// Reset clears the stopwatch.
-func (s *Stopwatch) Reset() { s.total = 0 }

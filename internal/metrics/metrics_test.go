@@ -69,19 +69,3 @@ func TestFormatSpeedup(t *testing.T) {
 		t.Fatalf("FormatSpeedup = %q", got)
 	}
 }
-
-func TestStopwatch(t *testing.T) {
-	var sw Stopwatch
-	sw.Time(func() { time.Sleep(time.Millisecond) })
-	if sw.Total() < time.Millisecond {
-		t.Fatalf("stopwatch too small: %v", sw.Total())
-	}
-	sw.AddDuration(time.Second)
-	if sw.Total() < time.Second {
-		t.Fatal("AddDuration ignored")
-	}
-	sw.Reset()
-	if sw.Total() != 0 {
-		t.Fatal("Reset failed")
-	}
-}

@@ -162,31 +162,3 @@ func (l *LSTM) Backward(cache *LSTMCache, dhFinal []float32) {
 		dh = l.Wh.W.MatVecT(dz)
 	}
 }
-
-// Dropout zeroes each element of v with probability p during training and
-// scales survivors by 1/(1-p) (inverted dropout). It returns the keep mask.
-func Dropout(v []float32, p float64, r *mathx.RNG) []bool {
-	mask := make([]bool, len(v))
-	scale := float32(1 / (1 - p))
-	for i := range v {
-		if r.Float64() < p {
-			v[i] = 0
-		} else {
-			mask[i] = true
-			v[i] *= scale
-		}
-	}
-	return mask
-}
-
-// DropoutBackward masks and rescales the gradient to match Dropout.
-func DropoutBackward(dy []float32, mask []bool, p float64) {
-	scale := float32(1 / (1 - p))
-	for i := range dy {
-		if mask[i] {
-			dy[i] *= scale
-		} else {
-			dy[i] = 0
-		}
-	}
-}

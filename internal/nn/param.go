@@ -95,31 +95,3 @@ func (a *Adam) Step(scale float32) {
 		p.ZeroGrad()
 	}
 }
-
-// SGD is a plain stochastic-gradient-descent optimizer, provided for the
-// optimizer ablation.
-type SGD struct {
-	LR     float32
-	params []*Param
-}
-
-// NewSGD returns a plain SGD optimizer.
-func NewSGD(lr float32, params []*Param) *SGD {
-	return &SGD{LR: lr, params: params}
-}
-
-// Step applies one SGD update with the gradient scaled by scale, then clears
-// the gradients.
-func (s *SGD) Step(scale float32) {
-	for _, p := range s.params {
-		for i, g := range p.Grad.Data {
-			p.W.Data[i] -= float32(s.LR * g * scale)
-		}
-		p.ZeroGrad()
-	}
-}
-
-// Optimizer is satisfied by Adam and SGD.
-type Optimizer interface {
-	Step(scale float32)
-}

@@ -55,9 +55,3 @@ func (m *CharCNN) Replica() *CharCNN {
 	}
 	return out
 }
-
-// Replica returns an LSTM sharing l's weights with private gradients.
-func (l *LSTM) Replica() *LSTM {
-	return &LSTM{In: l.In, Hidden: l.Hidden,
-		Wx: replicaParam(l.Wx), Wh: replicaParam(l.Wh), B: replicaParam(l.B)}
-}

@@ -33,51 +33,6 @@ func Config4(cfg PQConfig) PQConfig {
 	return cfg
 }
 
-// Pack4 packs nibble codes two per byte: code 2j lands in the low nibble of
-// packed[j], code 2j+1 in the high nibble. len(nibbles) must be even and
-// len(packed) = len(nibbles)/2; every nibble must be < 16.
-func Pack4(nibbles, packed []byte) {
-	if len(nibbles) != 2*len(packed) {
-		panic(fmt.Sprintf("quant: Pack4 of %d nibbles into %d bytes", len(nibbles), len(packed)))
-	}
-	for j := range packed {
-		packed[j] = nibbles[2*j]&0xf | nibbles[2*j+1]<<4
-	}
-}
-
-// Unpack4 is the inverse of Pack4.
-func Unpack4(packed, nibbles []byte) {
-	if len(nibbles) != 2*len(packed) {
-		panic(fmt.Sprintf("quant: Unpack4 of %d bytes into %d nibbles", len(packed), len(nibbles)))
-	}
-	for j, b := range packed {
-		nibbles[2*j] = b & 0xf
-		nibbles[2*j+1] = b >> 4
-	}
-}
-
-// Encode4Into quantizes vec into its packed 4-bit code: M/2 bytes, two
-// sub-quantizer codes per byte in Pack4 order. The quantizer must be 4-bit
-// (Ks ≤ 16) with an even M. nibbles is caller scratch of length M (reused
-// across calls); pass nil to allocate.
-func (pq *ProductQuantizer) Encode4Into(vec []float32, packed, nibbles []byte) {
-	if pq.Ks > Ks4 || pq.M%2 != 0 {
-		panic(fmt.Sprintf("quant: Encode4Into on a non-4-bit quantizer (M=%d Ks=%d)", pq.M, pq.Ks))
-	}
-	if nibbles == nil {
-		nibbles = make([]byte, pq.M)
-	}
-	pq.EncodeInto(vec, nibbles[:pq.M])
-	Pack4(nibbles[:pq.M], packed)
-}
-
-// Decode4 reconstructs the approximate vector for a packed 4-bit code.
-func (pq *ProductQuantizer) Decode4(packed []byte) []float32 {
-	nibbles := make([]byte, pq.M)
-	Unpack4(packed, nibbles)
-	return pq.Decode(nibbles)
-}
-
 // QuantizeTableInto quantizes the float32 ADC table (laid out as
 // ADCTableInto: M rows of Ks entries) to uint8 with one shared scale:
 //

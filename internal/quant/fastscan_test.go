@@ -18,22 +18,6 @@ func TestConfig4KeepsBytesPerCode(t *testing.T) {
 	}
 }
 
-func TestPack4RoundTrip(t *testing.T) {
-	nib := []byte{0, 15, 7, 8, 1, 14, 3, 12}
-	packed := make([]byte, 4)
-	Pack4(nib, packed)
-	if packed[0] != 0xf0 || packed[1] != 0x87 {
-		t.Fatalf("Pack4 = %x", packed)
-	}
-	back := make([]byte, 8)
-	Unpack4(packed, back)
-	for i := range nib {
-		if nib[i] != back[i] {
-			t.Fatalf("round trip diverges at %d: %d vs %d", i, nib[i], back[i])
-		}
-	}
-}
-
 // train4 trains a small 4-bit quantizer over random data.
 func train4(t *testing.T, n, d int, seed uint64) (*ProductQuantizer, *mathx.Matrix) {
 	t.Helper()
@@ -45,31 +29,6 @@ func train4(t *testing.T, n, d int, seed uint64) (*ProductQuantizer, *mathx.Matr
 		t.Fatal(err)
 	}
 	return pq, data
-}
-
-func TestEncode4MatchesEncode(t *testing.T) {
-	pq, data := train4(t, 300, 32, 11)
-	packed := make([]byte, pq.M/2)
-	nib := make([]byte, pq.M)
-	want := make([]byte, pq.M)
-	for i := 0; i < 20; i++ {
-		pq.Encode4Into(data.Row(i), packed, nil)
-		pq.EncodeInto(data.Row(i), want)
-		Unpack4(packed, nib)
-		for m := range want {
-			if nib[m] != want[m] {
-				t.Fatalf("row %d sub %d: packed code %d, EncodeInto %d", i, m, nib[m], want[m])
-			}
-		}
-		// Decode4 must agree with Decode of the unpacked code.
-		d4 := pq.Decode4(packed)
-		d8 := pq.Decode(want)
-		for j := range d4 {
-			if d4[j] != d8[j] {
-				t.Fatalf("row %d dim %d: Decode4 %v vs Decode %v", i, j, d4[j], d8[j])
-			}
-		}
-	}
 }
 
 // TestQuantizeTableBounds asserts the two inequalities QuantizeTableInto

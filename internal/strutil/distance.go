@@ -1,8 +1,7 @@
 // Package strutil implements the string-similarity primitives used both by
 // the baseline lookup services (Table V of the paper) and by the noise
-// injection machinery: Levenshtein and Damerau-Levenshtein edit distances,
-// q-gram decomposition and overlap scores, token operations, and the
-// FuzzyWuzzy-style similarity ratios.
+// injection machinery: Levenshtein edit distances, q-gram decomposition and
+// similarity, token operations, and the FuzzyWuzzy-style similarity ratios.
 package strutil
 
 // Levenshtein returns the edit distance between a and b using unit costs for
@@ -77,45 +76,6 @@ func LevenshteinBounded(a, b string, maxDist int) int {
 		return maxDist + 1
 	}
 	return prev[len(rb)]
-}
-
-// DamerauLevenshtein returns the edit distance allowing adjacent
-// transpositions in addition to insert/delete/substitute. Transpositions are
-// one of the paper's injected noise classes, so the repair-oriented baselines
-// use this variant.
-func DamerauLevenshtein(a, b string) int {
-	ra, rb := []rune(a), []rune(b)
-	la, lb := len(ra), len(rb)
-	if la == 0 {
-		return lb
-	}
-	if lb == 0 {
-		return la
-	}
-	// Three rolling rows: i-2, i-1, i.
-	d0 := make([]int, lb+1)
-	d1 := make([]int, lb+1)
-	d2 := make([]int, lb+1)
-	for j := 0; j <= lb; j++ {
-		d1[j] = j
-	}
-	for i := 1; i <= la; i++ {
-		d2[0] = i
-		for j := 1; j <= lb; j++ {
-			cost := 1
-			if ra[i-1] == rb[j-1] {
-				cost = 0
-			}
-			d2[j] = min3(d1[j]+1, d2[j-1]+1, d1[j-1]+cost)
-			if i > 1 && j > 1 && ra[i-1] == rb[j-2] && ra[i-2] == rb[j-1] {
-				if t := d0[j-2] + 1; t < d2[j] {
-					d2[j] = t
-				}
-			}
-		}
-		d0, d1, d2 = d1, d2, d0
-	}
-	return d1[lb]
 }
 
 // Similarity returns a normalized similarity in [0,1] derived from the

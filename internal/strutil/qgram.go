@@ -3,7 +3,7 @@ package strutil
 import "strings"
 
 // QGrams returns the multiset of q-grams of s after padding with q-1 leading
-// and trailing '#' markers, as used by the q-gram baseline index. The result
+// and trailing '#' markers, as QGramSimilarity compares them. The result
 // maps each gram to its multiplicity.
 func QGrams(s string, q int) map[string]int {
 	if q <= 0 {
@@ -33,24 +33,6 @@ func QGramList(s string, q int) []string {
 		grams = append(grams, string(runes[i:i+q]))
 	}
 	return grams
-}
-
-// QGramOverlap returns the size of the multiset intersection of the q-grams
-// of a and b.
-func QGramOverlap(a, b string, q int) int {
-	ga := QGrams(a, q)
-	gb := QGrams(b, q)
-	overlap := 0
-	for g, ca := range ga {
-		if cb, ok := gb[g]; ok {
-			if cb < ca {
-				overlap += cb
-			} else {
-				overlap += ca
-			}
-		}
-	}
-	return overlap
 }
 
 // QGramSimilarity returns the Dice coefficient over the q-gram multisets of

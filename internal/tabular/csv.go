@@ -4,15 +4,12 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
-	"strconv"
-
-	"emblookup/internal/kg"
 )
 
-// CSV import/export. Real SemTab datasets ship as CSV files with separate
-// ground-truth target files; this codec keeps both in one file using an
-// annotation row schema so generated benchmarks can be inspected, diffed,
-// and round-tripped with ordinary tools.
+// CSV export. Real SemTab datasets ship as CSV files with separate
+// ground-truth target files; this writer keeps both in one file using an
+// annotation row schema so generated benchmarks can be inspected and
+// diffed with ordinary tools.
 //
 // Layout:
 //
@@ -58,53 +55,4 @@ func (t *Table) WriteCSV(w io.Writer) error {
 	}
 	cw.Flush()
 	return cw.Error()
-}
-
-// ReadCSV parses a table written by WriteCSV.
-func ReadCSV(r io.Reader, name string) (*Table, error) {
-	cr := csv.NewReader(r)
-	cr.FieldsPerRecord = -1
-	records, err := cr.ReadAll()
-	if err != nil {
-		return nil, err
-	}
-	if len(records) < 2 {
-		return nil, fmt.Errorf("tabular: CSV needs a name row and a truth row")
-	}
-	names, truths := records[0], records[1]
-	if len(names) != len(truths) {
-		return nil, fmt.Errorf("tabular: header rows disagree on column count")
-	}
-	t := &Table{Name: name}
-	for i := range names {
-		var typ, prop int
-		if _, err := fmt.Sscanf(truths[i], "type:%d:prop:%d", &typ, &prop); err != nil {
-			return nil, fmt.Errorf("tabular: column %d truth %q: %v", i, truths[i], err)
-		}
-		t.Cols = append(t.Cols, Column{Name: names[i], TruthType: kg.TypeID(typ), Prop: kg.PropID(prop)})
-	}
-	for ri, rec := range records[2:] {
-		if len(rec) != len(t.Cols) {
-			return nil, fmt.Errorf("tabular: row %d has %d cells, want %d", ri, len(rec), len(t.Cols))
-		}
-		row := make([]Cell, len(rec))
-		for ci, raw := range rec {
-			row[ci] = parseCell(raw)
-		}
-		t.Rows = append(t.Rows, row)
-	}
-	return t, nil
-}
-
-func parseCell(raw string) Cell {
-	// Split on the last '|' so entity text containing digits parses fine.
-	for i := len(raw) - 1; i >= 0; i-- {
-		if raw[i] == '|' {
-			if id, err := strconv.Atoi(raw[i+1:]); err == nil {
-				return Cell{Text: raw[:i], Truth: kg.EntityID(id)}
-			}
-			break
-		}
-	}
-	return Cell{Text: raw, Truth: kg.NoEntity}
 }

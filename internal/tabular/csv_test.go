@@ -2,39 +2,24 @@ package tabular
 
 import (
 	"bytes"
-	"strings"
 	"testing"
 
 	"emblookup/internal/kg"
 )
 
-func TestCSVRoundTrip(t *testing.T) {
-	g, s := testGraph(t)
-	ds := GenerateDataset(g, s, DefaultDatasetConfig(STWikidata, 5))
-	for _, tb := range ds.Tables {
-		var buf bytes.Buffer
-		if err := tb.WriteCSV(&buf); err != nil {
-			t.Fatal(err)
-		}
-		got, err := ReadCSV(&buf, tb.Name)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if got.NumRows() != tb.NumRows() || got.NumCols() != tb.NumCols() {
-			t.Fatalf("shape changed: %dx%d vs %dx%d", got.NumRows(), got.NumCols(), tb.NumRows(), tb.NumCols())
-		}
-		for i, col := range tb.Cols {
-			if got.Cols[i] != col {
-				t.Fatalf("column %d changed: %+v vs %+v", i, got.Cols[i], col)
-			}
-		}
-		for r := range tb.Rows {
-			for c := range tb.Rows[r] {
-				if got.Rows[r][c] != tb.Rows[r][c] {
-					t.Fatalf("cell (%d,%d) changed: %+v vs %+v", r, c, got.Rows[r][c], tb.Rows[r][c])
-				}
-			}
-		}
+// TestWriteCSVLayout: the name row, the truth row, then entity cells as
+// "text|id" and literal cells as plain text.
+func TestWriteCSVLayout(t *testing.T) {
+	tb := &Table{
+		Cols: []Column{{Name: "city", TruthType: 3, Prop: -1}, {Name: "founded", TruthType: kg.NoType, Prop: 7}},
+		Rows: [][]Cell{{{Text: "Berlin", Truth: 42}, {Text: "1237", Truth: kg.NoEntity}}},
+	}
+	var buf bytes.Buffer
+	if err := tb.WriteCSV(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if want := "city,founded\ntype:3:prop:-1,type:-1:prop:7\nBerlin|42,1237\n"; buf.String() != want {
+		t.Fatalf("WriteCSV = %q, want %q", buf.String(), want)
 	}
 }
 
@@ -46,34 +31,5 @@ func TestCSVRejectsReservedSeparator(t *testing.T) {
 	var buf bytes.Buffer
 	if err := tb.WriteCSV(&buf); err == nil {
 		t.Fatal("reserved separator should be rejected")
-	}
-}
-
-func TestReadCSVErrors(t *testing.T) {
-	if _, err := ReadCSV(strings.NewReader("only,one,row\n"), "x"); err == nil {
-		t.Fatal("missing truth row should error")
-	}
-	bad := "a,b\ntype:0:prop:0\n" // header rows disagree
-	if _, err := ReadCSV(strings.NewReader(bad), "x"); err == nil {
-		t.Fatal("mismatched header rows should error")
-	}
-	bad2 := "a\nnot-a-truth\nv\n"
-	if _, err := ReadCSV(strings.NewReader(bad2), "x"); err == nil {
-		t.Fatal("malformed truth should error")
-	}
-	bad3 := "a,b\ntype:0:prop:0,type:1:prop:2\nonly-one-cell\n"
-	if _, err := ReadCSV(strings.NewReader(bad3), "x"); err == nil {
-		t.Fatal("ragged row should error")
-	}
-}
-
-func TestParseCellWithoutTruth(t *testing.T) {
-	c := parseCell("1984")
-	if c.IsEntity() || c.Text != "1984" {
-		t.Fatalf("literal cell parsed wrong: %+v", c)
-	}
-	c = parseCell("Berlin|42")
-	if c.Text != "Berlin" || c.Truth != 42 {
-		t.Fatalf("entity cell parsed wrong: %+v", c)
 	}
 }

@@ -22,7 +22,6 @@ const (
 	SwapTokens
 	// AbbreviateToken shortens the string to an initialism.
 	AbbreviateToken
-	numNoiseKinds
 )
 
 // String names the noise class.

@@ -35,6 +35,14 @@ else
     echo "== govulncheck == (not installed; skipped)"
 fi
 
+echo "== every declaration under internal/ is reachable from a program =="
+# cmd/deadcode walks from every main package (cmd/*, benchmark/,
+# examples/*) over both builds (default and purego) and prints each
+# declaration under internal/ that none reaches. A capability only its own
+# tests call is deleted with them; one a test needs as the reference for
+# live code goes on the command's allowlist with that test's name.
+go run ./cmd/deadcode
+
 echo "== no sleeps in non-test Go under internal/ =="
 # Waits synchronize on events: a drain closes a channel, a backoff races a
 # timer against the request's context (DESIGN.md §9, §14). A time.Sleep in
@@ -167,9 +175,10 @@ echo "== request parser fuzz (short) =="
 # The deadline budget (?deadline_ms= and its header): a 400 unless a
 # positive integer, otherwise a deadline no later than the cap, however
 # large the budget. The JSON /partition/search body: 200, 400 or 413 and
-# never a panic, at most k hits per query, and an accepted body answers
-# what its frame encoding answers (its inputs reach the 16 KiB body bound,
-# so minimization is capped as for the artifacts).
+# never a panic, 413 past the bound, a 200 only for exactly one JSON value
+# with at most k hits per query, and an accepted body answers what its
+# frame encoding answers (its inputs reach the 16 KiB body bound, so
+# minimization is capped as for the artifacts).
 go test -run '^$' -fuzz FuzzReadBulkBody -fuzztime 10s ./internal/server
 go test -run '^$' -fuzz FuzzRequestContext -fuzztime 10s ./internal/server
 go test -run '^$' -fuzz FuzzDecodeIngestItems -fuzztime 10s ./internal/server
@@ -273,13 +282,15 @@ start=$SECONDS
 go test -count=1 ./internal/experiments
 echo "internal/experiments tier-1: $((SECONDS - start)) s of a 60 s budget"
 
-echo "== non-test Go lines, request-path, artifact and training packages =="
+echo "== non-test Go lines, by package and whole repo =="
 # The baseline the next simplicity PR reads from this log instead of
 # re-deriving it.
-lines() { find "internal/$1" -name '*.go' -not -name '*_test.go' -print0 | xargs -0 cat | wc -l; }
-for pkg in core artifact index serve server cluster remote tenant replica ngram nn mathx triplet; do
-    printf '%-8s %s\n' "$pkg" "$(lines "$pkg")"
+lines() { find "$1" -name '*.go' -not -name '*_test.go' -print0 | xargs -0 cat | wc -l; }
+for pkg in core artifact index serve server cluster remote tenant replica ngram nn mathx triplet \
+    kg baselines tabular strutil metrics quant; do
+    printf '%-9s %s\n' "$pkg" "$(lines "internal/$pkg")"
 done
-printf '%-8s %s\n' "server + cluster" "$(( $(lines server) + $(lines cluster) ))"
+printf '%-9s %s\n' "server + cluster" "$(( $(lines internal/server) + $(lines internal/cluster) ))"
+printf '%-9s %s\n' "repo" "$(lines .)"
 
 echo "verify: OK"
