@@ -16,10 +16,8 @@ package emblookup_test
 
 import (
 	"context"
-	"encoding/gob"
 	"fmt"
 	"io"
-	"os"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -661,41 +659,21 @@ var graph100k = sync.OnceValue(func() *kg.Graph {
 	return g
 })
 
-// BenchmarkGraphLoad is kg.LoadFile of that graph from the flat container
-// SaveFile writes and from the gob stream it wrote before, which still loads
-// (the encoder below is the only gob graph writer left, kept for this
-// comparison). B/op and allocs/op are the point: the flat decode's
-// allocations do not grow with the graph (kg.TestLoadFileAllocs), and
-// neither load builds an index (DESIGN.md §12).
+// BenchmarkGraphLoad is kg.LoadFile of that graph from the container
+// SaveFile writes. B/op and allocs/op are the point: the decode's
+// allocations do not grow with the graph (kg.TestLoadFileAllocs), and the
+// load builds no index (DESIGN.md §12).
 func BenchmarkGraphLoad(b *testing.B) {
-	g, dir := graph100k(), b.TempDir()
-	flat, legacy := filepath.Join(dir, "flat.bin"), filepath.Join(dir, "gob.bin")
-	if err := g.SaveFile(flat); err != nil {
+	path := filepath.Join(b.TempDir(), "graph.bin")
+	if err := graph100k().SaveFile(path); err != nil {
 		b.Fatal(err)
 	}
-	f, err := os.Create(legacy)
-	if err != nil {
-		b.Fatal(err)
-	}
-	err = gob.NewEncoder(f).Encode(struct {
-		Name     string
-		Entities []kg.Entity
-		Types    []kg.Type
-		Props    []kg.Property
-		Facts    []kg.Fact
-	}{g.Name, g.Entities, g.Types, g.Props, g.Facts})
-	if cerr := f.Close(); err != nil || cerr != nil {
-		b.Fatal(err, cerr)
-	}
-	for _, c := range []struct{ name, path string }{{"gob", legacy}, {"flat", flat}} {
-		b.Run(c.name, func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if _, err := kg.LoadFile(c.path); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := kg.LoadFile(path); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

@@ -61,15 +61,11 @@ var allowlist = map[string][]string{
 	"TestWord2VecCleanVsTypos":                     {"altembed.Word2Vec.VocabSize"},
 	"TestHistogramQuantileAccuracy":                {"obs.NewHistogram", "obs.Histogram.Quantile"},
 	"TestRegistryHammer":                           {"obs.Histogram.Count"},
-	"FuzzReadGraph":                                {"kg.Read"},
 	"TestIndexesAreDerivedOnUse":                   {"kg.Graph.Reindex"},
 	// The test harness and test support.
 	"TestStoppedNodeUnmapped": {"replica.Cluster.RestartReplica"},
 	"TestRollingRestart":      {"replica.Cluster.RollingRestart"},
 	"TestSiblingCloseOrder":   {"procmaps.Under"},
-	// The mutation API that ingest deletes and compaction build on.
-	"TestDynamicMatchesBruteForce": {"index.Dynamic.Delete", "index.Dynamic.Compact"},
-	"TestDynamicServiceAddDelete":  {"core.EmbLookup.DeleteRow"},
 }
 
 // stdMethods are the names of standard-library interface methods that the

@@ -39,6 +39,7 @@ package artifact
 import (
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -49,11 +50,15 @@ import (
 	"emblookup/internal/refcount"
 )
 
-// Magic identifies a format-v4 artifact. Gob streams (format v0–v3) can
-// never start with these bytes: a gob stream begins with a varint-encoded
-// message length, and 'E' (0x45) as a first byte would declare a 69-byte
-// message that the rest of the magic cannot complete as valid gob.
+// Magic identifies a format-v4 artifact: the first eight bytes of every
+// model and graph file.
 const Magic = "EMBLKV4\x00"
+
+// ErrNotV4 is the error, wrapped by Open and returned by Decode, for a
+// file that does not begin with Magic: an empty file, random bytes, or a
+// model or graph written before the v4 container, which no reader here
+// accepts.
+var ErrNotV4 = errors.New("not a v4 artifact (no EMBLKV4 magic)")
 
 // Version is the container format version this package reads and writes.
 const Version = 4
@@ -305,10 +310,10 @@ func alignedBuf(n int) []byte {
 // validated against len(data) before any dependent allocation.
 func parse(data []byte, backing string) (*File, error) {
 	if !hostLittle {
-		return nil, fmt.Errorf("v4 artifacts need a little-endian host (use the gob format)")
+		return nil, errors.New("artifacts are little-endian containers; this host cannot read one")
 	}
 	if !Sniff(data) {
-		return nil, fmt.Errorf("not a v4 artifact (bad magic)")
+		return nil, ErrNotV4
 	}
 	if len(data) < headerSize {
 		return nil, fmt.Errorf("truncated header: %d bytes", len(data))

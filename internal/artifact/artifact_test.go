@@ -3,6 +3,7 @@ package artifact
 import (
 	"bytes"
 	"encoding/binary"
+	"errors"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -204,6 +205,26 @@ func TestTruncation(t *testing.T) {
 		if _, err := Decode(raw[:n]); err == nil {
 			t.Fatalf("truncation to %d bytes went undetected", n)
 		}
+	}
+}
+
+// TestNotV4: a file without the magic fails with ErrNotV4 through Open and
+// Decode alike, and a damaged v4 file fails with some other error.
+func TestNotV4(t *testing.T) {
+	for name, data := range map[string][]byte{"empty": {}, "8 random bytes": {0x9c, 0x41, 0x07, 0xee, 0x5a, 0x13, 0xd2, 0x68}, "magic cut short": []byte(Magic[:7])} {
+		path := filepath.Join(t.TempDir(), "f")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := Open(path); !errors.Is(err, ErrNotV4) {
+			t.Errorf("%s: Open error %v, want ErrNotV4", name, err)
+		}
+		if _, err := Decode(data); !errors.Is(err, ErrNotV4) {
+			t.Errorf("%s: Decode error %v, want ErrNotV4", name, err)
+		}
+	}
+	if _, err := Decode(buildSample(t)[:headerSize]); err == nil || errors.Is(err, ErrNotV4) {
+		t.Fatalf("a truncated v4 file failed with %v, want an error other than ErrNotV4", err)
 	}
 }
 

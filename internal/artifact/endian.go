@@ -7,8 +7,8 @@ import "unsafe"
 // payloads are raw native slices on write and reinterpreted slices on read.
 // Every mainstream Go target (amd64, arm64, riscv64, 386, arm, wasm) is
 // little-endian; on the big-endian exceptions (s390x, some mips/ppc
-// variants) the model serializer falls back to the self-describing gob
-// format instead of producing byte-swapped artifacts.
+// variants) every reader and writer refuses rather than handle
+// byte-swapped artifacts.
 var hostLittle = func() bool {
 	x := uint16(1)
 	return *(*byte)(unsafe.Pointer(&x)) == 1

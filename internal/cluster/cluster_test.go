@@ -5,8 +5,11 @@ import (
 	"context"
 	"encoding/binary"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
+	"os"
+	"path/filepath"
 	"runtime"
 	"slices"
 	"strings"
@@ -15,6 +18,7 @@ import (
 	"testing"
 	"time"
 
+	"emblookup/internal/artifact"
 	"emblookup/internal/core"
 	"emblookup/internal/index"
 	"emblookup/internal/kg"
@@ -481,6 +485,7 @@ func TestPartitionArtifactRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		defer nm.Close()
 		if nman.Bounds[i] != man.Bounds[i] {
 			t.Fatalf("node %d manifest bounds diverge", i)
 		}
@@ -500,6 +505,18 @@ func TestPartitionArtifactRoundTrip(t *testing.T) {
 	}
 	if _, _, err := LoadNodeModel(dir, p, g); err == nil {
 		t.Fatal("out-of-range partition load should fail")
+	}
+	// A node file that is not a v4 artifact is refused with the sentinel.
+	// (Renamed into place: node 0's mapping of the old file stays valid.)
+	bad := filepath.Join(dir, "bad")
+	if err := os.WriteFile(bad, []byte{0x9c, 0x41, 0x07, 0xee, 0x5a, 0x13, 0xd2, 0x68}, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Rename(bad, filepath.Join(dir, nodeFileName(0))); err != nil {
+		t.Fatal(err)
+	}
+	if nm, _, err := LoadNodeModel(dir, 0, g); !errors.Is(err, artifact.ErrNotV4) {
+		t.Fatalf("LoadNodeModel of 8 random bytes = %v, %v; want artifact.ErrNotV4", nm, err)
 	}
 }
 

@@ -75,7 +75,7 @@ type Config struct {
 	MentionDropout float64
 
 	// Spec chooses the served index (index.Spec documents its fields);
-	// JSON and gob flatten it, so artifacts store them as before.
+	// JSON flattens it, so an artifact's meta stores its fields inline.
 	index.Spec
 
 	// IndexAliases additionally embeds every alias as its own index row

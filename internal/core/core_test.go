@@ -268,7 +268,11 @@ func TestSaveLoadFile(t *testing.T) {
 	if err := e.SaveFile(path); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := LoadFile(path, g); err != nil {
+	loaded, err := LoadFile(path, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := loaded.Close(); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -40,14 +40,14 @@ func (e *EmbLookup) RowEntity(row int32) kg.EntityID {
 }
 
 // WithDynamicIndex returns a sibling service sharing this model's weights
-// whose index accepts live mutation: AddMention inserts new index rows and
-// DeleteRow tombstones existing ones while concurrent Lookup traffic keeps
-// flowing (index.Dynamic merges the sealed base with the append-only delta
-// under the canonical result order). maxDelta is the delta size that
-// triggers compaction back into the base (≤0 = index default). The wrapped
-// index is retained and mutated by compaction, so the parent service must
-// not keep serving from it. Like every sibling it holds a reference to an
-// attached artifact: close it.
+// whose index is append-only: AddMention inserts new index rows while
+// concurrent Lookup traffic keeps flowing (index.Dynamic merges the sealed
+// base with the delta under the canonical result order), and no row is
+// ever removed. maxDelta is the delta size that triggers compaction back
+// into the base (≤0 = index default). The wrapped index is retained and
+// mutated by compaction, so the parent service must not keep serving from
+// it. Like every sibling it holds a reference to an attached artifact:
+// close it.
 func (e *EmbLookup) WithDynamicIndex(maxDelta int) *EmbLookup {
 	clone, _ := e.derive(func(c *EmbLookup) error {
 		c.ix, c.extra = index.NewDynamic(e.ix, maxDelta), &extraRows{}
@@ -85,15 +85,4 @@ func (e *EmbLookup) AddMention(mention string, id kg.EntityID) (int32, error) {
 	row := dyn.Add(emb)
 	e.extra.mu.Unlock()
 	return row, nil
-}
-
-// DeleteRow tombstones an index row (trained or live-added). It reports
-// whether the row was present and live. Deleted rows stop appearing in
-// results immediately; their storage is reclaimed at the next compaction.
-func (e *EmbLookup) DeleteRow(row int32) bool {
-	dyn := e.Dynamic()
-	if dyn == nil {
-		return false
-	}
-	return dyn.Delete(row)
 }

@@ -2,10 +2,10 @@ package core
 
 import (
 	"bytes"
-	"encoding/gob"
 	"flag"
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 
 	"emblookup/internal/artifact"
@@ -13,17 +13,16 @@ import (
 	"emblookup/internal/kg"
 )
 
-// The golden corpus pins backward compatibility to real bytes: tiny models
-// in every gob format older builds wrote (v0 weights-only, v2 with an index
-// artifact of each non-fast-scan kind, v3 fast-scan) are checked into
-// testdata/, and every build must keep loading them and re-serializing them
-// to the current format (v4) with bit-identical search results. Nothing
-// writes gob any more, so the corpus is frozen: these files are the only
-// source of gob bytes. golden_v0/v2/v3 came from a model trained on
-// goldenGraph; the golden_v2_<kind> files re-index golden_v2's weights.
+// The golden corpus pins the artifact reader to real bytes: tiny models of
+// every index kind, checked into testdata/ as v4 files, must keep attaching
+// and answering bit for bit. golden_v0/v2/v3 came from a model trained on
+// goldenGraph; the golden_v2_<kind> files re-index golden_v2's weights. The
+// suffix names the older format each was first written in; all seven were
+// re-saved as v4 once, by the last build that read those formats, which
+// checked that every re-saved file answers as its source did.
 
-// updateGolden rewrites the embedding and training goldens (the gob corpus
-// has no writer and never changes):
+// updateGolden rewrites the embedding and training goldens (the model
+// corpus is re-saved byte for byte by TestGoldenCorpus and never changes):
 //
 //	go test ./internal/core/ -run 'TestEmbedGolden|TestTrainDeterministic' -update-golden
 var updateGolden = flag.Bool("update-golden", false, "rewrite the embedding and training goldens in testdata/")
@@ -37,28 +36,27 @@ func goldenGraph() *kg.Graph {
 	return g
 }
 
-// TestGoldenCorpus loads every checked-in historic artifact and asserts (a)
-// it still loads, with the provenance its format implies, and (b) rewriting
-// it in the current format and reloading preserves every search result bit
-// for bit.
+// TestGoldenCorpus attaches every checked-in golden and asserts (a) it
+// attaches by mmap, with the provenance, index kind and re-rank factor it
+// was saved with, (b) saving the attached model reproduces the file byte
+// for byte, and (c) a reload of that save answers bit for bit as the
+// golden does.
 func TestGoldenCorpus(t *testing.T) {
 	g := goldenGraph()
-	// The version each stream is stamped with, the index kind it carries
-	// ("" for weights only, whose load rebuilds the index) and its ivf-pq
-	// re-rank factor.
+	// The index kind each golden carries ("" for weights only, whose load
+	// rebuilds the index) and its ivf-pq re-rank factor.
 	cases := []struct {
 		file   string
-		gobVer int
 		kind   string
 		rerank int
 	}{
-		{"golden_v0.bin", 0, "", 0},
-		{"golden_v2.bin", 2, "pq", 0},
-		{"golden_v3.bin", 3, "fastscan", 0},
-		{"golden_v2_flat.bin", 2, "flat", 0},
-		{"golden_v2_ivf_flat.bin", 2, "ivf-flat", 0},
-		{"golden_v2_ivf_pq.bin", 2, "ivf-pq", 0},
-		{"golden_v2_ivf_pq_rerank8.bin", 2, "ivf-pq", 8},
+		{"golden_v0.bin", "", 0},
+		{"golden_v2.bin", "pq", 0},
+		{"golden_v3.bin", "fastscan", 0},
+		{"golden_v2_flat.bin", "flat", 0},
+		{"golden_v2_ivf_flat.bin", "ivf-flat", 0},
+		{"golden_v2_ivf_pq.bin", "ivf-pq", 0},
+		{"golden_v2_ivf_pq_rerank8.bin", "ivf-pq", 8},
 	}
 	for _, c := range cases {
 		t.Run(c.file, func(t *testing.T) {
@@ -67,61 +65,52 @@ func TestGoldenCorpus(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var wire modelWire
-			if err := gob.NewDecoder(bytes.NewReader(raw)).Decode(&wire); err != nil {
-				t.Fatalf("golden is not a gob stream: %v", err)
-			}
-			if wire.Version != c.gobVer {
-				t.Fatalf("golden stamped version %d, want %d", wire.Version, c.gobVer)
-			}
-			kind, rerank := "", 0
-			if wire.Index != nil {
-				kind, rerank = wire.Index.Kind, wire.Index.Rerank
-			}
-			if kind != c.kind || rerank != c.rerank {
-				t.Fatalf("golden carries index %q ×%d, want %q ×%d", kind, rerank, c.kind, c.rerank)
-			}
 			withIndex, source := c.kind != "", "rebuilt"
 			if withIndex {
 				source = "loaded"
 			}
-			old, err := LoadFile(path, g)
+			golden, err := LoadFile(path, g)
 			if err != nil {
 				t.Fatalf("loading %s: %v", c.file, err)
 			}
-			if src := old.IndexProvenance().Source; src != source {
-				t.Fatalf("provenance %q, want %q", src, source)
+			defer golden.Close()
+			prov := golden.IndexProvenance()
+			if prov.Source != source {
+				t.Fatalf("provenance %q, want %q", prov.Source, source)
 			}
-			if (c.kind == "fastscan") != old.Config().FastScan {
-				t.Fatalf("FastScan config %v on a %q golden", old.Config().FastScan, c.kind)
+			if runtime.GOOS == "linux" && prov.Backing != "mmap" {
+				t.Fatalf("backing %q, want mmap", prov.Backing)
+			}
+			if (c.kind == "fastscan") != golden.Config().FastScan {
+				t.Fatalf("FastScan config %v on a %q golden", golden.Config().FastScan, c.kind)
+			}
+			if withIndex {
+				if mi := indexMeta(t, golden); mi.Kind != c.kind || mi.Rerank != c.rerank {
+					t.Fatalf("attaches index %q ×%d, want %q ×%d", mi.Kind, mi.Rerank, c.kind, c.rerank)
+				}
 			}
 
-			// Re-serialize to the current format and reload.
-			v4Path := filepath.Join(t.TempDir(), "rewritten.v4")
+			resaved := filepath.Join(t.TempDir(), "resaved.v4")
 			if withIndex {
-				err = old.SaveFileWithIndex(v4Path)
+				err = golden.SaveFileWithIndex(resaved)
 			} else {
-				err = old.SaveFile(v4Path)
+				err = golden.SaveFile(resaved)
 			}
 			if err != nil {
-				t.Fatalf("rewriting to v4: %v", err)
+				t.Fatalf("re-saving: %v", err)
 			}
-			now, err := LoadFile(v4Path, g)
+			if again, err := os.ReadFile(resaved); err != nil || !bytes.Equal(again, raw) {
+				t.Fatalf("re-saving did not reproduce the golden's bytes (err %v)", err)
+			}
+			now, err := LoadFile(resaved, g)
 			if err != nil {
-				t.Fatalf("reloading v4 rewrite: %v", err)
+				t.Fatalf("reloading the re-save: %v", err)
 			}
 			defer now.Close()
 			if src := now.IndexProvenance().Source; src != source {
-				t.Fatalf("v4 rewrite provenance %q, want %q", src, source)
+				t.Fatalf("reload provenance %q, want %q", src, source)
 			}
-			if withIndex {
-				for tag, m := range map[string]*EmbLookup{"gob": old, "v4 rewrite": now} {
-					if mi := indexMeta(t, m); mi.Kind != c.kind || mi.Rerank != c.rerank {
-						t.Fatalf("%s attaches index %q ×%d, want %q ×%d", tag, mi.Kind, mi.Rerank, c.kind, c.rerank)
-					}
-				}
-			}
-			sameLookups(t, c.file+"→v4", old, now)
+			sameLookups(t, c.file+"→resaved", golden, now)
 		})
 	}
 }

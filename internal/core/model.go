@@ -35,7 +35,7 @@ type EmbLookup struct {
 	prov  IndexProvenance
 
 	// backing is the artifact this model's weights and index alias when it
-	// was attached from a v4 file (nil for trained or gob-loaded models).
+	// was attached from a v4 file (nil for trained models).
 	// The model holds one reference to it, which release drops once.
 	backing *artifact.File
 	release func() error
@@ -46,8 +46,7 @@ type EmbLookup struct {
 // reference each, and whichever of them closes last unmaps the artifact, in
 // any order. After Close this model must not be used; its siblings still
 // open keep serving. A second Close is a no-op. Models that own their
-// memory (trained in-process or gob-loaded) have no backing, and Close is a
-// no-op.
+// memory (trained in-process) have no backing, and Close is a no-op.
 func (e *EmbLookup) Close() error {
 	if e.release == nil {
 		return nil
@@ -80,7 +79,7 @@ type IndexProvenance struct {
 	Took   time.Duration // wall-clock of the rebuild or the artifact attach
 	// Backing is how an attached v4 artifact is held: "mmap" (zero-copy
 	// views over the page cache) or "heap" (one private copy). Empty for
-	// trained and gob-loaded models, whose memory is ordinary heap.
+	// trained models, whose memory is ordinary heap.
 	Backing string `json:",omitempty"`
 }
 

@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"encoding/gob"
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"runtime"
+	"slices"
 	"testing"
 
 	"emblookup/internal/artifact"
@@ -31,13 +33,9 @@ var v4Variants = []struct {
 	{"ivf-pq-rerank", true, true, false, 8},
 }
 
-// decodeModel is LoadFile's dispatch over bytes held in memory: a v4
-// artifact decoded onto the heap, every payload checksum verified, or else
-// a gob stream.
+// decodeModel is LoadFile over bytes held in memory: the artifact decoded
+// onto the heap, every payload checksum verified.
 func decodeModel(data []byte, g *kg.Graph) (*EmbLookup, error) {
-	if !artifact.Sniff(data) {
-		return readGob(bytes.NewReader(data), g)
-	}
 	af, err := artifact.Decode(data)
 	if err != nil {
 		return nil, err
@@ -65,8 +63,8 @@ func sameLookups(t *testing.T, tag string, want, got *EmbLookup) {
 // TestV4MmapAttachBitIdentity is the acceptance gate of the v4 format: for
 // every index kind, a model attached zero-copy from an mmap'd artifact and
 // one decoded from the same bytes on the heap both answer bit-identically
-// to the in-process model that wrote them. (The gob reader of every kind is
-// held to the same answers by TestGoldenCorpus.)
+// to the in-process model that wrote them. (TestGoldenCorpus holds the
+// checked-in file of every kind to its own answers.)
 func TestV4MmapAttachBitIdentity(t *testing.T) {
 	g, fixtureM := fixture(t)
 	base := *fixtureM // shallow copy so re-indexing never mutates the shared fixture
@@ -198,23 +196,47 @@ func TestV4CorruptionRejected(t *testing.T) {
 	}
 }
 
-// goldenPair reads a golden gob artifact and returns its bytes and those of
-// its v4 rewrite.
-func goldenPair(tb testing.TB, file string, g *kg.Graph) (gobBytes, v4 []byte) {
+// goldenFile returns the bytes of a checked-in golden model.
+func goldenFile(tb testing.TB, file string) []byte {
 	tb.Helper()
-	gobBytes, err := os.ReadFile(filepath.Join("testdata", file))
+	data, err := os.ReadFile(filepath.Join("testdata", file))
 	if err != nil {
 		tb.Fatal(err)
 	}
-	e, err := decodeModel(gobBytes, g)
-	if err != nil {
+	return data
+}
+
+// notV4 is what a model file that predates the v4 container looks like — a
+// gob stream, as builds before it wrote — and two more files without the
+// magic.
+func notV4(tb testing.TB) map[string][]byte {
+	tb.Helper()
+	var stream bytes.Buffer
+	if err := gob.NewEncoder(&stream).Encode(struct {
+		Version int
+		Cfg     Config
+	}{3, testConfig()}); err != nil {
 		tb.Fatal(err)
 	}
-	var buf bytes.Buffer
-	if err := e.writeV4(&buf, true); err != nil {
-		tb.Fatal(err)
+	return map[string][]byte{"gob stream": stream.Bytes(), "empty": {}, "8 random bytes": {0x9c, 0x41, 0x07, 0xee, 0x5a, 0x13, 0xd2, 0x68}}
+}
+
+// TestLoadFileRefusesNonV4: LoadFile attaches the v4 container and nothing
+// else, and says so with artifact.ErrNotV4.
+func TestLoadFileRefusesNonV4(t *testing.T) {
+	g, _ := fixture(t)
+	for name, data := range notV4(t) {
+		path := filepath.Join(t.TempDir(), "model.bin")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if e, err := LoadFile(path, g); !errors.Is(err, artifact.ErrNotV4) {
+			t.Errorf("%s: LoadFile = %v, %v; want artifact.ErrNotV4", name, e, err)
+		}
+		if _, err := decodeModel(data, g); !errors.Is(err, artifact.ErrNotV4) {
+			t.Errorf("%s: heap decode error %v, want artifact.ErrNotV4", name, err)
+		}
 	}
-	return gobBytes, buf.Bytes()
 }
 
 // rewriteSections re-emits a v4 artifact with the payloads of the named
@@ -294,104 +316,81 @@ func withIndexRerank(t testing.TB, v4 []byte, factor int) json.RawMessage {
 
 // TestMalformedIndexRejected: an index artifact whose counts agree but
 // whose contents would fail the first lookup that touches them is refused
-// at attach, by the gob reader and — where the v4 container can carry the
-// same defect — the v4 reader alike. Each case edits a golden's decoded gob
-// struct; v4 derives the sections the edit replaces in the golden's v4
-// rewrite (nil: the container cannot express the defect).
+// at attach. Each case derives the sections it replaces from a golden's
+// own; checksums are recomputed, so only the reader's checks stand between
+// the edit and a loaded model.
 func TestMalformedIndexRejected(t *testing.T) {
-	listSections := func(w *wireIndex) map[string]any {
-		offsets := []int64{0}
-		var ids []int32
-		var codes []byte
-		for i, l := range w.Lists {
-			ids = append(ids, l...)
-			offsets = append(offsets, int64(len(ids)))
-			if w.ListCodes != nil {
-				codes = append(codes, w.ListCodes[i]...)
-			}
-		}
-		repl := map[string]any{"rows": rowsAsInt32(w.Rows), "list_offsets": offsets, "list_ids": ids}
-		if codes != nil {
-			repl["list_codes"] = codes
-		}
-		return repl
-	}
 	// The longest list loses its last id (and that id's codes), the row map
 	// loses its last entry, and the list's first id becomes the new row
 	// count: every count agrees, one id names no row.
-	listIDPastRows := func(w *wireIndex) {
+	listIDPastRows := func(af *artifact.File) map[string]any {
+		offsets := slices.Clone(af.Section("list_offsets").Int64s())
+		ids := af.Section("list_ids").Int32s()
+		rows := af.Section("rows").Int32s()
 		longest := 0
-		for i, l := range w.Lists {
-			if len(l) > len(w.Lists[longest]) {
+		for i := range len(offsets) - 1 {
+			if offsets[i+1]-offsets[i] > offsets[longest+1]-offsets[longest] {
 				longest = i
 			}
 		}
-		l := w.Lists[longest]
-		w.Lists[longest] = l[:len(l)-1]
-		if w.ListCodes != nil {
-			c := w.ListCodes[longest]
-			w.ListCodes[longest] = c[:len(c)-w.Quant.M]
+		lo, hi := offsets[longest], offsets[longest+1]
+		cut := slices.Concat(ids[:hi-1], ids[hi:])
+		cut[lo] = int32(len(rows) - 1)
+		for i := longest + 1; i < len(offsets); i++ {
+			offsets[i]--
 		}
-		w.Rows = w.Rows[:len(w.Rows)-1]
-		w.Lists[longest][0] = int32(len(w.Rows))
+		repl := map[string]any{"rows": rows[:len(rows)-1], "list_offsets": offsets, "list_ids": cut}
+		if s := af.Section("list_codes"); s != nil {
+			m := int64(s.Len() / len(ids))
+			repl["list_codes"] = slices.Concat(s.Bytes()[:(hi-1)*m], s.Bytes()[hi*m:])
+		}
+		return repl
 	}
 	g := goldenGraph()
-	_, rerank8 := goldenPair(t, "golden_v2_ivf_pq_rerank8.bin", g)
-	hugeRerank, pastCap := withIndexRerank(t, rerank8, 1<<62), withIndexRerank(t, rerank8, index.MaxRerank+1)
+	rerank8 := goldenFile(t, "golden_v2_ivf_pq_rerank8.bin")
 	cases := []struct {
 		name, file string
-		edit       func(w *wireIndex)
-		v4         func(w *wireIndex) map[string]any
+		edit       func(af *artifact.File) map[string]any
 	}{
-		{"ivf-flat list id past the row map", "golden_v2_ivf_flat.bin", listIDPastRows, listSections},
-		{"ivf-pq list id past the row map", "golden_v2_ivf_pq.bin", listIDPastRows, listSections},
-		{"flat vectors narrower than the model", "golden_v2_flat.bin", func(w *wireIndex) {
-			w.Flat.Cols /= 2
-			w.Flat.Data = w.Flat.Data[:w.Flat.Rows*w.Flat.Cols]
-		}, func(w *wireIndex) map[string]any { return map[string]any{"flat": fromWire(w.Flat)} }},
-		{"flat data short of its shape", "golden_v2_flat.bin", func(w *wireIndex) {
-			w.Flat.Data = w.Flat.Data[:len(w.Flat.Data)-1]
-		}, nil},
+		{"ivf-flat list id past the row map", "golden_v2_ivf_flat.bin", listIDPastRows},
+		{"ivf-pq list id past the row map", "golden_v2_ivf_pq.bin", listIDPastRows},
+		{"flat vectors narrower than the model", "golden_v2_flat.bin", func(af *artifact.File) map[string]any {
+			s := af.Section("flat")
+			half := s.Cols / 2
+			return map[string]any{"flat": &mathx.Matrix{Rows: s.Rows, Cols: half, Data: s.Float32s()[:s.Rows*half]}}
+		}},
 		// k × 2^62 wraps negative: the over-fetch heap would take no
 		// candidate and the first lookup would index it empty.
-		{"ivf-pq re-rank factor 2^62", "golden_v2_ivf_pq_rerank8.bin", func(w *wireIndex) {
-			w.Rerank = 1 << 62
-		}, func(*wireIndex) map[string]any { return map[string]any{"meta": hugeRerank} }},
-		{"ivf-pq re-rank factor past the cap", "golden_v2_ivf_pq_rerank8.bin", func(w *wireIndex) {
-			w.Rerank = index.MaxRerank + 1
-		}, func(*wireIndex) map[string]any { return map[string]any{"meta": pastCap} }},
+		{"ivf-pq re-rank factor 2^62", "golden_v2_ivf_pq_rerank8.bin", func(*artifact.File) map[string]any {
+			return map[string]any{"meta": withIndexRerank(t, rerank8, 1<<62)}
+		}},
+		{"ivf-pq re-rank factor past the cap", "golden_v2_ivf_pq_rerank8.bin", func(*artifact.File) map[string]any {
+			return map[string]any{"meta": withIndexRerank(t, rerank8, index.MaxRerank+1)}
+		}},
 	}
 	for _, c := range cases {
-		gobBytes, v4 := goldenPair(t, c.file, g)
-		var wire modelWire
-		if err := gob.NewDecoder(bytes.NewReader(gobBytes)).Decode(&wire); err != nil {
+		v4 := goldenFile(t, c.file)
+		// The harness itself: re-emitting the sections unchanged loads.
+		if _, err := decodeModel(rewriteSections(t, v4, nil), g); err != nil {
+			t.Fatalf("%s: unedited re-emit: %v", c.file, err)
+		}
+		af, err := artifact.Decode(v4)
+		if err != nil {
 			t.Fatal(err)
 		}
-		c.edit(wire.Index)
-		var badGob bytes.Buffer
-		if err := gob.NewEncoder(&badGob).Encode(&wire); err != nil {
-			t.Fatal(err)
-		}
-		bad := map[string][]byte{"gob": badGob.Bytes()}
-		if c.v4 != nil {
-			bad["v4"] = rewriteSections(t, v4, c.v4(wire.Index))
-		}
-		for format, data := range bad {
-			if _, err := decodeModel(data, g); err == nil {
-				t.Errorf("%s (%s): accepted", c.name, format)
-			}
+		if _, err := decodeModel(rewriteSections(t, v4, c.edit(af)), g); err == nil {
+			t.Errorf("%s: accepted", c.name)
 		}
 	}
 }
 
 // TestHostileConfigRejected: an artifact whose config alone is edited — the
-// gob stream's Cfg, or the v4 meta section with every checksum recomputed —
-// is refused at attach, before anything sized by the edited field is
-// allocated: negative or zero layer widths and counts (a makeslice panic
-// once), sizes no stored weight matches (2^28 hidden units was a 77 GB
-// allocation), a mention length or kernel width past maxMaxLen, which no
-// stored weight vouches for, and on a model that re-ranks a re-rank factor
-// past index.MaxRerank.
+// meta section, with every checksum recomputed — is refused at attach,
+// before anything sized by the edited field is allocated: negative or zero
+// layer widths and counts (a makeslice panic once), sizes no stored weight
+// matches (2^28 hidden units was a 77 GB allocation), a mention length or
+// kernel width past maxMaxLen, which no stored weight vouches for, and on a
+// model that re-ranks a re-rank factor past index.MaxRerank.
 func TestHostileConfigRejected(t *testing.T) {
 	cases := []struct {
 		name string
@@ -421,7 +420,7 @@ func TestHostileConfigRejected(t *testing.T) {
 		if c.file == "" {
 			c.file = "golden_v2.bin"
 		}
-		gobBytes, v4 := goldenPair(t, c.file, g)
+		v4 := goldenFile(t, c.file)
 		af, err := artifact.Decode(v4)
 		if err != nil {
 			t.Fatal(err)
@@ -430,34 +429,21 @@ func TestHostileConfigRejected(t *testing.T) {
 		if err := af.Section("meta").JSON(&meta); err != nil {
 			t.Fatal(err)
 		}
-		var wire modelWire
-		if err := gob.NewDecoder(bytes.NewReader(gobBytes)).Decode(&wire); err != nil {
-			t.Fatal(err)
-		}
-		c.edit(&wire.Cfg)
-		var badGob bytes.Buffer
-		if err := gob.NewEncoder(&badGob).Encode(&wire); err != nil {
-			t.Fatal(err)
-		}
-		m := meta
-		c.edit(&m.Cfg)
-		mj, err := json.Marshal(m)
+		c.edit(&meta.Cfg)
+		mj, err := json.Marshal(meta)
 		if err != nil {
 			t.Fatal(err)
 		}
-		bad := map[string][]byte{"gob": badGob.Bytes(), "v4": rewriteSections(t, v4, map[string]any{"meta": json.RawMessage(mj)})}
-		for format, data := range bad {
-			func() {
-				defer func() {
-					if r := recover(); r != nil {
-						t.Errorf("%s (%s): panicked: %v", c.name, format, r)
-					}
-				}()
-				if _, err := decodeModel(data, g); err == nil {
-					t.Errorf("%s (%s): accepted", c.name, format)
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Errorf("%s: panicked: %v", c.name, r)
 				}
 			}()
-		}
+			if _, err := decodeModel(rewriteSections(t, v4, map[string]any{"meta": json.RawMessage(mj)}), g); err == nil {
+				t.Errorf("%s: accepted", c.name)
+			}
+		}()
 	}
 }
 
@@ -472,7 +458,7 @@ func FuzzReadArtifactMeta(f *testing.F) {
 	files := []string{"golden_v2.bin", "golden_v3.bin", "golden_v2_flat.bin", "golden_v2_ivf_flat.bin", "golden_v2_ivf_pq.bin", "golden_v2_ivf_pq_rerank8.bin"}
 	v4s := make([][]byte, len(files))
 	for i, file := range files {
-		_, v4s[i] = goldenPair(f, file, g)
+		v4s[i] = goldenFile(f, file)
 		af, err := artifact.Decode(v4s[i])
 		if err != nil {
 			f.Fatal(err)
@@ -495,28 +481,30 @@ func FuzzReadArtifactMeta(f *testing.F) {
 	})
 }
 
-// FuzzReadArtifact hammers the whole model-read dispatch — v4 magic
-// sniffing, the v4 section parser and attach path, and the gob fallback —
-// with arbitrary bytes, seeded from every golden gob file that carries an
-// index (PQ, fast-scan, IVF-Flat, IVF-PQ with and without re-rank) and its
-// v4 rewrite. A read must return an error or a valid model, never panic,
-// and never allocate proportionally to corrupt header fields.
+// FuzzReadArtifact hammers the whole model read — the v4 section parser
+// and the attach path — with arbitrary bytes, seeded from every golden
+// (weights only, PQ, fast-scan, Flat, IVF-Flat, IVF-PQ with and without
+// re-rank) whole and cut short, and from files without the magic: a gob
+// stream, the format before v4. A read must return an error or a valid
+// model, never panic, and never allocate proportionally to corrupt header
+// fields; a file without the magic fails with artifact.ErrNotV4.
 func FuzzReadArtifact(f *testing.F) {
 	g := goldenGraph()
-	gobBytes, v4 := goldenPair(f, "golden_v2.bin", g)
-	f.Add(v4)
-	f.Add(v4[:200])
-	f.Add(gobBytes)
-	f.Add(gobBytes[:50])
-	f.Add([]byte(artifact.Magic))
-	f.Add([]byte{})
-	for _, file := range []string{"golden_v2_ivf_flat.bin", "golden_v2_ivf_pq.bin", "golden_v2_ivf_pq_rerank8.bin", "golden_v3.bin"} {
-		gobBytes, v4 := goldenPair(f, file, g)
-		f.Add(gobBytes)
+	for _, file := range []string{"golden_v2.bin", "golden_v0.bin", "golden_v3.bin", "golden_v2_flat.bin", "golden_v2_ivf_flat.bin", "golden_v2_ivf_pq.bin", "golden_v2_ivf_pq_rerank8.bin"} {
+		v4 := goldenFile(f, file)
 		f.Add(v4)
+		f.Add(v4[:len(v4)/2])
+	}
+	f.Add([]byte(artifact.Magic))
+	bad := notV4(f)
+	for _, name := range []string{"gob stream", "empty", "8 random bytes"} {
+		f.Add(bad[name])
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		m, err := decodeModel(data, g)
+		if !artifact.Sniff(data) && !errors.Is(err, artifact.ErrNotV4) {
+			t.Fatalf("a file without the magic read as %v, %v; want artifact.ErrNotV4", m, err)
+		}
 		if err != nil {
 			return
 		}

@@ -48,10 +48,12 @@ func TestIndexArtifactRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s: load artifact: %v", v.name, err)
 		}
+		defer loaded.Close()
 		rebuilt, err := LoadFile(dir+"/weights.bin", g)
 		if err != nil {
 			t.Fatalf("%s: load weights: %v", v.name, err)
 		}
+		defer rebuilt.Close()
 		if src := loaded.IndexProvenance().Source; src != "loaded" {
 			t.Fatalf("%s: artifact load provenance = %q", v.name, src)
 		}
@@ -87,14 +89,15 @@ func TestSaveWithIndexRejectsDynamic(t *testing.T) {
 	}
 }
 
-// AddMention makes an unseen alias resolve to its entity immediately, and
-// DeleteRow restores the pre-add results exactly (the base is untouched; the
-// delta row is tombstoned).
-func TestDynamicServiceAddDelete(t *testing.T) {
+// AddMention makes an unseen alias resolve to its entity immediately, as
+// the next row of the append-only index, and the parent service never sees
+// the row.
+func TestDynamicServiceAdd(t *testing.T) {
 	g, e := fixture(t)
 	// Huge threshold: compaction would append rows into the fixture's
 	// shared base index.
 	dyn := e.WithDynamicIndex(1 << 30)
+	defer dyn.Close()
 	const alias = "zyqqat flombrix unit"
 	target := g.Entities[5].ID
 	before := dyn.Lookup(alias, 10)
@@ -110,38 +113,35 @@ func TestDynamicServiceAddDelete(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if want := int32(e.Index().Len()); row != want {
+		t.Fatalf("added row %d, want the next row %d", row, want)
+	}
+	if dyn.RowEntity(row) != target {
+		t.Fatalf("row %d maps to entity %d, want %d", row, dyn.RowEntity(row), target)
+	}
 	res := dyn.Lookup(alias, 1)
 	if len(res) != 1 || res[0].ID != target {
 		t.Fatalf("added mention does not resolve to its entity: %+v", res)
 	}
 	// The original service must not see the live row.
-	if got := e.Lookup(alias, 10); len(got) != len(before) {
+	got := e.Lookup(alias, 10)
+	if len(got) != len(before) {
 		t.Fatal("AddMention leaked into the parent service")
 	}
-
-	if !dyn.DeleteRow(row) {
-		t.Fatal("DeleteRow reported the live row as absent")
-	}
-	after := dyn.Lookup(alias, 10)
-	if len(after) != len(before) {
-		t.Fatalf("post-delete results differ in length: %d vs %d", len(after), len(before))
-	}
-	for i := range after {
-		if after[i] != before[i] {
-			t.Fatalf("post-delete results diverge at %d: %+v vs %+v", i, after[i], before[i])
+	for i := range got {
+		if got[i] != before[i] {
+			t.Fatalf("parent results diverge at %d after the add: %+v vs %+v", i, got[i], before[i])
 		}
-	}
-	if e.DeleteRow(0) {
-		t.Fatal("DeleteRow on a non-dynamic service should report false")
 	}
 }
 
-// Live mutation under concurrent lookups: run with -race. Readers must keep
-// getting well-formed candidates while a writer inserts and tombstones rows
-// (the row→entity extension and the index delta mutate underneath them).
+// Live appends under concurrent lookups: run with -race. Readers must keep
+// getting well-formed candidates while a writer inserts rows (the
+// row→entity extension and the index delta grow underneath them).
 func TestDynamicServiceConcurrent(t *testing.T) {
 	g, e := fixture(t)
 	dyn := e.WithDynamicIndex(1 << 30)
+	defer dyn.Close()
 	var wg sync.WaitGroup
 	errc := make(chan error, 5)
 
@@ -149,13 +149,9 @@ func TestDynamicServiceConcurrent(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 60; i++ {
-			row, err := dyn.AddMention(fmt.Sprintf("novel mention %d", i), g.Entities[i%len(g.Entities)].ID)
-			if err != nil {
+			if _, err := dyn.AddMention(fmt.Sprintf("novel mention %d", i), g.Entities[i%len(g.Entities)].ID); err != nil {
 				errc <- err
 				return
-			}
-			if i%3 == 0 {
-				dyn.DeleteRow(row)
 			}
 		}
 	}()

@@ -19,13 +19,11 @@ import (
 
 // This file is the format-v4 serializer: the model (and optional index
 // artifact) laid out in the sectioned zero-copy container of
-// internal/artifact. SaveFile and SaveFileWithIndex write it and are the only
-// way a model reaches disk (a big-endian host refuses); LoadFile sniffs the
-// magic and accepts both v4 and the read-only gob formats v0–v3, so every
-// artifact ever written still loads.
-// LoadFile attaches a v4 file by mmap: the index payloads (codes, vectors,
-// inverted lists, codebooks, weights) become typed views over the page
-// cache, making cold start O(sections), not O(model size).
+// internal/artifact, the one format a model is written and read in (a
+// big-endian host refuses both). LoadFile attaches a v4 file by mmap: the
+// index payloads (codes, vectors, inverted lists, codebooks, weights)
+// become typed views over the page cache, making cold start O(sections),
+// not O(model size).
 //
 // Model sections (the index sections, present when the model carries its
 // index, are internal/index's; see its codec):
@@ -145,7 +143,7 @@ func readV4(af *artifact.File, g *kg.Graph) (*EmbLookup, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := checkNgram(cfg, meta.NgramDim, meta.NgramBk, tbl.Rows, tbl.Cols, len(tbl.Data)); err != nil {
+	if err := checkNgram(cfg, meta.NgramDim, meta.NgramBk, tbl); err != nil {
 		return nil, err
 	}
 	params := make([]*mathx.Matrix, len(meta.Params))
@@ -154,10 +152,7 @@ func readV4(af *artifact.File, g *kg.Graph) (*EmbLookup, error) {
 			return nil, err
 		}
 	}
-	err = checkParamShapes(cfg, e.enc.Alphabet.Size(), len(params), func(i int) (int, int, int) {
-		return params[i].Rows, params[i].Cols, len(params[i].Data)
-	})
-	if err != nil {
+	if err := checkParamShapes(cfg, e.enc.Alphabet.Size(), params); err != nil {
 		return nil, err
 	}
 	e.sem = ngram.NewModelForLoad(meta.NgramDim, meta.NgramBk)

@@ -10,14 +10,12 @@ import (
 
 // This file is the index codec, the one place that knows how each index
 // kind is laid out at rest: WriteSections takes a built index apart into
-// artifact sections, Assemble puts one back together from its Parts —
-// without re-running k-means or re-encoding a single row — and Slice cuts
-// one to a contiguous row range. Both artifact readers end in Assemble:
-// ReadSections views a v4 artifact's sections as Parts, and the read-only
-// gob reader (internal/core) hands over the Parts it decoded, so every
-// shape check guards both formats and a truncated or mismatched artifact
-// fails at attach instead of mis-indexing at the first lookup. Assembled
-// indexes share the given slices and matrices, never copy them.
+// artifact sections, ReadSections views them as parts and assemble puts
+// the index back together — without re-running k-means or re-encoding a
+// single row, and with every shape checked, so a truncated or mismatched
+// artifact fails at attach instead of mis-indexing at the first lookup —
+// and Slice cuts one to a contiguous row range. Assembled indexes share
+// the given slices and matrices, never copy them.
 //
 // Index sections of a v4 model artifact, in file order (exactly the
 // sections for the index kind exist; the model's own sections are listed
@@ -59,9 +57,9 @@ type QuantMeta struct {
 	Dsub int `json:"dsub"`
 }
 
-// Parts is an index taken apart: one field per index section, of which
-// Assemble reads exactly those Kind stores.
-type Parts struct {
+// parts is an index taken apart: one field per index section, of which
+// assemble reads exactly those Kind stores.
+type parts struct {
 	Kind      string
 	Flat      *mathx.Matrix           // flat
 	Quant     *quant.ProductQuantizer // pq, fastscan, ivf-pq
@@ -142,10 +140,10 @@ func addQuantizer(aw *artifact.Writer, q *quant.ProductQuantizer) *QuantMeta {
 // ReadSections puts the index m describes back together over zero-copy
 // views of af's sections, and holds it to n rows, the length of the
 // artifact's row map. Sections are viewed wherever present; which of them
-// the kind needs is Assemble's business. Nothing here allocates
+// the kind needs is assemble's business. Nothing here allocates
 // proportionally to untrusted metadata.
 func ReadSections(af *artifact.File, m *Meta, n int) (Index, error) {
-	p := &Parts{
+	p := &parts{
 		Kind:    m.Kind,
 		Flat:    sectionMatrix(af, "flat"),
 		Codes:   sectionBytes(af, "codes"),
@@ -168,7 +166,7 @@ func ReadSections(af *artifact.File, m *Meta, n int) (Index, error) {
 	if p.Lists, p.ListCodes, err = sectionLists(af, p.Quant); err != nil {
 		return nil, err
 	}
-	return Assemble(p, n)
+	return assemble(p, n)
 }
 
 // sectionMatrix views an F32 section as a matrix (nil when absent or of
@@ -229,11 +227,11 @@ func sectionLists(af *artifact.File, q *quant.ProductQuantizer) ([][]int32, [][]
 	return lists, codes, nil
 }
 
-// Assemble puts the index p describes back together, adopting its slices
+// assemble puts the index p describes back together, adopting its slices
 // and matrices, and holds it to n rows, the length of the artifact's row
 // map that every id a search returns is resolved through. It is the one
 // reader of every index kind.
-func Assemble(p *Parts, n int) (Index, error) {
+func assemble(p *parts, n int) (Index, error) {
 	var ix Index
 	var err error
 	switch p.Kind {
@@ -303,7 +301,7 @@ func checkCodes(q *quant.ProductQuantizer, codes []byte) error {
 }
 
 // assemblePQ reads a trained quantizer and its row-major codes.
-func assemblePQ(p *Parts) (*PQ, error) {
+func assemblePQ(p *parts) (*PQ, error) {
 	q, err := assembleQuantizer(p.Quant)
 	if err != nil {
 		return nil, err
@@ -321,7 +319,7 @@ func assemblePQ(p *Parts) (*PQ, error) {
 // blocks of n rows. Every nibble is validated: live rows must reference
 // trained centroids and the padding rows of the final partial block must
 // be zero.
-func assembleFastScan(p *Parts, n int) (*FastScan, error) {
+func assembleFastScan(p *parts, n int) (*FastScan, error) {
 	q, err := assembleQuantizer(p.Quant)
 	if err != nil {
 		return nil, err
@@ -356,7 +354,7 @@ func assembleFastScan(p *Parts, n int) (*FastScan, error) {
 // vectors (ivf-flat) or a residual quantizer with per-list codes (ivf-pq,
 // plus the raw vectors when it re-ranks). The lists must hold n ids, each a
 // row in [0, n).
-func assembleIVF(p *Parts, n int) (*IVF, error) {
+func assembleIVF(p *parts, n int) (*IVF, error) {
 	coarse := p.Coarse
 	if err := checkMatrix(coarse, "coarse"); err != nil {
 		return nil, err

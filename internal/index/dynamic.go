@@ -3,7 +3,6 @@ package index
 import (
 	"context"
 	"fmt"
-	"slices"
 	"sync"
 
 	"emblookup/internal/mathx"
@@ -68,58 +67,44 @@ func (ix *IVF) appendRow(vec []float32) {
 // NewDynamic is given no explicit threshold.
 const DefaultCompactThreshold = 4096
 
-// Dynamic makes a sealed index mutable at serve time: the base index stays
-// untouched on the hot path while Add appends to a raw float delta segment
-// and Delete tombstones ids in either segment. A search scans both segments
-// and merges under the canonical (Dist, ID) order, so results are exactly
-// the top-k of the live rows. When the delta reaches the compaction
+// Dynamic makes a sealed index appendable at serve time: the base index
+// stays untouched on the hot path while Add appends to a raw float delta
+// segment. The index is append-only: no row is ever removed. A search scans
+// both segments and merges under the canonical (Dist, ID) order, so results
+// are exactly the top-k of every row. When the delta reaches the compaction
 // threshold it is re-encoded into the base with the base's own sealed
-// quantizer (no retraining) and tombstoned delta rows vanish physically.
-// Row ids are stable across Add, Delete, and compaction: the base rows keep
-// ids [0, baseLen) and every Add returns the next id, so an external
-// row→entity mapping stays append-only. All methods are safe for concurrent
-// use; searches share a read lock and mutations serialize on a write lock.
+// quantizer (no retraining). Row ids are stable across Add and compaction:
+// the base rows keep ids [0, base.Len()), delta row j has id base.Len()+j,
+// and compaction moves the delta to the end of the base in order, so every
+// Add returns the next id and an external row→entity mapping stays
+// append-only. All methods are safe for concurrent use; searches share a
+// read lock and Add serializes on a write lock.
 type Dynamic struct {
 	mu       sync.RWMutex
 	base     Index
-	baseIDs  []int32 // external id of each base row, strictly increasing
-	deltaVec []float32
-	deltaIDs []int32 // external id of each delta row, strictly increasing
-	dead     map[int32]bool
-	deadBase int // how many tombstoned ids live in the base segment
-	nextID   int32
+	delta    []float32 // the rows added since the last compaction, row-major
+	rows     int       // rows in delta
 	dim      int
 	maxDelta int
 }
 
-// NewDynamic wraps base (retained, not copied) with a mutable delta
+// NewDynamic wraps base (retained, not copied) with an append-only delta
 // segment. maxDelta is the delta size that triggers compaction (≤0 =
 // DefaultCompactThreshold). Bases that cannot absorb appended rows (e.g. a
-// Sharded wrapper, whose shard bounds are fixed at construction) are still
-// searchable and mutable — their delta is simply never compacted.
+// Sharded wrapper, whose shard bounds are fixed at construction) still take
+// adds — their delta is simply never compacted.
 func NewDynamic(base Index, maxDelta int) *Dynamic {
 	if maxDelta <= 0 {
 		maxDelta = DefaultCompactThreshold
 	}
-	ids := make([]int32, base.Len())
-	for i := range ids {
-		ids[i] = int32(i)
-	}
-	return &Dynamic{
-		base:     base,
-		baseIDs:  ids,
-		dead:     make(map[int32]bool),
-		nextID:   int32(base.Len()),
-		dim:      base.Dim(),
-		maxDelta: maxDelta,
-	}
+	return &Dynamic{base: base, dim: base.Dim(), maxDelta: maxDelta}
 }
 
-// Len returns the number of live (non-tombstoned) vectors.
+// Len returns the number of rows in both segments.
 func (d *Dynamic) Len() int {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	return d.base.Len() + len(d.deltaIDs) - len(d.dead)
+	return d.base.Len() + d.rows
 }
 
 // Dim returns the vector dimensionality.
@@ -129,7 +114,7 @@ func (d *Dynamic) Dim() int { return d.dim }
 func (d *Dynamic) SizeBytes() int {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	return d.base.SizeBytes() + len(d.deltaVec)*4
+	return d.base.SizeBytes() + len(d.delta)*4
 }
 
 // Add appends a vector and returns its stable row id. Crossing the
@@ -141,77 +126,26 @@ func (d *Dynamic) Add(vec []float32) int32 {
 	}
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	id := d.nextID
-	d.nextID++
-	d.deltaVec = append(d.deltaVec, vec...)
-	d.deltaIDs = append(d.deltaIDs, id)
-	if len(d.deltaIDs) >= d.maxDelta {
-		d.compactLocked()
+	id := int32(d.base.Len() + d.rows)
+	d.delta = append(d.delta, vec...)
+	d.rows++
+	if ap, ok := d.base.(appender); ok && d.rows >= d.maxDelta {
+		for j := 0; j < d.rows; j++ {
+			ap.appendRow(d.delta[j*d.dim : (j+1)*d.dim])
+		}
+		d.delta, d.rows = d.delta[:0], 0
 	}
 	return id
 }
 
-// Delete tombstones the row with the given id. It reports whether the id
-// was present and live. The storage is reclaimed at the next compaction for
-// delta rows; base rows stay tombstoned (a sealed segment never shrinks).
-func (d *Dynamic) Delete(id int32) bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.dead[id] {
-		return false
-	}
-	if _, ok := slices.BinarySearch(d.baseIDs, id); ok {
-		d.dead[id] = true
-		d.deadBase++
-		return true
-	}
-	if _, ok := slices.BinarySearch(d.deltaIDs, id); ok {
-		d.dead[id] = true
-		return true
-	}
-	return false
-}
-
-// Compact re-encodes the delta segment into the base immediately,
-// regardless of the threshold.
-func (d *Dynamic) Compact() {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.compactLocked()
-}
-
-func (d *Dynamic) compactLocked() {
-	ap, ok := d.base.(appender)
-	if !ok || len(d.deltaIDs) == 0 {
-		return
-	}
-	for j, id := range d.deltaIDs {
-		if d.dead[id] {
-			// The row never reaches the base: this is the moment a deleted
-			// delta row physically disappears.
-			delete(d.dead, id)
-			continue
-		}
-		ap.appendRow(d.deltaVec[j*d.dim : (j+1)*d.dim])
-		d.baseIDs = append(d.baseIDs, id)
-	}
-	d.deltaVec = d.deltaVec[:0]
-	d.deltaIDs = d.deltaIDs[:0]
-}
-
-// Search implements Index: the k nearest live rows, merged across the base
-// and delta segments. ctx, s and a scratch-owned hit buffer pass through to
-// the base search, so a cancelled context reaches a Sharded base's fan-out
-// and a query costs one Scratch however deep the wrapping. (The base's
-// search is finished with s.res before the merge below resets it.)
-//
-// Correctness of the merge: the base is over-fetched by the number of base
-// tombstones, so after filtering the dead ids at least the k best live base
-// rows are present; any live base row the over-fetch missed is canonically
-// worse than all of them and can never enter the global top-k. Delta rows
-// are scanned exhaustively. baseIDs is strictly increasing, so mapping base
-// row ids to external ids preserves the canonical (Dist, ID) tie order and
-// the merged selection equals a from-scratch scan of the live rows.
+// Search implements Index: the k nearest rows, merged across the base and
+// delta segments. ctx, s and a scratch-owned hit buffer pass through to the
+// base search, so a cancelled context reaches a Sharded base's fan-out and
+// a query costs one Scratch however deep the wrapping. (The base's search
+// is finished with s.res before the merge below resets it.) Base row ids
+// are the index's own ids and every delta id is larger, so the merged
+// selection keeps the canonical (Dist, ID) tie order and equals a
+// from-scratch scan of every row. Delta rows are scanned exhaustively.
 func (d *Dynamic) Search(ctx context.Context, s *Scratch, q []float32, k int, dst []Result) ([]Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -221,7 +155,7 @@ func (d *Dynamic) Search(ctx context.Context, s *Scratch, q []float32, k int, ds
 	}
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	base, err := d.base.Search(ctx, s, q, k+d.deadBase, s.base)
+	base, err := d.base.Search(ctx, s, q, k, s.base)
 	if err != nil {
 		return nil, err
 	}
@@ -229,17 +163,11 @@ func (d *Dynamic) Search(ctx context.Context, s *Scratch, q []float32, k int, ds
 	t := &s.res
 	t.reset(k)
 	for _, r := range base {
-		id := d.baseIDs[r.ID]
-		if d.dead[id] {
-			continue
-		}
-		t.push(id, r.Dist)
+		t.push(r.ID, r.Dist)
 	}
-	for j, id := range d.deltaIDs {
-		if d.dead[id] {
-			continue
-		}
-		t.push(id, mathx.SquaredL2(q, d.deltaVec[j*d.dim:(j+1)*d.dim]))
+	n := int32(d.base.Len())
+	for j := 0; j < d.rows; j++ {
+		t.push(n+int32(j), mathx.SquaredL2(q, d.delta[j*d.dim:(j+1)*d.dim]))
 	}
 	return t.appendSorted(dst), nil
 }
@@ -251,16 +179,15 @@ func (d *Dynamic) SearchWith(s *Scratch, q []float32, k int) []Result { return s
 type DynamicStats struct {
 	Base  int `json:"base"`  // rows sealed in the base segment
 	Delta int `json:"delta"` // rows in the append-only delta segment
-	Dead  int `json:"dead"`  // tombstoned rows still occupying storage
 }
 
 // Stats reports the current segment sizes.
 func (d *Dynamic) Stats() DynamicStats {
 	d.mu.RLock()
 	defer d.mu.RUnlock()
-	return DynamicStats{Base: d.base.Len(), Delta: len(d.deltaIDs), Dead: len(d.dead)}
+	return DynamicStats{Base: d.base.Len(), Delta: d.rows}
 }
 
-// Base exposes the sealed base index (the serializer snapshots a Dynamic
-// through its base after compaction).
+// Base exposes the sealed base index, which holds every row compacted so
+// far.
 func (d *Dynamic) Base() Index { return d.base }

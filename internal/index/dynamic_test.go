@@ -37,24 +37,27 @@ func randomQuery(rng *mathx.RNG, d int) []float32 {
 	return q
 }
 
-// A Dynamic over an exact base must stay exact through an interleaving of
-// adds and deletes in both segments.
+// A Dynamic over an exact base must stay exact through adds and the
+// compactions the threshold triggers, and hand out ids in one sequence.
 func TestDynamicMatchesBruteForce(t *testing.T) {
-	const d = 6
-	data := randomData(120, d, 31)
-	live := map[int32][]float32{}
-	for i := 0; i < data.Rows; i++ {
-		live[int32(i)] = data.Row(i)
+	const d, threshold, n = 6, 16, 120
+	data := randomData(n, d, 31) // the Flat base appends into it
+	rows := map[int32][]float32{}
+	for i := 0; i < n; i++ {
+		rows[int32(i)] = data.Row(i)
 	}
-	dyn := NewDynamic(NewFlat(data), 1<<30) // threshold out of reach: delta stays raw
+	dyn := NewDynamic(NewFlat(data), threshold)
 	rng := mathx.NewRNG(32)
 
 	check := func(stage string) {
 		t.Helper()
+		if dyn.Len() != len(rows) {
+			t.Fatalf("%s: Len = %d, want %d", stage, dyn.Len(), len(rows))
+		}
 		for trial := 0; trial < 5; trial++ {
 			q := randomQuery(rng, d)
 			got := Search(dyn, q, 10)
-			want := bruteTopK(live, q, 10)
+			want := bruteTopK(rows, q, 10)
 			if len(got) != len(want) {
 				t.Fatalf("%s: got %d results, want %d", stage, len(got), len(want))
 			}
@@ -67,66 +70,31 @@ func TestDynamicMatchesBruteForce(t *testing.T) {
 	}
 
 	check("initial")
-	// Grow a delta segment.
-	added := []int32{}
-	for i := 0; i < 40; i++ {
+	// 41 adds cross the threshold twice: over a Flat base a compaction
+	// moves raw vectors verbatim, so every stage stays exact.
+	for i := 0; i < 41; i++ {
 		v := randomQuery(rng, d)
 		id := dyn.Add(v)
-		live[id] = v
-		added = append(added, id)
-	}
-	check("after adds")
-	// Delete from the base segment (tombstones survive forever there)...
-	for _, id := range []int32{0, 7, 55, 119} {
-		if !dyn.Delete(id) {
-			t.Fatalf("base delete %d reported not-live", id)
+		if want := int32(n + i); id != want {
+			t.Fatalf("add %d got id %d, want %d", i, id, want)
 		}
-		delete(live, id)
-	}
-	// ...and from the delta segment.
-	for _, id := range added[:10] {
-		if !dyn.Delete(id) {
-			t.Fatalf("delta delete %d reported not-live", id)
+		rows[id] = v
+		if i%5 == 0 {
+			check(fmt.Sprintf("after %d adds", i+1))
 		}
-		delete(live, id)
 	}
-	check("after deletes")
-	if dyn.Delete(0) {
-		t.Fatal("double delete should report false")
+	if st := dyn.Stats(); st.Base != n+2*threshold || st.Delta != 41-2*threshold {
+		t.Fatalf("after two compactions: %+v", st)
 	}
-	if dyn.Delete(1 << 20) {
-		t.Fatal("deleting an unknown id should report false")
-	}
-	if dyn.Len() != len(live) {
-		t.Fatalf("Len = %d, want %d live rows", dyn.Len(), len(live))
-	}
-
-	// Compaction over a Flat base moves raw vectors verbatim: still exact,
-	// deleted delta rows physically gone.
-	preStats := dyn.Stats()
-	dyn.Compact()
-	post := dyn.Stats()
-	if post.Delta != 0 {
-		t.Fatalf("delta not drained by Compact: %+v", post)
-	}
-	if post.Dead >= preStats.Dead {
-		t.Fatalf("deleted delta rows should leave the dead set at compaction: %+v -> %+v", preStats, post)
-	}
-	check("after compaction")
-
-	// Ids handed out after compaction continue the same sequence.
-	v := randomQuery(rng, d)
-	id := dyn.Add(v)
-	live[id] = v
-	check("after post-compaction add")
+	check("after compactions")
 }
 
 // Quantized bases absorb compacted rows through their sealed quantizer. The
 // representation is lossy, so the invariant is about membership, not
-// distances: an exhaustive search returns exactly the live id set before
-// and after compaction, and Len tracks it.
+// distances: an exhaustive search returns every row id before and after
+// the compaction the threshold triggers, and Len tracks it.
 func TestDynamicCompactQuantizedBases(t *testing.T) {
-	const d = 16
+	const d, threshold = 16, 25
 	data := randomData(300, d, 33)
 	pqCfg := quant.PQConfig{M: 4, Ks: 16, Iters: 6, Seed: 34}
 	bases := map[string]Index{}
@@ -146,39 +114,31 @@ func TestDynamicCompactQuantizedBases(t *testing.T) {
 		bases["ivf-pq"] = ix
 	}
 	for name, base := range bases {
-		dyn := NewDynamic(base, 1<<30)
+		dyn := NewDynamic(base, threshold)
 		rng := mathx.NewRNG(37)
-		liveIDs := map[int32]bool{}
-		for i := 0; i < 300; i++ {
-			liveIDs[int32(i)] = true
-		}
-		for i := 0; i < 25; i++ {
-			liveIDs[dyn.Add(randomQuery(rng, d))] = true
-		}
-		for _, id := range []int32{3, 299, 305, 310} {
-			if !dyn.Delete(id) {
-				t.Fatalf("%s: delete %d failed", name, id)
-			}
-			delete(liveIDs, id)
-		}
-		idSet := func(stage string) {
+		idSet := func(stage string, n int) {
 			t.Helper()
 			res := Search(dyn, randomQuery(rng, d), dyn.Len())
-			if len(res) != len(liveIDs) {
-				t.Fatalf("%s/%s: exhaustive search returned %d rows, want %d", name, stage, len(res), len(liveIDs))
+			if len(res) != n || dyn.Len() != n {
+				t.Fatalf("%s/%s: exhaustive search returned %d rows, Len %d, want %d", name, stage, len(res), dyn.Len(), n)
 			}
+			seen := map[int32]bool{}
 			for _, r := range res {
-				if !liveIDs[r.ID] {
-					t.Fatalf("%s/%s: dead or unknown id %d in results", name, stage, r.ID)
+				if r.ID < 0 || int(r.ID) >= n || seen[r.ID] {
+					t.Fatalf("%s/%s: bad or duplicate id %d in results", name, stage, r.ID)
 				}
+				seen[r.ID] = true
 			}
 		}
-		idSet("pre-compact")
-		dyn.Compact()
-		if st := dyn.Stats(); st.Delta != 0 {
-			t.Fatalf("%s: compaction left delta rows: %+v", name, st)
+		for i := 0; i < threshold-1; i++ {
+			dyn.Add(randomQuery(rng, d))
 		}
-		idSet("post-compact")
+		idSet("pre-compact", 300+threshold-1)
+		dyn.Add(randomQuery(rng, d))
+		if st := dyn.Stats(); st.Delta != 0 || st.Base != 300+threshold {
+			t.Fatalf("%s: the threshold add did not compact: %+v", name, st)
+		}
+		idSet("post-compact", 300+threshold)
 	}
 }
 
@@ -230,7 +190,7 @@ func TestDynamicAutoCompaction(t *testing.T) {
 	}
 }
 
-// Searches, adds, and deletes from many goroutines: run under -race. Each
+// Searches and adds from many goroutines: run under -race. Each
 // search must return well-formed results (sorted canonically, no duplicate
 // ids); exact contents are racy by design.
 func TestDynamicConcurrentMutation(t *testing.T) {
@@ -246,13 +206,7 @@ func TestDynamicConcurrentMutation(t *testing.T) {
 			defer wg.Done()
 			rng := mathx.NewRNG(uint64(100 + w))
 			for i := 0; i < 200; i++ {
-				id := dyn.Add(randomQuery(rng, d))
-				if i%3 == 0 {
-					dyn.Delete(id)
-				}
-				if i%7 == 0 {
-					dyn.Delete(int32(rng.Intn(200)))
-				}
+				dyn.Add(randomQuery(rng, d))
 			}
 		}(w)
 	}

@@ -142,28 +142,28 @@ func TestFastScanDynamic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := NewDynamic(ix, 1000)
-	for i := n; i < n+40; i++ {
-		d.Add(all.Row(i))
-	}
+	d := NewDynamic(ix, 40) // the 40th add compacts
 	q := all.Row(0)
-	idSet := func(stage string) {
+	idSet := func(stage string, rows int) {
 		t.Helper()
-		res := Search(d, q, n+40)
-		if len(res) != n+40 {
-			t.Fatalf("%s: exhaustive search returned %d of %d rows", stage, len(res), n+40)
+		res := Search(d, q, rows)
+		if len(res) != rows {
+			t.Fatalf("%s: exhaustive search returned %d of %d rows", stage, len(res), rows)
 		}
 		seen := map[int32]bool{}
 		for _, r := range res {
-			if r.ID < 0 || int(r.ID) >= n+40 || seen[r.ID] {
+			if r.ID < 0 || int(r.ID) >= rows || seen[r.ID] {
 				t.Fatalf("%s: bad or duplicate id %d", stage, r.ID)
 			}
 			seen[r.ID] = true
 		}
 	}
-	idSet("pre-compact")
-	d.Compact()
-	idSet("post-compact")
+	for i := n; i < n+39; i++ {
+		d.Add(all.Row(i))
+	}
+	idSet("pre-compact", n+39)
+	d.Add(all.Row(n + 39))
+	idSet("post-compact", n+40)
 	if ix.Len() != n+40 {
 		t.Fatalf("base holds %d rows after compaction, want %d", ix.Len(), n+40)
 	}
@@ -214,27 +214,27 @@ func TestFastScanSlice(t *testing.T) {
 // assembly and asserts it rejects corrupted artifacts.
 func TestFastScanFromParts(t *testing.T) {
 	ix, data := buildFastScan(t, 3*fsBlock+11, 32, 42)
-	parts := func(q *quant.ProductQuantizer, blocks []byte) *Parts {
-		return &Parts{Kind: "fastscan", Quant: q, Blocks: blocks}
+	fromParts := func(q *quant.ProductQuantizer, blocks []byte) (Index, error) {
+		return assemble(&parts{Kind: "fastscan", Quant: q, Blocks: blocks}, ix.n)
 	}
-	re, err := Assemble(parts(ix.pq, ix.blocks), ix.n)
+	re, err := fromParts(ix.pq, ix.blocks)
 	if err != nil {
 		t.Fatal(err)
 	}
 	q := data.Row(1)
 	sameResults(t, "from-parts", Search(ix, q, 10), Search(re, q, 10))
 
-	if _, err := Assemble(parts(ix.pq, ix.blocks[:len(ix.blocks)-1]), ix.n); err == nil {
+	if _, err := fromParts(ix.pq, ix.blocks[:len(ix.blocks)-1]); err == nil {
 		t.Fatal("truncated blocks accepted")
 	}
 	bad := bytes.Clone(ix.blocks)
 	bad[len(bad)-1] = 0xff // padding row of the final partial block
-	if _, err := Assemble(parts(ix.pq, bad), ix.n); err == nil {
+	if _, err := fromParts(ix.pq, bad); err == nil {
 		t.Fatal("non-zero padding accepted")
 	}
 	odd := *ix.pq
 	odd.M = 15
-	if _, err := Assemble(parts(&odd, ix.blocks), ix.n); err == nil {
+	if _, err := fromParts(&odd, ix.blocks); err == nil {
 		t.Fatal("odd-M quantizer accepted")
 	}
 }

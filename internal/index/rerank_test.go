@@ -167,7 +167,7 @@ func TestAssembleIVFClampsNProbe(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, c := range []struct{ in, want int }{{1 << 40, 6}, {7, 6}, {6, 6}, {4, 4}, {0, 1}, {-3, 1}} {
-		got, err := Assemble(&Parts{Kind: "ivf-flat", Coarse: ix.coarse, NProbe: c.in, Lists: ix.lists, Vectors: data}, data.Rows)
+		got, err := assemble(&parts{Kind: "ivf-flat", Coarse: ix.coarse, NProbe: c.in, Lists: ix.lists, Vectors: data}, data.Rows)
 		if err != nil {
 			t.Fatal(err)
 		}

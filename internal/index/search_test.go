@@ -34,7 +34,6 @@ func TestSearchContract(t *testing.T) {
 	}
 	dyn := NewDynamic(sh, 0)
 	dyn.Add(data.Row(3))
-	dyn.Delete(5)
 	kinds := map[string]Index{"flat": NewFlat(data), "pq": pqIx, "fast-scan": fs, "ivf": ivf, "sharded": sh, "dynamic": dyn}
 
 	done, cancel := context.WithCancel(context.Background())

@@ -1,8 +1,6 @@
 package kg
 
 import (
-	"bytes"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
@@ -173,28 +171,18 @@ func (g *Graph) validate() error {
 	return nil
 }
 
-// Read deserializes a Graph written by Write — or, read-only legacy, the gob
-// stream Write produced before graph files were containers.
-func Read(r io.Reader) (*Graph, error) {
-	return decode(io.ReadAll(r))
-}
-
-// LoadFile reads a graph previously written with SaveFile.
+// LoadFile reads a graph previously written with SaveFile. A file that is
+// not a v4 container fails with an error that wraps artifact.ErrNotV4.
 func LoadFile(path string) (*Graph, error) {
-	return decode(os.ReadFile(path))
-}
-
-func decode(data []byte, err error) (*Graph, error) {
+	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
 	}
-	if !artifact.Sniff(data) {
-		g := &Graph{} // gob matches the old wire struct's fields by name
-		if err := gob.NewDecoder(bytes.NewReader(data)).Decode(g); err != nil {
-			return nil, err
-		}
-		return g, g.validate()
-	}
+	return decode(data)
+}
+
+// decode reads a graph from the bytes Write produced.
+func decode(data []byte) (*Graph, error) {
 	af, err := artifact.Decode(data)
 	if err != nil {
 		return nil, err

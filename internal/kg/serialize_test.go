@@ -2,7 +2,9 @@ package kg
 
 import (
 	"bytes"
+	"encoding/gob"
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -49,44 +51,37 @@ func sameGraph(t *testing.T, want, got *Graph) {
 	}
 }
 
-// TestLegacyGobToFlat is the migration: a graph file written by the gob
-// writer this package had before (testdata/graph_v0.gob, Generate's default
-// 300-entity Wikidata graph) still loads, re-saves as a container, and
-// re-loads as the same graph.
-func TestLegacyGobToFlat(t *testing.T) {
-	const legacy = "testdata/graph_v0.gob"
-	if head, err := os.ReadFile(legacy); err != nil || artifact.Sniff(head) {
-		t.Fatalf("fixture must be a readable gob stream: %v", err)
-	}
-	old, err := LoadFile(legacy)
-	if err != nil {
+// notV4 is what a graph file that predates the container looks like — a
+// gob stream of the Graph, as Write produced before — and two more files
+// without the magic.
+func notV4(t testing.TB) map[string][]byte {
+	t.Helper()
+	var stream bytes.Buffer
+	if err := gob.NewEncoder(&stream).Encode(firstGraph(t, 20)); err != nil {
 		t.Fatal(err)
 	}
-	fresh, _ := Generate(DefaultGeneratorConfig(WikidataProfile, 300))
-	sameGraph(t, fresh, old)
+	return map[string][]byte{"gob stream": stream.Bytes(), "empty": {}, "8 random bytes": {0x9c, 0x41, 0x07, 0xee, 0x5a, 0x13, 0xd2, 0x68}}
+}
 
-	path := filepath.Join(t.TempDir(), "graph.bin")
-	if err := old.SaveFile(path); err != nil {
-		t.Fatal(err)
+// TestLoadFileRefusesNonV4: LoadFile reads the container and nothing else,
+// and says so with artifact.ErrNotV4.
+func TestLoadFileRefusesNonV4(t *testing.T) {
+	for name, data := range notV4(t) {
+		path := filepath.Join(t.TempDir(), "graph.bin")
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if g, err := LoadFile(path); !errors.Is(err, artifact.ErrNotV4) {
+			t.Errorf("%s: LoadFile = %v, %v; want artifact.ErrNotV4", name, g, err)
+		}
 	}
-	if head, _ := os.ReadFile(path); !artifact.Sniff(head) {
-		t.Fatal("SaveFile did not write a container")
-	}
-	flat, err := LoadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if flat.Indexed() {
-		t.Fatal("LoadFile built an index")
-	}
-	sameGraph(t, old, flat)
 }
 
 // TestDecodedSlicesAreClipped: the decode backs every entity's aliases and
 // types with one shared array each, so an append through one entity's slice
 // must reallocate, never write into its neighbour's.
 func TestDecodedSlicesAreClipped(t *testing.T) {
-	g, err := Read(bytes.NewReader(flatBytes(t, firstGraph(t, 50))))
+	g, err := decode(flatBytes(t, firstGraph(t, 50)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,28 +117,24 @@ func exercise(g *Graph) {
 	g.Stats()
 }
 
-// FuzzReadGraph covers the whole sniff-and-dispatch: container and legacy
-// gob. Whatever Read accepts must be safe to use and must survive a
-// re-save.
+// FuzzReadGraph covers the graph reader. Whatever it accepts must be safe
+// to use and must survive a re-save; a gob stream, the format before the
+// container, is one seed and must be refused.
 func FuzzReadGraph(f *testing.F) {
-	legacy, err := os.ReadFile("testdata/graph_v0.gob")
-	if err != nil {
-		f.Fatal(err)
-	}
-	f.Add(legacy)
+	f.Add(notV4(f)["gob stream"])
 	f.Add(flatBytes(f, firstGraph(f, 20)))
 	f.Add(flatBytes(f, NewGraph("empty")))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		g, err := Read(bytes.NewReader(data))
+		g, err := decode(data)
 		if err != nil {
 			return
 		}
 		exercise(g)
 		var buf bytes.Buffer
 		if err := g.Write(&buf); err != nil {
-			return // a gob stream may hold a fact with both object and literal
+			t.Fatalf("re-saving an accepted graph: %v", err)
 		}
-		again, err := Read(&buf)
+		again, err := decode(buf.Bytes())
 		if err != nil {
 			t.Fatalf("re-reading a re-saved graph: %v", err)
 		}
@@ -160,7 +151,7 @@ func TestGraphFileDamage(t *testing.T) {
 	want := firstGraph(t, 20)
 	data := flatBytes(t, want)
 	for n := 0; n < len(data); n++ {
-		if _, err := Read(bytes.NewReader(data[:n])); err == nil {
+		if _, err := decode(data[:n]); err == nil {
 			t.Fatalf("file truncated to %d of %d bytes loaded", n, len(data))
 		}
 	}
@@ -168,7 +159,7 @@ func TestGraphFileDamage(t *testing.T) {
 	for i := range data {
 		copy(flipped, data)
 		flipped[i] ^= 0xFF
-		g, err := Read(bytes.NewReader(flipped))
+		g, err := decode(flipped)
 		if err != nil {
 			continue
 		}
@@ -286,13 +277,13 @@ func TestGraphFileLies(t *testing.T) {
 		{"fewer props than facts name", "meta", meta(func(m *graphMeta) { m.Props = m.Props[:1] })},
 	}
 	for _, c := range cases {
-		if g, err := Read(bytes.NewReader(resection(t, data, c.section, c.edit))); err == nil {
+		if g, err := decode(resection(t, data, c.section, c.edit)); err == nil {
 			t.Errorf("%s: loaded a graph of %d entities", c.name, len(g.Entities))
 		}
 	}
 	// The harness itself: an edit that changes nothing still loads.
 	same := resection(t, data, "facts", ints(func(v []int32) []int32 { return v }))
-	if _, err := Read(bytes.NewReader(same)); err != nil {
+	if _, err := decode(same); err != nil {
 		t.Fatalf("identity resection: %v", err)
 	}
 	// A model artifact is a container too, and not a graph.
@@ -302,7 +293,7 @@ func TestGraphFileLies(t *testing.T) {
 	if _, err := w.WriteTo(&other); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Read(&other); err == nil {
+	if _, err := decode(other.Bytes()); err == nil {
 		t.Fatal("a container without graph sections loaded")
 	}
 	// Write refuses what the format cannot hold rather than dropping it.
@@ -321,7 +312,7 @@ func TestGraphFileLies(t *testing.T) {
 // goroutine finds the index the last one leaves published — and every answer
 // equals an eagerly Reindexed twin's. Run under -race by scripts/verify.sh.
 func TestFirstUseConcurrent(t *testing.T) {
-	loaded, err := Read(bytes.NewReader(flatBytes(t, firstGraph(t, 400))))
+	loaded, err := decode(flatBytes(t, firstGraph(t, 400)))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -268,16 +268,6 @@ func (m *Model) KnownMentionHashes() []int {
 	return out
 }
 
-// SetKnownMentionHashes restores a serialized known-mention set into the
-// in-process map (the gob compatibility path).
-func (m *Model) SetKnownMentionHashes(hs []int) {
-	m.known = make(map[int]struct{}, len(hs))
-	m.knownView = nil
-	for _, h := range hs {
-		m.known[h] = struct{}{}
-	}
-}
-
 // SetKnownMentionView attaches a sorted (ascending) known-mention list as a
 // read-only view — typically a v4 artifact section aliasing an mmap, which
 // must stay alive as long as the model. Nothing is copied and no map is

@@ -1,6 +1,7 @@
 package ngram
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -84,8 +85,13 @@ func TestKnownMentionRoundTrip(t *testing.T) {
 	if len(hs) != 2 {
 		t.Fatalf("hashes = %v", hs)
 	}
+	view := make([]int64, len(hs)) // sorted, as a v4 artifact stores it
+	for i, h := range hs {
+		view[i] = int64(h)
+	}
+	slices.Sort(view)
 	m2 := NewModel(8, 512, 5)
-	m2.SetKnownMentionHashes(hs)
+	m2.SetKnownMentionView(view)
 	_, a := m2.EmbedParts("alpha")
 	zero := true
 	for _, v := range a {

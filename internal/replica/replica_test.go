@@ -236,14 +236,19 @@ func ingestItems() []core.IngestItem {
 
 // comparator builds the single-process ground truth for routed ingest: the
 // full model with its own graph copy and a dynamic delta index, with the
-// same items applied in the same order.
+// same items applied in the same order. The test's cleanup closes the
+// ingestor and both siblings.
 func comparator(t *testing.T, m *core.EmbLookup, items []core.IngestItem) *core.EmbLookup {
 	t.Helper()
-	cm := m.WithGraph(m.Graph().Clone()).WithDynamicIndex(4096)
+	withGraph := m.WithGraph(m.Graph().Clone())
+	t.Cleanup(func() { withGraph.Close() })
+	cm := withGraph.WithDynamicIndex(4096)
+	t.Cleanup(func() { cm.Close() })
 	ing, err := cm.NewIngestor(64)
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(ing.Close)
 	for _, it := range items {
 		if err := ing.Enqueue(it); err != nil {
 			t.Fatal(err)

@@ -1,17 +1,22 @@
 package server
 
 import (
+	"bytes"
+	"encoding/gob"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 
+	"emblookup/internal/artifact"
 	"emblookup/internal/obs"
 	"emblookup/internal/tenant"
 )
@@ -348,6 +353,96 @@ func TestTenantReload(t *testing.T) {
 	tn, _ := reg.Tenant("wd")
 	if !tn.Loaded() {
 		t.Fatal("tenant unloaded after reload")
+	}
+}
+
+// TestTenantReloadRefusesNonV4: a reload whose model or graph file is not a
+// v4 artifact — a gob stream, as builds before v4 wrote, an empty file, 8
+// random bytes — answers 503 model_unavailable with an error that wraps
+// artifact.ErrNotV4, and the tenant keeps answering from the generation it
+// had.
+func TestTenantReloadRefusesNonV4(t *testing.T) {
+	goodGraph, goodModel := tenantArtifacts(t)
+	g, _ := testModel(t)
+	dir := t.TempDir()
+	// Each file is swapped by rename, so the live generation's mapping of
+	// the old model file stays valid.
+	place := func(path string, data []byte) {
+		t.Helper()
+		tmp := path + ".tmp"
+		if err := os.WriteFile(tmp, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.Rename(tmp, path); err != nil {
+			t.Fatal(err)
+		}
+	}
+	good := map[string][]byte{}
+	for name, src := range map[string]string{"graph.bin": goodGraph, "model.bin": goodModel} {
+		data, err := os.ReadFile(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		good[name] = data
+		place(filepath.Join(dir, name), data)
+	}
+	ts, reg := tenantTestServer(t, tenant.TenantConfig{Name: "wd", Graph: filepath.Join(dir, "graph.bin"), Model: filepath.Join(dir, "model.bin"), Shards: 1, Preload: true})
+	tn, _ := reg.Tenant("wd")
+	q := url.QueryEscape(g.Entities[0].Label + "x")
+	answer := func() []Hit {
+		t.Helper()
+		resp, err := ts.Client().Get(ts.URL + "/t/wd/lookup?k=5&q=" + q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		var lr LookupResponse
+		if resp.StatusCode != 200 || json.NewDecoder(resp.Body).Decode(&lr) != nil || len(lr.Results) == 0 {
+			t.Fatalf("lookup: status %d, %+v", resp.StatusCode, lr)
+		}
+		return lr.Results
+	}
+	reload := func() int {
+		t.Helper()
+		resp, err := ts.Client().Post(ts.URL+"/t/wd/reload", "", nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != 200 {
+			if code := decodeErrorBody(t, resp).Code; code != "model_unavailable" {
+				t.Fatalf("reload refused with code %q, want model_unavailable", code)
+			}
+		}
+		return resp.StatusCode
+	}
+	before := answer()
+
+	var stream bytes.Buffer
+	if err := gob.NewEncoder(&stream).Encode(struct{ Version int }{3}); err != nil {
+		t.Fatal(err)
+	}
+	inputs := map[string][]byte{"gob stream": stream.Bytes(), "empty": {}, "8 random bytes": {0x9c, 0x41, 0x07, 0xee, 0x5a, 0x13, 0xd2, 0x68}}
+	for input, data := range inputs {
+		for _, file := range []string{"graph.bin", "model.bin"} {
+			place(filepath.Join(dir, file), data)
+			if code := reload(); code != http.StatusServiceUnavailable {
+				t.Fatalf("%s as %s: reload status %d, want 503", input, file, code)
+			}
+			if err := tn.Swap(); !errors.Is(err, artifact.ErrNotV4) {
+				t.Fatalf("%s as %s: Swap error %v, want artifact.ErrNotV4", input, file, err)
+			}
+			if after := answer(); !slices.Equal(after, before) {
+				t.Fatalf("%s as %s: the tenant answers %+v after the refused reload, %+v before", input, file, after, before)
+			}
+			place(filepath.Join(dir, file), good[file])
+		}
+	}
+	if code := reload(); code != 200 {
+		t.Fatalf("reload of the restored files: status %d", code)
+	}
+	if after := answer(); !slices.Equal(after, before) {
+		t.Fatalf("the reloaded generation answers %+v, the first %+v", after, before)
 	}
 }
 

@@ -43,6 +43,17 @@ echo "== every declaration under internal/ is reachable from a program =="
 # live code goes on the command's allowlist with that test's name.
 go run ./cmd/deadcode
 
+echo "== no program links encoding/gob =="
+# Every model and graph file is a v4 container (DESIGN.md §12), and the gob
+# package is not hardened against adversarial input: no non-test package
+# may import it, directly or through a dependency. Tests still encode gob
+# streams, to check that every loader refuses them.
+deps=$(go list -deps ./...)
+if grep -qx 'encoding/gob' <<<"$deps"; then
+    echo "verify: a non-test package links encoding/gob" >&2
+    exit 1
+fi
+
 echo "== no sleeps in non-test Go under internal/ =="
 # Waits synchronize on events: a drain closes a channel, a backoff races a
 # timer against the request's context (DESIGN.md §9, §14). A time.Sleep in
@@ -149,10 +160,11 @@ go test -run '^$' -fuzz FuzzLowerInto -fuzztime 10s ./internal/core
 
 echo "== artifact parser fuzz (short) =="
 # 10 seconds of coverage-guided input on the v4 section parser and the
-# model-read dispatch (v4 magic sniffing plus the read-only gob path),
-# seeded from the golden gob file and its v4 rewrite, and on the meta
-# section alone, re-emitted with valid checksums so the config and shapes
-# it names reach the reader's own checks. The checked-in corpora under
+# model read, seeded from the golden v4 models whole and cut short and from
+# files without the magic (a gob stream among them, which must fail with
+# artifact.ErrNotV4), and on the meta section alone, re-emitted with valid
+# checksums so the config and shapes it names reach the reader's own
+# checks. The checked-in corpora under
 # testdata/ always run as part of go test; this adds a short exploration
 # pass so new parser bugs surface pre-merge. Whole-artifact inputs are a
 # few hundred KB: minimizing each new one for the default minute would
@@ -160,9 +172,8 @@ echo "== artifact parser fuzz (short) =="
 go test -run '^$' -fuzz FuzzParse -fuzztime 10s ./internal/artifact
 go test -run '^$' -fuzz 'FuzzReadArtifact$' -fuzztime 10s -fuzzminimizetime 20x ./internal/core
 go test -run '^$' -fuzz FuzzReadArtifactMeta -fuzztime 10s ./internal/core
-# Graph files are containers too, with a read-only gob path behind the same
-# magic sniff (DESIGN.md §12): whatever kg.Read accepts must be safe to
-# index and to re-save.
+# Graph files are containers too (DESIGN.md §12): whatever the graph reader
+# accepts must be safe to index and to re-save, and a gob stream is refused.
 go test -run '^$' -fuzz FuzzReadGraph -fuzztime 10s ./internal/kg
 
 echo "== request parser fuzz (short) =="
@@ -206,9 +217,9 @@ go test -run '^$' -bench 'BenchmarkEmbed' -benchmem -benchtime 20000x .
 go test -run '^$' -bench 'BenchmarkIndexBuild' -benchmem -benchtime 2x .
 
 echo "== graph load and clone benchmarks (short, 100k entities) =="
-# kg.LoadFile of the flat container vs the legacy gob stream, Clone, and
-# the first-use index builds a load no longer pays: B/op and allocs/op are
-# the rows to read (flat ≈ 43 MB / 74 allocs, neither growing an index).
+# kg.LoadFile of the container, Clone, and the first-use index builds a
+# load no longer pays: B/op and allocs/op are the rows to read (load ≈
+# 43 MB / 74 allocs, growing no index).
 go test -run '^$' -bench 'BenchmarkGraph' -benchmem -benchtime 3x .
 
 echo "== fast-scan kernel benchmark (short, both builds) =="
