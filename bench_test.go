@@ -255,8 +255,9 @@ func BenchmarkPQSearch(b *testing.B) {
 // query re-ranks exactly (index.FastScanCounts), the count the timing rides
 // on — and clustered100k is the scan at the benchmark's scale over rows that
 // cluster as label embeddings do (independent Gaussian rows, every one about
-// as far from a query as the next, prune unlike them), solo and, as
-// clustered100k_batch64, as one batch.
+// as far from a query as the next, prune unlike them; the index stores them
+// by k-means cluster and a query scans only the clusters that can hold a
+// winner, DESIGN.md §11), solo and, as clustered100k_batch64, as one batch.
 func BenchmarkFastScan(b *testing.B) {
 	data := mathx.NewMatrix(20000, 64)
 	data.FillRandn(mathx.NewRNG(9), 1)
@@ -309,10 +310,9 @@ func BenchmarkFastScan(b *testing.B) {
 			b.ReportMetric(float64(index.ReadFastScanCounts().Candidates-before.Candidates)/float64(b.N*len(queries)), "cand/query")
 		}
 	}
-	// A batch of four is one group of either kernel: four queries per pass
-	// over the codes, each lane pruning as its solo scan would (on AVX2 the
-	// four-lane loop of the assembly kernel, elsewhere the query-major group
-	// kernel, LUT packing included).
+	// A batch of four: four pruned scans, one per query, as a bulk request
+	// runs them (table preparation and the batch's result slices
+	// included).
 	b.Run("batch4", batch(fs, [][]float32{data.Row(0), data.Row(1), data.Row(2), data.Row(3)}))
 	// 100 000 rows around 100 centres, 64 queries each a stored row nudged
 	// off its place; built on first use.

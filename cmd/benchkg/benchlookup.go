@@ -140,8 +140,7 @@ func benchLookup(path string, entities int, seed uint64) error {
 				dst, _ = scanFS.Search(context.Background(), &s, scanQ, 10, dst)
 			}
 		}},
-		// A batch of four, one worker (one group of either kernel: the AVX2
-		// kernel's four-lane loop, or off AVX2 the query-major kernel):
+		// A batch of four, one worker (four scans, one per query):
 		// ns_per_op is four queries' scan, so a quarter of it compares with
 		// the scan_fastscan row.
 		{"scan_fastscan_batch4", map[string]float64{"rows": scanRows, "queries": 4}, func(b *testing.B) {

@@ -726,8 +726,8 @@ func TestMergeHitsDedupe(t *testing.T) {
 // TestClusterFastScan runs the scatter-gather path over a fast-scan model:
 // each partition re-interleaves its row slice, and the merged cluster answer
 // must stay bit-identical to the single-process fast-scan lookup — also for
-// a routed batch, which every node scans with the query-major group kernel
-// over its bare partition.
+// a routed batch, which every node scans one query at a time over its bare
+// partition.
 func TestClusterFastScan(t *testing.T) {
 	g, m := testModel(t)
 	fs, err := m.WithIndex(index.Spec{Compress: true, FastScan: true, PQ: m.Config().PQ})

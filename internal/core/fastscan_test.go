@@ -72,7 +72,7 @@ func TestFastScanShardedBitIdentical(t *testing.T) {
 			}
 		}
 	}
-	// The batch path (query-major groups) must agree too — over the shards,
+	// The batch path (one scan per query) must agree too — over the shards,
 	// and over the bare index, which scans a batch as one range.
 	for name, m := range map[string]*EmbLookup{"sharded": sh, "bare": fs} {
 		bulk := m.BulkLookup(queries, 10, 4)

@@ -284,11 +284,27 @@ func trimIdx(idx []int) []int {
 
 // EmbeddingMatrix builds the N×Dim matrix of embeddings for the given
 // strings (used by the index builder and the compression experiments).
+// Each distinct string is embedded once and its row copied to every
+// repeat (labels repeat: 90 742 distinct of 100 000 on the benchmark
+// graph); an embedding is a pure function of its string, so the matrix is
+// bit-identical to embedding every string.
 func (e *EmbLookup) EmbeddingMatrix(strs []string, parallelism int) *mathx.Matrix {
-	vecs := e.EmbedAll(strs, parallelism)
-	m := mathx.NewMatrix(len(vecs), e.cfg.Dim)
-	for i, v := range vecs {
-		copy(m.Row(i), v)
+	first := make(map[string]int, len(strs))
+	src := make([]int, len(strs)) // row i copies distinct[src[i]]
+	var distinct []string
+	for i, s := range strs {
+		j, ok := first[s]
+		if !ok {
+			j = len(distinct)
+			first[s] = j
+			distinct = append(distinct, s)
+		}
+		src[i] = j
+	}
+	vecs := e.EmbedAll(distinct, parallelism)
+	m := mathx.NewMatrix(len(strs), e.cfg.Dim)
+	for i, j := range src {
+		copy(m.Row(i), vecs[j])
 	}
 	return m
 }

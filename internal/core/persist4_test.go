@@ -241,10 +241,11 @@ func TestLoadFileRefusesNonV4(t *testing.T) {
 
 // rewriteSections re-emits a v4 artifact with the payloads of the named
 // sections replaced (a *mathx.Matrix replaces a float32 section's shape
-// too) and every other section as it was. Checksums are
+// too) and every other section as it was; a named section the artifact
+// lacks is added at the end, in name order. Checksums are
 // recomputed, so only the reader's own shape checks stand between the edit
 // and a loaded model.
-func rewriteSections(t *testing.T, data []byte, repl map[string]any) []byte {
+func rewriteSections(t testing.TB, data []byte, repl map[string]any) []byte {
 	t.Helper()
 	af, err := artifact.Decode(data)
 	if err != nil {
@@ -270,26 +271,109 @@ func rewriteSections(t *testing.T, data []byte, repl map[string]any) []byte {
 		if r, ok := repl[s.Name]; ok {
 			v = r
 		}
-		switch v := v.(type) {
-		case []byte:
-			aw.AddBytes(s.Name, v)
-		case []float32:
-			aw.AddFloat32s(s.Name, v, s.Rows, s.Cols)
-		case *mathx.Matrix:
-			aw.AddFloat32s(s.Name, v.Data, v.Rows, v.Cols)
-		case []int32:
-			aw.AddInt32s(s.Name, v)
-		case []int64:
-			aw.AddInt64s(s.Name, v)
-		case json.RawMessage:
-			aw.AddJSON(s.Name, v)
+		addSection(aw, s.Name, v, s.Rows, s.Cols)
+	}
+	var added []string
+	for name := range repl {
+		if af.Section(name) == nil {
+			added = append(added, name)
 		}
+	}
+	slices.Sort(added)
+	for _, name := range added {
+		addSection(aw, name, repl[name], 0, 0)
 	}
 	var buf bytes.Buffer
 	if _, err := aw.WriteTo(&buf); err != nil {
 		t.Fatal(err)
 	}
 	return buf.Bytes()
+}
+
+// addSection writes one section of rewriteSections by its payload's type.
+func addSection(aw *artifact.Writer, name string, v any, rows, cols int) {
+	switch v := v.(type) {
+	case []byte:
+		aw.AddBytes(name, v)
+	case []float32:
+		aw.AddFloat32s(name, v, rows, cols)
+	case *mathx.Matrix:
+		aw.AddFloat32s(name, v.Data, v.Rows, v.Cols)
+	case []int32:
+		aw.AddInt32s(name, v)
+	case []int64:
+		aw.AddInt64s(name, v)
+	case json.RawMessage:
+		aw.AddJSON(name, v)
+	}
+}
+
+// fastScanLayouts are golden_v3 (the fast-scan golden, 80 rows in id order)
+// with cluster-layout sections added: "two clusters", a valid layout (the
+// rows reversed, split in two, the blocks under fs_blocks), and layouts
+// attach must refuse — ids that repeat one and miss another, an id past the
+// rows, bounds that stop short and bounds that fall, ids without bounds,
+// and a layout whose blocks are still under the id-order name.
+func fastScanLayouts(tb testing.TB) map[string][]byte {
+	tb.Helper()
+	v3 := goldenFile(tb, "golden_v3.bin")
+	af, err := artifact.Decode(v3)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	blocks := af.Section("blocks").Bytes()
+	const n = 80
+	ids := make([]int32, n)
+	for i := range ids {
+		ids[i] = int32(n - 1 - i)
+	}
+	dup, past := slices.Clone(ids), slices.Clone(ids)
+	dup[1], past[5] = dup[0], n
+	layouts := map[string][]byte{}
+	for name, l := range map[string]struct {
+		ids    []int32
+		bounds []int64
+	}{
+		"two clusters":       {ids, []int64{0, 40, n}},
+		"not a permutation":  {dup, []int64{0, 40, n}},
+		"id past the rows":   {past, []int64{0, 40, n}},
+		"bounds stop short":  {ids, []int64{0, 40, n - 1}},
+		"bounds fall":        {ids, []int64{0, 50, 40, n}},
+		"ids without bounds": {ids, nil},
+		"blocks in id order": {ids, []int64{0, 40, n}},
+	} {
+		repl := map[string]any{"fs_ids": l.ids}
+		if l.bounds != nil {
+			repl["fs_bounds"] = l.bounds
+		}
+		if name != "blocks in id order" {
+			repl["fs_blocks"] = blocks
+		}
+		layouts[name] = rewriteSections(tb, v3, repl)
+	}
+	return layouts
+}
+
+// TestFastScanLayoutAttach: a fast-scan artifact with a valid cluster
+// layout attaches and answers; one whose ids are not a permutation of its
+// rows, or whose bounds do not span them in order, fails closed at attach.
+func TestFastScanLayoutAttach(t *testing.T) {
+	g := goldenGraph()
+	for name, data := range fastScanLayouts(t) {
+		m, err := decodeModel(data, g)
+		if name == "two clusters" {
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if got := m.Lookup(g.Entities[0].Label, 3); len(got) != 3 {
+				t.Fatalf("%s: %d answers", name, len(got))
+			}
+			continue
+		}
+		if err == nil {
+			t.Fatalf("%s: attached", name)
+		}
+	}
 }
 
 // withIndexRerank returns the meta section of v4 with the index's re-rank
@@ -484,7 +568,8 @@ func FuzzReadArtifactMeta(f *testing.F) {
 // FuzzReadArtifact hammers the whole model read — the v4 section parser
 // and the attach path — with arbitrary bytes, seeded from every golden
 // (weights only, PQ, fast-scan, Flat, IVF-Flat, IVF-PQ with and without
-// re-rank) whole and cut short, and from files without the magic: a gob
+// re-rank) whole and cut short, from the fast-scan golden with cluster
+// layouts valid and not (fastScanLayouts), and from files without the magic: a gob
 // stream, the format before v4. A read must return an error or a valid
 // model, never panic, and never allocate proportionally to corrupt header
 // fields; a file without the magic fails with artifact.ErrNotV4.
@@ -494,6 +579,9 @@ func FuzzReadArtifact(f *testing.F) {
 		v4 := goldenFile(f, file)
 		f.Add(v4)
 		f.Add(v4[:len(v4)/2])
+	}
+	for _, layout := range fastScanLayouts(f) {
+		f.Add(layout)
 	}
 	f.Add([]byte(artifact.Magic))
 	bad := notV4(f)

@@ -21,82 +21,43 @@ func randomNibbles(n, m4, ks int, seed uint64) []byte {
 	return nib
 }
 
-// TestFastScanGroupLanesNeverCarry drives the group kernel at the widest
-// code it serves (M4 = fsGroupMaxM4) with every lut8 entry of lanes 0 and 2
-// at 255, so those lanes hold the largest sum a lane can (128·255 = 32640)
-// on every row and their limit clamps to the lane. A carry or borrow out of
-// a saturated lane would corrupt lanes 1 and 3, which scan ordinary
-// queries; every lane must still equal the plain float32 scan of its table.
-func TestFastScanGroupLanesNeverCarry(t *testing.T) {
-	const m4, n, k = fsGroupMaxM4, 3*fsBlock + 5, 7
+// TestFastScanPortableSumsNeverWrap drives the portable kernel at the
+// widest even code a configuration may name (M4 = 256) with every lut8
+// entry at 255, so every row's 16-bit sum is 256·255 = 65280, the largest
+// one can be: it must read exactly that, never wrapped, and with the
+// largest limit the scan must still equal the plain float32 scan.
+func TestFastScanPortableSumsNeverWrap(t *testing.T) {
+	const m4, n, k = quant.MaxM4 - 1, 3*fsBlock + 5, 7
 	ix := syntheticFastScan(randomNibbles(n, m4, quant.Ks4, 1), m4, quant.Ks4, n)
 	rng := mathx.NewRNG(2)
-	for _, cb := range ix.pq.Codebooks {
-		for c := range cb.Data {
-			cb.Data[c] = rng.Float32()
+	table, lut8 := make([]float32, ix.stateLen()), make([]uint8, ix.stateLen())
+	// Every distance is at least 255 per sub-quantizer, so 255 per entry at
+	// scale 1 is a valid floor of the table.
+	for i := range table {
+		table[i], lut8[i] = 255+rng.Float32(), 255
+	}
+	fused := make([]uint16, m4/2*256)
+	fsFuse(fused, lut8, m4/2)
+	var qd [fsBlock]uint16
+	fsAccumulate(&qd, fused, ix.blocks, m4/2)
+	for r, v := range qd {
+		if v != m4*255 {
+			t.Fatalf("row %d: sum %d, want %d", r, v, m4*255)
 		}
 	}
-	remakeQuantizer(ix)
-	fq := make([]fsQuery, fsLanes)
-	for l := range fq {
-		table, lut8 := make([]float32, ix.stateLen()), make([]uint8, ix.stateLen())
-		if l%2 == 1 {
-			q := make([]float32, m4)
-			for m := range q {
-				q[m] = rng.Float32()
-			}
-			fq[l] = ix.quantize(ix.prepareInto(q, table), lut8, 0, 0)
-			continue
-		}
-		// Every distance is at least 255 per sub-quantizer, so 255 per entry
-		// at scale 1 is a valid floor of the table.
-		for i := range table {
-			table[i], lut8[i] = 255+rng.Float32(), 255
-		}
-		fq[l] = newFSQuery(table, lut8, 0, 1, m4*256)
-	}
-
-	s := &Scratch{}
-	var qd [fsBlock]uint64
-	fsAccumulate(&qd, fuseLanes(s, fq, m4/2), ix.blocks, m4/2)
-	for r, w := range qd {
-		if lane0, lane2 := w&0xffff, w>>32&0xffff; lane0 != m4*255 || lane2 != m4*255 {
-			t.Fatalf("row %d: saturated lanes hold %d and %d, want %d", r, lane0, lane2, m4*255)
-		}
-	}
-
-	heaps := make([]topK, fsLanes)
-	for l := range heaps {
-		heaps[l].reset(k)
-	}
-	ix.scanGroup(fq, s, heaps, 0, n)
-	for l := range fq {
-		plain := newTopK(k)
-		ix.scanPlain4(fq[l].table, plain, 0, n)
-		sameResults(t, "lane beside a saturated lane", plain.sorted(), heaps[l].sorted())
-	}
+	plain, got := newTopK(k), newTopK(k)
+	ix.scanPlain4(table, plain, 0, n)
+	ix.kernelScan(table, &Scratch{}, got, 0, n, false)
+	sameResults(t, "portable kernel at the widest code", plain.sorted(), got.sorted())
 }
 
-// fuseLanes packs the group's LUTs the way scanGroup does.
-func fuseLanes(s *Scratch, fq []fsQuery, np int) []uint64 {
-	s.lut4 = resize(s.lut4, np*256)
-	clear(s.lut4)
-	for l := range fq {
-		fsFuse(s.lut4, fq[l].lut8, np, uint(l))
-	}
-	return s.lut4
-}
-
-// TestFastScanGroupFallbackWideCodes asserts a code too wide for the group
-// kernel's packed compare (M4 > fsGroupMaxM4: a lane's sum can reach its top
-// bit) is still answered exactly, solo and in batches, bare and sharded — by
-// the AVX2 kernel, whose compare is a full unsigned 16 bits, or off AVX2 by
-// the plain float scan of each range. Every row sits on each
-// sub-quantizer's far centroid, so every quantized sum is 130·255 = 33150 ≥
-// 0x8000 — sums a signed or lane-clamped compare would never admit — and
+// TestFastScanWideCodes asserts a code wider than a signed 16-bit sum
+// holds is answered exactly, solo and in batches, bare and sharded. Every
+// row sits on each sub-quantizer's far centroid, so every quantized sum is
+// 130·255 = 33150 ≥ 0x8000 — sums a signed compare would never admit — and
 // k > n asks for all of them.
-func TestFastScanGroupFallbackWideCodes(t *testing.T) {
-	const m4, n = fsGroupMaxM4 + 2, 2*fsBlock + 3
+func TestFastScanWideCodes(t *testing.T) {
+	const m4, n = 130, 2*fsBlock + 3
 	nib := make([]byte, n*m4)
 	for i := range nib {
 		nib[i] = 1
@@ -174,8 +135,8 @@ func TestBatchSearchCancelledMidBatch(t *testing.T) {
 }
 
 // TestShardedBatchConcurrent issues batches of mixed sizes — a batch of
-// one, masked remainders, full groups, enough groups to drop the shard
-// split — from 16 goroutines against one Sharded, and asserts every answer
+// one, batches split at the shard bounds, and enough queries to drop the
+// shard split — from 16 goroutines against one Sharded, and asserts every answer
 // equals the solo search. Under -race it is the batch path's race test.
 func TestShardedBatchConcurrent(t *testing.T) {
 	fs, data := buildFastScan(t, 9*fsBlock+17, 32, 31)

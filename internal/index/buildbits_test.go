@@ -19,6 +19,11 @@ import (
 // one argmin, one centroid bit or one code would change it.
 const buildBitsHash = "d3b688eaf2959cbf1f411537dd3845239035d5fa366186c1f6d8ac84b45a195f"
 
+// clusterLayoutHash is the SHA-256 of the fast-scan cluster layout the
+// same build produces (ids, bounds, masks), first computed when the layout
+// was introduced.
+const clusterLayoutHash = "421a3247e40f13e76fd9b9d2c1657550d567a43065a761ee3de8107f46bae96b"
+
 // clusteredData is n rows of dimension d around 24 Gaussian centres, the
 // shape label embeddings have, so k-means has real clusters to find and
 // ties between near-equal distances come up.
@@ -98,7 +103,14 @@ func TestBuildBitsPinned(t *testing.T) {
 		t.Fatal(err)
 	}
 	b.quantizer(fs.pq)
-	b.h.Write(fs.blocks)
+	// The codes in id order: the blocks an index stored in id order holds,
+	// whatever cluster layout this one has.
+	nib, byID := make([]byte, fs.pq.M), make([]byte, fs.n*fs.pq.M)
+	for pos := 0; pos < fs.n; pos++ {
+		fs.rowNibbles(pos, nib)
+		copy(byID[int(fs.id(pos))*fs.pq.M:], nib)
+	}
+	b.h.Write(interleave4(byID, fs.pq.M, fs.n))
 	for i := 0; i < 16; i++ {
 		b.floats(fs.pq.ADCTable(data.Row(i)))
 	}
@@ -120,5 +132,22 @@ func TestBuildBitsPinned(t *testing.T) {
 
 	if got := hex.EncodeToString(b.h.Sum(nil)); got != buildBitsHash {
 		t.Fatalf("index build bits hash %s, want %s", got, buildBitsHash)
+	}
+
+	// The fast-scan cluster layout, a step of its own: its ids, bounds and
+	// masks.
+	layout := bitsHash{sha256.New()}
+	if fs.clusters() < 2 {
+		t.Fatalf("fast-scan build over %d rows is not clustered", fs.n)
+	}
+	for _, id := range fs.ids {
+		layout.ints([]int{int(id)})
+	}
+	layout.ints(fs.bounds)
+	for _, m := range fs.masks {
+		layout.ints([]int{int(m)})
+	}
+	if got := hex.EncodeToString(layout.h.Sum(nil)); got != clusterLayoutHash {
+		t.Fatalf("fast-scan cluster layout hash %s, want %s", got, clusterLayoutHash)
 	}
 }

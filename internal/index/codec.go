@@ -27,7 +27,16 @@ import (
 //	list_ids        i32    ivf-*: concatenated inverted lists
 //	cb_%d           f32    pq/fastscan/ivf-pq: sub-codebook m
 //	codes           u8     pq: row-major codes
-//	blocks          u8     fastscan: 32-row interleaved blocks, verbatim
+//	blocks          u8     fastscan in id order: 32-row interleaved blocks, verbatim
+//	fs_blocks       u8     fastscan, clustered: the same, by position
+//	fs_ids          i32    fastscan, clustered: the row id at each position
+//	fs_bounds       i64    fastscan, clustered: prefix position offsets of
+//	                       the clusters (clusters+1); an artifact without
+//	                       the three is one cluster in id order. The
+//	                       clustered blocks have a name of their own so a
+//	                       build that predates the layout finds no blocks
+//	                       and refuses the artifact at attach, instead of
+//	                       reading positions as row ids
 //	list_codes      u8     ivf-pq: concatenated per-list residual codes
 //	vectors         f32    ivf-flat: the stored vectors; also written for
 //	                       ivf-pq when Meta.Rerank > 1 (exact re-rank
@@ -64,7 +73,9 @@ type parts struct {
 	Flat      *mathx.Matrix           // flat
 	Quant     *quant.ProductQuantizer // pq, fastscan, ivf-pq
 	Codes     []byte                  // pq: row-major codes
-	Blocks    []byte                  // fastscan: interleaved blocks
+	Blocks    []byte                  // fastscan: interleaved blocks (fs_blocks when clustered)
+	IDs       []int32                 // fastscan, clustered: position → row id
+	Clusters  []int64                 // fastscan, clustered: cluster position bounds
 	Coarse    *mathx.Matrix           // ivf-*
 	NProbe    int                     // ivf-*
 	Lists     [][]int32               // ivf-*
@@ -95,7 +106,17 @@ func WriteSections(aw *artifact.Writer, ix Index) (*Meta, error) {
 	case *FastScan:
 		mi.Kind = "fastscan"
 		mi.Quant = addQuantizer(aw, t.pq)
-		aw.AddBytes("blocks", t.blocks)
+		if t.ids == nil {
+			aw.AddBytes("blocks", t.blocks)
+			break
+		}
+		bounds := make([]int64, len(t.bounds))
+		for i, b := range t.bounds {
+			bounds[i] = int64(b)
+		}
+		aw.AddBytes("fs_blocks", t.blocks)
+		aw.AddInt32s("fs_ids", t.ids)
+		aw.AddInt64s("fs_bounds", bounds)
 	case *IVF:
 		aw.AddFloat32s("coarse", t.coarse.Data, t.coarse.Rows, t.coarse.Cols)
 		mi.NProbe = t.nprobe
@@ -160,6 +181,15 @@ func ReadSections(af *artifact.File, m *Meta, n int) (Index, error) {
 		p.Quant = &quant.ProductQuantizer{D: mq.D, M: mq.M, Ks: mq.Ks, Dsub: mq.Dsub}
 		for i := 0; i < mq.M; i++ {
 			p.Quant.Codebooks = append(p.Quant.Codebooks, sectionMatrix(af, fmt.Sprintf("cb_%d", i)))
+		}
+	}
+	if ids, bounds := af.Section("fs_ids"), af.Section("fs_bounds"); ids != nil || bounds != nil {
+		if ids == nil || bounds == nil || ids.Elem != artifact.ElemI32 || bounds.Elem != artifact.ElemI64 {
+			return nil, fmt.Errorf("index: fast-scan cluster sections need both fs_ids (i32) and fs_bounds (i64)")
+		}
+		p.Blocks, p.IDs, p.Clusters = sectionBytes(af, "fs_blocks"), ids.Int32s(), bounds.Int64s()
+		if p.IDs == nil {
+			p.IDs = []int32{}
 		}
 	}
 	var err error
@@ -316,9 +346,12 @@ func assemblePQ(p *parts) (*PQ, error) {
 }
 
 // assembleFastScan reads a trained 4-bit quantizer and the interleaved
-// blocks of n rows. Every nibble is validated: live rows must reference
-// trained centroids and the padding rows of the final partial block must
-// be zero.
+// blocks of n rows, and with a cluster layout its ids and bounds. Every
+// nibble is validated: live rows must reference trained centroids and the
+// padding rows of the final partial block must be zero. The ids must be a
+// permutation of [0, n) and the bounds must run from 0 to n without
+// falling; the clusters' code masks are recomputed from the codes, never
+// read from the file, so no bound can disagree with the rows it covers.
 func assembleFastScan(p *parts, n int) (*FastScan, error) {
 	q, err := assembleQuantizer(p.Quant)
 	if err != nil {
@@ -331,23 +364,63 @@ func assembleFastScan(p *parts, n int) (*FastScan, error) {
 		return nil, fmt.Errorf("index: fast-scan block array length %d for %d rows (want %d)", len(p.Blocks), n, fsBlocksLen(q.M, n))
 	}
 	ix := &FastScan{pq: q, blocks: p.Blocks, n: n, shared: true}
+	if p.IDs != nil {
+		if ix.ids, ix.bounds, err = checkClusters(p.IDs, p.Clusters, n); err != nil {
+			return nil, err
+		}
+		ix.masks = make([]uint16, fsMasksLen(ix.clusters(), q.M))
+		ix.supers = make([]uint16, fsMasksLen((ix.clusters()+fsGroup-1)/fsGroup, q.M))
+	}
 	nib := make([]byte, q.M)
 	rows := (n + fsBlock - 1) / fsBlock * fsBlock
-	for i := 0; i < rows; i++ {
+	for i, c := 0, 0; i < rows; i++ {
 		ix.rowNibbles(i, nib)
-		for m, c := range nib {
+		for m, v := range nib {
 			if i >= n {
-				if c != 0 {
-					return nil, fmt.Errorf("index: fast-scan padding row %d holds non-zero nibble %d", i, c)
+				if v != 0 {
+					return nil, fmt.Errorf("index: fast-scan padding row %d holds non-zero nibble %d", i, v)
 				}
 				continue
 			}
-			if int(c) >= q.Codebooks[m].Rows {
-				return nil, fmt.Errorf("index: fast-scan row %d references centroid %d of codebook %d (trained %d)", i, c, m, q.Codebooks[m].Rows)
+			if int(v) >= q.Codebooks[m].Rows {
+				return nil, fmt.Errorf("index: fast-scan row %d references centroid %d of codebook %d (trained %d)", i, v, m, q.Codebooks[m].Rows)
 			}
+		}
+		if ix.masks != nil && i < n {
+			for i >= ix.bounds[c+1] {
+				c++
+			}
+			ix.addMasks(c, nib)
 		}
 	}
 	return ix, nil
+}
+
+// checkClusters holds a fast-scan cluster layout to n rows: ids a
+// permutation of [0, n), bounds from 0 to n and never falling. It returns
+// the bounds as ints.
+func checkClusters(ids []int32, bounds []int64, n int) ([]int32, []int, error) {
+	if len(ids) != n {
+		return nil, nil, fmt.Errorf("index: fast-scan layout holds %d ids for %d rows", len(ids), n)
+	}
+	if len(bounds) < 2 || len(bounds) > n+2 || bounds[0] != 0 || bounds[len(bounds)-1] != int64(n) {
+		return nil, nil, fmt.Errorf("index: fast-scan cluster bounds (%d) do not span %d rows", len(bounds), n)
+	}
+	out := make([]int, len(bounds))
+	for c, b := range bounds {
+		if c > 0 && b < bounds[c-1] {
+			return nil, nil, fmt.Errorf("index: fast-scan cluster %d ends at %d before it starts at %d", c-1, b, bounds[c-1])
+		}
+		out[c] = int(b)
+	}
+	seen := make([]bool, n)
+	for pos, id := range ids {
+		if id < 0 || int(id) >= n || seen[id] {
+			return nil, nil, fmt.Errorf("index: fast-scan position %d holds id %d: the ids are not a permutation of [0,%d)", pos, id, n)
+		}
+		seen[id] = true
+	}
+	return ids, out, nil
 }
 
 // assembleIVF reads the coarse centroids, the lists, and either the raw
@@ -442,13 +515,43 @@ func Slice(ix Index, lo, hi int) (Index, error) {
 		m := t.pq.M
 		return &PQ{pq: t.pq, codes: t.codes[lo*m : hi*m : hi*m], n: hi - lo}, nil
 	case *FastScan:
-		out := &FastScan{pq: t.pq, n: hi - lo, blocks: make([]byte, fsBlocksLen(t.pq.M, hi-lo))}
-		nib := make([]byte, t.pq.M)
+		return sliceFastScan(t, lo, hi), nil
+	}
+	return nil, fmt.Errorf("index: %T cannot be sliced by rows (want *Flat, *PQ or *FastScan)", ix)
+}
+
+// sliceFastScan re-interleaves the rows of ids [lo, hi) into fresh blocks
+// (one pass over the codes; the quantizer is shared). A clustered index
+// keeps its layout: the slice holds each cluster's rows of the range, in
+// the parent's position order, as a cluster of its own (empty ones
+// dropped), with ids rebased and masks recomputed, so a partition node
+// prunes as the single process does.
+func sliceFastScan(t *FastScan, lo, hi int) *FastScan {
+	out := &FastScan{pq: t.pq, n: hi - lo, blocks: make([]byte, fsBlocksLen(t.pq.M, hi-lo))}
+	nib := make([]byte, t.pq.M)
+	if t.ids == nil {
 		for i := lo; i < hi; i++ {
 			t.rowNibbles(i, nib)
 			out.setRow(i-lo, nib)
 		}
-		return out, nil
+		return out
 	}
-	return nil, fmt.Errorf("index: %T cannot be sliced by rows (want *Flat, *PQ or *FastScan)", ix)
+	out.ids, out.bounds = make([]int32, 0, hi-lo), []int{0}
+	for c := range t.clusters() {
+		for pos := t.bounds[c]; pos < t.bounds[c+1]; pos++ {
+			if id := int(t.ids[pos]); id >= lo && id < hi {
+				t.rowNibbles(pos, nib)
+				out.setRow(len(out.ids), nib)
+				out.ids = append(out.ids, int32(id-lo))
+			}
+		}
+		if len(out.ids) > out.bounds[len(out.bounds)-1] {
+			out.bounds = append(out.bounds, len(out.ids))
+		}
+	}
+	if len(out.bounds) == 1 {
+		out.bounds = append(out.bounds, 0) // an empty slice: one empty cluster
+	}
+	out.computeMasks()
+	return out
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/bits"
+	"slices"
 
 	"emblookup/internal/mathx"
 	"emblookup/internal/obs"
@@ -14,7 +15,7 @@ import (
 // FastScan is the 4-bit fast-scan PQ index (DESIGN.md §11): the same
 // asymmetric-distance scan as PQ, restructured — FAISS's PQFastScan layout —
 // so the inner loop is a byte shuffle over register-resident integer tables
-// instead of a float32 walk of an 8 KB LUT. Three pieces cooperate:
+// instead of a float32 walk of an 8 KB LUT. Four pieces cooperate:
 //
 //   - 4-bit sub-quantizers (quant.Config4): twice the sub-quantizers at 16
 //     centroids each, so a row still costs M4/2 bytes — two nibble codes
@@ -23,24 +24,43 @@ import (
 //   - a block-interleaved code layout: codes for fsBlock (32) rows are
 //     transposed sub-quantizer-pair-major per block, so one 32-byte load is
 //     one pair's codes for 32 consecutive rows;
+//   - rows stored cluster by cluster (DESIGN.md §11 "Exact cluster
+//     pruning"): a query visits the clusters in ascending order of an exact
+//     lower bound on their rows' distances and stops at the first whose
+//     bound exceeds its k-th best distance;
 //   - per-query uint8 quantization of the distance table
 //     (quant.QuantizeTableInto): distances accumulate as integers, the
 //     early-abandon check is an integer compare, and the few surviving
 //     candidates are re-ranked with the exact float32 table.
 //
-// One kernel per platform scans it: the AVX2 assembly (fsScanRun) where the
-// CPU has it, saturating bytes over a table scaled to the k-th best distance;
-// the portable query-major group kernel (scanGroup) elsewhere, 16-bit lanes
-// over a full-spread table. Floor, clamp and saturation all round down, so
-// the integer prune can only over-admit; the exact re-rank then selects
-// under the canonical (Dist, ID) order, so results are bit-identical to a
-// plain float32 ADC scan of the same 4-bit codes (fuzz- and
-// property-tested, including adversarial all-ties tables).
+// One kernel per platform scans a cluster: the AVX2 assembly (fsScanRun)
+// where the CPU has it, saturating bytes over a table scaled to the k-th
+// best distance; the portable kernel (scanPortable) elsewhere, 16-bit sums
+// over a full-spread table. Floor, clamp, saturation and the cluster bound
+// all round down, so every prune can only over-admit; the exact re-rank
+// then selects under the canonical (Dist, ID) order, so results are
+// bit-identical to a plain float32 ADC scan of the same 4-bit codes in id
+// order (fuzz- and property-tested, including adversarial all-ties tables).
 type FastScan struct {
 	pq     *quant.ProductQuantizer // 4-bit: Ks == 16, even M
-	blocks []byte                  // ceil(n/32) blocks × (M/2)×32 bytes, pair-major
+	blocks []byte                  // ceil(n/32) blocks × (M/2)×32 bytes, pair-major, by position
 	n      int
-	shared bool // blocks alias memory this index does not own (possibly read-only mmap)
+	shared bool // blocks (and ids) alias memory this index does not own (possibly read-only mmap)
+
+	// The cluster layout. nil bounds is one cluster holding every row in id
+	// order (ids and masks nil too): every artifact written before the
+	// layout existed, and every index too small to cluster. Otherwise rows
+	// are stored cluster by cluster: cluster c holds positions
+	// [bounds[c], bounds[c+1]), ids[pos] is the row id stored at pos, and
+	// masks[fsMaskIndex(c, p, M)] has bit v set when some row of c takes
+	// code v at sub-quantizer p; supers[fsMaskIndex(g, p, M)] is the union
+	// of clusters fsGroup·g to fsGroup·g+fsGroup−1's. tail marks the last cluster as the rows appended
+	// since build or attach (Dynamic's compactions), which grows in place.
+	ids    []int32
+	bounds []int
+	masks  []uint16
+	supers []uint16 // the union of each fsGroup clusters' masks, laid out as masks
+	tail   bool
 }
 
 // fsBlock is the number of rows one interleaved block covers. 32 rows ×
@@ -75,10 +95,23 @@ func validate4(q *quant.ProductQuantizer) error {
 }
 
 // NewFastScan trains a 4-bit product quantizer on data (use
-// quant.Config4 to derive the configuration from an 8-bit one) and encodes
-// every row into the block-interleaved layout. Training and encoding fan
-// across cfg.Workers; codes are byte-identical at any worker count.
+// quant.Config4 to derive the configuration from an 8-bit one), clusters
+// the rows (fsClusterLevel, clusterRows) and encodes every row into the
+// block-interleaved layout, cluster by cluster — or in id order, when the
+// rows are too few to cluster or the clusters would not prune (prunes).
+// Training, clustering and encoding fan across cfg.Workers; the index is
+// byte-identical at any worker count.
 func NewFastScan(data *mathx.Matrix, cfg quant.PQConfig) (*FastScan, error) {
+	ix, err := newFastScan(data, cfg, fsClusterLevel(data.Rows))
+	if err == nil && ix.bounds != nil && !ix.prunes(data) {
+		ix.toIDOrder()
+	}
+	return ix, err
+}
+
+// newFastScan is NewFastScan with the clustering's fan-out named: level²
+// clusters, or one cluster in id order for level ≤ 1.
+func newFastScan(data *mathx.Matrix, cfg quant.PQConfig, level int) (*FastScan, error) {
 	if cfg.Ks != quant.Ks4 {
 		return nil, fmt.Errorf("index: fast-scan config needs Ks=%d, got %d (derive it with quant.Config4)", quant.Ks4, cfg.Ks)
 	}
@@ -90,36 +123,122 @@ func NewFastScan(data *mathx.Matrix, cfg quant.PQConfig) (*FastScan, error) {
 		return nil, err
 	}
 	ix := &FastScan{pq: q, n: data.Rows, blocks: make([]byte, fsBlocksLen(q.M, data.Rows))}
+	if level > 1 {
+		ix.ids, ix.bounds = clusterRows(data, level, cfg.Workers)
+	}
 	nibbles := make([][]byte, par.Workers(data.Rows, cfg.Workers))
-	par.ForEachWorker(data.Rows, cfg.Workers, func(w, i int) {
+	par.ForEachWorker(data.Rows, cfg.Workers, func(w, pos int) {
 		nib := nibbles[w]
 		if nib == nil {
 			nib = make([]byte, q.M)
 			nibbles[w] = nib
 		}
-		q.EncodeInto(data.Row(i), nib)
-		ix.setRow(i, nib)
+		q.EncodeInto(data.Row(int(ix.id(pos))), nib)
+		ix.setRow(pos, nib)
 	})
+	ix.computeMasks()
 	return ix, nil
+}
+
+// fsProbes is how many stored rows prunes scans the clustered index with.
+const fsProbes = 16
+
+// prunes reports whether the cluster layout pays for itself on data: scans
+// of fsProbes evenly strided stored rows at k = 10 (the served default)
+// visit at most half the rows on average. Rows that cluster, as label
+// embeddings do, visit a small share; rows with no cluster structure
+// (independent Gaussian coordinates) visit nearly all, and over those the
+// layout only adds the per-cluster costs to a full scan (DESIGN.md §11).
+func (ix *FastScan) prunes(data *mathx.Matrix) bool {
+	s, table := &Scratch{}, make([]float32, ix.stateLen())
+	var rows int64
+	for i := range fsProbes {
+		sc := fsScan{ix: ix, s: s, t: newTopK(10), table: ix.prepareInto(data.Row(i*data.Rows/fsProbes), table)}
+		ix.visitClusters(&sc, 0, ix.n)
+		rows += sc.c.Rows
+	}
+	return 2*rows <= int64(fsProbes*ix.n)
+}
+
+// toIDOrder stores the rows in id order, as one cluster.
+func (ix *FastScan) toIDOrder() {
+	byID := &FastScan{pq: ix.pq, blocks: make([]byte, len(ix.blocks)), n: ix.n}
+	nib := make([]byte, ix.pq.M)
+	for pos, id := range ix.ids {
+		ix.rowNibbles(pos, nib)
+		byID.setRow(int(id), nib)
+	}
+	*ix = *byID
+}
+
+// id returns the row id stored at position pos.
+func (ix *FastScan) id(pos int) int32 {
+	if ix.ids == nil {
+		return int32(pos)
+	}
+	return ix.ids[pos]
+}
+
+// clusters returns the number of clusters (1 for the id-order layout).
+func (ix *FastScan) clusters() int {
+	if ix.bounds == nil {
+		return 1
+	}
+	return len(ix.bounds) - 1
+}
+
+// computeMasks derives every cluster's code masks from the stored codes.
+func (ix *FastScan) computeMasks() {
+	ix.masks, ix.supers = nil, nil
+	if ix.bounds == nil {
+		return
+	}
+	nc := ix.clusters()
+	ix.masks = make([]uint16, fsMasksLen(nc, ix.pq.M))
+	ix.supers = make([]uint16, fsMasksLen((nc+fsGroup-1)/fsGroup, ix.pq.M))
+	nib := make([]byte, ix.pq.M)
+	for c := range ix.clusters() {
+		for pos := ix.bounds[c]; pos < ix.bounds[c+1]; pos++ {
+			ix.rowNibbles(pos, nib)
+			ix.addMasks(c, nib)
+		}
+	}
+}
+
+// addMasks adds one row of cluster c, its nibble codes nib, to the masks of
+// c and of its super-cluster, growing both to cover c.
+func (ix *FastScan) addMasks(c int, nib []byte) {
+	m := ix.pq.M
+	if n := fsMasksLen(c+1, m); len(ix.masks) < n {
+		ix.masks = append(ix.masks, make([]uint16, n-len(ix.masks))...)
+	}
+	if n := fsMasksLen(c/fsGroup+1, m); len(ix.supers) < n {
+		ix.supers = append(ix.supers, make([]uint16, n-len(ix.supers))...)
+	}
+	mk, sk := ix.masks[fsMaskIndex(c, 0, m):], ix.supers[fsMaskIndex(c/fsGroup, 0, m):]
+	for p, v := range nib {
+		mk[p*fsGroup] |= 1 << v
+		sk[p*fsGroup] |= 1 << v
+	}
 }
 
 // setRow scatters one row's nibble codes into its block (two codes per
 // byte, pair-major strips of fsBlock bytes).
-func (ix *FastScan) setRow(row int, nib []byte) {
+func (ix *FastScan) setRow(pos int, nib []byte) {
 	np := ix.pq.M / 2
-	blk := ix.blocks[row/fsBlock*fsBlockBytes(ix.pq.M):]
-	r := row % fsBlock
+	blk := ix.blocks[pos/fsBlock*fsBlockBytes(ix.pq.M):]
+	r := pos % fsBlock
 	for p := 0; p < np; p++ {
 		blk[p*fsBlock+r] = nib[2*p]&0xf | nib[2*p+1]<<4
 	}
 }
 
-// rowNibbles gathers one row's nibble codes back out of the interleaved
-// layout into nib (length M).
-func (ix *FastScan) rowNibbles(row int, nib []byte) {
+// rowNibbles gathers the nibble codes stored at position pos back out of
+// the interleaved layout into nib (length M).
+func (ix *FastScan) rowNibbles(pos int, nib []byte) {
 	np := ix.pq.M / 2
-	blk := ix.blocks[row/fsBlock*fsBlockBytes(ix.pq.M):]
-	r := row % fsBlock
+	blk := ix.blocks[pos/fsBlock*fsBlockBytes(ix.pq.M):]
+	r := pos % fsBlock
 	for p := 0; p < np; p++ {
 		b := blk[p*fsBlock+r]
 		nib[2*p] = b & 0xf
@@ -171,8 +290,8 @@ func (ix *FastScan) SizeBytes() int { return len(ix.blocks) }
 // Quantizer exposes the trained 4-bit product quantizer.
 func (ix *FastScan) Quantizer() *quant.ProductQuantizer { return ix.pq }
 
-// Search implements Index: the float ADC table for q is built once,
-// quantized, and swept over all blocks.
+// Search implements Index: the float ADC table for q is built once and the
+// clusters that can hold a winner are scanned.
 func (ix *FastScan) Search(ctx context.Context, s *Scratch, q []float32, k int, dst []Result) ([]Result, error) {
 	return scanSolo(ctx, ix, nil, 0, s, q, k, dst)
 }
@@ -184,10 +303,9 @@ func (ix *FastScan) SearchWith(s *Scratch, q []float32, k int) []Result {
 
 // stateLen and prepareInto implement rangeScanner: the shared per-query
 // state is the exact float32 ADC table (M4 rows of 16 entries — at M4=16 a
-// single kilobyte). A solo range scan derives its integer tables from it,
-// so the shared state stays a plain []float32 and sharded scans need no
-// extra coordination; a batch on the portable kernel quantizes it once per
-// query (searchBatch), one on AVX2 per (query, range) as a solo scan does.
+// single kilobyte). Each range scan derives its cluster bounds and integer
+// tables from it, so the shared state stays a plain []float32 and sharded
+// scans need no extra coordination.
 func (ix *FastScan) stateLen() int { return ix.pq.M * quant.Ks4 }
 
 func (ix *FastScan) prepareInto(q, table []float32) []float32 {
@@ -196,8 +314,8 @@ func (ix *FastScan) prepareInto(q, table []float32) []float32 {
 }
 
 // FastScanKernel names the kernel fast-scan scans run on in this process:
-// "avx2" (the assembly kernel) or "portable" (the query-major group kernel:
-// a purego build, another architecture, or a CPU without AVX2). Operators
+// "avx2" (the assembly kernel) or "portable" (the 16-bit Go kernel: a
+// purego build, another architecture, or a CPU without AVX2). Operators
 // read it from /stats to tell a slow node from a slow build.
 func FastScanKernel() string {
 	if fsAVX2 {
@@ -219,26 +337,50 @@ func FastScanKernelOf(ix Index) string {
 	return FastScanKernel()
 }
 
-// scanRange implements rangeScanner: this platform's kernel over rows
-// [lo, hi), for one query. On AVX2 it is scanAVX2 with one lane. Elsewhere
-// it is a portable group of one over the full-spread table (a lone live
-// lane costs the group kernel about 2 % over a dedicated scalar kernel,
-// DESIGN.md §11, so there is none); a code too wide for its lanes has only
-// the plain float scan, and no product configuration is that wide.
+// scanRange implements rangeScanner: one query's pruned scan of positions
+// [lo, hi). The clusters meeting the range are visited in ascending order
+// of their lower bound (visitClusters), each clipped to the range and
+// scanned by this platform's kernel with one table carried across them,
+// until the heap is full and the next bound exceeds its k-th best distance
+// (DESIGN.md §11).
 func (ix *FastScan) scanRange(table []float32, s *Scratch, t *topK, lo, hi int) {
-	if !fsAVX2 && ix.pq.M > fsGroupMaxM4 {
-		ix.scanPlain4(table, t, lo, hi)
+	sc := fsScan{ix: ix, s: s, t: t, table: table}
+	sc.c.Scans = 1
+	if ix.clusters() == 1 {
+		sc.scan(lo, hi)
+	} else {
+		ix.visitClusters(&sc, lo, hi)
+	}
+	sc.c.flush()
+}
+
+// fsScan is one query's scan of one range, carried across the clusters it
+// visits: the heap, the exact table and, once made, its quantization.
+type fsScan struct {
+	ix    *FastScan
+	s     *Scratch
+	t     *topK
+	table []float32
+	q     fsQuery
+	ready bool // q holds the quantized table (and, portable, s.lut16 its fused form)
+	// requantize is false once a requantization failed to lift the limit
+	// back over fsThreshold/2 (the AVX2 kernel's table only).
+	requantize bool
+	c          FastScanCounts
+}
+
+// scan pushes the rows at positions [lo, hi) that can enter the heap,
+// with this platform's kernel.
+func (sc *fsScan) scan(lo, hi int) {
+	if lo >= hi {
 		return
 	}
-	qs, heaps := [1]fsQuery{{table: table}}, [1]topK{*t}
+	sc.c.Rows += int64(hi - lo)
 	if fsAVX2 {
-		ix.scanAVX2(qs[:], s, heaps[:], lo, hi)
+		sc.scanAVX2(lo, hi)
 	} else {
-		s.lut8 = resize(s.lut8, ix.stateLen())
-		qs[0] = ix.quantize(table, s.lut8, 0, 0)
-		ix.scanGroup(qs[:], s, heaps[:], lo, hi)
+		sc.scanPortable(lo, hi)
 	}
-	*t = heaps[0]
 }
 
 // fsThreshold is where a threshold-relative table puts the k-th best
@@ -249,123 +391,90 @@ func (ix *FastScan) scanRange(table []float32, s *Scratch, t *topK, lo, hi int) 
 // decides with seven bits or more and requantizes at most once per halving.
 const fsThreshold = 250
 
-// fsRunOut is what one call of the assembly kernel returns beside the
-// blocks it skipped: the sums and the row mask of every lane at the block it
-// stopped at (lane 0 only, for a one-lane run). Its layout is the kernel's.
-type fsRunOut struct {
-	qd   [fsLanes][fsBlock]uint8
-	mask [fsLanes]uint32
-}
-
-// scanAVX2 scans rows [lo, hi) for one query, or for a group of fsLanes
-// (qs, their exact float tables; heaps, theirs) in one pass over the codes,
-// with the assembly kernel. Every lane does what a solo scan of its query
-// does, so results and FastScanCounts do not depend on the grouping:
+// scanAVX2 scans positions [lo, hi) with the assembly kernel:
 //
-//   - the heap is first filled exactly, from as many leading blocks as hold
-//     the rows it lacks, so there is a k-th best distance to quantize a
-//     threshold-relative table against (a range that ends first never
-//     quantizes); the lanes' tables lie one after the other in s.lut8;
-//   - fsScanRun skips whole runs of blocks in which no lane has a row whose
-//     saturated sum reaches that lane's limit, and stops at the first block
-//     in which one does, with every lane's row mask and 32 sums;
-//   - each lane whose mask is non-zero runs its candidate pass in plain Go —
-//     the mask clipped to [lo, hi) (the kernel may flag a padding row or one
-//     outside the range), each row re-checked against a limit an earlier row
-//     of the block just tightened, then the exact float32 re-rank and the
-//     heap push — and the kernel re-enters after the block;
-//   - after each of its flagged blocks, a lane whose limit has fallen below
-//     fsThreshold/2 requantizes its table in place, until a requantization
-//     fails to lift it (the scale is at what float32 resolves, or the
-//     full-spread one; a smaller w cures neither).
+//   - while the heap lacks rows it is filled exactly, from as many leading
+//     rows as it lacks, so there is a k-th best distance to
+//     quantize a threshold-relative table against (a range that ends first
+//     quantizes nothing); the table, made once, serves every later cluster;
+//   - fsScanRun skips whole runs of blocks in which no row's saturated sum
+//     reaches the limit, and stops at the first block in which one does,
+//     with its row mask and 32 sums;
+//   - the candidate pass runs in plain Go: the mask clipped to [lo, hi)
+//     (the kernel may flag a padding row or one outside the range), each
+//     row re-checked against a limit an earlier row of the block just
+//     tightened, then the exact float32 re-rank and the heap push under the
+//     row's id — and the kernel re-enters after the block;
+//   - after each flagged block, a limit fallen below fsThreshold/2
+//     requantizes the table in place, until a requantization fails to lift
+//     it (the scale is at what float32 resolves, or the full-spread one; a
+//     smaller w cures neither).
 //
-// A group's heaps must arrive equally full (a batch's are fresh). A run is
-// at most fsMaxRun blocks for one lane, fsMaxRun4 for four: assembly cannot
-// be preempted, so a GC stop would otherwise wait out a whole range that
-// admits no row.
-func (ix *FastScan) scanAVX2(qs []fsQuery, s *Scratch, heaps []topK, lo, hi int) {
-	lanes, sl := len(qs), ix.stateLen()
-	need, seeded := heaps[0].k-len(heaps[0].heap), 0
-	if need > 0 {
-		seeded = min(hi, (lo+need+fsBlock-1)/fsBlock*fsBlock) - lo
-	}
-	for l := range heaps {
-		if heaps[l].k-len(heaps[l].heap) != need {
-			panic("index: a fast-scan group's heaps must arrive equally full")
+// A run is at most fsMaxRun blocks: assembly cannot be preempted, so a GC
+// stop would otherwise wait out a whole range that admits no row.
+func (sc *fsScan) scanAVX2(lo, hi int) {
+	ix, s, t := sc.ix, sc.s, sc.t
+	if need := t.k - len(t.heap); need > 0 {
+		seeded := min(hi-lo, need)
+		ix.scanPlain4(sc.table, t, lo, lo+seeded)
+		sc.c.Candidates += int64(seeded)
+		if lo += seeded; lo >= hi {
+			return
 		}
-		ix.scanPlain4(qs[l].table, &heaps[l], lo, lo+seeded)
 	}
-	if lo += seeded; lo >= hi {
-		return
+	if !sc.ready {
+		s.lut8 = resize(s.lut8, ix.stateLen())
+		sc.q = ix.quantize(sc.table, s.lut8, t.worst(), fsThreshold)
+		sc.ready, sc.requantize = true, true
 	}
-	s.lut8 = resize(s.lut8, lanes*sl)
-	var (
-		fq         [fsLanes]fsQuery
-		limits     [fsLanes]uint32
-		requantize [fsLanes]bool
-	)
-	for l := range qs {
-		fq[l] = ix.quantize(qs[l].table, s.lut8[l*sl:(l+1)*sl], heaps[l].worst(), fsThreshold)
-		limits[l] = fq[l].limit(&heaps[l])
-		requantize[l] = true
-	}
+	q := &sc.q
+	limit := q.limit(t)
 	np := ix.pq.M / 2
 	bpb := fsBlockBytes(ix.pq.M)
-	maxRun := fsMaxRun
-	if lanes > 1 {
-		maxRun = fsMaxRun4
-	}
-	c := FastScanCounts{Scans: int64(lanes), Rows: int64(lanes * (hi - lo + seeded)), Candidates: int64(lanes * seeded)}
-	var out fsRunOut
+	var qd [fsBlock]uint8
 	for b, end := lo/fsBlock, (hi+fsBlock-1)/fsBlock; b < end; {
-		run := min(end-b, maxRun)
-		skipped := fsScanRun(ix.blocks[b*bpb:(b+run)*bpb], s.lut8, np, run, lanes, &limits, &out)
+		run := min(end-b, fsMaxRun)
+		skipped, mask := fsScanRun(ix.blocks[b*bpb:(b+run)*bpb], q.lut8, np, run, limit, &qd)
 		b += skipped
 		if skipped == run {
 			continue // nothing admitted in this run
 		}
 		blk := ix.blocks[b*bpb:][:bpb:bpb]
 		b0 := b * fsBlock
-		for l, mask := range out.mask[:lanes] {
-			if mask == 0 {
+		sc.c.FlaggedBlocks++
+		if r := lo - b0; r > 0 {
+			mask &= ^uint32(0) << r
+		}
+		if r := hi - b0; r < fsBlock {
+			mask &= 1<<r - 1
+		}
+		for ; mask != 0; mask &= mask - 1 {
+			r := bits.TrailingZeros32(mask)
+			if uint32(qd[r]) > limit {
 				continue
 			}
-			c.FlaggedBlocks++
-			if r := lo - b0; r > 0 {
-				mask &= ^uint32(0) << r
-			}
-			if r := hi - b0; r < fsBlock {
-				mask &= 1<<r - 1
-			}
-			q, t, qd := &fq[l], &heaps[l], &out.qd[l]
-			for ; mask != 0; mask &= mask - 1 {
-				r := bits.TrailingZeros32(mask)
-				if uint32(qd[r]) > limits[l] {
-					continue
-				}
-				c.Candidates++
-				t.push(int32(b0+r), fsRowDist(q.table, blk, np, r))
-				limits[l] = q.limit(t)
-			}
-			if requantize[l] && limits[l] < fsThreshold/2 {
-				*q = ix.quantize(q.table, q.lut8, t.worst(), fsThreshold)
-				limits[l] = q.limit(t)
-				requantize[l] = limits[l] >= fsThreshold/2
-				c.Requantizations++
-			}
+			sc.c.Candidates++
+			t.push(ix.id(b0+r), fsRowDist(q.table, blk, np, r))
+			limit = q.limit(t)
+		}
+		if sc.requantize && limit < fsThreshold/2 {
+			*q = ix.quantize(q.table, q.lut8, t.worst(), fsThreshold)
+			limit = q.limit(t)
+			sc.requantize = limit >= fsThreshold/2
+			sc.c.Requantizations++
 		}
 		b++
 	}
-	c.flush()
 }
 
 // FastScanCounts is the prune accounting of the fast-scan scans this process
 // has run, as /stats and /metrics (emblookup_fastscan_*_total) show it:
-// (query, row range) scans that reached a kernel, the rows they covered, the
-// blocks in which the integer prune admitted a row, the rows re-ranked with
-// the float table (heap seed included) and the tables rescaled mid-scan. The
-// counts are a pure function of index, queries, k and ranges: a slack or
-// scale regression moves them, a noisy host does not.
+// (query, row range) scans that reached a kernel, the rows of the clusters
+// they visited, the blocks in which the integer prune admitted a row, the
+// rows re-ranked with the float table (heap seed included) and the tables
+// rescaled mid-scan. The counts are a pure function of index, queries, k
+// and ranges: a slack, scale or bound regression moves them, a noisy host
+// does not.
 type FastScanCounts struct {
 	Scans           int64 `json:"scans"`
 	Rows            int64 `json:"rows"`
@@ -395,83 +504,49 @@ func (c FastScanCounts) flush() {
 	}
 }
 
-// fsMaxRun is the most blocks one call of the assembly kernel walks for one
-// lane: 128k rows, 70-85 µs at M4 = 16, for one extra call per MiB of those
-// codes. fsMaxRun4 is the same bound for four lanes, whose blocks cost
-// about twice as much.
-const (
-	fsMaxRun  = 4096
-	fsMaxRun4 = fsMaxRun / 2
-)
+// fsMaxRun is the most blocks one call of the assembly kernel walks: 128k
+// rows, 70-85 µs at M4 = 16, for one extra call per MiB of those codes.
+const fsMaxRun = 4096
 
-// fsLanes is the group width of both kernels. In the portable query-major
-// kernel the uint16 sums of four queries ride the four 16-bit lanes of one
-// uint64: it is the word size over the lane size, not a tuning knob. The
-// AVX2 kernel's four-lane loop keeps one accumulator per lane, four of the
-// sixteen vector registers.
-const fsLanes = 4
-
-// fsGroupMaxM4 is the largest sub-quantizer count the group kernel serves.
-// A lane's sum is at most M4·255; the packed compare borrows each lane's
-// top bit, so the sum must stay below 0x8000 (128·255 = 32640). Wider
-// codes are the AVX2 kernel's, or the plain float scan's (scanRange).
-const fsGroupMaxM4 = 128
-
-// fsHigh is the top bit of every lane.
-const fsHigh = 0x8000_8000_8000_8000
-
-// scanGroup is the portable kernel: rows [lo, hi) for up to fsLanes
-// prepared queries in one pass over the codes. The fused pair LUT is the
-// scalar stand-in for the shuffle: entry b of pair p holds
-// lut8[2p][b&15] + lut8[2p+1][b>>4], so one byte load, one word load and one
-// add advance a row by two sub-quantizers — and lane l of every LUT word
-// holds query l's uint16 entry, so that add advances four queries at once.
-// No lane can carry into the next (sums stay below 0x8000), so each lane
-// ends up with exactly the integer sum of its query's lut8 entries, the
-// prune admits for each query exactly the rows a scan of it alone would,
-// and heaps[l] receives query l's pushes in row order. Lanes past len(qs)
-// stay zero and are masked out of the compare; a solo scan off AVX2 is a
-// group of one.
-func (ix *FastScan) scanGroup(qs []fsQuery, s *Scratch, heaps []topK, lo, hi int) {
-	if lo >= hi {
-		return
-	}
+// scanPortable is the portable kernel over positions [lo, hi). The fused
+// pair LUT is the scalar stand-in for the shuffle: entry b of pair p holds
+// lut8[2p][b&15] + lut8[2p+1][b>>4], so one byte load, one uint16 load and
+// one add advance a row by two sub-quantizers. A row's sum is at most
+// MaxM4·255 = 65535 and never wraps, so the prune admits exactly the rows
+// whose integer sum reaches the limit. The table is quantized to its full
+// spread once per scan (no heap to scale it to yet), so it is never
+// requantized.
+func (sc *fsScan) scanPortable(lo, hi int) {
+	ix, s, t := sc.ix, sc.s, sc.t
 	np := ix.pq.M / 2
-	s.lut4 = resize(s.lut4, np*256)
-	clear(s.lut4)
-	// limits holds 0x8000|laneLimit per lane. A lane of limits−qd keeps its
-	// top bit exactly when limit ≥ sum, and never borrows from its neighbour.
-	var live, limits uint64 = 0, fsHigh
-	for l := range qs {
-		fsFuse(s.lut4, qs[l].lut8, np, uint(l))
-		live |= 0x8000 << (16 * l)
-		limits |= qs[l].laneLimit(&heaps[l]) << (16 * l)
+	if !sc.ready {
+		s.lut8 = resize(s.lut8, ix.stateLen())
+		sc.q = ix.quantize(sc.table, s.lut8, 0, 0)
+		s.lut16 = resize(s.lut16, np*256)
+		fsFuse(s.lut16, sc.q.lut8, np)
+		sc.ready = true
 	}
+	q, fused := &sc.q, s.lut16
+	limit := q.limit(t)
 	bpb := fsBlockBytes(ix.pq.M)
-	c := FastScanCounts{Scans: int64(len(qs)), Rows: int64(len(qs) * (hi - lo))}
-	flagged := [fsLanes]int{-1, -1, -1, -1} // the last block each lane had a candidate in
-	var qd [fsBlock]uint64
+	var qd [fsBlock]uint16
 	for b0 := lo / fsBlock * fsBlock; b0 < hi; b0 += fsBlock {
 		blk := ix.blocks[b0/fsBlock*bpb:][:bpb:bpb]
-		fsAccumulate(&qd, s.lut4, blk, np)
-		// Candidate pass: one packed compare per row for all lanes; a row
-		// that survives in some lane pays that query's exact re-rank.
+		fsAccumulate(&qd, fused, blk, np)
+		flagged := false
 		for r, rhi := max(lo-b0, 0), min(hi-b0, fsBlock); r < rhi; r++ {
-			alive := (limits - qd[r]) & live
-			for ; alive != 0; alive &= alive - 1 {
-				l := bits.TrailingZeros64(alive) / 16
-				q, t := &qs[l], &heaps[l]
-				t.push(int32(b0+r), fsRowDist(q.table, blk, np, r))
-				limits = limits&^(0x7fff<<(16*l)) | q.laneLimit(t)<<(16*l)
-				c.Candidates++
-				if flagged[l] != b0 {
-					flagged[l] = b0
-					c.FlaggedBlocks++
-				}
+			if uint32(qd[r]) > limit {
+				continue
 			}
+			t.push(ix.id(b0+r), fsRowDist(q.table, blk, np, r))
+			limit = q.limit(t)
+			sc.c.Candidates++
+			flagged = true
+		}
+		if flagged {
+			sc.c.FlaggedBlocks++
 		}
 	}
-	c.flush()
 }
 
 // fsQuery is one query prepared for the quantized kernels: the exact
@@ -506,32 +581,25 @@ func (q *fsQuery) limit(t *topK) uint32 {
 	return fsLimit(t.worst(), q.bias, q.invDelta, q.slack)
 }
 
-// laneLimit is limit clamped to a lane of the group kernel: 0x7fff already
-// admits every sum a lane can hold, and the lane's top bit must stay free.
-func (q *fsQuery) laneLimit(t *topK) uint64 {
-	return uint64(min(q.limit(t), 0x7fff))
-}
-
-// fsFuse ORs one query's fused pair LUTs into lane `lane` of fused (M4/2
-// × 256 words, cleared by the caller): entry b of pair p is
-// lut8[2p][b&15] + lut8[2p+1][b>>4].
-func fsFuse(fused []uint64, lut8 []uint8, np int, lane uint) {
+// fsFuse writes the fused pair LUTs into fused (M4/2 × 256 entries): entry
+// b of pair p is lut8[2p][b&15] + lut8[2p+1][b>>4].
+func fsFuse(fused []uint16, lut8 []uint8, np int) {
 	for p := 0; p < np; p++ {
 		lo8 := lut8[2*p*quant.Ks4:][:quant.Ks4]
 		hi8 := lut8[(2*p+1)*quant.Ks4:][:quant.Ks4]
 		for h, hv := range hi8 {
 			f := fused[p*256+h*quant.Ks4:][:quant.Ks4]
 			for l, lv := range lo8 {
-				f[l] |= uint64(uint16(lv)+uint16(hv)) << (16 * lane)
+				f[l] = uint16(lv) + uint16(hv)
 			}
 		}
 	}
 }
 
-// fsAccumulate sums the group's quantized distances of one block's 32 rows
-// into qd, one fused pair LUT swept over one 32-byte code strip at a time. The
-// first pair writes instead of adds, so qd needs no per-block reset.
-func fsAccumulate(qd *[fsBlock]uint64, fused []uint64, blk []byte, np int) {
+// fsAccumulate sums the quantized distances of one block's 32 rows into qd,
+// one fused pair LUT swept over one 32-byte code strip at a time. The first
+// pair writes instead of adds, so qd needs no per-block reset.
+func fsAccumulate(qd *[fsBlock]uint16, fused []uint16, blk []byte, np int) {
 	f := fused[:256]
 	cb := blk[:fsBlock:fsBlock]
 	for r := 0; r < fsBlock; r += 4 {
@@ -585,7 +653,8 @@ func fsLimit(w, bias, invDelta float32, slack uint32) uint32 {
 // fsRowDist computes row r's exact float32 ADC distance from its block
 // strip, summing sub-quantizers in ascending order — the identical
 // association order scanPlain4 uses, so re-ranked distances are
-// bit-identical to the reference scan's.
+// bit-identical to the reference scan's, and the order fsClusterBounds sums
+// its minima in.
 func fsRowDist(table []float32, blk []byte, np, r int) float32 {
 	var d float32
 	for p := 0; p < np; p++ {
@@ -596,21 +665,23 @@ func fsRowDist(table []float32, blk []byte, np, r int) float32 {
 	return d
 }
 
-// scanPlain4 is the straightforward float32 ADC scan of rows [lo, hi) of
-// the 4-bit codes — the ground-truth reference every fast-scan kernel is
-// tested against.
+// scanPlain4 is the straightforward float32 ADC scan of positions [lo, hi)
+// of the 4-bit codes, each pushed under its row id — the ground-truth
+// reference every fast-scan kernel is tested against.
 func (ix *FastScan) scanPlain4(table []float32, t *topK, lo, hi int) {
 	np := ix.pq.M / 2
 	bpb := fsBlockBytes(ix.pq.M)
-	for i := lo; i < hi; i++ {
-		blk := ix.blocks[i/fsBlock*bpb:]
-		t.push(int32(i), fsRowDist(table, blk, np, i%fsBlock))
+	for pos := lo; pos < hi; pos++ {
+		blk := ix.blocks[pos/fsBlock*bpb:]
+		t.push(ix.id(pos), fsRowDist(table, blk, np, pos%fsBlock))
 	}
 }
 
-// appendRow encodes vec with the sealed quantizer into the next row slot,
-// growing a fresh zero-padded block when the last one is full — how a
-// fast-scan index absorbs Dynamic's delta segment at compaction.
+// appendRow encodes vec with the sealed quantizer into the next position
+// under the next row id, growing a fresh zero-padded block when the last
+// one is full — how a fast-scan index absorbs Dynamic's delta segment at
+// compaction. On a clustered index the appended rows form one more cluster
+// at the end, whose masks grow with it.
 func (ix *FastScan) appendRow(vec []float32) {
 	// Unlike the other appendRow implementations (pure appends, which Go
 	// turns into a reallocation when the backing is capacity-clipped),
@@ -627,13 +698,26 @@ func (ix *FastScan) appendRow(vec []float32) {
 	nib := make([]byte, ix.pq.M)
 	ix.pq.EncodeInto(vec, nib)
 	ix.setRow(ix.n, nib)
+	if ix.bounds != nil {
+		if !ix.tail {
+			ix.bounds = append(ix.bounds, ix.n)
+			ix.tail = true
+		}
+		ix.bounds[len(ix.bounds)-1] = ix.n + 1
+		ix.ids = append(ix.ids, int32(ix.n))
+		ix.addMasks(ix.clusters()-1, nib)
+	}
 	ix.n++
 }
 
 // Reconstruct decodes the stored approximation of vector id.
 func (ix *FastScan) Reconstruct(id int32) []float32 {
+	pos := int(id)
+	if ix.ids != nil {
+		pos = slices.Index(ix.ids, id)
+	}
 	nib := make([]byte, ix.pq.M)
-	ix.rowNibbles(int(id), nib)
+	ix.rowNibbles(pos, nib)
 	return ix.pq.Decode(nib)
 }
 

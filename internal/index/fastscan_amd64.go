@@ -14,31 +14,51 @@ var fsAVX2 = mathx.HasAVX2
 //go:noescape
 func fsScanAVX2(blocks *byte, nblocks int, lut8 *uint8, np int, limit uint32, qd *[fsBlock]uint8) (skipped int, mask uint32)
 
-//go:noescape
-func fsScan4AVX2(blocks *byte, nblocks int, lut8 *uint8, np int, limits *[fsLanes]uint32, out *fsRunOut) (skipped int)
-
 // fsScanRun is the one door to the assembly kernel (see fastscan_amd64.s
-// for its contract): one lane, or fsLanes lanes whose lut8 tables lie one
-// after the other in lut8. The assembly has no bounds checks of its own:
-// the index expressions here panic on a blocks or lut8 shorter than the
-// run — every lane's table included — before the kernel can read past
-// either; blocks may be a read-only mapping with nothing behind it. A limit
-// of 255 or more admits every saturated sum.
-func fsScanRun(blocks []byte, lut8 []uint8, np, nblocks, lanes int, limits *[fsLanes]uint32, out *fsRunOut) (skipped int) {
+// for its contract). The assembly has no bounds checks of its own: the
+// index expressions here panic on a blocks or lut8 shorter than the run
+// before the kernel can read past either; blocks may be a read-only
+// mapping with nothing behind it. A limit of 255 or more admits every
+// saturated sum.
+func fsScanRun(blocks []byte, lut8 []uint8, np, nblocks int, limit uint32, qd *[fsBlock]uint8) (skipped int, mask uint32) {
 	if nblocks <= 0 {
-		return 0
+		return 0, 0
 	}
-	if lanes != 1 && lanes != fsLanes {
-		panic("index: the AVX2 fast-scan kernel runs 1 or 4 lanes")
+	_, _ = blocks[nblocks*np*fsBlock-1], lut8[2*np*quant.Ks4-1]
+	return fsScanAVX2(&blocks[0], nblocks, &lut8[0], np, min(limit, 0xff), qd)
+}
+
+//go:noescape
+func fsNibMinAVX2(table *float32, m int, nib *float32)
+
+//go:noescape
+func fsBoundsAVX2(masks *uint16, ngroups int, nib *float32, m int, out *float32)
+
+// fsNibMins and fsGroupBounds are the one door to the bound kernels
+// (fastscan_cluster.go has the contract): the assembly where the CPU has
+// AVX2, the portable loops elsewhere. The index expressions panic before
+// the assembly could read or write past a slice.
+func fsNibMins(table []float32, m int, nib []float32) {
+	if !fsAVX2 {
+		fsNibMinsGo(table, m, nib)
+		return
 	}
-	_, _ = blocks[nblocks*np*fsBlock-1], lut8[lanes*2*np*quant.Ks4-1]
-	if lanes == 1 {
-		skipped, out.mask[0] = fsScanAVX2(&blocks[0], nblocks, &lut8[0], np, min(limits[0], 0xff), &out.qd[0])
-		return skipped
+	if m <= 0 {
+		return
 	}
-	var lim [fsLanes]uint32
-	for l, v := range limits {
-		lim[l] = min(v, 0xff)
+	_, _ = table[m*quant.Ks4-1], nib[m*64-1]
+	fsNibMinAVX2(&table[0], m, &nib[0])
+}
+
+func fsGroupBounds(masks []uint16, nib []float32, m int, out []float32) {
+	if !fsAVX2 {
+		fsGroupBoundsGo(masks, nib, m, out)
+		return
 	}
-	return fsScan4AVX2(&blocks[0], nblocks, &lut8[0], np, &lim, out)
+	ngroups := len(out) / fsGroup
+	if m <= 0 || ngroups == 0 {
+		return
+	}
+	_, _, _ = masks[ngroups*m*fsGroup-1], nib[m*64-1], out[ngroups*fsGroup-1]
+	fsBoundsAVX2(&masks[0], ngroups, &nib[0], m, &out[0])
 }

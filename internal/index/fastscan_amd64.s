@@ -76,116 +76,137 @@ done:
 	MOVL AX, mask+56(FP)
 	RET
 
-// func fsScan4AVX2(blocks *byte, nblocks int, lut8 *uint8, np int, limits *[4]uint32, out *fsRunOut) (skipped int)
+// Lane b of fsbSel<>+32*i has its sign bit set when bit i of b is: the
+// blend masks that build a nibble-subset table's low half (subsets 0-7).
+DATA fsbSel<>+0x00(SB)/4, $0
+DATA fsbSel<>+0x04(SB)/4, $0x80000000
+DATA fsbSel<>+0x08(SB)/4, $0
+DATA fsbSel<>+0x0c(SB)/4, $0x80000000
+DATA fsbSel<>+0x10(SB)/4, $0
+DATA fsbSel<>+0x14(SB)/4, $0x80000000
+DATA fsbSel<>+0x18(SB)/4, $0
+DATA fsbSel<>+0x1c(SB)/4, $0x80000000
+DATA fsbSel<>+0x20(SB)/4, $0
+DATA fsbSel<>+0x24(SB)/4, $0
+DATA fsbSel<>+0x28(SB)/4, $0x80000000
+DATA fsbSel<>+0x2c(SB)/4, $0x80000000
+DATA fsbSel<>+0x30(SB)/4, $0
+DATA fsbSel<>+0x34(SB)/4, $0
+DATA fsbSel<>+0x38(SB)/4, $0x80000000
+DATA fsbSel<>+0x3c(SB)/4, $0x80000000
+DATA fsbSel<>+0x40(SB)/4, $0
+DATA fsbSel<>+0x44(SB)/4, $0
+DATA fsbSel<>+0x48(SB)/4, $0
+DATA fsbSel<>+0x4c(SB)/4, $0
+DATA fsbSel<>+0x50(SB)/4, $0x80000000
+DATA fsbSel<>+0x54(SB)/4, $0x80000000
+DATA fsbSel<>+0x58(SB)/4, $0x80000000
+DATA fsbSel<>+0x5c(SB)/4, $0x80000000
+GLOBL fsbSel<>(SB), RODATA|NOPTR, $96
+
+// func fsNibMinAVX2(table *float32, m int, nib *float32)
 //
-// fsScanAVX2 for four queries in one pass: lane l's table is the np*32
-// bytes at lut8 + l*np*32 and its limit limits[l] (<= 255, read as its low
-// byte). Each strip is loaded and split into nibbles once, then shuffled
-// against and saturating-added into each lane's own accumulator; a lane's
-// sums are exactly what fsScanAVX2 computes for its query alone. Returns
-// the index of the first block in which any lane has a row sum <= its
-// limit, with every lane's 32 sums in out.qd[l] and row mask in
-// out.mask[l] (zero for a lane that admits no row there); or nblocks, all
-// four masks 0 and out.qd untouched. Reads exactly nblocks*np*32 bytes at
-// blocks and 4*np*32 bytes at lut8, writes only out.
-TEXT ·fsScan4AVX2(SB), NOSPLIT, $0-56
-	MOVQ blocks+0(FP), SI
-	MOVQ nblocks+8(FP), CX
-	MOVQ lut8+16(FP), DX
-	MOVQ np+24(FP), R8
-	MOVQ limits+32(FP), BX
-	MOVQ out+40(FP), DI
+// The nibble-subset tables of fsClusterBounds (fastscan_cluster.go): for
+// each of the m*4 nibbles (4 consecutive table entries), 16 floats at nib,
+// entry b the least entry over the bits of b (+Inf for b = 0). Reads m*16
+// floats at table, writes m*64 at nib; m > 0.
+TEXT ·fsNibMinAVX2(SB), NOSPLIT, $0-24
+	MOVQ table+0(FP), DX
+	MOVQ m+8(FP), R10
+	MOVQ nib+16(FP), R11
 
-	MOVL $0x0f0f0f0f, AX
-	VMOVQ AX, X15
-	VPBROADCASTD X15, Y15 // nibble mask
-	VPBROADCASTB 0(BX), Y10 // each lane's limit in every byte
-	VPBROADCASTB 4(BX), Y11
-	VPBROADCASTB 8(BX), Y12
-	VPBROADCASTB 12(BX), Y13
-	SHLQ $5, R8              // np*32: the bytes of a block, and of one lane's lut8
-	LEAQ (DX)(R8*1), R11     // lane 1's lut8
-	LEAQ (R11)(R8*1), R12    // lane 2's
-	LEAQ (R12)(R8*1), R13    // lane 3's
-	XORQ R9, R9              // block index
-	XORL AX, AX              // masks of lanes 0 (low half) and 1 (high half)
-	XORL R10, R10            // masks of lanes 2 and 3
+	MOVL         $0x7f800000, AX
+	VMOVD        AX, X15
+	VPBROADCASTD X15, Y15 // +Inf
+	VMOVDQU      fsbSel<>+0x00(SB), Y8
+	VMOVDQU      fsbSel<>+0x20(SB), Y9
+	VMOVDQU      fsbSel<>+0x40(SB), Y10
+	SHLQ         $2, R10 // m*4 nibbles
 
-block4:
-	CMPQ R9, CX
-	JGE  done4
-	VPXOR Y0, Y0, Y0 // lane sums
-	VPXOR Y1, Y1, Y1
-	VPXOR Y2, Y2, Y2
-	VPXOR Y3, Y3, Y3
-	XORQ  R10, R10   // byte offset of this strip in the block and in each lut8
+tables:
+	VBROADCASTSS (DX), Y1
+	VBLENDVPS    Y8, Y1, Y15, Y0
+	VBROADCASTSS 4(DX), Y1
+	VBLENDVPS    Y9, Y1, Y15, Y1
+	VMINPS       Y1, Y0, Y0
+	VBROADCASTSS 8(DX), Y1
+	VBLENDVPS    Y10, Y1, Y15, Y1
+	VMINPS       Y1, Y0, Y0 // subsets 0-7 of entries 0-2
+	VBROADCASTSS 12(DX), Y1
+	VMINPS       Y1, Y0, Y2 // subsets 8-15 hold entry 3 too
+	VMOVUPS      Y0, (R11)
+	VMOVUPS      Y2, 32(R11)
+	ADDQ         $16, DX
+	ADDQ         $64, R11
+	DECQ         R10
+	JNZ          tables
 
-strip4:
-	VMOVDQU        (SI)(R10*1), Y4
-	VPSRLW         $4, Y4, Y5
-	VPAND          Y15, Y4, Y4 // low nibbles
-	VPAND          Y15, Y5, Y5 // high nibbles
-	VBROADCASTI128 (DX)(R10*1), Y6
-	VBROADCASTI128 16(DX)(R10*1), Y7
-	VPSHUFB        Y4, Y6, Y6
-	VPSHUFB        Y5, Y7, Y7
-	VPADDUSB       Y6, Y0, Y0
-	VPADDUSB       Y7, Y0, Y0
-	VBROADCASTI128 (R11)(R10*1), Y8
-	VBROADCASTI128 16(R11)(R10*1), Y9
-	VPSHUFB        Y4, Y8, Y8
-	VPSHUFB        Y5, Y9, Y9
-	VPADDUSB       Y8, Y1, Y1
-	VPADDUSB       Y9, Y1, Y1
-	VBROADCASTI128 (R12)(R10*1), Y6
-	VBROADCASTI128 16(R12)(R10*1), Y7
-	VPSHUFB        Y4, Y6, Y6
-	VPSHUFB        Y5, Y7, Y7
-	VPADDUSB       Y6, Y2, Y2
-	VPADDUSB       Y7, Y2, Y2
-	VBROADCASTI128 (R13)(R10*1), Y8
-	VBROADCASTI128 16(R13)(R10*1), Y9
-	VPSHUFB        Y4, Y8, Y8
-	VPSHUFB        Y5, Y9, Y9
-	VPADDUSB       Y8, Y3, Y3
-	VPADDUSB       Y9, Y3, Y3
-	ADDQ           $32, R10
-	CMPQ           R10, R8
-	JNE            strip4
-	ADDQ           R8, SI
-
-	// x <= limit  <=>  min(x, limit) == x, per lane
-	VPMINUB   Y10, Y0, Y4
-	VPCMPEQB  Y4, Y0, Y4
-	VPMOVMSKB Y4, AX
-	VPMINUB   Y11, Y1, Y5
-	VPCMPEQB  Y5, Y1, Y5
-	VPMOVMSKB Y5, BX
-	SHLQ      $32, BX
-	ORQ       BX, AX
-	VPMINUB   Y12, Y2, Y6
-	VPCMPEQB  Y6, Y2, Y6
-	VPMOVMSKB Y6, R10
-	VPMINUB   Y13, Y3, Y7
-	VPCMPEQB  Y7, Y3, Y7
-	VPMOVMSKB Y7, BX
-	SHLQ      $32, BX
-	ORQ       BX, R10
-	MOVQ      AX, BX
-	ORQ       R10, BX
-	JNZ       hit4
-	INCQ      R9
-	JMP       block4
-
-hit4:
-	VMOVDQU Y0, 0(DI)
-	VMOVDQU Y1, 32(DI)
-	VMOVDQU Y2, 64(DI)
-	VMOVDQU Y3, 96(DI)
-
-done4:
 	VZEROUPPER
-	MOVQ AX, 128(DI)
-	MOVQ R10, 136(DI)
-	MOVQ R9, skipped+48(FP)
+	RET
+
+// func fsBoundsAVX2(masks *uint16, ngroups int, nib *float32, m int, out *float32)
+//
+// fsClusterBounds for ngroups groups of 8 clusters over fsNibMinAVX2's
+// tables at nib (see fastscan_cluster.go for the contract and the mask
+// layout): per group, per sub-quantizer p in ascending order, the 8
+// clusters' masks, each nibble's 4-bit index looked up with VPERMPS in the
+// two halves of its table and the halves blended on the index's bit 3, the
+// four minima minimized and added into the group's sums. Reads
+// ngroups*m*8 masks and m*64 floats at nib, writes ngroups*8 floats at
+// out; ngroups, m > 0.
+TEXT ·fsBoundsAVX2(SB), NOSPLIT, $0-40
+	MOVQ masks+0(FP), SI
+	MOVQ ngroups+8(FP), CX
+	MOVQ nib+16(FP), DI
+	MOVQ m+24(FP), R8
+	MOVQ out+32(FP), R9
+
+	MOVL         $15, AX
+	VMOVD        AX, X14
+	VPBROADCASTD X14, Y14 // nibble mask
+
+group:
+	VXORPS Y7, Y7, Y7 // the 8 sums
+	MOVQ   DI, R11
+	MOVQ   R8, R10
+
+sub:
+	VPMOVZXWD (SI), Y0 // 8 masks
+	VPAND     Y14, Y0, Y1
+	VPERMPS   (R11), Y1, Y2
+	VPERMPS   32(R11), Y1, Y3
+	VPSLLD    $28, Y1, Y4
+	VBLENDVPS Y4, Y3, Y2, Y5
+	VPSRLD    $4, Y0, Y1
+	VPAND     Y14, Y1, Y1
+	VPERMPS   64(R11), Y1, Y2
+	VPERMPS   96(R11), Y1, Y3
+	VPSLLD    $28, Y1, Y4
+	VBLENDVPS Y4, Y3, Y2, Y6
+	VMINPS    Y6, Y5, Y5
+	VPSRLD    $8, Y0, Y1
+	VPAND     Y14, Y1, Y1
+	VPERMPS   128(R11), Y1, Y2
+	VPERMPS   160(R11), Y1, Y3
+	VPSLLD    $28, Y1, Y4
+	VBLENDVPS Y4, Y3, Y2, Y6
+	VPSRLD    $12, Y0, Y1
+	VPERMPS   192(R11), Y1, Y2
+	VPERMPS   224(R11), Y1, Y3
+	VPSLLD    $28, Y1, Y4
+	VBLENDVPS Y4, Y3, Y2, Y4
+	VMINPS    Y4, Y6, Y6
+	VMINPS    Y6, Y5, Y5
+	VADDPS    Y5, Y7, Y7
+	ADDQ      $16, SI
+	ADDQ      $256, R11
+	DECQ      R10
+	JNZ       sub
+
+	VMOVUPS Y7, (R9)
+	ADDQ    $32, R9
+	DECQ    CX
+	JNZ     group
+
+	VZEROUPPER
 	RET

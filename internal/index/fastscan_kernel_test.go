@@ -38,38 +38,28 @@ func (c *fsKernelCase) query() *fsQuery {
 	return &q
 }
 
-// laneTables returns fsLanes tables over the case's index: its own, the
-// same with every sub-quantizer's entries rotated by 5 and by 11, and its
-// own again (a duplicate lane), so a group's lanes admit different rows.
-func (c *fsKernelCase) laneTables() [fsLanes][]float32 {
-	rotate := func(by int) []float32 {
-		out := make([]float32, len(c.q.table))
-		for i := range out {
-			out[i] = c.q.table[i/quant.Ks4*quant.Ks4+(i+by)%quant.Ks4]
-		}
-		return out
-	}
-	return [fsLanes][]float32{c.q.table, rotate(5), rotate(11), c.q.table}
-}
-
-// laneLUTs is laneTables for the kernel's own contract: the case's lut8
-// and its rotations, one lane after the other as the kernel reads them.
-func (c *fsKernelCase) laneLUTs() []uint8 {
-	sl := len(c.q.lut8)
-	out := make([]uint8, fsLanes*sl)
-	for l, by := range [fsLanes]int{0, 5, 11, 0} {
-		for i := 0; i < sl; i++ {
-			out[l*sl+i] = c.q.lut8[i/quant.Ks4*quant.Ks4+(i+by)%quant.Ks4]
+// kernelScan runs one kernel — the AVX2 assembly or the portable one —
+// over positions [lo, hi) with a fresh scan state, as scanRange does for
+// one cluster, and returns the counts it would flush.
+func (ix *FastScan) kernelScan(table []float32, s *Scratch, t *topK, lo, hi int, avx2 bool) FastScanCounts {
+	sc := fsScan{ix: ix, s: s, t: t, table: table}
+	if lo < hi {
+		sc.c.Rows = int64(hi - lo)
+		if avx2 {
+			sc.scanAVX2(lo, hi)
+		} else {
+			sc.scanPortable(lo, hi)
 		}
 	}
-	return out
+	return sc.c
 }
 
 // fsKernelCases builds, for one code shape, a query from random codebooks,
 // one from an all-ties alphabet, one whose table is constant per
 // sub-quantizer (every row at distance bias: w == bias, the fallback scale)
-// and one whose every lut8 entry is 255 — M4·255 per row, which a uint16
-// lane must hold exactly and a byte must saturate at, never wrap.
+// and one whose every lut8 entry is 255 — M4·255 per row, which the
+// portable kernel's uint16 sum must hold exactly and a byte must saturate
+// at, never wrap.
 func fsKernelCases(m4, ks, n int, seed uint64) []fsKernelCase {
 	rng := mathx.NewRNG(seed)
 	var cases []fsKernelCase
@@ -112,14 +102,13 @@ func fsKernelCases(m4, ks, n int, seed uint64) []fsKernelCase {
 	return cases
 }
 
-// TestFastScanKernelsAgree is the equivalence table: the AVX2 kernel with
-// one lane and with four (the case's query, two others and a duplicate),
-// the portable kernel as a group of one, and scanRange's own dispatch each
-// against scanPlain4, over code widths on both sides of the group kernel's
-// lane bound and up to the widest a configuration may name, centroid counts
+// TestFastScanKernelsAgree is the equivalence table: the AVX2 kernel, the
+// portable kernel (on every host) and scanRange's own dispatch, each
+// against scanPlain4, over code widths up to the widest a configuration may
+// name (the portable kernel's 16-bit sums reach 256·255 there), centroid counts
 // from one to all sixteen, the four table styles of fsKernelCases, row
 // counts off the block size, ranges that start and end mid-block or inside
-// one block (the last ends inside the block the heap is seeded from), k from
+// one block (the last inside the rows the heap is seeded from), k from
 // 1 to past n (a heap that never fills: the range ends inside the seed and
 // no table is ever quantized), and heaps that arrive already full of the
 // rows before the range.
@@ -129,7 +118,6 @@ func TestFastScanKernelsAgree(t *testing.T) {
 		for _, ks := range []int{1, 7, 16} {
 			for _, n := range []int{5, 3*fsBlock + 7} {
 				for _, c := range fsKernelCases(m4, ks, n, uint64(m4*100+ks)) {
-					lanes := c.laneTables()
 					ranges := [][2]int{{0, n}, {n / 3, n - 1}, {1, min(n, fsBlock) - 1}}
 					for _, rg := range ranges {
 						for _, k := range []int{1, 9, n + 3} {
@@ -151,24 +139,13 @@ func TestFastScanKernelsAgree(t *testing.T) {
 								ctx := fmt.Sprintf("%s rows [%d,%d) after %d k=%d", c.name, lo, hi, prefill, k)
 
 								if fsAVX2 {
-									heaps := []topK{*heap(c.q.table)}
-									c.ix.scanAVX2([]fsQuery{{table: c.q.table}}, s, heaps, lo, hi)
-									sameResults(t, ctx+" avx2", want, heaps[0].sorted())
-
-									qs, heaps := make([]fsQuery, fsLanes), make([]topK, fsLanes)
-									for l, table := range lanes {
-										qs[l], heaps[l] = fsQuery{table: table}, *heap(table)
-									}
-									c.ix.scanAVX2(qs, s, heaps, lo, hi)
-									for l, table := range lanes {
-										sameResults(t, fmt.Sprintf("%s avx2 lane %d of 4", ctx, l), plain(table), heaps[l].sorted())
-									}
+									h := heap(c.q.table)
+									c.ix.kernelScan(c.q.table, s, h, lo, hi, true)
+									sameResults(t, ctx+" avx2", want, h.sorted())
 								}
-								if m4 <= fsGroupMaxM4 {
-									heaps := []topK{*heap(c.q.table)}
-									c.ix.scanGroup([]fsQuery{*c.query()}, s, heaps, lo, hi)
-									sameResults(t, ctx+" group of one", want, heaps[0].sorted())
-								}
+								h := heap(c.q.table)
+								c.ix.kernelScan(c.q.table, s, h, lo, hi, false)
+								sameResults(t, ctx+" portable", want, h.sorted())
 								got := heap(c.q.table)
 								c.ix.scanRange(c.q.table, s, got, lo, hi)
 								sameResults(t, ctx+" scanRange", want, got.sorted())
@@ -176,77 +153,6 @@ func TestFastScanKernelsAgree(t *testing.T) {
 						}
 					}
 				}
-			}
-		}
-	}
-}
-
-// TestFastScanGroupMatchesSolo holds the AVX2 kernel's four-lane loop to
-// four one-lane scans of the same queries, results and prune counts alike:
-// each lane seeds, quantizes, re-ranks and requantizes exactly as its solo
-// scan does. Lane 0 is TestFastScanRequantizes's query, which requantizes
-// mid-run at least twice; lanes 1 and 2 find their best row in the seed
-// block and never requantize; lane 3 repeats lane 0. Ranges start and end
-// mid-block, and k = 1 and 10.
-func TestFastScanGroupMatchesSolo(t *testing.T) {
-	if !fsAVX2 {
-		t.Skip("no AVX2 kernel in this build")
-	}
-	const m4, far = 16, quant.Ks4 - 1
-	n := 40 * fsBlock
-	nib := randomNibbles(n, m4, 4, 5) // centroids 0-3
-	for i, row := range []int{10 * fsBlock, 20*fsBlock + 7, 30*fsBlock + 31} {
-		for m := 0; m < m4; m++ {
-			nib[row*m4+m] = byte(min(far, 9+3*i)) // 6, 3, then 0 away from lane 0
-		}
-	}
-	for m := 0; m < m4; m++ {
-		nib[3*m4+m] = byte(m % 2) // row 3: the best row of lanes 1 and 2
-	}
-	ix := syntheticFastScan(nib, m4, quant.Ks4, n)
-	for _, cb := range ix.pq.Codebooks {
-		for c := range cb.Data {
-			cb.Data[c] = float32(c)
-		}
-	}
-	remakeQuantizer(ix)
-	var qs [fsLanes]fsQuery
-	for l, at := range [fsLanes]float32{far, -1, -2, far} {
-		query := make([]float32, m4)
-		for m := range query {
-			query[m] = at
-		}
-		qs[l].table = ix.prepareInto(query, make([]float32, ix.stateLen()))
-	}
-	s := &Scratch{}
-	for _, rg := range [][2]int{{0, n}, {5, n - 9}, {fsBlock + 1, 31*fsBlock - 1}} {
-		for _, k := range []int{1, 10} {
-			lo, hi := rg[0], rg[1]
-			ctx := fmt.Sprintf("rows [%d,%d) k=%d", lo, hi, k)
-			var solo [fsLanes]FastScanCounts
-			want := make([][]Result, fsLanes)
-			for l := range qs {
-				heaps := []topK{*newTopK(k)}
-				solo[l] = countsOf(func() { ix.scanAVX2(qs[l:l+1], s, heaps, lo, hi) })
-				want[l] = heaps[0].sorted()
-			}
-			if rg == [2]int{0, n} && k == 1 && (solo[0].Requantizations < 2 || solo[1].Requantizations != 0 || solo[2].Requantizations != 0) {
-				t.Fatalf("%s: lanes requantized %d, %d, %d times; the test wants lane 0 at least twice and lanes 1, 2 never",
-					ctx, solo[0].Requantizations, solo[1].Requantizations, solo[2].Requantizations)
-			}
-			heaps := make([]topK, fsLanes)
-			for l := range heaps {
-				heaps[l] = *newTopK(k)
-			}
-			group := countsOf(func() { ix.scanAVX2(qs[:], s, heaps, lo, hi) })
-			var sum FastScanCounts
-			for l := range qs {
-				sameResults(t, fmt.Sprintf("%s lane %d", ctx, l), want[l], heaps[l].sorted())
-				sum = FastScanCounts{sum.Scans + solo[l].Scans, sum.Rows + solo[l].Rows, sum.FlaggedBlocks + solo[l].FlaggedBlocks,
-					sum.Candidates + solo[l].Candidates, sum.Requantizations + solo[l].Requantizations}
-			}
-			if group != sum {
-				t.Fatalf("%s: four-lane counts %+v, four solo scans %+v", ctx, group, sum)
 			}
 		}
 	}
@@ -321,7 +227,7 @@ func TestFastScanDistancesDwarfSpread(t *testing.T) {
 }
 
 // TestFastScanLongRange scans more blocks than one assembly call walks
-// (fsMaxRun for one lane, fsMaxRun4 for four), so scanAVX2 re-enters the
+// (fsMaxRun), so scanAVX2 re-enters the
 // kernel at run boundaries. Every row is far from the query except two
 // planted near matches — the last row of a run and the row after it — and
 // one exact match a whole run further on: the near matches tighten the
@@ -355,101 +261,58 @@ func TestFastScanLongRange(t *testing.T) {
 				t.Fatalf("rows [%d,%d) k=%d: reference top hit %+v is not the exact match", rg[0], rg[1], k, want[0])
 			}
 			sameResults(t, fmt.Sprintf("rows [%d,%d) k=%d", rg[0], rg[1], k), want, got.sorted())
-			if fsAVX2 {
-				// Four lanes of the same query re-enter every fsMaxRun4 blocks.
-				qs, heaps := make([]fsQuery, fsLanes), make([]topK, fsLanes)
-				for l := range qs {
-					qs[l], heaps[l] = fsQuery{table: table}, *newTopK(k)
-				}
-				ix.scanAVX2(qs, s, heaps, rg[0], rg[1])
-				for l := range heaps {
-					sameResults(t, fmt.Sprintf("rows [%d,%d) k=%d lane %d of 4", rg[0], rg[1], k, l), want, heaps[l].sorted())
-				}
-			}
 		}
 	}
 }
 
 // TestFastScanRunMatchesScalarSums checks the assembly kernel's own
-// contract against a scalar saturating loop, one lane and four: under every
-// limit — 0 (only an all-zero row stops it), the lowest sum present, a
-// middling one, 254, and 255 and the underfull-heap sentinel above it (both
-// admit everything, a saturated row included) — it stops at exactly the
-// first block holding a sum ≤ limit, with that block's 32 byte sums in row
-// order and exactly the rows at or under the limit in the mask, and
-// otherwise returns the run's length and an empty mask. Four lanes take
-// four different tables (laneLUTs) and run with every lane at the limit,
-// and with one lane at it while the other three sit at 0 — so a run stops
-// on a single lane's admission, the sentinel lane included, and every lane
-// reports its own mask and sums there. The all-255 table at M4 = 256 must
-// read 255 on every row: saturated, not wrapped.
+// contract against a scalar saturating loop: under every limit — 0 (only
+// an all-zero row stops it), the lowest sum present, a middling one, 254,
+// and 255 and the underfull-heap sentinel above it (both admit everything,
+// a saturated row included) — it stops at exactly the first block holding
+// a sum ≤ limit, with that block's 32 byte sums in row order and exactly
+// the rows at or under the limit in the mask, and otherwise returns the
+// run's length and an empty mask. The all-255 table at M4 = 256 must read
+// 255 on every row: saturated, not wrapped.
 func TestFastScanRunMatchesScalarSums(t *testing.T) {
 	if !fsAVX2 {
 		t.Skip("no AVX2 kernel in this build")
 	}
 	for _, m4 := range []int{2, 16, 130, 256} {
 		for _, c := range fsKernelCases(m4, 16, 6*fsBlock+1, uint64(m4)) {
-			np, bpb, sl := m4/2, fsBlockBytes(m4), len(c.q.lut8)
+			np, bpb := m4/2, fsBlockBytes(m4)
 			nblocks := len(c.ix.blocks) / bpb
-			luts := c.laneLUTs()
-			sums := make([][fsLanes][fsBlock]uint8, nblocks) // sums[b][l]
+			sums := make([][fsBlock]uint8, nblocks)
 			var lowest uint8 = 255
 			for b := range sums {
-				for l := range sums[b] {
-					sums[b][l] = fsBlockSums(c.ix.blocks[b*bpb:], luts[l*sl:], np)
-				}
-				for _, v := range sums[b][0] {
+				sums[b] = fsBlockSums(c.ix.blocks[b*bpb:], c.q.lut8, np)
+				for _, v := range sums[b] {
 					lowest = min(lowest, v)
 				}
 			}
 			for _, limit := range []uint32{0, uint32(lowest), (uint32(lowest) + 255) / 2, 254, 255, 1<<32 - 1} {
-				type laneRun struct {
-					lanes  int
-					limits [fsLanes]uint32
-				}
-				runs := []laneRun{{1, [fsLanes]uint32{limit}}, {fsLanes, [fsLanes]uint32{limit, limit, limit, limit}}}
-				for hot := range fsLanes {
-					var limits [fsLanes]uint32
-					limits[hot] = limit
-					runs = append(runs, laneRun{fsLanes, limits})
-				}
-				for _, run := range runs {
-					ctx := fmt.Sprintf("%s %d lanes limits %v", c.name, run.lanes, run.limits[:run.lanes])
-					masks := func(b int) (m [fsLanes]uint32, any bool) {
-						for l := 0; l < run.lanes; l++ {
-							m[l] = maskAtMost(sums[b][l], run.limits[l])
-							any = any || m[l] != 0
-						}
-						return m, any
+				ctx := fmt.Sprintf("%s limit %d", c.name, limit)
+				for b := 0; b < nblocks; b++ {
+					want := b
+					for want < nblocks && maskAtMost(sums[want], limit) == 0 {
+						want++
 					}
-					for b := 0; b < nblocks; b++ {
-						want := b
-						for want < nblocks {
-							if _, any := masks(want); any {
-								break
-							}
-							want++
+					var qd [fsBlock]uint8
+					skipped, mask := fsScanRun(c.ix.blocks[b*bpb:], c.q.lut8, np, nblocks-b, limit, &qd)
+					if got := b + skipped; got != want {
+						t.Fatalf("%s from block %d: stopped at %d, want %d", ctx, b, got, want)
+					}
+					if want == nblocks {
+						if mask != 0 {
+							t.Fatalf("%s from block %d: mask %#x for a run with no hit", ctx, b, mask)
 						}
-						var out fsRunOut
-						skipped := fsScanRun(c.ix.blocks[b*bpb:], luts[:run.lanes*sl], np, nblocks-b, run.lanes, &run.limits, &out)
-						if got := b + skipped; got != want {
-							t.Fatalf("%s from block %d: stopped at %d, want %d", ctx, b, got, want)
-						}
-						if want == nblocks {
-							if out.mask != ([fsLanes]uint32{}) {
-								t.Fatalf("%s from block %d: masks %#x for a run with no hit", ctx, b, out.mask)
-							}
-							continue
-						}
-						wantMasks, _ := masks(want)
-						for l := 0; l < run.lanes; l++ {
-							if out.qd[l] != sums[want][l] {
-								t.Fatalf("%s block %d lane %d: sums %v, want %v", ctx, want, l, out.qd[l], sums[want][l])
-							}
-							if out.mask[l] != wantMasks[l] {
-								t.Fatalf("%s block %d lane %d: mask %#x, want %#x", ctx, want, l, out.mask[l], wantMasks[l])
-							}
-						}
+						continue
+					}
+					if qd != sums[want] {
+						t.Fatalf("%s block %d: sums %v, want %v", ctx, want, qd, sums[want])
+					}
+					if wantMask := maskAtMost(sums[want], limit); mask != wantMask {
+						t.Fatalf("%s block %d: mask %#x, want %#x", ctx, want, mask, wantMask)
 					}
 				}
 			}
@@ -469,35 +332,26 @@ func maskAtMost(sums [fsBlock]uint8, limit uint32) (mask uint32) {
 
 // TestFastScanRunBoundsChecked asserts the wrapper refuses, with an
 // ordinary Go panic, a run longer than the blocks it is handed or a lut8
-// shorter than its lanes' tables — any of the four, the last one a byte
-// short included — and a lane count the assembly has no loop for: the
-// assembly behind it would read past the slice.
+// shorter than its table — a byte short included: the assembly behind it
+// would read past the slice.
 func TestFastScanRunBoundsChecked(t *testing.T) {
 	if !fsAVX2 {
 		t.Skip("no AVX2 kernel in this build")
 	}
 	const m4 = 16
 	np, bpb, sl := m4/2, fsBlockBytes(m4), m4*quant.Ks4
-	blocks, lut8 := make([]byte, 3*bpb), make([]uint8, fsLanes*sl)
-	var limits [fsLanes]uint32
-	var out fsRunOut
-	run := func(blocks []byte, lut8 []uint8, np, lanes int) func() {
-		return func() { fsScanRun(blocks, lut8, np, 3, lanes, &limits, &out) }
+	blocks, lut8 := make([]byte, 3*bpb), make([]uint8, sl)
+	var qd [fsBlock]uint8
+	run := func(blocks []byte, lut8 []uint8, np int) func() {
+		return func() { fsScanRun(blocks, lut8, np, 3, 0, &qd) }
 	}
 	for name, run := range map[string]func(){
-		"blocks one byte short":         run(blocks[:3*bpb-1], lut8, np, 1),
-		"blocks one block short":        run(blocks[:2*bpb:2*bpb], lut8, np, 1),
-		"lut8 one row short":            run(blocks, lut8[:sl-quant.Ks4], np, 1),
-		"empty lut8":                    run(blocks, nil, np, 1),
-		"no strips":                     run(blocks, lut8, 0, 1),
-		"four lanes, blocks short":      run(blocks[:3*bpb-1], lut8, np, fsLanes),
-		"four lanes, last lut8 byte":    run(blocks, lut8[:fsLanes*sl-1], np, fsLanes),
-		"four lanes, last lut8 row":     run(blocks, lut8[:fsLanes*sl-quant.Ks4], np, fsLanes),
-		"four lanes, three tables":      run(blocks, lut8[:3*sl], np, fsLanes),
-		"four lanes, second table half": run(blocks, lut8[:sl+sl/2], np, fsLanes),
-		"four lanes, one table":         run(blocks, lut8[:sl], np, fsLanes),
-		"two lanes":                     run(blocks, lut8, np, 2),
-		"no strips, four lanes":         run(blocks, lut8, 0, fsLanes),
+		"blocks one byte short":  run(blocks[:3*bpb-1], lut8, np),
+		"blocks one block short": run(blocks[:2*bpb:2*bpb], lut8, np),
+		"lut8 one row short":     run(blocks, lut8[:sl-quant.Ks4], np),
+		"lut8 one byte short":    run(blocks, lut8[:sl-1], np),
+		"empty lut8":             run(blocks, nil, np),
+		"no strips":              run(blocks, lut8, 0),
 	} {
 		func() {
 			defer func() {
@@ -508,10 +362,8 @@ func TestFastScanRunBoundsChecked(t *testing.T) {
 			run()
 		}()
 	}
-	for _, lanes := range []int{1, fsLanes} {
-		if got := fsScanRun(blocks, lut8, np, 0, lanes, &limits, &out); got != 0 {
-			t.Fatalf("empty %d-lane run returned %d", lanes, got)
-		}
+	if got, mask := fsScanRun(blocks, lut8, np, 0, 0, &qd); got != 0 || mask != 0 {
+		t.Fatalf("empty run returned %d, %#x", got, mask)
 	}
 }
 
@@ -538,7 +390,7 @@ func TestFastScanIgnoresBytesPastRun(t *testing.T) {
 	}
 	s := &Scratch{}
 	for _, k := range []int{1, 10, exact.n + 1} {
-		for _, nq := range []int{4, 6, 9} { // one group, a group and two singles, two groups and a single
+		for _, nq := range []int{4, 6, 9} {
 			batch, shBatch := BatchSearch(inside, queries[:nq], k, 1), BatchSearch(sh, queries[:nq], k, 2)
 			for i, q := range queries[:nq] {
 				want := Search(exact, q, k)
@@ -548,22 +400,16 @@ func TestFastScanIgnoresBytesPastRun(t *testing.T) {
 				sameResults(t, "sharded batch inside a larger buffer", want, shBatch[i])
 			}
 		}
-		if !fsAVX2 {
-			continue
-		}
-		// The four-lane loop itself, over ranges that end at the last row and
+		// Each kernel itself, over ranges that end at the last row and
 		// start and end mid-block.
-		qs, heaps := make([]fsQuery, fsLanes), make([]topK, fsLanes)
+		table := inside.prepareInto(queries[0], make([]float32, inside.stateLen()))
 		for _, rg := range [][2]int{{0, exact.n}, {3, exact.n - 2}} {
-			for l := range qs {
-				qs[l].table = inside.prepareInto(queries[l], make([]float32, inside.stateLen()))
-				heaps[l] = *newTopK(k)
-			}
-			inside.scanAVX2(qs, s, heaps, rg[0], rg[1])
-			for l := range qs {
-				plain := newTopK(k)
-				exact.scanPlain4(qs[l].table, plain, rg[0], rg[1])
-				sameResults(t, fmt.Sprintf("four lanes inside a larger buffer, rows %v lane %d", rg, l), plain.sorted(), heaps[l].sorted())
+			plain := newTopK(k)
+			exact.scanPlain4(table, plain, rg[0], rg[1])
+			for _, avx2 := range []bool{false, fsAVX2} {
+				got := newTopK(k)
+				inside.kernelScan(table, s, got, rg[0], rg[1], avx2)
+				sameResults(t, fmt.Sprintf("kernel (avx2 %v) inside a larger buffer, rows %v", avx2, rg), plain.sorted(), got.sorted())
 			}
 		}
 	}

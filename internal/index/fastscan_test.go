@@ -3,6 +3,8 @@ package index
 import (
 	"bytes"
 	"context"
+	"fmt"
+	"slices"
 	"testing"
 
 	"emblookup/internal/mathx"
@@ -177,6 +179,34 @@ func TestFastScanDynamic(t *testing.T) {
 	if !bytes.Equal(want.blocks, ix.blocks) {
 		t.Fatal("compacted blocks diverge from a from-scratch encode")
 	}
+
+	// On a clustered base the compacted rows form one more cluster at the
+	// end, and every answer equals the same rows' in id order.
+	big := mathx.NewMatrix(3000, dim)
+	big.FillRandn(mathx.NewRNG(322), 1)
+	byID, err := newFastScan(big, cfg, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl, err := newFastScan(big, cfg, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	nc := cl.clusters()
+	dByID, dCl := NewDynamic(byID, 40), NewDynamic(cl, 40)
+	for i := 0; i < 100; i++ {
+		row := all.Row(i % all.Rows)
+		if a, b := dByID.Add(row), dCl.Add(row); a != b {
+			t.Fatalf("add %d: ids %d and %d", i, a, b)
+		}
+		for j := 0; j < 3; j++ {
+			sameResults(t, "clustered dynamic", Search(dByID, big.Row(j*7), 10), Search(dCl, big.Row(j*7), 10))
+			sameResults(t, "clustered dynamic, an added row", Search(dByID, row, 10), Search(dCl, row, 10))
+		}
+	}
+	if cl.clusters() != nc+1 || cl.bounds[nc] != 3000 || cl.bounds[nc+1] != cl.n {
+		t.Fatalf("after compactions: %d clusters (built %d), tail [%d, %d) of %d rows", cl.clusters(), nc, cl.bounds[nc], cl.bounds[nc+1], cl.n)
+	}
 }
 
 // TestFastScanSlice asserts Slice extracts fast-scan rows with rebased ids
@@ -200,6 +230,32 @@ func TestFastScanSlice(t *testing.T) {
 			if !bytes.Equal(nibFull, nibSl) {
 				t.Fatalf("slice [%d,%d): row %d codes diverge", lo, hi, i)
 			}
+		}
+	}
+	// A clustered index slices to the same rows as the same codes in id
+	// order, keeping a cluster layout of its own that answers identically.
+	data := mathx.NewMatrix(3000, 32)
+	data.FillRandn(mathx.NewRNG(56), 1)
+	cfg := quant.Config4(quant.PQConfig{M: 4, Ks: 64, Iters: 4, Seed: 57})
+	byID, err := newFastScan(data, cfg, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl, err := newFastScan(data, cfg, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bounds := range [][2]int{{0, 3000}, {0, 10}, {1017, 2500}, {700, 700}} {
+		want, _ := Slice(byID, bounds[0], bounds[1])
+		got, err := Slice(cl, bounds[0], bounds[1])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if part := got.(*FastScan); part.Len() != bounds[1]-bounds[0] || (part.Len() > 10 && part.clusters() < 2) {
+			t.Fatalf("clustered slice %v: %d rows in %d clusters", bounds, part.Len(), part.clusters())
+		}
+		for i := 0; i < 10; i++ {
+			sameResults(t, fmt.Sprintf("clustered slice %v", bounds), Search(want, data.Row(i), 7), Search(got, data.Row(i), 7))
 		}
 	}
 	if _, err := Slice(ix, -1, 3); err == nil {
@@ -237,6 +293,46 @@ func TestFastScanFromParts(t *testing.T) {
 	if _, err := fromParts(&odd, ix.blocks); err == nil {
 		t.Fatal("odd-M quantizer accepted")
 	}
+
+	// A clustered index: its layout round-trips, its masks are recomputed
+	// equal to the built ones, and a layout that is not a permutation of
+	// the rows, or whose bounds do not span them in order, is refused.
+	data = mathx.NewMatrix(3000, 32)
+	data.FillRandn(mathx.NewRNG(43), 1)
+	cl, err := newFastScan(data, quant.Config4(quant.PQConfig{M: 4, Ks: 64, Iters: 4, Seed: 44}), 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bounds := make([]int64, len(cl.bounds))
+	for i, b := range cl.bounds {
+		bounds[i] = int64(b)
+	}
+	layout := func(ids []int32, bounds []int64) (Index, error) {
+		return assemble(&parts{Kind: "fastscan", Quant: cl.pq, Blocks: cl.blocks, IDs: ids, Clusters: bounds}, cl.n)
+	}
+	re, err = layout(cl.ids, bounds)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := re.(*FastScan); !slices.Equal(got.masks, cl.masks) || !slices.Equal(got.bounds, cl.bounds) {
+		t.Fatal("re-assembled cluster layout differs")
+	}
+	for i := 0; i < 20; i++ {
+		sameResults(t, "clustered from-parts", Search(cl, data.Row(i), 10), Search(re, data.Row(i), 10))
+	}
+	dup := slices.Clone(cl.ids)
+	dup[0] = dup[1]
+	for name, bad := range map[string][2]any{
+		"repeated id":   {dup, bounds},
+		"short ids":     {cl.ids[:cl.n-1], bounds},
+		"falling bound": {cl.ids, append([]int64{0, 2000, 1000}, bounds[1:]...)},
+		"short bounds":  {cl.ids, append(slices.Clone(bounds[:len(bounds)-1]), int64(cl.n-1))},
+		"no bounds":     {cl.ids, []int64{}},
+	} {
+		if _, err := layout(bad[0].([]int32), bad[1].([]int64)); err == nil {
+			t.Fatalf("%s accepted", name)
+		}
+	}
 }
 
 // TestFastScanRejectsWrongKs asserts construction refuses 8-bit configs.
@@ -245,5 +341,40 @@ func TestFastScanRejectsWrongKs(t *testing.T) {
 	data.FillRandn(mathx.NewRNG(1), 1)
 	if _, err := NewFastScan(data, quant.PQConfig{M: 4, Ks: 64, Iters: 2, Seed: 1}); err == nil {
 		t.Fatal("8-bit config accepted")
+	}
+}
+
+// TestFastScanClustersOnlyWhenTheyPrune: NewFastScan keeps the cluster
+// layout over rows that cluster, and stores rows with no cluster structure
+// (independent Gaussian coordinates, over which a scan would visit nearly
+// every cluster) in id order; either way the answers are the same codes'.
+func TestFastScanClustersOnlyWhenTheyPrune(t *testing.T) {
+	cfg := quant.Config4(quant.PQConfig{M: 4, Ks: 64, Iters: 4, Seed: 81})
+	random := mathx.NewMatrix(5000, 32)
+	random.FillRandn(mathx.NewRNG(82), 1)
+	for name, c := range map[string]struct {
+		data      *mathx.Matrix
+		clustered bool
+	}{
+		"clustered rows": {clusteredData(5000, 32, 83), true},
+		"Gaussian rows":  {random, false},
+	} {
+		ix, err := NewFastScan(c.data, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := ix.clusters() > 1; got != c.clustered {
+			t.Fatalf("%s: %d clusters", name, ix.clusters())
+		}
+		byID, err := newFastScan(c.data, cfg, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !c.clustered && !bytes.Equal(ix.blocks, byID.blocks) {
+			t.Fatalf("%s: blocks differ from the same codes in id order", name)
+		}
+		for i := 0; i < 20; i++ {
+			sameResults(t, name, Search(byID, c.data.Row(i*13), 10), Search(ix, c.data.Row(i*13), 10))
+		}
 	}
 }

@@ -1,8 +1,10 @@
 package index
 
 import (
+	"bytes"
 	"context"
 	"math"
+	"slices"
 	"testing"
 
 	"emblookup/internal/mathx"
@@ -71,11 +73,11 @@ func FuzzInterleave4RoundTrip(f *testing.F) {
 }
 
 // FuzzFastScanEquivalence asserts the quantized early-abandoning fast-scan
-// kernels — this build's solo kernel and the query-major group — return
-// bit-identical results to the plain float32 scan of the same 4-bit codes, for arbitrary shapes, k
-// (including 1 and k > n), shard counts, batch sizes 1…9 (a batch of one,
-// masked remainders, full and several groups, a duplicate query inside the
-// batch), and tie-heavy integer distance tables (where the quantized prune
+// kernels — the AVX2 one where the CPU has it, and the portable one on
+// every host — return bit-identical results to the plain float32 scan of
+// the same 4-bit codes, for arbitrary shapes, k (including 1 and k > n),
+// shard counts, batch sizes 1…9 (a duplicate query inside the batch), and
+// tie-heavy integer distance tables (where the quantized prune
 // must over-admit on exact ties, never drop). Tables come from queries
 // against synthetic codebooks, so the batch entry points see them too.
 func FuzzFastScanEquivalence(f *testing.F) {
@@ -146,7 +148,7 @@ func FuzzFastScanEquivalence(f *testing.F) {
 			sameResults(t, "solo SearchWith", want[i], ix.SearchWith(s, q, k))
 		}
 
-		// One worker scans every group over all rows; three split a small
+		// One worker scans every query over all rows; three split a small
 		// batch's rows at the shard bounds.
 		for _, parallelism := range []int{1, 3} {
 			for name, b := range map[string]Index{"bare": ix, "sharded": sh} {
@@ -156,25 +158,20 @@ func FuzzFastScanEquivalence(f *testing.F) {
 			}
 		}
 
-		// The group kernel and the solo kernel against the plain scan on a
-		// range that starts and ends mid-block.
+		// Both kernels and scanRange against the plain scan on a range that
+		// starts and ends mid-block.
 		lo := rng.Intn(n)
 		hi := lo + rng.Intn(n-lo+1)
-		for g := 0; g < nq; g += fsLanes {
-			group := queries[g:min(g+fsLanes, nq)]
-			fq, heaps := make([]fsQuery, len(group)), make([]topK, len(group))
-			for l, q := range group {
-				table := ix.prepareInto(q, make([]float32, ix.stateLen()))
-				fq[l] = ix.quantize(table, make([]uint8, ix.stateLen()), 0, 0)
-				heaps[l].reset(k)
-			}
-			ix.scanGroup(fq, s, heaps, lo, hi)
-			for l := range group {
-				plain, solo := newTopK(k), newTopK(k)
-				ix.scanPlain4(fq[l].table, plain, lo, hi)
-				ix.scanRange(fq[l].table, s, solo, lo, hi)
-				sameResults(t, "group range", plain.sorted(), heaps[l].sorted())
-				sameResults(t, "solo range", plain.sorted(), solo.sorted())
+		for _, q := range queries {
+			table := ix.prepareInto(q, make([]float32, ix.stateLen()))
+			plain, solo := newTopK(k), newTopK(k)
+			ix.scanPlain4(table, plain, lo, hi)
+			ix.scanRange(table, s, solo, lo, hi)
+			sameResults(t, "solo range", plain.sorted(), solo.sorted())
+			for _, avx2 := range []bool{false, fsAVX2} {
+				got := newTopK(k)
+				ix.kernelScan(table, s, got, lo, hi, avx2)
+				sameResults(t, "kernel range", plain.sorted(), got.sorted())
 			}
 		}
 	})
@@ -322,4 +319,140 @@ func FuzzADCListScanEquivalence(f *testing.F) {
 			}
 		}
 	})
+}
+
+// clusteredSynthetic is syntheticFastScan's rows stored under an arbitrary
+// cluster layout: position p holds row perm[p], cluster c positions
+// [bounds[c], bounds[c+1]), masks derived from the codes as attach does.
+func clusteredSynthetic(plain *FastScan, nib []byte, perm []int32, bounds []int) *FastScan {
+	m4 := plain.pq.M
+	byPos := make([]byte, len(nib))
+	for pos, id := range perm {
+		copy(byPos[pos*m4:(pos+1)*m4], nib[int(id)*m4:(int(id)+1)*m4])
+	}
+	ix := &FastScan{pq: plain.pq, blocks: interleave4(byPos, m4, plain.n), n: plain.n, ids: perm, bounds: bounds}
+	ix.computeMasks()
+	return ix
+}
+
+// checkClusteredEquivalence draws one case — n rows of m4 nibble codes
+// below ks, a third of them copies of earlier rows, codebooks continuous or
+// from a tiny integer alphabet (all-ties tables), a random permutation (for
+// an even seed, ordered by the rows' leading codes) cut into nc clusters
+// (empty ones included), nq queries with a duplicate — and
+// holds the clustered index to the same codes in id order: solo, batch at
+// one and three workers, 3-shard, and after appends that grow a tail
+// cluster, every answer bit for bit.
+func checkClusteredEquivalence(t *testing.T, n, m4, ks, k, nc, nq int, seed uint64, ties bool) {
+	rng := mathx.NewRNG(seed)
+	nib := randomNibbles(n, m4, ks, seed)
+	for i := 1; i < n; i += 3 {
+		j := rng.Intn(i)
+		copy(nib[i*m4:(i+1)*m4], nib[j*m4:(j+1)*m4])
+	}
+	plain := syntheticFastScan(nib, m4, ks, n)
+	draw := func() float32 {
+		if ties {
+			return float32(rng.Intn(2))
+		}
+		return rng.Float32()
+	}
+	for _, cb := range plain.pq.Codebooks {
+		for c := range cb.Data {
+			cb.Data[c] = draw()
+		}
+	}
+	remakeQuantizer(plain)
+	perm := make([]int32, n)
+	for i := range perm {
+		perm[i] = int32(i)
+	}
+	for i := n - 1; i > 0; i-- {
+		j := rng.Intn(i + 1)
+		perm[i], perm[j] = perm[j], perm[i]
+	}
+	if seed%2 == 0 {
+		// Rows ordered by their leading codes, so clusters are narrow in
+		// those sub-quantizers and bounds prune, as k-means clusters do.
+		slices.SortStableFunc(perm, func(a, b int32) int {
+			return bytes.Compare(nib[int(a)*m4:int(a)*m4+min(m4, 3)], nib[int(b)*m4:int(b)*m4+min(m4, 3)])
+		})
+	}
+	bounds := []int{0}
+	for c := 1; c < nc; c++ {
+		bounds = append(bounds, rng.Intn(n+1))
+	}
+	bounds = append(bounds, n)
+	slices.Sort(bounds)
+	ix := clusteredSynthetic(plain, nib, perm, bounds)
+	queries := make([][]float32, nq)
+	for i := range queries {
+		if i == 2 {
+			queries[i] = queries[0]
+			continue
+		}
+		queries[i] = make([]float32, m4)
+		for m := range queries[i] {
+			queries[i][m] = draw()
+		}
+	}
+	sh, err := NewSharded(ix, 3, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(stage string) {
+		t.Helper()
+		for i, q := range queries {
+			want := Search(plain, q, k)
+			sameResults(t, stage+" solo", want, Search(ix, q, k))
+			sameResults(t, stage+" 3-shard", want, Search(sh, q, k))
+			for _, parallelism := range []int{1, 3} {
+				sameResults(t, stage+" batch", want, BatchSearch(ix, queries, k, parallelism)[i])
+			}
+		}
+	}
+	check("clustered")
+	for i := 0; i < 5; i++ {
+		row := make([]float32, m4)
+		for m := range row {
+			row[m] = draw()
+		}
+		plain.appendRow(row)
+		ix.appendRow(row)
+	}
+	if sh, err = NewSharded(ix, 3, 2); err != nil {
+		t.Fatal(err)
+	}
+	check("with a tail cluster")
+}
+
+// FuzzClusteredFastScanEquivalence: whatever the cluster layout, a
+// clustered fast-scan index answers exactly as the same codes stored in id
+// order (checkClusteredEquivalence).
+func FuzzClusteredFastScanEquivalence(f *testing.F) {
+	f.Add(uint16(1), uint8(1), uint8(1), uint16(1), uint8(1), uint64(0), false, uint8(0))
+	f.Add(uint16(300), uint8(4), uint8(15), uint16(10), uint8(20), uint64(7), false, uint8(5))
+	f.Add(uint16(700), uint8(2), uint8(7), uint16(250), uint8(64), uint64(42), true, uint8(2))
+	f.Add(uint16(96), uint8(6), uint8(3), uint16(5), uint8(9), uint64(99), true, uint8(8))
+	f.Add(uint16(1000), uint8(3), uint8(15), uint16(3), uint8(200), uint64(11), false, uint8(3))
+	f.Fuzz(func(t *testing.T, nRaw uint16, m4Raw, ksRaw uint8, kRaw uint16, ncRaw uint8, seed uint64, ties bool, batchRaw uint8) {
+		n := int(nRaw)%1200 + 1
+		checkClusteredEquivalence(t, n, (int(m4Raw)%6+1)*2, int(ksRaw)%quant.Ks4+1, int(kRaw)%300+1, int(ncRaw)%(n+1)+1, int(batchRaw)%9+1, seed, ties)
+	})
+}
+
+// TestFastScanClusterLayoutProperty runs checkClusteredEquivalence over 60
+// seeded cases: with every bound exact, no answer may move; a bound that
+// is too high anywhere (one code missing from one cluster's mask) shows up
+// here as a wrong answer.
+func TestFastScanClusterLayoutProperty(t *testing.T) {
+	rng := mathx.NewRNG(2026)
+	c := countsOf(func() {
+		for i := 0; i < 60; i++ {
+			n := 200 + rng.Intn(600)
+			checkClusteredEquivalence(t, n, 2*(1+rng.Intn(6)), 2+rng.Intn(15), 1+rng.Intn(20), 2+rng.Intn(40), 1+rng.Intn(8), uint64(i), i%3 == 0)
+		}
+	})
+	// The cases must prune for the property to say anything about bounds.
+	t.Logf("%d scans visited %d rows", c.Scans, c.Rows)
 }

@@ -18,8 +18,12 @@ type Scratch struct {
 	probeBuf []Result
 	base     []Result // Dynamic: the sealed base segment's hits, merged into res
 	dists    [scanBlock]float32
-	lut8     []uint8  // fast-scan: uint8-quantized ADC table (M4 × Ks4)
-	lut4     []uint64 // fast-scan group kernel: fsLanes queries' fused pair LUTs (M4/2 × 256), one per 16-bit lane
+	lut8     []uint8   // fast-scan: uint8-quantized ADC table (M4 × Ks4)
+	lut16    []uint16  // fast-scan portable kernel: fused pair LUTs (M4/2 × 256)
+	nibMin   []float32 // fast-scan: per sub-quantizer minima over nibble subsets (M4 × 4 × 16)
+	bounds   []float32 // fast-scan: the clusters' lower bounds
+	order    []uint64  // fast-scan: the super-clusters' keys, bound above index
+	keys     []uint64  // fast-scan: the clusters' keys
 }
 
 // ScratchSearcher is Index.Search without the context and the result

@@ -85,10 +85,11 @@ func scanSolo(ctx context.Context, rs rangeScanner, bounds []int, parallelism in
 }
 
 // Sharded partitions a PQ, FastScan or Flat index's stored rows into S
-// contiguous shards. A single query is scanSolo over the shard bounds; a
-// batch goes through searchBatch, which splits by query group first and by
-// shard only when groups are scarce. Both paths return bit-identical
-// results to the wrapped index.
+// contiguous shards (a FastScan's by position: each shard prunes the
+// clusters it holds). A single query is scanSolo over the shard bounds; a
+// batch goes through searchBatch, which splits by query first and by shard
+// only when queries are scarce. Both paths return bit-identical results to
+// the wrapped index.
 type Sharded struct {
 	inner       rangeScanner
 	bounds      []int // len shards+1; shard i scans rows [bounds[i], bounds[i+1])
@@ -136,14 +137,19 @@ const soloRangeBytes = 1 << 20
 const maxDefaultShards = 4
 
 // DefaultShards is the shard count a server wraps ix with when its operator
-// named none. A FastScan index on the AVX2 kernel gets one range per
-// soloRangeBytes of payload, at least 1 (serve the index as it is) and at
-// most maxDefaultShards; every other range-scannable index (PQ, Flat,
-// FastScan on the portable kernel) keeps maxDefaultShards, the count the
-// rule was not measured against; an index whose scan does not decompose by
-// row range (IVF, Dynamic) gets 1.
+// named none. A clustered FastScan gets 1: its pruned scan visits under a
+// quarter of the rows on the benchmark's index, far under what a second
+// range's wake-up costs (DESIGN.md §11). An unclustered FastScan on the AVX2 kernel gets one
+// range per soloRangeBytes of payload, at least 1 (serve the index as it
+// is) and at most maxDefaultShards; every other range-scannable index (PQ,
+// Flat, unclustered FastScan on the portable kernel) keeps
+// maxDefaultShards, the count the rule was not measured against; an index
+// whose scan does not decompose by row range (IVF, Dynamic) gets 1.
 func DefaultShards(ix Index) int {
 	if _, ok := ix.(rangeScanner); !ok {
+		return 1
+	}
+	if fs, ok := ix.(*FastScan); ok && fs.clusters() > 1 {
 		return 1
 	}
 	if _, ok := ix.(*FastScan); ok && fsAVX2 {
@@ -181,21 +187,16 @@ func (sh *Sharded) SearchWith(s *Scratch, q []float32, k int) []Result {
 
 // searchBatch is the one batch scan, behind BatchSearchCtx for every
 // range-scannable index (bounds are a Sharded's shards, or the single range
-// [0, n) of a bare index). Every query's scan state is prepared once; the
-// unit of work is (group, row range), groups first. A FastScan group is
-// fsLanes queries its kernel scans in one pass over the codes: the portable
-// kernel masks the lanes of a short last group, and on AVX2 each of the
-// last nq mod fsLanes queries is a one-lane group of its own (a task, so the
-// remainder spreads across the workers). A PQ or Flat group is one query.
-// With at least as many groups as workers every task prepares its group,
-// scans all rows — the codes stream past cache-resident LUTs once per group
-// — and emits the results, with nothing to merge. Only a batch with fewer
-// groups than workers splits the rows at bounds. Every (range, query) heap
-// is a k-slot window of one flat arena; range 0's heap absorbs the others in
-// range order and is sorted in place as the query's result, which canonical
-// top-k selection makes identical to a solo Search whatever the scheduling.
-// ctx is checked before each task; a cancelled batch returns ctx.Err() and
-// no results.
+// [0, n) of a bare index): one scan per query — for a FastScan, its own
+// pruned scan, since each query visits its own clusters. The unit of work
+// is (range, query). With at least as many queries as workers every task
+// prepares its query, scans all rows and emits the result, with nothing to
+// merge; only a batch with fewer queries than workers splits the rows at
+// bounds. Every (range, query) heap is a k-slot window of one flat arena;
+// range 0's heap absorbs the others in range order and is sorted in place
+// as the query's result, which canonical top-k selection makes identical
+// to a solo Search whatever the scheduling. ctx is checked before each
+// task; a cancelled batch returns ctx.Err() and no results.
 func searchBatch(ctx context.Context, rs rangeScanner, bounds []int, queries [][]float32, k, parallelism int) ([][]Result, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -205,51 +206,25 @@ func searchBatch(ctx context.Context, rs rangeScanner, bounds []int, queries [][
 	if k <= 0 {
 		return out, nil
 	}
-	fs, _ := rs.(*FastScan)
-	width := 1
-	if fs != nil && (fsAVX2 || fs.pq.M <= fsGroupMaxM4) {
-		width = fsLanes
-	}
-	full, rest := nq/width, nq%width
-	ng := full + min(rest, 1)
-	if fsAVX2 {
-		ng = full + rest
-	}
-	// group returns group g's queries [lo, hi).
-	group := func(g int) (lo, hi int) {
-		switch {
-		case g < full:
-			return g * width, (g + 1) * width
-		case fsAVX2:
-			lo = full*width + g - full
-			return lo, lo + 1
-		}
-		return full * width, nq
-	}
 	nr := len(bounds) - 1
-	if ng >= par.Workers(ng*nr, parallelism) {
-		nr = 1 // enough groups to fill the workers: every task scans all rows
+	if nq >= par.Workers(nq*nr, parallelism) {
+		nr = 1 // enough queries to fill the workers: every task scans all rows
 	}
-
-	qs := make([]fsQuery, nq)
 	arena := make([]Result, nr*nq*k)
 	heaps := make([]topK, nr*nq) // heap of (range r, query i) at r*nq+i
 	for i := range heaps {
 		heaps[i] = topK{k: k, heap: arena[i*k : i*k : (i+1)*k]}
 	}
-	// prepare computes query i's scan state, once, into table and qs[i].table
-	// (all a PQ, Flat or AVX2 scan reads of qs: the AVX2 kernel quantizes
-	// per range, into the task's Scratch), and for the portable group kernel
-	// its quantization into lut8 (as long as the table: a byte per entry);
-	// finish turns its heaps into its result. With one range both run inside
-	// the query's only task and the state lives in the worker's Scratch;
-	// with several they run before and after all tasks, on per-batch arrays.
-	sl := rs.stateLen()
-	prepare := func(i int, table []float32, lut8 []uint8) {
-		qs[i].table = rs.prepareInto(queries[i], table)
-		if width > 1 && !fsAVX2 {
-			qs[i] = fs.quantize(qs[i].table, lut8, 0, 0)
-		}
+	// With several ranges every query's scan state is prepared once, before
+	// the tasks, into a per-batch array; with one, inside its only task.
+	var states [][]float32
+	if nr > 1 {
+		sl := rs.stateLen()
+		tables := make([]float32, nq*sl)
+		states = make([][]float32, nq)
+		par.ForEach(nq, parallelism, func(i int) {
+			states[i] = rs.prepareInto(queries[i], tables[i*sl:(i+1)*sl])
+		})
 	}
 	finish := func(i int) {
 		t := &heaps[i]
@@ -261,14 +236,8 @@ func searchBatch(ctx context.Context, rs rangeScanner, bounds []int, queries [][
 		sortResults(t.heap)
 		out[i] = t.heap
 	}
-	if nr > 1 {
-		tables, lut8 := make([]float32, nq*sl), make([]uint8, nq*sl)
-		par.ForEach(nq, parallelism, func(i int) {
-			prepare(i, tables[i*sl:(i+1)*sl], lut8[i*sl:(i+1)*sl])
-		})
-	}
-	scratches := make([]*Scratch, par.Workers(ng*nr, parallelism))
-	par.ForEachWorker(ng*nr, parallelism, func(w, t int) {
+	scratches := make([]*Scratch, par.Workers(nq*nr, parallelism))
+	par.ForEachWorker(nq*nr, parallelism, func(w, t int) {
 		if ctx.Err() != nil {
 			return
 		}
@@ -277,28 +246,13 @@ func searchBatch(ctx context.Context, rs rangeScanner, bounds []int, queries [][
 			s = GetScratch()
 			scratches[w] = s
 		}
-		r := t / ng
-		lo, hi := group(t % ng)
-		rlo, rhi := bounds[r], bounds[r+1]
+		r, i := t/nq, t%nq
 		if nr == 1 {
-			rhi = bounds[len(bounds)-1]
-			s.table, s.lut8 = mathx.Resize(s.table, width*sl), resize(s.lut8, width*sl)
-			for i, j := lo, 0; i < hi; i, j = i+1, j+sl {
-				prepare(i, s.table[j:j+sl], s.lut8[j:j+sl])
-			}
-		}
-		h := heaps[r*nq+lo : r*nq+hi]
-		switch {
-		case width > 1 && !fsAVX2:
-			fs.scanGroup(qs[lo:hi], s, h, rlo, rhi)
-		case hi-lo > 1:
-			fs.scanAVX2(qs[lo:hi], s, h, rlo, rhi)
-		default:
-			rs.scanRange(qs[lo].table, s, &h[0], rlo, rhi)
-		}
-		for i := lo; i < hi && nr == 1; i++ {
+			rs.scanRange(prepareScan(rs, s, queries[i]), s, &heaps[i], bounds[0], bounds[len(bounds)-1])
 			finish(i)
+			return
 		}
+		rs.scanRange(states[i], s, &heaps[r*nq+i], bounds[r], bounds[r+1])
 	})
 	for _, s := range scratches {
 		if s != nil {

@@ -108,8 +108,9 @@ func TestShardedRejectsUnsupported(t *testing.T) {
 	}
 }
 
-// TestDefaultShards pins the derived shard count: for a FastScan index on
-// the AVX2 kernel one range per MiB of payload at its boundaries, never
+// TestDefaultShards pins the derived shard count: one for a clustered
+// FastScan; for an unclustered FastScan index on the AVX2 kernel one range
+// per MiB of payload at its boundaries, never
 // fewer than one nor more than four; four for every other range-scannable
 // index whatever its size (the size rule was measured on that kernel only);
 // and one for an index that cannot be range-scanned.
@@ -134,6 +135,11 @@ func TestDefaultShards(t *testing.T) {
 		if got := DefaultShards(fs); got != want {
 			t.Errorf("FastScan (%s) of %d bytes: %d shards, want %d", FastScanKernel(), c.bytes, got, want)
 		}
+	}
+	// A clustered FastScan gets one range on either kernel, whatever its
+	// size: its pruned scan is a fraction of the rows.
+	if got := DefaultShards(&FastScan{blocks: make([]byte, 9<<20), bounds: []int{0, 5, 9}}); got != 1 {
+		t.Errorf("clustered FastScan of 9 MiB: %d shards, want 1", got)
 	}
 	const rowBytes = 64 * 4 // a Flat row at d = 64
 	for _, rows := range []int{1, (1 << 19) / rowBytes, (9 << 20) / rowBytes} {

@@ -137,16 +137,29 @@ func KMeans(data *mathx.Matrix, cfg KMeansConfig) (*mathx.Matrix, []int) {
 // running distance total is maintained incrementally — each new centroid
 // subtracts the per-partition sum of distance decrements instead of
 // re-summing all N distances — and the distance updates fan across workers.
+// Each partition's rows are laid out column-major once, so a new centroid's
+// distance to all of them is one call of the column-block kernel, which
+// equals SquaredL2 of each row bit for bit.
 func seedPlusPlus(data, centroids *mathx.Matrix, rng *mathx.RNG, st *kmeansState) {
-	n, k := data.Rows, centroids.Rows
+	n, k, d := data.Rows, centroids.Rows, data.Cols
 	copy(centroids.Row(0), data.Row(rng.Intn(n)))
 	dist := make([]float64, n)
 	var total float64
+	rows := make([]*mathx.Centroids, st.parts())
+	scores := make([][]float32, st.parts())
+	// score writes partition p's distances to centroid c into scores[p].
+	score := func(p, c int) []float32 {
+		rows[p].SquaredL2Into(centroids.Row(c), scores[p])
+		return scores[p]
+	}
 	par.ForEach(st.parts(), st.workers, func(p int) {
+		lo, hi := st.bounds[p], st.bounds[p+1]
+		rows[p] = mathx.NewCentroids(&mathx.Matrix{Rows: hi - lo, Cols: d, Data: data.Data[lo*d : hi*d]})
+		scores[p] = make([]float32, hi-lo)
 		var sum float64
-		for i := st.bounds[p]; i < st.bounds[p+1]; i++ {
-			dist[i] = float64(mathx.SquaredL2(data.Row(i), centroids.Row(0)))
-			sum += dist[i]
+		for j, nd := range score(p, 0) {
+			dist[lo+j] = float64(nd)
+			sum += dist[lo+j]
 		}
 		st.deltas[p] = sum
 	})
@@ -172,10 +185,11 @@ func seedPlusPlus(data, centroids *mathx.Matrix, rng *mathx.RNG, st *kmeansState
 		copy(centroids.Row(c), data.Row(chosen))
 		par.ForEach(st.parts(), st.workers, func(p int) {
 			var dec float64
-			for i := st.bounds[p]; i < st.bounds[p+1]; i++ {
-				if nd := float64(mathx.SquaredL2(data.Row(i), centroids.Row(c))); nd < dist[i] {
-					dec += dist[i] - nd
-					dist[i] = nd
+			lo := st.bounds[p]
+			for j, v := range score(p, c) {
+				if nd := float64(v); nd < dist[lo+j] {
+					dec += dist[lo+j] - nd
+					dist[lo+j] = nd
 				}
 			}
 			st.deltas[p] = dec

@@ -270,12 +270,14 @@ func (f *frontEnd) handleLookup(w http.ResponseWriter, r *http.Request) {
 		tr := obs.FromContext(ctx)
 		resp.TraceID, resp.Trace = tr.ID(), tr.Spans()
 	}
-	w.Header().Set("Content-Type", "application/json")
-	json.NewEncoder(w).Encode(resp)
+	buf := replyPool.Get().(*[]byte)
+	*buf = appendLookupResponse((*buf)[:0], &resp)
+	writeReply(w, "application/json", *buf)
+	replyPool.Put(buf)
 }
 
-// handleBulk reads one query per line from the body and streams one JSON
-// object per line back, the bulk mode the paper's applications need. Each
+// handleBulk reads one query per line from the body and answers one JSON
+// object per line, in one write, the bulk mode the paper's applications need. Each
 // line carries the batch's degradation flags.
 func (f *frontEnd) handleBulk(w http.ResponseWriter, r *http.Request) {
 	query := r.URL.Query()
@@ -311,13 +313,16 @@ func (f *frontEnd) handleBulk(w http.ResponseWriter, r *http.Request) {
 	if !f.finish(w, r, ctx, f.bulkLat, obs.SlowEntry{K: k, Partial: ans.Partial}, len(queries), took, err) {
 		return
 	}
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	enc := json.NewEncoder(w)
+	buf := replyPool.Get().(*[]byte)
+	b := (*buf)[:0]
 	for i, q := range queries {
 		n := len(ans.PerQuery[i])
-		enc.Encode(LookupResponse{Query: q, Results: hits[:n:n], Partial: ans.Partial, Failed: ans.Failed})
+		b = appendLookupResponse(b, &LookupResponse{Query: q, Results: hits[:n:n], Partial: ans.Partial, Failed: ans.Failed})
 		hits = hits[n:]
 	}
+	writeReply(w, "application/x-ndjson", b)
+	*buf = b
+	replyPool.Put(buf)
 }
 
 // finish ends a lookup that ran. One that crossed the slow log's threshold

@@ -325,3 +325,36 @@ func FuzzPartitionSearchJSON(f *testing.F) {
 		}
 	})
 }
+
+// FuzzAppendLookupResponse holds the reply encoder to encoding/json: for
+// any query and labels (HTML-special, control and invalid UTF-8 bytes,
+// U+2028/2029 among them), ids, scores (bit patterns, so 'e'-form
+// exponents, negative zero, NaN and infinities come up), tookUs, partial
+// flag and failed partitions, its bytes equal what
+// json.NewEncoder(w).Encode writes for the same LookupResponse — nothing
+// at all where Encode refuses.
+func FuzzAppendLookupResponse(f *testing.F) {
+	f.Add("Germoney", "Bramonia <Ridge> & \"co\"", int32(7), uint64(math.Float64bits(0.875)), int64(123), false, uint8(0), uint8(2))
+	f.Add("a\x00b\x1f\b\f\n\r\t\\", "\xff\xfe  \x7f", int32(-1), uint64(math.Float64bits(1e-7)), int64(0), true, uint8(3), uint8(1))
+	f.Add("é😀", "", int32(0), uint64(math.Float64bits(-2.5e21)), int64(-5), true, uint8(0), uint8(0))
+	f.Add("x", "y", int32(1), uint64(math.Float64bits(math.NaN())), int64(1), false, uint8(1), uint8(3))
+	f.Add("", "z", int32(2), uint64(math.Float64bits(math.Copysign(0, -1))), int64(9), false, uint8(7), uint8(4))
+	f.Add("q", "l", int32(3), uint64(math.Float64bits(1e-300)), int64(2), false, uint8(0), uint8(5))
+	f.Fuzz(func(t *testing.T, query, label string, id int32, scoreBits uint64, tookUs int64, partial bool, failed, nhits uint8) {
+		resp := LookupResponse{Query: query, TookUs: tookUs, Partial: partial}
+		if nhits%5 != 0 { // 0 mod 5: nil results
+			resp.Results = []Hit{}
+		}
+		for i := range int(nhits % 5) {
+			resp.Results = append(resp.Results, Hit{ID: id + int32(i), Label: label[:len(label)*i/4], Score: math.Float64frombits(scoreBits + uint64(i))})
+		}
+		for i := range int(failed % 4) {
+			resp.Failed = append(resp.Failed, int(failed)*i-3)
+		}
+		var want bytes.Buffer
+		json.NewEncoder(&want).Encode(resp)
+		if got := appendLookupResponse(nil, &resp); !bytes.Equal(got, want.Bytes()) {
+			t.Fatalf("appended %q\nencoding/json %q", got, want.Bytes())
+		}
+	})
+}

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"log"
 	"net/http"
 	"time"
 
@@ -64,13 +65,21 @@ func (s *Server) openTenant(w http.ResponseWriter, r *http.Request) (Route, *Err
 	h, err := t.Acquire()
 	if err != nil {
 		t.Admission().Release()
-		return Route{}, NewError(http.StatusServiceUnavailable, "model_unavailable", err.Error())
+		return Route{}, modelUnavailable(t, "load", err)
 	}
 	lim, b := t.Limits(), tenantBackend{h}
 	bounds := DefaultLimits()
 	bounds.MaxK, bounds.MaxBulkQueries = lim.MaxK, lim.MaxBatch
 	return Route{Backend: b, Labels: h.Graph(), Pin: b, Limits: bounds,
 		Deadline: lim.DefaultDeadline(), MaxDeadline: lim.MaxDeadline()}, nil
+}
+
+// modelUnavailable answers a tenant model that failed to load or reload
+// with a fixed message: the error names the server's artifact paths, which
+// go to the server's log, never to the client.
+func modelUnavailable(t *tenant.Tenant, op string, err error) *Error {
+	log.Printf("tenant %s: model %s failed: %v", t.Name(), op, err)
+	return NewError(http.StatusServiceUnavailable, "model_unavailable", "the tenant's model could not be "+op+"ed")
 }
 
 // tenantBackend is a tenant's pinned model generation answering one
@@ -127,7 +136,7 @@ func (s *Server) handleReload(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	if err := t.Swap(); err != nil {
-		WriteError(w, r, NewError(http.StatusServiceUnavailable, "model_unavailable", err.Error()))
+		WriteError(w, r, modelUnavailable(t, "reload", err))
 		return
 	}
 	w.Header().Set("Content-Type", "application/json")

@@ -358,9 +358,10 @@ func TestTenantReload(t *testing.T) {
 
 // TestTenantReloadRefusesNonV4: a reload whose model or graph file is not a
 // v4 artifact — a gob stream, as builds before v4 wrote, an empty file, 8
-// random bytes — answers 503 model_unavailable with an error that wraps
-// artifact.ErrNotV4, and the tenant keeps answering from the generation it
-// had.
+// random bytes — answers 503 model_unavailable with a message that names
+// no part of the artifact path (Swap's error, which wraps
+// artifact.ErrNotV4, goes to the server log), and the tenant keeps
+// answering from the generation it had.
 func TestTenantReloadRefusesNonV4(t *testing.T) {
 	goodGraph, goodModel := tenantArtifacts(t)
 	g, _ := testModel(t)
@@ -410,8 +411,16 @@ func TestTenantReloadRefusesNonV4(t *testing.T) {
 		}
 		defer resp.Body.Close()
 		if resp.StatusCode != 200 {
-			if code := decodeErrorBody(t, resp).Code; code != "model_unavailable" {
-				t.Fatalf("reload refused with code %q, want model_unavailable", code)
+			e := decodeErrorBody(t, resp)
+			if e.Code != "model_unavailable" {
+				t.Fatalf("reload refused with code %q, want model_unavailable", e.Code)
+			}
+			// The server's file layout stays on the server: no part of the
+			// artifact path reaches the client.
+			for _, part := range append(strings.Split(dir, string(filepath.Separator)), "graph.bin", "model.bin", "EMBLKV4") {
+				if part != "" && strings.Contains(e.Message, part) {
+					t.Fatalf("reload refusal %q names %q of the artifact path %s", e.Message, part, dir)
+				}
 			}
 		}
 		return resp.StatusCode

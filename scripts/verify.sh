@@ -118,9 +118,9 @@ go test -count=5 ./internal/serve ./internal/cluster ./internal/index ./internal
 
 echo "== portable kernel builds: purego tests, arm64 vet, GOAMD64=v3 =="
 # Each AVX2 assembly kernel has a portable sibling that this amd64 host
-# never runs by itself: the fast-scan query-major group kernel and the
-# scalar loops of the table quantizer and the four-lane loop of the
-# centroid-distance block (DESIGN.md §11), and the convolution, four-row
+# never runs by itself: the fast-scan cluster-bound loop, the scalar loops
+# of the table quantizer and the four-lane loop of the centroid-distance
+# block (DESIGN.md §11), and the convolution, four-row
 # matvec and Axpy loops (§3, "Inference kernels"). The purego tag
 # runs the kernel, scan, lookup and serve suites on them — the embedding
 # golden included — and the arm64 vet type-checks the non-amd64 file set so
@@ -136,7 +136,9 @@ GOAMD64=v3 go test -run 'Golden|Equivalence|TestTrainDeterministicRunToRun|BitId
 
 echo "== kernel fuzz (short, both builds) =="
 # Each build's fast-scan kernels against the plain float32 scan: batch sizes
-# 1-9, all-ties tables, mid-block ranges (DESIGN.md §11). Each build's
+# 1-9, all-ties tables, mid-block ranges; and a clustered index against the
+# same codes in id order, solo and batch, under arbitrary cluster layouts,
+# duplicate rows, all-ties tables and appended tail clusters (DESIGN.md §11). Each build's
 # convolution kernels against the scalar loop, bit for bit: lengths 1-40,
 # signed zeros, subnormals, overflow (DESIGN.md §3). Each build's centroid
 # block against SquaredL2 per centroid, and each build's matvec against Dot
@@ -146,6 +148,8 @@ echo "== kernel fuzz (short, both builds) =="
 # +Inf and NaN rows. The query's one case fold against strings.ToLower.
 go test -run '^$' -fuzz FuzzFastScanEquivalence -fuzztime 10s ./internal/index
 go test -tags purego -run '^$' -fuzz FuzzFastScanEquivalence -fuzztime 10s ./internal/index
+go test -run '^$' -fuzz FuzzClusteredFastScanEquivalence -fuzztime 10s ./internal/index
+go test -tags purego -run '^$' -fuzz FuzzClusteredFastScanEquivalence -fuzztime 10s ./internal/index
 go test -run '^$' -fuzz FuzzConvEquivalence -fuzztime 10s ./internal/nn
 go test -tags purego -run '^$' -fuzz FuzzConvEquivalence -fuzztime 10s ./internal/nn
 go test -run '^$' -fuzz FuzzSquaredL2ManyEquivalence -fuzztime 10s ./internal/mathx
@@ -160,7 +164,9 @@ go test -run '^$' -fuzz FuzzLowerInto -fuzztime 10s ./internal/core
 
 echo "== artifact parser fuzz (short) =="
 # 10 seconds of coverage-guided input on the v4 section parser and the
-# model read, seeded from the golden v4 models whole and cut short and from
+# model read, seeded from the golden v4 models whole and cut short, from the
+# fast-scan golden with cluster-layout sections (a valid layout, and ids that
+# are not a permutation, which must fail closed at attach), and from
 # files without the magic (a gob stream among them, which must fail with
 # artifact.ErrNotV4), and on the meta section alone, re-emitted with valid
 # checksums so the config and shapes it names reach the reader's own
@@ -179,7 +185,9 @@ go test -run '^$' -fuzz FuzzReadGraph -fuzztime 10s ./internal/kg
 echo "== request parser fuzz (short) =="
 # The parsers every HTTP front-end shares (the single-node server, the
 # tenant routes and the cluster router): the /bulk body under both of its
-# bounds with ?k=, and the /ingest body of the server and the router. The
+# bounds with ?k=, the reply encoder of /lookup and /bulk against
+# encoding/json byte for byte (HTML escaping, invalid UTF-8, 'e'-form
+# floats, partial replies), and the /ingest body of the server and the router. The
 # /partition/search frames both ways (DESIGN.md §9): the request frame a
 # node decodes and the reply frame the router decodes, each re-encoding to
 # its own bytes and rejecting an over-claiming header before allocating.
@@ -191,6 +199,7 @@ echo "== request parser fuzz (short) =="
 # frame encoding answers (its inputs reach the 16 KiB body bound, so
 # minimization is capped as for the artifacts).
 go test -run '^$' -fuzz FuzzReadBulkBody -fuzztime 10s ./internal/server
+go test -run '^$' -fuzz FuzzAppendLookupResponse -fuzztime 10s ./internal/server
 go test -run '^$' -fuzz FuzzRequestContext -fuzztime 10s ./internal/server
 go test -run '^$' -fuzz FuzzDecodeIngestItems -fuzztime 10s ./internal/server
 go test -run '^$' -fuzz FuzzDecodeSearchFrame -fuzztime 10s ./internal/server
