@@ -236,18 +236,16 @@ func TestTenantAdmissionAllocs(t *testing.T) {
 // maxShardedLookupAllocs is the allocation budget of one Lookup on the
 // 4-shard model serve derives for a PQ index: maxLookupAllocs plus what
 // the shard fan-out costs (4 measured). With the normalized query string a
-// served solo miss may make one more: 5, the ceiling it had when the
-// embedding still allocated its two normalization strings.
+// served miss may make one more: 5, the ceiling it had when the embedding
+// still allocated its two normalization strings.
 const maxShardedLookupAllocs = maxLookupAllocs + 2
 
-// TestServeSoloMissAllocs guards the coalescer's idle path: a serve miss
-// that finds a core free runs the single-query lookup on its own goroutine,
-// so the whole substrate — gate, counters, histograms — may add at most the
-// normalized query string to a direct lookup on the model it serves, which
-// itself stays within maxShardedLookupAllocs. (A queued request pays for its
-// queue entry, channel and the bulk call's slices; an idle coalescer must
-// not.)
-func TestServeSoloMissAllocs(t *testing.T) {
+// TestServeMissAllocs guards the served miss: it runs the model's lookup on
+// its caller's goroutine, so the whole substrate — normalize, cache probe,
+// histograms — may add at most the normalized query string to a direct
+// lookup on the model it serves, which itself stays within
+// maxShardedLookupAllocs.
+func TestServeMissAllocs(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation guard trains a model; skipped in -short")
 	}
@@ -276,11 +274,8 @@ func TestServeSoloMissAllocs(t *testing.T) {
 		t.Errorf("direct lookup on the 4-shard model: %.1f allocs/op, budget %d", direct, maxShardedLookupAllocs)
 	}
 	if n > direct+1 {
-		t.Errorf("serve miss on an idle coalescer: %.1f allocs/op, budget %.0f (direct lookup %.0f + 1)",
+		t.Errorf("served miss: %.1f allocs/op, budget %.0f (direct lookup %.0f + 1)",
 			n, direct+1, direct)
-	}
-	if st := sv.Stats().Coalescer; st.Batches != st.Queries {
-		t.Errorf("idle coalescer formed batches: %+v", st)
 	}
 }
 

@@ -29,12 +29,12 @@ func percentile(sorted []time.Duration, p float64) time.Duration {
 
 // benchServe measures the serving substrate end to end — direct lookups,
 // cache hit and miss paths, and C concurrent clients driving a Zipf-skewed
-// query mix through the coalescer — and writes the snapshot to path.
+// query mix through it — and writes the snapshot to path.
 //
-// The summary row carries the two guarantees the substrate is built around:
+// The summary row carries the two figures the substrate is judged by:
 // cache_hit_speedup (miss cost / hit cost, expected ≫ 10) and
-// coalesced_vs_bulk (per-query cost of coalesced concurrent serving over a
-// hand-batched BulkLookup of the same queries, expected ≤ 1.3).
+// concurrent_miss_vs_bulk (per-query cost of C clients each running its own
+// misses over a hand-batched BulkLookup of the same number of queries).
 func benchServe(path string, entities, clients int, seed uint64) error {
 	gCfg := kg.DefaultGeneratorConfig(kg.WikidataProfile, entities)
 	gCfg.Seed = seed
@@ -81,8 +81,7 @@ func benchServe(path string, entities, clients int, seed uint64) error {
 	add("lookup_direct", map[string]float64{"ns_per_op": ns, "p50_us": p50, "p99_us": p99})
 	directNs := ns
 
-	// Cache-miss path: sharded scan, no cache; one client never queues in
-	// the coalescer, so every lookup runs solo.
+	// Cache-miss path: sharded scan, no cache.
 	svMiss, err := serve.New(m, serve.Options{CacheSize: -1})
 	if err != nil {
 		return fmt.Errorf("serve (miss): %w", err)
@@ -112,8 +111,8 @@ func benchServe(path string, entities, clients int, seed uint64) error {
 		"rerank_overhead_ns": hybNs - hitNs,
 	})
 
-	// Concurrent serving: C clients, full substrate (cache + coalescer +
-	// sharded scans), each client drawing its own Zipf stream.
+	// Concurrent serving: C clients, full substrate (cache + sharded
+	// scans), each client drawing its own Zipf stream.
 	concurrent := func(sv *serve.Serve) (qps, p50us, p99us float64, wall time.Duration) {
 		perClient := totalOps / clients
 		latCh := make(chan []time.Duration, clients)
@@ -178,39 +177,21 @@ func benchServe(path string, entities, clients int, seed uint64) error {
 		"cache_misses": float64(st.Cache.Misses),
 	})
 
-	// Coalesced serving without the cache: every query reaches the model, so
-	// the per-query wall cost isolates what micro-batching itself delivers.
-	regCo := obs.New()
-	svCo, err := serve.New(m, serve.Options{CacheSize: -1, Registry: regCo})
+	// Concurrent misses: the same clients without the cache, so every query
+	// reaches the model on its caller's goroutine.
+	svMisses, err := serve.New(m, serve.Options{CacheSize: -1, Registry: obs.New()})
 	if err != nil {
-		return fmt.Errorf("serve (coalesced): %w", err)
+		return fmt.Errorf("serve (concurrent miss): %w", err)
 	}
-	coQps, p50, p99, coWall := concurrent(svCo)
-	coSt := svCo.Stats()
-	svCo.Close()
-	coNsPerQuery := float64(coWall.Nanoseconds()) / float64(totalOps/clients*clients)
-	add("serve_coalesced", map[string]float64{
-		"qps":            coQps,
-		"p50_us":         p50,
-		"p99_us":         p99,
-		"ns_per_query":   coNsPerQuery,
-		"avg_batch_size": coSt.Coalescer.AvgBatchSize,
+	cmQps, p50, p99, cmWall := concurrent(svMisses)
+	svMisses.Close()
+	cmNsPerQuery := float64(cmWall.Nanoseconds()) / float64(totalOps/clients*clients)
+	add("serve_concurrent_miss", map[string]float64{
+		"qps":          cmQps,
+		"p50_us":       p50,
+		"p99_us":       p99,
+		"ns_per_query": cmNsPerQuery,
 	})
-
-	// Coalescer internals from its registry histograms: the batch-size
-	// distribution and how long requests sat in the coalescing window.
-	coBatch := regCo.Histogram("emblookup_coalescer_batch_size").Snapshot()
-	coWait := regCo.Histogram("emblookup_coalescer_wait_seconds").Summary()
-	obsCo := map[string]float64{
-		"batches":     float64(coBatch.Total),
-		"batch_p50":   float64(coBatch.Quantile(0.50)),
-		"wait_p50_us": coWait.P50Us,
-		"wait_p95_us": coWait.P95Us,
-	}
-	if coBatch.Total > 0 {
-		obsCo["batch_mean"] = float64(coBatch.Sum) / float64(coBatch.Total)
-	}
-	add("obs_coalescer", obsCo)
 
 	// Per-stage lookup latency as recorded by the core instrumentation over
 	// the whole run — the decomposition /metrics serves in production.
@@ -225,7 +206,7 @@ func benchServe(path string, entities, clients int, seed uint64) error {
 	add("obs_lookup_stages", stages)
 
 	// The hand-batched ceiling: the same number of Zipf queries in one
-	// pre-formed BulkLookup call — no windowing, no per-request channels.
+	// pre-formed BulkLookup call.
 	bulkQueries := make([]string, totalOps/clients*clients)
 	br := mathx.NewRNG(seed + 500)
 	for i := range bulkQueries {
@@ -238,11 +219,11 @@ func benchServe(path string, entities, clients int, seed uint64) error {
 	add("bulk_hand_batched", map[string]float64{"ns_per_query": bulkNsPerQuery})
 
 	add("summary", map[string]float64{
-		"cache_hit_speedup":   missNs / hitNs,
-		"direct_over_hit":     directNs / hitNs,
-		"coalesced_vs_bulk":   coNsPerQuery / bulkNsPerQuery,
-		"concurrent_clients":  float64(clients),
-		"total_ops_per_phase": float64(totalOps),
+		"cache_hit_speedup":       missNs / hitNs,
+		"direct_over_hit":         directNs / hitNs,
+		"concurrent_miss_vs_bulk": cmNsPerQuery / bulkNsPerQuery,
+		"concurrent_clients":      float64(clients),
+		"total_ops_per_phase":     float64(totalOps),
 	})
 	return writeSnapshot(path, snap)
 }

@@ -13,7 +13,7 @@
 //
 // With -bench-serve it measures the serving substrate (internal/serve):
 // C concurrent clients drive a Zipf-skewed query mix through the sharded
-// index, the query coalescer, and the mention cache, and the snapshot
+// index and the mention cache, and the snapshot
 // records throughput, tail latency, and cache hit rate:
 //
 //	benchkg -bench-serve BENCH_serve.json [-entities 2000] [-clients 16]

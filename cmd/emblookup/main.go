@@ -218,9 +218,8 @@ func cmdBulk(args []string) {
 // responds with a JSON candidate list. This is the "transparent
 // replacement for remote lookup services" deployment shape from the paper.
 // Requests flow through the serving substrate (internal/serve): sharded
-// index scans, query coalescing, and a sharded mention cache — shards and
-// cache tunable via flags, all returning bit-identical results to direct
-// model lookups.
+// index scans and a sharded mention cache — both tunable via flags, both
+// returning bit-identical results to direct model lookups.
 func cmdServe(args []string) {
 	fs := flag.NewFlagSet("serve", flag.ExitOnError)
 	graphPath := fs.String("graph", "graph.bin", "graph file")

@@ -166,29 +166,51 @@ func TestRouterCtxCancelStopsFanout(t *testing.T) {
 }
 
 // TestRouterDeadlinePropagation: a real (non-cancelled) deadline bounds the
-// whole routed call even when nodes stall far longer.
+// whole routed call even when nodes stall far longer, and nothing the test
+// started outlives it.
 func TestRouterDeadlinePropagation(t *testing.T) {
 	_, m := testModel(t)
-	stallFirst := func(i int, h http.Handler) http.Handler {
+	before := runtime.NumGoroutine()
+	// A stalled handler never reads its body, so it never sees the router
+	// hang up (HTTP/1.1 notices a client's disconnect only after the body is
+	// read): the test owns its end and releases it on the way out.
+	release := make(chan struct{})
+	stallSearch := func(i int, h http.Handler) http.Handler {
 		return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 			if r.URL.Path == "/partition/search" {
 				select {
-				case <-time.After(10 * time.Second):
+				case <-release:
 				case <-r.Context().Done():
-					return
 				}
+				return
 			}
 			h.ServeHTTP(w, r)
 		})
 	}
 	l, err := StartLocal(m, 2, LocalOptions{
 		Router: RouterOptions{Timeout: 30 * time.Second, HedgeAfter: -1, Registry: obs.New()},
-		Wrap:   stallFirst,
+		Wrap:   stallSearch,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer l.Close()
+	t.Cleanup(func() {
+		close(release)
+		l.Close()
+		// Every stalled handler, node listener and router connection winds
+		// down once released and closed.
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > before {
+			if time.Now().After(deadline) {
+				buf := make([]byte, 1<<16)
+				n := runtime.Stack(buf, true)
+				t.Errorf("goroutines outlive the test: %d before, %d after Close\n%s",
+					before, runtime.NumGoroutine(), buf[:n])
+				return
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+	})
 
 	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
 	defer cancel()

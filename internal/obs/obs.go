@@ -204,7 +204,7 @@ func (r *Registry) Histogram(name string) *Histogram {
 
 // CounterFunc registers a counter whose value is pulled from f at
 // exposition time — the bridge for components that already keep their own
-// exact instance-local counters (the mention cache, the coalescer).
+// exact instance-local counters (the mention cache, tenant admission).
 // Re-registering the same name swaps in the new function: the latest
 // instance wins, matching the one-serving-stack-per-process deployment.
 func (r *Registry) CounterFunc(name string, f func() float64) {

@@ -74,7 +74,7 @@ func TestServedPathNeverIndexes(t *testing.T) {
 	}
 	var lr server.LookupResponse
 
-	// The plain server over the coalescing serve layer.
+	// The plain server over its serve layer.
 	sv, err := serve.New(m, serve.Options{Registry: obs.New()})
 	if err != nil {
 		t.Fatal(err)

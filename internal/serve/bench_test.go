@@ -55,8 +55,7 @@ func BenchmarkServeCacheHit(b *testing.B) {
 }
 
 // BenchmarkServeCacheMiss measures the cache-cold serving path (sharded
-// scan; one caller never queues, so the coalescer runs every lookup solo)
-// by rotating through more mentions than the cache holds.
+// scan) by rotating through more mentions than the cache holds.
 func BenchmarkServeCacheMiss(b *testing.B) {
 	g, m := benchSetup(b)
 	sv, err := New(m, Options{Shards: 2, CacheSize: 1})
@@ -74,10 +73,10 @@ func BenchmarkServeCacheMiss(b *testing.B) {
 	}
 }
 
-// BenchmarkServeCoalesced measures concurrent lookups flowing through the
-// micro-batcher (cache disabled so every query reaches the model), the
-// serving regime the coalescer exists for.
-func BenchmarkServeCoalesced(b *testing.B) {
+// BenchmarkServeConcurrentMiss measures concurrent misses (cache disabled
+// so every query reaches the model), each scanned on its caller's goroutine
+// over a 2-shard index: the saturated serving regime.
+func BenchmarkServeConcurrentMiss(b *testing.B) {
 	g, m := benchSetup(b)
 	sv, err := New(m, Options{Shards: 2, CacheSize: -1})
 	if err != nil {
@@ -89,7 +88,7 @@ func BenchmarkServeCoalesced(b *testing.B) {
 		queries[i] = g.Entities[i%len(g.Entities)].Label
 	}
 	b.ReportAllocs()
-	b.SetParallelism(16) // 16 concurrent clients per GOMAXPROCS: batches fill
+	b.SetParallelism(16) // 16 concurrent clients per GOMAXPROCS
 	b.ResetTimer()
 	b.RunParallel(func(pb *testing.PB) {
 		i := int(time.Now().UnixNano()) % len(queries)

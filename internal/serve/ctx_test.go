@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -73,77 +72,6 @@ func TestLookupCtxCacheHitDespiteDeadline(t *testing.T) {
 		t.Fatalf("cache hit rejected under dead ctx: %v", err)
 	}
 	sameCandidates(t, "cached under dead ctx", want, got)
-}
-
-// TestCoalescerCtxGroup: concurrent ctx-carrying lookups coalesce into
-// batches and still return bit-identical results.
-func TestCoalescerCtxGroup(t *testing.T) {
-	g, m := testModel(t)
-	sv, err := New(m, Options{Shards: 1, CacheSize: -1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sv.Close()
-	var wg sync.WaitGroup
-	for c := 0; c < 16; c++ {
-		wg.Add(1)
-		go func(c int) {
-			defer wg.Done()
-			q := g.Entities[c%8].Label
-			want := m.Lookup(q, 5)
-			ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
-			defer cancel()
-			got, err := sv.LookupCtx(ctx, q, 5)
-			if err != nil {
-				t.Errorf("coalesced ctx lookup: %v", err)
-				return
-			}
-			sameCandidates(t, "coalesced ctx", want, got)
-		}(c)
-	}
-	wg.Wait()
-	if st := sv.Stats(); st.Coalescer.Batches == 0 {
-		t.Fatal("nothing coalesced")
-	}
-}
-
-// TestCoalescerAbandoned: a caller whose ctx fires while its request is
-// queued gets ctx.Err() at once, its query never reaches the model, and the
-// abandoned counter records it. A live request queued with it is answered.
-func TestCoalescerAbandoned(t *testing.T) {
-	m := newStubModel()
-	co := NewCoalescer(m, 8, 1)
-	held := holdSlots(t, co, m, 1)
-	ctx, cancel := context.WithCancel(context.Background())
-	gone := make(chan error, 1)
-	go func() {
-		_, err := co.Lookup(ctx, "abandoned", 5)
-		gone <- err
-	}()
-	live := make(chan []lookup.Candidate, 1)
-	go func() {
-		res, _ := co.Lookup(context.Background(), "live", 5)
-		live <- res
-	}()
-	waitQueued(co, 2)
-	cancel()
-	if err := <-gone; !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	m.open()
-	sameCandidates(t, "live request queued with an abandoned one", stubAnswer("live", 5), <-live)
-	<-held
-	co.Close()
-	if n := m.computed("abandoned"); n != 0 {
-		t.Fatalf("abandoned query computed %d times", n)
-	}
-	if st := co.Stats(); st.Abandoned != 1 {
-		t.Fatalf("abandoned = %d, want 1", st.Abandoned)
-	}
-	// A context already done never takes a slot or a queue place.
-	if _, err := co.Lookup(ctx, "late", 5); !errors.Is(err, context.Canceled) {
-		t.Fatalf("done ctx: err = %v, want context.Canceled", err)
-	}
 }
 
 // TestBulkLookupCtxBitIdentical mirrors the single-query guarantee for
@@ -238,7 +166,7 @@ func (c *countdownCtx) Err() error {
 	return nil
 }
 
-// TestServeOnePath holds LookupCtx — gate, core and sharded scan under one
+// TestServeOnePath holds LookupCtx — core and sharded scan under one
 // context — to the one-path contract over {background, cancellable, already
 // done, cancelled at every check in turn} × {no trace, trace}: candidates
 // bit-identical to Lookup whenever err is nil, ctx's error and no
@@ -269,14 +197,14 @@ func TestServeOnePath(t *testing.T) {
 		{"cancellable", func() context.Context { return live }, true},
 		{"done", func() context.Context { return done }, false},
 	}
-	// The gate, core's entry, after embed, the scan's entry, one per
-	// shard, after the fan-out, after the search: ten checks.
-	for n := 0; n < 13; n++ {
+	// Core's entry, after embed, the scan's entry, one per shard, after
+	// the fan-out, after the search: nine checks.
+	for n := 0; n < 12; n++ {
 		cases = append(cases, ctxCase{fmt.Sprintf("countdown-%d", n), func() context.Context {
 			c := &countdownCtx{Context: context.Background()}
 			c.left.Store(int64(n))
 			return c
-		}, n == 12})
+		}, n == 11})
 	}
 	var midScan bool
 	for _, c := range cases {

@@ -1,29 +1,25 @@
 // Package serve is the throughput substrate between the HTTP layer and
 // core.EmbLookup — the deployment shape of embedding-as-a-service systems
 // like KGvec2go and Wembedder, where one shared entity index answers heavy
-// concurrent traffic of small lookups. Three cooperating pieces raise
-// throughput without changing any result:
+// concurrent traffic of small lookups. Two pieces raise throughput without
+// changing any result:
 //
 //   - sharded scans (index.Sharded via core.WithShardedIndex): over an
 //     index large enough for a range to be worth a thread wake-up, one query
 //     fans its scan across S row shards and merges per-shard top-k heaps; a
 //     batch spreads its queries over the cores instead
-//   - query coalescing (Coalescer): a Lookup runs at once while a core is
-//     free; those that arrive behind busy cores queue and are answered as one
-//     BulkLookup, amortizing scratch checkout, scheduling and (on either
-//     fast-scan kernel, four queries per pass over the codes) the scan
-//     itself across callers
 //   - a sharded mention cache (MentionCache): table-annotation traffic
 //     repeats the same cell strings constantly, so results are cached under
 //     the embedding-invariant key core.NormalizeMention(q)
 //
+// A miss runs on its caller's goroutine: no queue sits between a request
+// and the scan (DESIGN.md §7 "No query coalescing" has the measurement).
 // A request is one context.Context: LookupCtx and BulkLookupCtx are the
 // only bodies, a request's deadline and its trace (obs.WithTrace) both ride
-// in ctx through the cache, the coalescer's queue and the scan, and Lookup
-// and BulkLookup are one-line wrappers under context.Background() (kept
-// because benchmark/ compiles against them). Every path returns
-// bit-identical candidates to a direct core.EmbLookup.Lookup call (see
-// DESIGN.md §7).
+// in ctx through the cache and the scan, and Lookup and BulkLookup are
+// one-line wrappers under context.Background() (kept because benchmark/
+// compiles against them). Every path returns bit-identical candidates to a
+// direct core.EmbLookup.Lookup call (see DESIGN.md §7).
 package serve
 
 import (
@@ -36,35 +32,33 @@ import (
 	"emblookup/internal/obs"
 )
 
-// Options configures the serving substrate. The zero value enables every
-// piece at defaults; a negative CacheSize disables the cache. Coalescing is
-// always on, at one slot per core and batches of up to 32 queries: an idle
-// coalescer runs every lookup at once, so it costs nothing until the cores
-// are saturated.
+// Options configures the serving substrate. The zero value enables both
+// pieces at defaults; a negative CacheSize disables the cache.
 type Options struct {
 	// Shards is the index shard count: 0 derives it from the index
-	// (index.DefaultShards: a fast-scan index on the AVX2 kernel gets one per
-	// MiB of payload, 1 to 4, so a small one is served unsharded; PQ and Flat
-	// get 4; one that cannot be range-scanned gets 1), 1 keeps the index
-	// unsharded, n > 1 asks for exactly n.
+	// (index.DefaultShards: a clustered fast-scan index gets 1; an
+	// unclustered one on the AVX2 kernel gets one per MiB of payload, 1 to
+	// 4, so a small one is served unsharded; PQ, Flat and an unclustered
+	// fast-scan index on the portable kernel get 4; one that cannot be
+	// range-scanned gets 1), 1 keeps the index unsharded, n > 1 asks for
+	// exactly n.
 	Shards int
 	// CacheSize is the mention cache capacity in entries (0 = 4096;
 	// negative disables the cache).
 	CacheSize int
 	// Registry receives the substrate's metrics — serve latency, the
-	// normalize stage histogram, cache and coalescer collectors (nil =
+	// normalize stage histogram and the cache collectors (nil =
 	// obs.Default()). Benchmarks hand each instance a fresh registry so
 	// phases don't contaminate each other.
 	Registry *obs.Registry
 }
 
-// Serve answers lookups through the cache, the coalescer, and the sharded
-// index. Safe for concurrent use.
+// Serve answers lookups through the cache and the sharded index. Safe for
+// concurrent use.
 type Serve struct {
 	model   *core.EmbLookup
 	derived bool // model is the sharded sibling New made; Close closes it
 	cache   *MentionCache
-	co      *Coalescer
 
 	latency        *obs.Histogram // end-to-end serve.Lookup latency
 	stageNormalize *obs.Histogram // the serve-side stage of the lookup pipeline
@@ -101,8 +95,6 @@ func New(model *core.EmbLookup, opts Options) (*Serve, error) {
 		s.cache = NewMentionCache(opts.CacheSize)
 		s.cache.Observe(reg)
 	}
-	s.co = NewCoalescer(model, 0, 0)
-	s.co.Observe(reg)
 	return s, nil
 }
 
@@ -116,17 +108,15 @@ func (s *Serve) Lookup(q string, k int) []lookup.Candidate {
 	return res
 }
 
-// LookupCtx answers one request: normalize → cache → the coalescer's gate →
-// cache fill. ctx is the whole request: its deadline or cancellation and,
-// through obs.WithTrace, its trace. The normalize and cache stages span
-// here; a miss takes the same gate traced or not, so a traced latency is
-// the one users see — core stage spans when it ran at once, coalesce_wait
-// and the shared batch_scan when it queued. A cache hit is served even
-// under a done context (it is already paid for); a miss checks ctx before
-// starting, stops waiting in the coalescer's queue the moment ctx fires,
-// and is cancelled mid-scan. Results are bit-identical to model.Lookup(q,
-// k); cached slices are shared across callers and must be treated as
-// read-only. A done context returns ctx.Err() and no candidates.
+// LookupCtx answers one request on the caller's goroutine: normalize →
+// cache → model.LookupCtx → cache fill. ctx is the whole request: its
+// deadline or cancellation and, through obs.WithTrace, its trace. The
+// normalize and cache stages span here and the model adds its own. A cache
+// hit is served even under a done context (it is already paid for); a miss
+// is checked on entry to the model and cancelled mid-scan. Results are
+// bit-identical to model.Lookup(q, k); cached slices are shared across
+// callers and must be treated as read-only. A done context returns
+// ctx.Err() and no candidates.
 func (s *Serve) LookupCtx(ctx context.Context, q string, k int) ([]lookup.Candidate, error) {
 	if k <= 0 {
 		return nil, nil
@@ -146,7 +136,7 @@ func (s *Serve) LookupCtx(ctx context.Context, q string, k int) ([]lookup.Candid
 			return res, nil
 		}
 	}
-	res, err := s.co.Lookup(ctx, norm, k)
+	res, err := s.model.LookupCtx(ctx, norm, k)
 	if err != nil {
 		return nil, err
 	}
@@ -166,8 +156,7 @@ func (s *Serve) BulkLookup(queries []string, k int) [][]lookup.Candidate {
 // BulkLookupCtx answers an explicit batch: repeated mentions collapse onto
 // one computation, cache hits are served directly (under a done context
 // too — they are already paid for), and only the distinct misses reach the
-// model, in one cancellable call (hand-batched, bypassing the coalescer —
-// the batch is already formed). Results align with the query order and are
+// model, in one cancellable call. Results align with the query order and are
 // bit-identical to per-query model.Lookup calls.
 func (s *Serve) BulkLookupCtx(ctx context.Context, queries []string, k int) ([][]lookup.Candidate, error) {
 	out := make([][]lookup.Candidate, len(queries))
@@ -216,14 +205,16 @@ func (s *Serve) BulkLookupCtx(ctx context.Context, queries []string, k int) ([][
 type Stats struct {
 	// Shards is the number of row ranges a solo scan covers — what the index
 	// was split into, not what was asked for; 1 is an unsharded index.
-	Shards    int                 `json:"shards"`
-	Cache     *CacheStats         `json:"cache,omitempty"`
-	Coalescer *CoalescerStats     `json:"coalescer,omitempty"`
-	Latency   *obs.LatencySummary `json:"latency,omitempty"`
+	Shards  int                 `json:"shards"`
+	Cache   *CacheStats         `json:"cache,omitempty"`
+	Latency *obs.LatencySummary `json:"latency,omitempty"`
+	// Coalescer is always nil: nothing batches single lookups any more. It
+	// is kept, and omitted from /stats, only because benchmark/child.go
+	// compiles against its two counters.
+	Coalescer *struct{ Batches, Queries uint64 } `json:"coalescer,omitempty"`
 }
 
-// Stats snapshots cache and coalescer counters plus the serve-latency
-// quantiles.
+// Stats snapshots the cache counters and the serve-latency quantiles.
 func (s *Serve) Stats() Stats {
 	st := Stats{Shards: 1}
 	if sh, ok := s.model.Index().(*index.Sharded); ok {
@@ -233,20 +224,16 @@ func (s *Serve) Stats() Stats {
 		cs := s.cache.Stats()
 		st.Cache = &cs
 	}
-	co := s.co.Stats()
-	st.Coalescer = &co
 	if sum := s.latency.Summary(); sum.Count > 0 {
 		st.Latency = &sum
 	}
 	return st
 }
 
-// Close answers what the coalescer has queued, waits for its running
-// batches, and closes the sharded sibling New derived, which holds a
-// reference to the caller's artifact. Lookups after Close bypass batching
-// and stay valid while the caller's model is open.
+// Close closes the sharded sibling New derived, which holds a reference to
+// the caller's artifact. Lookups after Close stay valid while the caller's
+// model is open.
 func (s *Serve) Close() {
-	s.co.Close()
 	if s.derived {
 		s.model.Close()
 	}

@@ -3,7 +3,6 @@ package serve
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"slices"
 	"sync"
 	"testing"
@@ -112,240 +111,6 @@ func TestMentionCacheLRUOrder(t *testing.T) {
 	}
 }
 
-// stubModel is a Model whose single-query calls block until the test lets
-// them through — the way a test holds the coalescer's slots — and whose
-// bulk calls never block. It answers query q at k with stubAnswer(q, k)
-// and records every call, so a test can assert what was computed and how.
-type stubModel struct {
-	entered chan string   // one send per single-query call, as it starts; buffered past any test's count of them
-	hold    chan struct{} // single-query calls return once this is closed
-
-	mu    sync.Mutex
-	solos []string   // queries answered by a single-query call
-	bulks [][]string // queries of each bulk call
-	bulkK []int      // k of each bulk call
-}
-
-// newStubModel returns a stub that holds its single-query calls; open
-// releases them, and every later one passes straight through.
-func newStubModel() *stubModel {
-	return &stubModel{entered: make(chan string, 64), hold: make(chan struct{})}
-}
-
-func (m *stubModel) open() { close(m.hold) }
-
-func stubAnswer(q string, k int) []lookup.Candidate {
-	return []lookup.Candidate{{ID: kg.EntityID(len(q)), Score: float64(k)}, {ID: kg.EntityID(q[len(q)-1])}}
-}
-
-func (m *stubModel) LookupCtx(ctx context.Context, q string, k int) ([]lookup.Candidate, error) {
-	sp := obs.FromContext(ctx).Start("stub_lookup")
-	defer sp.End()
-	m.entered <- q
-	<-m.hold
-	m.mu.Lock()
-	m.solos = append(m.solos, q)
-	m.mu.Unlock()
-	return stubAnswer(q, k), nil
-}
-
-func (m *stubModel) BulkLookupCtx(ctx context.Context, queries []string, k, parallelism int) ([][]lookup.Candidate, error) {
-	m.mu.Lock()
-	m.bulks = append(m.bulks, append([]string(nil), queries...))
-	m.bulkK = append(m.bulkK, k)
-	m.mu.Unlock()
-	out := make([][]lookup.Candidate, len(queries))
-	for i, q := range queries {
-		out[i] = stubAnswer(q, k)
-	}
-	return out, nil
-}
-
-// computed counts how many times q reached the model, on either path.
-func (m *stubModel) computed(q string) int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	n := 0
-	for _, s := range m.solos {
-		if s == q {
-			n++
-		}
-	}
-	for _, b := range m.bulks {
-		for _, s := range b {
-			if s == q {
-				n++
-			}
-		}
-	}
-	return n
-}
-
-// holdSlots occupies n slots of co with single-query calls blocked inside
-// the stub, and returns once all n are inside. done receives one value per
-// holder as it returns.
-func holdSlots(t *testing.T, co *Coalescer, m *stubModel, n int) (done chan struct{}) {
-	t.Helper()
-	done = make(chan struct{}, n)
-	for i := 0; i < n; i++ {
-		q := fmt.Sprintf("hold-%d", i)
-		go func() {
-			res, err := co.Lookup(context.Background(), q, 1)
-			if err != nil || !slices.Equal(res, stubAnswer(q, 1)) {
-				t.Errorf("holder %q = %+v, %v", q, res, err)
-			}
-			done <- struct{}{}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		<-m.entered
-	}
-	return done
-}
-
-// waitQueued returns once n requests sit in co's queue — the event the
-// queueing tests synchronize on; a request has no other way to tell the
-// test that it got as far as waiting.
-func waitQueued(co *Coalescer, n int) {
-	for {
-		co.mu.Lock()
-		queued := len(co.queue)
-		co.mu.Unlock()
-		if queued == n {
-			return
-		}
-		runtime.Gosched()
-	}
-}
-
-// TestCoalescerSoloWhenIdle: a lone request on an idle coalescer waits for
-// nothing — no second request, no window — and runs the single-query path.
-func TestCoalescerSoloWhenIdle(t *testing.T) {
-	m := newStubModel()
-	m.open()
-	co := NewCoalescer(m, 1<<20, 2)
-	res, err := co.Lookup(context.Background(), "lone", 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sameCandidates(t, "lone lookup", stubAnswer("lone", 3), res)
-	if len(m.solos) != 1 || len(m.bulks) != 0 {
-		t.Fatalf("lone lookup ran %d single-query and %d bulk calls, want 1 and 0", len(m.solos), len(m.bulks))
-	}
-	if st := co.Stats(); st.Batches != 1 || st.Queries != 1 {
-		t.Fatalf("a solo run counts as a batch of one, stats = %+v", st)
-	}
-}
-
-// TestCoalescerBatchesBehindBusySlots: with every slot held, further
-// requests queue; freeing the slots answers them in batches of at most
-// MaxBatch, each caller with its own result.
-func TestCoalescerBatchesBehindBusySlots(t *testing.T) {
-	const slots, maxBatch, n = 2, 4, 10
-	m := newStubModel()
-	co := NewCoalescer(m, maxBatch, slots)
-	held := holdSlots(t, co, m, slots)
-
-	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			q := fmt.Sprintf("queued-%0*d", i, i) // distinct lengths, distinct answers
-			res, err := co.Lookup(context.Background(), q, 3)
-			if err != nil || !slices.Equal(res, stubAnswer(q, 3)) {
-				t.Errorf("%q = %+v, %v", q, res, err)
-			}
-		}(i)
-	}
-	waitQueued(co, n)
-	if st := co.Stats(); st.Queries != slots {
-		t.Fatalf("%d queries dispatched while every slot is held, want only the %d holders", st.Queries, slots)
-	}
-	m.open()
-	wg.Wait()
-	<-held
-	<-held
-	co.Close() // waits for the batch goroutines, so the counters below are final
-
-	// Two freed slots take 4 + 4 of the 10, whichever finishes first the last 2.
-	sizes := map[int]int{}
-	for _, b := range m.bulks {
-		sizes[len(b)]++
-	}
-	if len(m.bulks) != 3 || sizes[4] != 2 || sizes[2] != 1 {
-		t.Fatalf("bulk calls = %v, want sizes 4, 4 and 2", m.bulks)
-	}
-	if st := co.Stats(); st.Batches != slots+3 || st.Queries != slots+n {
-		t.Fatalf("stats = %+v, want %d batches over %d queries", st, slots+3, slots+n)
-	}
-}
-
-// TestCoalescerMixedK: requests with different k queued into one batch are
-// answered by one bulk call per k, each with its own k's result.
-func TestCoalescerMixedK(t *testing.T) {
-	m := newStubModel()
-	co := NewCoalescer(m, 16, 1)
-	held := holdSlots(t, co, m, 1)
-	var wg sync.WaitGroup
-	for i := 0; i < 6; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			q, k := fmt.Sprintf("mixed-%d", i), 1+i%3
-			res, err := co.Lookup(context.Background(), q, k)
-			if err != nil || !slices.Equal(res, stubAnswer(q, k)) {
-				t.Errorf("%q k=%d = %+v, %v", q, k, res, err)
-			}
-		}(i)
-	}
-	waitQueued(co, 6)
-	m.open()
-	wg.Wait()
-	<-held
-	co.Close()
-	if len(m.bulks) != 3 {
-		t.Fatalf("one batch of three k values made %d bulk calls: %v", len(m.bulks), m.bulks)
-	}
-	for i, b := range m.bulks {
-		if len(b) != 2 {
-			t.Fatalf("bulk call %d (k=%d) got %v, want the two queries of that k", i, m.bulkK[i], b)
-		}
-	}
-	if st := co.Stats(); st.Batches != 2 || st.Queries != 7 {
-		t.Fatalf("stats = %+v, want the holder plus one batch of 6", st)
-	}
-}
-
-// TestCoalescerTracedQueue: a traced request that queues records its wait
-// and the batch's scan; one that gets a slot records the model's own spans.
-func TestCoalescerTracedQueue(t *testing.T) {
-	m := newStubModel()
-	co := NewCoalescer(m, 16, 1)
-	held := holdSlots(t, co, m, 1)
-	queued := obs.NewTrace()
-	got := make(chan []lookup.Candidate, 1)
-	go func() {
-		res, _ := co.Lookup(obs.WithTrace(context.Background(), queued), "traced", 2)
-		got <- res
-	}()
-	waitQueued(co, 1)
-	m.open()
-	sameCandidates(t, "traced queued lookup", stubAnswer("traced", 2), <-got)
-	<-held
-	if names := spanNames(queued); len(names) != 2 || names[0] != "coalesce_wait" || names[1] != "batch_scan" {
-		t.Fatalf("queued trace spans = %v, want coalesce_wait then batch_scan", names)
-	}
-	co.Close()
-	solo := obs.NewTrace()
-	if _, err := co.Lookup(obs.WithTrace(context.Background(), solo), "traced", 2); err != nil {
-		t.Fatal(err)
-	}
-	if names := spanNames(solo); len(names) != 1 || names[0] != "stub_lookup" {
-		t.Fatalf("solo trace spans = %v, want the model's own", names)
-	}
-}
-
 func spanNames(tr *obs.Trace) []string {
 	var names []string
 	for _, sp := range tr.Spans() {
@@ -354,46 +119,8 @@ func spanNames(tr *obs.Trace) []string {
 	return names
 }
 
-// TestCoalescerClose: Close answers everything queued, on its own
-// goroutine, while the slots are still held; later lookups run solo.
-func TestCoalescerClose(t *testing.T) {
-	m := newStubModel()
-	co := NewCoalescer(m, 2, 1)
-	held := holdSlots(t, co, m, 1)
-	var wg sync.WaitGroup
-	for i := 0; i < 3; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			q := fmt.Sprintf("pending-%d", i)
-			res, err := co.Lookup(context.Background(), q, 1)
-			if err != nil || !slices.Equal(res, stubAnswer(q, 1)) {
-				t.Errorf("%q = %+v, %v", q, res, err)
-			}
-		}(i)
-	}
-	waitQueued(co, 3)
-	co.Close()
-	wg.Wait() // the holder is still inside the model
-	if len(m.bulks) != 2 {
-		t.Fatalf("Close answered 3 queued requests at MaxBatch 2 in %d bulk calls", len(m.bulks))
-	}
-	// After Close nothing queues, even behind the held slot.
-	after := make(chan struct{})
-	go func() {
-		co.Lookup(context.Background(), "after", 1)
-		close(after)
-	}()
-	if q := <-m.entered; q != "after" {
-		t.Fatalf("post-close lookup did not run solo: model entered with %q", q)
-	}
-	m.open()
-	<-after
-	<-held
-}
-
 // TestServeMatchesDirect is the package's core guarantee: every serving
-// path — sharded index, coalesced lookups, cache-cold and cache-warm —
+// path — sharded index, cache-cold and cache-warm —
 // returns bit-identical candidates to direct model.Lookup calls.
 func TestServeMatchesDirect(t *testing.T) {
 	g, m := testModel(t)
@@ -474,10 +201,10 @@ func TestServeCaseNormalization(t *testing.T) {
 	sameCandidates(t, "embedding case invariance", m.Lookup(upper, 3), want)
 }
 
-// TestServeConcurrent (run with -race): 16 goroutines on one slot, so most
-// requests queue and come back through the batch path while the rest run
-// solo, with and without a deadline — every answer bit-identical to
-// model.Lookup on a Flat, a PQ and a FastScan index.
+// TestServeConcurrent (run with -race): 16 goroutines on 2 shards, with
+// and without a deadline, each miss scanned on its caller's goroutine —
+// every answer bit-identical to model.Lookup on a Flat, a PQ and a
+// FastScan index.
 func TestServeConcurrent(t *testing.T) {
 	g, m := testModel(t)
 	flat, err := m.WithIndex(index.Spec{})
@@ -498,7 +225,6 @@ func TestServeConcurrent(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sv.co = NewCoalescer(sv.model, 4, 1) // one slot, batches of four
 			defer sv.Close()
 			queries := make([]string, 8)
 			want := make([][]lookup.Candidate, len(queries))
@@ -531,14 +257,11 @@ func TestServeConcurrent(t *testing.T) {
 				}(w)
 			}
 			wg.Wait()
-			if st := sv.Stats().Coalescer; st.Queries != workers*rounds {
-				t.Fatalf("coalescer dispatched %d queries, want %d", st.Queries, workers*rounds)
-			}
 		})
 	}
 }
 
-// TestServeFastScan runs the full serving stack (shards, coalescer, cache)
+// TestServeFastScan runs the full serving stack (shards, cache)
 // over a fast-scan model and checks bit-identity with direct lookups.
 func TestServeFastScan(t *testing.T) {
 	g, m := testModel(t)

@@ -170,7 +170,7 @@ func TestTenantTraceAndDeadline(t *testing.T) {
 			if rec.Code != 200 || spanCount(lr.Trace, "normalize") != 1 {
 				t.Errorf("concurrent traced request: status %d, spans %+v", rec.Code, lr.Trace)
 			}
-			if got := spanCount(lr.Trace, "search") + spanCount(lr.Trace, "batch_scan"); got != 1 {
+			if got := spanCount(lr.Trace, "search"); got != 1 {
 				t.Errorf("concurrent traced request: %d scan spans in %+v, want its own one", got, lr.Trace)
 			}
 		}()

@@ -26,10 +26,9 @@
 // under one context (RequestContext: the client's connection, its
 // ?deadline_ms= budget, its trace); one whose caller hung up or whose
 // budget ran out stops costing a scan and is answered 504. Every lookup of
-// a Server runs through internal/serve — the query coalescer, and where
-// configured the sharded mention cache and sharded index scans — which
-// returns bit-identical results at higher concurrent throughput
-// (DESIGN.md §7).
+// a Server runs through internal/serve — where configured the sharded
+// mention cache and sharded index scans — which returns bit-identical
+// results at higher concurrent throughput (DESIGN.md §7).
 package server
 
 import (
@@ -67,9 +66,9 @@ type Server struct {
 	httpPartition *obs.Histogram
 }
 
-// WithServe answers /lookup and /bulk through sv (mention cache + query
-// coalescer + sharded scans over the server's model) instead of the
-// substrate New builds by itself.
+// WithServe answers /lookup and /bulk through sv (mention cache + sharded
+// scans over the server's model) instead of the substrate New builds by
+// itself.
 func WithServe(sv *serve.Serve) Option {
 	return func(o *options) { o.serve = sv }
 }
@@ -95,7 +94,7 @@ func (s *Server) SetEpoch(e int64) { s.epoch.Store(e) }
 // New builds a server over a trained model. Without WithServe its lookups
 // run through a substrate of its own: unsharded, so it derives no sibling
 // to close, and cacheless, because live ingest would leave cached answers
-// stale; the coalescer answers bit-identically to the model.
+// stale; it answers bit-identically to the model.
 func New(g *kg.Graph, model *core.EmbLookup, opts ...Option) *Server {
 	s := newServer(opts)
 	s.graph, s.model = g, model

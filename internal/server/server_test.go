@@ -3,6 +3,7 @@ package server
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
@@ -191,7 +192,7 @@ func TestMethodRouting(t *testing.T) {
 }
 
 // servingServer builds a Server routed through the full serving substrate
-// (sharded scans + coalescer + mention cache).
+// (sharded scans + mention cache).
 func servingServer(t *testing.T) (*kg.Graph, *Server, *serve.Serve) {
 	t.Helper()
 	g, m := testModel(t)
@@ -261,8 +262,7 @@ func sameHits(t *testing.T, ctx string, want, got []Hit) {
 // through the full serving substrate and checks every response against the
 // sequential ground truth from the plain (direct-model) server. The first
 // phase runs cache-cold, the second fully cache-warm; run under -race this
-// exercises the cache shards, the coalescer, and the sharded scan merge
-// concurrently.
+// exercises the cache shards and the sharded scan merge concurrently.
 func TestServeConcurrentEndpoints(t *testing.T) {
 	g, plain := testServer(t)
 	_, srv, sv := servingServer(t)
@@ -347,21 +347,37 @@ func TestStatsServing(t *testing.T) {
 	}
 
 	// A plain server reports the substrate it built itself: one shard, no
-	// cache.
-	_, plain := testServer(t)
-	tsPlain := httptest.NewServer(plain.Handler())
+	// cache, and no query batcher in /stats or /metrics.
+	_, m := testModel(t)
+	tsPlain := httptest.NewServer(New(g, m, WithMetrics(obs.New())).Handler())
 	defer tsPlain.Close()
-	respP, err := tsPlain.Client().Get(tsPlain.URL + "/stats")
-	if err != nil {
+	fetchLookup(t, tsPlain.Client(), tsPlain.URL, g.Entities[0].Label, 3)
+	get := func(path string) []byte {
+		resp, err := tsPlain.Client().Get(tsPlain.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return body
+	}
+	var stP struct {
+		Serving map[string]json.RawMessage `json:"serving"`
+	}
+	if err := json.Unmarshal(get("/stats"), &stP); err != nil {
 		t.Fatal(err)
 	}
-	defer respP.Body.Close()
-	var stP StatsResponse
-	if err := json.NewDecoder(respP.Body).Decode(&stP); err != nil {
-		t.Fatal(err)
+	_, hasCache := stP.Serving["cache"]
+	_, hasCoalescer := stP.Serving["coalescer"]
+	if string(stP.Serving["shards"]) != "1" || hasCache || hasCoalescer {
+		t.Fatalf("plain server's serving stats = %s, want one shard, no cache and no coalescer", stP.Serving)
 	}
-	if stP.Serving == nil || stP.Serving.Shards != 1 || stP.Serving.Cache != nil || stP.Serving.Coalescer == nil {
-		t.Fatalf("plain server's serving stats = %+v, want one shard, a coalescer and no cache", stP.Serving)
+	metrics := string(get("/metrics"))
+	if !strings.Contains(metrics, "emblookup_serve_lookup_seconds") || strings.Contains(metrics, "emblookup_coalescer_") {
+		t.Fatalf("plain server's /metrics: want the serve latency and no emblookup_coalescer_ series:\n%s", metrics)
 	}
 }
 

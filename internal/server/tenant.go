@@ -25,7 +25,7 @@ import (
 // Retry-After when throttled or shed) and pins the tenant's current model
 // generation, then runs under its deadline budget (explicit ?deadline_ms=
 // clamped to the tenant's MaxDeadlineMs, else the tenant's default), which
-// the generation's serve substrate propagates into coalescer flushes and
+// the generation's serve substrate propagates into the embedding and the
 // shard scans — a 504 means the work was cancelled, not completed and
 // discarded. The tenant's maxK and maxBatch stand in for DefaultLimits'
 // MaxK and MaxBulkQueries on its routes.

@@ -97,9 +97,10 @@ type TenantConfig struct {
 	Model string `json:"model"`
 	// Shards and CacheSize tune the tenant's serve substrate (zero = the
 	// serve package defaults: shards by index kind and size, 4096 entries).
-	// A windowUs or tenant-level maxBatch (the coalescer cap, now fixed)
-	// left over from an older file is ignored, as encoding/json ignores any
-	// unknown field; limits.maxBatch is the /bulk cap.
+	// A windowUs or tenant-level maxBatch (settings of a query batcher the
+	// serve substrate no longer has) left over from an older file is
+	// ignored, as encoding/json ignores any unknown field; limits.maxBatch
+	// is the /bulk cap.
 	Shards    int `json:"shards,omitempty"`
 	CacheSize int `json:"cacheSize,omitempty"`
 	// Preload attaches the model at startup instead of on first request.

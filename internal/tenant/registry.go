@@ -39,7 +39,8 @@ func (h *Handle) Serve() *serve.Serve { return h.sv }
 func (h *Handle) Tenant() *Tenant { return h.tenant }
 
 // Release unpins the handle. The release of the last reference closes it:
-// the serve coalescer flushes and the artifact backing is unmapped.
+// the serve substrate's sharded sibling and then the model are closed, and
+// the artifact backing is unmapped.
 func (h *Handle) Release() {
 	if h.refs.Release() {
 		h.sv.Close()

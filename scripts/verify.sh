@@ -107,9 +107,11 @@ echo "== go test -race =="
 go test -race -timeout 60m ./...
 
 echo "== flake check: serve, cluster, index, server and kg, five runs =="
-# The coalescer and router-cancellation tests synchronize on events, not
-# sleeps (ROADMAP item 0); five plain runs catch one that starts to depend
-# on timing again. The index package is here for its concurrent batch test
+# The router-cancellation tests synchronize on events, not sleeps
+# (ROADMAP item 0); five plain runs catch one that starts to depend on
+# timing again. The serve package is here for its concurrent bit-identity
+# test (16 goroutines of misses against one 2-shard index on each index
+# kind), the index package for its concurrent batch test
 # (16 goroutines of mixed-size batches against one Sharded), the server
 # package for its concurrent trace + deadline test, the kg package for its
 # first-use test (16 goroutines deriving a fresh graph's indexes together,
@@ -250,6 +252,8 @@ go test -run '^$' -bench 'BenchmarkMetricsOverhead' \
     -benchmem -benchtime 100x ./internal/obs
 
 echo "== serving benchmarks (short) =="
+# BenchmarkServeCacheHit, BenchmarkServeCacheMiss and
+# BenchmarkServeConcurrentMiss.
 go test -run '^$' -bench 'BenchmarkServe' \
     -benchmem -benchtime 10x ./internal/serve
 
