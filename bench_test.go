@@ -226,10 +226,10 @@ func BenchmarkBaselineLSH(b *testing.B) {
 	benchBaseline(b, func(c *lookup.Corpus) lookup.Service { return baselines.NewLSH(c) })
 }
 
-// BenchmarkPQSearch measures the steady-state compressed search path. With
-// pooled scratch (ADC table, top-k heap, block distance strip all reused)
-// the only allocation left is the returned result slice; run with -benchmem
-// to verify ≤2 allocs/op.
+// BenchmarkPQSearch measures the steady-state compressed search path: one
+// ADC table, then the scanADC kernel over 10k contiguous 8-bit codes. With
+// pooled scratch (ADC table and top-k heap reused) the only allocation left
+// is the returned result slice, so it reports 1 allocs/op.
 func BenchmarkPQSearch(b *testing.B) {
 	data := mathx.NewMatrix(10000, 64)
 	data.FillRandn(mathx.NewRNG(3), 1)

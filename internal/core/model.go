@@ -213,8 +213,8 @@ func (e *EmbLookup) BulkLookupCtx(ctx context.Context, queries []string, k, para
 
 // WithShardedIndex returns a sibling service sharing this model's weights
 // and trained index whose scans fan out across `shards` row ranges
-// (index.Sharded): single queries merge per-shard top-k heaps, batches
-// split by shard only when they hold fewer query groups than workers.
+// (index.Sharded): a single query merges per-shard top-k heaps, and a
+// batch of two or more scans each query's rows whole, never split by shard.
 // Results are bit-identical to the unsharded service. parallelism bounds
 // the per-query fan-out (≤0 = GOMAXPROCS). Like every sibling it holds a
 // reference to an attached artifact: close it.

@@ -135,9 +135,10 @@ func TestBatchSearchCancelledMidBatch(t *testing.T) {
 }
 
 // TestShardedBatchConcurrent issues batches of mixed sizes — a batch of
-// one, batches split at the shard bounds, and enough queries to drop the
-// shard split — from 16 goroutines against one Sharded, and asserts every answer
-// equals the solo search. Under -race it is the batch path's race test.
+// one, which takes the shard fan-out, and batches of two to 33, which scan
+// each query's rows whole — from 16 goroutines against one Sharded, and
+// asserts every answer equals the solo search. Under -race it is the batch
+// path's race test.
 func TestShardedBatchConcurrent(t *testing.T) {
 	fs, data := buildFastScan(t, 9*fsBlock+17, 32, 31)
 	sh, err := NewSharded(fs, 4, 2)

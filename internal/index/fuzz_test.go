@@ -11,13 +11,6 @@ import (
 	"emblookup/internal/quant"
 )
 
-// FuzzScanEquivalence asserts that every decomposition of the ADC scan —
-// the blocked early-abandoning scan and the sharded per-range scans merged
-// in shard order — returns bit-identical results to the plain per-code
-// loop, for arbitrary code counts, sub-quantizer shapes, k, and shard
-// counts. Distance tables are drawn from a small integer alphabet when
-// tieMod is nonzero, so exact distance ties (the hard case for top-k
-// equivalence) dominate the search space.
 // syntheticFastScan builds a fast-scan index directly from arbitrary
 // nibble codes (n rows × m4 codes, each < ks ≤ 16) with a fake trained
 // quantizer of Dsub=1 — no k-means, so fuzzers control the codes exactly.
@@ -177,6 +170,14 @@ func FuzzFastScanEquivalence(f *testing.F) {
 	})
 }
 
+// FuzzScanEquivalence asserts that every decomposition of the 8-bit ADC
+// scan — PQ.scanRange (the scanADC kernel) over all rows and over a random
+// sub-range [lo, hi), and the sharded per-range scans merged in shard
+// order — returns bit-identical results to the plain per-code loop over the
+// same rows, for arbitrary code counts, sub-quantizer shapes, k, and shard
+// counts. Distance tables are drawn from a small integer alphabet when
+// tieMod is nonzero, so exact distance ties (the hard case for top-k
+// equivalence) dominate the search space.
 func FuzzScanEquivalence(f *testing.F) {
 	f.Add(uint16(1), uint8(1), uint8(1), uint16(1), uint8(1), uint64(0), uint8(0))
 	f.Add(uint16(300), uint8(8), uint8(31), uint16(10), uint8(4), uint64(7), uint8(3))
@@ -208,19 +209,23 @@ func FuzzScanEquivalence(f *testing.F) {
 		ix := &PQ{pq: &quant.ProductQuantizer{D: m, M: m, Ks: ks, Dsub: 1}, codes: codes, n: n}
 
 		plain := newTopK(k)
-		ix.scanPlain(table, plain)
+		ix.scanPlain(table, plain, 0, n)
 		want := plain.sorted()
 
-		blocked := newTopK(k)
-		var dists [scanBlock]float32
-		ix.scanBlockedRange(table, blocked, &dists, 0, n)
-		got := blocked.sorted()
-		if len(want) != len(got) {
-			t.Fatalf("blocked: %d vs %d results", len(want), len(got))
-		}
-		for i := range want {
-			if want[i] != got[i] {
-				t.Fatalf("blocked diverges at %d: %+v vs %+v", i, want[i], got[i])
+		lo := rng.Intn(n + 1)
+		hi := lo + rng.Intn(n-lo+1)
+		for _, rg := range [][2]int{{0, n}, {lo, hi}} {
+			ref, got := newTopK(k), newTopK(k)
+			ix.scanPlain(table, ref, rg[0], rg[1])
+			ix.scanRange(table, nil, got, rg[0], rg[1])
+			rs, gs := ref.sorted(), got.sorted()
+			if len(rs) != len(gs) {
+				t.Fatalf("scanRange [%d, %d): %d vs %d results", rg[0], rg[1], len(rs), len(gs))
+			}
+			for i := range rs {
+				if rs[i] != gs[i] {
+					t.Fatalf("scanRange [%d, %d) diverges at %d: %+v vs %+v", rg[0], rg[1], i, rs[i], gs[i])
+				}
 			}
 		}
 
@@ -251,15 +256,16 @@ type tableScanner struct {
 
 func (ts tableScanner) prepareInto(_, _ []float32) []float32 { return ts.table }
 
-// FuzzADCListScanEquivalence holds the IVF-PQ list scan (scanADCList: eight
+// FuzzADCListScanEquivalence holds the one ADC kernel (scanADC: eight
 // sums in flight, a push only where the heap admits) to pushing every row's
-// plain one-at-a-time sum, heap entry for heap entry, at M 1–12, lists of
-// 0–100 rows (whole groups of eight and a tail), k 1–40, and a heap that
-// arrives with 0 to k+3 entries already in it — underfull, full, or tied
-// with the rows' distances. Table entries are +Inf or NaN one time in
-// eight, and otherwise continuous or drawn from a tiny integer alphabet
-// where ties dominate; an underfull heap must take a +Inf or NaN row, a
-// full one never does.
+// plain one-at-a-time sum, heap entry for heap entry, in both of its modes:
+// an IVF-PQ list (row j is ids[j]) and a PQ range (nil ids, row j is
+// id0+j for a random id0). It runs at M 1–12, 0–100 rows (whole groups of
+// eight and a tail), k 1–40, and a heap that arrives with 0 to k+3 entries
+// already in it — underfull, full, or tied with the rows' distances. Table
+// entries are +Inf or NaN one time in eight, and otherwise continuous or
+// drawn from a tiny integer alphabet where ties dominate; an underfull heap
+// must take a +Inf or NaN row, a full one never does.
 func FuzzADCListScanEquivalence(f *testing.F) {
 	f.Add(uint8(8), uint8(40), uint8(10), uint8(0), uint64(1), uint8(0))
 	f.Add(uint8(1), uint8(17), uint8(3), uint8(5), uint64(7), uint8(2))
@@ -294,28 +300,41 @@ func FuzzADCListScanEquivalence(f *testing.F) {
 		for i := range ids {
 			ids[i] = int32(rng.Intn(200))
 		}
-		got, want := newTopK(k), newTopK(k)
-		for i := 0; i < pre; i++ {
-			id, d := int32(rng.Intn(200)), value()*float32(m)
-			got.push(id, d)
-			want.push(id, d)
+		prefill := make([]Result, pre)
+		for i := range prefill {
+			prefill[i] = Result{ID: int32(rng.Intn(200)), Dist: value() * float32(m)}
 		}
-
-		scanADCList(table, ks, codes, ids, got)
-		for j, id := range ids {
-			var d float32
-			for b := 0; b < m; b++ {
-				d += table[b*ks+int(codes[j*m+b])]
+		id0 := int32(rng.Intn(1 << 30))
+		for _, mode := range []struct {
+			name string
+			ids  []int32
+			id0  int32
+		}{{"list", ids, 0}, {"range", nil, id0}} {
+			got, want := newTopK(k), newTopK(k)
+			for _, r := range prefill {
+				got.push(r.ID, r.Dist)
+				want.push(r.ID, r.Dist)
 			}
-			want.push(id, d)
-		}
-		if len(got.heap) != len(want.heap) {
-			t.Fatalf("M=%d n=%d k=%d pre=%d: %d entries, want %d", m, n, k, pre, len(got.heap), len(want.heap))
-		}
-		for i, w := range want.heap {
-			g := got.heap[i]
-			if g.ID != w.ID || (math.Float32bits(g.Dist) != math.Float32bits(w.Dist) && !(g.Dist != g.Dist && w.Dist != w.Dist)) {
-				t.Fatalf("M=%d n=%d k=%d pre=%d: heap[%d] = %+v, want %+v", m, n, k, pre, i, g, w)
+			scanADC(table, m, ks, codes, mode.ids, mode.id0, got)
+			for j := 0; j < n; j++ {
+				var d float32
+				for b := 0; b < m; b++ {
+					d += table[b*ks+int(codes[j*m+b])]
+				}
+				id := mode.id0 + int32(j)
+				if mode.ids != nil {
+					id = mode.ids[j]
+				}
+				want.push(id, d)
+			}
+			if len(got.heap) != len(want.heap) {
+				t.Fatalf("%s M=%d n=%d k=%d pre=%d: %d entries, want %d", mode.name, m, n, k, pre, len(got.heap), len(want.heap))
+			}
+			for i, w := range want.heap {
+				g := got.heap[i]
+				if g.ID != w.ID || (math.Float32bits(g.Dist) != math.Float32bits(w.Dist) && !(g.Dist != g.Dist && w.Dist != w.Dist)) {
+					t.Fatalf("%s M=%d n=%d k=%d pre=%d: heap[%d] = %+v, want %+v", mode.name, m, n, k, pre, i, g, w)
+				}
 			}
 		}
 	})

@@ -63,20 +63,15 @@ func BatchSearch(ix Index, queries [][]float32, k, parallelism int) [][]Result {
 
 // BatchSearchCtx searches every query using `parallelism` goroutines (≤0
 // means GOMAXPROCS). Results align with the query order and are identical
-// to per-query Search. A batch over a range-scannable index — Sharded, or a
-// bare PQ, FastScan or Flat — is one searchBatch; a batch of one, and every
-// batch over the other indexes, runs query-at-a-time (the solo scan and,
-// on a Sharded, the shard fan-out), each worker owning one Scratch and all
-// results sharing one flat array. A done context returns ctx.Err() and no
-// results.
+// to per-query Search. Each worker owns one Scratch and runs one query's
+// solo scan at a time, and all results share one flat array. A batch never
+// splits a query by shard: on a Sharded, a batch of two or more fills the
+// workers by query, each scanning all rows of the wrapped index, and only a
+// batch of one takes the shard fan-out. A done context returns ctx.Err()
+// and no results.
 func BatchSearchCtx(ctx context.Context, ix Index, queries [][]float32, k, parallelism int) ([][]Result, error) {
-	if len(queries) > 1 {
-		switch x := ix.(type) {
-		case *Sharded:
-			return searchBatch(ctx, x.inner, x.bounds, queries, k, parallelism)
-		case rangeScanner:
-			return searchBatch(ctx, x, []int{0, x.Len()}, queries, k, parallelism)
-		}
+	if sh, ok := ix.(*Sharded); ok && len(queries) > 1 {
+		ix = sh.inner
 	}
 	if err := ctx.Err(); err != nil {
 		return nil, err

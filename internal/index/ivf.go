@@ -241,7 +241,7 @@ func (ix *IVF) Search(ctx context.Context, s *Scratch, q []float32, k int, dst [
 		}
 		s.table = mathx.Resize(s.table, ix.pq.M*ix.pq.Ks)
 		ix.pq.ADCTableInto(res, s.table)
-		scanADCList(s.table, ix.pq.Ks, ix.codes[li], ix.lists[li], t)
+		scanADC(s.table, ix.pq.M, ix.pq.Ks, ix.codes[li], ix.lists[li], 0, t)
 	}
 	if !rerank {
 		return t.appendSorted(dst), nil
@@ -259,54 +259,3 @@ func (ix *IVF) Search(ctx context.Context, s *Scratch, q []float32, k int, dst [
 
 // SearchWith implements ScratchSearcher.
 func (ix *IVF) SearchWith(s *Scratch, q []float32, k int) []Result { return searchWith(ix, s, q, k) }
-
-// scanADCList pushes into t the ADC distance of every row of one inverted
-// list: row j is ids[j], its code the M = len(codes)/len(ids) bytes at
-// codes[j·M:], and its distance table[code[0]] + table[ks+code[1]] + … +
-// table[(M−1)·ks+code[M−1]], summed from +0 in that order, as the plain
-// one-row loop sums it. Eight rows' sums are in flight at once, each
-// sub-quantizer's table offset computed once for all eight, and a row is
-// pushed only if t.admits its distance, which is exactly when push would
-// keep it, so t ends as pushing every row would leave it.
-func scanADCList(table []float32, ks int, codes []byte, ids []int32, t *topK) {
-	if len(ids) == 0 {
-		return
-	}
-	m := len(codes) / len(ids)
-	j := 0
-	for ; j+8 <= len(ids); j += 8 {
-		c := codes[j*m:][:8*m]
-		c0 := c[:m]
-		c1, c2, c3 := c[m:][:len(c0)], c[2*m:][:len(c0)], c[3*m:][:len(c0)]
-		c4, c5, c6, c7 := c[4*m:][:len(c0)], c[5*m:][:len(c0)], c[6*m:][:len(c0)], c[7*m:][:len(c0)]
-		var d0, d1, d2, d3, d4, d5, d6, d7 float32
-		off := 0
-		for b := range c0 {
-			d0 += table[off+int(c0[b])]
-			d1 += table[off+int(c1[b])]
-			d2 += table[off+int(c2[b])]
-			d3 += table[off+int(c3[b])]
-			d4 += table[off+int(c4[b])]
-			d5 += table[off+int(c5[b])]
-			d6 += table[off+int(c6[b])]
-			d7 += table[off+int(c7[b])]
-			off += ks
-		}
-		for i, d := range [8]float32{d0, d1, d2, d3, d4, d5, d6, d7} {
-			if t.admits(d) {
-				t.push(ids[j+i], d)
-			}
-		}
-	}
-	for ; j < len(ids); j++ {
-		var d float32
-		off := 0
-		for _, code := range codes[j*m:][:m] {
-			d += table[off+int(code)]
-			off += ks
-		}
-		if t.admits(d) {
-			t.push(ids[j], d)
-		}
-	}
-}

@@ -47,19 +47,13 @@ func (ix *PQ) SizeBytes() int { return len(ix.codes) }
 func (ix *PQ) Quantizer() *quant.ProductQuantizer { return ix.pq }
 
 // Search implements Index: the ADC table for q is built once and the
-// codes are walked with the blocked scan.
+// codes are walked with the ADC kernel.
 func (ix *PQ) Search(ctx context.Context, s *Scratch, q []float32, k int, dst []Result) ([]Result, error) {
 	return scanSolo(ctx, ix, nil, 0, s, q, k, dst)
 }
 
 // SearchWith implements ScratchSearcher.
 func (ix *PQ) SearchWith(s *Scratch, q []float32, k int) []Result { return searchWith(ix, s, q, k) }
-
-// scanBlock is the number of codes one blocked-scan strip covers. At the
-// paper's M=8 a strip is 2 KB of codes plus a 1 KB distance buffer — both
-// resident in L1 while each sub-quantizer's 256-entry table row is swept
-// across the strip.
-const scanBlock = 256
 
 // stateLen and prepareInto implement rangeScanner: the shared per-query
 // scan state is the ADC table, built once and read-only thereafter.
@@ -70,65 +64,79 @@ func (ix *PQ) prepareInto(q, table []float32) []float32 {
 	return table
 }
 
-// scanRange implements rangeScanner: the blocked scan restricted to stored
-// rows [lo, hi).
-func (ix *PQ) scanRange(table []float32, s *Scratch, t *topK, lo, hi int) {
-	ix.scanBlockedRange(table, t, &s.dists, lo, hi)
+// scanRange implements rangeScanner: the ADC kernel over the contiguous
+// codes of stored rows [lo, hi), row j of the range being id lo+j. The
+// kernel's heap is a pure function of the candidate (Dist, ID) multiset,
+// so any sharding of [0, n) into ranges returns bit-identical results to
+// scanPlain.
+func (ix *PQ) scanRange(table []float32, _ *Scratch, t *topK, lo, hi int) {
+	m := ix.pq.M
+	scanADC(table, m, ix.pq.Ks, ix.codes[lo*m:hi*m], nil, int32(lo), t)
 }
 
-// scanBlockedRange walks the codes of rows [lo, hi) in strips of scanBlock
-// codes. Within a strip the first half of the sub-quantizers is accumulated
-// column-wise (one table row swept over all codes of the strip, the
-// cache-friendly order), then each code finishes row-wise with an
-// early-abandon check: a partial distance already strictly above the current
-// k-th best can never enter the heap, because table entries are
-// non-negative. (The check must be strict: an exact tie can still enter on
-// the canonical ID tie-break.) The heap's selection is a pure function of
-// the candidate (Dist, ID) multiset, so the strip decomposition — and any
-// sharding of [0, n) into ranges — returns bit-identical results to
-// scanPlain.
-func (ix *PQ) scanBlockedRange(table []float32, t *topK, dists *[scanBlock]float32, lo, hi int) {
-	m, ks := ix.pq.M, ix.pq.Ks
-	mh := m / 2
-	for base := lo; base < hi; base += scanBlock {
-		bn := scanBlock
-		if base+bn > hi {
-			bn = hi - base
+// scanADC is the one 8-bit ADC kernel, behind PQ ranges and IVF-PQ lists.
+// It pushes into t the distance of every row of codes: row j's code is the
+// m bytes at codes[j·m:] and its distance table[code[0]] + table[ks+code[1]]
+// + … + table[(m−1)·ks+code[m−1]], summed from +0 in that order, as
+// scanPlain sums it. Row j's id is ids[j] (an inverted list) or, when ids
+// is nil, id0+j (a contiguous range). Eight rows' sums are in flight at
+// once, each sub-quantizer's table offset computed once for all eight, and
+// a row is pushed only if t.admits its distance, which is exactly when push
+// would keep it, so t ends as pushing every row would leave it.
+func scanADC(table []float32, m, ks int, codes []byte, ids []int32, id0 int32, t *topK) {
+	n := len(codes) / m
+	j := 0
+	for ; j+8 <= n; j += 8 {
+		c := codes[j*m:][:8*m]
+		c0 := c[:m]
+		c1, c2, c3 := c[m:][:len(c0)], c[2*m:][:len(c0)], c[3*m:][:len(c0)]
+		c4, c5, c6, c7 := c[4*m:][:len(c0)], c[5*m:][:len(c0)], c[6*m:][:len(c0)], c[7*m:][:len(c0)]
+		var d0, d1, d2, d3, d4, d5, d6, d7 float32
+		off := 0
+		for b := range c0 {
+			d0 += table[off+int(c0[b])]
+			d1 += table[off+int(c1[b])]
+			d2 += table[off+int(c2[b])]
+			d3 += table[off+int(c3[b])]
+			d4 += table[off+int(c4[b])]
+			d5 += table[off+int(c5[b])]
+			d6 += table[off+int(c6[b])]
+			d7 += table[off+int(c7[b])]
+			off += ks
 		}
-		codes := ix.codes[base*m : (base+bn)*m]
-		for i := 0; i < bn; i++ {
-			dists[i] = 0
-		}
-		for j := 0; j < mh; j++ {
-			row := table[j*ks : (j+1)*ks]
-			for i := 0; i < bn; i++ {
-				dists[i] += row[codes[i*m+j]]
+		for i, d := range [8]float32{d0, d1, d2, d3, d4, d5, d6, d7} {
+			if t.admits(d) {
+				t.push(adcID(ids, id0, j+i), d)
 			}
 		}
-		// worst only shrinks as pushes land, so an abandon decision made
-		// against a stale bound stays valid.
-		w := t.worst()
-		for i := 0; i < bn; i++ {
-			d := dists[i]
-			if d > w {
-				continue
-			}
-			code := codes[i*m : (i+1)*m]
-			for j := mh; j < m; j++ {
-				d += table[j*ks+int(code[j])]
-			}
-			t.push(int32(base+i), d)
-			w = t.worst()
+	}
+	for ; j < n; j++ {
+		var d float32
+		off := 0
+		for _, code := range codes[j*m:][:m] {
+			d += table[off+int(code)]
+			off += ks
+		}
+		if t.admits(d) {
+			t.push(adcID(ids, id0, j), d)
 		}
 	}
 }
 
-// scanPlain is the straightforward one-code-at-a-time ADC scan. It is the
-// reference the blocked scan is tested against and the shape of the
-// original implementation.
-func (ix *PQ) scanPlain(table []float32, t *topK) {
+// adcID is the id of scanADC's row j.
+func adcID(ids []int32, id0 int32, j int) int32 {
+	if ids == nil {
+		return id0 + int32(j)
+	}
+	return ids[j]
+}
+
+// scanPlain is the straightforward one-code-at-a-time ADC scan of stored
+// rows [lo, hi). It is the reference scanADC is tested against and the
+// shape of the original implementation.
+func (ix *PQ) scanPlain(table []float32, t *topK, lo, hi int) {
 	m, ks := ix.pq.M, ix.pq.Ks
-	for i := 0; i < ix.n; i++ {
+	for i := lo; i < hi; i++ {
 		code := ix.codes[i*m : (i+1)*m]
 		var d float32
 		for j := 0; j < m; j++ {

@@ -19,33 +19,31 @@ func buildPQ(t *testing.T, n, dim int, seed uint64) (*PQ, *mathx.Matrix) {
 	return ix, data
 }
 
-// TestBlockedScanMatchesPlain asserts the blocked, early-abandoning scan
-// returns bit-identical results to the straightforward per-code loop, for
-// sizes that exercise partial trailing blocks and k values around the
-// block size.
-func TestBlockedScanMatchesPlain(t *testing.T) {
-	for _, n := range []int{1, 7, scanBlock - 1, scanBlock, scanBlock + 1, 3*scanBlock + 17} {
+// TestPQScanRangeMatchesPlain asserts PQ.scanRange (the scanADC kernel
+// over contiguous codes) returns bit-identical results to the
+// straightforward per-code loop, over all rows and over sub-ranges [lo, hi)
+// that start off a group of eight and end in a partial one, for k around
+// the range size.
+func TestPQScanRangeMatchesPlain(t *testing.T) {
+	for _, n := range []int{1, 7, 8, 9, 255, 256, 257, 785} {
 		ix, data := buildPQ(t, n, 32, uint64(n))
-		for _, k := range []int{1, 5, n, n + 10} {
-			for qi := 0; qi < 5 && qi < n; qi++ {
-				q := data.Row(qi)
-				table := ix.pq.ADCTable(q)
-
-				plain := newTopK(k)
-				ix.scanPlain(table, plain)
-
-				blocked := newTopK(k)
-				var dists [scanBlock]float32
-				ix.scanBlockedRange(table, blocked, &dists, 0, ix.n)
-
-				ps, bs := plain.sorted(), blocked.sorted()
-				if len(ps) != len(bs) {
-					t.Fatalf("n=%d k=%d: %d plain vs %d blocked results", n, k, len(ps), len(bs))
-				}
-				for i := range ps {
-					if ps[i] != bs[i] {
-						t.Fatalf("n=%d k=%d q=%d: result %d diverges: plain %+v blocked %+v",
-							n, k, qi, i, ps[i], bs[i])
+		for _, rg := range [][2]int{{0, n}, {n / 3, n}, {n / 5, n - n/4}, {n / 2, n/2 + 1}} {
+			lo, hi := rg[0], rg[1]
+			for _, k := range []int{1, 5, hi - lo, hi - lo + 10} {
+				for qi := 0; qi < 5 && qi < n; qi++ {
+					table := ix.pq.ADCTable(data.Row(qi))
+					plain, got := newTopK(k), newTopK(k)
+					ix.scanPlain(table, plain, lo, hi)
+					ix.scanRange(table, nil, got, lo, hi)
+					ps, gs := plain.sorted(), got.sorted()
+					if len(ps) != len(gs) {
+						t.Fatalf("n=%d [%d, %d) k=%d: %d plain vs %d kernel results", n, lo, hi, k, len(ps), len(gs))
+					}
+					for i := range ps {
+						if ps[i] != gs[i] {
+							t.Fatalf("n=%d [%d, %d) k=%d q=%d: result %d diverges: plain %+v kernel %+v",
+								n, lo, hi, k, qi, i, ps[i], gs[i])
+						}
 					}
 				}
 			}

@@ -3,12 +3,12 @@ package index
 import "sync"
 
 // Scratch is the reusable per-worker working memory of a search: the ADC
-// table, the top-k heap, the blocked-scan distance strip, and the IVF probe
-// state. All buffers grow on demand and are retained, so a worker that owns
-// a Scratch — and hands Index.Search a result buffer — searches without
-// allocating at all; wrapped indexes pass the same Scratch down (Dynamic to
-// its base) rather than checking out another. The zero value is ready to
-// use; a Scratch must not be used concurrently.
+// table, the top-k heap, the IVF probe state and the fast-scan tables. All
+// buffers grow on demand and are retained, so a worker that owns a Scratch
+// — and hands Index.Search a result buffer — searches without allocating
+// at all; wrapped indexes pass the same Scratch down (Dynamic to its base)
+// rather than checking out another. The zero value is ready to use; a
+// Scratch must not be used concurrently.
 type Scratch struct {
 	res      topK
 	probes   topK
@@ -16,8 +16,7 @@ type Scratch struct {
 	residual []float32
 	coarse   []float32 // IVF: the query's distance to every coarse centroid
 	probeBuf []Result
-	base     []Result // Dynamic: the sealed base segment's hits, merged into res
-	dists    [scanBlock]float32
+	base     []Result  // Dynamic: the sealed base segment's hits, merged into res
 	lut8     []uint8   // fast-scan: uint8-quantized ADC table (M4 × Ks4)
 	lut16    []uint16  // fast-scan portable kernel: fused pair LUTs (M4/2 × 256)
 	nibMin   []float32 // fast-scan: per sub-quantizer minima over nibble subsets (M4 × 4 × 16)

@@ -23,7 +23,7 @@ type rangeScanner interface {
 	// of one query into state (stateLen entries) and returns it.
 	prepareInto(q, state []float32) []float32
 	// scanRange pushes stored rows [lo, hi) into t, taking per-range
-	// working memory (e.g. the blocked-scan distance strip) from s.
+	// working memory (e.g. the fast-scan tables) from s.
 	scanRange(state []float32, s *Scratch, t *topK, lo, hi int)
 }
 
@@ -87,9 +87,9 @@ func scanSolo(ctx context.Context, rs rangeScanner, bounds []int, parallelism in
 // Sharded partitions a PQ, FastScan or Flat index's stored rows into S
 // contiguous shards (a FastScan's by position: each shard prunes the
 // clusters it holds). A single query is scanSolo over the shard bounds; a
-// batch goes through searchBatch, which splits by query first and by shard
-// only when queries are scarce. Both paths return bit-identical results to
-// the wrapped index.
+// batch of two or more never splits a query by shard: BatchSearchCtx runs
+// each query's whole-row scan on the wrapped index. Both paths return
+// bit-identical results to the wrapped index.
 type Sharded struct {
 	inner       rangeScanner
 	bounds      []int // len shards+1; shard i scans rows [bounds[i], bounds[i+1])
@@ -98,9 +98,8 @@ type Sharded struct {
 
 // NewSharded wraps inner with S-way sharding. Only indexes whose scan
 // decomposes by row range are supported (PQ, FastScan and Flat; IVF already
-// partitions by coarse cluster). parallelism bounds the fan-out per
-// query/batch (≤0 means GOMAXPROCS). The inner index is retained, not
-// copied.
+// partitions by coarse cluster). parallelism bounds one query's fan-out
+// (≤0 means GOMAXPROCS). The inner index is retained, not copied.
 func NewSharded(inner Index, shards, parallelism int) (*Sharded, error) {
 	rs, ok := inner.(rangeScanner)
 	if !ok {
@@ -116,35 +115,38 @@ func NewSharded(inner Index, shards, parallelism int) (*Sharded, error) {
 	}, nil
 }
 
-// soloRangeBytes is the least payload one range of a solo fast-scan scan on
-// the AVX2 kernel must cover to be worth a goroutine of its own. It is a
-// measurement, not a knob: fanning a scan out means waking a second thread,
-// and on the 2-core benchmark host that costs a flat 60-70 µs on top of the
-// longest range's scan. Whole vs split in two: 0.76 MiB of codes (100k rows)
-// 54 vs 87 µs, 1.5 MiB 102 vs 117 µs, 3 MiB 253 vs 196 µs, 6 MiB 560 vs
-// 376 µs — a loss below 2 MiB, a gain above. A MiB of codes is ~130k
-// fast-scan rows, 70-85 µs of scanning: one wake-up's worth, so two ranges
-// of a MiB each break even and anything larger wins. Bytes stand for scan
-// time only on the kernel they were timed on. The same 100k rows, whole vs
-// the four ranges every other scan keeps: 8-bit PQ (also 0.76 MiB) 1.31 vs
-// 0.71 ms, Flat 5.67 vs 2.83 ms, FastScan on the portable kernel 441 vs
-// 356 µs — all still worth splitting.
+// soloRangeBytes is the least payload one range of a solo scan must cover
+// to be worth a goroutine of its own. It is a measurement, not a knob:
+// fanning a scan out means waking a second thread, and on the 2-core
+// benchmark host that costs a flat 60-70 µs on top of the longest range's
+// scan. Fast-scan on the AVX2 kernel, whole vs split in two: 0.76 MiB of
+// codes (100k rows) 54 vs 87 µs, 1.5 MiB 102 vs 117 µs, 3 MiB 253 vs
+// 196 µs, 6 MiB 560 vs 376 µs — a loss below 2 MiB, a gain above. A MiB
+// of codes is ~130k fast-scan rows, 70-85 µs of scanning: one wake-up's
+// worth, so two ranges of a MiB each break even and anything larger wins.
+// Bytes stand for scan time only on the kernel they were timed on; on the
+// others the rule errs toward one range. 8-bit PQ on scanADC (M = 8,
+// Ks = 256, k = 10), whole vs four ranges, medians of 10 rounds: 2 000
+// rows (16 KiB) 25 vs 30 µs, 10k rows 61 vs 76 µs, 100k rows (0.76 MiB)
+// 0.55 vs 0.42 ms. Flat at d = 64, 2 000 rows (0.5 MiB): 80-100 vs
+// 68-95 µs; fast-scan on the portable kernel, 100k rows: 441 vs 356 µs.
+// The rule serves 100k-row PQ, 2 000-row Flat and 100k-row portable
+// fast-scan as one range each and accepts their loss; -shards 4 takes the
+// split back.
 const soloRangeBytes = 1 << 20
 
 // maxDefaultShards caps DefaultShards: past it a solo scan has more ranges
 // than a small server has cores, and an operator with more names a count.
-// It is also the count of every scan the size rule was not measured on.
 const maxDefaultShards = 4
 
 // DefaultShards is the shard count a server wraps ix with when its operator
 // named none. A clustered FastScan gets 1: its pruned scan visits under a
 // quarter of the rows on the benchmark's index, far under what a second
-// range's wake-up costs (DESIGN.md §11). An unclustered FastScan on the AVX2 kernel gets one
-// range per soloRangeBytes of payload, at least 1 (serve the index as it
-// is) and at most maxDefaultShards; every other range-scannable index (PQ,
-// Flat, unclustered FastScan on the portable kernel) keeps
-// maxDefaultShards, the count the rule was not measured against; an index
-// whose scan does not decompose by row range (IVF, Dynamic) gets 1.
+// range's wake-up costs (DESIGN.md §11). Every other range-scannable index
+// (PQ, Flat, unclustered FastScan) gets one range per soloRangeBytes of
+// payload, at least 1 (serve the index as it is) and at most
+// maxDefaultShards; an index whose scan does not decompose by row range
+// (IVF, Dynamic) gets 1.
 func DefaultShards(ix Index) int {
 	if _, ok := ix.(rangeScanner); !ok {
 		return 1
@@ -152,10 +154,7 @@ func DefaultShards(ix Index) int {
 	if fs, ok := ix.(*FastScan); ok && fs.clusters() > 1 {
 		return 1
 	}
-	if _, ok := ix.(*FastScan); ok && fsAVX2 {
-		return min(max(ix.SizeBytes()/soloRangeBytes, 1), maxDefaultShards)
-	}
-	return maxDefaultShards
+	return min(max(ix.SizeBytes()/soloRangeBytes, 1), maxDefaultShards)
 }
 
 // Shards returns the number of shards (ranges may be fewer than requested
@@ -183,87 +182,4 @@ func (sh *Sharded) Search(ctx context.Context, s *Scratch, q []float32, k int, d
 // SearchWith implements ScratchSearcher.
 func (sh *Sharded) SearchWith(s *Scratch, q []float32, k int) []Result {
 	return searchWith(sh, s, q, k)
-}
-
-// searchBatch is the one batch scan, behind BatchSearchCtx for every
-// range-scannable index (bounds are a Sharded's shards, or the single range
-// [0, n) of a bare index): one scan per query — for a FastScan, its own
-// pruned scan, since each query visits its own clusters. The unit of work
-// is (range, query). With at least as many queries as workers every task
-// prepares its query, scans all rows and emits the result, with nothing to
-// merge; only a batch with fewer queries than workers splits the rows at
-// bounds. Every (range, query) heap is a k-slot window of one flat arena;
-// range 0's heap absorbs the others in range order and is sorted in place
-// as the query's result, which canonical top-k selection makes identical
-// to a solo Search whatever the scheduling. ctx is checked before each
-// task; a cancelled batch returns ctx.Err() and no results.
-func searchBatch(ctx context.Context, rs rangeScanner, bounds []int, queries [][]float32, k, parallelism int) ([][]Result, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	nq := len(queries)
-	out := make([][]Result, nq)
-	if k <= 0 {
-		return out, nil
-	}
-	nr := len(bounds) - 1
-	if nq >= par.Workers(nq*nr, parallelism) {
-		nr = 1 // enough queries to fill the workers: every task scans all rows
-	}
-	arena := make([]Result, nr*nq*k)
-	heaps := make([]topK, nr*nq) // heap of (range r, query i) at r*nq+i
-	for i := range heaps {
-		heaps[i] = topK{k: k, heap: arena[i*k : i*k : (i+1)*k]}
-	}
-	// With several ranges every query's scan state is prepared once, before
-	// the tasks, into a per-batch array; with one, inside its only task.
-	var states [][]float32
-	if nr > 1 {
-		sl := rs.stateLen()
-		tables := make([]float32, nq*sl)
-		states = make([][]float32, nq)
-		par.ForEach(nq, parallelism, func(i int) {
-			states[i] = rs.prepareInto(queries[i], tables[i*sl:(i+1)*sl])
-		})
-	}
-	finish := func(i int) {
-		t := &heaps[i]
-		for r := 1; r < nr; r++ {
-			for _, c := range heaps[r*nq+i].heap {
-				t.push(c.ID, c.Dist)
-			}
-		}
-		sortResults(t.heap)
-		out[i] = t.heap
-	}
-	scratches := make([]*Scratch, par.Workers(nq*nr, parallelism))
-	par.ForEachWorker(nq*nr, parallelism, func(w, t int) {
-		if ctx.Err() != nil {
-			return
-		}
-		s := scratches[w]
-		if s == nil {
-			s = GetScratch()
-			scratches[w] = s
-		}
-		r, i := t/nq, t%nq
-		if nr == 1 {
-			rs.scanRange(prepareScan(rs, s, queries[i]), s, &heaps[i], bounds[0], bounds[len(bounds)-1])
-			finish(i)
-			return
-		}
-		rs.scanRange(states[i], s, &heaps[r*nq+i], bounds[r], bounds[r+1])
-	})
-	for _, s := range scratches {
-		if s != nil {
-			PutScratch(s)
-		}
-	}
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	if nr > 1 {
-		par.ForEach(nq, parallelism, finish)
-	}
-	return out, nil
 }

@@ -37,7 +37,7 @@ func assertSameResults(t *testing.T, ctx string, want, got []Result) {
 // results to the wrapped index, for PQ and Flat, across shard counts that
 // exercise empty tails and single-row shards, on tie-heavy data.
 func TestShardedMatchesDirect(t *testing.T) {
-	for _, n := range []int{1, 5, 100, 3*scanBlock + 17} {
+	for _, n := range []int{1, 5, 100, 785} {
 		data := tieProneData(n, 16, uint64(n)+1)
 		pqIx, err := NewPQ(data, quant.PQConfig{M: 4, Ks: 16, Iters: 4, Seed: 3})
 		if err != nil {
@@ -62,9 +62,9 @@ func TestShardedMatchesDirect(t *testing.T) {
 	}
 }
 
-// TestShardedBatchMatchesSequential asserts the shard-major batch path
-// returns exactly what per-query sharded (and direct) search returns, at
-// several parallelism levels.
+// TestShardedBatchMatchesSequential asserts a batch over a Sharded returns
+// exactly what per-query direct search returns, at several parallelism
+// levels.
 func TestShardedBatchMatchesSequential(t *testing.T) {
 	data := tieProneData(400, 16, 77)
 	pqIx, err := NewPQ(data, quant.PQConfig{M: 4, Ks: 16, Iters: 4, Seed: 5})
@@ -85,7 +85,7 @@ func TestShardedBatchMatchesSequential(t *testing.T) {
 			assertSameResults(t, "sharded batch", Search(pqIx, q, 7), batch[i])
 		}
 	}
-	// BatchSearch must route through the shard-major path.
+	// BatchSearch must answer as the wrapped index does.
 	viaBatchSearch := BatchSearch(sh, queries, 7, 2)
 	for i, q := range queries {
 		assertSameResults(t, "BatchSearch over Sharded", Search(pqIx, q, 7), viaBatchSearch[i])
@@ -109,11 +109,11 @@ func TestShardedRejectsUnsupported(t *testing.T) {
 }
 
 // TestDefaultShards pins the derived shard count: one for a clustered
-// FastScan; for an unclustered FastScan index on the AVX2 kernel one range
-// per MiB of payload at its boundaries, never
-// fewer than one nor more than four; four for every other range-scannable
-// index whatever its size (the size rule was measured on that kernel only);
-// and one for an index that cannot be range-scanned.
+// FastScan; for every other range-scannable index — PQ, Flat, unclustered
+// FastScan on either kernel — one range per MiB of payload at its
+// boundaries, never fewer than one nor more than four, so a 2 000-row PQ
+// or Flat index is served as one range; and one for an index that cannot
+// be range-scanned.
 func TestDefaultShards(t *testing.T) {
 	for _, c := range []struct {
 		bytes, want int
@@ -127,13 +127,12 @@ func TestDefaultShards(t *testing.T) {
 		{4 << 20, 4},
 		{9 << 20, 4},
 	} {
-		want := c.want
-		if !fsAVX2 {
-			want = 4
-		}
 		fs := &FastScan{blocks: make([]byte, c.bytes)}
-		if got := DefaultShards(fs); got != want {
-			t.Errorf("FastScan (%s) of %d bytes: %d shards, want %d", FastScanKernel(), c.bytes, got, want)
+		if got := DefaultShards(fs); got != c.want {
+			t.Errorf("FastScan (%s) of %d bytes: %d shards, want %d", FastScanKernel(), c.bytes, got, c.want)
+		}
+		if got := DefaultShards(&PQ{codes: make([]byte, c.bytes)}); got != c.want {
+			t.Errorf("PQ of %d bytes: %d shards, want %d", c.bytes, got, c.want)
 		}
 	}
 	// A clustered FastScan gets one range on either kernel, whatever its
@@ -142,9 +141,11 @@ func TestDefaultShards(t *testing.T) {
 		t.Errorf("clustered FastScan of 9 MiB: %d shards, want 1", got)
 	}
 	const rowBytes = 64 * 4 // a Flat row at d = 64
-	for _, rows := range []int{1, (1 << 19) / rowBytes, (9 << 20) / rowBytes} {
-		if got := DefaultShards(NewFlat(mathx.NewMatrix(rows, 64))); got != 4 {
-			t.Errorf("Flat of %d rows: %d shards, want 4", rows, got)
+	for _, c := range []struct{ rows, want int }{
+		{1, 1}, {2000, 1}, {(2 << 20) / rowBytes, 2}, {(9 << 20) / rowBytes, 4},
+	} {
+		if got := DefaultShards(NewFlat(mathx.NewMatrix(c.rows, 64))); got != c.want {
+			t.Errorf("Flat of %d rows: %d shards, want %d", c.rows, got, c.want)
 		}
 	}
 	data := randomData(64, 8, 21)
@@ -152,8 +153,8 @@ func TestDefaultShards(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := DefaultShards(pq); got != 4 {
-		t.Errorf("PQ of %d bytes: %d shards, want 4", pq.SizeBytes(), got)
+	if got := DefaultShards(pq); got != 1 {
+		t.Errorf("trained PQ of %d bytes: %d shards, want 1", pq.SizeBytes(), got)
 	}
 	ivf, err := NewIVF(data, IVFConfig{NList: 4, NProbe: 2, Iters: 3, Seed: 1})
 	if err != nil {

@@ -36,10 +36,9 @@ import (
 // pieces at defaults; a negative CacheSize disables the cache.
 type Options struct {
 	// Shards is the index shard count: 0 derives it from the index
-	// (index.DefaultShards: a clustered fast-scan index gets 1; an
-	// unclustered one on the AVX2 kernel gets one per MiB of payload, 1 to
-	// 4, so a small one is served unsharded; PQ, Flat and an unclustered
-	// fast-scan index on the portable kernel get 4; one that cannot be
+	// (index.DefaultShards: a clustered fast-scan index gets 1; PQ, Flat
+	// and an unclustered fast-scan index get one per MiB of payload, 1 to
+	// 4, so a small one is served unsharded; one that cannot be
 	// range-scanned gets 1), 1 keeps the index unsharded, n > 1 asks for
 	// exactly n.
 	Shards int

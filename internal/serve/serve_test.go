@@ -291,11 +291,11 @@ func TestServeFastScan(t *testing.T) {
 
 // TestServeDefaultShards asserts the zero Options derive the shard count
 // from the index and Stats reports what the index was actually split into:
-// a PQ index keeps the four ranges it always had, a small fast-scan index
-// on the AVX2 kernel is served unsharded (and answers as the model does),
-// an explicit count is honoured up to one range per row, and an IVF index —
-// which cannot be range-scanned — serves under the default but still
-// refuses an explicit split.
+// a small PQ index and a small fast-scan index on either kernel are served
+// unsharded (and answer as the model does), an explicit count is honoured
+// up to one range per row, and an IVF index — which cannot be
+// range-scanned — serves under the default but still refuses an explicit
+// split.
 func TestServeDefaultShards(t *testing.T) {
 	g, m := testModel(t)
 	q := g.Entities[3].Label
@@ -304,8 +304,9 @@ func TestServeDefaultShards(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer sv.Close()
-	if got := sv.Stats().Shards; got != 4 {
-		t.Fatalf("default over a PQ index: %d shards, want 4", got)
+	if got := sv.Stats().Shards; got != 1 || sv.Model() != m {
+		t.Fatalf("default over %d PQ bytes: %d shards, want 1 (model rewrapped %v)",
+			m.Index().SizeBytes(), got, sv.Model() != m)
 	}
 	sameCandidates(t, "default serve", m.Lookup(q, 5), sv.Lookup(q, 5))
 
@@ -318,13 +319,9 @@ func TestServeDefaultShards(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer svFS.Close()
-	want := 4
-	if index.FastScanKernel() == "avx2" {
-		want = 1
-	}
-	if got := svFS.Stats().Shards; got != want || (want == 1) != (svFS.Model() == fs) {
-		t.Fatalf("default over %d fast-scan bytes on %s: %d shards, want %d (model rewrapped %v)",
-			fs.Index().SizeBytes(), index.FastScanKernel(), got, want, svFS.Model() != fs)
+	if got := svFS.Stats().Shards; got != 1 || svFS.Model() != fs {
+		t.Fatalf("default over %d fast-scan bytes on %s: %d shards, want 1 (model rewrapped %v)",
+			fs.Index().SizeBytes(), index.FastScanKernel(), got, svFS.Model() != fs)
 	}
 	sameCandidates(t, "default fast-scan serve", fs.Lookup(q, 5), svFS.Lookup(q, 5))
 
