@@ -232,7 +232,7 @@ func cmdServe(args []string) {
 	replicasN := fs.Int("replicas", 1, "replicas per partition with -cluster (R > 1 runs the replicated control plane: coordinator, versioned map, routed ingest)")
 	metricsOn := fs.Bool("metrics", true, "record metrics and expose them at GET /metrics (false disables all recording)")
 	slowMs := fs.Int("slowlog-ms", 100, "log queries slower than this many ms at GET /debug/slowlog (0 disables)")
-	dynamic := fs.Bool("dynamic", false, "live ingest mode: mutable index + POST /ingest, served through an unsharded, cacheless serving substrate (-shards and -cache-size are ignored)")
+	dynamic := fs.Bool("dynamic", false, "live ingest mode: append-only index + POST /ingest (one scan shard; an explicit -shards > 1 is refused; cached answers expire at each ingest)")
 	ingestQueue := fs.Int("ingest-queue", 256, "ingest queue depth in -dynamic mode (Enqueue blocks when full)")
 	tenantsConf := fs.String("tenants", "", "multi-tenant mode: JSON config of named tenants served under /t/{tenant}/ (ignores -graph/-model)")
 	fs.Parse(args)
@@ -254,10 +254,6 @@ func cmdServe(args []string) {
 	}
 	var opts []server.Option
 	if *dynamic {
-		// Live ingest: the mention cache and fixed shard ranges of the
-		// serving substrate assume an immutable index, so dynamic mode
-		// leaves the server to build its own unsharded, cacheless one and
-		// mounts POST /ingest.
 		model = model.WithDynamicIndex(0)
 		ing, err := model.NewIngestor(*ingestQueue)
 		if err != nil {
@@ -265,19 +261,18 @@ func cmdServe(args []string) {
 		}
 		defer ing.Close()
 		opts = append(opts, server.WithIngest(ing))
-		log.Printf("dynamic mode: POST /ingest mounted (queue %d), serving substrate unsharded and cacheless", *ingestQueue)
-	} else {
-		sv, err := serve.New(model, serve.Options{
-			Shards:    *shards,
-			CacheSize: *cacheSize,
-		})
-		if err != nil {
-			log.Fatalf("serving substrate: %v", err)
-		}
-		defer sv.Close()
-		opts = append(opts, server.WithServe(sv))
-		log.Printf("serving substrate: %d scan shards%s", sv.Stats().Shards, kernelNote(model.Index()))
+		log.Printf("dynamic mode: POST /ingest mounted (queue %d)", *ingestQueue)
 	}
+	sv, err := serve.New(model, serve.Options{
+		Shards:    *shards,
+		CacheSize: *cacheSize,
+	})
+	if err != nil {
+		log.Fatalf("serving substrate: %v", err)
+	}
+	defer sv.Close()
+	opts = append(opts, server.WithServe(sv))
+	log.Printf("serving substrate: %d scan shards%s", sv.Stats().Shards, kernelNote(model.Index()))
 	if *pprofOn {
 		opts = append(opts, server.WithPprof())
 		log.Printf("pprof enabled at /debug/pprof/")

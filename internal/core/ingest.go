@@ -12,12 +12,12 @@ import (
 // Streaming ingest (DESIGN.md §13): new entities and aliases enter the
 // service under live traffic with no retraining and no index rebuild. An
 // Ingestor serializes all mutations onto one background worker — embed in
-// the trained anchor space, append to the PR-3 dynamic delta index, extend
-// the row→entity mapping — so concurrent lookups only ever contend on the
-// read locks the dynamic index already takes. New entities additionally
-// grow the knowledge graph; readers that resolve candidate IDs against the
-// graph during live ingest must hold the Ingestor's read lock (the HTTP
-// server does when built WithIngest).
+// the trained anchor space, extend the row→entity mapping, append to the
+// dynamic index (compacting inline) — and each publishes a snapshot, so
+// lookups take no index lock and never wait on it. New entities also grow the
+// knowledge graph; readers that resolve candidate IDs against the graph
+// during live ingest must hold the Ingestor's read lock (the HTTP server
+// does when built WithIngest).
 
 // Ingest metrics, resolved once like the lookup-path handles.
 var (
@@ -190,7 +190,7 @@ func (in *Ingestor) run() {
 
 // apply performs one mutation on the worker goroutine: embed → delta-index
 // append → visible. Only AddEntity needs the graph write lock; index
-// appends synchronize inside the dynamic index.
+// appends publish through AddMention.
 func (in *Ingestor) apply(item IngestItem) error {
 	if item.NewEntity {
 		if item.Label == "" {

@@ -31,7 +31,7 @@ type EmbLookup struct {
 	graph *kg.Graph
 	ix    index.Index
 	rows  []kg.EntityID // index row -> entity (trained prefix, immutable)
-	extra *extraRows    // live-added rows (dynamic index only)
+	live  *liveRows     // live-added rows (dynamic index only)
 	prov  IndexProvenance
 
 	// backing is the artifact this model's weights and index alias when it

@@ -20,7 +20,7 @@ import "emblookup/internal/index"
 func (e *EmbLookup) WithPartition(lo, hi int) (*EmbLookup, error) {
 	return e.derive(func(c *EmbLookup) (err error) {
 		if c.ix, err = index.Slice(e.ix, lo, hi); err == nil {
-			c.rows, c.extra = e.rows[lo:hi], nil
+			c.rows, c.live = e.rows[lo:hi], nil
 		}
 		return err
 	})

@@ -2,10 +2,13 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"emblookup/internal/kg"
+	"emblookup/internal/lookup"
 )
 
 // Every index kind must round-trip through the artifact format with full
@@ -90,17 +93,17 @@ func TestSaveWithIndexRejectsDynamic(t *testing.T) {
 }
 
 // AddMention makes an unseen alias resolve to its entity immediately, as
-// the next row of the append-only index, and the parent service never sees
-// the row.
+// the next row of the append-only index, and still once a compaction moves
+// it into a new base; the parent service never sees the rows, and its
+// index is never written.
 func TestDynamicServiceAdd(t *testing.T) {
 	g, e := fixture(t)
-	// Huge threshold: compaction would append rows into the fixture's
-	// shared base index.
-	dyn := e.WithDynamicIndex(1 << 30)
+	dyn := e.WithDynamicIndex(2) // the second add compacts
 	defer dyn.Close()
-	const alias = "zyqqat flombrix unit"
+	const alias, alias2 = "zyqqat flombrix unit", "quorvel plinth yard"
 	target := g.Entities[5].ID
-	before := dyn.Lookup(alias, 10)
+	parentLen := e.Index().Len()
+	before := e.Lookup(alias, 10)
 
 	if _, err := e.AddMention(alias, target); err == nil {
 		t.Fatal("AddMention on a non-dynamic service should fail")
@@ -113,7 +116,7 @@ func TestDynamicServiceAdd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := int32(e.Index().Len()); row != want {
+	if want := int32(parentLen); row != want {
 		t.Fatalf("added row %d, want the next row %d", row, want)
 	}
 	if dyn.RowEntity(row) != target {
@@ -123,49 +126,86 @@ func TestDynamicServiceAdd(t *testing.T) {
 	if len(res) != 1 || res[0].ID != target {
 		t.Fatalf("added mention does not resolve to its entity: %+v", res)
 	}
-	// The original service must not see the live row.
+	if row2, err := dyn.AddMention(alias2, g.Entities[9].ID); err != nil || row2 != row+1 {
+		t.Fatalf("second add: row %d, %v; want row %d", row2, err, row+1)
+	}
+	if st := dyn.Dynamic().Stats(); st.Base != parentLen+2 || st.Delta != 0 {
+		t.Fatalf("the threshold add did not compact: %+v", st)
+	}
+	if !slices.ContainsFunc(dyn.Lookup(alias, 10), func(c lookup.Candidate) bool { return c.ID == target }) {
+		t.Fatalf("compacted mention no longer finds its entity: %+v", dyn.Lookup(alias, 10))
+	}
+	// The original service must not see the live rows.
 	got := e.Lookup(alias, 10)
 	if len(got) != len(before) {
 		t.Fatal("AddMention leaked into the parent service")
 	}
 	for i := range got {
 		if got[i] != before[i] {
-			t.Fatalf("parent results diverge at %d after the add: %+v vs %+v", i, got[i], before[i])
+			t.Fatalf("parent results diverge at %d after the adds: %+v vs %+v", i, got[i], before[i])
 		}
+	}
+	if n := e.Index().Len(); n != parentLen {
+		t.Fatalf("the parent's index grew from %d to %d rows", parentLen, n)
 	}
 }
 
-// Live appends under concurrent lookups: run with -race. Readers must keep
-// getting well-formed candidates while a writer inserts rows (the
-// row→entity extension and the index delta grow underneath them).
+// Live appends under concurrent lookups: run with -race. A writer adds
+// mentions through at least 3 compactions while readers look up, and every
+// answer must be one snapshot's: what a sequential replay of the same adds
+// answers after L of them, for some L between the Len read before and
+// after that lookup.
 func TestDynamicServiceConcurrent(t *testing.T) {
 	g, e := fixture(t)
-	dyn := e.WithDynamicIndex(1 << 30)
-	defer dyn.Close()
-	var wg sync.WaitGroup
-	errc := make(chan error, 5)
+	const threshold, adds, readers, k = 8, 40, 4, 10
+	mention := func(i int) string { return fmt.Sprintf("novel mention %d", i) }
+	entity := func(i int) kg.EntityID { return g.Entities[i*7%len(g.Entities)].ID }
+	queries := []string{mention(3), mention(17), mention(38), g.Entities[1].Label, "novel mention"}
+	// want[i][qi] answers queries[qi] after i adds.
+	ref := e.WithDynamicIndex(threshold)
+	defer ref.Close()
+	want := make([][][]lookup.Candidate, adds+1)
+	for i := range want {
+		for _, q := range queries {
+			want[i] = append(want[i], ref.Lookup(q, k))
+		}
+		if i < adds {
+			if _, err := ref.AddMention(mention(i), entity(i)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
 
+	dyn := e.WithDynamicIndex(threshold)
+	defer dyn.Close()
+	base := e.Index().Len()
+	var writing atomic.Bool
+	writing.Store(true)
+	var wg sync.WaitGroup
+	errc := make(chan error, readers+1)
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		for i := 0; i < 60; i++ {
-			if _, err := dyn.AddMention(fmt.Sprintf("novel mention %d", i), g.Entities[i%len(g.Entities)].ID); err != nil {
+		defer writing.Store(false)
+		for i := 0; i < adds; i++ {
+			if _, err := dyn.AddMention(mention(i), entity(i)); err != nil {
 				errc <- err
 				return
 			}
 		}
 	}()
-	for w := 0; w < 4; w++ {
+	for w := 0; w < readers; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			for i := 0; i < 40; i++ {
-				q := g.Entities[(w*13+i)%len(g.Entities)].Label
-				for _, c := range dyn.Lookup(q, 10) {
-					if int(c.ID) < 0 || int(c.ID) >= len(g.Entities) {
-						errc <- fmt.Errorf("lookup returned out-of-graph entity %d", c.ID)
-						return
-					}
+			for i := 0; i < 20 || writing.Load(); i++ {
+				qi := (w + i) % len(queries)
+				lo := dyn.Index().Len() - base
+				got := dyn.Lookup(queries[qi], k)
+				hi := dyn.Index().Len() - base
+				if !slices.ContainsFunc(want[lo:hi+1], func(ans [][]lookup.Candidate) bool { return slices.Equal(ans[qi], got) }) {
+					errc <- fmt.Errorf("lookup %q between %d and %d adds answered %+v: no snapshot's answer", queries[qi], lo, hi, got)
+					return
 				}
 			}
 		}(w)
@@ -174,5 +214,8 @@ func TestDynamicServiceConcurrent(t *testing.T) {
 	close(errc)
 	for err := range errc {
 		t.Fatal(err)
+	}
+	if st := dyn.Dynamic().Stats(); st.Base < base+3*threshold {
+		t.Fatalf("after %d adds at threshold %d: %+v, want 3 compactions or more", adds, threshold, st)
 	}
 }

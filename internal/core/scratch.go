@@ -154,7 +154,7 @@ func (e *EmbLookup) dedupeAppend(sc *Scratch, res []index.Result, k int, dst []l
 		out = make([]lookup.Candidate, 0, min(k, len(res)))
 	}
 	for _, r := range res {
-		id := e.rowEntity(r.ID)
+		id := e.RowEntity(r.ID)
 		if sc.seen[id] {
 			continue
 		}

@@ -30,7 +30,7 @@ func TestFastScanPortableSumsNeverWrap(t *testing.T) {
 	const m4, n, k = quant.MaxM4 - 1, 3*fsBlock + 5, 7
 	ix := syntheticFastScan(randomNibbles(n, m4, quant.Ks4, 1), m4, quant.Ks4, n)
 	rng := mathx.NewRNG(2)
-	table, lut8 := make([]float32, ix.stateLen()), make([]uint8, ix.stateLen())
+	table, lut8 := make([]float32, ix.pq.M*quant.Ks4), make([]uint8, ix.pq.M*quant.Ks4)
 	// Every distance is at least 255 per sub-quantizer, so 255 per entry at
 	// scale 1 is a valid floor of the table.
 	for i := range table {
@@ -76,7 +76,7 @@ func TestFastScanWideCodes(t *testing.T) {
 		t.Fatal(err)
 	}
 	plain := newTopK(n + 5)
-	ix.scanPlain4(ix.prepareInto(queries[0], make([]float32, ix.stateLen())), plain, 0, n)
+	ix.scanPlain4(ix.prepare(queries[0], &Scratch{}), plain, 0, n)
 	want := plain.sorted()
 	if len(want) != n {
 		t.Fatalf("plain scan returned %d of %d rows", len(want), n)

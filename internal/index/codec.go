@@ -2,6 +2,7 @@ package index
 
 import (
 	"fmt"
+	"slices"
 
 	"emblookup/internal/artifact"
 	"emblookup/internal/mathx"
@@ -41,10 +42,6 @@ import (
 //	vectors         f32    ivf-flat: the stored vectors; also written for
 //	                       ivf-pq when Meta.Rerank > 1 (exact re-rank
 //	                       pages candidate rows in from this mmap'd view)
-//
-// Every view ReadSections hands to an index is cap-clipped, so the
-// read-only-backing discipline holds: any append (Dynamic compaction)
-// reallocates to the heap instead of writing through to the mapping.
 
 // Meta is the index entry of a v4 artifact's JSON meta section: everything
 // structural about the index that is not a bulk payload.
@@ -128,21 +125,19 @@ func WriteSections(aw *artifact.Writer, ix Index) (*Meta, error) {
 		}
 		aw.AddInt64s("list_offsets", offsets)
 		aw.AddInt32s("list_ids", ids)
-		if t.pq == nil {
-			mi.Kind = "ivf-flat"
-			aw.AddFloat32s("vectors", t.vectors.Data, t.vectors.Rows, t.vectors.Cols)
-			break
+		mi.Kind = "ivf-flat"
+		if t.pq != nil {
+			mi.Kind, mi.Rerank = "ivf-pq", t.rerank
+			mi.Quant = addQuantizer(aw, t.pq)
+			var codes []byte
+			for _, c := range t.codes {
+				codes = append(codes, c...)
+			}
+			aw.AddBytes("list_codes", codes)
 		}
-		mi.Kind = "ivf-pq"
-		mi.Quant = addQuantizer(aw, t.pq)
-		var codes []byte
-		for _, c := range t.codes {
-			codes = append(codes, c...)
-		}
-		aw.AddBytes("list_codes", codes)
-		if t.rvecs != nil {
-			mi.Rerank = t.rerank
-			aw.AddFloat32s("vectors", t.rvecs.Data, t.rvecs.Rows, t.rvecs.Cols)
+		if t.vectors != nil {
+			// A compacted index's appended rows follow the sealed view.
+			aw.AddFloat32s("vectors", append(slices.Clip(t.vectors.Data), t.tail...), t.n, t.dim)
 		}
 	default:
 		return nil, fmt.Errorf("index: %T has no serialized form", ix)
@@ -363,13 +358,12 @@ func assembleFastScan(p *parts, n int) (*FastScan, error) {
 	if n < 0 || len(p.Blocks) != fsBlocksLen(q.M, n) {
 		return nil, fmt.Errorf("index: fast-scan block array length %d for %d rows (want %d)", len(p.Blocks), n, fsBlocksLen(q.M, n))
 	}
-	ix := &FastScan{pq: q, blocks: p.Blocks, n: n, shared: true}
+	ix := &FastScan{pq: q, blocks: p.Blocks, n: n}
 	if p.IDs != nil {
 		if ix.ids, ix.bounds, err = checkClusters(p.IDs, p.Clusters, n); err != nil {
 			return nil, err
 		}
-		ix.masks = make([]uint16, fsMasksLen(ix.clusters(), q.M))
-		ix.supers = make([]uint16, fsMasksLen((ix.clusters()+fsGroup-1)/fsGroup, q.M))
+		ix.growMasks()
 	}
 	nib := make([]byte, q.M)
 	rows := (n + fsBlock - 1) / fsBlock * fsBlock
@@ -491,11 +485,11 @@ func assembleIVF(p *parts, n int) (*IVF, error) {
 
 // Slice returns an index over rows [lo, hi) of ix, row ids rebased to 0 —
 // the per-node index of a partitioned cluster. Flat and PQ slices alias
-// ix's storage, capacity-clipped so a later append (Dynamic compaction on
-// the slice) reallocates instead of writing into the parent's rows past hi
-// or through a read-only mmap backing. Interleaved fast-scan blocks cannot
-// be aliased on non-block boundaries, so a FastScan slice re-interleaves
-// its rows into fresh blocks (one pass over its codes; the quantizer is
+// ix's storage, capacity-clipped so no append through a slice reaches the
+// parent's rows past hi (no index writes its storage after it is built; a
+// Dynamic compaction copies). Interleaved fast-scan blocks cannot be
+// aliased on non-block boundaries, so a FastScan slice re-interleaves its
+// rows into fresh blocks (one pass over its codes; the quantizer is
 // shared). These are the kinds whose per-row distances do not depend on a
 // row's position, which makes a partitioned search bit-identical to the
 // single-process scan (DESIGN.md §9); IVF is refused. A Sharded wrapper is

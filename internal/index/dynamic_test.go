@@ -1,11 +1,15 @@
 package index
 
 import (
+	"bytes"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"testing"
 
+	"emblookup/internal/artifact"
 	"emblookup/internal/mathx"
 	"emblookup/internal/quant"
 )
@@ -113,6 +117,24 @@ func TestDynamicCompactQuantizedBases(t *testing.T) {
 	} else {
 		bases["ivf-pq"] = ix
 	}
+	// Re-ranking reads the exact vectors of every candidate, compacted
+	// rows included. They are a copy: the IVF-Flat base holds data itself.
+	exact := &mathx.Matrix{Rows: data.Rows, Cols: d, Data: slices.Clone(data.Data)}
+	if ix, err := NewIVF(data, IVFConfig{NList: 8, NProbe: 8, PQ: &pqCfg, Iters: 5, Seed: 36}); err != nil {
+		t.Fatal(err)
+	} else if err := ix.SetRerank(8, exact); err != nil {
+		t.Fatal(err)
+	} else {
+		bases["ivf-pq-rerank"] = ix
+	}
+	cfg4 := quant.Config4(pqCfg)
+	for name, level := range map[string]int{"fastscan": 1, "fastscan-clustered": 4} {
+		if ix, err := newFastScan(data, cfg4, level); err != nil {
+			t.Fatal(err)
+		} else {
+			bases[name] = ix
+		}
+	}
 	for name, base := range bases {
 		dyn := NewDynamic(base, threshold)
 		rng := mathx.NewRNG(37)
@@ -139,6 +161,43 @@ func TestDynamicCompactQuantizedBases(t *testing.T) {
 			t.Fatalf("%s: the threshold add did not compact: %+v", name, st)
 		}
 		idSet("post-compact", 300+threshold)
+		if ix, ok := dyn.Base().(*IVF); ok && ix.vectors != nil {
+			checkIVFTail(t, name, base.(*IVF), ix, threshold)
+		}
+	}
+}
+
+// checkIVFTail: a compacted IVF shares its parent's sealed exact vectors
+// and holds only the appended rows in its tail, and the codec writes both,
+// so the re-attached index answers as the compacted one does.
+func checkIVFTail(t *testing.T, name string, parent, ix *IVF, added int) {
+	t.Helper()
+	if ix.vectors != parent.vectors || len(ix.tail) != added*ix.dim {
+		t.Fatalf("%s: compaction copied the sealed vectors or lost the appended ones (tail %d floats)", name, len(ix.tail))
+	}
+	aw := artifact.NewWriter()
+	meta, err := WriteSections(aw, ix)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if _, err := aw.WriteTo(&buf); err != nil {
+		t.Fatal(err)
+	}
+	af, err := artifact.Decode(buf.Bytes())
+	if err != nil {
+		t.Fatal(err)
+	}
+	back, err := ReadSections(af, meta, ix.Len())
+	if err != nil {
+		t.Fatalf("%s: re-attaching the compacted index: %v", name, err)
+	}
+	rng := mathx.NewRNG(41)
+	for i := 0; i < 5; i++ {
+		q := randomQuery(rng, ix.dim)
+		if got, want := Search(back, q, 10), Search(ix, q, 10); !slices.Equal(got, want) {
+			t.Fatalf("%s: re-attached index answers %v, compacted one %v", name, got, want)
+		}
 	}
 }
 
@@ -190,52 +249,72 @@ func TestDynamicAutoCompaction(t *testing.T) {
 	}
 }
 
-// Searches and adds from many goroutines: run under -race. Each
-// search must return well-formed results (sorted canonically, no duplicate
-// ids); exact contents are racy by design.
+// Searches and adds from many goroutines: run under -race. Readers search
+// while the writers' adds cross the threshold at least 3 times, and every
+// answer must be one snapshot's: the exact top-k of rows [0, L) for some L
+// between the Len read before and after that search.
 func TestDynamicConcurrentMutation(t *testing.T) {
-	const d = 8
-	data := randomData(200, d, 42)
-	dyn := NewDynamic(NewFlat(data), 64)
-	var wg sync.WaitGroup
-	errc := make(chan error, 8) // one slot per goroutine: sends never block
-
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
+	const d, n, threshold, writers, adds, k = 8, 200, 64, 4, 200, 10
+	data := randomData(n, d, 42)
+	dyn := NewDynamic(NewFlat(data), threshold)
+	// vecs[id] is row id's vector; a writer fills its rows' slots after
+	// Add returns, and readers check their answers once every writer is
+	// done.
+	vecs := make([][]float32, n+writers*adds)
+	for i := 0; i < n; i++ {
+		vecs[i] = data.Row(i)
+	}
+	var writersWG, readersWG sync.WaitGroup
+	var writing atomic.Bool
+	writing.Store(true)
+	for w := 0; w < writers; w++ {
+		writersWG.Add(1)
 		go func(w int) {
-			defer wg.Done()
+			defer writersWG.Done()
 			rng := mathx.NewRNG(uint64(100 + w))
-			for i := 0; i < 200; i++ {
-				dyn.Add(randomQuery(rng, d))
+			for i := 0; i < adds; i++ {
+				v := randomQuery(rng, d)
+				vecs[dyn.Add(v)] = v
 			}
 		}(w)
 	}
-	for w := 0; w < 4; w++ {
-		wg.Add(1)
+	type answer struct {
+		q      []float32
+		lo, hi int
+		res    []Result
+	}
+	answers := make([][]answer, 4)
+	for w := range answers {
+		readersWG.Add(1)
 		go func(w int) {
-			defer wg.Done()
+			defer readersWG.Done()
 			rng := mathx.NewRNG(uint64(200 + w))
-			for i := 0; i < 200; i++ {
-				res := Search(dyn, randomQuery(rng, d), 10)
-				seen := map[int32]bool{}
-				for j, r := range res {
-					if seen[r.ID] {
-						errc <- fmt.Errorf("duplicate id %d in search results", r.ID)
-						return
-					}
-					seen[r.ID] = true
-					if j > 0 && (res[j-1].Dist > r.Dist ||
-						(res[j-1].Dist == r.Dist && res[j-1].ID >= r.ID)) {
-						errc <- fmt.Errorf("results not in canonical order at %d", j)
-						return
-					}
-				}
+			for i := 0; i < 50 || writing.Load(); i++ {
+				q := randomQuery(rng, d)
+				lo := dyn.Len()
+				res := Search(dyn, q, k)
+				answers[w] = append(answers[w], answer{q, lo, dyn.Len(), res})
 			}
 		}(w)
 	}
-	wg.Wait()
-	close(errc)
-	for err := range errc {
-		t.Fatal(err)
+	writersWG.Wait()
+	writing.Store(false)
+	readersWG.Wait()
+	if st := dyn.Stats(); st.Base < n+3*threshold || dyn.Len() != len(vecs) {
+		t.Fatalf("after the adds: %+v, Len %d; want 3 compactions or more and %d rows", st, dyn.Len(), len(vecs))
+	}
+	for _, as := range answers {
+		for _, a := range as {
+			rows := map[int32][]float32{}
+			for id := range a.lo {
+				rows[int32(id)] = vecs[id]
+			}
+			for l := a.lo; !slices.Equal(a.res, bruteTopK(rows, a.q, k)); l++ {
+				if l == a.hi {
+					t.Fatalf("search between Len %d and %d answered %+v: no snapshot's top-%d", a.lo, a.hi, a.res, k)
+				}
+				rows[int32(l)] = vecs[l]
+			}
+		}
 	}
 }

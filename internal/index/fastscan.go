@@ -45,7 +45,6 @@ type FastScan struct {
 	pq     *quant.ProductQuantizer // 4-bit: Ks == 16, even M
 	blocks []byte                  // ceil(n/32) blocks × (M/2)×32 bytes, pair-major, by position
 	n      int
-	shared bool // blocks (and ids) alias memory this index does not own (possibly read-only mmap)
 
 	// The cluster layout. nil bounds is one cluster holding every row in id
 	// order (ids and masks nil too): every artifact written before the
@@ -54,13 +53,12 @@ type FastScan struct {
 	// [bounds[c], bounds[c+1]), ids[pos] is the row id stored at pos, and
 	// masks[fsMaskIndex(c, p, M)] has bit v set when some row of c takes
 	// code v at sub-quantizer p; supers[fsMaskIndex(g, p, M)] is the union
-	// of clusters fsGroup·g to fsGroup·g+fsGroup−1's. tail marks the last cluster as the rows appended
-	// since build or attach (Dynamic's compactions), which grows in place.
+	// of clusters fsGroup·g to fsGroup·g+fsGroup−1's. Each appendRows (a
+	// Dynamic's compaction) stores its rows as one more cluster at the end.
 	ids    []int32
 	bounds []int
 	masks  []uint16
 	supers []uint16 // the union of each fsGroup clusters' masks, laid out as masks
-	tail   bool
 }
 
 // fsBlock is the number of rows one interleaved block covers. 32 rows ×
@@ -150,10 +148,10 @@ const fsProbes = 16
 // (independent Gaussian coordinates) visit nearly all, and over those the
 // layout only adds the per-cluster costs to a full scan (DESIGN.md §11).
 func (ix *FastScan) prunes(data *mathx.Matrix) bool {
-	s, table := &Scratch{}, make([]float32, ix.stateLen())
+	s := &Scratch{}
 	var rows int64
 	for i := range fsProbes {
-		sc := fsScan{ix: ix, s: s, t: newTopK(10), table: ix.prepareInto(data.Row(i*data.Rows/fsProbes), table)}
+		sc := fsScan{ix: ix, s: s, t: newTopK(10), table: ix.prepare(data.Row(i*data.Rows/fsProbes), s)}
 		ix.visitClusters(&sc, 0, ix.n)
 		rows += sc.c.Rows
 	}
@@ -193,9 +191,7 @@ func (ix *FastScan) computeMasks() {
 	if ix.bounds == nil {
 		return
 	}
-	nc := ix.clusters()
-	ix.masks = make([]uint16, fsMasksLen(nc, ix.pq.M))
-	ix.supers = make([]uint16, fsMasksLen((nc+fsGroup-1)/fsGroup, ix.pq.M))
+	ix.growMasks()
 	nib := make([]byte, ix.pq.M)
 	for c := range ix.clusters() {
 		for pos := ix.bounds[c]; pos < ix.bounds[c+1]; pos++ {
@@ -205,16 +201,18 @@ func (ix *FastScan) computeMasks() {
 	}
 }
 
+// growMasks replaces the masks with fresh copies sized for every cluster,
+// the clusters past the old size with empty masks.
+func (ix *FastScan) growMasks() {
+	nc, m := ix.clusters(), ix.pq.M
+	ix.masks = grow(ix.masks, fsMasksLen(nc, m)-len(ix.masks))
+	ix.supers = grow(ix.supers, fsMasksLen((nc+fsGroup-1)/fsGroup, m)-len(ix.supers))
+}
+
 // addMasks adds one row of cluster c, its nibble codes nib, to the masks of
-// c and of its super-cluster, growing both to cover c.
+// c and of its super-cluster.
 func (ix *FastScan) addMasks(c int, nib []byte) {
 	m := ix.pq.M
-	if n := fsMasksLen(c+1, m); len(ix.masks) < n {
-		ix.masks = append(ix.masks, make([]uint16, n-len(ix.masks))...)
-	}
-	if n := fsMasksLen(c/fsGroup+1, m); len(ix.supers) < n {
-		ix.supers = append(ix.supers, make([]uint16, n-len(ix.supers))...)
-	}
 	mk, sk := ix.masks[fsMaskIndex(c, 0, m):], ix.supers[fsMaskIndex(c/fsGroup, 0, m):]
 	for p, v := range nib {
 		mk[p*fsGroup] |= 1 << v
@@ -301,17 +299,10 @@ func (ix *FastScan) SearchWith(s *Scratch, q []float32, k int) []Result {
 	return searchWith(ix, s, q, k)
 }
 
-// stateLen and prepareInto implement rangeScanner: the shared per-query
-// state is the exact float32 ADC table (M4 rows of 16 entries — at M4=16 a
-// single kilobyte). Each range scan derives its cluster bounds and integer
-// tables from it, so the shared state stays a plain []float32 and sharded
-// scans need no extra coordination.
-func (ix *FastScan) stateLen() int { return ix.pq.M * quant.Ks4 }
-
-func (ix *FastScan) prepareInto(q, table []float32) []float32 {
-	ix.pq.ADCTableInto(q, table)
-	return table
-}
+// prepare implements rangeScanner: the shared per-query state is the exact
+// float32 ADC table (M4 rows of 16 entries — at M4=16 a single kilobyte),
+// built in s; each range scan derives its bounds and integer tables from it.
+func (ix *FastScan) prepare(q []float32, s *Scratch) []float32 { return adcTable(ix.pq, q, s) }
 
 // FastScanKernel names the kernel fast-scan scans run on in this process:
 // "avx2" (the assembly kernel) or "portable" (the 16-bit Go kernel: a
@@ -423,7 +414,7 @@ func (sc *fsScan) scanAVX2(lo, hi int) {
 		}
 	}
 	if !sc.ready {
-		s.lut8 = resize(s.lut8, ix.stateLen())
+		s.lut8 = resize(s.lut8, len(sc.table))
 		sc.q = ix.quantize(sc.table, s.lut8, t.worst(), fsThreshold)
 		sc.ready, sc.requantize = true, true
 	}
@@ -520,7 +511,7 @@ func (sc *fsScan) scanPortable(lo, hi int) {
 	ix, s, t := sc.ix, sc.s, sc.t
 	np := ix.pq.M / 2
 	if !sc.ready {
-		s.lut8 = resize(s.lut8, ix.stateLen())
+		s.lut8 = resize(s.lut8, len(sc.table))
 		sc.q = ix.quantize(sc.table, s.lut8, 0, 0)
 		s.lut16 = resize(s.lut16, np*256)
 		fsFuse(s.lut16, sc.q.lut8, np)
@@ -677,37 +668,31 @@ func (ix *FastScan) scanPlain4(table []float32, t *topK, lo, hi int) {
 	}
 }
 
-// appendRow encodes vec with the sealed quantizer into the next position
-// under the next row id, growing a fresh zero-padded block when the last
-// one is full — how a fast-scan index absorbs Dynamic's delta segment at
-// compaction. On a clustered index the appended rows form one more cluster
-// at the end, whose masks grow with it.
-func (ix *FastScan) appendRow(vec []float32) {
-	// Unlike the other appendRow implementations (pure appends, which Go
-	// turns into a reallocation when the backing is capacity-clipped),
-	// setRow writes *into* the last partial block. On a shared backing —
-	// a zero-copy v4 artifact, possibly a read-only mapping — that write
-	// must hit a private copy, taken once at the first append.
-	if ix.shared {
-		ix.blocks = append([]byte(nil), ix.blocks...)
-		ix.shared = false
-	}
-	if ix.n%fsBlock == 0 {
-		ix.blocks = append(ix.blocks, make([]byte, fsBlockBytes(ix.pq.M))...)
+// appendRows implements appender: each row is encoded with the sealed
+// quantizer into the next position under the next row id, in a fresh copy
+// of the blocks (the last one may be partial, and the receiver's, possibly
+// a read-only mapping, is never written). On a clustered index the rows
+// form one more cluster at the end, with masks of its own.
+func (ix *FastScan) appendRows(rows []float32) Index {
+	d := ix.pq.D
+	out := *ix
+	out.n = ix.n + len(rows)/d
+	out.blocks = grow(ix.blocks, fsBlocksLen(ix.pq.M, out.n)-len(ix.blocks))
+	if ix.bounds != nil {
+		out.ids = grow(ix.ids, out.n-ix.n)
+		out.bounds = append(slices.Clip(ix.bounds), out.n)
+		out.growMasks()
 	}
 	nib := make([]byte, ix.pq.M)
-	ix.pq.EncodeInto(vec, nib)
-	ix.setRow(ix.n, nib)
-	if ix.bounds != nil {
-		if !ix.tail {
-			ix.bounds = append(ix.bounds, ix.n)
-			ix.tail = true
+	for pos := ix.n; pos < out.n; pos++ {
+		ix.pq.EncodeInto(rows[(pos-ix.n)*d:][:d], nib)
+		out.setRow(pos, nib)
+		if out.bounds != nil {
+			out.ids[pos] = int32(pos)
+			out.addMasks(out.clusters()-1, nib)
 		}
-		ix.bounds[len(ix.bounds)-1] = ix.n + 1
-		ix.ids = append(ix.ids, int32(ix.n))
-		ix.addMasks(ix.clusters()-1, nib)
 	}
-	ix.n++
+	return &out
 }
 
 // Reconstruct decodes the stored approximation of vector id.

@@ -88,7 +88,7 @@ func TestFastScanPruneCounts(t *testing.T) {
 	var parent int64
 	solo := countsOf(func() {
 		for _, q := range queries {
-			table := append([]float32(nil), prepareScan(ix, s, q)...)
+			table := append([]float32(nil), ix.prepare(q, s)...)
 			parent += parentCandidates(ix, table, k)
 
 			seed, final := newTopK(k), newTopK(k)
@@ -144,7 +144,7 @@ func TestFastScanPruneCounts(t *testing.T) {
 	}
 	ranges := countsOf(func() {
 		for _, q := range queries {
-			table := append([]float32(nil), prepareScan(ix, s, q)...)
+			table := append([]float32(nil), ix.prepare(q, s)...)
 			for i := 0; i < sh.Shards(); i++ {
 				ix.scanRange(table, s, newTopK(k), sh.bounds[i], sh.bounds[i+1])
 			}

@@ -65,7 +65,7 @@ func fsKernelCases(m4, ks, n int, seed uint64) []fsKernelCase {
 	var cases []fsKernelCase
 	for _, style := range []string{"random", "ties", "constant", "all255"} {
 		ix := syntheticFastScan(randomNibbles(n, m4, ks, seed+uint64(len(cases))), m4, ks, n)
-		table, lut8 := make([]float32, ix.stateLen()), make([]uint8, ix.stateLen())
+		table, lut8 := make([]float32, ix.pq.M*quant.Ks4), make([]uint8, ix.pq.M*quant.Ks4)
 		var q fsQuery
 		switch style {
 		case "all255":
@@ -95,7 +95,7 @@ func fsKernelCases(m4, ks, n int, seed uint64) []fsKernelCase {
 					query[m] = rng.Float32()
 				}
 			}
-			q = ix.quantize(ix.prepareInto(query, table), lut8, 0, 0)
+			q = ix.quantize(ix.prepare(query, &Scratch{}), lut8, 0, 0)
 		}
 		cases = append(cases, fsKernelCase{fmt.Sprintf("M4=%d/Ks=%d/n=%d/%s", m4, ks, n, style), ix, q})
 	}
@@ -185,7 +185,7 @@ func TestFastScanRequantizes(t *testing.T) {
 		query[m] = far
 	}
 	s := &Scratch{}
-	table := append([]float32(nil), prepareScan(ix, s, query)...)
+	table := append([]float32(nil), ix.prepare(query, s)...)
 	plain, got := newTopK(1), newTopK(1)
 	ix.scanPlain4(table, plain, 0, n)
 	before := ReadFastScanCounts()
@@ -213,7 +213,7 @@ func TestFastScanDistancesDwarfSpread(t *testing.T) {
 	for seed := uint64(1); seed <= 20; seed++ {
 		rng := mathx.NewRNG(seed)
 		ix := syntheticFastScan(randomNibbles(n, m4, quant.Ks4, seed), m4, quant.Ks4, n)
-		table := make([]float32, ix.stateLen())
+		table := make([]float32, ix.pq.M*quant.Ks4)
 		for i := range table {
 			table[i] = 1 + float32(rng.Intn(1<<uint(seed%6)))/(1<<23)
 		}
@@ -249,7 +249,7 @@ func TestFastScanLongRange(t *testing.T) {
 		}
 	}
 	remakeQuantizer(ix)
-	table := ix.prepareInto([]float32{far, far}, make([]float32, ix.stateLen()))
+	table := ix.prepare([]float32{far, far}, &Scratch{})
 	s := &Scratch{}
 	for _, rg := range [][2]int{{0, n}, {fsBlock + 3, n - 1}, {near[0], near[1] + 1}} {
 		for _, k := range []int{1, 3, 40} {
@@ -379,7 +379,7 @@ func TestFastScanIgnoresBytesPastRun(t *testing.T) {
 		big[i] = 0xff
 	}
 	copy(big[margin:], exact.blocks)
-	inside := &FastScan{pq: exact.pq, n: exact.n, blocks: big[margin : margin+len(exact.blocks)], shared: true}
+	inside := &FastScan{pq: exact.pq, n: exact.n, blocks: big[margin : margin+len(exact.blocks)]}
 	sh, err := NewSharded(inside, 3, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -402,7 +402,7 @@ func TestFastScanIgnoresBytesPastRun(t *testing.T) {
 		}
 		// Each kernel itself, over ranges that end at the last row and
 		// start and end mid-block.
-		table := inside.prepareInto(queries[0], make([]float32, inside.stateLen()))
+		table := inside.prepare(queries[0], &Scratch{})
 		for _, rg := range [][2]int{{0, exact.n}, {3, exact.n - 2}} {
 			plain := newTopK(k)
 			exact.scanPlain4(table, plain, rg[0], rg[1])

@@ -48,7 +48,7 @@ func TestFastScanMatchesPlain4(t *testing.T) {
 		for _, k := range []int{1, 5, n, n + 10} {
 			for qi := 0; qi < 5 && qi < n; qi++ {
 				q := data.Row(qi)
-				table := prepareScan(ix, s, q)
+				table := ix.prepare(q, s)
 
 				plain := newTopK(k)
 				ix.scanPlain4(table, plain, 0, ix.n)
@@ -166,22 +166,20 @@ func TestFastScanDynamic(t *testing.T) {
 	idSet("pre-compact", n+39)
 	d.Add(all.Row(n + 39))
 	idSet("post-compact", n+40)
-	if ix.Len() != n+40 {
-		t.Fatalf("base holds %d rows after compaction, want %d", ix.Len(), n+40)
+	compacted := d.Base().(*FastScan)
+	if compacted.Len() != n+40 || ix.Len() != n {
+		t.Fatalf("compaction left %d rows in the base and %d in the wrapped index, want %d and %d", compacted.Len(), ix.Len(), n+40, n)
 	}
 
 	// The compacted blocks must match a from-scratch encode of all rows
 	// with the same sealed quantizer.
-	want := &FastScan{pq: ix.pq, n: 0, blocks: nil}
-	for i := 0; i < n+40; i++ {
-		want.appendRow(all.Row(i))
-	}
-	if !bytes.Equal(want.blocks, ix.blocks) {
+	want := (&FastScan{pq: ix.pq}).appendRows(all.Data[:(n+40)*dim]).(*FastScan)
+	if !bytes.Equal(want.blocks, compacted.blocks) {
 		t.Fatal("compacted blocks diverge from a from-scratch encode")
 	}
 
-	// On a clustered base the compacted rows form one more cluster at the
-	// end, and every answer equals the same rows' in id order.
+	// On a clustered base each compaction's rows form one more cluster at
+	// the end, and every answer equals the same rows' in id order.
 	big := mathx.NewMatrix(3000, dim)
 	big.FillRandn(mathx.NewRNG(322), 1)
 	byID, err := newFastScan(big, cfg, 1)
@@ -204,8 +202,8 @@ func TestFastScanDynamic(t *testing.T) {
 			sameResults(t, "clustered dynamic, an added row", Search(dByID, row, 10), Search(dCl, row, 10))
 		}
 	}
-	if cl.clusters() != nc+1 || cl.bounds[nc] != 3000 || cl.bounds[nc+1] != cl.n {
-		t.Fatalf("after compactions: %d clusters (built %d), tail [%d, %d) of %d rows", cl.clusters(), nc, cl.bounds[nc], cl.bounds[nc+1], cl.n)
+	if cl := dCl.Base().(*FastScan); cl.clusters() != nc+2 || !slices.Equal(cl.bounds[nc:], []int{3000, 3040, 3080}) {
+		t.Fatalf("after 2 compactions: %d clusters (built %d), appended bounds %v", cl.clusters(), nc, cl.bounds[nc:])
 	}
 }
 

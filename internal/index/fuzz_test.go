@@ -128,7 +128,7 @@ func FuzzFastScanEquivalence(f *testing.F) {
 		defer PutScratch(s)
 		want := make([][]Result, nq)
 		for i, q := range queries {
-			table := prepareScan(ix, s, q)
+			table := ix.prepare(q, s)
 			plain := newTopK(k)
 			ix.scanPlain4(table, plain, 0, ix.n)
 			want[i] = plain.sorted()
@@ -156,7 +156,7 @@ func FuzzFastScanEquivalence(f *testing.F) {
 		lo := rng.Intn(n)
 		hi := lo + rng.Intn(n-lo+1)
 		for _, q := range queries {
-			table := ix.prepareInto(q, make([]float32, ix.stateLen()))
+			table := ix.prepare(q, &Scratch{})
 			plain, solo := newTopK(k), newTopK(k)
 			ix.scanPlain4(table, plain, lo, hi)
 			ix.scanRange(table, s, solo, lo, hi)
@@ -254,7 +254,7 @@ type tableScanner struct {
 	table []float32
 }
 
-func (ts tableScanner) prepareInto(_, _ []float32) []float32 { return ts.table }
+func (ts tableScanner) prepare([]float32, *Scratch) []float32 { return ts.table }
 
 // FuzzADCListScanEquivalence holds the one ADC kernel (scanADC: eight
 // sums in flight, a push only where the heap admits) to pushing every row's
@@ -360,8 +360,8 @@ func clusteredSynthetic(plain *FastScan, nib []byte, perm []int32, bounds []int)
 // an even seed, ordered by the rows' leading codes) cut into nc clusters
 // (empty ones included), nq queries with a duplicate — and
 // holds the clustered index to the same codes in id order: solo, batch at
-// one and three workers, 3-shard, and after appends that grow a tail
-// cluster, every answer bit for bit.
+// one and three workers, 3-shard, and after two appends (one row, then
+// four) that each add a cluster, every answer bit for bit.
 func checkClusteredEquivalence(t *testing.T, n, m4, ks, k, nc, nq int, seed uint64, ties bool) {
 	rng := mathx.NewRNG(seed)
 	nib := randomNibbles(n, m4, ks, seed)
@@ -431,18 +431,18 @@ func checkClusteredEquivalence(t *testing.T, n, m4, ks, k, nc, nq int, seed uint
 		}
 	}
 	check("clustered")
-	for i := 0; i < 5; i++ {
-		row := make([]float32, m4)
-		for m := range row {
-			row[m] = draw()
-		}
-		plain.appendRow(row)
-		ix.appendRow(row)
+	rows := make([]float32, 5*m4)
+	for i := range rows {
+		rows[i] = draw()
+	}
+	for _, part := range [][]float32{rows[:m4], rows[m4:]} {
+		plain = plain.appendRows(part).(*FastScan)
+		ix = ix.appendRows(part).(*FastScan)
 	}
 	if sh, err = NewSharded(ix, 3, 2); err != nil {
 		t.Fatal(err)
 	}
-	check("with a tail cluster")
+	check("with appended clusters")
 }
 
 // FuzzClusteredFastScanEquivalence: whatever the cluster layout, a

@@ -253,11 +253,9 @@ func (f *Flat) Search(ctx context.Context, s *Scratch, q []float32, k int, dst [
 // SearchWith implements ScratchSearcher.
 func (f *Flat) SearchWith(s *Scratch, q []float32, k int) []Result { return searchWith(f, s, q, k) }
 
-// stateLen and prepareInto implement rangeScanner: an exact scan needs no
-// per-query precomputation, so the shared state is the query itself.
-func (f *Flat) stateLen() int { return 0 }
-
-func (f *Flat) prepareInto(q, _ []float32) []float32 { return q }
+// prepare implements rangeScanner: an exact scan needs no per-query
+// precomputation, so the shared state is the query itself.
+func (f *Flat) prepare(q []float32, _ *Scratch) []float32 { return q }
 
 // scanRange implements rangeScanner: the brute-force scan restricted to
 // stored rows [lo, hi).

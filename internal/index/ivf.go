@@ -52,20 +52,26 @@ type IVF struct {
 	dim    int
 	n      int
 
-	// Raw storage (IVF-Flat): per-list vectors.
-	lists   [][]int32     // vector ids per list
-	vectors *mathx.Matrix // original data, shared
+	lists [][]int32 // vector ids per list
 
 	// Compressed storage (IVF-PQ).
 	pq    *quant.ProductQuantizer
 	codes [][]byte // per-list codes, parallel to lists
 
-	// Exact re-rank (IVF-PQ only): when rvecs is set, the ADC pass gathers
-	// k×rerank candidates and the final top-k is decided by exact distances
-	// against the raw vectors — typically an mmap'd view of the embedding
-	// matrix, paged in on demand, so the resident cost stays the code book.
-	rerank int
-	rvecs  *mathx.Matrix
+	// Exact vectors by id: IVF-Flat's payload, IVF-PQ's re-rank matrix when
+	// rerank > 1. vectors is typically an mmap'd view paged in on demand;
+	// tail holds the rows appendRows added after it (DESIGN.md §8).
+	vectors *mathx.Matrix
+	tail    []float32
+	rerank  int
+}
+
+// vec returns row id's exact vector.
+func (ix *IVF) vec(id int32) []float32 {
+	if int(id) < ix.vectors.Rows {
+		return ix.vectors.Row(int(id))
+	}
+	return ix.tail[(int(id)-ix.vectors.Rows)*ix.dim:][:ix.dim]
 }
 
 // NewIVF builds an inverted-file index over the rows of data. The coarse
@@ -150,27 +156,27 @@ func (ix *IVF) SetNProbe(n int) {
 const MaxRerank = 1024
 
 // SetRerank enables (factor > 1) or disables (factor <= 1) exact re-ranking
-// for an IVF-PQ index: the ADC scan over-fetches k×factor candidates and the
-// final top-k is decided by exact squared-L2 distances against vectors, which
-// must hold the original data row-aligned with the index ids (for an mmap'd
-// artifact this is the zero-copy "vectors" section — pages fault in only for
-// the few candidate rows each query touches). Not safe to call concurrently
-// with Search.
+// for an IVF-PQ index (an IVF-Flat one refuses either): the ADC scan
+// over-fetches k×factor candidates and the final top-k is decided by exact
+// squared-L2 distances against vectors, which must hold the original data
+// row-aligned with the index ids (for an mmap'd artifact this is the
+// zero-copy "vectors" section — pages fault in only for the few candidate
+// rows each query touches). Not safe to call concurrently with Search.
 func (ix *IVF) SetRerank(factor int, vectors *mathx.Matrix) error {
+	if ix.pq == nil {
+		return fmt.Errorf("index: rerank requires IVF-PQ (IVF-Flat distances are already exact)")
+	}
 	if factor <= 1 || vectors == nil {
-		ix.rerank, ix.rvecs = 0, nil
+		ix.rerank, ix.vectors, ix.tail = 0, nil, nil
 		return nil
 	}
 	if factor > MaxRerank {
 		return fmt.Errorf("index: rerank factor %d exceeds %d", factor, MaxRerank)
 	}
-	if ix.pq == nil {
-		return fmt.Errorf("index: rerank requires IVF-PQ (IVF-Flat distances are already exact)")
-	}
 	if vectors.Rows != ix.n || vectors.Cols != ix.dim {
 		return fmt.Errorf("index: rerank vectors are %dx%d, index is %dx%d", vectors.Rows, vectors.Cols, ix.n, ix.dim)
 	}
-	ix.rerank, ix.rvecs = factor, vectors
+	ix.rerank, ix.vectors, ix.tail = factor, vectors, nil
 	return nil
 }
 
@@ -216,7 +222,7 @@ func (ix *IVF) Search(ctx context.Context, s *Scratch, q []float32, k int, dst [
 	// With re-ranking on, the ADC pass over-fetches into the probe heap
 	// (free once probeBuf holds the ranking) and the exact pass below
 	// decides the final order; otherwise ADC order is final.
-	rerank := ix.pq != nil && ix.rvecs != nil && ix.rerank > 1
+	rerank := ix.pq != nil && ix.rerank > 1
 	t := &s.res
 	if rerank {
 		t = probes
@@ -228,7 +234,7 @@ func (ix *IVF) Search(ctx context.Context, s *Scratch, q []float32, k int, dst [
 		li := int(pr.ID)
 		if ix.pq == nil {
 			for _, id := range ix.lists[li] {
-				t.push(id, mathx.SquaredL2(q, ix.vectors.Row(int(id))))
+				t.push(id, mathx.SquaredL2(q, ix.vec(id)))
 			}
 			continue
 		}
@@ -239,9 +245,7 @@ func (ix *IVF) Search(ctx context.Context, s *Scratch, q []float32, k int, dst [
 		for j := range res {
 			res[j] = q[j] - cRow[j]
 		}
-		s.table = mathx.Resize(s.table, ix.pq.M*ix.pq.Ks)
-		ix.pq.ADCTableInto(res, s.table)
-		scanADC(s.table, ix.pq.M, ix.pq.Ks, ix.codes[li], ix.lists[li], 0, t)
+		scanADC(adcTable(ix.pq, res, s), ix.pq.M, ix.pq.Ks, ix.codes[li], ix.lists[li], 0, t)
 	}
 	if !rerank {
 		return t.appendSorted(dst), nil
@@ -252,7 +256,7 @@ func (ix *IVF) Search(ctx context.Context, s *Scratch, q []float32, k int, dst [
 	final := &s.res
 	final.reset(k)
 	for _, r := range t.heap {
-		final.push(r.ID, mathx.SquaredL2(q, ix.rvecs.Row(int(r.ID))))
+		final.push(r.ID, mathx.SquaredL2(q, ix.vec(r.ID)))
 	}
 	return final.appendSorted(dst), nil
 }

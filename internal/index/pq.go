@@ -55,14 +55,16 @@ func (ix *PQ) Search(ctx context.Context, s *Scratch, q []float32, k int, dst []
 // SearchWith implements ScratchSearcher.
 func (ix *PQ) SearchWith(s *Scratch, q []float32, k int) []Result { return searchWith(ix, s, q, k) }
 
-// stateLen and prepareInto implement rangeScanner: the shared per-query
-// scan state is the ADC table, built once and read-only thereafter.
-func (ix *PQ) stateLen() int { return ix.pq.M * ix.pq.Ks }
-
-func (ix *PQ) prepareInto(q, table []float32) []float32 {
-	ix.pq.ADCTableInto(q, table)
-	return table
+// adcTable builds q's ADC table under pq in s and returns it.
+func adcTable(pq *quant.ProductQuantizer, q []float32, s *Scratch) []float32 {
+	s.table = mathx.Resize(s.table, pq.M*pq.Ks)
+	pq.ADCTableInto(q, s.table)
+	return s.table
 }
+
+// prepare implements rangeScanner: the shared per-query scan state is the
+// ADC table, built once and read-only thereafter.
+func (ix *PQ) prepare(q []float32, s *Scratch) []float32 { return adcTable(ix.pq, q, s) }
 
 // scanRange implements rangeScanner: the ADC kernel over the contiguous
 // codes of stored rows [lo, hi), row j of the range being id lo+j. The

@@ -121,14 +121,14 @@ func TestSetRerankValidation(t *testing.T) {
 	if err := ix.SetRerank(4, data); err != nil {
 		t.Fatal(err)
 	}
-	if ix.rerank != 4 || ix.rvecs == nil {
-		t.Fatalf("rerank = (%d, %v) after enable", ix.rerank, ix.rvecs)
+	if ix.rerank != 4 || ix.vectors == nil {
+		t.Fatalf("rerank = (%d, %v) after enable", ix.rerank, ix.vectors)
 	}
 	if err := ix.SetRerank(1, data); err != nil {
 		t.Fatal(err)
 	}
-	if ix.rerank != 0 || ix.rvecs != nil {
-		t.Fatalf("rerank = (%d, %v) after clear", ix.rerank, ix.rvecs)
+	if ix.rerank != 0 || ix.vectors != nil {
+		t.Fatalf("rerank = (%d, %v) after clear", ix.rerank, ix.vectors)
 	}
 }
 

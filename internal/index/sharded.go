@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"emblookup/internal/mathx"
 	"emblookup/internal/par"
 )
 
@@ -16,21 +15,12 @@ import (
 // the same result set.
 type rangeScanner interface {
 	Index
-	// stateLen is the length of the per-query scan state (0 when the state
-	// is the query itself).
-	stateLen() int
-	// prepareInto computes the state shared read-only by every range scan
-	// of one query into state (stateLen entries) and returns it.
-	prepareInto(q, state []float32) []float32
+	// prepare computes one query's state, shared read-only by every range
+	// scan of it, in s (the query itself for Flat) and returns it.
+	prepare(q []float32, s *Scratch) []float32
 	// scanRange pushes stored rows [lo, hi) into t, taking per-range
 	// working memory (e.g. the fast-scan tables) from s.
 	scanRange(state []float32, s *Scratch, t *topK, lo, hi int)
-}
-
-// prepareScan prepares one query's scan state in s.
-func prepareScan(rs rangeScanner, s *Scratch, q []float32) []float32 {
-	s.table = mathx.Resize(s.table, rs.stateLen())
-	return rs.prepareInto(q, s.table)
 }
 
 // scanSolo is the one solo scan, behind Search for every range-scannable
@@ -51,7 +41,7 @@ func scanSolo(ctx context.Context, rs rangeScanner, bounds []int, parallelism in
 	if k <= 0 {
 		return dst[:0], nil
 	}
-	state := prepareScan(rs, s, q)
+	state := rs.prepare(q, s)
 	t := &s.res
 	t.reset(k)
 	if len(bounds) <= 2 {

@@ -9,12 +9,13 @@ import (
 )
 
 // cacheKey identifies one cached lookup: the normalized mention (see
-// core.NormalizeMention) and the candidate budget. Different k values cache
-// separately — a truncated larger result is not guaranteed bit-identical to
-// a direct smaller-k lookup once alias dedupe is involved.
+// core.NormalizeMention), the candidate budget and the index generation
+// (Serve.generation). Different k values cache separately — a truncated
+// larger result is not guaranteed bit-identical to a direct smaller-k
+// lookup once alias dedupe is involved.
 type cacheKey struct {
 	mention string
-	k       int
+	k, gen  int
 }
 
 // cacheEntry is one LRU node payload.
@@ -85,11 +86,11 @@ func (c *MentionCache) shardFor(key cacheKey) *cacheShard {
 	return &c.shards[h&c.mask]
 }
 
-// Get returns the cached candidates for (mention, k) and whether they were
-// present, promoting the entry to most-recently-used. The returned slice is
-// shared: callers must not modify it.
-func (c *MentionCache) Get(mention string, k int) ([]lookup.Candidate, bool) {
-	key := cacheKey{mention: mention, k: k}
+// Get returns the cached candidates for (mention, k, gen) and whether they
+// were present, promoting the entry to most-recently-used. The returned
+// slice is shared: callers must not modify it.
+func (c *MentionCache) Get(mention string, k, gen int) ([]lookup.Candidate, bool) {
+	key := cacheKey{mention, k, gen}
 	s := c.shardFor(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -102,11 +103,11 @@ func (c *MentionCache) Get(mention string, k int) ([]lookup.Candidate, bool) {
 	return nil, false
 }
 
-// Put stores the candidates for (mention, k), evicting the segment's
+// Put stores the candidates for (mention, k, gen), evicting the segment's
 // least-recently-used entry when it is full. The cache takes shared
 // ownership of val: it must not be modified after insertion.
-func (c *MentionCache) Put(mention string, k int, val []lookup.Candidate) {
-	key := cacheKey{mention: mention, k: k}
+func (c *MentionCache) Put(mention string, k, gen int, val []lookup.Candidate) {
+	key := cacheKey{mention, k, gen}
 	s := c.shardFor(key)
 	s.mu.Lock()
 	defer s.mu.Unlock()

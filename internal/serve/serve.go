@@ -66,8 +66,8 @@ type Serve struct {
 // New builds the serving substrate over a trained model. With more than
 // one shard the model's index is wrapped for sharded scans (the model itself
 // is shared, not retrained); PQ, FastScan and Flat indexes support this, IVF
-// refuses an explicit opts.Shards > 1 and derives 1. The caller keeps
-// model and closes it after the Serve.
+// and a dynamic index refuse an explicit opts.Shards > 1 and derive 1. The
+// caller keeps model and closes it after the Serve.
 func New(model *core.EmbLookup, opts Options) (*Serve, error) {
 	if opts.Shards == 0 {
 		opts.Shards = index.DefaultShards(model.Index())
@@ -101,6 +101,17 @@ func New(model *core.EmbLookup, opts Options) (*Serve, error) {
 // when sharding is enabled).
 func (s *Serve) Model() *core.EmbLookup { return s.model }
 
+// generation tags a cache entry, so that an ingest expires every answer
+// cached before it: read before its lookup, a dynamic index's Len (every
+// Add raises it), or 0 for a sealed index, which reads nothing. An entry of
+// an older generation is never hit again; the LRU evicts it.
+func (s *Serve) generation() int {
+	if dyn := s.model.Dynamic(); dyn != nil {
+		return dyn.Len()
+	}
+	return 0
+}
+
 // Lookup is LookupCtx without a context.
 func (s *Serve) Lookup(q string, k int) []lookup.Candidate {
 	res, _ := s.LookupCtx(context.Background(), q, k) // errors are ctx's only
@@ -120,6 +131,7 @@ func (s *Serve) LookupCtx(ctx context.Context, q string, k int) ([]lookup.Candid
 	if k <= 0 {
 		return nil, nil
 	}
+	gen := s.generation()
 	tr := obs.FromContext(ctx)
 	t0 := time.Now()
 	sp := tr.Start("normalize")
@@ -128,7 +140,7 @@ func (s *Serve) LookupCtx(ctx context.Context, q string, k int) ([]lookup.Candid
 	s.stageNormalize.Since(t0)
 	if s.cache != nil {
 		sp = tr.Start("cache")
-		res, ok := s.cache.Get(norm, k)
+		res, ok := s.cache.Get(norm, k, gen)
 		sp.End()
 		if ok {
 			s.latency.Since(t0)
@@ -140,7 +152,7 @@ func (s *Serve) LookupCtx(ctx context.Context, q string, k int) ([]lookup.Candid
 		return nil, err
 	}
 	if s.cache != nil {
-		s.cache.Put(norm, k, res)
+		s.cache.Put(norm, k, gen, res)
 	}
 	s.latency.Since(t0)
 	return res, nil
@@ -162,6 +174,7 @@ func (s *Serve) BulkLookupCtx(ctx context.Context, queries []string, k int) ([][
 	if len(queries) == 0 || k <= 0 {
 		return out, nil
 	}
+	gen := s.generation()
 	norms := make([]string, len(queries))
 	hit := make([]bool, len(queries))
 	missIdx := make(map[string]int) // normalized mention -> index into misses
@@ -169,7 +182,7 @@ func (s *Serve) BulkLookupCtx(ctx context.Context, queries []string, k int) ([][
 	for i, q := range queries {
 		norms[i] = core.NormalizeMention(q)
 		if s.cache != nil {
-			if res, ok := s.cache.Get(norms[i], k); ok {
+			if res, ok := s.cache.Get(norms[i], k, gen); ok {
 				out[i], hit[i] = res, true
 				continue
 			}
@@ -188,7 +201,7 @@ func (s *Serve) BulkLookupCtx(ctx context.Context, queries []string, k int) ([][
 	}
 	for j, m := range misses {
 		if s.cache != nil {
-			s.cache.Put(m, k, results[j])
+			s.cache.Put(m, k, gen, results[j])
 		}
 	}
 	for i := range queries {

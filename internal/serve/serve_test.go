@@ -57,17 +57,17 @@ func sameCandidates(t *testing.T, ctx string, want, got []lookup.Candidate) {
 func TestMentionCacheBasics(t *testing.T) {
 	c := NewMentionCache(4)
 	val := []lookup.Candidate{{ID: 1, Score: -2}}
-	if _, ok := c.Get("a", 5); ok {
+	if _, ok := c.Get("a", 5, 0); ok {
 		t.Fatal("empty cache hit")
 	}
-	c.Put("a", 5, val)
-	got, ok := c.Get("a", 5)
+	c.Put("a", 5, 0, val)
+	got, ok := c.Get("a", 5, 0)
 	if !ok {
 		t.Fatal("miss after put")
 	}
 	sameCandidates(t, "cache value", val, got)
 	// Different k is a different entry.
-	if _, ok := c.Get("a", 6); ok {
+	if _, ok := c.Get("a", 6, 0); ok {
 		t.Fatal("k must be part of the key")
 	}
 	st := c.Stats()
@@ -78,12 +78,12 @@ func TestMentionCacheBasics(t *testing.T) {
 
 func TestMentionCacheEviction(t *testing.T) {
 	c := NewMentionCache(1) // single shard, capacity 1
-	c.Put("a", 1, nil)
-	c.Put("b", 1, nil)
-	if _, ok := c.Get("a", 1); ok {
+	c.Put("a", 1, 0, nil)
+	c.Put("b", 1, 0, nil)
+	if _, ok := c.Get("a", 1, 0); ok {
 		t.Fatal("LRU entry should have been evicted")
 	}
-	if _, ok := c.Get("b", 1); !ok {
+	if _, ok := c.Get("b", 1, 0); !ok {
 		t.Fatal("newest entry evicted")
 	}
 	if st := c.Stats(); st.Evictions != 1 {
@@ -97,15 +97,15 @@ func TestMentionCacheLRUOrder(t *testing.T) {
 	c := NewMentionCache(1)
 	c.shards[0].capacity = 3
 	for _, m := range []string{"a", "b", "c"} {
-		c.Put(m, 1, []lookup.Candidate{{ID: kg.EntityID(len(m))}})
+		c.Put(m, 1, 0, []lookup.Candidate{{ID: kg.EntityID(len(m))}})
 	}
-	c.Get("a", 1) // promote the oldest
-	c.Put("d", 1, nil)
-	if _, ok := c.Get("b", 1); ok {
+	c.Get("a", 1, 0) // promote the oldest
+	c.Put("d", 1, 0, nil)
+	if _, ok := c.Get("b", 1, 0); ok {
 		t.Fatal("b should have been the LRU victim")
 	}
 	for _, m := range []string{"a", "c", "d"} {
-		if _, ok := c.Get(m, 1); !ok {
+		if _, ok := c.Get(m, 1, 0); !ok {
 			t.Fatalf("%q evicted unexpectedly", m)
 		}
 	}
@@ -148,6 +148,44 @@ func TestServeMatchesDirect(t *testing.T) {
 	}
 	if st.Shards != 3 {
 		t.Fatalf("shards = %d", st.Shards)
+	}
+}
+
+// Over a dynamic model the cache stays on, and an answer cached before an
+// AddMention that changes it is not served after: entries carry the index
+// generation read before their lookup, and a later one misses.
+func TestServeDynamicCache(t *testing.T) {
+	g, m := testModel(t)
+	dyn := m.WithDynamicIndex(0)
+	defer dyn.Close()
+	if _, err := New(dyn, Options{Shards: 2}); err == nil {
+		t.Fatal("a dynamic index split into 2 shards should be refused")
+	}
+	sv, err := New(dyn, Options{CacheSize: 64})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sv.Close()
+	const alias = "zyqqat flombrix unit"
+	target := g.Entities[5].ID
+	if sv.Lookup(alias, 1)[0].ID == target || sv.BulkLookup([]string{alias}, 3)[0][0].ID == target {
+		t.Fatal("the alias already resolves to its entity")
+	}
+	sv.Lookup(alias, 1)
+	sv.BulkLookup([]string{alias}, 3)
+	if st := sv.Stats(); st.Shards != 1 || st.Cache == nil || st.Cache.Hits != 2 {
+		t.Fatalf("want 1 shard and both repeats served from the cache, stats = %+v", st)
+	}
+	if _, err := dyn.AddMention(alias, target); err != nil {
+		t.Fatal(err)
+	}
+	sameCandidates(t, "lookup after the add", dyn.Lookup(alias, 1), sv.Lookup(alias, 1))
+	sameCandidates(t, "bulk after the add", dyn.Lookup(alias, 3), sv.BulkLookup([]string{alias}, 3)[0])
+	if got := sv.Lookup(alias, 1); got[0].ID != target {
+		t.Fatalf("after the add the alias resolves to %+v, want entity %d", got, target)
+	}
+	if st := sv.Stats(); st.Cache.Hits != 3 {
+		t.Fatalf("the answer cached after the add was not served: %+v", st.Cache)
 	}
 }
 

@@ -93,8 +93,9 @@ func (s *Server) SetEpoch(e int64) { s.epoch.Store(e) }
 
 // New builds a server over a trained model. Without WithServe its lookups
 // run through a substrate of its own: unsharded, so it derives no sibling
-// to close, and cacheless, because live ingest would leave cached answers
-// stale; it answers bit-identically to the model.
+// for a Server (which has no Close) to close, and cacheless, since cache
+// memory is its caller's to size and the nodes built this way serve
+// /partition/search; it answers bit-identically to the model.
 func New(g *kg.Graph, model *core.EmbLookup, opts ...Option) *Server {
 	s := newServer(opts)
 	s.graph, s.model = g, model

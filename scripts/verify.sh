@@ -63,6 +63,15 @@ if grep -rn --include='*.go' --exclude='*_test.go' 'time\.Sleep(' internal; then
     exit 1
 fi
 
+echo "== no RWMutex in non-test Go under internal/index =="
+# A dynamic index publishes immutable snapshots (DESIGN.md §8): readers
+# load one atomic pointer and never wait on the writer. A read-write lock
+# in the index package is a reader queueing behind an ingest again.
+if grep -rn --include='*.go' --exclude='*_test.go' 'sync\.RWMutex' internal/index; then
+    echo "verify: sync.RWMutex in non-test Go under internal/index" >&2
+    exit 1
+fi
+
 echo "== index layouts stay in internal/index =="
 # The index codec (DESIGN.md §8) is the one place that takes each index
 # kind apart, puts it back together and slices it, and index.Build the one
@@ -106,7 +115,7 @@ echo "== go test -race =="
 # give it room beyond the default 10m package timeout.
 go test -race -timeout 60m ./...
 
-echo "== flake check: serve, cluster, index, server and kg, five runs =="
+echo "== flake check: serve, cluster, index, server, kg and core's dynamic tests, five runs =="
 # The router-cancellation tests synchronize on events, not sleeps
 # (ROADMAP item 0); five plain runs catch one that starts to depend on
 # timing again. The serve package is here for its concurrent bit-identity
@@ -115,8 +124,11 @@ echo "== flake check: serve, cluster, index, server and kg, five runs =="
 # (16 goroutines of mixed-size batches against one Sharded), the server
 # package for its concurrent trace + deadline test, the kg package for its
 # first-use test (16 goroutines deriving a fresh graph's indexes together,
-# one build each; the -race line above runs it too); none sleeps.
+# one build each; the -race line above runs it too); none sleeps. The core
+# package's dynamic and ingest tests run five times too: readers that must
+# each see one snapshot while compactions publish new bases beside them.
 go test -count=5 ./internal/serve ./internal/cluster ./internal/index ./internal/server ./internal/kg
+go test -count=5 -run 'Dynamic|Ingest' ./internal/core
 
 echo "== portable kernel builds: purego tests, arm64 vet, GOAMD64=v3 =="
 # Each AVX2 assembly kernel has a portable sibling that this amd64 host
@@ -140,7 +152,7 @@ echo "== kernel fuzz (short, both builds) =="
 # Each build's fast-scan kernels against the plain float32 scan: batch sizes
 # 1-9, all-ties tables, mid-block ranges; and a clustered index against the
 # same codes in id order, solo and batch, under arbitrary cluster layouts,
-# duplicate rows, all-ties tables and appended tail clusters (DESIGN.md §11). Each build's
+# duplicate rows, all-ties tables and appended clusters (DESIGN.md §11). Each build's
 # convolution kernels against the scalar loop, bit for bit: lengths 1-40,
 # signed zeros, subnormals, overflow (DESIGN.md §3). Each build's centroid
 # block against SquaredL2 per centroid, and each build's matvec against Dot
