@@ -251,9 +251,11 @@ func BenchmarkPQSearch(b *testing.B) {
 // with a uint8-quantized table and exact re-rank (DESIGN.md §11). Run under
 // `make verify` and diffed by `make bench-compare`; the fast-scan row is the
 // ≥2× single-core throughput gate of BENCH_lookup.json in kernel-only form.
-// The fast-scan rows report cand/query beside ns/query-row — the rows a
-// query re-ranks exactly (index.FastScanCounts), the count the timing rides
-// on — and clustered100k is the scan at the benchmark's scale over rows that
+// The fast-scan rows report their work from the prune counters
+// (index.FastScanCounts) beside the time: rows/query and clusters/query
+// scanned, ns/row-scanned (the time over the rows a query scanned, not
+// over every row of the index), and cand/query, the rows a query re-ranks
+// exactly. clustered100k is the scan at the benchmark's scale over rows that
 // cluster as label embeddings do (independent Gaussian rows, every one about
 // as far from a query as the next, prune unlike them; the index stores them
 // by k-means cluster and a query scans only the clusters that can hold a
@@ -279,7 +281,17 @@ func BenchmarkFastScan(b *testing.B) {
 			dst, _ = pq.Search(context.Background(), &s, q, 10, dst)
 		}
 	})
-	// solo times one query after another over ix and reports both metrics.
+	// work reports, over the queries run since before, the counters' work
+	// per query and the time per row scanned.
+	work := func(b *testing.B, before index.FastScanCounts, queries int) {
+		c := index.ReadFastScanCounts()
+		rows := float64(c.Rows - before.Rows)
+		b.ReportMetric(rows/float64(queries), "rows/query")
+		b.ReportMetric(float64(c.Clusters-before.Clusters)/float64(queries), "clusters/query")
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/rows, "ns/row-scanned")
+		b.ReportMetric(float64(c.Candidates-before.Candidates)/float64(queries), "cand/query")
+	}
+	// solo times one query after another over ix.
 	solo := func(ix *index.FastScan, queries [][]float32) func(b *testing.B) {
 		return func(b *testing.B) {
 			var s index.Scratch
@@ -290,14 +302,12 @@ func BenchmarkFastScan(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				dst, _ = ix.Search(context.Background(), &s, queries[i%len(queries)], 10, dst)
 			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*ix.Len()), "ns/query-row")
-			b.ReportMetric(float64(index.ReadFastScanCounts().Candidates-before.Candidates)/float64(b.N), "cand/query")
+			work(b, before, b.N)
 		}
 	}
 	b.Run("fastscan", solo(fs, [][]float32{q}))
 	// batch times one BatchSearch of all queries after another on one core
-	// (table quantization and the batch's result slices included) and
-	// reports the same two metrics per query.
+	// (table quantization and the batch's result slices included).
 	batch := func(ix *index.FastScan, queries [][]float32) func(b *testing.B) {
 		return func(b *testing.B) {
 			before := index.ReadFastScanCounts()
@@ -306,8 +316,7 @@ func BenchmarkFastScan(b *testing.B) {
 			for i := 0; i < b.N; i++ {
 				index.BatchSearch(ix, queries, 10, 1)
 			}
-			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(queries)*ix.Len()), "ns/query-row")
-			b.ReportMetric(float64(index.ReadFastScanCounts().Candidates-before.Candidates)/float64(b.N*len(queries)), "cand/query")
+			work(b, before, b.N*len(queries))
 		}
 	}
 	// A batch of four: four pruned scans, one per query, as a bulk request

@@ -35,8 +35,6 @@ import (
 // their directory under internal/ and "Name" or "Type.Method".
 var allowlist = map[string][]string{
 	// Reference implementations the live code is held to.
-	"TestPQScanRangeMatchesPlain":                 {"index.PQ.scanPlain"},
-	"FuzzInterleave4RoundTrip":                    {"index.interleave4", "index.deinterleave4"},
 	"FuzzScanEquivalence":                         {"index.newTopK", "index.topK.sorted", "mathx.RNG.Float32"},
 	"TestPQConsistencyProperty":                   {"index.Flat.Reconstruct", "index.FastScan.Reconstruct"},
 	"TestPQReconstructApproximates":               {"index.PQ.Reconstruct"},

@@ -20,8 +20,8 @@ import (
 const buildBitsHash = "d3b688eaf2959cbf1f411537dd3845239035d5fa366186c1f6d8ac84b45a195f"
 
 // clusterLayoutHash is the SHA-256 of the fast-scan cluster layout the
-// same build produces (ids, bounds, masks), first computed when the layout
-// was introduced.
+// same build produces at 3 × 3 clusters (ids, bounds, masks), first
+// computed when the layout was introduced.
 const clusterLayoutHash = "421a3247e40f13e76fd9b9d2c1657550d567a43065a761ee3de8107f46bae96b"
 
 // clusteredData is n rows of dimension d around 24 Gaussian centres, the
@@ -135,19 +135,42 @@ func TestBuildBitsPinned(t *testing.T) {
 	}
 
 	// The fast-scan cluster layout, a step of its own: its ids, bounds and
-	// masks.
-	layout := bitsHash{sha256.New()}
-	if fs.clusters() < 2 {
-		t.Fatalf("fast-scan build over %d rows is not clustered", fs.n)
+	// masks at the 3 × 3 clusters the hash was first computed for (this
+	// many rows now derive 5 × 5).
+	if fs.clusters() != 25 {
+		t.Fatalf("fast-scan build over %d rows has %d clusters, want 5 × 5", fs.n, fs.clusters())
 	}
+	fs, err = newFastScan(data, quant.Config4(quant.PQConfig{M: 4, Iters: 8, Seed: 74}), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	layout := bitsHash{sha256.New()}
 	for _, id := range fs.ids {
 		layout.ints([]int{int(id)})
 	}
 	layout.ints(fs.bounds)
-	for _, m := range fs.masks {
-		layout.ints([]int{int(m)})
+	// The masks as 16-bit sets in the order they were first hashed in:
+	// groups of eight clusters, sub-quantizer by sub-quantizer, the last
+	// group padded with empty sets.
+	for g := 0; g < (fs.clusters()+7)/8; g++ {
+		for p := range fs.pq.M {
+			for c := 8 * g; c < 8*g+8; c++ {
+				var set uint16
+				if c < fs.clusters() {
+					set = fs.mask(c, p)
+				}
+				layout.ints([]int{int(set)})
+			}
+		}
 	}
 	if got := hex.EncodeToString(layout.h.Sum(nil)); got != clusterLayoutHash {
 		t.Fatalf("fast-scan cluster layout hash %s, want %s", got, clusterLayoutHash)
 	}
+}
+
+// mask returns cluster c's code set at sub-quantizer p: bit v set when
+// some row of c takes code v.
+func (ix *FastScan) mask(c, p int) uint16 {
+	i := fsMaskIndex(c, p, ix.pq.M)
+	return uint16(ix.masks[i]) | uint16(ix.masks[i+fsBlock])<<8
 }

@@ -25,9 +25,11 @@ import (
 //     transposed sub-quantizer-pair-major per block, so one 32-byte load is
 //     one pair's codes for 32 consecutive rows;
 //   - rows stored cluster by cluster (DESIGN.md §11 "Exact cluster
-//     pruning"): a query visits the clusters in ascending order of an exact
-//     lower bound on their rows' distances and stops at the first whose
-//     bound exceeds its k-th best distance;
+//     pruning"): a query bounds every cluster from below in one integer
+//     pass over per-cluster code masks (the portable build over half the
+//     sub-quantizers, finishing a bound when its cluster comes up), visits
+//     the clusters least bound first through a bucket queue, and stops
+//     where the next bound exceeds the limit its k-th best distance sets;
 //   - per-query uint8 quantization of the distance table
 //     (quant.QuantizeTableInto): distances accumulate as integers, the
 //     early-abandon check is an integer compare, and the few surviving
@@ -51,14 +53,12 @@ type FastScan struct {
 	// layout existed, and every index too small to cluster. Otherwise rows
 	// are stored cluster by cluster: cluster c holds positions
 	// [bounds[c], bounds[c+1]), ids[pos] is the row id stored at pos, and
-	// masks[fsMaskIndex(c, p, M)] has bit v set when some row of c takes
-	// code v at sub-quantizer p; supers[fsMaskIndex(g, p, M)] is the union
-	// of clusters fsGroup·g to fsGroup·g+fsGroup−1's. Each appendRows (a
+	// bit v%8 of masks[fsMaskIndex(c, p, M)+v/8·fsBlock] is set when some
+	// row of c takes code v at sub-quantizer p. Each appendRows (a
 	// Dynamic's compaction) stores its rows as one more cluster at the end.
 	ids    []int32
 	bounds []int
-	masks  []uint16
-	supers []uint16 // the union of each fsGroup clusters' masks, laid out as masks
+	masks  []byte
 }
 
 // fsBlock is the number of rows one interleaved block covers. 32 rows ×
@@ -187,7 +187,7 @@ func (ix *FastScan) clusters() int {
 
 // computeMasks derives every cluster's code masks from the stored codes.
 func (ix *FastScan) computeMasks() {
-	ix.masks, ix.supers = nil, nil
+	ix.masks = nil
 	if ix.bounds == nil {
 		return
 	}
@@ -204,19 +204,14 @@ func (ix *FastScan) computeMasks() {
 // growMasks replaces the masks with fresh copies sized for every cluster,
 // the clusters past the old size with empty masks.
 func (ix *FastScan) growMasks() {
-	nc, m := ix.clusters(), ix.pq.M
-	ix.masks = grow(ix.masks, fsMasksLen(nc, m)-len(ix.masks))
-	ix.supers = grow(ix.supers, fsMasksLen((nc+fsGroup-1)/fsGroup, m)-len(ix.supers))
+	ix.masks = grow(ix.masks, fsMasksLen(ix.clusters(), ix.pq.M)-len(ix.masks))
 }
 
-// addMasks adds one row of cluster c, its nibble codes nib, to the masks of
-// c and of its super-cluster.
+// addMasks adds one row of cluster c, its nibble codes nib, to c's masks.
 func (ix *FastScan) addMasks(c int, nib []byte) {
-	m := ix.pq.M
-	mk, sk := ix.masks[fsMaskIndex(c, 0, m):], ix.supers[fsMaskIndex(c/fsGroup, 0, m):]
+	mk := ix.masks[fsMaskIndex(c, 0, ix.pq.M):]
 	for p, v := range nib {
-		mk[p*fsGroup] |= 1 << v
-		sk[p*fsGroup] |= 1 << v
+		mk[(2*p+int(v>>3))*fsBlock] |= 1 << (v & 7)
 	}
 }
 
@@ -242,37 +237,6 @@ func (ix *FastScan) rowNibbles(pos int, nib []byte) {
 		nib[2*p] = b & 0xf
 		nib[2*p+1] = b >> 4
 	}
-}
-
-// interleave4 transposes row-major nibble codes (n rows × m4 nibbles, one
-// per byte) into the block-interleaved layout; deinterleave4 inverts it.
-// They define the layout the fuzz round-trip locks down.
-func interleave4(nib []byte, m4, n int) []byte {
-	np := m4 / 2
-	blocks := make([]byte, fsBlocksLen(m4, n))
-	for i := 0; i < n; i++ {
-		blk := blocks[i/fsBlock*fsBlockBytes(m4):]
-		r := i % fsBlock
-		for p := 0; p < np; p++ {
-			blk[p*fsBlock+r] = nib[i*m4+2*p]&0xf | nib[i*m4+2*p+1]<<4
-		}
-	}
-	return blocks
-}
-
-func deinterleave4(blocks []byte, m4, n int) []byte {
-	np := m4 / 2
-	nib := make([]byte, n*m4)
-	for i := 0; i < n; i++ {
-		blk := blocks[i/fsBlock*fsBlockBytes(m4):]
-		r := i % fsBlock
-		for p := 0; p < np; p++ {
-			b := blk[p*fsBlock+r]
-			nib[i*m4+2*p] = b & 0xf
-			nib[i*m4+2*p+1] = b >> 4
-		}
-	}
-	return nib
 }
 
 // Len returns the number of stored codes.
@@ -329,15 +293,15 @@ func FastScanKernelOf(ix Index) string {
 }
 
 // scanRange implements rangeScanner: one query's pruned scan of positions
-// [lo, hi). The clusters meeting the range are visited in ascending order
-// of their lower bound (visitClusters), each clipped to the range and
-// scanned by this platform's kernel with one table carried across them,
-// until the heap is full and the next bound exceeds its k-th best distance
-// (DESIGN.md §11).
+// [lo, hi). The clusters meeting the range are visited least bound first
+// (visitClusters), each clipped to the range and scanned by this
+// platform's kernel with one table carried across them, until the heap is
+// full and no bound left is within its limit (DESIGN.md §11).
 func (ix *FastScan) scanRange(table []float32, s *Scratch, t *topK, lo, hi int) {
 	sc := fsScan{ix: ix, s: s, t: t, table: table}
 	sc.c.Scans = 1
 	if ix.clusters() == 1 {
+		sc.c.Clusters = 1
 		sc.scan(lo, hi)
 	} else {
 		ix.visitClusters(&sc, lo, hi)
@@ -346,18 +310,30 @@ func (ix *FastScan) scanRange(table []float32, s *Scratch, t *topK, lo, hi int) 
 }
 
 // fsScan is one query's scan of one range, carried across the clusters it
-// visits: the heap, the exact table and, once made, its quantization.
+// visits: the heap, the exact table and, once made, its quantizations.
 type fsScan struct {
 	ix    *FastScan
 	s     *Scratch
 	t     *topK
 	table []float32
+	full  fsQuery // once made (spread), the table at its full spread, in s.spread
 	q     fsQuery
-	ready bool // q holds the quantized table (and, portable, s.lut16 its fused form)
+	ready bool // q holds the kernel's table (and, portable, s.lut16 its fused form)
 	// requantize is false once a requantization failed to lift the limit
 	// back over fsThreshold/2 (the AVX2 kernel's table only).
 	requantize bool
 	c          FastScanCounts
+}
+
+// spread returns the table quantized to its full spread, quantizing it on
+// the first call: the scale of the cluster bounds and of the portable
+// kernel.
+func (sc *fsScan) spread() *fsQuery {
+	if sc.full.lut8 == nil {
+		sc.s.spread = resize(sc.s.spread, len(sc.table))
+		sc.full = sc.ix.quantize(sc.table, sc.s.spread, 0, 0)
+	}
+	return &sc.full
 }
 
 // scan pushes the rows at positions [lo, hi) that can enter the heap,
@@ -461,14 +437,15 @@ func (sc *fsScan) scanAVX2(lo, hi int) {
 // FastScanCounts is the prune accounting of the fast-scan scans this process
 // has run, as /stats and /metrics (emblookup_fastscan_*_total) show it:
 // (query, row range) scans that reached a kernel, the rows of the clusters
-// they visited, the blocks in which the integer prune admitted a row, the
-// rows re-ranked with the float table (heap seed included) and the tables
-// rescaled mid-scan. The counts are a pure function of index, queries, k
-// and ranges: a slack, scale or bound regression moves them, a noisy host
-// does not.
+// they visited, those clusters (one a scan of an index in id order), the
+// blocks in which the integer prune admitted a row, the rows re-ranked with
+// the float table (heap seed included) and the tables rescaled mid-scan.
+// The counts are a pure function of index, queries, k and ranges: a slack,
+// scale or bound regression moves them, a noisy host does not.
 type FastScanCounts struct {
 	Scans           int64 `json:"scans"`
 	Rows            int64 `json:"rows"`
+	Clusters        int64 `json:"clusters"`
 	FlaggedBlocks   int64 `json:"flaggedBlocks"`
 	Candidates      int64 `json:"candidates"`
 	Requantizations int64 `json:"requantizations"`
@@ -478,6 +455,7 @@ type FastScanCounts struct {
 var fsCounters = [...]*obs.Counter{
 	obs.Default().Counter("emblookup_fastscan_scans_total"),
 	obs.Default().Counter("emblookup_fastscan_rows_total"),
+	obs.Default().Counter("emblookup_fastscan_clusters_total"),
 	obs.Default().Counter("emblookup_fastscan_flagged_blocks_total"),
 	obs.Default().Counter("emblookup_fastscan_candidates_total"),
 	obs.Default().Counter("emblookup_fastscan_requantizations_total"),
@@ -486,11 +464,11 @@ var fsCounters = [...]*obs.Counter{
 // ReadFastScanCounts returns the current totals.
 func ReadFastScanCounts() FastScanCounts {
 	v := func(i int) int64 { return fsCounters[i].Value() }
-	return FastScanCounts{v(0), v(1), v(2), v(3), v(4)}
+	return FastScanCounts{v(0), v(1), v(2), v(3), v(4), v(5)}
 }
 
 func (c FastScanCounts) flush() {
-	for i, n := range [...]int64{c.Scans, c.Rows, c.FlaggedBlocks, c.Candidates, c.Requantizations} {
+	for i, n := range [...]int64{c.Scans, c.Rows, c.Clusters, c.FlaggedBlocks, c.Candidates, c.Requantizations} {
 		fsCounters[i].Add(n)
 	}
 }
@@ -505,14 +483,13 @@ const fsMaxRun = 4096
 // one add advance a row by two sub-quantizers. A row's sum is at most
 // MaxM4·255 = 65535 and never wraps, so the prune admits exactly the rows
 // whose integer sum reaches the limit. The table is quantized to its full
-// spread once per scan (no heap to scale it to yet), so it is never
-// requantized.
+// spread once per scan (no heap to scale it to yet; the cluster bounds'
+// table), so it is never requantized.
 func (sc *fsScan) scanPortable(lo, hi int) {
 	ix, s, t := sc.ix, sc.s, sc.t
 	np := ix.pq.M / 2
 	if !sc.ready {
-		s.lut8 = resize(s.lut8, len(sc.table))
-		sc.q = ix.quantize(sc.table, s.lut8, 0, 0)
+		sc.q = *sc.spread()
 		s.lut16 = resize(s.lut16, np*256)
 		fsFuse(s.lut16, sc.q.lut8, np)
 		sc.ready = true
@@ -644,8 +621,7 @@ func fsLimit(w, bias, invDelta float32, slack uint32) uint32 {
 // fsRowDist computes row r's exact float32 ADC distance from its block
 // strip, summing sub-quantizers in ascending order — the identical
 // association order scanPlain4 uses, so re-ranked distances are
-// bit-identical to the reference scan's, and the order fsClusterBounds sums
-// its minima in.
+// bit-identical to the reference scan's.
 func fsRowDist(table []float32, blk []byte, np, r int) float32 {
 	var d float32
 	for p := 0; p < np; p++ {

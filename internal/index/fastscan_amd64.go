@@ -29,36 +29,20 @@ func fsScanRun(blocks []byte, lut8 []uint8, np, nblocks int, limit uint32, qd *[
 }
 
 //go:noescape
-func fsNibMinAVX2(table *float32, m int, nib *float32)
+func fsClusterBoundsAVX2(masks *byte, ngroups int, lut8 *uint8, m int, tab *uint8, out *uint16)
 
-//go:noescape
-func fsBoundsAVX2(masks *uint16, ngroups int, nib *float32, m int, out *float32)
-
-// fsNibMins and fsGroupBounds are the one door to the bound kernels
-// (fastscan_cluster.go has the contract): the assembly where the CPU has
-// AVX2, the portable loops elsewhere. The index expressions panic before
-// the assembly could read or write past a slice.
-func fsNibMins(table []float32, m int, nib []float32) {
-	if !fsAVX2 {
-		fsNibMinsGo(table, m, nib)
-		return
+// fsClusterBounds is the one door to the bound kernel (fastscan_cluster.go
+// has the contract): the assembly where the CPU has AVX2, bounding over all
+// m sub-quantizers (h = m), and elsewhere the portable loop over the first
+// half. The index expressions panic before the assembly could read or
+// write past a slice.
+func fsClusterBounds(masks []byte, lut8 []uint8, m int, tab []uint8, out []uint16) (h int) {
+	ngroups := len(out) / fsBlock
+	if !fsAVX2 || m <= 0 || ngroups == 0 {
+		fsClusterBoundsGo(masks, lut8, m, m/2, tab, out)
+		return m / 2
 	}
-	if m <= 0 {
-		return
-	}
-	_, _ = table[m*quant.Ks4-1], nib[m*64-1]
-	fsNibMinAVX2(&table[0], m, &nib[0])
-}
-
-func fsGroupBounds(masks []uint16, nib []float32, m int, out []float32) {
-	if !fsAVX2 {
-		fsGroupBoundsGo(masks, nib, m, out)
-		return
-	}
-	ngroups := len(out) / fsGroup
-	if m <= 0 || ngroups == 0 {
-		return
-	}
-	_, _, _ = masks[ngroups*m*fsGroup-1], nib[m*64-1], out[ngroups*fsGroup-1]
-	fsBoundsAVX2(&masks[0], ngroups, &nib[0], m, &out[0])
+	_, _, _, _ = masks[ngroups*m*2*fsBlock-1], lut8[m*quant.Ks4-1], tab[m*64-1], out[ngroups*fsBlock-1]
+	fsClusterBoundsAVX2(&masks[0], ngroups, &lut8[0], m, &tab[0], &out[0])
+	return m
 }

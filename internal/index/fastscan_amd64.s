@@ -76,137 +76,137 @@ done:
 	MOVL AX, mask+56(FP)
 	RET
 
-// Lane b of fsbSel<>+32*i has its sign bit set when bit i of b is: the
-// blend masks that build a nibble-subset table's low half (subsets 0-7).
-DATA fsbSel<>+0x00(SB)/4, $0
-DATA fsbSel<>+0x04(SB)/4, $0x80000000
-DATA fsbSel<>+0x08(SB)/4, $0
-DATA fsbSel<>+0x0c(SB)/4, $0x80000000
-DATA fsbSel<>+0x10(SB)/4, $0
-DATA fsbSel<>+0x14(SB)/4, $0x80000000
-DATA fsbSel<>+0x18(SB)/4, $0
-DATA fsbSel<>+0x1c(SB)/4, $0x80000000
-DATA fsbSel<>+0x20(SB)/4, $0
-DATA fsbSel<>+0x24(SB)/4, $0
-DATA fsbSel<>+0x28(SB)/4, $0x80000000
-DATA fsbSel<>+0x2c(SB)/4, $0x80000000
-DATA fsbSel<>+0x30(SB)/4, $0
-DATA fsbSel<>+0x34(SB)/4, $0
-DATA fsbSel<>+0x38(SB)/4, $0x80000000
-DATA fsbSel<>+0x3c(SB)/4, $0x80000000
-DATA fsbSel<>+0x40(SB)/4, $0
-DATA fsbSel<>+0x44(SB)/4, $0
-DATA fsbSel<>+0x48(SB)/4, $0
-DATA fsbSel<>+0x4c(SB)/4, $0
-DATA fsbSel<>+0x50(SB)/4, $0x80000000
-DATA fsbSel<>+0x54(SB)/4, $0x80000000
-DATA fsbSel<>+0x58(SB)/4, $0x80000000
-DATA fsbSel<>+0x5c(SB)/4, $0x80000000
-GLOBL fsbSel<>(SB), RODATA|NOPTR, $96
+// fsSubsetSel<>+32*i picks entry i of each nibble for the nibble-subset tables
+// of fsClusterBoundsAVX2: byte b of lane L is 4L+i where bit i of b is set,
+// 0x80 (VPSHUFB: zero) where it is not; adding 8 picks nibbles 2 and 3.
+DATA fsSubsetSel<>+0x00(SB)/8, $0x0080008000800080
+DATA fsSubsetSel<>+0x08(SB)/8, $0x0080008000800080
+DATA fsSubsetSel<>+0x10(SB)/8, $0x0480048004800480
+DATA fsSubsetSel<>+0x18(SB)/8, $0x0480048004800480
+DATA fsSubsetSel<>+0x20(SB)/8, $0x0101808001018080
+DATA fsSubsetSel<>+0x28(SB)/8, $0x0101808001018080
+DATA fsSubsetSel<>+0x30(SB)/8, $0x0505808005058080
+DATA fsSubsetSel<>+0x38(SB)/8, $0x0505808005058080
+DATA fsSubsetSel<>+0x40(SB)/8, $0x0202020280808080
+DATA fsSubsetSel<>+0x48(SB)/8, $0x0202020280808080
+DATA fsSubsetSel<>+0x50(SB)/8, $0x0606060680808080
+DATA fsSubsetSel<>+0x58(SB)/8, $0x0606060680808080
+DATA fsSubsetSel<>+0x60(SB)/8, $0x8080808080808080
+DATA fsSubsetSel<>+0x68(SB)/8, $0x0303030303030303
+DATA fsSubsetSel<>+0x70(SB)/8, $0x8080808080808080
+DATA fsSubsetSel<>+0x78(SB)/8, $0x0707070707070707
+GLOBL fsSubsetSel<>(SB), RODATA|NOPTR, $128
 
-// func fsNibMinAVX2(table *float32, m int, nib *float32)
+// func fsClusterBoundsAVX2(masks *byte, ngroups int, lut8 *uint8, m int, tab *uint8, out *uint16)
 //
-// The nibble-subset tables of fsClusterBounds (fastscan_cluster.go): for
-// each of the m*4 nibbles (4 consecutive table entries), 16 floats at nib,
-// entry b the least entry over the bits of b (+Inf for b = 0). Reads m*16
-// floats at table, writes m*64 at nib; m > 0.
-TEXT ·fsNibMinAVX2(SB), NOSPLIT, $0-24
-	MOVQ table+0(FP), DX
-	MOVQ m+8(FP), R10
-	MOVQ nib+16(FP), R11
-
-	MOVL         $0x7f800000, AX
-	VMOVD        AX, X15
-	VPBROADCASTD X15, Y15 // +Inf
-	VMOVDQU      fsbSel<>+0x00(SB), Y8
-	VMOVDQU      fsbSel<>+0x20(SB), Y9
-	VMOVDQU      fsbSel<>+0x40(SB), Y10
-	SHLQ         $2, R10 // m*4 nibbles
-
-tables:
-	VBROADCASTSS (DX), Y1
-	VBLENDVPS    Y8, Y1, Y15, Y0
-	VBROADCASTSS 4(DX), Y1
-	VBLENDVPS    Y9, Y1, Y15, Y1
-	VMINPS       Y1, Y0, Y0
-	VBROADCASTSS 8(DX), Y1
-	VBLENDVPS    Y10, Y1, Y15, Y1
-	VMINPS       Y1, Y0, Y0 // subsets 0-7 of entries 0-2
-	VBROADCASTSS 12(DX), Y1
-	VMINPS       Y1, Y0, Y2 // subsets 8-15 hold entry 3 too
-	VMOVUPS      Y0, (R11)
-	VMOVUPS      Y2, 32(R11)
-	ADDQ         $16, DX
-	ADDQ         $64, R11
-	DECQ         R10
-	JNZ          tables
-
-	VZEROUPPER
-	RET
-
-// func fsBoundsAVX2(masks *uint16, ngroups int, nib *float32, m int, out *float32)
-//
-// fsClusterBounds for ngroups groups of 8 clusters over fsNibMinAVX2's
-// tables at nib (see fastscan_cluster.go for the contract and the mask
-// layout): per group, per sub-quantizer p in ascending order, the 8
-// clusters' masks, each nibble's 4-bit index looked up with VPERMPS in the
-// two halves of its table and the halves blended on the index's bit 3, the
-// four minima minimized and added into the group's sums. Reads
-// ngroups*m*8 masks and m*64 floats at nib, writes ngroups*8 floats at
-// out; ngroups, m > 0.
-TEXT ·fsBoundsAVX2(SB), NOSPLIT, $0-40
+// fsClusterBoundsGo over all m sub-quantizers (h = m; see
+// fastscan_cluster.go for the contract and the mask layout), 32 clusters a
+// pass. First the nibble-subset tables: per
+// sub-quantizer, its 16 entries complemented (255 - x) are picked by
+// fsSubsetSel<> with VPSHUFB, a missing entry reading 0, and VPMAXUB over the
+// four picks complemented back is each subset's least entry, 255 for the
+// empty one. Then per group, per sub-quantizer: the low and high mask
+// strips split into nibbles, four VPSHUFB lookups into the tables,
+// VPMINUB of the four, widened to words and added with VPADDW (a bound
+// never exceeds 65280). Reads ngroups*m*64 bytes at masks and m*16 at
+// lut8, writes m*64 bytes at tab and ngroups*32 words at out; ngroups,
+// m > 0.
+TEXT ·fsClusterBoundsAVX2(SB), NOSPLIT, $0-48
 	MOVQ masks+0(FP), SI
 	MOVQ ngroups+8(FP), CX
-	MOVQ nib+16(FP), DI
+	MOVQ lut8+16(FP), DX
 	MOVQ m+24(FP), R8
-	MOVQ out+32(FP), R9
+	MOVQ tab+32(FP), DI
+	MOVQ out+40(FP), R9
 
-	MOVL         $15, AX
-	VMOVD        AX, X14
-	VPBROADCASTD X14, Y14 // nibble mask
+	VMOVDQU      fsSubsetSel<>+0x00(SB), Y8
+	VMOVDQU      fsSubsetSel<>+0x20(SB), Y9
+	VMOVDQU      fsSubsetSel<>+0x40(SB), Y10
+	VMOVDQU      fsSubsetSel<>+0x60(SB), Y11
+	MOVL         $0x08080808, AX
+	VMOVD        AX, X15
+	VPBROADCASTD X15, Y15
+	VPADDB       Y15, Y8, Y4
+	VPADDB       Y15, Y9, Y5
+	VPADDB       Y15, Y10, Y6
+	VPADDB       Y15, Y11, Y7
+	VPCMPEQB     Y15, Y15, Y15 // all ones
+	MOVQ         R8, R10
+	MOVQ         DI, R11
+
+tables:
+	VBROADCASTI128 (DX), Y0
+	VPXOR          Y15, Y0, Y0
+	VPSHUFB        Y8, Y0, Y1
+	VPSHUFB        Y9, Y0, Y2
+	VPMAXUB        Y2, Y1, Y1
+	VPSHUFB        Y10, Y0, Y2
+	VPMAXUB        Y2, Y1, Y1
+	VPSHUFB        Y11, Y0, Y2
+	VPMAXUB        Y2, Y1, Y1
+	VPXOR          Y15, Y1, Y1 // nibbles 0 and 1
+	VPSHUFB        Y4, Y0, Y3
+	VPSHUFB        Y5, Y0, Y2
+	VPMAXUB        Y2, Y3, Y3
+	VPSHUFB        Y6, Y0, Y2
+	VPMAXUB        Y2, Y3, Y3
+	VPSHUFB        Y7, Y0, Y2
+	VPMAXUB        Y2, Y3, Y3
+	VPXOR          Y15, Y3, Y3 // nibbles 2 and 3
+	VMOVDQU        Y1, (R11)
+	VMOVDQU        Y3, 32(R11)
+	ADDQ           $16, DX
+	ADDQ           $64, R11
+	DECQ           R10
+	JNZ            tables
+
+	MOVL         $0x0f0f0f0f, AX
+	VMOVD        AX, X15
+	VPBROADCASTD X15, Y15 // nibble mask
+	VPXOR        Y14, Y14, Y14
 
 group:
-	VXORPS Y7, Y7, Y7 // the 8 sums
-	MOVQ   DI, R11
-	MOVQ   R8, R10
+	VPXOR Y8, Y8, Y8 // sums of clusters 0-7 and 16-23
+	VPXOR Y9, Y9, Y9 // sums of clusters 8-15 and 24-31
+	MOVQ  DI, R11
+	MOVQ  R8, R10
 
 sub:
-	VPMOVZXWD (SI), Y0 // 8 masks
-	VPAND     Y14, Y0, Y1
-	VPERMPS   (R11), Y1, Y2
-	VPERMPS   32(R11), Y1, Y3
-	VPSLLD    $28, Y1, Y4
-	VBLENDVPS Y4, Y3, Y2, Y5
-	VPSRLD    $4, Y0, Y1
-	VPAND     Y14, Y1, Y1
-	VPERMPS   64(R11), Y1, Y2
-	VPERMPS   96(R11), Y1, Y3
-	VPSLLD    $28, Y1, Y4
-	VBLENDVPS Y4, Y3, Y2, Y6
-	VMINPS    Y6, Y5, Y5
-	VPSRLD    $8, Y0, Y1
-	VPAND     Y14, Y1, Y1
-	VPERMPS   128(R11), Y1, Y2
-	VPERMPS   160(R11), Y1, Y3
-	VPSLLD    $28, Y1, Y4
-	VBLENDVPS Y4, Y3, Y2, Y6
-	VPSRLD    $12, Y0, Y1
-	VPERMPS   192(R11), Y1, Y2
-	VPERMPS   224(R11), Y1, Y3
-	VPSLLD    $28, Y1, Y4
-	VBLENDVPS Y4, Y3, Y2, Y4
-	VMINPS    Y4, Y6, Y6
-	VMINPS    Y6, Y5, Y5
-	VADDPS    Y5, Y7, Y7
-	ADDQ      $16, SI
-	ADDQ      $256, R11
-	DECQ      R10
-	JNZ       sub
+	VMOVDQU        (SI), Y0   // low mask bytes: nibbles 0 and 1
+	VMOVDQU        32(SI), Y1 // high mask bytes: nibbles 2 and 3
+	VPSRLW         $4, Y0, Y2
+	VPAND          Y15, Y0, Y0
+	VPAND          Y15, Y2, Y2
+	VPSRLW         $4, Y1, Y3
+	VPAND          Y15, Y1, Y1
+	VPAND          Y15, Y3, Y3
+	VBROADCASTI128 (R11), Y4
+	VPSHUFB        Y0, Y4, Y0
+	VBROADCASTI128 16(R11), Y4
+	VPSHUFB        Y2, Y4, Y2
+	VBROADCASTI128 32(R11), Y4
+	VPSHUFB        Y1, Y4, Y1
+	VBROADCASTI128 48(R11), Y4
+	VPSHUFB        Y3, Y4, Y3
+	VPMINUB        Y2, Y0, Y0
+	VPMINUB        Y3, Y1, Y1
+	VPMINUB        Y1, Y0, Y0
+	VPUNPCKLBW     Y14, Y0, Y1
+	VPUNPCKHBW     Y14, Y0, Y2
+	VPADDW         Y1, Y8, Y8
+	VPADDW         Y2, Y9, Y9
+	ADDQ           $64, SI
+	ADDQ           $64, R11
+	DECQ           R10
+	JNZ            sub
 
-	VMOVUPS Y7, (R9)
-	ADDQ    $32, R9
-	DECQ    CX
-	JNZ     group
+	VPERM2I128 $0x20, Y9, Y8, Y0 // clusters 0-15
+	VPERM2I128 $0x31, Y9, Y8, Y1 // clusters 16-31
+	VMOVDQU    Y0, (R9)
+	VMOVDQU    Y1, 32(R9)
+	ADDQ       $64, R9
+	DECQ       CX
+	JNZ        group
 
 	VZEROUPPER
 	RET

@@ -1,11 +1,14 @@
 package index
 
 import (
+	"encoding/binary"
 	"math"
 	"math/bits"
+	"slices"
 	"sort"
 
 	"emblookup/internal/mathx"
+	"emblookup/internal/par"
 	"emblookup/internal/quant"
 )
 
@@ -17,25 +20,30 @@ import (
 // function of the vectors.
 const fsClusterSeed = 0x5eed
 
-// fsMinClusterRows is the least number of rows a cluster should average:
-// below it the per-cluster work (a bound, a heap pop, the partial blocks at
-// its ends) outweighs the blocks a skipped cluster saves.
-const fsMinClusterRows = 256
+// fsMinClusterRows is the least number of rows a cluster should average,
+// three blocks: below it the two partial blocks at a cluster's ends are
+// most of what a visit scans.
+const fsMinClusterRows = 3 * fsBlock
 
 // fsClusterLevel derives the per-level fan-out of the two-level clustering
-// from the row count: level = round(√(0.8·√n)), so level² clusters of about
-// 1.25·√n rows each (16 × 16 at 100 000 rows), lowered until clusters
-// average fsMinClusterRows, and 1 — no clustering — below 1 024 rows. The
-// measurement behind it is in DESIGN.md §11: at 100 000 rows the scan's
-// µs per query is flat within 7 % from 12 × 12 to 24 × 24 with its least
-// at 16 × 16, where the per-cluster costs (bounds, heap, kernel entries)
-// stay small beside scanning the visited rows.
+// from the row count: level = round(√(3.2·√n)), so level² ≈ 3.2·√n
+// clusters (32 × 32 at 100 000 rows, about 98 rows each), lowered until
+// clusters average fsMinClusterRows, and 1 — no clustering — below 1 024
+// rows. Clusters in proportion to √n balance the bound pass, which costs
+// in proportion to the clusters, against the scan, which costs the rows of
+// the few dozen clusters a query visits: n over the clusters each. The
+// measurement behind the factor is in DESIGN.md §11: at 100 000 rows a
+// query is within 5 % of its least from 24 × 24 to 32 × 32 and slower past
+// 40 × 40, where the bound pass and the partial blocks grow.
 func fsClusterLevel(n int) int {
-	level := int(math.Round(math.Sqrt(math.Sqrt(float64(n)) * 4 / 5)))
+	if n < 1024 {
+		return 1
+	}
+	level := int(math.Round(math.Sqrt(math.Sqrt(float64(n)) * 3.2)))
 	for level > 1 && n/(level*level) < fsMinClusterRows {
 		level--
 	}
-	return max(level, 1)
+	return level
 }
 
 // clusterRows groups data's rows by a two-level k-means — level centroids
@@ -45,58 +53,58 @@ func fsClusterLevel(n int) int {
 // train six Lloyd iterations on an evenly strided sample (128 rows a
 // centroid at the top, 32 inside) and assign every row exactly; the result
 // is bit-identical at every worker count (quant.KMeansConfig). At 100 000
-// rows it costs ≈ 50 ms on two cores: 10 iterations on twice the samples
-// cost ≈ 80 ms for 1 % fewer rows scanned (DESIGN.md §11).
+// rows and 32 × 32 clusters it costs ≈ 70 ms on two cores.
 func clusterRows(data *mathx.Matrix, level, workers int) (ids []int32, bounds []int) {
-	n := data.Rows
 	cfg := quant.KMeansConfig{K: level, MaxIters: 6, Seed: fsClusterSeed, Workers: workers, TrainSample: level * 128}
 	_, top := quant.KMeans(data, cfg)
-	byTop := countingSort(top, level)
-	cluster := make([]int, n)
-	sub := mathx.NewMatrix(0, data.Cols)
-	for c, lo := 0, 0; c < level; c++ {
-		hi := lo
-		for hi < n && top[byTop[hi]] == c {
-			hi++
+	byTop, start := countingSort(top, level)
+	cluster := make([]int, data.Rows)
+	// The inner clusterings run side by side on one worker each: KMeans
+	// gives the same bits at any worker count.
+	subs := make([]*mathx.Matrix, par.Workers(level, workers))
+	par.ForEachWorker(level, workers, func(w, c int) {
+		if subs[w] == nil {
+			subs[w] = mathx.NewMatrix(0, data.Cols)
 		}
-		rows := byTop[lo:hi]
+		sub, rows := subs[w], byTop[start[c]:start[c+1]]
 		sub.Rows, sub.Data = len(rows), mathx.Resize(sub.Data, len(rows)*data.Cols)
 		for j, i := range rows {
 			copy(sub.Row(j), data.Row(int(i)))
 		}
-		cfg.Seed, cfg.TrainSample = fsClusterSeed+1+uint64(c), level*32
-		_, assign := quant.KMeans(sub, cfg)
+		inner := quant.KMeansConfig{K: level, MaxIters: 6, Seed: fsClusterSeed + 1 + uint64(c), Workers: 1, TrainSample: level * 32}
+		_, assign := quant.KMeans(sub, inner)
 		for j, i := range rows {
 			cluster[i] = c*level + assign[j]
 		}
-		lo = hi
-	}
-	ids = countingSort(cluster, level*level)
+	})
+	ids, start = countingSort(cluster, level*level)
 	bounds = []int{0}
-	for pos := range n {
-		if pos+1 == n || cluster[ids[pos+1]] != cluster[ids[pos]] {
-			bounds = append(bounds, pos+1)
+	for _, end := range start[1:] {
+		if end > bounds[len(bounds)-1] {
+			bounds = append(bounds, end)
 		}
 	}
 	return ids, bounds
 }
 
 // countingSort returns the rows 0..len(keys)-1 ordered by key (each in
-// [0, nkeys)), ascending row inside a key.
-func countingSort(keys []int, nkeys int) []int32 {
-	start := make([]int, nkeys+1)
+// [0, nkeys)), ascending row inside a key, and where each key's rows start
+// in that order (start[nkeys] = len(keys)).
+func countingSort(keys []int, nkeys int) (order []int32, start []int) {
+	start = make([]int, nkeys+1)
 	for _, k := range keys {
 		start[k+1]++
 	}
 	for k := range nkeys {
 		start[k+1] += start[k]
 	}
-	out := make([]int32, len(keys))
+	next := slices.Clone(start)
+	order = make([]int32, len(keys))
 	for i, k := range keys {
-		out[start[k]] = int32(i)
-		start[k]++
+		order[next[k]] = int32(i)
+		next[k]++
 	}
-	return out
+	return order, start
 }
 
 // clusterSpan returns the clusters [c0, c1) holding positions of [lo, hi).
@@ -107,166 +115,175 @@ func (ix *FastScan) clusterSpan(lo, hi int) (c0, c1 int) {
 	return c0, max(c0, c1)
 }
 
-// fsGroup is how many clusters' masks lie side by side per sub-quantizer:
-// the eight float lanes of one AVX2 register.
-const fsGroup = 8
+// A cluster's masks lie beside those of the fsBlock clusters of its group
+// as a fast-scan block lies beside its rows: per sub-quantizer p, a strip
+// of the masks' low bytes (codes 0-7, two nibbles a byte) and one of their
+// high bytes (codes 8-15), byte c%fsBlock of each. One 32-byte load is one
+// strip of a group, as for the row kernel.
+func fsMaskIndex(c, p, m int) int { return (c/fsBlock*m+p)*2*fsBlock + c%fsBlock }
 
-// fsMaskIndex is where cluster c's mask for sub-quantizer p lies among an
-// m-sub-quantizer index's masks: groups of fsGroup clusters, sub-quantizer
-// by sub-quantizer, so one 16-byte load is a group's masks for one p.
-func fsMaskIndex(c, p, m int) int { return c/fsGroup*m*fsGroup + p*fsGroup + c%fsGroup }
+// fsMasksLen is the byte length of the masks of nc clusters (the last
+// group is padded with empty masks).
+func fsMasksLen(nc, m int) int { return (nc + fsBlock - 1) / fsBlock * m * 2 * fsBlock }
 
-// fsMasksLen is the length of the masks of nc clusters (the last group is
-// padded with empty masks, whose bound is +Inf).
-func fsMasksLen(nc, m int) int { return (nc + fsGroup - 1) / fsGroup * fsGroup * m }
+// The bound of a cluster c is Σ_p min{lut8[p][v] : v in its mask for p}
+// over the query's table quantized to its full spread (fsScan.spread),
+// summed in 16 bits: an even M4 ≤ MaxM4 keeps it at most 256·255 = 65280,
+// so it never wraps and fsVisited is free to mark a visited cluster. Every
+// row of c takes some v of each mask, so the bound is at most that row's
+// integer sum under the same table, and a cluster whose bound exceeds
+// fsLimit(w) holds no row the portable prune would admit — none can enter
+// the heap (fsLimit). The minimum over a mask is read from subset tables
+// of the query, the least entry over each subset of a run of codes (255
+// for the empty one): the AVX2 kernel looks a mask's four nibbles up in
+// four 16-entry tables per sub-quantizer, the portable loop its two bytes
+// in two 256-entry ones. Both take the same minima, so the bounds are
+// bit-equal; the portable pass sums only the first half of the
+// sub-quantizers, a lower bound of the bound, and fsBoundRest adds the
+// rest for a cluster that comes up within the limit.
 
-// The bound of a cluster c is Σ_p min{table[p][v] : v in its mask for p},
-// summed in ascending p from 0 — fsRowDist's order. Each term is at most
-// the entry a row of c takes at p, and IEEE addition rounds monotonically
-// (a ≤ a′ and b ≤ b′ give fl(a+b) ≤ fl(a′+b′)), so the float32 bound is at
-// most the float32 distance of every row of c, bit for bit (+Inf for an
-// empty mask). The same holds one level up: a super-cluster's masks are the
-// union of its eight clusters' masks, so its bound is at most each of
-// theirs. The minimum over a mask is read from four nibble-subset tables
-// per sub-quantizer (fsNibMins, m × 4 × 16 floats): entry b of table j holds
-// the least of table[p][4j+i] over the bits i of b. The AVX2 kernels
-// compute exactly these minima and sums.
+// fsBoundTablesLen is the bytes of subset tables fsClusterBounds needs for
+// m sub-quantizers: the portable loop's two 256-entry tables each (the
+// AVX2 kernel uses the first m·64).
+func fsBoundTablesLen(m int) int { return m * 512 }
 
-// fsNibMinsGo writes the nibble-subset tables of table into nib.
-func fsNibMinsGo(table []float32, m int, nib []float32) {
-	inf := float32(math.Inf(1))
-	for q := range m * 4 {
-		row, nt := table[q*4:q*4+4], nib[q*16:q*16+16]
-		nt[0] = inf
-		for b := 1; b < 16; b++ {
-			nt[b] = nt[b&(b-1)]
-			if v := row[bits.TrailingZeros(uint(b))]; v < nt[b] {
-				nt[b] = v
+// fsClusterBoundsGo writes the byte-subset tables of lut8's m
+// sub-quantizers into tab and the bounds over the first h of them of the
+// len(out)/fsBlock groups of clusters whose masks are masks into out.
+func fsClusterBoundsGo(masks []byte, lut8 []uint8, m, h int, tab []uint8, out []uint16) {
+	for j := range m * 2 {
+		codes, t := (*[8]uint8)(lut8[j*8:]), (*[256]uint8)(tab[j*256:])
+		t[0] = 255
+		for i, v := range codes { // the subsets holding code i: those without it, and i
+			for a, x := range t[:1<<i] {
+				t[1<<i+a] = uint8(min(int(x), int(v)))
 			}
 		}
 	}
-}
-
-// fsGroupBoundsGo writes the bounds of the len(out)/fsGroup groups of
-// clusters whose masks are masks into out.
-func fsGroupBoundsGo(masks []uint16, nib []float32, m int, out []float32) {
-	for g := range len(out) / fsGroup {
-		lb := out[g*fsGroup : (g+1)*fsGroup : (g+1)*fsGroup]
-		clear(lb)
-		for p := range m {
-			nt := nib[p*64 : p*64+64 : p*64+64]
-			for l, mk := range masks[(g*m+p)*fsGroup : (g*m+p+1)*fsGroup] {
-				lb[l] += min(nt[mk&15], nt[16+(mk>>4)&15], nt[32+(mk>>8)&15], nt[48+mk>>12])
-			}
+	// Eight clusters at a time, their masks read eight bytes a load and
+	// their sums kept in registers across the sub-quantizers.
+	for c := 0; c < len(out); c += 8 {
+		group := masks[c/fsBlock*m*2*fsBlock:]
+		var s0, s1, s2, s3, s4, s5, s6, s7 int
+		for p := range h {
+			t := (*[512]uint8)(tab[p*512:])
+			strips := (*[2 * fsBlock]byte)(group[p*2*fsBlock:])
+			lo := binary.LittleEndian.Uint64(strips[c%fsBlock:])
+			hi := binary.LittleEndian.Uint64(strips[fsBlock+c%fsBlock:])
+			s0 += min(int(t[byte(lo)]), int(t[256+int(byte(hi))]))
+			s1 += min(int(t[byte(lo>>8)]), int(t[256+int(byte(hi>>8))]))
+			s2 += min(int(t[byte(lo>>16)]), int(t[256+int(byte(hi>>16))]))
+			s3 += min(int(t[byte(lo>>24)]), int(t[256+int(byte(hi>>24))]))
+			s4 += min(int(t[byte(lo>>32)]), int(t[256+int(byte(hi>>32))]))
+			s5 += min(int(t[byte(lo>>40)]), int(t[256+int(byte(hi>>40))]))
+			s6 += min(int(t[byte(lo>>48)]), int(t[256+int(byte(hi>>48))]))
+			s7 += min(int(t[byte(lo>>56)]), int(t[256+int(byte(hi>>56))]))
 		}
+		o := (*[8]uint16)(out[c:])
+		o[0], o[1], o[2], o[3] = uint16(s0), uint16(s1), uint16(s2), uint16(s3)
+		o[4], o[5], o[6], o[7] = uint16(s4), uint16(s5), uint16(s6), uint16(s7)
 	}
 }
+
+// fsBoundRest is the bound of cluster c of masks over the sub-quantizers
+// [h, m), read from the tables fsClusterBoundsGo wrote into tab.
+func fsBoundRest(masks []byte, tab []uint8, m, h, c int) (sum uint16) {
+	for p := h; p < m; p++ {
+		t, i := (*[512]uint8)(tab[p*512:]), fsMaskIndex(c, p, m)
+		sum += uint16(min(t[masks[i]], t[256+int(masks[i+fsBlock])]))
+	}
+	return sum
+}
+
+// fsVisited marks the bound of a cluster scanned or outside the range.
+const fsVisited = 0xffff
+
+// fsBucketShift is how far visitClusters shifts a bound for its bucket:
+// the least s that puts M4·255, the largest bound, in bucket 255.
+func fsBucketShift(m int) int { return max(bits.Len(uint(m*255))-8, 0) }
 
 // visitClusters scans the clusters [c0, c1) of a range clipped to
-// [lo, hi) in ascending order of their bounds, and stops at the first
-// whose bound exceeds the full heap's k-th best distance: every row of it
-// and of every later cluster is at least that far, so none can enter. The
-// order comes best-first from two min-heaps of keys — a bound (fsOrd)
-// above an index — one of super-clusters, all bounded up front, and one of
-// clusters: whichever top is less is taken next; a super-cluster taken is
-// opened, its clusters bounded (each at least its super-cluster's bound,
-// so the order holds) and those the full heap could still admit pushed.
-// The clusters of a super-cluster whose bound exceeds the k-th best are
-// never bounded at all.
+// [lo, hi), bounded in one pass (fsClusterBounds), and stops where the rest
+// cannot hold a winner. One pass puts every cluster into one of 256
+// buckets keyed on bound >> fsBucketShift and finds the least bound; that
+// cluster seeds the heap. The buckets are then taken in order, each
+// cluster skipped whose bound the limit has fallen below, until a bucket's
+// floor exceeds the limit: every cluster left is at least that far. While
+// the heap still lacks rows its limit admits every bound, so the queue
+// goes on seeding without another pass. The portable pass bounds over the
+// first h of the sub-quantizers only; a cluster's bound is finished
+// (fsBoundRest) when it comes out of its bucket within the limit, and
+// moved to a later bucket if the rest puts it there, so a cluster far from
+// the query never pays for its second half. The seed and the order inside
+// a bucket (the last pushed first) only move the counts, never an answer.
 func (ix *FastScan) visitClusters(sc *fsScan, lo, hi int) {
 	s, t, m := sc.s, sc.t, ix.pq.M
 	c0, c1 := ix.clusterSpan(lo, hi)
-	g0, g1 := c0/fsGroup, (c1+fsGroup-1)/fsGroup
-	s0, s1 := g0/fsGroup, (g1+fsGroup-1)/fsGroup
-	s.nibMin = mathx.Resize(s.nibMin, m*64)
-	s.bounds = mathx.Resize(s.bounds, (s1-s0)*fsGroup)
-	fsNibMins(sc.table, m, s.nibMin)
-	fsGroupBounds(ix.supers[s0*m*fsGroup:s1*m*fsGroup], s.nibMin, m, s.bounds)
-	supers, clusters := s.order[:0], s.keys[:0]
-	for g := g0; g < g1; g++ {
-		supers = append(supers, uint64(fsOrd(s.bounds[g-s0*fsGroup]))<<32|uint64(g))
+	g0, g1 := c0/fsBlock, (c1+fsBlock-1)/fsBlock
+	full := sc.spread()
+	s.subsets = resize(s.subsets, fsBoundTablesLen(m))
+	s.bounds = resize(s.bounds, (g1-g0)*fsBlock)
+	s.partial = resize(s.partial, g1-g0)
+	s.next = resize(s.next, len(s.bounds))
+	bounds, partial, next := s.bounds, s.partial, s.next
+	masks := ix.masks[fsMaskIndex(g0*fsBlock, 0, m):fsMaskIndex(g1*fsBlock, 0, m)]
+	h := fsClusterBounds(masks, full.lut8, m, s.subsets, bounds)
+	for i := range c0 - g0*fsBlock {
+		bounds[i] = fsVisited
 	}
-	for i := len(supers)/2 - 1; i >= 0; i-- {
-		fsSiftDown(supers, i)
+	for i := c1 - g0*fsBlock; i < len(bounds); i++ {
+		bounds[i] = fsVisited
 	}
-	var cb [fsGroup]float32
-	for len(supers) > 0 || len(clusters) > 0 {
-		fromSupers := len(supers) > 0 && (len(clusters) == 0 || supers[0] < clusters[0])
-		h := &clusters
-		if fromSupers {
-			h = &supers
+	visit := func(i int) {
+		c := g0*fsBlock + i
+		bounds[i] = fsVisited
+		sc.c.Clusters++
+		sc.scan(max(lo, ix.bounds[c]), min(hi, ix.bounds[c+1]))
+	}
+	// Every cluster goes into its bucket (a visited one into the last,
+	// where it is skipped), the least found on the way.
+	shift, head := fsBucketShift(m), &s.buckets
+	clear(head[:])
+	least, lb := 0, bounds[0]
+	for i, b := range bounds {
+		k := min(b>>shift, 255)
+		next[i], head[k] = head[k], int32(i+1)
+		if b < lb {
+			least, lb = i, b
 		}
-		key := (*h)[0]
-		if len(t.heap) == t.k && fsKeyBound(key) > t.heap[0].Dist {
+	}
+	// A cluster's bit stays set while its bound is partial (h < m), until
+	// fsBoundRest finishes it.
+	for g := range partial {
+		partial[g] = 1<<32 - 1
+	}
+	if lb != fsVisited {
+		visit(least)
+	}
+	limit := full.limit(t)
+	for k := range head {
+		if uint32(k)<<shift > limit {
 			break
 		}
-		*h = fsPop(*h)
-		if !fromSupers {
-			c := int(uint32(key))
-			sc.scan(max(lo, ix.bounds[c]), min(hi, ix.bounds[c+1]))
-			continue
-		}
-		g := int(uint32(key))
-		fsGroupBounds(ix.masks[g*m*fsGroup:(g+1)*m*fsGroup], s.nibMin, m, cb[:])
-		for c := max(c0, g*fsGroup); c < min(c1, (g+1)*fsGroup); c++ {
-			if len(t.heap) == t.k && cb[c-g*fsGroup] > t.heap[0].Dist {
+		for e := head[k]; e != 0; {
+			i := int(e - 1)
+			e = next[i]
+			if b := bounds[i]; b == fsVisited || uint32(b) > limit {
 				continue
 			}
-			clusters = append(clusters, uint64(fsOrd(cb[c-g*fsGroup]))<<32|uint64(c))
-			fsSiftUp(clusters, len(clusters)-1)
+			if bit := uint32(1) << (i % fsBlock); h < m && partial[i/fsBlock]&bit != 0 {
+				partial[i/fsBlock] &^= bit
+				bounds[i] += fsBoundRest(masks, s.subsets, m, h, i)
+				if uint32(bounds[i]) > limit {
+					continue
+				}
+				if k2 := bounds[i] >> shift; int(k2) > k {
+					next[i], head[k2] = head[k2], int32(i+1)
+					continue
+				}
+			}
+			visit(i)
+			limit = full.limit(t)
 		}
-	}
-	s.order, s.keys = supers, clusters
-}
-
-// fsOrd maps a float32 to a key whose unsigned order is the float's
-// numeric order: its bits with the sign flipped, all of them for a
-// negative. fsKeyBound inverts it for a key's bound.
-func fsOrd(f float32) uint32 {
-	b := math.Float32bits(f)
-	return b ^ (uint32(int32(b)>>31) | 1<<31)
-}
-
-func fsKeyBound(key uint64) float32 {
-	k := uint32(key >> 32)
-	return math.Float32frombits(k ^ (^uint32(int32(k)>>31) | 1<<31))
-}
-
-// fsSiftDown restores the min-heap order of h below position i.
-func fsSiftDown(h []uint64, i int) {
-	for {
-		l := 2*i + 1
-		if l >= len(h) {
-			return
-		}
-		if r := l + 1; r < len(h) && h[r] < h[l] {
-			l = r
-		}
-		if h[i] <= h[l] {
-			return
-		}
-		h[i], h[l] = h[l], h[i]
-		i = l
-	}
-}
-
-// fsPop removes the least key of the min-heap h.
-func fsPop(h []uint64) []uint64 {
-	last := len(h) - 1
-	h[0] = h[last]
-	h = h[:last]
-	fsSiftDown(h, 0)
-	return h
-}
-
-// fsSiftUp restores the min-heap order of h above position i.
-func fsSiftUp(h []uint64, i int) {
-	for i > 0 {
-		parent := (i - 1) / 2
-		if h[parent] <= h[i] {
-			return
-		}
-		h[parent], h[i] = h[i], h[parent]
-		i = parent
 	}
 }

@@ -46,7 +46,7 @@ func countsOf(f func()) FastScanCounts {
 	b := ReadFastScanCounts()
 	f()
 	a := ReadFastScanCounts()
-	return FastScanCounts{a.Scans - b.Scans, a.Rows - b.Rows, a.FlaggedBlocks - b.FlaggedBlocks, a.Candidates - b.Candidates, a.Requantizations - b.Requantizations}
+	return FastScanCounts{a.Scans - b.Scans, a.Rows - b.Rows, a.Clusters - b.Clusters, a.FlaggedBlocks - b.FlaggedBlocks, a.Candidates - b.Candidates, a.Requantizations - b.Requantizations}
 }
 
 // parentCandidates replays, row by row, the prune these kernels replaced —
@@ -104,14 +104,14 @@ func TestFastScanPruneCounts(t *testing.T) {
 		}
 	})
 	// Recorded on this data (amd64): the replaced prune re-ranked 26 643 rows
-	// for the 64 queries (416 each); the AVX2 kernel re-ranks 7 358 (115 each,
-	// the 32 seed rows included) in 3 452 flagged blocks with 254
+	// for the 64 queries (416 each); the AVX2 kernel re-ranks 6 984 (109 each,
+	// the 32 seed rows included) in 3 519 flagged blocks with 261
 	// requantizations, the portable kernel — derived slack, full-spread table
 	// — 9 024 (141 each) in 5 824.
 	t.Logf("candidates: replaced prune %d, this kernel %d (%s); flagged blocks %d, requantizations %d",
 		parent, solo.Candidates, FastScanKernel(), solo.FlaggedBlocks, solo.Requantizations)
-	if solo.Scans != nq || solo.Rows != nq*n {
-		t.Fatalf("solo scans covered %d rows in %d scans, want %d in %d", solo.Rows, solo.Scans, nq*n, nq)
+	if solo.Scans != nq || solo.Rows != nq*n || solo.Clusters != nq {
+		t.Fatalf("solo scans covered %d rows of %d clusters in %d scans, want %d of %d in %d", solo.Rows, solo.Clusters, solo.Scans, nq*n, nq, nq)
 	}
 	most := parent / 2
 	if !fsAVX2 {
@@ -164,7 +164,8 @@ func TestFastScanPruneCounts(t *testing.T) {
 // on the same 20 000 rows and 64 queries, stored by cluster: every answer —
 // solo, batch, 3-shard, and at k from 1 to past n — is bit-identical to the
 // id-order index's over the same codes, and a scan visits a small share of
-// the rows, the same share however it is scheduled.
+// the rows and of the clusters, the same however it is scheduled: a batch
+// as its queries one by one, a 3-shard search as its three ranges.
 func TestFastScanClusterPruning(t *testing.T) {
 	const n, nq = 20000, 64
 	flat, queries := clusteredFastScan(t, n, nq, 1)
@@ -185,16 +186,34 @@ func TestFastScanClusterPruning(t *testing.T) {
 		})
 		var got [][]Result
 		batch := countsOf(func() { got = BatchSearch(ix, queries, k, 2) })
-		for i, q := range queries {
-			sameResults(t, "clustered batch", want[i], got[i])
-			sameResults(t, "clustered 3-shard", want[i], Search(sh, q, k))
-		}
+		sharded := countsOf(func() {
+			for i, q := range queries {
+				sameResults(t, "clustered batch", want[i], got[i])
+				sameResults(t, "clustered 3-shard", want[i], Search(sh, q, k))
+			}
+		})
 		if batch != solo {
 			t.Fatalf("k=%d: batch counts %+v, solo %+v", k, batch, solo)
 		}
-		// Recorded (amd64, 64 clusters): at k = 10 the scans visit 64 031 of
-		// the 1 280 000 rows, 5 %.
-		t.Logf("k=%d: %d clusters, %.1f%% of rows visited", k, ix.clusters(), 100*float64(solo.Rows)/float64(nq*n))
+		ranges := countsOf(func() {
+			s := &Scratch{}
+			for _, q := range queries {
+				table := append([]float32(nil), ix.prepare(q, s)...)
+				for i := 0; i < sh.Shards(); i++ {
+					ix.scanRange(table, s, newTopK(k), sh.bounds[i], sh.bounds[i+1])
+				}
+			}
+		})
+		if sharded != ranges {
+			t.Fatalf("k=%d: 3-shard counts %+v, its ranges one by one %+v", k, sharded, ranges)
+		}
+		if solo.Clusters < nq || solo.Clusters > int64(nq*ix.clusters()/4) {
+			t.Fatalf("k=%d: %d scans visited %d clusters of %d each", k, solo.Scans, solo.Clusters, ix.clusters())
+		}
+		// Recorded (either kernel, 14 × 14 clusters): at k = 10 a scan visits
+		// 8.7 of the 196 clusters and 5.0 % of the rows (at 8 × 8, before the
+		// integer bound, 5.0 % too).
+		t.Logf("k=%d: %d clusters, %.1f%% of rows and %.1f clusters a query visited", k, ix.clusters(), 100*float64(solo.Rows)/float64(nq*n), float64(solo.Clusters)/nq)
 		if solo.Scans != nq || solo.Rows > nq*n/4 {
 			t.Fatalf("k=%d: %d scans visited %d of %d rows", k, solo.Scans, solo.Rows, nq*n)
 		}

@@ -10,9 +10,9 @@ func fsScanRun([]byte, []uint8, int, int, uint32, *[fsBlock]uint8) (int, uint32)
 	panic("index: no AVX2 fast-scan kernel in this build")
 }
 
-// fsNibMins and fsGroupBounds are the portable bound loops in this build.
-func fsNibMins(table []float32, m int, nib []float32) { fsNibMinsGo(table, m, nib) }
-
-func fsGroupBounds(masks []uint16, nib []float32, m int, out []float32) {
-	fsGroupBoundsGo(masks, nib, m, out)
+// fsClusterBounds is the portable loop in this build, over the first half
+// of the sub-quantizers.
+func fsClusterBounds(masks []byte, lut8 []uint8, m int, tab []uint8, out []uint16) (h int) {
+	fsClusterBoundsGo(masks, lut8, m, m/2, tab, out)
+	return m / 2
 }

@@ -22,6 +22,37 @@ func syntheticFastScan(nib []byte, m4, ks, n int) *FastScan {
 	return &FastScan{pq: quant.NewProductQuantizer(quant.Ks4, cbs), blocks: interleave4(nib, m4, n), n: n}
 }
 
+// interleave4 transposes row-major nibble codes (n rows × m4 nibbles, one
+// per byte) into the block-interleaved layout; deinterleave4 inverts it.
+// They define the layout the fuzz round-trip locks down.
+func interleave4(nib []byte, m4, n int) []byte {
+	np := m4 / 2
+	blocks := make([]byte, fsBlocksLen(m4, n))
+	for i := 0; i < n; i++ {
+		blk := blocks[i/fsBlock*fsBlockBytes(m4):]
+		r := i % fsBlock
+		for p := 0; p < np; p++ {
+			blk[p*fsBlock+r] = nib[i*m4+2*p]&0xf | nib[i*m4+2*p+1]<<4
+		}
+	}
+	return blocks
+}
+
+func deinterleave4(blocks []byte, m4, n int) []byte {
+	np := m4 / 2
+	nib := make([]byte, n*m4)
+	for i := 0; i < n; i++ {
+		blk := blocks[i/fsBlock*fsBlockBytes(m4):]
+		r := i % fsBlock
+		for p := 0; p < np; p++ {
+			b := blk[p*fsBlock+r]
+			nib[i*m4+2*p] = b & 0xf
+			nib[i*m4+2*p+1] = b >> 4
+		}
+	}
+	return nib
+}
+
 // remakeQuantizer makes ix's quantizer anew from its codebooks, as the
 // codec does at attach, after a test has written centroids into them.
 func remakeQuantizer(ix *FastScan) {
@@ -474,4 +505,104 @@ func TestFastScanClusterLayoutProperty(t *testing.T) {
 	})
 	// The cases must prune for the property to say anything about bounds.
 	t.Logf("%d scans visited %d rows", c.Scans, c.Rows)
+}
+
+// FuzzClusterBoundEquivalence holds the cluster bound kernel to its
+// definition: over random masks (empty ones included) of nc clusters —
+// the last group padded — and tables holding 0 and 255 entries, the
+// bounds of this build's kernel (AVX2 where the CPU has it) and of the
+// portable loop are bit-equal to Σ_p min over each mask, and no bound
+// exceeds the integer sum of a row whose codes lie in its cluster's masks;
+// and a bound over the first h sub-quantizers, at the kernel's h and at
+// any other, finished by fsBoundRest is the whole bound.
+func FuzzClusterBoundEquivalence(f *testing.F) {
+	f.Add(uint8(1), uint8(1), uint64(0), uint8(0))
+	f.Add(uint8(8), uint8(33), uint64(7), uint8(3))
+	f.Add(uint8(128), uint8(64), uint64(42), uint8(1))
+	f.Add(uint8(3), uint8(200), uint64(99), uint8(9))
+	f.Fuzz(func(t *testing.T, mRaw, ncRaw uint8, seed uint64, emptyRaw uint8) {
+		m, nc := (int(mRaw)%128+1)*2, int(ncRaw)+1
+		rng := mathx.NewRNG(seed)
+		sets := make([]uint16, nc*m)
+		for i := range sets {
+			switch {
+			case emptyRaw > 0 && rng.Intn(int(emptyRaw)+2) == 0:
+			case rng.Intn(3) == 0:
+				sets[i] = 1 << rng.Intn(quant.Ks4)
+			default:
+				sets[i] = uint16(rng.Uint64())
+			}
+		}
+		masks := make([]byte, fsMasksLen(nc, m))
+		for c := range nc {
+			for p := range m {
+				i := fsMaskIndex(c, p, m)
+				masks[i], masks[i+fsBlock] = byte(sets[c*m+p]), byte(sets[c*m+p]>>8)
+			}
+		}
+		lut8 := make([]uint8, m*quant.Ks4)
+		for i := range lut8 {
+			switch rng.Intn(4) {
+			case 0:
+				lut8[i] = 0
+			case 1:
+				lut8[i] = 255
+			default:
+				lut8[i] = uint8(rng.Intn(256))
+			}
+		}
+		ngroups := (nc + fsBlock - 1) / fsBlock
+		got, want := make([]uint16, ngroups*fsBlock), make([]uint16, ngroups*fsBlock)
+		tab, split := make([]uint8, fsBoundTablesLen(m)), make([]uint16, ngroups*fsBlock)
+		h := fsClusterBounds(masks, lut8, m, tab, got)
+		for c := range got {
+			if h < m {
+				got[c] += fsBoundRest(masks, tab, m, h, c)
+			}
+		}
+		fsClusterBoundsGo(masks, lut8, m, m, make([]uint8, fsBoundTablesLen(m)), want)
+		h = rng.Intn(m + 1)
+		fsClusterBoundsGo(masks, lut8, m, h, tab, split)
+		for c := range split {
+			split[c] += fsBoundRest(masks, tab, m, h, c)
+		}
+		if !slices.Equal(split, want) {
+			t.Fatalf("M=%d: bounds over %d sub-quantizers finished by fsBoundRest %v, want %v", m, h, split, want)
+		}
+		for c := range got {
+			var def int
+			for p := range m {
+				least := 255
+				for v := range quant.Ks4 {
+					if c < nc && sets[c*m+p]&(1<<v) != 0 {
+						least = min(least, int(lut8[p*quant.Ks4+v]))
+					}
+				}
+				def += least
+			}
+			if int(got[c]) != def || want[c] != got[c] {
+				t.Fatalf("M=%d cluster %d of %d: kernel bound %d, portable %d, want %d", m, c, nc, got[c], want[c], def)
+			}
+			if c >= nc {
+				continue
+			}
+			// A row of c: one code of each mask, where every mask holds one.
+			sum, row := 0, true
+			for p := range m {
+				set := sets[c*m+p]
+				if set == 0 {
+					row = false
+					break
+				}
+				v := rng.Intn(quant.Ks4)
+				for set&(1<<v) == 0 {
+					v = (v + 1) % quant.Ks4
+				}
+				sum += int(lut8[p*quant.Ks4+v])
+			}
+			if row && int(got[c]) > sum {
+				t.Fatalf("M=%d cluster %d: bound %d above a row's sum %d", m, c, got[c], sum)
+			}
+		}
+	})
 }

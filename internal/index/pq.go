@@ -133,21 +133,6 @@ func adcID(ids []int32, id0 int32, j int) int32 {
 	return ids[j]
 }
 
-// scanPlain is the straightforward one-code-at-a-time ADC scan of stored
-// rows [lo, hi). It is the reference scanADC is tested against and the
-// shape of the original implementation.
-func (ix *PQ) scanPlain(table []float32, t *topK, lo, hi int) {
-	m, ks := ix.pq.M, ix.pq.Ks
-	for i := lo; i < hi; i++ {
-		code := ix.codes[i*m : (i+1)*m]
-		var d float32
-		for j := 0; j < m; j++ {
-			d += table[j*ks+int(code[j])]
-		}
-		t.push(int32(i), d)
-	}
-}
-
 // Reconstruct decodes the stored approximation of vector id.
 func (ix *PQ) Reconstruct(id int32) []float32 {
 	m := ix.pq.M

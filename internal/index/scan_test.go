@@ -113,3 +113,18 @@ func TestScratchSharedAcrossIndexKinds(t *testing.T) {
 		}
 	}
 }
+
+// scanPlain is the straightforward one-code-at-a-time ADC scan of stored
+// rows [lo, hi). It is the reference scanADC is tested against and the
+// shape of the original implementation.
+func (ix *PQ) scanPlain(table []float32, t *topK, lo, hi int) {
+	m, ks := ix.pq.M, ix.pq.Ks
+	for i := lo; i < hi; i++ {
+		code := ix.codes[i*m : (i+1)*m]
+		var d float32
+		for j := 0; j < m; j++ {
+			d += table[j*ks+int(code[j])]
+		}
+		t.push(int32(i), d)
+	}
+}

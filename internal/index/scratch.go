@@ -3,12 +3,13 @@ package index
 import "sync"
 
 // Scratch is the reusable per-worker working memory of a search: the ADC
-// table, the top-k heap, the IVF probe state and the fast-scan tables. All
-// buffers grow on demand and are retained, so a worker that owns a Scratch
-// — and hands Index.Search a result buffer — searches without allocating
-// at all; wrapped indexes pass the same Scratch down (Dynamic to its base)
-// rather than checking out another. The zero value is ready to use; a
-// Scratch must not be used concurrently.
+// table, the top-k heap, the IVF probe state, and the fast-scan tables,
+// cluster bounds and bucket queue. All buffers grow on demand and are
+// retained, so a worker that owns a Scratch — and hands Index.Search a
+// result buffer — searches without allocating at all; wrapped indexes pass
+// the same Scratch down (Dynamic to its base) rather than checking out
+// another. The zero value is ready to use; a Scratch must not be used
+// concurrently.
 type Scratch struct {
 	res      topK
 	probes   topK
@@ -16,13 +17,15 @@ type Scratch struct {
 	residual []float32
 	coarse   []float32 // IVF: the query's distance to every coarse centroid
 	probeBuf []Result
-	base     []Result  // Dynamic: the sealed base segment's hits, merged into res
-	lut8     []uint8   // fast-scan: uint8-quantized ADC table (M4 × Ks4)
-	lut16    []uint16  // fast-scan portable kernel: fused pair LUTs (M4/2 × 256)
-	nibMin   []float32 // fast-scan: per sub-quantizer minima over nibble subsets (M4 × 4 × 16)
-	bounds   []float32 // fast-scan: the clusters' lower bounds
-	order    []uint64  // fast-scan: the super-clusters' keys, bound above index
-	keys     []uint64  // fast-scan: the clusters' keys
+	base     []Result   // Dynamic: the sealed base segment's hits, merged into res
+	spread   []uint8    // fast-scan: the ADC table quantized to its full spread (M4 × Ks4)
+	lut8     []uint8    // fast-scan AVX2 kernel: the threshold-relative table (M4 × Ks4)
+	lut16    []uint16   // fast-scan portable kernel: fused pair LUTs (M4/2 × 256)
+	subsets  []uint8    // fast-scan: spread's minima over code subsets (fsBoundTablesLen)
+	bounds   []uint16   // fast-scan: the clusters' lower bounds
+	partial  []uint32   // fast-scan: the clusters queued with a partial bound, a bit each
+	next     []int32    // fast-scan: each cluster's successor in its bucket, plus one
+	buckets  [256]int32 // fast-scan: each bucket's first cluster, plus one
 }
 
 // ScratchSearcher is Index.Search without the context and the result

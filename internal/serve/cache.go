@@ -148,12 +148,13 @@ func (cs CacheStats) HitRate() float64 {
 // Observe bridges the cache's exact instance-local counters into a metrics
 // registry as pull-time collectors: the per-instance Stats stay the source
 // of truth (tests assert exact values on them) and /metrics reads them at
-// scrape time without any double counting on the hot path.
-func (c *MentionCache) Observe(r *obs.Registry) {
-	r.CounterFunc("emblookup_cache_hits_total", func() float64 { return float64(c.Stats().Hits) })
-	r.CounterFunc("emblookup_cache_misses_total", func() float64 { return float64(c.Stats().Misses) })
-	r.CounterFunc("emblookup_cache_evictions_total", func() float64 { return float64(c.Stats().Evictions) })
-	r.GaugeFunc("emblookup_cache_entries", func() float64 { return float64(c.Stats().Entries) })
+// scrape time without any double counting on the hot path. The series
+// carry the label pairs kv (none for a plain server).
+func (c *MentionCache) Observe(r *obs.Registry, kv ...string) {
+	r.CounterFunc(obs.Labels("emblookup_cache_hits_total", kv...), func() float64 { return float64(c.Stats().Hits) })
+	r.CounterFunc(obs.Labels("emblookup_cache_misses_total", kv...), func() float64 { return float64(c.Stats().Misses) })
+	r.CounterFunc(obs.Labels("emblookup_cache_evictions_total", kv...), func() float64 { return float64(c.Stats().Evictions) })
+	r.GaugeFunc(obs.Labels("emblookup_cache_entries", kv...), func() float64 { return float64(c.Stats().Entries) })
 }
 
 // Stats snapshots the counters across all segments.

@@ -50,6 +50,10 @@ type Options struct {
 	// obs.Default()). Benchmarks hand each instance a fresh registry so
 	// phases don't contaminate each other.
 	Registry *obs.Registry
+	// Tenant, when set, labels every one of those series tenant="<name>",
+	// so the substrates of tenants sharing a registry keep series of their
+	// own; empty keeps the unlabelled names of a plain server.
+	Tenant string
 }
 
 // Serve answers lookups through the cache and the sharded index. Safe for
@@ -87,12 +91,16 @@ func New(model *core.EmbLookup, opts Options) (*Serve, error) {
 	if reg == nil {
 		reg = obs.Default()
 	}
+	var tenant []string
+	if opts.Tenant != "" {
+		tenant = []string{"tenant", opts.Tenant}
+	}
 	s := &Serve{model: model, derived: derived}
-	s.latency = reg.Histogram("emblookup_serve_lookup_seconds")
-	s.stageNormalize = reg.Histogram(obs.Labels("emblookup_lookup_stage_seconds", "stage", "normalize"))
+	s.latency = reg.Histogram(obs.Labels("emblookup_serve_lookup_seconds", tenant...))
+	s.stageNormalize = reg.Histogram(obs.Labels("emblookup_lookup_stage_seconds", append(tenant, "stage", "normalize")...))
 	if opts.CacheSize > 0 {
 		s.cache = NewMentionCache(opts.CacheSize)
-		s.cache.Observe(reg)
+		s.cache.Observe(reg, tenant...)
 	}
 	return s, nil
 }

@@ -159,9 +159,9 @@ func TestStatsAndHealth(t *testing.T) {
 	if st.FastScanKernel != index.FastScanKernel() {
 		t.Fatalf("fast-scan stats name kernel %q, want %q", st.FastScanKernel, index.FastScanKernel())
 	}
-	// A 200-row index: the lookup above swept every row and re-ranked at
-	// least the heap's k of them.
-	if p := st.FastScanPrune; p == nil || p.Scans < 1 || p.Rows < int64(len(g.Entities)) || p.Candidates < 1 {
+	// A 200-row index: the lookup above swept every row, its one cluster,
+	// and re-ranked at least the heap's k of them.
+	if p := st.FastScanPrune; p == nil || p.Scans < 1 || p.Rows < int64(len(g.Entities)) || p.Clusters < p.Scans || p.Candidates < 1 {
 		t.Fatalf("fast-scan stats carry prune counts %+v after a lookup", p)
 	}
 

@@ -133,6 +133,7 @@ func (t *Tenant) open() (*Handle, error) {
 		Shards:    t.cfg.Shards,
 		CacheSize: t.cfg.CacheSize,
 		Registry:  t.reg,
+		Tenant:    t.cfg.Name,
 	})
 	if err != nil {
 		model.Close()

@@ -341,3 +341,48 @@ func TestLoadConfigIgnoresWindowUs(t *testing.T) {
 		}
 	}
 }
+
+// TestTenantSeriesApart holds two tenants on one registry to series of
+// their own: after one miss and four hits on a (the same query five times)
+// /metrics shows a's cache counts and five lookups, and b's none.
+func TestTenantSeriesApart(t *testing.T) {
+	gp, mp := testArtifacts(t)
+	reg := obs.New()
+	r, err := NewRegistry(Config{Tenants: []TenantConfig{
+		{Name: "a", Graph: gp, Model: mp, Shards: 1, Preload: true},
+		{Name: "b", Graph: gp, Model: mp, Shards: 1, Preload: true},
+	}}, reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer r.Close()
+	tn, _ := r.Tenant("a")
+	h, err := tn.Acquire()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for range 5 {
+		h.Serve().Lookup(artGraph.Entities[3].Label, 5)
+	}
+	h.Release()
+	var out strings.Builder
+	if err := reg.WritePrometheus(&out); err != nil {
+		t.Fatal(err)
+	}
+	for _, want := range []string{
+		`emblookup_cache_hits_total{tenant="a"} 4`,
+		`emblookup_cache_misses_total{tenant="a"} 1`,
+		`emblookup_cache_hits_total{tenant="b"} 0`,
+		`emblookup_cache_misses_total{tenant="b"} 0`,
+		`emblookup_serve_lookup_seconds_count{tenant="a"} 5`,
+		`emblookup_serve_lookup_seconds_count{tenant="b"} 0`,
+		`emblookup_lookup_stage_seconds_count{tenant="a",stage="normalize"} 5`,
+	} {
+		if !strings.Contains(out.String(), want+"\n") {
+			t.Errorf("/metrics lacks %q", want)
+		}
+	}
+	if t.Failed() {
+		t.Log(out.String())
+	}
+}

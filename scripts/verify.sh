@@ -152,7 +152,10 @@ echo "== kernel fuzz (short, both builds) =="
 # Each build's fast-scan kernels against the plain float32 scan: batch sizes
 # 1-9, all-ties tables, mid-block ranges; and a clustered index against the
 # same codes in id order, solo and batch, under arbitrary cluster layouts,
-# duplicate rows, all-ties tables and appended clusters (DESIGN.md §11). Each build's
+# duplicate rows, all-ties tables and appended clusters (DESIGN.md §11); the
+# cluster bound kernel against its definition and the portable loop, on
+# random and empty masks, 0 and 255 table entries and a padded last group,
+# and no bound above a member row's integer sum. Each build's
 # convolution kernels against the scalar loop, bit for bit: lengths 1-40,
 # signed zeros, subnormals, overflow (DESIGN.md §3). Each build's centroid
 # block against SquaredL2 per centroid, and each build's matvec against Dot
@@ -164,6 +167,8 @@ go test -run '^$' -fuzz FuzzFastScanEquivalence -fuzztime 10s ./internal/index
 go test -tags purego -run '^$' -fuzz FuzzFastScanEquivalence -fuzztime 10s ./internal/index
 go test -run '^$' -fuzz FuzzClusteredFastScanEquivalence -fuzztime 10s ./internal/index
 go test -tags purego -run '^$' -fuzz FuzzClusteredFastScanEquivalence -fuzztime 10s ./internal/index
+go test -run '^$' -fuzz FuzzClusterBoundEquivalence -fuzztime 10s ./internal/index
+go test -tags purego -run '^$' -fuzz FuzzClusterBoundEquivalence -fuzztime 10s ./internal/index
 go test -run '^$' -fuzz FuzzConvEquivalence -fuzztime 10s ./internal/nn
 go test -tags purego -run '^$' -fuzz FuzzConvEquivalence -fuzztime 10s ./internal/nn
 go test -run '^$' -fuzz FuzzSquaredL2ManyEquivalence -fuzztime 10s ./internal/mathx
@@ -248,8 +253,10 @@ go test -run '^$' -bench 'BenchmarkGraph' -benchmem -benchtime 3x .
 echo "== fast-scan kernel benchmark (short, both builds) =="
 # The compressed-scan kernels side by side (plain 8-bit ADC, 4-bit
 # fast-scan solo, a batch of four, and the solo scan over 100k clustered
-# rows — compare their ns/query-row, and cand/query: the rows a query
-# re-ranks exactly, index.FastScanCounts, a count no host noise moves), once
+# rows — compare their ns/op and ns/row-scanned beside rows/query,
+# clusters/query and cand/query: the rows and clusters a query scans and the
+# rows it re-ranks exactly, index.FastScanCounts, counts no host noise
+# moves), once
 # on this host's kernel and once on the portable one, so both land in the
 # log; the full-length numbers are snapshotted into BENCH_lookup.json
 # (scan_pq / scan_fastscan / scan_fastscan_batch4, kernel named in env)
